@@ -31,7 +31,8 @@ __all__ = [
     "berkowitz",
     "poly_eval",
     "poly_deriv",
-    "poly_monic_scale",
+    "poly_mul",
+    "poly_divmod",
     "squarefree_part",
     "sturm_chain",
     "count_roots_halfopen",
@@ -445,17 +446,9 @@ def berkowitz(m: IntMatrix | RatMatrix) -> list:
         for _ in range(k):
             toep.append(-sum(a * b for a, b in zip(row, vec)))
             vec = [sum(block[i][j] * vec[j] for j in range(k)) for i in range(k)]
-        # First k + 2 entries of the convolution (lower-triangular Toeplitz
-        # times the previous coefficient vector).
-        new = [one * 0] * (k + 2)
-        for i, t in enumerate(toep):
-            if t == 0:
-                continue
-            for j, c in enumerate(poly):
-                if i + j > k + 1:
-                    break
-                new[i + j] += t * c
-        poly = new
+        # Lower-triangular Toeplitz times the previous coefficient vector:
+        # the first k + 2 entries of the convolution.
+        poly = poly_mul(toep, poly)[: k + 2]
     return list(reversed(poly))
 
 
@@ -482,13 +475,37 @@ def poly_deriv(p: Sequence) -> list:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def poly_monic_scale(p: Sequence) -> list[Fraction]:
-    """Divide by the leading coefficient; [] stays []."""
-    q = _trim(p)
-    if not q:
+def poly_mul(a: Sequence, b: Sequence) -> list:
+    """Product of two coefficient lists; exact for int or Fraction entries."""
+    if not a or not b:
         return []
-    lead = Fraction(q[-1])
-    return [Fraction(c) / lead for c in q]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def poly_divmod(a: Sequence, b: Sequence) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b over Q, by long division.
+
+    Both come back as Fraction lists; the remainder is trimmed, so it is []
+    exactly when b divides a.
+    """
+    b = _trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = [Fraction(c) for c in _trim(a)]
+    db = len(b) - 1
+    quo = [Fraction(0)] * max(len(r) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        f = r[k + db] / b[-1]
+        quo[k] = f
+        if f:
+            for i, c in enumerate(b):
+                r[k + i] -= f * c
+    return quo, _trim(r[:db])
 
 
 def _to_primitive_int(p: Sequence) -> list[int]:
@@ -506,21 +523,9 @@ def _to_primitive_int(p: Sequence) -> list[int]:
     return [v // g for v in ints]
 
 
-def _rem_primitive(a: list[int], b: list[int]) -> list[int]:
+def _rem_primitive(a: Sequence, b: Sequence) -> list[int]:
     """Primitive integer remainder of a by b (sign of the true remainder)."""
-    r = [Fraction(c) for c in a]
-    db = len(b) - 1
-    lead = Fraction(b[-1])
-    while len(r) - 1 >= db and _trim(r):
-        r = _trim(r)
-        if len(r) - 1 < db:
-            break
-        f = r[-1] / lead
-        shift = len(r) - 1 - db
-        for i, c in enumerate(b):
-            r[i + shift] -= f * c
-        r[-1] = Fraction(0)
-    return _to_primitive_int(r)
+    return _to_primitive_int(poly_divmod(a, b)[1])
 
 
 def poly_gcd(a: Sequence, b: Sequence) -> list[int]:
@@ -539,36 +544,20 @@ def squarefree_part(p: Sequence) -> list[int]:
     if len(q) <= 1:
         return q
     g = poly_gcd(q, poly_deriv(q))
-    if len(g) == 1:
-        return q if q[-1] > 0 else [-c for c in q]
-    # Exact division q / g over Q, then renormalise.
-    num = [Fraction(c) for c in q]
-    out = [Fraction(0)] * (len(q) - len(g) + 1)
-    dg = len(g) - 1
-    lead = Fraction(g[-1])
-    for k in range(len(out) - 1, -1, -1):
-        f = num[k + dg] / lead
-        out[k] = f
-        if f:
-            for i, c in enumerate(g):
-                num[k + i] -= f * c
-    res = _to_primitive_int(out)
+    res = _to_primitive_int(poly_divmod(q, g)[0]) if len(g) > 1 else q
     return res if res[-1] > 0 else [-c for c in res]
 
 
 def root_multiplicity(p: Sequence, r: Fraction | int) -> int:
     """Multiplicity of r as a root of p (0 when p(r) != 0)."""
-    r = Fraction(r)
-    q = [Fraction(c) for c in _trim(p)]
+    linear = [-Fraction(r), 1]
+    q = _trim(p)
     mult = 0
-    while len(q) > 1 and poly_eval(q, r) == 0:
-        # Synthetic division by (x - r); the remainder is known to vanish.
-        d = len(q) - 1
-        s = [Fraction(0)] * d
-        s[d - 1] = q[d]
-        for i in range(d - 1, 0, -1):
-            s[i - 1] = q[i] + r * s[i]
-        q = s
+    while len(q) > 1:
+        quo, rem = poly_divmod(q, linear)
+        if rem:
+            break
+        q = quo
         mult += 1
     return mult
 

@@ -22,7 +22,7 @@ odd integer as soon as t > 2r.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
+from math import comb, floor
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,7 +38,9 @@ from .exact import (
     berkowitz,
     cauchy_bound,
     count_roots_halfopen,
+    poly_divmod,
     poly_gcd,
+    poly_mul,
     rank_det,
     root_multiplicity,
     smallest_real_root,
@@ -297,46 +299,13 @@ def _poly_lcm(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         return b
     if not b:
         return a
-    g = poly_gcd(a, b)
-    q = _poly_divexact(a, [Fraction(c) for c in g])
-    out = _poly_mul(q, b)
-    lead = out[-1]
-    return [c / lead for c in out]
+    out = poly_mul(poly_divmod(a, poly_gcd(a, b))[0], b)
+    return [c / out[-1] for c in out]
 
 
-def _poly_mul(a, b) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _poly_divexact(a, b) -> list[Fraction]:
-    """Quotient a/b for polynomials where the division is exact."""
-    a = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        q = a[i + len(b) - 1] / b[-1]
-        out[i] = q
-        if q:
-            for j, cb in enumerate(b):
-                a[i + j] -= q * cb
-    return out
-
-
-def _deflate(p, root, k) -> list[Fraction]:
-    """Divide p by (x - root)^k; the division must be exact."""
-    p = [Fraction(c) for c in p]
-    for _ in range(k):
-        out = [Fraction(0)] * (len(p) - 1)
-        acc = Fraction(0)
-        for i in range(len(p) - 1, 0, -1):
-            acc = p[i] + root * acc
-            out[i - 1] = acc
-        p = out
-    return p
+def _linear_power(root, k: int) -> list:
+    """Coefficients of (x - root)^k, ascending."""
+    return [comb(k, i) * (-root) ** (k - i) for i in range(k + 1)]
 
 
 def _charpoly_via_minpoly(rows) -> list[int] | None:
@@ -379,19 +348,14 @@ def _charpoly_via_minpoly(rows) -> list[int] | None:
     mults = solve_left(vand, traces)
     if mults is None:
         return None
-    out = [Fraction(1)]
-    total = 0
+    out = [1]
     for root, mult in zip(roots, mults):
         if mult.denominator != 1 or mult <= 0:
             return None
-        total += int(mult)
-        for _ in range(int(mult)):
-            out = [Fraction(0)] + out
-            for i in range(len(out) - 1):
-                out[i] -= root * out[i + 1]
-    if total != t:
+        out = poly_mul(out, _linear_power(root, int(mult)))
+    if len(out) != t + 1:
         return None
-    return [int(c) for c in out]
+    return out
 
 
 def _annihilates(rows, p: list[int]) -> bool:
@@ -405,31 +369,26 @@ def _annihilates(rows, p: list[int]) -> bool:
 
 
 def _integer_roots(p: list[int]) -> list[int] | None:
-    """Distinct integer roots of a monic squarefree integer polynomial, or
-    None if it does not split over the integers."""
-    work = [Fraction(c) for c in p]
-    roots = []
-    const = p[0]
-    if const == 0:
-        roots.append(0)
-        work = _deflate(work, 0, 1)
-        const = int(work[0]) if len(work) > 1 else 1
+    """Distinct integer roots of a monic integer polynomial, or None unless
+    it splits over the integers into distinct linear factors."""
+    work, roots = p, []
+    if p[0] == 0:
+        work, roots = poly_divmod(p, [0, 1])[0], [0]
+    a = abs(int(work[0]))
     candidates = set()
-    a = abs(const)
     d = 1
     while d * d <= a:
         if a % d == 0:
             candidates.update((d, -d, a // d, -(a // d)))
         d += 1
+    # one division per candidate: a repeated root stays in work and fails
+    # the final degree test
     for cand in sorted(candidates, key=abs):
-        while len(work) > 1 and sum(c * cand**k for k, c in enumerate(work)) == 0:
+        quo, rem = poly_divmod(work, [-cand, 1])
+        if not rem:
             roots.append(cand)
-            work = _deflate(work, cand, 1)
-    if len(work) != 1:
-        return None
-    if len(set(roots)) != len(roots):
-        return None  # repeated root: not squarefree, cannot trust the route
-    return sorted(roots)
+            work = quo
+    return sorted(roots) if len(work) == 1 else None
 
 
 def least_eigenvalue(
@@ -446,17 +405,38 @@ def least_eigenvalue(
 
 def _poly_linear_sub(p, a, b) -> list[Fraction]:
     """Coefficients of p(a*x + b) by Horner composition."""
-    res = [Fraction(0)]
-    for coeff in reversed([Fraction(c) for c in p]):
-        nxt = [Fraction(0)] * (len(res) + 1)
-        for i, c in enumerate(res):
-            nxt[i + 1] += a * c
-            nxt[i] += b * c
-        nxt[0] += coeff
-        while len(nxt) > 1 and nxt[-1] == 0:
-            nxt.pop()
-        res = nxt
+    res = [Fraction(p[-1])]
+    for coeff in reversed(p[:-1]):
+        res = poly_mul(res, [b, a])
+        res[0] += coeff
     return res
+
+
+def _factored_charpoly(fam: LineFamily) -> tuple[list[Fraction], Fraction, int]:
+    """(q, root, k) with det(xI - S) = q(x) (x - root)^k.
+
+    q is the monic degree-r factor that the n x n product of
+    family_charpoly carries, root = -1/alpha and k = t - r.  Raises
+    VerificationError when the rank or the trace of S disagrees with it.
+    """
+    if fam.alpha is None:
+        raise DegeneratePair(f"{fam.t} line(s) carry no angle")
+    reps = [list(v) for v in fam.pairs.reps]
+    t, r, n = fam.t, fam.rank, fam.lattice.dim
+    btb = imatmul(_tr(reps), reps)
+    p = berkowitz(IntMatrix(imatmul(fam.lattice.gram.num.rows, btb)))
+    if any(p[k] for k in range(n - r)) or not p[n - r]:
+        raise VerificationError("spectral factor disagrees with the rank")
+    # roots of g are den*N*(alpha*lambda + 1) over Seidel eigenvalues lambda
+    scale = fam.lattice.gram.den * fam.pairs.norm
+    q = _poly_linear_sub(p[n - r:], scale * fam.alpha, scale)
+    if not q[-1]:
+        raise VerificationError("degree loss in the spectral substitution")
+    q = [c / q[-1] for c in q]
+    root, k = -1 / fam.alpha, t - r
+    if q[r - 1] != k * root:  # trace of a Seidel matrix is 0
+        raise VerificationError("assembled spectrum fails the trace identity")
+    return q, root, k
 
 
 def family_charpoly(fam: LineFamily) -> list[Fraction]:
@@ -469,28 +449,8 @@ def family_charpoly(fam: LineFamily) -> list[Fraction]:
     and restoring the t - r zero eigenvalues as -1/alpha yields det(xI - S)
     for t in the hundreds at n x n cost.
     """
-    if fam.alpha is None:
-        raise DegeneratePair(f"{fam.t} line(s) carry no angle")
-    reps = [list(v) for v in fam.pairs.reps]
-    t, r, n = fam.t, fam.rank, fam.lattice.dim
-    btb = imatmul(_tr(reps), reps)
-    p = berkowitz(IntMatrix(imatmul(fam.lattice.gram.num.rows, btb)))
-    if any(p[k] for k in range(n - r)) or not p[n - r]:
-        raise VerificationError("spectral factor disagrees with the rank")
-    # roots of g are den*N*(alpha*lambda + 1) over Seidel eigenvalues lambda
-    scale = fam.lattice.gram.den * fam.pairs.norm
-    h = _poly_linear_sub(p[n - r:], scale * fam.alpha, scale)
-    if len(h) != r + 1:
-        raise VerificationError("degree loss in the spectral substitution")
-    h = [c / h[-1] for c in h]
-    root = -1 / fam.alpha
-    for _ in range(t - r):
-        h = [Fraction(0)] + h
-        for i in range(len(h) - 1):
-            h[i] -= root * h[i + 1]
-    if len(h) != t + 1 or h[t - 1] != 0:  # trace of a Seidel matrix is 0
-        raise VerificationError("assembled spectrum fails the trace identity")
-    return h
+    q, root, k = _factored_charpoly(fam)
+    return poly_mul(q, _linear_power(root, k))
 
 
 def absolute_bound(n: int) -> int:
@@ -612,21 +572,22 @@ def certify(fam: LineFamily, width: Fraction = DEFAULT_ROOT_WIDTH) -> dict:
         }
     )
 
-    p = family_charpoly(fam)
-    target = -1 / alpha
-    mult = root_multiplicity(p, target)
+    q, target, k = _factored_charpoly(fam)
+    extra = root_multiplicity(q, target)
+    mult = k + extra
     entry = {"check": "least_eigenvalue", "value": target, "multiplicity": mult}
     if t > r:
-        q = _deflate(p, target, mult) if mult else [Fraction(c) for c in p]
+        for _ in range(extra):
+            q = poly_divmod(q, [-target, 1])[0]
         chain = sturm_chain(q)
         below = count_roots_halfopen(chain, -cauchy_bound(q) - 1, target)
         entry["passed"] = mult == t - r and below == 0
         entry["interval"] = (target, target)
     else:
-        chain = sturm_chain(p)
-        at_or_below = count_roots_halfopen(chain, -cauchy_bound(p) - 1, target)
+        chain = sturm_chain(q)
+        at_or_below = count_roots_halfopen(chain, -cauchy_bound(q) - 1, target)
         entry["passed"] = mult == 0 and at_or_below == 0
-        entry["interval"] = smallest_real_root(p, width)
+        entry["interval"] = smallest_real_root(q, width)
         entry["note"] = "t = rank: the bound eigenvalue is not attained"
     checks.append(entry)
 

@@ -396,7 +396,7 @@ def relative_lattice(lat: GramLattice, x0: Sequence[int]) -> EmbeddedSublattice:
         raise VerificationError(f"section has dimension {rel.dim}, not {n - 1}")
     for t in targets:
         rel.coords_of(t)  # the family must embed; NotInLattice is a real failure
-    if minimum(rel.induced, upper_bound=msec) != msec:
+    if minimum(rel.induced) != msec:
         raise VerificationError("relative lattice minimum is not 4m - m'")
     back = PairSet(lat, [rel.embed(c) for c in shell(rel.induced, msec)])
     if back.reps != targets:

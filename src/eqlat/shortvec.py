@@ -443,12 +443,8 @@ _MIN_CACHE: dict[GramLattice, Fraction] = {}
 _SHELL_CACHE: dict[tuple, tuple] = {}
 
 
-def minimum(lat: GramLattice, upper_bound=None) -> Fraction:
-    """Exact minimum norm of the nonzero vectors.
-
-    upper_bound, when given, must be a norm actually attained in the
-    lattice; it seeds the pruning bound and never changes the result.
-    """
+def minimum(lat: GramLattice) -> Fraction:
+    """Exact minimum norm of the nonzero vectors."""
     got = _MIN_CACHE.get(lat)
     if got is not None:
         return got
@@ -456,11 +452,6 @@ def minimum(lat: GramLattice, upper_bound=None) -> Fraction:
         raise DimensionMismatch("empty lattice has no minimum")
     prep = _prep(lat)
     seed = min(prep.red.gram.num[i, i] for i in range(prep.n))  # attained
-    if upper_bound is not None:
-        t = Fraction(upper_bound) * prep.den
-        if t.denominator != 1:
-            raise ValueError("upper_bound is not a norm of this lattice")
-        seed = min(seed, int(t))
     limit = prep.escale * seed - 1
     best = _run(prep, "min", limit, None, None)
     scaled = seed * prep.escale if best is None else best

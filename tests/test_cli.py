@@ -2,6 +2,7 @@
 
 import json
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -311,6 +312,19 @@ def test_report_roots_json(capsys):
     assert ("E", 8, 28, 7) in rows
     assert ("D", 12, 20, 11) in rows
     assert ("A", 12, 11, 11) in rows
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (("equi", str(GOLDEN / "e8.json"), "--json"), "equi_e8.stdout"),
+    (("report", "--suite", "roots", "--json"), "report_roots.stdout"),
+])
+def test_json_stdout_matches_golden(capsys, argv, stdout):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert out.encode() == (GOLDEN / stdout).read_bytes()
 
 
 def test_report_min3(capsys):

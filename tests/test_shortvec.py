@@ -6,6 +6,7 @@ from fractions import Fraction as QQ
 import pytest
 from oracles import grid_short_vectors
 
+from eqlat.constructions import root_lattice
 from eqlat.errors import MixedNorms, ZeroVector
 from eqlat.exact import IntMatrix, rank_det
 from eqlat.lattice import GramLattice
@@ -112,8 +113,11 @@ def test_enumeration_matches_grid_oracle():
         assert int(m) == oracle[0][0]
 
 
-def test_minimum_upper_bound_hint():
-    assert minimum(GramLattice([[2, 1], [1, 2]]), upper_bound=2) == 2
+def test_minimum_takes_no_hint():
+    e8 = root_lattice("E", 8).lattice
+    with pytest.raises(TypeError):
+        minimum(e8, upper_bound=1)
+    assert minimum(e8) == 2
 
 
 def test_rational_gram_enumeration():
