@@ -542,7 +542,7 @@ def squarefree_part(p: Sequence) -> list[int]:
     """p / gcd(p, p'), primitive with positive leading coefficient."""
     q = _to_primitive_int(p)
     if len(q) <= 1:
-        return q
+        return [1] if q else []
     g = poly_gcd(q, poly_deriv(q))
     res = _to_primitive_int(poly_divmod(q, g)[0]) if len(g) > 1 else q
     return res if res[-1] > 0 else [-c for c in res]

@@ -8,9 +8,12 @@ plain Python integers, so overflow cannot silently occur.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 _SAFE = 2**62
+_BLOCK = 4096
 
 
 def _max_abs(rows) -> int:
@@ -24,10 +27,19 @@ def imatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
     bound = _max_abs(a) * _max_abs(b) * inner
     if bound < _SAFE:
-        out = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
-        return [[int(v) for v in row] for row in out]
+        return (np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)).tolist()
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def imatmul_rows(a: Sequence[Sequence[int]], b: list[list[int]]):
+    """The rows of imatmul(a, b), computed _BLOCK rows of a at a time.
+
+    For tall a this keeps the int64 temporaries and the list of result rows
+    to one block's size.
+    """
+    for i in range(0, len(a), _BLOCK):
+        yield from imatmul(a[i:i + _BLOCK], b)
 
 
 def gram_product(rows: list[list[int]]) -> list[list[int]]:

@@ -36,13 +36,14 @@ from .errors import (
     ZeroVector,
 )
 from .exact import IntMatrix, hnf, rank_det
-from .fastops import imatmul
+from .fastops import imatmul, imatmul_rows
 from .lattice import EmbeddedSublattice, GramLattice, Vec
 from .shortvec import (
     PairSet,
     cached_shell,
     coset_minimum,
     coset_shell,
+    least_vector,
     minimum,
     shell,
 )
@@ -222,15 +223,19 @@ def mod2_class(
 
 
 def default_x0(lat: GramLattice) -> Vec:
-    """Deterministic base point: the least vector of norm 2m - 2."""
+    """Deterministic base point: the least vector of norm 2m - 2.
+
+    Least in the canonical shell order, i.e. shell(lat, 2m - 2)[0], found
+    without building that shell.
+    """
     m = minimum(lat)
     r = 2 * m - 2
     if r <= 0:
         raise BadParameter("minimum 1 leaves no nonzero norm 2m - 2")
-    sh = shell(lat, r)
-    if not sh:
+    x0 = least_vector(lat, r)
+    if x0 is None:
         raise EmptyClass(f"no vectors of norm {r}")
-    return sh[0]
+    return x0
 
 
 class EquiangularSet:
@@ -341,14 +346,7 @@ def equiangular_via_s0(
     direct enumeration.
     """
     m, x0, odd_min = _gate(lat, x0)
-    want = m - 1
-    s0 = []
-    for r in shell(lat, m):
-        d = lat.inner(x0, r)
-        if d == want:
-            s0.append(r)
-        elif -d == want:
-            s0.append(_neg(r))
+    s0 = _s0_slice(lat, x0, m)
     ys = [tuple(a - 2 * b for a, b in zip(x0, s)) for s in s0]
     out = _assemble(lat, x0, m, ys, odd_min)
     if s0 and out.rank != rank_det(IntMatrix(s0))[0] - 1:
@@ -357,6 +355,24 @@ def equiangular_via_s0(
         raise VerificationError("slice does not pair up with the family")
     if cross_validate and out.pairs != equiangular_direct(lat, x0).pairs:
         raise VerificationError("slice route disagrees with class enumeration")
+    return out
+
+
+def _s0_slice(lat: GramLattice, v: Vec, m: Fraction) -> list[Vec]:
+    """The minimal vectors x with v.x = m - 1, one per +-pair, in shell order.
+
+    Each pair contributes the member whose product with v is m - 1; all
+    products come from one integer matrix product against G v.
+    """
+    reps = shell(lat, m)
+    gv = imatmul(lat.gram.num.to_lists(), [[c] for c in v])
+    want = (m - 1) * lat.gram.den
+    out = []
+    for r, (d,) in zip(reps, imatmul_rows(reps, gv)):
+        if d == want:
+            out.append(r)
+        elif -d == want:
+            out.append(_neg(r))
     return out
 
 
@@ -456,14 +472,7 @@ def check_scalar_products_after_projection(lat: GramLattice, v: Sequence[int]) -
     if not covered:
         report["reason"] = "image minimum not attained on projected minimal vectors"
         return report
-    want = m - 1
-    slice_ = []
-    for r in s:
-        d = lat.inner(v, r)
-        if d == want:
-            slice_.append(r)
-        elif -d == want:
-            slice_.append(_neg(r))
+    slice_ = _s0_slice(lat, v, m)
     rows = [list(x) for x in slice_]
     g = lat.gram.num.to_lists()
     den = lat.gram.den

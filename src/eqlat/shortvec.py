@@ -30,7 +30,8 @@ from .errors import (
     ZeroVector,
 )
 from .exact import IntMatrix, RatMatrix
-from .lattice import GramLattice, Vec, dot
+from .fastops import imatmul_rows
+from .lattice import GramLattice, Vec
 
 __all__ = [
     "set_threads",
@@ -38,6 +39,7 @@ __all__ = [
     "lll_reduce",
     "is_lll_reduced",
     "minimum",
+    "least_vector",
     "shell",
     "cached_shell",
     "shell_count",
@@ -172,8 +174,13 @@ def is_lll_reduced(lat: GramLattice, delta: Fraction = Fraction(99, 100)) -> boo
 class _Prep:
     __slots__ = ("lat", "red", "u", "uinv", "n", "den", "delta", "sub", "g", "escale")
 
-    def __init__(self, lat: GramLattice):
-        red, u = lll_reduce(lat)
+    def __init__(self, lat: GramLattice, basis: IntMatrix | None = None):
+        """Enumeration data in the LLL basis, or in the given unimodular basis."""
+        if basis is None:
+            red, u = lll_reduce(lat)
+        else:
+            u = basis
+            red = GramLattice(RatMatrix(u @ lat.gram.num @ u.transpose(), lat.gram.den))
         n = lat.dim
         a = [list(row) for row in red.gram.num.rows]
         delta = [1] * (n + 1)
@@ -218,9 +225,12 @@ def _search_chunk(payload: dict) -> object:
     """Enumerate the subtrees under the given top-level coordinate values.
 
     Top-level function so process pools can pick it up by reference.
-    mode: "le" and "shell" collect (scaled_norm, coords) leaves, "count"
-    counts exact-norm leaves closed-form at the bottom level, "min" returns
-    the best nonzero scaled norm found.
+    mode: "le" collects (scaled_norm, coords) leaves and "shell" the coords
+    of exact-norm leaves; "first" stops at the first exact-norm leaf, which
+    is the least in the walk's order (each level ascending, top level
+    first); "count" counts exact-norm leaves closed-form at the bottom
+    level; "mincount" keeps the least nonzero scaled norm found as an
+    inclusive bound and returns (best, leaves at best).
     """
     n = payload["n"]
     delta = payload["delta"]
@@ -234,7 +244,6 @@ def _search_chunk(payload: dict) -> object:
     x = [0] * n
     out: list = []
     count = 0
-    best = None
 
     def bounds(k: int, s: int, room: int, zero_above: bool) -> tuple[int, int]:
         kmax = math.isqrt(room // g[k])
@@ -247,8 +256,25 @@ def _search_chunk(payload: dict) -> object:
             lo += 1
         return lo, hi
 
+    def leaf(a2: int) -> bool:
+        """Record a nonzero leaf of scaled norm a2 <= limit; True ends the walk."""
+        nonlocal count, limit
+        if mode == "mincount":
+            if a2 < limit:
+                limit = a2
+                count = 0
+            count += 1
+        elif mode == "le":
+            out.append((a2, tuple(x)))
+        elif a2 == target:
+            out.append(tuple(x))
+            if mode == "first":
+                limit = -1  # every pending branch now fails its bound
+                return True
+        return False
+
     def rec(k: int, acc: int, zero_above: bool) -> None:
-        nonlocal count, best, limit
+        nonlocal count
         row = sub[k]
         s = 0
         for j in range(k + 1, n):
@@ -284,16 +310,9 @@ def _search_chunk(payload: dict) -> object:
                 a2 = acc + gk * kv * kv
                 if a2 > limit or a2 == 0:
                     continue
-                if mode == "min":
-                    best = a2
-                    limit = a2 - 1
-                elif mode == "shell":
-                    if a2 == target:
-                        x[0] = xv
-                        out.append(tuple(x))
-                else:
-                    x[0] = xv
-                    out.append((a2, tuple(x)))
+                x[0] = xv
+                if leaf(a2):
+                    return
             return
         lo, hi = bounds(k, s, room, zero_above)
         for xv in range(lo, hi + 1, step):
@@ -312,27 +331,19 @@ def _search_chunk(payload: dict) -> object:
         a2 = gtop * kv * kv
         if a2 > limit:
             continue
-        if n == 1:
-            if a2 == 0:
-                continue
-            if mode == "count":
-                if a2 == target:
-                    count += 1
-            elif mode == "min":
-                best = a2
-                limit = a2 - 1
-            elif mode == "shell":
-                if a2 == target:
-                    out.append((xv,))
-            else:
-                out.append((a2, (xv,)))
-            continue
         x[n - 1] = xv
-        rec(n - 2, a2, xv == 0)
+        if n > 1:
+            rec(n - 2, a2, xv == 0)
+        elif a2 == 0:
+            continue
+        elif mode == "count":
+            count += int(a2 == target)
+        elif leaf(a2):
+            break
     if mode == "count":
         return count
-    if mode == "min":
-        return best
+    if mode == "mincount":
+        return limit, count
     return out
 
 
@@ -350,11 +361,9 @@ def _top_values(prep: _Prep, limit: int, parity) -> list[int]:
 
 
 def _run(prep: _Prep, mode: str, limit: int, target: int | None, parity) -> object:
-    if prep.n == 0:
-        return 0 if mode == "count" else None if mode == "min" else []
-    tops = _top_values(prep, limit, parity)
+    tops = _top_values(prep, limit, parity) if prep.n else []
     if not tops:
-        return 0 if mode == "count" else None if mode == "min" else []
+        return {"count": 0, "mincount": (limit, 0)}.get(mode, [])
     payload = {
         "n": prep.n,
         "delta": prep.delta,
@@ -366,7 +375,7 @@ def _run(prep: _Prep, mode: str, limit: int, target: int | None, parity) -> obje
         "limit": limit,
     }
     threads = _THREADS
-    if threads <= 1 or len(tops) < 2:
+    if threads <= 1 or len(tops) < 2 or mode == "first":
         payload["tops"] = tops
         return _search_chunk(payload)
     chunks = [tops[i::threads] for i in range(threads)]
@@ -380,9 +389,9 @@ def _run(prep: _Prep, mode: str, limit: int, target: int | None, parity) -> obje
         results = list(pool.map(_search_chunk, jobs))
     if mode == "count":
         return sum(results)
-    if mode == "min":
-        found = [r for r in results if r is not None]
-        return min(found) if found else None
+    if mode == "mincount":
+        best = min(b for b, _ in results)
+        return best, sum(c for b, c in results if b == best)
     merged: list = []
     for r in results:
         merged.extend(r)
@@ -402,16 +411,8 @@ def _canonical(v: Vec) -> Vec:
     return v
 
 
-def _map_back(prep: _Prep, coords_red: Iterable[Vec]) -> list[Vec]:
-    urows = prep.u.rows
-    n = prep.n
-    out = []
-    for y in coords_red:
-        v = tuple(
-            sum(yi * urows[i][j] for i, yi in enumerate(y) if yi) for j in range(n)
-        )
-        out.append(_canonical(v))
-    return out
+def _map_back(prep: _Prep, coords_red: list[Vec]) -> list[Vec]:
+    return [_canonical(tuple(v)) for v in imatmul_rows(coords_red, prep.u.to_lists())]
 
 
 def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
@@ -439,25 +440,46 @@ def _scaled_limit(prep: _Prep, r) -> int:
 # ---------------------------------------------------------------------------
 # Public interface
 
-_MIN_CACHE: dict[GramLattice, Fraction] = {}
+# lattice -> (minimum, number of +-pairs at the minimum)
+_MIN_CACHE: dict[GramLattice, tuple[Fraction, int]] = {}
 _SHELL_CACHE: dict[tuple, tuple] = {}
 
 
 def minimum(lat: GramLattice) -> Fraction:
-    """Exact minimum norm of the nonzero vectors."""
+    """Exact minimum norm of the nonzero vectors.
+
+    One walk finds the minimum and counts its pairs; the count is kept for
+    shell_count.
+    """
     got = _MIN_CACHE.get(lat)
     if got is not None:
-        return got
+        return got[0]
     if lat.dim == 0:
         raise DimensionMismatch("empty lattice has no minimum")
     prep = _prep(lat)
     seed = min(prep.red.gram.num[i, i] for i in range(prep.n))  # attained
-    limit = prep.escale * seed - 1
-    best = _run(prep, "min", limit, None, None)
-    scaled = seed * prep.escale if best is None else best
-    result = Fraction(scaled // prep.escale, prep.den)
-    _MIN_CACHE[lat] = result
+    best, count = _run(prep, "mincount", prep.escale * seed, None, None)
+    result = Fraction(best // prep.escale, prep.den)
+    _MIN_CACHE[lat] = (result, count)
     return result
+
+
+def least_vector(lat: GramLattice, r) -> Vec | None:
+    """shell(lat, r)[0] without building the shell, or None if it is empty.
+
+    The walk runs in the input basis with coordinate 0 at the top level and
+    each level's values ascending under the sign rule, so it meets the
+    representatives of norm r in lexicographic order; it stops at the
+    first and holds one path of the tree.
+    """
+    n = lat.dim
+    prep = _Prep(lat, IntMatrix([[int(i + j == n - 1) for j in range(n)]
+                                 for i in range(n)]))
+    target = _scaled_target(prep, r)
+    if target is None or target <= 0:
+        return None
+    found = _run(prep, "first", target, target, None)
+    return _map_back(prep, found)[0] if found else None
 
 
 def shell(lat: GramLattice, r) -> tuple[Vec, ...]:
@@ -488,6 +510,9 @@ def cached_shell(lat: GramLattice, r) -> tuple[Vec, ...] | None:
 
 def shell_count(lat: GramLattice, r) -> int:
     """Number of +-pairs of norm exactly r, without storing vectors."""
+    got = _MIN_CACHE.get(lat)
+    if got is not None and got[0] == Fraction(r):
+        return got[1]
     prep = _prep(lat)
     target = _scaled_target(prep, r)
     if target is None or target <= 0:
@@ -545,11 +570,8 @@ def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     p = _check_parity(lat, parity)
     prep = _prep(lat)
     seed = lat.norm(p)  # the 0/1 lift itself lies in the class
-    limit = _scaled_limit(prep, seed) - 1
     pr = _parity_reduced(prep, p)
-    best = _run(prep, "min", limit, None, pr)
-    if best is None:
-        return seed
+    best, _ = _run(prep, "mincount", _scaled_limit(prep, seed), None, pr)
     return Fraction(best // prep.escale, prep.den)
 
 

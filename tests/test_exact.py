@@ -246,6 +246,12 @@ def test_squarefree_part():
     assert root_multiplicity(p, 0) == 0
 
 
+def test_squarefree_part_of_a_constant_is_one():
+    assert squarefree_part([-3]) == [1]
+    assert squarefree_part([QQ(5, 7)]) == [1]
+    assert squarefree_part([0]) == []
+
+
 def test_sturm_counts():
     # roots at +-sqrt(2), +-sqrt(3)
     p = [6, 0, -5, 0, 1]

@@ -1,5 +1,7 @@
 """Congruence-class machinery: pair decomposition, families, relative lattices."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from eqlat.errors import (
     WrongNormX0,
     ZeroVector,
 )
+from eqlat.constructions import leech, root_lattice
+from eqlat.exact import IntMatrix
 from eqlat.lattice import GramLattice
 from eqlat.mod2 import (
     check_congruent_pair,
@@ -29,7 +33,7 @@ from eqlat.mod2 import (
     relative_lattice,
     sqrt2_even_check,
 )
-from eqlat.shortvec import minimum, shell, vectors_upto
+from eqlat.shortvec import cached_shell, minimum, shell, vectors_upto
 
 A2 = GramLattice([[2, 1], [1, 2]], name="A2")
 Z2 = GramLattice([[1, 0], [0, 1]], name="Z2")
@@ -152,9 +156,40 @@ def test_mod2_class_a2():
         assert all((a - b) % 2 == 0 for a, b in zip(v, (1, 0)))
 
 
+def skewed_basis(lat, rng):
+    """lat in the seeded unimodular basis U = L R, L and R unit triangular."""
+    n = lat.dim
+    low = IntMatrix([[1 if i == j else rng.choice((-1, 0, 1)) if j < i else 0
+                      for j in range(n)] for i in range(n)])
+    up = IntMatrix([[1 if i == j else rng.choice((-1, 0, 1)) if j > i else 0
+                     for j in range(n)] for i in range(n)])
+    u = low @ up
+    return GramLattice(u @ lat.gram.num @ u.transpose())
+
+
 def test_default_x0_is_least():
     assert default_x0(A2) == shell(A2, 2)[0]
     assert default_x0(E8) == shell(E8, 2)[0]
+    rng = random.Random(113)
+    for fam, dims in (("A", range(4, 13)), ("D", range(4, 13)), ("E", range(6, 9))):
+        for n in dims:
+            lat = root_lattice(fam, n).lattice
+            # the search runs in the input basis, so skewed bases matter
+            for basis in (lat, skewed_basis(lat, rng)):
+                m = minimum(basis)
+                assert default_x0(basis) == shell(basis, 2 * m - 2)[0], (fam, n)
+
+
+def test_default_x0_leech_without_the_norm_6_shell():
+    lat = leech().lattice
+    assert minimum(lat) == 4
+    start = time.perf_counter()
+    x0 = default_x0(lat)
+    elapsed = time.perf_counter() - start
+    assert x0 == (0,) * 11 + (1, -1, -1, 0, -1, -1, -1, 0, 0, 0, -1, -1, 3)
+    assert lat.norm(x0) == 6
+    assert cached_shell(lat, 6) is None
+    assert elapsed < 1.0
 
 
 def test_equiangular_a_series():

@@ -1,13 +1,16 @@
 """Tests for LLL reduction and exact shell enumeration."""
 
+import math
 import random
 from fractions import Fraction as QQ
 
+import numpy as np
 import pytest
 from oracles import grid_short_vectors
 
+from eqlat import shortvec
 from eqlat.constructions import root_lattice
-from eqlat.errors import MixedNorms, ZeroVector
+from eqlat.errors import MixedNorms, NotPositiveDefinite, ZeroVector
 from eqlat.exact import IntMatrix, rank_det
 from eqlat.lattice import GramLattice
 from eqlat.shortvec import (
@@ -120,6 +123,69 @@ def test_minimum_takes_no_hint():
     assert minimum(e8) == 2
 
 
+def near_reduced_gram(rng, n):
+    """Nearly equal diagonal, off-diagonal entries up to half of it.
+
+    LLL leaves most such bases alone, and now and then none of the basis
+    vectors is minimal, so the minimum walk has to lower its first bound.
+    """
+    while True:
+        big = rng.randint(6, 14)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = big + rng.randint(0, 2)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-big // 2, big // 2)
+        try:
+            return GramLattice(g)
+        except NotPositiveDefinite:
+            continue
+
+
+def grid_box_points(gram_rows, bound):
+    """Points the grid oracle scans, from the same radii it uses."""
+    ginv = np.linalg.inv(np.array(gram_rows, dtype=float))
+    return math.prod(2 * int(np.sqrt(bound * ginv[i, i] + 1e-9)) + 1
+                     for i in range(len(gram_rows)))
+
+
+def test_minimum_and_count_match_grid_oracle(monkeypatch):
+    monkeypatch.setattr(shortvec, "_MIN_CACHE", {})
+    rng = random.Random(109)
+    checked = lowered = 0
+    while lowered < 3:  # until the count reset has run a few times
+        assert checked < 2000, "no basis above the minimum in 2000 lattices"
+        lat = near_reduced_gram(rng, rng.randint(2, 6))
+        g = lat.gram.num.to_lists()
+        bound = min(g[i][i] for i in range(lat.dim))  # attained
+        if grid_box_points(g, bound) > 200_000:
+            continue  # keeps the oracle's scan small
+        oracle = grid_short_vectors(g, bound)
+        m = oracle[0][0]
+        assert minimum(lat) == m
+        assert shell_count(lat, m) == sum(nm == m for nm, _ in oracle)
+        red, _ = lll_reduce(lat)
+        lowered += min(red.gram.num[i, i] for i in range(lat.dim)) > m
+        checked += 1
+
+
+def test_minimum_and_count_share_one_walk(monkeypatch):
+    modes = []
+    search = shortvec._search_chunk
+
+    def counted(payload):
+        modes.append(payload["mode"])
+        return search(payload)
+
+    monkeypatch.setattr(shortvec, "_search_chunk", counted)
+    monkeypatch.setattr(shortvec, "_MIN_CACHE", {})
+    e8 = root_lattice("E", 8).lattice
+    assert shell_count(e8, minimum(e8)) == 120
+    assert modes == ["mincount"]
+    assert shell_count(e8, 4) == 1080
+    assert modes == ["mincount", "count"]
+
+
 def test_rational_gram_enumeration():
     half = A2.rescale(QQ(1, 2))  # Gram [[1, 1/2], [1/2, 1]]
     assert minimum(half) == 1
@@ -210,6 +276,22 @@ def test_threaded_matches_serial():
         assert minimum(lat) == serial_min
         assert shell(lat, serial_min + 2) == serial_shell
         assert shell_count(lat, serial_min + 2) == serial_count
+    finally:
+        set_threads(1)
+
+
+def test_threaded_minimum_and_count_match_serial(monkeypatch):
+    # LLL leaves this basis alone; its diagonal minimum 11 sits above the
+    # minimum 10, and the two top-level values split across two workers
+    lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
+                       [-1, 2, -6, 11]])
+    monkeypatch.setattr(shortvec, "_MIN_CACHE", {})
+    serial = (minimum(lat), shell_count(lat, minimum(lat)))
+    assert serial == (10, 1)
+    shortvec._MIN_CACHE.clear()
+    set_threads(2)
+    try:
+        assert (minimum(lat), shell_count(lat, minimum(lat))) == serial
     finally:
         set_threads(1)
 
