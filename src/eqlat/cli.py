@@ -107,6 +107,10 @@ def _lattice_doc(lat: GramLattice, name: str, provenance: dict | None = None) ->
     return doc
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is not 1
+
+
 def load_lattice(path: str) -> tuple[GramLattice, dict]:
     """Read and validate one lattice document; raises _Exit(2) on any flaw."""
     try:
@@ -127,9 +131,9 @@ def load_lattice(path: str) -> tuple[GramLattice, dict]:
     name, dim, den, gram = doc["name"], doc["dim"], doc["den"], doc["gram"]
     if not isinstance(name, str):
         raise _Exit(USAGE, f"{path}: name must be a string")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise _Exit(USAGE, f"{path}: dim must be a positive integer")
-    if not isinstance(den, int) or den < 1:
+    if not _is_int(den) or den < 1:
         raise _Exit(USAGE, f"{path}: den must be a positive integer")
     if (
         not isinstance(gram, list)
@@ -137,7 +141,7 @@ def load_lattice(path: str) -> tuple[GramLattice, dict]:
         or any(
             not isinstance(row, list)
             or len(row) != dim
-            or any(not isinstance(v, int) or isinstance(v, bool) for v in row)
+            or not all(_is_int(v) for v in row)
             for row in gram
         )
     ):

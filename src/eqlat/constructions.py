@@ -20,7 +20,7 @@ record enough of the recipe to reproduce and audit the construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Sequence
 from types import MappingProxyType
 
@@ -31,6 +31,7 @@ from .errors import (
     VNotValid,
 )
 from .exact import IntMatrix, RatMatrix, hnf, rank_det, solve_left
+from .fastops import gram_product, imatmul
 from .lattice import GramLattice
 from .mod2 import equiangular_direct
 from .shortvec import PairSet, minimum, shell, shell_count, vectors_upto
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class NamedLattice:
     """A GramLattice together with the recipe that produced it.
 
@@ -62,18 +64,17 @@ class NamedLattice:
     coordinates, measured counts) as a read-only mapping.
     """
 
-    __slots__ = ("lattice", "family", "params", "note", "marks")
+    lattice: GramLattice
+    family: str
+    params: tuple
+    note: str
+    marks: MappingProxyType = None
 
-    def __init__(self, lattice: GramLattice, family: str, params, note: str,
-                 marks=None):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "family", str(family))
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "note", str(note))
-        object.__setattr__(self, "marks", MappingProxyType(dict(marks or {})))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NamedLattice is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "family", str(self.family))
+        object.__setattr__(self, "params", tuple(self.params))
+        object.__setattr__(self, "note", str(self.note))
+        object.__setattr__(self, "marks", MappingProxyType(dict(self.marks or {})))
 
     @property
     def dim(self) -> int:
@@ -93,8 +94,7 @@ def _base(lat) -> GramLattice:
 
 
 def _rows_lattice(rows: list[list[int]], den: int, name: str) -> GramLattice:
-    b = IntMatrix(rows)
-    return GramLattice(RatMatrix(b @ b.transpose(), den * den), name=name)
+    return GramLattice(RatMatrix(gram_product(rows), den * den), name=name)
 
 
 def _check_root(lat: GramLattice, det) -> None:
@@ -114,7 +114,7 @@ def _e_family(n: int) -> NamedLattice:
     rows.append([1] * 8)
     h, _ = hnf(IntMatrix(rows))
     eps = IntMatrix(h.rows[:8])
-    lat = GramLattice(RatMatrix(eps @ eps.transpose(), 4), name="E8")
+    lat = GramLattice(RatMatrix(gram_product(eps.rows), 4), name="E8")
     _check_root(lat, 1)
     note = "D_8 with glue (1/2,...,1/2); rows are doubled coordinates"
     if n == 8:
@@ -301,10 +301,10 @@ def _check_projection_gram(lat: GramLattice, n: int) -> None:
     if r != n or d not in (1, -1):
         raise VerificationError("projected images do not form a basis")
     g = proj.lattice.gram
-    num = b @ g.num @ b.transpose()
+    num = gram_product(img, g.num.rows)
     for i in range(n):
         for j in range(n):
-            if 2 * num[i, j] != g.den * lat.gram.num[i, j]:
+            if 2 * num[i][j] != g.den * lat.gram.num[i, j]:
                 raise VerificationError("doubled projection disagrees with the Gram")
 
 
@@ -347,13 +347,11 @@ def golay_code() -> IntMatrix:
             word[(i + j) % 23] ^= c
         word.append(sum(word) % 2)
         rows.append(word)
-    g = IntMatrix(rows)
-    gg = g @ g.transpose()
-    if any(v % 2 for row in gg.rows for v in row):
+    if any(v % 2 for row in gram_product(rows) for v in row):
         raise VerificationError("generator is not self-orthogonal")
     if _gf2_rank(rows) != 12:
         raise VerificationError("generator rank is below 12")
-    return g
+    return IntMatrix(rows)
 
 
 def leech() -> NamedLattice:
@@ -376,7 +374,7 @@ def leech() -> NamedLattice:
     rows.append([-3] + [1] * 23)
     h, _ = hnf(IntMatrix(rows))
     basis = IntMatrix(h.rows[:24])
-    gram = RatMatrix(basis @ basis.transpose(), 8)
+    gram = RatMatrix(gram_product(basis.rows), 8)
     if gram.den != 1:
         raise VerificationError("Gram matrix is not integral")
     lat = GramLattice(gram, name="Leech")
@@ -434,16 +432,14 @@ def reconstruct_odd(lat, v: Sequence[int]) -> GramLattice:
     rows.append(list(v))
     h, _ = hnf(IntMatrix(rows))
     dbl = IntMatrix(h.rows[:n])  # doubled coordinates of a basis of <L, v/2>
-    out = GramLattice(RatMatrix(dbl @ base.gram.num @ dbl.transpose(),
+    out = GramLattice(RatMatrix(gram_product(dbl.rows, base.gram.num.rows),
                                 2 * base.gram.den),
                       name=f"odd({base.name or f'dim{n}'})")
     if not out.is_integral():
         raise VerificationError("reconstruction left the integral world")
     ep = out.even_part()
     back = []
-    for row in ep.basis_rows.rows:
-        amb = [sum(c * dbl.rows[i][j] for i, c in enumerate(row))
-               for j in range(n)]
+    for amb in imatmul(ep.basis_rows.rows, dbl.rows):
         if any(a % 2 for a in amb):
             raise VerificationError("even part escapes the source lattice")
         back.append([a // 2 for a in amb])

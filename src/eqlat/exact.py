@@ -1,24 +1,28 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything in this module computes with Python ints and fractions.Fraction;
-no floating point is used anywhere.  Matrices are immutable: IntMatrix wraps
-a tuple of integer row tuples, RatMatrix stores an integer numerator matrix
-together with a single positive denominator in lowest terms, so both hash
-and compare by value.
+no floating point is used anywhere, and integer matrix products go through
+fastops.imatmul, which uses int64 only behind a proven bound.  Matrices are
+immutable frozen dataclasses: IntMatrix wraps a tuple of integer row tuples,
+RatMatrix stores an integer numerator matrix together with a single positive
+denominator in lowest terms, so both hash and compare by value.
 
 The routines are the ones the rest of the library leans on: Hermite normal
-form with a unimodular transform, fraction-free rank/determinant (Bareiss),
-rational LDL^T, saturated integer kernels, linear solving, the Berkowitz
-characteristic polynomial, and Sturm-chain real root isolation.
+form with a unimodular transform, fraction-free rank/determinant and the
+leading minors of a Gram matrix (Bareiss), saturated integer kernels, linear
+solving, the Berkowitz characteristic polynomial, and Sturm-chain real root
+isolation.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotPositiveDefinite
+from .fastops import imatmul
 
 __all__ = [
     "IntMatrix",
@@ -26,7 +30,7 @@ __all__ = [
     "hnf",
     "rank_det",
     "kernel_basis",
-    "ldl",
+    "leading_minors",
     "solve_left",
     "berkowitz",
     "poly_eval",
@@ -48,16 +52,14 @@ def _as_int_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """Immutable integer matrix (tuple of row tuples)."""
 
-    __slots__ = ("rows",)
+    rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        object.__setattr__(self, "rows", _as_int_rows(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "rows", _as_int_rows(self.rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -83,12 +85,6 @@ class IntMatrix:
     def __iter__(self):
         return iter(self.rows)
 
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]})"
 
@@ -101,25 +97,10 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
-        bt = list(zip(*other.rows))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows]
-        )
+        return IntMatrix(imatmul(self.rows, other.rows))
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-v for v in row] for row in self.rows])
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
-
-    def stack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows and other.rows and self.ncols != other.ncols:
-            raise DimensionMismatch("column count mismatch")
-        return IntMatrix(self.rows + other.rows)
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
@@ -128,10 +109,8 @@ class IntMatrix:
             for j in range(i)
         )
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
 
-
+@dataclass(frozen=True, slots=True)
 class RatMatrix:
     """Immutable rational matrix: integer numerators over one denominator.
 
@@ -139,9 +118,11 @@ class RatMatrix:
     equality and hashing structural.
     """
 
-    __slots__ = ("num", "den")
+    num: IntMatrix
+    den: int = 1
 
-    def __init__(self, num: IntMatrix | Iterable[Iterable[int]], den: int = 1):
+    def __post_init__(self):
+        num, den = self.num, self.den
         if not isinstance(num, IntMatrix):
             num = IntMatrix(num)
         if den == 0:
@@ -161,9 +142,6 @@ class RatMatrix:
             den //= g
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
 
     @classmethod
     def from_fractions(cls, rows: Iterable[Iterable[Fraction]]) -> "RatMatrix":
@@ -186,16 +164,6 @@ class RatMatrix:
         if isinstance(ij, tuple):
             return Fraction(self.num[ij], self.den)
         return tuple(Fraction(v, self.den) for v in self.num[ij])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatMatrix)
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RatMatrix({self.num.to_lists()}, den={self.den})"
@@ -347,30 +315,35 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix(kh.rows[: len(ker)])
 
 
-def ldl(g: RatMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Rational Cholesky-style factorisation G = L D L^T.
+def leading_minors(g: IntMatrix) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free elimination of a symmetric matrix, without pivoting.
 
-    L is unit lower triangular, D the diagonal pivot list.  Any pivot <= 0
-    raises NotPositiveDefinite, so success certifies G > 0 exactly.
+    Returns (delta, sub): delta[k] is the k-th leading principal minor, with
+    delta[0] = 1 and delta[n] = det g, and sub[k] is column k below the
+    diagonal after k Bareiss steps.  Each step divides exactly by the
+    previous minor, so every entry stays an integer minor of g.  A minor
+    <= 0 raises NotPositiveDefinite; by Sylvester's criterion success
+    certifies g > 0 exactly.
     """
     if not g.is_symmetric():
-        raise DimensionMismatch("ldl needs a symmetric matrix")
+        raise DimensionMismatch("Gram matrix must be symmetric")
     n = g.nrows
-    a = g.to_fractions()
-    lw = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d: list[Fraction] = []
+    a = g.to_lists()
+    delta = [1] * (n + 1)
+    sub = []
     for k in range(n):
         piv = a[k][k]
         if piv <= 0:
-            raise NotPositiveDefinite(f"pivot {piv} at index {k}")
-        d.append(piv)
+            raise NotPositiveDefinite(f"leading minor {piv} of order {k + 1}")
+        delta[k + 1] = piv
+        sub.append([a[i][k] for i in range(k + 1, n)])
+        prev = delta[k]
+        row_k = a[k]
         for i in range(k + 1, n):
-            f = a[i][k] / piv
-            lw[i][k] = f
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return lw, d
+            aik, row_i = a[i][k], a[i]
+            for j in range(k + 1, n):
+                row_i[j] = (piv * row_i[j] - aik * row_k[j]) // prev
+    return delta, sub
 
 
 def solve_left(b: IntMatrix | RatMatrix, x: Sequence) -> tuple[Fraction, ...] | None:
@@ -625,25 +598,28 @@ def smallest_real_root(
     bound = cauchy_bound(q)
     lo = Fraction(-(bound.numerator // bound.denominator) - 1)
     hi = -lo
-    if poly_eval(q, lo) == 0 or count_roots_halfopen(chain, lo, hi) == 0:
+    if poly_eval(q, lo) == 0:
         raise ValueError("no real roots")
-
-    def is_least(x: Fraction) -> bool:
-        return count_roots_halfopen(chain, lo, x) == 1
-
-    while hi - lo > width or count_roots_halfopen(chain, lo, hi) > 1:
+    # sign variations at lo and hi, carried from step to step: the number
+    # of roots in (a, b] is v(a) - v(b)
+    vlo, vhi = _variations(chain, lo), _variations(chain, hi)
+    if vlo == vhi:
+        raise ValueError("no real roots")
+    while hi - lo > width or vlo - vhi > 1:
         if hi - lo <= 1:
             # At most one integer can sit inside; try it for an exact hit.
             k = Fraction(math.floor(lo) + 1)
-            if lo < k <= hi and poly_eval(q, k) == 0 and is_least(k):
+            if (lo < k <= hi and poly_eval(q, k) == 0
+                    and vlo - _variations(chain, k) == 1):
                 return k, k
         mid = (lo + hi) / 2
-        if poly_eval(q, mid) == 0 and is_least(mid):
+        vmid = _variations(chain, mid)
+        if vlo - vmid == 1 and poly_eval(q, mid) == 0:
             return mid, mid
-        if count_roots_halfopen(chain, lo, mid) >= 1:
-            hi = mid
+        if vlo - vmid >= 1:
+            hi, vhi = mid, vmid
         else:
-            lo = mid
+            lo, vlo = mid, vmid
     if poly_eval(q, hi) == 0:
         return hi, hi
     return lo, hi

@@ -16,18 +16,23 @@ _SAFE = 2**62
 _BLOCK = 4096
 
 
-def _max_abs(rows) -> int:
-    return max((abs(v) for row in rows for v in row), default=0)
+def _max_abs(m: np.ndarray) -> int:
+    # Python ints, so the negation is exact even at -2**63
+    return max(int(m.max()), -int(m.min()))
 
 
-def imatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def imatmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact integer product of two row-major matrices."""
     inner = len(b)
-    if inner == 0 or not a:
+    if inner == 0 or not a or not b[0]:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
-    bound = _max_abs(a) * _max_abs(b) * inner
-    if bound < _SAFE:
-        return (np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)).tolist()
+    try:
+        na, nb = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    except OverflowError:
+        pass  # an entry does not fit in int64
+    else:
+        if _max_abs(na) * _max_abs(nb) * inner < _SAFE:
+            return (na @ nb).tolist()
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
@@ -42,6 +47,9 @@ def imatmul_rows(a: Sequence[Sequence[int]], b: list[list[int]]):
         yield from imatmul(a[i:i + _BLOCK], b)
 
 
-def gram_product(rows: list[list[int]]) -> list[list[int]]:
-    """rows @ rows^T, exact."""
-    return imatmul(rows, [list(c) for c in zip(*rows)])
+def gram_product(
+    rows: Sequence[Sequence[int]], g: Sequence[Sequence[int]] | None = None
+) -> list[list[int]]:
+    """rows @ g @ rows^T, or rows @ rows^T when g is None, exact."""
+    cols = [list(c) for c in zip(*rows)]
+    return imatmul(rows if g is None else imatmul(rows, g), cols)

@@ -10,6 +10,7 @@ exact Gram-matrix algebra.
 from __future__ import annotations
 
 import math
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,7 +23,8 @@ from .errors import (
     VerificationError,
     ZeroVector,
 )
-from .exact import IntMatrix, RatMatrix, hnf, kernel_basis, ldl, rank_det, solve_left
+from .exact import IntMatrix, RatMatrix, hnf, kernel_basis, leading_minors, solve_left
+from .fastops import gram_product, imatmul
 
 Vec = tuple[int, ...]
 
@@ -33,42 +35,29 @@ def dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(x, y))
 
 
+@dataclass(frozen=True, slots=True)
 class GramLattice:
     """Positive definite lattice given by a rational Gram matrix.
 
     Hashes and compares by the Gram matrix alone; the optional name is a
-    label for reports and is ignored by equality.
+    label for reports and, like the derived det, is ignored by equality.
     """
 
-    __slots__ = ("gram", "det", "name")
+    gram: RatMatrix
+    name: str | None = field(default=None, compare=False)
+    det: Fraction = field(init=False, compare=False)
 
-    def __init__(self, gram, name: str | None = None):
-        if isinstance(gram, IntMatrix):
+    def __post_init__(self):
+        gram = self.gram
+        if not isinstance(gram, RatMatrix):
             gram = RatMatrix(gram)
-        elif not isinstance(gram, RatMatrix):
-            gram = RatMatrix(gram)
-        if not gram.is_symmetric():
-            raise DimensionMismatch("Gram matrix must be symmetric")
-        if gram.nrows:
-            ldl(gram)  # raises NotPositiveDefinite unless gram > 0
-        _, dnum = rank_det(gram.num)
-        det = Fraction(dnum, gram.den**gram.nrows)
+        delta, _ = leading_minors(gram.num)  # raises unless gram = gram^T > 0
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GramLattice is immutable")
+        object.__setattr__(self, "det", Fraction(delta[-1], gram.den**gram.nrows))
 
     @property
     def dim(self) -> int:
         return self.gram.nrows
-
-    def __eq__(self, other):
-        return isinstance(other, GramLattice) and self.gram == other.gram
-
-    def __hash__(self):
-        return hash(self.gram)
 
     def __repr__(self):
         label = self.name or f"dim {self.dim}"
@@ -179,7 +168,9 @@ class GramLattice:
         t = RatMatrix(u).inverse().num.transpose()  # unimodular, row 0 == v
         if t.rows[0] != v:
             raise VerificationError("basis completion failed")
-        gt = (RatMatrix(t) @ self.gram @ RatMatrix(t.transpose())).to_fractions()
+        den = self.gram.den
+        gt = [[Fraction(x, den) for x in row]
+              for row in gram_product(t.rows, self.gram.num.rows)]
         n = self.dim
         nv = gt[0][0]
         proj_gram = [
@@ -193,6 +184,7 @@ class GramLattice:
         return Projection(self, v, lat, tinv)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class EmbeddedSublattice:
     """A sublattice with its basis written in the ambient coordinates.
 
@@ -200,24 +192,17 @@ class EmbeddedSublattice:
     those basis vectors.  Coordinates convert both ways exactly.
     """
 
-    __slots__ = ("ambient", "basis_rows", "induced")
+    ambient: GramLattice
+    basis_rows: IntMatrix
+    name: InitVar[str | None] = None
+    induced: GramLattice = field(init=False)
 
-    def __init__(self, ambient: GramLattice, basis_rows: IntMatrix,
-                 name: str | None = None):
-        if basis_rows.nrows and basis_rows.ncols != ambient.dim:
+    def __post_init__(self, name):
+        if self.basis_rows.nrows and self.basis_rows.ncols != self.ambient.dim:
             raise DimensionMismatch("basis width != ambient dimension")
-        g = ambient.gram
-        if basis_rows.nrows:
-            num = basis_rows @ g.num @ basis_rows.transpose()
-            induced = GramLattice(RatMatrix(num, g.den), name)
-        else:
-            induced = GramLattice([], name)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis_rows", basis_rows)
-        object.__setattr__(self, "induced", induced)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EmbeddedSublattice is immutable")
+        g = self.ambient.gram
+        num = gram_product(self.basis_rows.rows, g.num.rows)
+        object.__setattr__(self, "induced", GramLattice(RatMatrix(num, g.den), name))
 
     @property
     def dim(self) -> int:
@@ -230,11 +215,9 @@ class EmbeddedSublattice:
         """Ambient coordinates of the sublattice vector c."""
         if len(c) != self.dim:
             raise DimensionMismatch(f"vector length {len(c)} != {self.dim}")
-        rows = self.basis_rows.rows
-        return tuple(
-            sum(ci * rows[i][j] for i, ci in enumerate(c))
-            for j in range(self.ambient.dim)
-        )
+        if not self.dim:
+            return (0,) * self.ambient.dim
+        return tuple(imatmul([c], self.basis_rows.rows)[0])
 
     def coords_of(self, x: Sequence[int]) -> Vec:
         """Sublattice coordinates of an ambient vector; NotInLattice if out."""
@@ -257,32 +240,22 @@ class EmbeddedSublattice:
 
     def restrict(self, inner: "EmbeddedSublattice") -> "EmbeddedSublattice":
         """Compose: a sublattice of this sublattice, in ambient coordinates."""
-        rows = [self.embed(r) for r in inner.basis_rows.rows]
+        rows = imatmul(inner.basis_rows.rows, self.basis_rows.rows)
         return EmbeddedSublattice(self.ambient, IntMatrix(rows))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Projection:
     """Result of GramLattice.project_along: image lattice plus the map."""
 
-    __slots__ = ("source", "vector", "lattice", "_tinv")
-
-    def __init__(self, source: GramLattice, vector: Vec, lattice: GramLattice,
-                 tinv: IntMatrix):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "_tinv", tinv)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Projection is immutable")
+    source: GramLattice
+    vector: Vec
+    lattice: GramLattice
+    _tinv: IntMatrix
 
     def coords(self, x: Sequence[int]) -> Vec:
         """Coordinates of the projected vector in the image lattice."""
         if len(x) != self.source.dim:
             raise DimensionMismatch("wrong length")
-        cols = self._tinv.rows  # x @ tinv, tinv integer since t is unimodular
-        c = [
-            sum(int(xi) * cols[i][j] for i, xi in enumerate(x))
-            for j in range(self.source.dim)
-        ]
-        return tuple(c[1:])
+        # x @ tinv, integer since t is unimodular; coordinate 0 runs along v
+        return tuple(imatmul([[int(xi) for xi in x]], self._tinv.rows)[0][1:])

@@ -21,9 +21,9 @@ odd integer as soon as t > 2r.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
-from typing import Iterable, Sequence
 
 from .errors import (
     BadParameter,
@@ -47,7 +47,7 @@ from .exact import (
     solve_left,
     sturm_chain,
 )
-from .fastops import imatmul
+from .fastops import gram_product, imatmul
 from .lattice import GramLattice
 from .shortvec import PairSet
 
@@ -91,10 +91,7 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _tr(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*rows)]
-
-
+@dataclass(frozen=True, slots=True, eq=False)
 class LineFamily:
     """A verified equiangular set: +-pair representatives plus angle data.
 
@@ -104,18 +101,12 @@ class LineFamily:
     two lines are allowed but carry no angle (c and alpha are None).
     """
 
-    __slots__ = ("lattice", "pairs", "t", "rank", "c", "alpha")
-
-    def __init__(self, lattice, pairs, t, rank, c, alpha):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "alpha", alpha)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineFamily is immutable")
+    lattice: GramLattice
+    pairs: PairSet
+    t: int
+    rank: int
+    c: Fraction | None
+    alpha: Fraction | None
 
     def __len__(self) -> int:
         return self.t
@@ -139,7 +130,7 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
         pairs = vectors
     else:
         pairs = PairSet(lat, vectors)
-    reps = [list(v) for v in pairs.reps]
+    reps = pairs.reps
     t = len(reps)
     if t == 0:
         return LineFamily(lat, pairs, 0, 0, None, None)
@@ -147,7 +138,6 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
     if t == 1:
         return LineFamily(lat, pairs, 1, rank, None, None)
     den = lat.gram.den
-    rg = imatmul(reps, lat.gram.num.rows)
     c_num = None
 
     def mismatch(i, j, got):
@@ -157,7 +147,7 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
         )
 
     if t <= 1024:
-        prods = imatmul(rg, _tr(reps))
+        prods = gram_product(reps, lat.gram.num.rows)
         c_num = abs(prods[0][1])
         for i in range(t):
             for j in range(i + 1, t):
@@ -166,6 +156,7 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
     else:
         # the t x t product would dwarf memory; scan pairwise, stopping at
         # the first mismatch (which Gerzon guarantees for t this large)
+        rg = imatmul(reps, lat.gram.num.rows)
         for i in range(t):
             gi = rg[i]
             for j in range(i + 1, t):
@@ -182,13 +173,14 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
     return LineFamily(lat, pairs, t, rank, c, c / pairs.norm)
 
 
+@dataclass(frozen=True, slots=True)
 class SeidelMatrix:
     """Symmetric matrix with zero diagonal and entries +-1 off it."""
 
-    __slots__ = ("rows",)
+    rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+    def __post_init__(self):
+        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
         t = len(rows)
         for i, row in enumerate(rows):
             if len(row) != t:
@@ -202,17 +194,8 @@ class SeidelMatrix:
                     raise BadParameter(f"asymmetry at ({i},{j})")
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SeidelMatrix is immutable")
-
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, SeidelMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"SeidelMatrix(t={len(self.rows)})"
@@ -228,8 +211,7 @@ def seidel(fam: LineFamily) -> SeidelMatrix:
     """
     if fam.alpha is None:
         raise DegeneratePair(f"{fam.t} line(s) carry no angle")
-    reps = [list(v) for v in fam.pairs.reps]
-    prods = imatmul(imatmul(reps, fam.lattice.gram.num.rows), _tr(reps))
+    prods = gram_product(fam.pairs.reps, fam.lattice.gram.num.rows)
     return SeidelMatrix(
         [
             [0 if i == j else _sign(e) for j, e in enumerate(row)]
@@ -421,9 +403,8 @@ def _factored_charpoly(fam: LineFamily) -> tuple[list[Fraction], Fraction, int]:
     """
     if fam.alpha is None:
         raise DegeneratePair(f"{fam.t} line(s) carry no angle")
-    reps = [list(v) for v in fam.pairs.reps]
     t, r, n = fam.t, fam.rank, fam.lattice.dim
-    btb = imatmul(_tr(reps), reps)
+    btb = gram_product(list(zip(*fam.pairs.reps)))  # B^T B for B the reps
     p = berkowitz(IntMatrix(imatmul(fam.lattice.gram.num.rows, btb)))
     if any(p[k] for k in range(n - r)) or not p[n - r]:
         raise VerificationError("spectral factor disagrees with the rank")

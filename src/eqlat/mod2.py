@@ -18,6 +18,7 @@ the hyperplane orthogonal to x0.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,11 +37,10 @@ from .errors import (
     ZeroVector,
 )
 from .exact import IntMatrix, hnf, rank_det
-from .fastops import imatmul, imatmul_rows
+from .fastops import gram_product, imatmul, imatmul_rows
 from .lattice import EmbeddedSublattice, GramLattice, Vec
 from .shortvec import (
     PairSet,
-    cached_shell,
     coset_minimum,
     coset_shell,
     least_vector,
@@ -56,7 +56,6 @@ __all__ = [
     "mod2_class",
     "default_x0",
     "EquiangularSet",
-    "equiangular",
     "equiangular_direct",
     "equiangular_via_s0",
     "relative_lattice",
@@ -156,6 +155,7 @@ def check_scalar_bound(
     return True
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Mod2Class:
     """A congruence class x0 + 2L with its first minima.
 
@@ -164,18 +164,12 @@ class Mod2Class:
     computed, is the next norm that occurs, with its shell.
     """
 
-    __slots__ = ("lattice", "rep", "first", "minimizers", "second", "second_shell")
-
-    def __init__(self, lattice, rep, first, minimizers, second, second_shell):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "minimizers", minimizers)
-        object.__setattr__(self, "second", second)
-        object.__setattr__(self, "second_shell", second_shell)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mod2Class is immutable")
+    lattice: GramLattice
+    rep: Vec
+    first: Fraction
+    minimizers: PairSet
+    second: Fraction | None
+    second_shell: PairSet | None
 
     def __repr__(self):
         tail = f", second {self.second}" if self.second is not None else ""
@@ -238,6 +232,7 @@ def default_x0(lat: GramLattice) -> Vec:
     return x0
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class EquiangularSet:
     """Pairs of class vectors at norm 2m + 2, all orthogonal to x0.
 
@@ -247,20 +242,14 @@ class EquiangularSet:
     is therefore expected to be empty.
     """
 
-    __slots__ = ("lattice", "x0", "m", "pairs", "rank", "alpha", "degenerate", "reason")
-
-    def __init__(self, lattice, x0, m, pairs, rank, alpha, degenerate, reason):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "degenerate", degenerate)
-        object.__setattr__(self, "reason", reason)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EquiangularSet is immutable")
+    lattice: GramLattice
+    x0: Vec
+    m: Fraction
+    pairs: PairSet
+    rank: int
+    alpha: Fraction
+    degenerate: bool
+    reason: str | None
 
     def __len__(self):
         return len(self.pairs)
@@ -301,19 +290,18 @@ def _assemble(lat, x0, m, vectors, odd_min) -> EquiangularSet:
         for v in reps:
             if any((a - b) % 2 for a, b in zip(v, x0)):
                 raise VerificationError("family member outside the class of x0")
-        g = lat.gram.num.to_lists()
-        rows = [list(v) for v in reps]
-        prod = imatmul(imatmul(rows, g), [list(c) for c in zip(*rows)])
+        g = lat.gram.num.rows
+        prod = gram_product(reps, g)
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 if prod[i][j] not in (2, -2):
                     raise VerificationError(
                         f"pair product {prod[i][j]} not +-2 at ({i}, {j})"
                     )
-        against = imatmul(rows, [[c] for c in imatmul([list(x0)], g)[0]])
+        against = imatmul(reps, [[c] for c in imatmul([x0], g)[0]])
         if any(row[0] for row in against):
             raise VerificationError("family member not orthogonal to x0")
-        rank = rank_det(IntMatrix(rows))[0]
+        rank = rank_det(IntMatrix(reps))[0]
     else:
         rank = 0
     if rank > n - 1:
@@ -374,13 +362,6 @@ def _s0_slice(lat: GramLattice, v: Vec, m: Fraction) -> list[Vec]:
         elif -d == want:
             out.append(_neg(r))
     return out
-
-
-def equiangular(lat: GramLattice, x0: Sequence[int] | None = None) -> EquiangularSet:
-    """Cheapest-route dispatch: the slice when minimal vectors are cached."""
-    if cached_shell(lat, minimum(lat)) is not None:
-        return equiangular_via_s0(lat, x0)
-    return equiangular_direct(lat, x0)
 
 
 def relative_lattice(lat: GramLattice, x0: Sequence[int]) -> EmbeddedSublattice:
@@ -473,10 +454,8 @@ def check_scalar_products_after_projection(lat: GramLattice, v: Sequence[int]) -
         report["reason"] = "image minimum not attained on projected minimal vectors"
         return report
     slice_ = _s0_slice(lat, v, m)
-    rows = [list(x) for x in slice_]
-    g = lat.gram.num.to_lists()
     den = lat.gram.den
-    prod = imatmul(imatmul(rows, g), [list(c) for c in zip(*rows)])
+    prod = gram_product(slice_, lat.gram.num.rows)
     values = set()
     checked = 0
     for i in range(len(slice_)):

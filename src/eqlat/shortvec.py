@@ -18,19 +18,20 @@ representative per +-pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
     MixedNorms,
-    NotPositiveDefinite,
     ZeroVector,
 )
-from .exact import IntMatrix, RatMatrix
-from .fastops import imatmul_rows
+from .exact import IntMatrix, RatMatrix, leading_minors
+from .fastops import gram_product, imatmul_rows
 from .lattice import GramLattice, Vec
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "minimum",
     "least_vector",
     "shell",
-    "cached_shell",
     "shell_count",
     "vectors_upto",
     "coset_shell",
@@ -72,6 +72,20 @@ def _round_half_up(q: Fraction) -> int:
     return math.floor(q + Fraction(1, 2))
 
 
+def _gso(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Gram-Schmidt data (mu, bstar) of a basis, from its Gram matrix."""
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = [Fraction(0)] * n
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (
+                g[k][j] - sum(mu[k][i] * mu[j][i] * bstar[i] for i in range(j))
+            ) / bstar[j]
+        bstar[k] = g[k][k] - sum(mu[k][j] ** 2 * bstar[j] for j in range(k))
+    return mu, bstar
+
+
 def lll_reduce(
     lat: GramLattice, delta: Fraction = Fraction(99, 100)
 ) -> tuple[GramLattice, IntMatrix]:
@@ -85,15 +99,7 @@ def lll_reduce(
     if n <= 1:
         return lat, IntMatrix(u)
     g = [[Fraction(v) for v in row] for row in lat.gram.num.rows]
-
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar = [Fraction(0)] * n
-    for k in range(n):
-        for j in range(k):
-            mu[k][j] = (
-                g[k][j] - sum(mu[k][i] * mu[j][i] * bstar[i] for i in range(j))
-            ) / bstar[j]
-        bstar[k] = g[k][k] - sum(mu[k][j] ** 2 * bstar[j] for j in range(k))
+    mu, bstar = _gso(g)
 
     def red(k: int, l: int) -> None:
         q = _round_half_up(mu[k][l])
@@ -148,15 +154,7 @@ def is_lll_reduced(lat: GramLattice, delta: Fraction = Fraction(99, 100)) -> boo
     n = lat.dim
     if n <= 1:
         return True
-    g = lat.gram.to_fractions()
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar = [Fraction(0)] * n
-    for k in range(n):
-        for j in range(k):
-            mu[k][j] = (
-                g[k][j] - sum(mu[k][i] * mu[j][i] * bstar[i] for i in range(j))
-            ) / bstar[j]
-        bstar[k] = g[k][k] - sum(mu[k][j] ** 2 * bstar[j] for j in range(k))
+    mu, bstar = _gso(lat.gram.to_fractions())
     for k in range(n):
         for j in range(k):
             if abs(mu[k][j]) > Fraction(1, 2):
@@ -180,23 +178,10 @@ class _Prep:
             red, u = lll_reduce(lat)
         else:
             u = basis
-            red = GramLattice(RatMatrix(u @ lat.gram.num @ u.transpose(), lat.gram.den))
+            red = GramLattice(RatMatrix(gram_product(u.rows, lat.gram.num.rows),
+                                        lat.gram.den))
         n = lat.dim
-        a = [list(row) for row in red.gram.num.rows]
-        delta = [1] * (n + 1)
-        sub = []
-        for k in range(n):
-            piv = a[k][k]
-            if piv <= 0:
-                raise NotPositiveDefinite("enumeration needs a definite form")
-            delta[k + 1] = piv
-            sub.append([a[i][k] for i in range(k + 1, n)])
-            prev = delta[k]
-            for i in range(k + 1, n):
-                aik = a[i][k]
-                row_i, row_k = a[i], a[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (piv * row_i[j] - aik * row_k[j]) // prev
+        delta, sub = leading_minors(red.gram.num)
         e = [delta[k] * delta[k + 1] for k in range(n)]
         escale = math.lcm(*e) if e else 1
         self.lat = lat
@@ -211,14 +196,13 @@ class _Prep:
         self.escale = escale
 
 
-_PREP_CACHE: dict[GramLattice, _Prep] = {}
+# Entries kept by each result cache below; least recently used go first.
+_CACHE_SIZE = 512
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _prep(lat: GramLattice) -> _Prep:
-    p = _PREP_CACHE.get(lat)
-    if p is None:
-        p = _PREP_CACHE[lat] = _Prep(lat)
-    return p
+    return _Prep(lat)
 
 
 def _search_chunk(payload: dict) -> object:
@@ -440,9 +424,15 @@ def _scaled_limit(prep: _Prep, r) -> int:
 # ---------------------------------------------------------------------------
 # Public interface
 
-# lattice -> (minimum, number of +-pairs at the minimum)
-_MIN_CACHE: dict[GramLattice, tuple[Fraction, int]] = {}
-_SHELL_CACHE: dict[tuple, tuple] = {}
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _min_count(lat: GramLattice) -> tuple[Fraction, int]:
+    """(minimum, number of +-pairs at the minimum) from one walk."""
+    if lat.dim == 0:
+        raise DimensionMismatch("empty lattice has no minimum")
+    prep = _prep(lat)
+    seed = min(prep.red.gram.num[i, i] for i in range(prep.n))  # attained
+    best, count = _run(prep, "mincount", prep.escale * seed, None, None)
+    return Fraction(best // prep.escale, prep.den), count
 
 
 def minimum(lat: GramLattice) -> Fraction:
@@ -451,17 +441,7 @@ def minimum(lat: GramLattice) -> Fraction:
     One walk finds the minimum and counts its pairs; the count is kept for
     shell_count.
     """
-    got = _MIN_CACHE.get(lat)
-    if got is not None:
-        return got[0]
-    if lat.dim == 0:
-        raise DimensionMismatch("empty lattice has no minimum")
-    prep = _prep(lat)
-    seed = min(prep.red.gram.num[i, i] for i in range(prep.n))  # attained
-    best, count = _run(prep, "mincount", prep.escale * seed, None, None)
-    result = Fraction(best // prep.escale, prep.den)
-    _MIN_CACHE[lat] = (result, count)
-    return result
+    return _min_count(lat)[0]
 
 
 def least_vector(lat: GramLattice, r) -> Vec | None:
@@ -482,41 +462,37 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
     return _map_back(prep, found)[0] if found else None
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None,
+                 r: Fraction) -> tuple[Vec, ...]:
+    """The sorted norm-r shell, of the class parity mod 2L unless None."""
+    prep = _prep(lat)
+    target = _scaled_target(prep, r)
+    if target is None or target <= 0:
+        return ()
+    pr = None if parity is None else _parity_reduced(prep, parity)
+    return tuple(sorted(_map_back(prep, _run(prep, "shell", target, target, pr))))
+
+
 def shell(lat: GramLattice, r) -> tuple[Vec, ...]:
     """All +-pairs of vectors of norm exactly r, one representative each.
 
     Representatives have positive leading coordinate and come sorted, so
     the result is canonical.
     """
-    key = (lat, Fraction(r))
-    got = _SHELL_CACHE.get(key)
-    if got is not None:
-        return got
-    prep = _prep(lat)
-    target = _scaled_target(prep, r)
-    if target is None or target <= 0:
-        result: tuple[Vec, ...] = ()
-    else:
-        found = _run(prep, "shell", target, target, None)
-        result = tuple(sorted(_map_back(prep, found)))
-    _SHELL_CACHE[key] = result
-    return result
-
-
-def cached_shell(lat: GramLattice, r) -> tuple[Vec, ...] | None:
-    """The shell if a previous call already computed it, else None."""
-    return _SHELL_CACHE.get((lat, Fraction(r)))
+    return _coset_shell(lat, None, Fraction(r))
 
 
 def shell_count(lat: GramLattice, r) -> int:
     """Number of +-pairs of norm exactly r, without storing vectors."""
-    got = _MIN_CACHE.get(lat)
-    if got is not None and got[0] == Fraction(r):
-        return got[1]
+    r = Fraction(r)
     prep = _prep(lat)
     target = _scaled_target(prep, r)
-    if target is None or target <= 0:
+    if target is None or target <= 0 or not prep.n:
         return 0
+    m, count = _min_count(lat)
+    if r <= m:
+        return count if r == m else 0
     return _run(prep, "count", target, target, None)
 
 
@@ -548,21 +524,7 @@ def coset_shell(lat: GramLattice, parity: Sequence[int], r) -> tuple[Vec, ...]:
     parity is read mod 2 coordinatewise.  Since -x = x mod 2L, the class is
     a union of +-pairs and one representative per pair is returned.
     """
-    p = _check_parity(lat, parity)
-    key = (lat, p, Fraction(r))
-    got = _SHELL_CACHE.get(key)
-    if got is not None:
-        return got
-    prep = _prep(lat)
-    target = _scaled_target(prep, r)
-    if target is None or target <= 0:
-        result: tuple[Vec, ...] = ()
-    else:
-        pr = _parity_reduced(prep, p)
-        found = _run(prep, "shell", target, target, pr)
-        result = tuple(sorted(_map_back(prep, found)))
-    _SHELL_CACHE[key] = result
-    return result
+    return _coset_shell(lat, _check_parity(lat, parity), Fraction(r))
 
 
 def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
@@ -575,44 +537,38 @@ def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     return Fraction(best // prep.escale, prep.den)
 
 
+@dataclass(frozen=True, slots=True)
 class PairSet:
-    """A finite set of +-pairs of lattice vectors of one common norm."""
+    """A finite set of +-pairs of lattice vectors of one common norm.
 
-    __slots__ = ("lattice", "reps", "norm")
+    Built from any iterable of vectors; reps holds one canonical
+    representative per pair, sorted, and norm is their common norm (None
+    when empty).  Equality compares the lattice and the representatives.
+    """
 
-    def __init__(self, lattice: GramLattice, vectors: Iterable[Sequence[int]]):
+    lattice: GramLattice
+    reps: tuple[Vec, ...]
+    norm: Fraction | None = field(init=False, compare=False)
+
+    def __post_init__(self):
         seen = set()
-        for v in vectors:
+        for v in self.reps:
             v = _canonical(tuple(int(c) for c in v))
             if not any(v):
                 raise ZeroVector("pair sets cannot contain 0")
             seen.add(v)
         reps = tuple(sorted(seen))
-        norms = {lattice.norm(v) for v in reps}
+        norms = {self.lattice.norm(v) for v in reps}
         if len(norms) > 1:
             raise MixedNorms(f"norms {sorted(norms)}")
-        object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "norm", norms.pop() if norms else None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairSet is immutable")
 
     def __len__(self) -> int:
         return len(self.reps)
 
     def __iter__(self):
         return iter(self.reps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PairSet)
-            and self.lattice == other.lattice
-            and self.reps == other.reps
-        )
-
-    def __hash__(self):
-        return hash((self.lattice, self.reps))
 
     def __repr__(self):
         return f"PairSet({len(self.reps)} pairs of norm {self.norm})"

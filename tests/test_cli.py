@@ -127,6 +127,13 @@ def test_shell_rejects_bad_norm(capsys, tmp_path):
         {"name": "x", "dim": 2, "den": 1, "gram": [[2, 1], [0, 2]]},  # asymmetric
         {"name": "x", "dim": 2, "den": 1, "gram": [[1, 3], [3, 1]]},  # indefinite
         {"name": "x", "dim": 2, "den": 1, "gram": [[2, 0.5], [0.5, 2]]},
+        {"name": "x", "dim": 2, "den": 1, "gram": [[2, 1], [1]]},    # ragged
+        {"name": "b", "dim": True, "den": True, "gram": [[2]]},      # JSON true
+        {"name": "b", "dim": True, "den": 1, "gram": [[2]]},
+        {"name": "b", "dim": 1, "den": True, "gram": [[2]]},
+        {"name": "b", "dim": 1, "den": 1, "gram": [[True]]},
+        {"name": "x", "dim": 2, "den": 1, "gram": [[0, 0], [0, 1]]},  # singular
+        [[2, 1], [1, 2]],                                            # not an object
     ],
 )
 def test_load_rejects_invalid_documents(capsys, tmp_path, doc):
@@ -135,6 +142,13 @@ def test_load_rejects_invalid_documents(capsys, tmp_path, doc):
     rc, _, err = run(capsys, "min", str(path))
     assert rc == 2
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_load_keeps_big_entries_exact(capsys, tmp_path):
+    big = 10**39 + 7  # 40 digits, far beyond int64
+    path = write_doc(tmp_path, "big.json", name="big", dim=1, den=1, gram=[[big]])
+    assert run(capsys, "min", path) == (0, f"m={big} s=1\n", "")
 
 
 def test_load_rejects_non_json(capsys, tmp_path):
@@ -320,11 +334,23 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("argv, stdout", [
     (("equi", str(GOLDEN / "e8.json"), "--json"), "equi_e8.stdout"),
     (("report", "--suite", "roots", "--json"), "report_roots.stdout"),
+    (("report", "--suite", "min3", "--json"), "report_min3.stdout"),
 ])
 def test_json_stdout_matches_golden(capsys, argv, stdout):
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
     assert out.encode() == (GOLDEN / stdout).read_bytes()
+
+
+def test_text_stdout_and_relative_file_match_golden(capsys, tmp_path):
+    rc, out, _ = run(capsys, "equi", str(GOLDEN / "e8.json"))
+    assert rc == 0
+    assert out.encode() == (GOLDEN / "equi_e8_text.stdout").read_bytes()
+    rel = tmp_path / "rel.json"
+    rc, out, _ = run(capsys, "equi", str(GOLDEN / "d5.json"), "--emit-relative", str(rel))
+    assert rc == 0
+    assert out.encode() == (GOLDEN / "equi_d5_relative.stdout").read_bytes()
+    assert rel.read_bytes() == (GOLDEN / "rel_d5.json").read_bytes()
 
 
 def test_report_min3(capsys):

@@ -7,6 +7,7 @@ import pytest
 from oracles import minors_gcd, poly_from_roots, ref_det, ref_rank
 
 from eqlat.errors import NotPositiveDefinite
+from eqlat.lattice import GramLattice
 from eqlat.exact import (
     IntMatrix,
     RatMatrix,
@@ -14,7 +15,7 @@ from eqlat.exact import (
     count_roots_halfopen,
     hnf,
     kernel_basis,
-    ldl,
+    leading_minors,
     poly_eval,
     rank_det,
     root_multiplicity,
@@ -129,43 +130,25 @@ def test_kernel_random_saturated():
     assert checked > 50
 
 
-# -- LDL^T ------------------------------------------------------------------
-
-
-def test_ldl_worked_example():
-    lw, d = ldl(RatMatrix([[2, 1], [1, 2]]))
-    assert d == [QQ(2), QQ(3, 2)]
-    assert lw == [[1, 0], [QQ(1, 2), 1]]
+# -- Gram elimination --------------------------------------------------------
 
 
 def test_ldl_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        ldl(RatMatrix([[1, 2], [2, 1]]))
-    with pytest.raises(NotPositiveDefinite):
-        ldl(RatMatrix([[0, 0], [0, 1]]))
+    # the fraction-free elimination behind GramLattice stops at the first
+    # leading minor <= 0: indefinite (minor -3) and singular (minor 0)
+    for gram in ([[1, 2], [2, 1]], [[0, 0], [0, 1]]):
+        with pytest.raises(NotPositiveDefinite):
+            GramLattice(gram)
+        with pytest.raises(NotPositiveDefinite):
+            leading_minors(IntMatrix(gram))
 
 
-def test_ldl_reconstructs():
-    rng = random.Random(41)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        b = rand_matrix(rng, n, n + rng.randint(0, 2), -5, 5)
-        gram = [
-            [sum(a * c for a, c in zip(r1, r2)) + (4 if i == j else 0)
-             for j, r2 in enumerate(b.rows)]
-            for i, r1 in enumerate(b.rows)
-        ]
-        g = RatMatrix(gram)
-        lw, d = ldl(g)
-        n = g.nrows
-        rebuilt = [
-            [
-                sum(lw[i][k] * d[k] * lw[j][k] for k in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        assert rebuilt == g.to_fractions()
+def test_leading_minors_worked_example():
+    # A3: leading minors 2, 3, 4; sub holds the columns below each pivot
+    delta, sub = leading_minors(IntMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
+    assert delta == [1, 2, 3, 4]
+    assert sub == [[-1, 0], [-2], []]
+    assert GramLattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]).det == 4
 
 
 # -- linear solving ---------------------------------------------------------

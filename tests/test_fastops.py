@@ -1,0 +1,28 @@
+"""The int64 accelerator must agree with Python integers on every input."""
+
+import pytest
+
+from eqlat.fastops import gram_product, imatmul
+
+
+def ref_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[2**70, 1], [3, -2**64]], [[1, 2], [5, 7]]),          # beyond int64
+    ([[-2**63, 0], [1, 1]], [[-1, 0], [0, 1]]),             # -2**63 * -1 = 2**63
+    ([[2**31] * 4], [[2**31]] * 4),                         # bound 2**64 > 2**62
+    ([[2**30, -2**30]], [[2**30], [2**30 - 1]]),            # bound 2**61: int64
+])
+def test_imatmul_matches_python_integers(a, b):
+    assert imatmul(a, b) == ref_product(a, b)
+
+
+def test_gram_product():
+    rows = [[1, 2, 0], [0, -1, 3]]
+    g = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    cols = [list(c) for c in zip(*rows)]
+    assert gram_product(rows, g) == ref_product(ref_product(rows, g), cols)
+    assert gram_product(rows) == ref_product(rows, cols)
+    assert gram_product([]) == []

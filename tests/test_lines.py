@@ -12,6 +12,7 @@ from eqlat.errors import (
     NotApplicable,
     NotEquiangular,
 )
+from eqlat import exact
 from eqlat.exact import IntMatrix, berkowitz, poly_eval, root_multiplicity
 from eqlat.lattice import GramLattice
 from eqlat.lines import (
@@ -179,6 +180,47 @@ def test_charpoly_large_structured_matrix():
     assert root_multiplicity(p, Fraction(-1)) == t - 1
     assert poly_eval(p, t - 1) == 0
     assert least_eigenvalue(s) == (-1, -1)
+
+
+def random_seidel(rng, t):
+    rows = [[0] * t for _ in range(t)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            rows[i][j] = rows[j][i] = rng.choice((-1, 1))
+    return SeidelMatrix(rows)
+
+
+# least_eigenvalue of random_seidel(random.Random(t), t), as (lo, hi) with
+# each end given as (numerator, denominator)
+RANDOM_LEAST = {
+    20: ((-33166367159888321913975, 4722366482869645213696),
+         (-265330937279106552052325, 37778931862957161709568)),
+    30: ((-352092444803260185935790155980589, 40564819207303340847894502572032),
+         (-704184889606520300260571555527809, 81129638414606681695789005144064)),
+}
+
+
+def test_least_eigenvalue_bisection_evaluates_the_chain_once_per_step(monkeypatch):
+    calls = []
+    variations = exact._variations
+
+    def counted(chain, x):
+        calls.append(x)
+        return variations(chain, x)
+
+    monkeypatch.setattr(exact, "_variations", counted)
+    for t, (lo, hi) in RANDOM_LEAST.items():
+        s = random_seidel(random.Random(t), t)
+        calls.clear()
+        got = least_eigenvalue(s)
+        assert got == (Fraction(*lo), Fraction(*hi))
+        # the interval halves once per step, from (-B, B] with B the
+        # integer bound the search starts from
+        bound = exact.cauchy_bound(exact.sturm_chain(seidel_charpoly(s))[0])
+        ratio = 2 * (bound.numerator // bound.denominator + 1) / (got[1] - got[0])
+        assert ratio.denominator == 1 and ratio.numerator.bit_count() == 1
+        steps = ratio.numerator.bit_length() - 1
+        assert len(calls) <= steps + 2  # one per step, plus lo and hi at the start
 
 
 def test_switching_and_reordering_preserve_spectrum():

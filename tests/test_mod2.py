@@ -26,14 +26,14 @@ from eqlat.mod2 import (
     check_scalar_bound,
     default_x0,
     split_congruent_pair,
-    equiangular,
     equiangular_direct,
     equiangular_via_s0,
     mod2_class,
     relative_lattice,
     sqrt2_even_check,
 )
-from eqlat.shortvec import cached_shell, minimum, shell, vectors_upto
+from eqlat import shortvec
+from eqlat.shortvec import minimum, shell, vectors_upto
 
 A2 = GramLattice([[2, 1], [1, 2]], name="A2")
 Z2 = GramLattice([[1, 0], [0, 1]], name="Z2")
@@ -180,15 +180,23 @@ def test_default_x0_is_least():
                 assert default_x0(basis) == shell(basis, 2 * m - 2)[0], (fam, n)
 
 
-def test_default_x0_leech_without_the_norm_6_shell():
+def test_default_x0_leech_without_the_norm_6_shell(monkeypatch):
     lat = leech().lattice
     assert minimum(lat) == 4
+    modes = []
+    search = shortvec._search_chunk
+
+    def recorded(payload):
+        modes.append(payload["mode"])
+        return search(payload)
+
+    monkeypatch.setattr(shortvec, "_search_chunk", recorded)
     start = time.perf_counter()
     x0 = default_x0(lat)
     elapsed = time.perf_counter() - start
     assert x0 == (0,) * 11 + (1, -1, -1, 0, -1, -1, -1, 0, 0, 0, -1, -1, 3)
     assert lat.norm(x0) == 6
-    assert cached_shell(lat, 6) is None
+    assert modes == ["first"]  # no "shell" walk: the norm-6 shell is never built
     assert elapsed < 1.0
 
 
@@ -219,12 +227,6 @@ def test_equiangular_e8():
     assert fam.alpha == Fraction(1, 3)
     via = equiangular_via_s0(E8, fam.x0)
     assert via.pairs == fam.pairs
-
-
-def test_equiangular_wrapper_dispatch():
-    shell(A4, 2)  # warm the minimal vectors so the slice route is taken
-    fam = equiangular(A4)
-    assert fam.pairs == equiangular_direct(A4).pairs
 
 
 def test_equiangular_odd_minimum_nonempty():

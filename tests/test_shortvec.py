@@ -149,8 +149,8 @@ def grid_box_points(gram_rows, bound):
                      for i in range(len(gram_rows)))
 
 
-def test_minimum_and_count_match_grid_oracle(monkeypatch):
-    monkeypatch.setattr(shortvec, "_MIN_CACHE", {})
+def test_minimum_and_count_match_grid_oracle():
+    shortvec._min_count.cache_clear()
     rng = random.Random(109)
     checked = lowered = 0
     while lowered < 3:  # until the count reset has run a few times
@@ -178,12 +178,31 @@ def test_minimum_and_count_share_one_walk(monkeypatch):
         return search(payload)
 
     monkeypatch.setattr(shortvec, "_search_chunk", counted)
-    monkeypatch.setattr(shortvec, "_MIN_CACHE", {})
+    shortvec._min_count.cache_clear()
     e8 = root_lattice("E", 8).lattice
     assert shell_count(e8, minimum(e8)) == 120
     assert modes == ["mincount"]
     assert shell_count(e8, 4) == 1080
     assert modes == ["mincount", "count"]
+
+
+def test_shell_count_zero_cases():
+    assert shell_count(A2, 0) == shell_count(A2, -2) == 0
+    assert shell_count(A2, QQ(1, 2)) == 0  # unreachable on an integral lattice
+    assert shell_count(A2, 1) == 0  # below the minimum
+    assert shell_count(GramLattice([]), 2) == 0
+
+
+def test_caches_stay_within_their_bound():
+    caches = (shortvec._prep, shortvec._min_count, shortvec._coset_shell)
+    for k in range(1, shortvec._CACHE_SIZE + 10):
+        lat = GramLattice([[k]])
+        assert minimum(lat) == k
+        assert shell(lat, k) == coset_shell(lat, (1,), k) == ((1,),)
+    for fn in caches:
+        info = fn.cache_info()
+        assert info.maxsize == shortvec._CACHE_SIZE
+        assert info.currsize == info.maxsize
 
 
 def test_rational_gram_enumeration():
@@ -271,8 +290,8 @@ def test_threaded_matches_serial():
         assert get_threads() == 2
         from eqlat import shortvec
 
-        shortvec._MIN_CACHE.clear()
-        shortvec._SHELL_CACHE.clear()
+        shortvec._min_count.cache_clear()
+        shortvec._coset_shell.cache_clear()
         assert minimum(lat) == serial_min
         assert shell(lat, serial_min + 2) == serial_shell
         assert shell_count(lat, serial_min + 2) == serial_count
@@ -280,15 +299,15 @@ def test_threaded_matches_serial():
         set_threads(1)
 
 
-def test_threaded_minimum_and_count_match_serial(monkeypatch):
+def test_threaded_minimum_and_count_match_serial():
     # LLL leaves this basis alone; its diagonal minimum 11 sits above the
     # minimum 10, and the two top-level values split across two workers
     lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
                        [-1, 2, -6, 11]])
-    monkeypatch.setattr(shortvec, "_MIN_CACHE", {})
+    shortvec._min_count.cache_clear()
     serial = (minimum(lat), shell_count(lat, minimum(lat)))
     assert serial == (10, 1)
-    shortvec._MIN_CACHE.clear()
+    shortvec._min_count.cache_clear()
     set_threads(2)
     try:
         assert (minimum(lat), shell_count(lat, minimum(lat))) == serial
