@@ -43,7 +43,7 @@ from .exact import IntMatrix, RatMatrix
 from .lattice import GramLattice
 from .lines import KNOWN_MAX_LINES, LATTICE_LINES_KNOWN, certify, line_family
 from .mod2 import equiangular_direct, relative_lattice
-from .shortvec import minimum, shell, shell_count
+from .shortvec import get_threads, minimum, set_threads, shell, shell_count
 
 OK, USAGE, PRECONDITION, HYPOTHESIS = 0, 2, 3, 4
 
@@ -482,8 +482,8 @@ def _common(parser: argparse.ArgumentParser) -> None:
                         help="emit JSON (sorted keys) instead of text")
     parser.add_argument("--threads", type=int, metavar="N",
                         default=argparse.SUPPRESS,
-                        help="worker budget; accepted for forward compatibility,"
-                             " the exact kernels currently run on one thread")
+                        help="worker processes for the enumeration walks"
+                             " (default 1)")
     parser.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
                         help="progress notes on stderr")
 
@@ -565,11 +565,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return USAGE
+    previous = get_threads()
+    set_threads(args.threads)
     try:
         return args.func(args)
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    finally:
+        set_threads(previous)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,11 @@ Cholesky data from Bareiss elimination gives the form as
     E * N(x) = sum_k g_k * (delta_{k+1} x_k + s_k)^2
 
 with all quantities integral, so pruning needs only integer comparisons
-and isqrt, and every reported norm is exact by construction.
+and isqrt, and every reported norm is exact by construction.  The walk
+keeps a table of partial centre sums, one row per level, and on entering
+a level recomputes only the terms whose coordinates have changed since
+its last visit (Schnorr-Euchner), so a node costs a few multiply-adds
+instead of one per coordinate above it.
 
 Congruence classes mod 2L are enumerated directly by stepping coordinates
 in twos; because -x lies in the class of x, the usual sign-halving trick
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,9 +60,12 @@ _THREADS = 1
 def set_threads(n: int) -> None:
     """Worker processes for top-level enumeration splitting; 1 = serial."""
     global _THREADS
+    if isinstance(n, bool):
+        raise TypeError("thread count must be an integer, not a bool")
+    n = operator.index(n)
     if n < 1:
         raise ValueError("thread count must be >= 1")
-    _THREADS = int(n)
+    _THREADS = n
 
 
 def get_threads() -> int:
@@ -212,9 +220,18 @@ def _search_chunk(payload: dict) -> object:
     mode: "le" collects (scaled_norm, coords) leaves and "shell" the coords
     of exact-norm leaves; "first" stops at the first exact-norm leaf, which
     is the least in the walk's order (each level ascending, top level
-    first); "count" counts exact-norm leaves closed-form at the bottom
-    level; "mincount" keeps the least nonzero scaled norm found as an
-    inclusive bound and returns (best, leaves at best).
+    first); "count" counts exact-norm leaves; "mincount" keeps the least
+    nonzero scaled norm found as an inclusive bound and returns (best,
+    leaves at best).  The exact-norm modes solve the bottom level in closed
+    form and take its (at most two) roots in ascending order.
+
+    Centres come from the partial-sum table ps[k][j] = sum over l >= j of
+    sub[k][l-k-1] * x_l, with ps[k][n] = 0, so s_k = ps[k][k+1].  stale[k]
+    is the highest j whose x_j changed since row k was last brought up to
+    date: entering level k refreshes ps[k][j] for j from stale[k] down to
+    k+1 only, hands stale[k] down to stale[k-1] and resets it to k+1, the
+    one coordinate that changes before level k is entered again unless a
+    higher level moves first.
     """
     n = payload["n"]
     delta = payload["delta"]
@@ -224,106 +241,84 @@ def _search_chunk(payload: dict) -> object:
     mode = payload["mode"]
     target = payload["target"]
     limit = payload["limit"]
+    tops = payload["tops"]
     step = 2 if parity is not None else 1
+    exact = mode in ("shell", "first", "count")
+    isqrt = math.isqrt
+    top = n - 1
     x = [0] * n
+    ps = [[0] * (n + 1) for _ in range(n)]
+    stale = [top] * n
     out: list = []
     count = 0
 
-    def bounds(k: int, s: int, room: int, zero_above: bool) -> tuple[int, int]:
-        kmax = math.isqrt(room // g[k])
+    def rec(k: int, acc: int, zero_above: bool) -> None:
+        nonlocal count, limit
+        row = sub[k]
+        p = ps[k]
+        j = stale[k]
+        s = p[j + 1]
+        while j > k:
+            s += row[j - k - 1] * x[j]
+            p[j] = s
+            j -= 1
+        if k and stale[k - 1] < stale[k]:
+            stale[k - 1] = stale[k]
+        stale[k] = k + 1
         d = delta[k + 1]
+        gk = g[k]
+        kmax = isqrt((limit - acc) // gk)
         lo = -((kmax + s) // d)
-        hi = (kmax - s) // d
         if zero_above and lo < 0:
             lo = 0
         if parity is not None and (lo - parity[k]) % 2:
             lo += 1
-        return lo, hi
-
-    def leaf(a2: int) -> bool:
-        """Record a nonzero leaf of scaled norm a2 <= limit; True ends the walk."""
-        nonlocal count, limit
-        if mode == "mincount":
-            if a2 < limit:
-                limit = a2
-                count = 0
-            count += 1
-        elif mode == "le":
-            out.append((a2, tuple(x)))
-        elif a2 == target:
-            out.append(tuple(x))
-            if mode == "first":
-                limit = -1  # every pending branch now fails its bound
-                return True
-        return False
-
-    def rec(k: int, acc: int, zero_above: bool) -> None:
-        nonlocal count
-        row = sub[k]
-        s = 0
-        for j in range(k + 1, n):
-            xj = x[j]
-            if xj:
-                s += row[j - k - 1] * xj
-        room = limit - acc
-        if room < 0:
-            return
-        d = delta[k + 1]
-        gk = g[k]
+        values = tops if k == top else range(lo, (kmax - s) // d + 1, step)
         if k == 0:
-            if mode == "count":
-                rem = target - acc
-                if rem < 0 or rem % gk:
+            if exact:
+                # g_0 (d x_0 + s)^2 = target - acc, roots taken ascending
+                q, r = divmod(target - acc, gk)
+                if r or q < 0 or not target:  # norm 0 is the zero vector alone
                     return
-                q, r = divmod(rem, gk)
-                kk = math.isqrt(q)
+                kk = isqrt(q)
                 if kk * kk != q:
                     return
-                lo, hi = bounds(0, s, room, zero_above)
-                for kroot in {kk, -kk}:
-                    xv, r2 = divmod(kroot - s, d)
-                    if r2 == 0 and lo <= xv <= hi and (
-                        parity is None or (xv - parity[0]) % 2 == 0
-                    ):
-                        if acc or s or xv:
-                            count += 1
+                for kv in (-kk, kk) if kk else (0,):
+                    xv, r = divmod(kv - s, d)
+                    if r or xv not in values:
+                        continue
+                    if mode == "count":
+                        count += 1
+                        continue
+                    x[0] = xv
+                    out.append(tuple(x))
+                    if mode == "first":
+                        limit = -1  # every pending branch now fails its bound
+                        return
                 return
-            lo, hi = bounds(0, s, room, zero_above)
-            for xv in range(lo, hi + 1, step):
+            for xv in values:
                 kv = d * xv + s
                 a2 = acc + gk * kv * kv
-                if a2 > limit or a2 == 0:
+                if a2 > limit or not a2:
                     continue
-                x[0] = xv
-                if leaf(a2):
-                    return
+                if mode == "le":
+                    x[0] = xv
+                    out.append((a2, tuple(x)))
+                    continue
+                if a2 < limit:  # mincount: a smaller norm restarts the count
+                    limit = a2
+                    count = 0
+                count += 1
             return
-        lo, hi = bounds(k, s, room, zero_above)
-        for xv in range(lo, hi + 1, step):
+        for xv in values:
             kv = d * xv + s
             a2 = acc + gk * kv * kv
-            if a2 > limit:
-                continue
-            x[k] = xv
-            rec(k - 1, a2, zero_above and xv == 0)
-        x[k] = 0
+            if a2 <= limit:
+                x[k] = xv
+                rec(k - 1, a2, zero_above and not xv)
 
-    dtop = delta[n]
-    gtop = g[n - 1]
-    for xv in payload["tops"]:
-        kv = dtop * xv
-        a2 = gtop * kv * kv
-        if a2 > limit:
-            continue
-        x[n - 1] = xv
-        if n > 1:
-            rec(n - 2, a2, xv == 0)
-        elif a2 == 0:
-            continue
-        elif mode == "count":
-            count += int(a2 == target)
-        elif leaf(a2):
-            break
+    if tops:
+        rec(top, 0, True)
     if mode == "count":
         return count
     if mode == "mincount":

@@ -3,9 +3,12 @@
 Everything here is deliberately written with different algorithms than the
 package (cofactor expansion instead of Bareiss, rational Gauss instead of
 HNF, a numpy grid scan instead of tree enumeration) so that agreement is
-meaningful.
+meaningful.  `ref_search_chunk` is the exception: it walks the same tree
+as the library's kernel, in the plainest way, so that the two can be
+compared result for result and in the same order.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -113,4 +116,133 @@ def grid_short_vectors(gram_rows, bound):
         if lead > 0:
             out.append((int(nm), v))
     out.sort()
+    return out
+
+
+def ref_search_chunk(payload: dict) -> object:
+    """The recursive enumeration kernel that shortvec._search_chunk replaced.
+
+    It recomputes every centre from scratch and makes a call per node for
+    the bounds and per leaf for the bookkeeping; the tree, its order and
+    the results are meant to be the same as the library's.
+
+    mode: "le" collects (scaled_norm, coords) leaves and "shell" the coords
+    of exact-norm leaves; "first" stops at the first exact-norm leaf, which
+    is the least in the walk's order (each level ascending, top level
+    first); "count" counts exact-norm leaves closed-form at the bottom
+    level; "mincount" keeps the least nonzero scaled norm found as an
+    inclusive bound and returns (best, leaves at best).
+    """
+    n = payload["n"]
+    delta = payload["delta"]
+    sub = payload["sub"]
+    g = payload["g"]
+    parity = payload["parity"]
+    mode = payload["mode"]
+    target = payload["target"]
+    limit = payload["limit"]
+    step = 2 if parity is not None else 1
+    x = [0] * n
+    out: list = []
+    count = 0
+
+    def bounds(k: int, s: int, room: int, zero_above: bool) -> tuple[int, int]:
+        kmax = math.isqrt(room // g[k])
+        d = delta[k + 1]
+        lo = -((kmax + s) // d)
+        hi = (kmax - s) // d
+        if zero_above and lo < 0:
+            lo = 0
+        if parity is not None and (lo - parity[k]) % 2:
+            lo += 1
+        return lo, hi
+
+    def leaf(a2: int) -> bool:
+        """Record a nonzero leaf of scaled norm a2 <= limit; True ends the walk."""
+        nonlocal count, limit
+        if mode == "mincount":
+            if a2 < limit:
+                limit = a2
+                count = 0
+            count += 1
+        elif mode == "le":
+            out.append((a2, tuple(x)))
+        elif a2 == target:
+            out.append(tuple(x))
+            if mode == "first":
+                limit = -1  # every pending branch now fails its bound
+                return True
+        return False
+
+    def rec(k: int, acc: int, zero_above: bool) -> None:
+        nonlocal count
+        row = sub[k]
+        s = 0
+        for j in range(k + 1, n):
+            xj = x[j]
+            if xj:
+                s += row[j - k - 1] * xj
+        room = limit - acc
+        if room < 0:
+            return
+        d = delta[k + 1]
+        gk = g[k]
+        if k == 0:
+            if mode == "count":
+                rem = target - acc
+                if rem < 0 or rem % gk:
+                    return
+                q, r = divmod(rem, gk)
+                kk = math.isqrt(q)
+                if kk * kk != q:
+                    return
+                lo, hi = bounds(0, s, room, zero_above)
+                for kroot in {kk, -kk}:
+                    xv, r2 = divmod(kroot - s, d)
+                    if r2 == 0 and lo <= xv <= hi and (
+                        parity is None or (xv - parity[0]) % 2 == 0
+                    ):
+                        if acc or s or xv:
+                            count += 1
+                return
+            lo, hi = bounds(0, s, room, zero_above)
+            for xv in range(lo, hi + 1, step):
+                kv = d * xv + s
+                a2 = acc + gk * kv * kv
+                if a2 > limit or a2 == 0:
+                    continue
+                x[0] = xv
+                if leaf(a2):
+                    return
+            return
+        lo, hi = bounds(k, s, room, zero_above)
+        for xv in range(lo, hi + 1, step):
+            kv = d * xv + s
+            a2 = acc + gk * kv * kv
+            if a2 > limit:
+                continue
+            x[k] = xv
+            rec(k - 1, a2, zero_above and xv == 0)
+        x[k] = 0
+
+    dtop = delta[n]
+    gtop = g[n - 1]
+    for xv in payload["tops"]:
+        kv = dtop * xv
+        a2 = gtop * kv * kv
+        if a2 > limit:
+            continue
+        x[n - 1] = xv
+        if n > 1:
+            rec(n - 2, a2, xv == 0)
+        elif a2 == 0:
+            continue
+        elif mode == "count":
+            count += int(a2 == target)
+        elif leaf(a2):
+            break
+    if mode == "count":
+        return count
+    if mode == "mincount":
+        return limit, count
     return out

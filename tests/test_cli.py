@@ -7,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from eqlat import shortvec
 from eqlat.cli import main
 from eqlat.constructions import dn_projection_gram, root_lattice
 from eqlat.exact import IntMatrix, solve_left
@@ -380,10 +381,25 @@ def test_report_table(capsys):
 # -- global flags ------------------------------------------------------------
 
 
-def test_threads_flag(capsys, tmp_path):
+def test_threads_flag(capsys, tmp_path, monkeypatch):
     path = write_doc(tmp_path, "a2.json", **A2)
     assert run(capsys, "min", path, "--threads", "2")[0] == 0
     assert run(capsys, "--threads", "0", "min", path)[0] == 2
+    seen = []
+    walk = shortvec._run
+
+    def recorded(*args):
+        seen.append(shortvec.get_threads())
+        return walk(*args)
+
+    monkeypatch.setattr(shortvec, "_run", recorded)
+    shortvec._min_count.cache_clear()
+    shortvec._coset_shell.cache_clear()
+    rc, out, _ = run(capsys, "equi", str(GOLDEN / "e8.json"), "--json", "--threads", "2")
+    assert rc == 0
+    assert out.encode() == (GOLDEN / "equi_e8.stdout").read_bytes()
+    assert seen and set(seen) == {2}
+    assert shortvec.get_threads() == 1  # the command leaves the library as it was
 
 
 def test_verbose_goes_to_stderr(capsys, tmp_path):

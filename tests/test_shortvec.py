@@ -6,7 +6,7 @@ from fractions import Fraction as QQ
 
 import numpy as np
 import pytest
-from oracles import grid_short_vectors
+from oracles import grid_short_vectors, ref_search_chunk
 
 from eqlat import shortvec
 from eqlat.constructions import root_lattice
@@ -315,6 +315,17 @@ def test_threaded_minimum_and_count_match_serial():
         set_threads(1)
 
 
+def test_set_threads_rejects_non_integers():
+    for bad in (2.5, True, False, "2", None):
+        with pytest.raises(TypeError):
+            set_threads(bad)
+    with pytest.raises(ValueError):
+        set_threads(0)
+    assert get_threads() == 1
+    set_threads(np.int64(1))  # any integer type that supports __index__
+    assert get_threads() == 1
+
+
 # -- PairSet -------------------------------------------------------------------
 
 
@@ -333,3 +344,61 @@ def test_pairset_rejects():
         PairSet(A2, [(1, 0), (1, 1)])
     with pytest.raises(ZeroVector):
         PairSet(A2, [(0, 0)])
+
+
+# -- the kernel against the reference walk ------------------------------------
+
+
+def kernel_payloads(prep, r, parity):
+    """Payloads of all five modes at norm r, whole and split in two."""
+    pr = None if parity is None else shortvec._parity_reduced(prep, parity)
+    target = shortvec._scaled_target(prep, r)
+    if parity is None:
+        seed = min(prep.red.gram.num[i, i] for i in range(prep.n))
+    else:
+        seed = prep.lat.norm(parity)  # the 0/1 lift lies in the class
+    for mode, limit, tgt in (("le", shortvec._scaled_limit(prep, r), None),
+                             ("shell", target, target), ("first", target, target),
+                             ("count", target, target),
+                             ("mincount", shortvec._scaled_limit(prep, seed), None)):
+        tops = shortvec._top_values(prep, limit, pr)
+        for chunk in (tops, tops[0::2], tops[1::2]):
+            yield {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "g": prep.g,
+                   "parity": pr, "mode": mode, "target": tgt, "limit": limit,
+                   "tops": chunk}
+
+
+def test_kernel_matches_reference_walk():
+    from test_mod2 import skewed_basis
+
+    rng = random.Random(131)
+    lats = [skewed_basis(root_lattice(fam, n).lattice, rng)
+            for fam, dims in (("A", range(4, 13)), ("D", range(4, 13)),
+                              ("E", range(6, 9)))
+            for n in dims]
+    lats += [
+        A2.rescale(QQ(1, 2)),  # rational Gram matrix
+        GramLattice([[3]]),  # dimension 1
+        # LLL leaves this basis alone and its diagonal minimum 11 lies above
+        # the minimum 10, so "mincount" lowers its bound during the walk
+        GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
+                     [-1, 2, -6, 11]]),
+    ]
+    walked = set()
+    for lat in lats:
+        n = lat.dim
+        m = minimum(lat)
+        parity = tuple(rng.randint(0, 1) for _ in range(n - 1)) + (1,)
+        walks = [(shortvec._prep(lat), m + 2)]
+        if n <= 8:  # the input basis, as least_vector walks it; deep and skewed
+            walks.append((shortvec._Prep(lat, IntMatrix(
+                [[int(i + j == n - 1) for j in range(n)] for i in range(n)])), m))
+        for prep, r in walks:
+            for par in (None, parity):
+                for payload in kernel_payloads(prep, r, par):
+                    mode = payload["mode"]
+                    got = shortvec._search_chunk(payload)
+                    assert got == ref_search_chunk(payload), mode
+                    if got[1] if mode == "mincount" else got:
+                        walked.add(mode)
+    assert walked == {"le", "shell", "first", "count", "mincount"}
