@@ -205,11 +205,7 @@ def standard_x0(family: str, n: int) -> Vec:
     elif nl.family == "D":
         x0 = (0, 1) + (0,) * (n - 2)
     else:
-        eps = IntMatrix([list(r) for r in nl.marks["eps_rows"]])
-        c = solve_left(eps, [1] * 8)  # doubled coordinates of e
-        if c is None or any(x.denominator != 1 for x in c):
-            raise VerificationError("glue vector fell outside the section")
-        x0 = tuple(int(x) for x in c)
+        x0 = _eps_coords(nl, [1] * 8)  # doubled coordinates of e
     if nl.lattice.norm(x0) != 2:
         raise VerificationError(f"{nl.lattice.name}: x0 norm != 2")
     return x0
@@ -278,7 +274,6 @@ def dn_projection_gram(n: int) -> NamedLattice:
 def _check_projection_gram(lat: GramLattice, n: int) -> None:
     src = root_lattice("D", n + 1)
     proj = _base(src).project_along(standard_x0("D", n + 1))
-    eps = IntMatrix([list(r) for r in src.marks["eps_rows"]])
     targets = []
     for j in range(n):
         t = [0] * (n + 1)
@@ -290,12 +285,7 @@ def _check_projection_gram(lat: GramLattice, n: int) -> None:
         else:
             t[j + 1] = -1   # eps_1 - eps_{j+2}, zero-based position j + 1
         targets.append(t)
-    img = []
-    for t in targets:
-        c = solve_left(eps, t)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise VerificationError("projection preimage is not a lattice vector")
-        img.append(proj.coords([int(x) for x in c]))
+    img = [proj.coords(_eps_coords(src, t)) for t in targets]
     b = IntMatrix(img)
     r, d = rank_det(b)
     if r != n or d not in (1, -1):

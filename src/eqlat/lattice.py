@@ -164,8 +164,8 @@ class GramLattice:
             raise ZeroVector("projection along the zero vector")
         if math.gcd(*v) != 1:
             raise NotPrimitive(f"gcd of coordinates is {math.gcd(*v)}")
-        _, u = hnf(IntMatrix([[c] for c in v]))
-        t = RatMatrix(u).inverse().num.transpose()  # unimodular, row 0 == v
+        _, u = hnf(IntMatrix([[c] for c in v]))  # u v^T = e_0
+        t = hnf(u)[1].transpose()  # hnf(u) = I, so (u^-1)^T; row 0 == v
         if t.rows[0] != v:
             raise VerificationError("basis completion failed")
         den = self.gram.den
@@ -180,8 +180,7 @@ class GramLattice:
         lat = GramLattice(RatMatrix.from_fractions(proj_gram)) if n > 1 else GramLattice([])
         if lat.det * nv != self.det:
             raise VerificationError("projected determinant mismatch")
-        tinv = RatMatrix(t).inverse().num
-        return Projection(self, v, lat, tinv)
+        return Projection(self, v, lat, u.transpose())
 
 
 @dataclass(frozen=True, slots=True, eq=False)

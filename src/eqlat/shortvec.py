@@ -1,9 +1,10 @@
 """Shortest vectors, norm shells and congruence-class shells, exactly.
 
-The pipeline is LLL reduction (exact rational arithmetic on the Gram
-matrix) followed by a depth-first enumeration of the quadratic form.  The
-enumeration bookkeeping is entirely in Python integers: fraction-free
-Cholesky data from Bareiss elimination gives the form as
+The pipeline is LLL reduction followed by a depth-first enumeration of
+the quadratic form, both entirely in Python integers on the data of a
+Bareiss elimination of the Gram matrix.  LLL keeps the leading minors and
+scaled Gram-Schmidt coefficients of its current basis; in the reduced
+basis, the same fraction-free Cholesky data gives the form as
 
     E * N(x) = sum_k g_k * (delta_{k+1} x_k + s_k)^2
 
@@ -35,7 +36,7 @@ from .errors import (
     MixedNorms,
     ZeroVector,
 )
-from .exact import IntMatrix, RatMatrix, leading_minors
+from .exact import IntMatrix, RatMatrix, hnf, leading_minors
 from .fastops import gram_product, imatmul_rows
 from .lattice import GramLattice, Vec
 
@@ -43,7 +44,6 @@ __all__ = [
     "set_threads",
     "get_threads",
     "lll_reduce",
-    "is_lll_reduced",
     "minimum",
     "least_vector",
     "shell",
@@ -76,76 +76,49 @@ def get_threads() -> int:
 # LLL on the Gram matrix
 
 
-def _round_half_up(q: Fraction) -> int:
-    return math.floor(q + Fraction(1, 2))
-
-
-def _gso(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Gram-Schmidt data (mu, bstar) of a basis, from its Gram matrix."""
-    n = len(g)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar = [Fraction(0)] * n
-    for k in range(n):
-        for j in range(k):
-            mu[k][j] = (
-                g[k][j] - sum(mu[k][i] * mu[j][i] * bstar[i] for i in range(j))
-            ) / bstar[j]
-        bstar[k] = g[k][k] - sum(mu[k][j] ** 2 * bstar[j] for j in range(k))
-    return mu, bstar
-
-
-def lll_reduce(
-    lat: GramLattice, delta: Fraction = Fraction(99, 100)
-) -> tuple[GramLattice, IntMatrix]:
-    """LLL-reduce a lattice given only by its Gram matrix.
+def lll_reduce(lat: GramLattice) -> tuple[GramLattice, IntMatrix]:
+    """LLL-reduce a lattice given only by its Gram matrix, with delta = 99/100.
 
     Returns (reduced, U) with reduced.gram == U G U^T and det U = +-1.
-    Exact rational arithmetic throughout; delta defaults to 99/100.
+    Integral LLL (de Weger 1987; Cohen, Alg. 2.6.7): the state is the
+    Bareiss data of the current basis, d[k] the k-th leading minor and
+    lam[k][l] = d[l+1] mu_kl, so every decision is an integer comparison
+    and every update an exact division.
     """
     n = lat.dim
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     if n <= 1:
         return lat, IntMatrix(u)
-    g = [[Fraction(v) for v in row] for row in lat.gram.num.rows]
-    mu, bstar = _gso(g)
+    d, sub = leading_minors(lat.gram.num)
+    lam = [[sub[l][k - l - 1] for l in range(k)] for k in range(n)]
 
     def red(k: int, l: int) -> None:
-        q = _round_half_up(mu[k][l])
+        dl = d[l + 1]
+        q = (2 * lam[k][l] + dl) // (2 * dl)  # floor(mu_kl + 1/2)
         if q == 0:
             return
         u[k] = [a - q * b for a, b in zip(u[k], u[l])]
-        # Gram update for b_k -> b_k - q b_l.
-        gkl = g[k][l]
-        g[k][k] += q * q * g[l][l] - 2 * q * gkl
-        for i in range(n):
-            if i != k:
-                g[k][i] -= q * g[l][i]
-                g[i][k] = g[k][i]
-        for j in range(l):
-            mu[k][j] -= q * mu[l][j]
-        mu[k][l] -= q
+        row = lam[k]
+        for j, v in enumerate(lam[l]):
+            row[j] -= q * v
+        row[l] -= q * dl
 
     def swap(k: int) -> None:
         u[k - 1], u[k] = u[k], u[k - 1]
-        g[k - 1], g[k] = g[k], g[k - 1]
-        for row in g:
-            row[k - 1], row[k] = row[k], row[k - 1]
-        m = mu[k][k - 1]
-        big = bstar[k] + m * m * bstar[k - 1]
-        mu[k][k - 1] = m * bstar[k - 1] / big
-        bstar[k] = bstar[k - 1] * bstar[k] / big
-        bstar[k - 1] = big
-        for j in range(k - 1):
-            mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+        m = lam[k][k - 1]  # unchanged by the swap
+        lam[k - 1], lam[k] = lam[k][:k - 1], lam[k - 1] + [m]
+        big = (d[k - 1] * d[k + 1] + m * m) // d[k]
         for i in range(k + 1, n):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - m * t
-            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            row, t = lam[i], lam[i][k]
+            row[k] = (d[k + 1] * row[k - 1] - m * t) // d[k]
+            row[k - 1] = (big * t + m * row[k]) // d[k + 1]
+        d[k] = big
 
     k = 1
     while k < n:
         red(k, k - 1)
-        if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+        # Lovasz: B_k < (99/100 - mu^2) B_{k-1}, times 100 d[k] d[k-1]
+        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] ** 2 - 100 * lam[k][k - 1] ** 2:
             swap(k)
             k = max(k - 1, 1)
         else:
@@ -153,24 +126,8 @@ def lll_reduce(
                 red(k, l)
             k += 1
 
-    num = IntMatrix([[int(v) for v in row] for row in g])
+    num = IntMatrix(gram_product(u, lat.gram.num.rows))
     return GramLattice(RatMatrix(num, lat.gram.den)), IntMatrix(u)
-
-
-def is_lll_reduced(lat: GramLattice, delta: Fraction = Fraction(99, 100)) -> bool:
-    """Check the size and Lovasz conditions from a fresh GSO (test helper)."""
-    n = lat.dim
-    if n <= 1:
-        return True
-    mu, bstar = _gso(lat.gram.to_fractions())
-    for k in range(n):
-        for j in range(k):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                return False
-    for k in range(1, n):
-        if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +152,7 @@ class _Prep:
         self.lat = lat
         self.red = red
         self.u = u
-        self.uinv = RatMatrix(u).inverse().num
+        self.uinv = hnf(u)[1]  # the HNF of a unimodular U is I
         self.n = n
         self.den = red.gram.den
         self.delta = delta

@@ -3,8 +3,9 @@
 Everything here is deliberately written with different algorithms than the
 package (cofactor expansion instead of Bareiss, rational Gauss instead of
 HNF, a numpy grid scan instead of tree enumeration) so that agreement is
-meaningful.  `ref_search_chunk` is the exception: it walks the same tree
-as the library's kernel, in the plainest way, so that the two can be
+meaningful.  `ref_search_chunk` and `ref_lll_reduce` are the exceptions:
+they are the library's earlier kernels, which walk the same tree and make
+the same reduction steps in the plainest way, so that the two can be
 compared result for result and in the same order.
 """
 
@@ -13,6 +14,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
+
+from eqlat.exact import IntMatrix, RatMatrix
+from eqlat.lattice import GramLattice
 
 
 def ref_det(rows):
@@ -246,3 +250,101 @@ def ref_search_chunk(payload: dict) -> object:
     if mode == "mincount":
         return limit, count
     return out
+
+
+def _round_half_up(q: Fraction) -> int:
+    return math.floor(q + Fraction(1, 2))
+
+
+def _gso(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Gram-Schmidt data (mu, bstar) of a basis, from its Gram matrix."""
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = [Fraction(0)] * n
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (
+                g[k][j] - sum(mu[k][i] * mu[j][i] * bstar[i] for i in range(j))
+            ) / bstar[j]
+        bstar[k] = g[k][k] - sum(mu[k][j] ** 2 * bstar[j] for j in range(k))
+    return mu, bstar
+
+
+def ref_lll_reduce(
+    lat: GramLattice, delta: Fraction = Fraction(99, 100)
+) -> tuple[GramLattice, IntMatrix]:
+    """The Fraction LLL that shortvec.lll_reduce replaced.
+
+    Returns (reduced, U) with reduced.gram == U G U^T and det U = +-1.
+    Exact rational arithmetic throughout: a Gram-Schmidt of the input, then
+    Fraction updates of mu, bstar and the Gram matrix at every step.
+    """
+    n = lat.dim
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n <= 1:
+        return lat, IntMatrix(u)
+    g = [[Fraction(v) for v in row] for row in lat.gram.num.rows]
+    mu, bstar = _gso(g)
+
+    def red(k: int, l: int) -> None:
+        q = _round_half_up(mu[k][l])
+        if q == 0:
+            return
+        u[k] = [a - q * b for a, b in zip(u[k], u[l])]
+        # Gram update for b_k -> b_k - q b_l.
+        gkl = g[k][l]
+        g[k][k] += q * q * g[l][l] - 2 * q * gkl
+        for i in range(n):
+            if i != k:
+                g[k][i] -= q * g[l][i]
+                g[i][k] = g[k][i]
+        for j in range(l):
+            mu[k][j] -= q * mu[l][j]
+        mu[k][l] -= q
+
+    def swap(k: int) -> None:
+        u[k - 1], u[k] = u[k], u[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        m = mu[k][k - 1]
+        big = bstar[k] + m * m * bstar[k - 1]
+        mu[k][k - 1] = m * bstar[k - 1] / big
+        bstar[k] = bstar[k - 1] * bstar[k] / big
+        bstar[k - 1] = big
+        for j in range(k - 1):
+            mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+
+    k = 1
+    while k < n:
+        red(k, k - 1)
+        if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            swap(k)
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+
+    num = IntMatrix([[int(v) for v in row] for row in g])
+    return GramLattice(RatMatrix(num, lat.gram.den)), IntMatrix(u)
+
+
+def is_lll_reduced(lat: GramLattice, delta: Fraction = Fraction(99, 100)) -> bool:
+    """Check the size and Lovasz conditions from a fresh GSO."""
+    n = lat.dim
+    if n <= 1:
+        return True
+    mu, bstar = _gso(lat.gram.to_fractions())
+    for k in range(n):
+        for j in range(k):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                return False
+    for k in range(1, n):
+        if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            return False
+    return True

@@ -354,6 +354,17 @@ def test_text_stdout_and_relative_file_match_golden(capsys, tmp_path):
     assert rel.read_bytes() == (GOLDEN / "rel_d5.json").read_bytes()
 
 
+def test_leech_family_and_relative_file_match_golden(capsys, tmp_path):
+    src = GOLDEN / "leech.json"
+    x0 = json.loads(src.read_text())["provenance"]["x0"]
+    rel = tmp_path / "rel.json"
+    rc, out, _ = run(capsys, "equi", str(src), "--x0", ",".join(map(str, x0)),
+                     "--json", "--emit-relative", str(rel))
+    assert rc == 0
+    assert out.encode() == (GOLDEN / "equi_leech_x0.stdout").read_bytes()
+    assert rel.read_bytes() == (GOLDEN / "rel_leech.json").read_bytes()
+
+
 def test_report_min3(capsys):
     rc, out, _ = run(capsys, "report", "--suite", "min3", "--json")
     assert rc == 0

@@ -14,12 +14,13 @@ from eqlat.errors import (
     NotEven,
     NotGenerated,
     NotOdd,
+    VerificationError,
     WrongNormX0,
     ZeroVector,
 )
 from eqlat.constructions import leech, root_lattice
 from eqlat.exact import IntMatrix
-from eqlat.lattice import GramLattice
+from eqlat.lattice import EmbeddedSublattice, GramLattice
 from eqlat.mod2 import (
     check_congruent_pair,
     check_scalar_products_after_projection,
@@ -268,6 +269,22 @@ def test_relative_lattice_a4():
     assert rel.dim == 3
     assert minimum(rel.induced) == 6
     assert len(shell(rel.induced, 6)) == 3
+
+
+def test_relative_lattice_rejects_a_sublattice_of_the_section(monkeypatch):
+    # the final check (its shell mapped back equals the class shell) is the
+    # one that proves every family vector embeds
+    restrict = EmbeddedSublattice.restrict
+
+    def index_two(self, inner):
+        rows = restrict(self, inner).basis_rows.to_lists()
+        rows[0] = [2 * c for c in rows[0]]
+        return EmbeddedSublattice(self.ambient, IntMatrix(rows))
+
+    monkeypatch.setattr(EmbeddedSublattice, "restrict", index_two)
+    for lat in (A4, E8):
+        with pytest.raises(VerificationError):
+            relative_lattice(lat, default_x0(lat))
 
 
 def test_relative_lattice_empty_class():

@@ -6,10 +6,10 @@ from fractions import Fraction as QQ
 
 import numpy as np
 import pytest
-from oracles import grid_short_vectors, ref_search_chunk
+from oracles import grid_short_vectors, is_lll_reduced, ref_lll_reduce, ref_search_chunk
 
 from eqlat import shortvec
-from eqlat.constructions import root_lattice
+from eqlat.constructions import leech, root_lattice
 from eqlat.errors import MixedNorms, NotPositiveDefinite, ZeroVector
 from eqlat.exact import IntMatrix, rank_det
 from eqlat.lattice import GramLattice
@@ -18,7 +18,6 @@ from eqlat.shortvec import (
     coset_minimum,
     coset_shell,
     get_threads,
-    is_lll_reduced,
     lll_reduce,
     minimum,
     set_threads,
@@ -62,6 +61,31 @@ def test_lll_transform_consistent():
         expect = u @ lat.gram.num @ u.transpose()
         assert red.gram.num == expect
         assert rank_det(u)[1] in (1, -1)
+
+
+def test_lll_matches_reference():
+    from test_mod2 import skewed_basis
+
+    rng = random.Random(137)
+    lats = [skewed_basis(root_lattice(fam, n).lattice, rng)
+            for _ in range(3)
+            for fam, dims in (("A", range(4, 17)), ("D", range(4, 17)),
+                              ("E", range(6, 9)))
+            for n in dims]
+    lech = leech().lattice
+    lats += [
+        lech,
+        skewed_basis(lech, rng),
+        A2.rescale(QQ(1, 2)),  # rational Gram matrix
+        GramLattice([]),
+        GramLattice([[3]]),
+        A2,
+        GramLattice([[1, 1000], [1000, 1000001]]),
+    ]
+    for lat in lats:
+        assert lll_reduce(lat) == ref_lll_reduce(lat), lat
+        prep = shortvec._prep(lat)
+        assert prep.uinv @ prep.u == IntMatrix.identity(lat.dim)
 
 
 # -- minimum and shells -------------------------------------------------------
