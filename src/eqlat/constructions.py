@@ -124,9 +124,9 @@ def _e_family(n: int) -> NamedLattice:
     def _cut(amb: GramLattice, eps_amb: IntMatrix, target: list[int],
              name: str, det: int, what: str) -> tuple[GramLattice, IntMatrix]:
         c = solve_left(eps_amb, target)
-        if c is None or any(x.denominator != 1 for x in c):
+        if c is None:
             raise VerificationError(f"{what} is not a lattice vector")
-        sec = amb.orthogonal_section([int(x) for x in c])
+        sec = amb.orthogonal_section(c)
         eps_sec = sec.basis_rows @ eps_amb
         out = sec.induced.with_name(name)
         _check_root(out, det)
@@ -370,10 +370,9 @@ def leech() -> NamedLattice:
     lat = GramLattice(gram, name="Leech")
     if lat.det != 1 or lat.integrality() != "even":
         raise VerificationError("not an even unimodular lattice")
-    sol = solve_left(basis, [5] + [1] * 23)
-    if sol is None or any(s.denominator != 1 for s in sol):
+    x0 = solve_left(basis, [5] + [1] * 23)
+    if x0 is None:
         raise VerificationError("norm-6 marker fell outside the lattice")
-    x0 = tuple(int(s) for s in sol)
     if lat.norm(x0) != 6:
         raise VerificationError("marker vector does not have norm 6")
     return NamedLattice(
@@ -508,10 +507,10 @@ def _a1_oplus(nl: NamedLattice) -> GramLattice:
 
 def _eps_coords(nl: NamedLattice, target: Sequence[int]) -> Vec:
     eps = IntMatrix([list(r) for r in nl.marks["eps_rows"]])
-    c = solve_left(eps, list(target))
-    if c is None or any(x.denominator != 1 for x in c):
+    c = solve_left(eps, target)
+    if c is None:
         raise VerificationError("target is not a lattice vector")
-    return tuple(int(x) for x in c)
+    return c
 
 
 def min3_classification_scan(n: int) -> dict:
@@ -592,14 +591,14 @@ def all_ones_exception_gram(m: int, n: int) -> NamedLattice:
 # Section search
 
 
-def section_search(lat, budget: int, depth: int = 1, norm_cap=None) -> list[dict]:
+def section_search(lat, budget: int, depth: int = 1) -> list[dict]:
     """Greedy descending chain of hyperplane sections.
 
     At each step the candidates w are the first `budget` canonical shell
-    representatives of norm at most norm_cap (default: the current minimum
-    plus one) in (norm, lex) order; every candidate section is measured
-    (its own minimum and the pair count there) and the one with the most
-    pairs wins, ties to the earlier candidate.  Candidates are independent
+    representatives of norm at most the current minimum plus one, in
+    (norm, lex) order; every candidate section is measured (its own
+    minimum and the pair count there) and the one with the most pairs
+    wins, ties to the earlier candidate.  Candidates are independent
     of one another, so the measuring loop can fan out; the ordered pick
     keeps the merge deterministic.  Entry 0 records the input itself, and
     the chain descends `depth` steps or until no candidate is left.
@@ -618,8 +617,7 @@ def section_search(lat, budget: int, depth: int = 1, norm_cap=None) -> list[dict
                     "pairs": PairSet(cur, sh)})
         if d == depth or cur.dim <= 1:
             break
-        cap = mn + 1 if norm_cap is None else norm_cap
-        cands = [v for _, v in vectors_upto(cur, cap)][:budget]
+        cands = [v for _, v in vectors_upto(cur, mn + 1)][:budget]
         best = None
         for w in cands:
             sec = cur.orthogonal_section(w)

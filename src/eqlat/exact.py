@@ -9,9 +9,9 @@ denominator in lowest terms, so both hash and compare by value.
 
 The routines are the ones the rest of the library leans on: Hermite normal
 form with a unimodular transform, fraction-free rank/determinant and the
-leading minors of a Gram matrix (Bareiss), saturated integer kernels, linear
-solving, the Berkowitz characteristic polynomial, and Sturm-chain real root
-isolation.
+leading minors of a Gram matrix (Bareiss), saturated integer kernels,
+integer solving on the HNF, the Berkowitz characteristic polynomial, and
+Sturm-chain real root isolation.
 """
 
 from __future__ import annotations
@@ -143,15 +143,6 @@ class RatMatrix:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_fractions(cls, rows: Iterable[Iterable[Fraction]]) -> "RatMatrix":
-        rows = [[Fraction(v) for v in row] for row in rows]
-        den = 1
-        for row in rows:
-            for v in row:
-                den = den * v.denominator // math.gcd(den, v.denominator)
-        return cls([[int(v * den) for v in row] for row in rows], den)
-
     @property
     def nrows(self) -> int:
         return self.num.nrows
@@ -189,30 +180,22 @@ class RatMatrix:
         return RatMatrix(num, self.den * c.denominator)
 
     def inverse(self) -> "RatMatrix":
-        """Inverse by Gauss-Jordan elimination over Q.
+        """Inverse as den * (d num^-1) / d, in integers.
 
+        d = |det num| is the product of the pivots of H = hnf(num), and row
+        i of d num^-1 solves c @ num = d e_i, integral by Cramer's rule.
         Raises ZeroDivisionError when singular.
         """
         n = self.nrows
         if n != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        a = [
-            [Fraction(v, self.den) for v in row]
-            + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.num.rows)
-        ]
-        for c in range(n):
-            piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            a[c], a[piv] = a[piv], a[c]
-            inv = 1 / a[c][c]
-            a[c] = [v * inv for v in a[c]]
-            for i in range(n):
-                if i != c and a[i][c] != 0:
-                    f = a[i][c]
-                    a[i] = [v - f * w for v, w in zip(a[i], a[c])]
-        return RatMatrix.from_fractions([row[n:] for row in a])
+        h, u = hnf(self.num)
+        d = math.prod(h.rows[i][i] for i in range(n))
+        if not d:
+            raise ZeroDivisionError("singular matrix")
+        rows = [_back_substitute(h, u, [d * (i == j) for j in range(n)])
+                for i in range(n)]
+        return RatMatrix([[self.den * v for v in row] for row in rows], d)
 
 
 # ---------------------------------------------------------------------------
@@ -346,44 +329,38 @@ def leading_minors(g: IntMatrix) -> tuple[list[int], list[list[int]]]:
     return delta, sub
 
 
-def solve_left(b: IntMatrix | RatMatrix, x: Sequence) -> tuple[Fraction, ...] | None:
-    """Solve c @ b = x over Q for a row vector c; None if inconsistent.
+def _back_substitute(h: IntMatrix, u: IntMatrix, x: list[int]) -> tuple[int, ...] | None:
+    """c with c @ b = x, given (h, u) = hnf(b); None when there is none.
 
-    b may have fewer rows than columns; when the rows are dependent any one
-    solution is returned.
+    Each pivot row of h fixes one coordinate of c' (c' @ h = x) by exact
+    division; a remainder, or anything left of x once the pivots are used,
+    means x is outside the row lattice.  Then c = c' @ u.
     """
-    if isinstance(b, IntMatrix):
-        rows = [[Fraction(v) for v in row] for row in b.rows]
-    else:
-        rows = b.to_fractions()
-    k = len(rows)
-    n = len(rows[0]) if rows else 0
-    if len(x) != n:
-        raise DimensionMismatch(f"vector length {len(x)} != {n}")
-    # Work on the transposed system b^T c^T = x^T with an augmented column.
-    a = [[rows[i][j] for i in range(k)] + [Fraction(x[j])] for j in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        p = next((i for i in range(r, n) if a[i][c] != 0), None)
+    rest = x
+    cp = []
+    for row in h.rows:
+        p = next((j for j, v in enumerate(row) if v), None)
         if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if a[i][k] != 0:
+            break
+        q, r = divmod(rest[p], row[p])
+        if r:
             return None
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = a[i][k]
-    return tuple(sol)
+        rest = [a - q * v for a, v in zip(rest, row)]
+        cp.append(q)
+    if any(rest):
+        return None
+    return tuple(imatmul([cp], u.rows[: len(cp)])[0]) if cp else (0,) * u.nrows
+
+
+def solve_left(b: IntMatrix, x: Sequence[int]) -> tuple[int, ...] | None:
+    """Integer row vector c with c @ b = x; None if x is not in the row lattice.
+
+    Back-substitution on the Hermite normal form of b.  When the rows of b
+    are dependent any one solution is returned.
+    """
+    if len(x) != b.ncols:
+        raise DimensionMismatch(f"vector length {len(x)} != {b.ncols}")
+    return _back_substitute(*hnf(b), [int(v) for v in x])
 
 
 # ---------------------------------------------------------------------------

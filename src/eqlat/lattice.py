@@ -168,17 +168,13 @@ class GramLattice:
         t = hnf(u)[1].transpose()  # hnf(u) = I, so (u^-1)^T; row 0 == v
         if t.rows[0] != v:
             raise VerificationError("basis completion failed")
-        den = self.gram.den
-        gt = [[Fraction(x, den) for x in row]
-              for row in gram_product(t.rows, self.gram.num.rows)]
-        n = self.dim
-        nv = gt[0][0]
-        proj_gram = [
-            [gt[i][j] - gt[0][i] * gt[0][j] / nv for j in range(1, n)]
-            for i in range(1, n)
-        ]
-        lat = GramLattice(RatMatrix.from_fractions(proj_gram)) if n > 1 else GramLattice([])
-        if lat.det * nv != self.det:
+        # one Bareiss step on g = t G t^T: (g00 gij - g0i g0j) / (den g00)
+        g = gram_product(t.rows, self.gram.num.rows)
+        g0, n = g[0], self.dim
+        proj = [[g0[0] * g[i][j] - g0[i] * g0[j] for j in range(1, n)]
+                for i in range(1, n)]
+        lat = GramLattice(RatMatrix(proj, self.gram.den * g0[0]) if n > 1 else [])
+        if lat.det * g0[0] != self.det * self.gram.den:  # det / N(v)
             raise VerificationError("projected determinant mismatch")
         return Projection(self, v, lat, u.transpose())
 
@@ -220,22 +216,13 @@ class EmbeddedSublattice:
 
     def coords_of(self, x: Sequence[int]) -> Vec:
         """Sublattice coordinates of an ambient vector; NotInLattice if out."""
-        sol = solve_left(self.basis_rows, list(x))
+        sol = solve_left(self.basis_rows, x)
         if sol is None:
-            raise NotInLattice("vector outside the rational span")
-        if any(s.denominator != 1 for s in sol):
-            raise NotInLattice("vector in the span but not in the sublattice")
-        back = self.embed([int(s) for s in sol])
-        if back != tuple(int(v) for v in x):
-            raise NotInLattice("vector outside the rational span")
-        return tuple(int(s) for s in sol)
+            raise NotInLattice("vector outside the sublattice")
+        return sol
 
     def contains(self, x: Sequence[int]) -> bool:
-        try:
-            self.coords_of(x)
-            return True
-        except NotInLattice:
-            return False
+        return solve_left(self.basis_rows, x) is not None
 
     def restrict(self, inner: "EmbeddedSublattice") -> "EmbeddedSublattice":
         """Compose: a sublattice of this sublattice, in ambient coordinates."""

@@ -332,9 +332,9 @@ def _charpoly_via_minpoly(rows) -> list[int] | None:
         return None
     out = [1]
     for root, mult in zip(roots, mults):
-        if mult.denominator != 1 or mult <= 0:
+        if mult <= 0:
             return None
-        out = poly_mul(out, _linear_power(root, int(mult)))
+        out = poly_mul(out, _linear_power(root, mult))
     if len(out) != t + 1:
         return None
     return out
@@ -553,7 +553,12 @@ def certify(fam: LineFamily, width: Fraction = DEFAULT_ROOT_WIDTH) -> dict:
         }
     )
 
-    q, target, k = _factored_charpoly(fam)
+    try:
+        q, target, k = _factored_charpoly(fam)
+    except VerificationError as exc:  # rank or t disagrees with the vectors
+        checks.append({"check": "least_eigenvalue", "passed": False, "note": str(exc)})
+        report["ok"] = False
+        return report
     extra = root_multiplicity(q, target)
     mult = k + extra
     entry = {"check": "least_eigenvalue", "value": target, "multiplicity": mult}

@@ -46,6 +46,7 @@ from .shortvec import (
     least_vector,
     minimum,
     shell,
+    vectors_upto,
 )
 
 __all__ = [
@@ -182,14 +183,12 @@ def mod2_class(
     lat: GramLattice,
     x0: Sequence[int],
     with_second: bool = False,
-    search_upto=None,
 ) -> Mod2Class:
     """Minima of the class x0 + 2L.
 
     The second minimum is searched only on integral lattices, where all
     norms of one class agree mod 4, stepping candidate norms by 4 from
-    the lower bound 4m - first up to search_upto (default first + 4m,
-    which is always attained).
+    the lower bound 4m - first up to first + 4m, which is always attained.
     """
     x0 = _vec(x0)
     first = coset_minimum(lat, x0)
@@ -203,10 +202,9 @@ def mod2_class(
     if with_second:
         if not lat.is_integral():
             raise NotIntegral("second minimum search assumes the mod-4 stride")
-        cap = Fraction(search_upto) if search_upto is not None else first + 4 * m
         c = max(4 * m - first, first + 4)
         c += (int(first) - int(c)) % 4
-        while c <= cap:
+        while c <= first + 4 * m:
             sh = coset_shell(lat, x0, c)
             if sh:
                 second = c
@@ -391,9 +389,10 @@ def relative_lattice(lat: GramLattice, x0: Sequence[int]) -> EmbeddedSublattice:
     rel = l0.restrict(sec)
     if rel.dim != n - 1:
         raise VerificationError(f"section has dimension {rel.dim}, not {n - 1}")
-    if minimum(rel.induced) != msec:
+    found = vectors_upto(rel.induced, msec)
+    if not found or found[0][0] != msec:
         raise VerificationError("relative lattice minimum is not 4m - m'")
-    back = PairSet(lat, [rel.embed(c) for c in shell(rel.induced, msec)])
+    back = PairSet(lat, imatmul([c for _, c in found], rel.basis_rows.rows))
     if back.reps != targets:
         raise VerificationError("minimal vectors differ from the class shell")
     return rel

@@ -164,13 +164,29 @@ def test_solve_left_roundtrip():
         x = [sum(ci * b[i, j] for i, ci in enumerate(c)) for j in range(n)]
         sol = solve_left(b, x)
         assert sol is not None
+        assert all(type(s) is int for s in sol)
         back = [sum(si * b[i, j] for i, si in enumerate(sol)) for j in range(n)]
-        assert back == [QQ(v) for v in x]
+        assert back == x
 
 
 def test_solve_left_inconsistent():
     b = IntMatrix([[1, 0, 0], [0, 1, 0]])
     assert solve_left(b, [0, 0, 1]) is None
+
+
+def test_solve_left_needs_an_integer_solution():
+    # (1/2, 0) solves it over Q, but (1, 0) is outside the row lattice
+    assert solve_left(IntMatrix([[2, 0], [0, 2]]), [1, 0]) is None
+    assert solve_left(IntMatrix([[2, 0], [0, 2]]), [4, -2]) == (2, -1)
+
+
+def test_solve_left_dependent_rows():
+    # 1 = 3 - 2 needs both dependent rows; a pivot-only solve over Q gives 1/2
+    b = IntMatrix([[2, 0], [3, 0], [0, 1]])
+    sol = solve_left(b, [1, 5])
+    assert sol is not None and all(type(s) is int for s in sol)
+    assert [sum(s * b[i, j] for i, s in enumerate(sol)) for j in range(2)] == [1, 5]
+    assert solve_left(IntMatrix([[2, 4], [1, 2]]), [1, 3]) is None
 
 
 def test_rat_inverse():
@@ -180,9 +196,12 @@ def test_rat_inverse():
         m = rand_matrix(rng, n, n)
         if rank_det(m)[1] == 0:
             continue
-        r = RatMatrix(m)
+        r = RatMatrix(m, rng.randint(1, 6))
         prod = r @ r.inverse()
         assert prod == RatMatrix(IntMatrix.identity(n))
+    assert RatMatrix([[2, 1], [1, 2]], 3).inverse() == RatMatrix([[2, -1], [-1, 2]])
+    with pytest.raises(ZeroDivisionError):
+        RatMatrix([[1, 2], [2, 4]], 5).inverse()
 
 
 # -- characteristic polynomial ----------------------------------------------

@@ -1,7 +1,7 @@
 """Differential tests of the exact integer linear algebra against sympy.
 
 Inputs are seeded integer matrices of size 8-20, full rank and rank
-deficient.  sympy's Hermite normal form is column-style with its pivots
+deficient.  The integer solve and the inverse are compared on sizes 8-16.  sympy's Hermite normal form is column-style with its pivots
 at the bottom right; reversing rows and columns maps it onto the row HNF
 of the column-reversed input, which is how the two are compared.
 """
@@ -11,7 +11,15 @@ import random
 import pytest
 
 from eqlat.errors import NotPositiveDefinite
-from eqlat.exact import IntMatrix, hnf, kernel_basis, leading_minors, rank_det
+from eqlat.exact import (
+    IntMatrix,
+    RatMatrix,
+    hnf,
+    kernel_basis,
+    leading_minors,
+    rank_det,
+    solve_left,
+)
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form  # noqa: E402
@@ -90,3 +98,46 @@ def test_leading_minors_match_sympy():
             continue
         assert definite
         assert delta[n] == g.det()
+
+
+def test_rat_inverse_matches_sympy():
+    rng = random.Random(239)
+    for _ in range(12):
+        n = rng.randint(8, 16)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        den = rng.randint(1, 12)
+        if not dm(m).det():
+            continue
+        inv = RatMatrix(m, den).inverse()
+        assert sympy.Matrix(inv.num.to_lists()) / inv.den == den * dm(m).inv().to_Matrix()
+
+
+def test_solve_left_matches_sympy():
+    # b has full row rank with an even first row; the right-hand sides are
+    # a lattice vector, a vector off the lattice by b_0/2, and a random one
+    rng = random.Random(241)
+    for _ in range(12):
+        k = rng.randint(8, 16)
+        n = rng.randint(k, 16)
+        b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        b[0] = [2 * v for v in b[0]]
+        if dm(b).rank() < k:
+            continue
+        c = [rng.randint(-5, 5) for _ in range(k)]
+        y = [sum(ci * row[j] for ci, row in zip(c, b)) for j in range(n)]
+        for x in (y, [a + v // 2 for a, v in zip(y, b[0])],
+                  [rng.randint(-20, 20) for _ in range(n)]):
+            try:
+                want, _ = sympy.Matrix(b).T.gauss_jordan_solve(sympy.Matrix(x))
+            except ValueError:  # inconsistent over Q
+                want = None
+            if want is not None and any(not w.is_integer for w in want):
+                want = None
+            got = solve_left(IntMatrix(b), x)
+            assert got == (None if want is None else tuple(int(w) for w in want))
+    for m in cases(251):
+        c = [rng.randint(-5, 5) for _ in m]
+        x = [sum(ci * row[j] for ci, row in zip(c, m)) for j in range(len(m[0]))]
+        sol = solve_left(IntMatrix(m), x)
+        assert sol is not None
+        assert sympy.Matrix([sol]) * sympy.Matrix(m) == sympy.Matrix([x])

@@ -1,5 +1,6 @@
 """Line families, Seidel matrices, spectra, and the bound suite."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -311,6 +312,19 @@ def test_certify_degenerate_family():
     report = certify(line_family(A2, [(1, 0)]))
     assert report["ok"]
     assert report["checks"][0]["check"] == "degenerate"
+
+
+def test_certify_reports_a_tampered_family():
+    # rank or t that disagree with the vectors fail the spectral factorisation
+    fam = e8_family()
+    for bad, note in (
+        (dataclasses.replace(fam, rank=fam.rank - 1), "disagrees with the rank"),
+        (dataclasses.replace(fam, t=fam.t + 1), "fails the trace identity"),
+    ):
+        report = certify(bad)
+        assert not report["ok"]
+        least = _entries(report)["least_eigenvalue"]
+        assert not least["passed"] and note in least["note"]
 
 
 def test_certify_never_raises_on_report_entries():

@@ -271,6 +271,25 @@ def test_relative_lattice_a4():
     assert len(shell(rel.induced, 6)) == 3
 
 
+def test_relative_lattice_walks_its_lattice_once(monkeypatch):
+    # minimum and shell of the section come from one "le" walk
+    for cache in (shortvec._prep, shortvec._min_count, shortvec._coset_shell):
+        cache.cache_clear()
+    x0 = default_x0(E8)
+    shortvec.coset_shell(E8, x0, 6)  # the ambient walks it reuses
+    modes = []
+    search = shortvec._search_chunk
+
+    def recorded(payload):
+        modes.append(payload["mode"])
+        return search(payload)
+
+    monkeypatch.setattr(shortvec, "_search_chunk", recorded)
+    rel = relative_lattice(E8, x0)
+    assert modes == ["le"]
+    assert len(shell(rel.induced, 6)) == 28
+
+
 def test_relative_lattice_rejects_a_sublattice_of_the_section(monkeypatch):
     # the final check (its shell mapped back equals the class shell) is the
     # one that proves every family vector embeds
