@@ -116,6 +116,11 @@ class LineFamily:
         return f"LineFamily(t={self.t}, rank={self.rank}, {angle})"
 
 
+def _rank(reps) -> int:
+    """Rank of the rows reps, read off the n x n B^T B (rank B^T B = rank B over Q)."""
+    return rank_det(IntMatrix(gram_product(list(zip(*reps)))))[0]
+
+
 def line_family(lat: GramLattice, vectors) -> LineFamily:
     """Validate vectors as an equiangular family on lat and package them.
 
@@ -134,7 +139,7 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
     t = len(reps)
     if t == 0:
         return LineFamily(lat, pairs, 0, 0, None, None)
-    rank = rank_det(IntMatrix(reps))[0]
+    rank = _rank(reps)
     if t == 1:
         return LineFamily(lat, pairs, 1, rank, None, None)
     den = lat.gram.den
@@ -512,7 +517,7 @@ def certify(fam: LineFamily, width: Fraction = DEFAULT_ROOT_WIDTH) -> dict:
         report["ok"] = True
         return report
 
-    recount = rank_det(IntMatrix([list(v) for v in fam.pairs.reps]))[0]
+    recount = _rank(fam.pairs.reps)
     checks.append(
         {
             "check": "rank",

@@ -15,6 +15,11 @@ a level recomputes only the terms whose coordinates have changed since
 its last visit (Schnorr-Euchner), so a node costs a few multiply-adds
 instead of one per coordinate above it.
 
+Walks run in LLL bases, so their cost does not depend on how the input
+is written.  least_vector answers in the input basis with one walk per
+coordinate: the prefix found so far (held at 1) and the next unit vector
+on top of an LLL basis of the rest, a coset walk as in Schnorr-Euchner.
+
 Congruence classes mod 2L are enumerated directly by stepping coordinates
 in twos; because -x lies in the class of x, the usual sign-halving trick
 applies to classes as well, and everything downstream works with one
@@ -134,31 +139,28 @@ def lll_reduce(lat: GramLattice) -> tuple[GramLattice, IntMatrix]:
 # Fraction-free enumeration data
 
 
+def _walk_data(num: IntMatrix) -> tuple[list[int], list[list[int]], list[int], int]:
+    """Walk data (delta, sub, g, E) of a Gram matrix in its own basis, from
+    its Bareiss minors: E * N(x) = sum_k g_k * (delta_{k+1} x_k + s_k)^2."""
+    delta, sub = leading_minors(num)
+    e = [delta[k] * delta[k + 1] for k in range(num.nrows)]
+    escale = math.lcm(*e) if e else 1
+    return delta, sub, [escale // ek for ek in e], escale
+
+
 class _Prep:
     __slots__ = ("lat", "red", "u", "uinv", "n", "den", "delta", "sub", "g", "escale")
 
-    def __init__(self, lat: GramLattice, basis: IntMatrix | None = None):
-        """Enumeration data in the LLL basis, or in the given unimodular basis."""
-        if basis is None:
-            red, u = lll_reduce(lat)
-        else:
-            u = basis
-            red = GramLattice(RatMatrix(gram_product(u.rows, lat.gram.num.rows),
-                                        lat.gram.den))
-        n = lat.dim
-        delta, sub = leading_minors(red.gram.num)
-        e = [delta[k] * delta[k + 1] for k in range(n)]
-        escale = math.lcm(*e) if e else 1
+    def __init__(self, lat: GramLattice):
+        """Enumeration data in the LLL basis of lat."""
+        red, u = lll_reduce(lat)
         self.lat = lat
         self.red = red
         self.u = u
         self.uinv = hnf(u)[1]  # the HNF of a unimodular U is I
-        self.n = n
+        self.n = lat.dim
         self.den = red.gram.den
-        self.delta = delta
-        self.sub = sub
-        self.g = [escale // ek for ek in e]
-        self.escale = escale
+        self.delta, self.sub, self.g, self.escale = _walk_data(red.gram.num)
 
 
 # Entries kept by each result cache below; least recently used go first.
@@ -283,44 +285,28 @@ def _search_chunk(payload: dict) -> object:
     return out
 
 
-def _top_values(prep: _Prep, limit: int, parity) -> list[int]:
-    n = prep.n
+def _top_values(delta: list[int], g: list[int], limit: int, parity) -> list[int]:
+    """Top-level values of a walk: at least 0 (sign rule), within the bound."""
     if limit < 0:
         return []
-    kmax = math.isqrt(limit // prep.g[n - 1])
-    d = prep.delta[n]
-    lo, hi = 0, kmax // d  # top level always has everything above it zero
-    if parity is not None and (lo - parity[n - 1]) % 2:
+    top = len(g) - 1
+    lo, hi = 0, math.isqrt(limit // g[top]) // delta[top + 1]
+    if parity is not None and (lo - parity[top]) % 2:
         lo += 1
     step = 2 if parity is not None else 1
     return list(range(lo, hi + 1, step))
 
 
 def _run(prep: _Prep, mode: str, limit: int, target: int | None, parity) -> object:
-    tops = _top_values(prep, limit, parity) if prep.n else []
+    tops = _top_values(prep.delta, prep.g, limit, parity) if prep.n else []
     if not tops:
         return {"count": 0, "mincount": (limit, 0)}.get(mode, [])
-    payload = {
-        "n": prep.n,
-        "delta": prep.delta,
-        "sub": prep.sub,
-        "g": prep.g,
-        "parity": parity,
-        "mode": mode,
-        "target": target,
-        "limit": limit,
-    }
+    payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "g": prep.g,
+               "parity": parity, "mode": mode, "target": target, "limit": limit}
     threads = _THREADS
-    if threads <= 1 or len(tops) < 2 or mode == "first":
-        payload["tops"] = tops
-        return _search_chunk(payload)
-    chunks = [tops[i::threads] for i in range(threads)]
-    chunks = [c for c in chunks if c]
-    jobs = []
-    for c in chunks:
-        job = dict(payload)
-        job["tops"] = c
-        jobs.append(job)
+    if threads <= 1 or len(tops) < 2:
+        return _search_chunk(dict(payload, tops=tops))
+    jobs = [dict(payload, tops=tops[i::threads]) for i in range(min(threads, len(tops)))]
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         results = list(pool.map(_search_chunk, jobs))
     if mode == "count":
@@ -328,10 +314,7 @@ def _run(prep: _Prep, mode: str, limit: int, target: int | None, parity) -> obje
     if mode == "mincount":
         best = min(b for b, _ in results)
         return best, sum(c for b, c in results if b == best)
-    merged: list = []
-    for r in results:
-        merged.extend(r)
-    return merged
+    return [v for r in results for v in r]
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +382,36 @@ def minimum(lat: GramLattice) -> Fraction:
 def least_vector(lat: GramLattice, r) -> Vec | None:
     """shell(lat, r)[0] without building the shell, or None if it is empty.
 
-    The walk runs in the input basis with coordinate 0 at the top level and
-    each level's values ascending under the sign rule, so it meets the
-    representatives of norm r in lexicographic order; it stops at the
-    first and holds one path of the tree.
+    x_i is the least value a norm-r vector extending x_0..x_{i-1} takes (at
+    least 0 while that prefix w is 0), found by one "first" walk whose basis
+    is, from the top level down, w held at 1 (left out while 0), e_i with
+    ascending values, and an LLL basis of span(e_{i+1}, ..), whose Gram is a
+    trailing block of G.  So at most dim walks, each one path deep.
     """
     n = lat.dim
-    prep = _Prep(lat, IntMatrix([[int(i + j == n - 1) for j in range(n)]
-                                 for i in range(n)]))
-    target = _scaled_target(prep, r)
-    if target is None or target <= 0:
+    t = Fraction(r) * lat.gram.den
+    if not n or t.denominator != 1 or t <= 0:
         return None
-    found = _run(prep, "first", target, target, None)
-    return _map_back(prep, found)[0] if found else None
+    num = lat.gram.num.rows
+    x: list[int] = []
+    for i in range(n):
+        _, u = lll_reduce(GramLattice([row[i + 1:] for row in num[i + 1:]]))
+        rows = [[0] * (i + 1) + list(row) for row in u.rows]
+        rows.append([int(j == i) for j in range(n)])
+        lifted = any(x)
+        if lifted:
+            rows.append(x + [0] * (n - i))
+        delta, sub, g, escale = _walk_data(IntMatrix(gram_product(rows, num)))
+        target = escale * int(t)
+        found = _search_chunk({
+            "n": len(rows), "delta": delta, "sub": sub, "g": g, "parity": None,
+            "mode": "first", "target": target, "limit": target,
+            "tops": [1] if lifted else _top_values(delta, g, target, None),
+        })
+        if not found:
+            return None
+        x.append(found[0][len(rows) - 1 - lifted])
+    return tuple(x)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -503,18 +503,23 @@ class PairSet:
     norm: Fraction | None = field(init=False, compare=False)
 
     def __post_init__(self):
+        n = self.lattice.dim
         seen = set()
         for v in self.reps:
             v = _canonical(tuple(int(c) for c in v))
             if not any(v):
                 raise ZeroVector("pair sets cannot contain 0")
+            if len(v) != n:
+                raise DimensionMismatch(f"vector length {len(v)} != {n}")
             seen.add(v)
         reps = tuple(sorted(seen))
-        norms = {self.lattice.norm(v) for v in reps}
+        gram = self.lattice.gram
+        norms = {sum(map(operator.mul, row, v))
+                 for row, v in zip(imatmul_rows(reps, gram.num.to_lists()), reps)}
         if len(norms) > 1:
-            raise MixedNorms(f"norms {sorted(norms)}")
+            raise MixedNorms(f"norms {sorted(Fraction(a, gram.den) for a in norms)}")
         object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "norm", norms.pop() if norms else None)
+        object.__setattr__(self, "norm", Fraction(norms.pop(), gram.den) if norms else None)
 
     def __len__(self) -> int:
         return len(self.reps)

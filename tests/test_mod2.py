@@ -19,7 +19,7 @@ from eqlat.errors import (
     ZeroVector,
 )
 from eqlat.constructions import leech, root_lattice
-from eqlat.exact import IntMatrix
+from eqlat.exact import IntMatrix, RatMatrix
 from eqlat.lattice import EmbeddedSublattice, GramLattice
 from eqlat.mod2 import (
     check_congruent_pair,
@@ -34,7 +34,7 @@ from eqlat.mod2 import (
     sqrt2_even_check,
 )
 from eqlat import shortvec
-from eqlat.shortvec import minimum, shell, vectors_upto
+from eqlat.shortvec import least_vector, minimum, shell, vectors_upto
 
 A2 = GramLattice([[2, 1], [1, 2]], name="A2")
 Z2 = GramLattice([[1, 0], [0, 1]], name="Z2")
@@ -172,13 +172,33 @@ def test_default_x0_is_least():
     assert default_x0(A2) == shell(A2, 2)[0]
     assert default_x0(E8) == shell(E8, 2)[0]
     rng = random.Random(113)
-    for fam, dims in (("A", range(4, 13)), ("D", range(4, 13)), ("E", range(6, 9))):
+    for fam, dims in (("A", range(4, 17)), ("D", range(4, 17)), ("E", range(6, 9))):
         for n in dims:
             lat = root_lattice(fam, n).lattice
-            # the search runs in the input basis, so skewed bases matter
+            # the answer is read in the input basis, so skewed bases matter
             for basis in (lat, skewed_basis(lat, rng)):
                 m = minimum(basis)
                 assert default_x0(basis) == shell(basis, 2 * m - 2)[0], (fam, n)
+    rational = GramLattice(RatMatrix(IntMatrix([[7, 2, 1], [2, 8, -3], [1, -3, 9]]), 3))
+    m = minimum(rational)
+    assert default_x0(rational) == shell(rational, 2 * m - 2)[0]
+    for r in (m, m + Fraction(1, 3), 2 * m, 3 * m):
+        sh = shell(rational, r)
+        assert least_vector(rational, r) == (sh[0] if sh else None), r
+    assert least_vector(GramLattice([]), 2) is None  # dimension 0
+
+
+def test_default_x0_skewed_leech():
+    # Leech in the seed-7 unimodular basis of the benchmark inputs, Gram
+    # entries up to 1,636; a walk in this basis once ran for minutes
+    lat = skewed_basis(leech().lattice, random.Random(7))
+    assert least_vector(lat, 4) == shell(lat, 4)[0]
+    assert minimum(lat) == 4
+    start = time.perf_counter()
+    x0 = default_x0(lat)
+    elapsed = time.perf_counter() - start
+    assert lat.norm(x0) == 6
+    assert elapsed < 10.0
 
 
 def test_default_x0_leech_without_the_norm_6_shell(monkeypatch):
@@ -197,7 +217,8 @@ def test_default_x0_leech_without_the_norm_6_shell(monkeypatch):
     elapsed = time.perf_counter() - start
     assert x0 == (0,) * 11 + (1, -1, -1, 0, -1, -1, -1, 0, 0, 0, -1, -1, 3)
     assert lat.norm(x0) == 6
-    assert modes == ["first"]  # no "shell" walk: the norm-6 shell is never built
+    # no "shell" walk: the norm-6 shell is never built, one walk per coordinate
+    assert set(modes) == {"first"} and len(modes) <= lat.dim
     assert elapsed < 1.0
 
 

@@ -10,7 +10,7 @@ from oracles import grid_short_vectors, is_lll_reduced, ref_lll_reduce, ref_sear
 
 from eqlat import shortvec
 from eqlat.constructions import leech, root_lattice
-from eqlat.errors import MixedNorms, NotPositiveDefinite, ZeroVector
+from eqlat.errors import DimensionMismatch, MixedNorms, NotPositiveDefinite, ZeroVector
 from eqlat.exact import IntMatrix, rank_det
 from eqlat.lattice import GramLattice
 from eqlat.shortvec import (
@@ -368,6 +368,8 @@ def test_pairset_rejects():
         PairSet(A2, [(1, 0), (1, 1)])
     with pytest.raises(ZeroVector):
         PairSet(A2, [(0, 0)])
+    with pytest.raises(DimensionMismatch):
+        PairSet(A2, [(1, 0), (1, 0, 0)])
 
 
 # -- the kernel against the reference walk ------------------------------------
@@ -385,14 +387,14 @@ def kernel_payloads(prep, r, parity):
                              ("shell", target, target), ("first", target, target),
                              ("count", target, target),
                              ("mincount", shortvec._scaled_limit(prep, seed), None)):
-        tops = shortvec._top_values(prep, limit, pr)
+        tops = shortvec._top_values(prep.delta, prep.g, limit, pr)
         for chunk in (tops, tops[0::2], tops[1::2]):
             yield {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "g": prep.g,
                    "parity": pr, "mode": mode, "target": tgt, "limit": limit,
                    "tops": chunk}
 
 
-def test_kernel_matches_reference_walk():
+def test_kernel_matches_reference_walk(monkeypatch):
     from test_mod2 import skewed_basis
 
     rng = random.Random(131)
@@ -413,16 +415,31 @@ def test_kernel_matches_reference_walk():
         n = lat.dim
         m = minimum(lat)
         parity = tuple(rng.randint(0, 1) for _ in range(n - 1)) + (1,)
-        walks = [(shortvec._prep(lat), m + 2)]
-        if n <= 8:  # the input basis, as least_vector walks it; deep and skewed
-            walks.append((shortvec._Prep(lat, IntMatrix(
-                [[int(i + j == n - 1) for j in range(n)] for i in range(n)])), m))
-        for prep, r in walks:
-            for par in (None, parity):
-                for payload in kernel_payloads(prep, r, par):
-                    mode = payload["mode"]
-                    got = shortvec._search_chunk(payload)
-                    assert got == ref_search_chunk(payload), mode
-                    if got[1] if mode == "mincount" else got:
-                        walked.add(mode)
+        for par in (None, parity):
+            for payload in kernel_payloads(shortvec._prep(lat), m + 2, par):
+                mode = payload["mode"]
+                got = shortvec._search_chunk(payload)
+                assert got == ref_search_chunk(payload), mode
+                if got[1] if mode == "mincount" else got:
+                    walked.add(mode)
     assert walked == {"le", "shell", "first", "count", "mincount"}
+
+    # the coset walks of least_vector: a prefix held at 1 on top, e_i, then
+    # a reduced block, in a basis that is not reduced as a whole
+    walks = []
+    search = shortvec._search_chunk
+
+    def captured(payload):
+        got = search(payload)
+        walks.append((payload, got))
+        return got
+
+    monkeypatch.setattr(shortvec, "_search_chunk", captured)
+    for lat in lats:
+        m = minimum(lat)
+        for r in (m, m + 2):
+            shortvec.least_vector(lat, r)
+    monkeypatch.undo()
+    assert any(payload["tops"] == [1] for payload, _ in walks)
+    for payload, got in walks:
+        assert got == ref_search_chunk(payload)
