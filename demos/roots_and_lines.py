@@ -5,7 +5,7 @@ family off that shell.  This walk prints the whole table, then takes E8
 apart piece by piece."""
 
 from eqlat.constructions import root_equiangular_table, root_lattice, standard_x0
-from eqlat.lines import absolute_bound, certify, line_family
+from eqlat.lines import absolute_bound, certify
 from eqlat.mod2 import equiangular_direct
 
 print("family table (t pairs of lines, r = rank of the family)")
@@ -27,20 +27,19 @@ print(f"  base point x0 = {x0}, norm {e8.norm(x0)}")
 print(f"  class shell at norm {2 * 2 + 2}: {len(es)} pairs, "
       f"rank {es.rank}, alpha = {es.alpha}")
 
-fam = line_family(e8, es.pairs)
-cert = certify(fam)
+cert = certify(es)
 for chk in cert["checks"]:
     name = chk["check"]
     if name == "least_eigenvalue":
         lo, hi = chk["interval"]
         where = f"= {lo}" if lo == hi else f"in [{lo}, {hi}]"
         print(f"  least Seidel eigenvalue {where}, multiplicity {chk['multiplicity']}"
-              f" (t - r = {fam.t - fam.rank})")
+              f" (t - r = {es.t - es.rank})")
     elif name == "absolute_bound":
         eq = "met with equality" if chk["equality"] else "strict"
         print(f"  absolute bound {chk['bound']}: {eq}")
     elif name == "relative_bound" and chk["applicable"]:
-        print(f"  relative bound at alpha = {fam.alpha}: {chk['bound']}")
+        print(f"  relative bound at alpha = {es.alpha}: {chk['bound']}")
 print(f"  every check passed: {cert['ok']}")
 
 print()
@@ -48,6 +47,6 @@ print("the three exceptional families against the known maxima")
 for fam_name, n in (("E", 6), ("E", 7), ("E", 8)):
     lat = root_lattice(fam_name, n).lattice
     es = equiangular_direct(lat, standard_x0(fam_name, n))
-    known = certify(line_family(lat, es.pairs))["annotations"]["known_max_at_rank"]
+    known = certify(es)["annotations"]["known_max_at_rank"]
     print(f"  {fam_name}{n}: {len(es)} lines at rank {es.rank}; "
           f"published maximum there is {known}")

@@ -34,8 +34,7 @@ es = equiangular_direct(lat, x0)
 print(f"  class shell at norm 10: {len(es)} pairs, rank {es.rank}, "
       f"alpha = {es.alpha} ({time.time() - t0:.1f}s)")
 
-fam = line_family(lat, es.pairs)
-cert = certify(fam)
+cert = certify(es)
 least = next(c for c in cert["checks"] if c["check"] == "least_eigenvalue")
 print(f"  least Seidel eigenvalue {least['interval'][0]} with multiplicity "
       f"{least['multiplicity']} = t - rank")

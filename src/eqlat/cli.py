@@ -41,7 +41,7 @@ from .errors import (
 )
 from .exact import IntMatrix, RatMatrix
 from .lattice import GramLattice
-from .lines import KNOWN_MAX_LINES, LATTICE_LINES_KNOWN, certify, line_family
+from .lines import KNOWN_MAX_LINES, LATTICE_LINES_KNOWN, certify
 from .mod2 import equiangular_direct, relative_lattice
 from .shortvec import get_threads, minimum, set_threads, shell, shell_count
 
@@ -289,11 +289,11 @@ def cmd_equi(args) -> int:
         "source": source,
         "x0": list(es.x0),
         "m": int(es.m),
-        "t": len(es.pairs),
+        "t": es.t,
         "rank": es.rank,
-        "alpha": es.alpha,
+        "alpha": Fraction(1, int(es.m) + 1),
     }
-    if len(es.pairs) == 0:
+    if es.t == 0:
         report["reason"] = es.reason or (
             f"the class shell at norm {2 * int(es.m) + 2} is empty"
         )
@@ -302,9 +302,9 @@ def cmd_equi(args) -> int:
         else:
             _print_equi_text(report)
         return HYPOTHESIS
-    if len(es.pairs) >= 2:
-        _note(args, f"certifying {len(es.pairs)} lines")
-        cert = certify(line_family(lat, es.pairs))
+    if es.t >= 2:
+        _note(args, f"certifying {es.t} lines")
+        cert = certify(es)
         report["spectrum"] = _spectrum_summary(cert)
         report["bounds"] = _bound_summary(cert)
         report["certified"] = cert["ok"]

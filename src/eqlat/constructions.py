@@ -465,15 +465,20 @@ def _class_stats(reps: list[Vec]) -> tuple[int, int]:
     return len(reps), r
 
 
-def _explicit_row(lat: GramLattice, label: str, case: str, v: Vec) -> dict:
-    if lat.norm(v) != 6:
-        raise VerificationError(f"{label}: candidate vector has norm {lat.norm(v)}")
+def _explicit_rows(lat: GramLattice, label: str, cases) -> list[dict]:
+    """One row per (case, v) on lat, all read off one walk of its classes."""
     _, low, groups = _congruence_classes(lat)
-    key = tuple(c % 2 for c in v)
-    reps = sorted(groups.get(key, []))
-    s, r = _class_stats(reps)
-    return {"label": label, "case": case, "v": v, "s": s, "rank": r,
-            "admissible": key not in low and bool(reps)}
+    rows = []
+    for case, v in cases:
+        if lat.norm(v) != 6:
+            raise VerificationError(
+                f"{label}: candidate vector has norm {lat.norm(v)}")
+        key = tuple(c % 2 for c in v)
+        reps = sorted(groups.get(key, []))
+        s, r = _class_stats(reps)
+        rows.append({"label": label, "case": case, "v": v, "s": s, "rank": r,
+                     "admissible": key not in low and bool(reps)})
+    return rows
 
 
 def _scan_rows(lat: GramLattice, label: str) -> list[dict]:
@@ -531,18 +536,18 @@ def min3_classification_scan(n: int) -> dict:
     if n == 3:
         lat = GramLattice(IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
                           name="A1+A1+A1")
-        rows.append(_explicit_row(lat, "A1+A1+A1", "x+y+z", (1, 1, 1)))
+        rows.extend(_explicit_rows(lat, "A1+A1+A1", [("x+y+z", (1, 1, 1))]))
     if n == 4:
         a3 = root_lattice("A", 3)
         y = _eps_coords(a3, (1, 1, -1, -1))
-        rows.append(_explicit_row(_a1_oplus(a3), "A1+A3", "y", (1,) + y))
+        rows.extend(_explicit_rows(_a1_oplus(a3), "A1+A3", [("y", (1,) + y)]))
     if n >= 5:
         dk = root_lattice("D", n - 1)
         lat = _a1_oplus(dk)
         ya = _eps_coords(dk, (2,) + (0,) * (n - 2))
         yb = _eps_coords(dk, (1, 1, 1, 1) + (0,) * (n - 5))
-        rows.append(_explicit_row(lat, f"A1+D{n - 1}", "a", (1,) + ya))
-        rows.append(_explicit_row(lat, f"A1+D{n - 1}", "b", (1,) + yb))
+        rows.extend(_explicit_rows(lat, f"A1+D{n - 1}",
+                                   [("a", (1,) + ya), ("b", (1,) + yb)]))
     if n == 5:
         rows.extend(_scan_rows(_base(root_lattice("A", 5)), "A5"))
     if n == 6:

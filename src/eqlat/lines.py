@@ -113,7 +113,7 @@ class LineFamily:
 
     def __repr__(self):
         angle = "no angle" if self.alpha is None else f"alpha={self.alpha}"
-        return f"LineFamily(t={self.t}, rank={self.rank}, {angle})"
+        return f"{type(self).__name__}(t={self.t}, rank={self.rank}, {angle})"
 
 
 def _rank(reps) -> int:
@@ -127,7 +127,9 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
     vectors may be a PairSet on lat or any iterable of coordinate vectors;
     one representative per +-pair is kept and they must share one norm.
     Every two distinct lines must realize the same absolute inner product
-    c > 0; the first offending pair is reported otherwise.
+    c > 0; the first offending pair is reported otherwise.  More lines
+    than Gerzon's bound r(r+1)/2 in rank r are rejected before any product
+    is formed, since no such set is equiangular.
     """
     if isinstance(vectors, PairSet):
         if vectors.lattice != lat:
@@ -142,34 +144,20 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
     rank = _rank(reps)
     if t == 1:
         return LineFamily(lat, pairs, 1, rank, None, None)
-    den = lat.gram.den
-    c_num = None
-
-    def mismatch(i, j, got):
-        return NotEquiangular(
-            f"pairs {pairs.reps[i]} and {pairs.reps[j]}: "
-            f"|inner| {Fraction(got, den)} != {Fraction(c_num, den)}"
+    if t > absolute_bound(rank):
+        raise NotEquiangular(
+            f"{t} lines exceed Gerzon's bound {absolute_bound(rank)} in rank {rank}"
         )
-
-    if t <= 1024:
-        prods = gram_product(reps, lat.gram.num.rows)
-        c_num = abs(prods[0][1])
-        for i in range(t):
-            for j in range(i + 1, t):
-                if abs(prods[i][j]) != c_num:
-                    raise mismatch(i, j, abs(prods[i][j]))
-    else:
-        # the t x t product would dwarf memory; scan pairwise, stopping at
-        # the first mismatch (which Gerzon guarantees for t this large)
-        rg = imatmul(reps, lat.gram.num.rows)
-        for i in range(t):
-            gi = rg[i]
-            for j in range(i + 1, t):
-                v = abs(sum(x * y for x, y in zip(gi, reps[j])))
-                if c_num is None:
-                    c_num = v
-                elif v != c_num:
-                    raise mismatch(i, j, v)
+    den = lat.gram.den
+    prods = gram_product(reps, lat.gram.num.rows)
+    c_num = abs(prods[0][1])
+    for i in range(t):
+        for j in range(i + 1, t):
+            if abs(prods[i][j]) != c_num:
+                raise NotEquiangular(
+                    f"pairs {reps[i]} and {reps[j]}: |inner| "
+                    f"{Fraction(abs(prods[i][j]), den)} != {Fraction(c_num, den)}"
+                )
     c = Fraction(c_num, den)
     if c == 0:
         raise NotEquiangular("orthogonal lines: the common inner product is 0")

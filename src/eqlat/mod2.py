@@ -14,6 +14,12 @@ S0 = {x minimal : x0.x = m - 1}, which x -> x0 - 2x maps bijectively
 onto the family.  It also realizes the family as the full minimal-vector
 set of a lattice of dimension n - 1, the intersection of <x0, 2L> with
 the hyperplane orthogonal to x0.
+
+Either route hands the vectors to lines.line_family, which checks the one
+norm and the equal |inner| products, takes the rank, and rejects more
+lines than Gerzon's bound r(r+1)/2 before forming any product; only the
+checks specific to the class stay here.  The result is an
+EquiangularSet, a LineFamily that also keeps x0 and m.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import (
     EmptyClass,
     MixedNorms,
     NotCongruent,
+    NotEquiangular,
     NotEven,
     NotGenerated,
     NotIntegral,
@@ -39,6 +46,7 @@ from .errors import (
 from .exact import IntMatrix, hnf, rank_det
 from .fastops import gram_product, imatmul, imatmul_rows
 from .lattice import EmbeddedSublattice, GramLattice, Vec
+from .lines import LineFamily, line_family
 from .shortvec import (
     PairSet,
     coset_minimum,
@@ -230,33 +238,23 @@ def default_x0(lat: GramLattice) -> Vec:
     return x0
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class EquiangularSet:
-    """Pairs of class vectors at norm 2m + 2, all orthogonal to x0.
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class EquiangularSet(LineFamily):
+    """The line family of the class vectors at norm 2m + 2 orthogonal to x0.
 
-    pairs holds one representative per +-pair; alpha = 1/(m+1) is the
-    common cosine; degenerate flags families of fewer than three lines.
-    reason is set when a hypothesis failed (odd minimum) and the family
-    is therefore expected to be empty.
+    A LineFamily (pairs, t, rank, c = 2, alpha = 1/(m+1) once t >= 2) that
+    also records the base point x0 and the minimum m.  reason is set when a
+    hypothesis failed (odd minimum) and the family is therefore expected to
+    be empty; degenerate flags families of fewer than three lines.
     """
 
-    lattice: GramLattice
     x0: Vec
     m: Fraction
-    pairs: PairSet
-    rank: int
-    alpha: Fraction
-    degenerate: bool
     reason: str | None
 
-    def __len__(self):
-        return len(self.pairs)
-
-    def __repr__(self):
-        return (
-            f"EquiangularSet({len(self.pairs)} pairs, rank {self.rank}, "
-            f"alpha {self.alpha})"
-        )
+    @property
+    def degenerate(self) -> bool:
+        return self.t < 3
 
 
 def _gate(lat: GramLattice, x0) -> tuple[Fraction, Vec, bool]:
@@ -279,37 +277,29 @@ def _gate(lat: GramLattice, x0) -> tuple[Fraction, Vec, bool]:
 
 
 def _assemble(lat, x0, m, vectors, odd_min) -> EquiangularSet:
-    pairs = PairSet(lat, vectors)
-    reps = pairs.reps
-    n = lat.dim
+    try:
+        fam = line_family(lat, vectors)
+    except NotEquiangular as exc:  # the enumeration itself is wrong
+        raise VerificationError(f"class family is not equiangular: {exc}") from exc
+    reps = fam.pairs.reps
     if reps:
-        if pairs.norm != 2 * m + 2:
-            raise VerificationError(f"family norm {pairs.norm} != {2 * m + 2}")
+        if fam.pairs.norm != 2 * m + 2:
+            raise VerificationError(f"family norm {fam.pairs.norm} != {2 * m + 2}")
+        if fam.c not in (None, 2):
+            raise VerificationError(f"common |inner| {fam.c} != 2")
         for v in reps:
             if any((a - b) % 2 for a, b in zip(v, x0)):
                 raise VerificationError("family member outside the class of x0")
-        g = lat.gram.num.rows
-        prod = gram_product(reps, g)
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if prod[i][j] not in (2, -2):
-                    raise VerificationError(
-                        f"pair product {prod[i][j]} not +-2 at ({i}, {j})"
-                    )
-        against = imatmul(reps, [[c] for c in imatmul([x0], g)[0]])
+        against = imatmul(reps, [[c] for c in imatmul([x0], lat.gram.num.rows)[0]])
         if any(row[0] for row in against):
             raise VerificationError("family member not orthogonal to x0")
-        rank = rank_det(IntMatrix(reps))[0]
-    else:
-        rank = 0
-    if rank > n - 1:
-        raise VerificationError(f"rank {rank} exceeds n - 1 = {n - 1}")
+    if fam.rank > lat.dim - 1:
+        raise VerificationError(f"rank {fam.rank} exceeds n - 1 = {lat.dim - 1}")
     reason = None
     if odd_min:
         reason = f"odd minimum {m}: the even-minimum hypothesis fails"
-    return EquiangularSet(
-        lat, x0, m, pairs, rank, Fraction(1, int(m) + 1), len(pairs) < 3, reason
-    )
+    return EquiangularSet(lat, fam.pairs, fam.t, fam.rank, fam.c, fam.alpha,
+                          x0, m, reason)
 
 
 def equiangular_direct(lat: GramLattice, x0: Sequence[int] | None = None) -> EquiangularSet:
@@ -319,17 +309,12 @@ def equiangular_direct(lat: GramLattice, x0: Sequence[int] | None = None) -> Equ
     return _assemble(lat, x0, m, reps, odd_min)
 
 
-def equiangular_via_s0(
-    lat: GramLattice,
-    x0: Sequence[int] | None = None,
-    cross_validate: bool = False,
-) -> EquiangularSet:
+def equiangular_via_s0(lat: GramLattice, x0: Sequence[int] | None = None) -> EquiangularSet:
     """The family from the minimal-vector slice x0.x = m - 1.
 
     x -> x0 - 2x maps the slice bijectively onto the signed family, so
     only minimal vectors are enumerated; rank(family) = rank(slice) - 1
-    is enforced.  cross_validate additionally compares against the
-    direct enumeration.
+    is enforced.
     """
     m, x0, odd_min = _gate(lat, x0)
     s0 = _s0_slice(lat, x0, m)
@@ -339,8 +324,6 @@ def equiangular_via_s0(
         raise VerificationError("family rank != slice rank - 1")
     if len(s0) != 2 * len(out.pairs):
         raise VerificationError("slice does not pair up with the family")
-    if cross_validate and out.pairs != equiangular_direct(lat, x0).pairs:
-        raise VerificationError("slice route disagrees with class enumeration")
     return out
 
 

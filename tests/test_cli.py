@@ -246,6 +246,7 @@ def test_equi_exit_4_when_class_is_empty(capsys, tmp_path):
     doc = json.loads(out)
     jsonschema.validate(doc, load_schema("report"))
     assert doc["t"] == 0
+    assert doc["alpha"] == "1/3"
     assert "empty" in doc["reason"]
 
 

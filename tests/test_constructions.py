@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqlat import constructions
 from eqlat.constructions import (
     all_ones_exception_gram,
     dn_projection_gram,
@@ -327,6 +328,22 @@ def test_scan_generic_maximum_matches_projection_family():
         assert rep["expected"] == 2 * (n - 1)
         assert rep["max_full_rank_s"] == shell_count(
             dn_projection_gram(n).lattice, 3)
+
+
+def test_scan_walks_each_lattice_once(monkeypatch):
+    # rows (a) and (b) share A1+D_{n-1}: its norm-6 classes come from one walk
+    real = constructions.vectors_upto
+    for n in range(3, 10):
+        calls = {}
+
+        def counted(lat, r):
+            key = (lat.gram.num.rows, lat.gram.den)
+            calls[key] = calls.get(key, 0) + 1
+            return real(lat, r)
+
+        monkeypatch.setattr(constructions, "vectors_upto", counted)
+        min3_classification_scan(n)
+        assert calls and set(calls.values()) == {1}, (n, sorted(calls.values()))
 
 
 def test_scan_rejects():

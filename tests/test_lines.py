@@ -13,7 +13,7 @@ from eqlat.errors import (
     NotApplicable,
     NotEquiangular,
 )
-from eqlat import exact
+from eqlat import exact, lines
 from eqlat.exact import IntMatrix, berkowitz, poly_eval, root_multiplicity
 from eqlat.lattice import GramLattice
 from eqlat.lines import (
@@ -97,6 +97,27 @@ def test_line_family_empty():
 def test_line_family_rejects_root_system():
     with pytest.raises(NotEquiangular, match="pairs"):
         line_family(A3, shell(A3, 2))
+
+
+def test_line_family_rejects_beyond_gerzon_without_products(monkeypatch):
+    # 120 pairs in rank 8 exceed 8 * 9 / 2 = 36: no pairwise product is formed
+    real = lines.gram_product
+
+    def rank_only(rows, g=None):
+        if g is not None:
+            raise AssertionError("formed the t x t product")
+        return real(rows)
+
+    monkeypatch.setattr(lines, "gram_product", rank_only)
+    with pytest.raises(NotEquiangular, match="Gerzon's bound 36 in rank 8"):
+        line_family(E8, shell(E8, 2))
+
+
+@pytest.mark.parametrize("lat", [A4, D5, E8], ids=["A4", "D5", "E8"])
+def test_class_family_is_a_line_family(lat):
+    es = equiangular_direct(lat)
+    assert isinstance(es, LineFamily)
+    assert certify(es) == certify(line_family(lat, es.pairs))
 
 
 def test_line_family_rejects_orthogonal_frame():

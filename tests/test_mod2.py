@@ -237,7 +237,7 @@ def test_equiangular_d_series():
     for lat, k in ((D4, 4), (D5, 6)):
         fam = equiangular_direct(lat)
         assert len(fam) == k
-        via = equiangular_via_s0(lat, fam.x0, cross_validate=True)
+        via = equiangular_via_s0(lat, fam.x0)
         assert via.pairs == fam.pairs
         assert via.rank == fam.rank
 
@@ -256,6 +256,7 @@ def test_equiangular_odd_minimum_nonempty():
     q = GramLattice([[3, 1], [1, 3]])
     fam = equiangular_direct(q, (-1, 1))
     assert fam.pairs.reps == ((1, 1),)
+    assert fam.alpha is None  # one line carries no angle
     assert fam.degenerate
     assert "odd minimum" in fam.reason
 
