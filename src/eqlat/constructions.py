@@ -30,7 +30,7 @@ from .errors import (
     VerificationError,
     VNotValid,
 )
-from .exact import IntMatrix, RatMatrix, hnf, rank_det, solve_left
+from .exact import IntMatrix, RatMatrix, hnf, rank_det, row_rank, solve_left
 from .fastops import gram_product, imatmul
 from .lattice import GramLattice
 from .mod2 import equiangular_direct
@@ -458,13 +458,6 @@ def _congruence_classes(lat: GramLattice):
     return out, low, groups
 
 
-def _class_stats(reps: list[Vec]) -> tuple[int, int]:
-    if not reps:
-        return 0, 0
-    r, _ = rank_det(IntMatrix(reps))
-    return len(reps), r
-
-
 def _explicit_rows(lat: GramLattice, label: str, cases) -> list[dict]:
     """One row per (case, v) on lat, all read off one walk of its classes."""
     _, low, groups = _congruence_classes(lat)
@@ -475,7 +468,7 @@ def _explicit_rows(lat: GramLattice, label: str, cases) -> list[dict]:
                 f"{label}: candidate vector has norm {lat.norm(v)}")
         key = tuple(c % 2 for c in v)
         reps = sorted(groups.get(key, []))
-        s, r = _class_stats(reps)
+        s, r = len(reps), row_rank(reps)
         rows.append({"label": label, "case": case, "v": v, "s": s, "rank": r,
                      "admissible": key not in low and bool(reps)})
     return rows
@@ -485,7 +478,7 @@ def _scan_rows(lat: GramLattice, label: str) -> list[dict]:
     classes, _, _ = _congruence_classes(lat)
     best_s = best_r = None
     for key, reps in classes:
-        s, r = _class_stats(reps)
+        s, r = len(reps), row_rank(reps)
         row = {"label": label, "case": "scan", "v": reps[0], "s": s,
                "rank": r, "admissible": True, "classes": len(classes)}
         if best_s is None or s > best_s["s"]:

@@ -22,13 +22,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .fastops import imatmul
+from .fastops import gram_product, imatmul
 
 __all__ = [
     "IntMatrix",
     "RatMatrix",
     "hnf",
     "rank_det",
+    "row_rank",
     "kernel_basis",
     "leading_minors",
     "solve_left",
@@ -37,6 +38,9 @@ __all__ = [
     "poly_deriv",
     "poly_mul",
     "poly_divmod",
+    "poly_lcm",
+    "poly_linear_sub",
+    "poly_linear_power",
     "squarefree_part",
     "sturm_chain",
     "count_roots_halfopen",
@@ -283,6 +287,11 @@ def rank_det(m: IntMatrix) -> tuple[int, int | None]:
     return r, sign * prev if r == nr else 0
 
 
+def row_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of the integer rows B, read off the n x n B^T B (rank B^T B = rank B over Q)."""
+    return rank_det(IntMatrix(gram_product(list(zip(*rows)))))[0]
+
+
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis of the saturated left kernel {x in Z^r : x @ m = 0}.
 
@@ -486,6 +495,28 @@ def poly_gcd(a: Sequence, b: Sequence) -> list[int]:
     if a and a[-1] < 0:
         a = [-c for c in a]
     return a
+
+
+def poly_lcm(a: Sequence, b: Sequence) -> list[int]:
+    """Primitive lcm over Z of two nonzero polynomials, positive leading
+    coefficient; monic when a and b are monic integer (Gauss's lemma)."""
+    q = _to_primitive_int(poly_mul(poly_divmod(a, poly_gcd(a, b))[0], b))
+    return q if q[-1] > 0 else [-c for c in q]
+
+
+def poly_linear_sub(p: Sequence, a, b) -> list:
+    """Coefficients of p(a*x + b), by Horner composition; exact for int or
+    Fraction entries."""
+    res = [p[-1]]
+    for c in reversed(p[:-1]):
+        res = poly_mul(res, [b, a])
+        res[0] += c
+    return res
+
+
+def poly_linear_power(root, k: int) -> list:
+    """Coefficients of (x - root)^k, ascending."""
+    return [math.comb(k, i) * (-root) ** (k - i) for i in range(k + 1)]
 
 
 def squarefree_part(p: Sequence) -> list[int]:

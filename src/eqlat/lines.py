@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor
+from math import floor, gcd
 
 from .errors import (
     BadParameter,
@@ -39,10 +39,13 @@ from .exact import (
     cauchy_bound,
     count_roots_halfopen,
     poly_divmod,
-    poly_gcd,
+    poly_eval,
+    poly_lcm,
+    poly_linear_power,
+    poly_linear_sub,
     poly_mul,
-    rank_det,
     root_multiplicity,
+    row_rank,
     smallest_real_root,
     solve_left,
     sturm_chain,
@@ -116,11 +119,6 @@ class LineFamily:
         return f"{type(self).__name__}(t={self.t}, rank={self.rank}, {angle})"
 
 
-def _rank(reps) -> int:
-    """Rank of the rows reps, read off the n x n B^T B (rank B^T B = rank B over Q)."""
-    return rank_det(IntMatrix(gram_product(list(zip(*reps)))))[0]
-
-
 def line_family(lat: GramLattice, vectors) -> LineFamily:
     """Validate vectors as an equiangular family on lat and package them.
 
@@ -141,7 +139,7 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
     t = len(reps)
     if t == 0:
         return LineFamily(lat, pairs, 0, 0, None, None)
-    rank = _rank(reps)
+    rank = row_rank(reps)
     if t == 1:
         return LineFamily(lat, pairs, 1, rank, None, None)
     if t > absolute_bound(rank):
@@ -237,50 +235,33 @@ def seidel_charpoly(s: SeidelMatrix) -> list[int]:
     return berkowitz(IntMatrix(s.rows))
 
 
-def _krylov_annihilator(rows, start) -> list[Fraction]:
-    """Monic least-degree p with p(rows) @ start = 0, by Krylov iteration.
+def _krylov_annihilator(rows, start) -> list[int]:
+    """Monic least-degree p with p(rows) @ start = 0, or [] past _MINPOLY_CAP.
 
-    Maintains a row-reduced basis of the Krylov space; the first vector that
-    reduces to zero yields the dependency and hence the annihilator of the
-    start vector.
+    Fraction-free elimination on the augmented rows [S^k start | e_k]: each
+    new row is reduced against the integer echelon rows by cross-multiplying
+    and divided by its content, so its tail carries the integer combination
+    of Krylov steps that its head stands for.  The first row whose head
+    vanishes gives the dependency.  The annihilator divides the monic integer
+    charpoly of S, so by Gauss's lemma it lies in Z[x] and the combination
+    divides exactly by its leading entry.
     """
-    t = len(rows)
-    basis = []  # (pivot index, reduced vector, combination over Krylov steps)
-    v = [Fraction(e) for e in start]
-    combo = [Fraction(1)]
-    while True:
-        red = list(v)
-        coeffs = list(combo)
-        for piv, bvec, bcombo in basis:
-            if red[piv]:
-                f = red[piv] / bvec[piv]
-                for k in range(t):
-                    red[k] -= f * bvec[k]
-                for k in range(len(bcombo)):
-                    coeffs[k] -= f * bcombo[k]
-        piv = next((k for k in range(t) if red[k]), None)
+    t, cap = len(rows), _MINPOLY_CAP
+    basis = []  # (pivot index, echelon row)
+    v = list(start)
+    for k in range(cap + 1):
+        row = v + [0] * k + [1] + [0] * (cap - k)
+        for piv, b in basis:
+            f, g = row[piv], b[piv]
+            if f:
+                row = [g * x - f * y for x, y in zip(row, b)]
+        piv = next((i for i in range(t) if row[i]), None)
         if piv is None:
-            lead = coeffs[-1]
-            return [c / lead for c in coeffs]
-        basis.append((piv, red, coeffs))
-        if len(basis) > _MINPOLY_CAP:
-            return []
-        v = [sum(row[k] * v[k] for k in range(t)) for row in rows]
-        combo = [Fraction(0)] + combo
-
-
-def _poly_lcm(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = poly_mul(poly_divmod(a, poly_gcd(a, b))[0], b)
-    return [c / out[-1] for c in out]
-
-
-def _linear_power(root, k: int) -> list:
-    """Coefficients of (x - root)^k, ascending."""
-    return [comb(k, i) * (-root) ** (k - i) for i in range(k + 1)]
+            return [c // row[t + k] for c in row[t:t + k + 1]]
+        content = gcd(*row)
+        basis.append((piv, [x // content for x in row]))
+        v = imatmul([v], rows)[0]  # S v, as S is symmetric
+    return []
 
 
 def _charpoly_via_minpoly(rows) -> list[int] | None:
@@ -293,24 +274,25 @@ def _charpoly_via_minpoly(rows) -> list[int] | None:
     unique solution of the trace equations.
     """
     t = len(rows)
+    # Gershgorin: every eigenvalue lies within the largest absolute row sum
+    bound = max(sum(map(abs, row)) for row in rows)
     starts = [[1 + (k % 7) for k in range(t)]]
     starts += [[int(i == k) for i in range(t)] for k in range(min(4, t))]
-    minpoly: list[Fraction] = []
+    minpoly = [1]
     for start in starts:
         ann = _krylov_annihilator(rows, start)
         if not ann:
             return None
-        minpoly = _poly_lcm(minpoly, ann)
+        minpoly = poly_lcm(minpoly, ann)
         if len(minpoly) > _MINPOLY_CAP + 1:
             return None
-        if any(c.denominator != 1 for c in minpoly):
-            return None  # cannot divide an integer charpoly; abandon the route
-        if _annihilates(rows, [int(c) for c in minpoly]):
+        # the lcm divides the minimal polynomial, so roots missing here stay missing
+        roots = _integer_roots(minpoly, bound)
+        if roots is None:
+            return None
+        if _annihilates(rows, minpoly):
             break
     else:
-        return None
-    roots = _integer_roots([int(c) for c in minpoly])
-    if roots is None:
         return None
     d = len(roots)
     # traces of the first d powers pin the eigenvalue multiplicities
@@ -327,7 +309,7 @@ def _charpoly_via_minpoly(rows) -> list[int] | None:
     for root, mult in zip(roots, mults):
         if mult <= 0:
             return None
-        out = poly_mul(out, _linear_power(root, mult))
+        out = poly_mul(out, poly_linear_power(root, mult))
     if len(out) != t + 1:
         return None
     return out
@@ -343,27 +325,11 @@ def _annihilates(rows, p: list[int]) -> bool:
     return all(not e for row in acc for e in row)
 
 
-def _integer_roots(p: list[int]) -> list[int] | None:
-    """Distinct integer roots of a monic integer polynomial, or None unless
-    it splits over the integers into distinct linear factors."""
-    work, roots = p, []
-    if p[0] == 0:
-        work, roots = poly_divmod(p, [0, 1])[0], [0]
-    a = abs(int(work[0]))
-    candidates = set()
-    d = 1
-    while d * d <= a:
-        if a % d == 0:
-            candidates.update((d, -d, a // d, -(a // d)))
-        d += 1
-    # one division per candidate: a repeated root stays in work and fails
-    # the final degree test
-    for cand in sorted(candidates, key=abs):
-        quo, rem = poly_divmod(work, [-cand, 1])
-        if not rem:
-            roots.append(cand)
-            work = quo
-    return sorted(roots) if len(work) == 1 else None
+def _integer_roots(p: list[int], bound: int) -> list[int] | None:
+    """The roots of a monic integer polynomial, ascending, or None unless
+    they are distinct integers in [-bound, bound]."""
+    roots = [x for x in range(-bound, bound + 1) if not poly_eval(p, x)]
+    return roots if len(roots) == len(p) - 1 else None
 
 
 def least_eigenvalue(
@@ -376,15 +342,6 @@ def least_eigenvalue(
     interval contains the least root and nothing lies below it.
     """
     return smallest_real_root(seidel_charpoly(s), width)
-
-
-def _poly_linear_sub(p, a, b) -> list[Fraction]:
-    """Coefficients of p(a*x + b) by Horner composition."""
-    res = [Fraction(p[-1])]
-    for coeff in reversed(p[:-1]):
-        res = poly_mul(res, [b, a])
-        res[0] += coeff
-    return res
 
 
 def _factored_charpoly(fam: LineFamily) -> tuple[list[Fraction], Fraction, int]:
@@ -403,7 +360,7 @@ def _factored_charpoly(fam: LineFamily) -> tuple[list[Fraction], Fraction, int]:
         raise VerificationError("spectral factor disagrees with the rank")
     # roots of g are den*N*(alpha*lambda + 1) over Seidel eigenvalues lambda
     scale = fam.lattice.gram.den * fam.pairs.norm
-    q = _poly_linear_sub(p[n - r:], scale * fam.alpha, scale)
+    q = poly_linear_sub(p[n - r:], scale * fam.alpha, scale)
     if not q[-1]:
         raise VerificationError("degree loss in the spectral substitution")
     q = [c / q[-1] for c in q]
@@ -424,7 +381,7 @@ def family_charpoly(fam: LineFamily) -> list[Fraction]:
     for t in the hundreds at n x n cost.
     """
     q, root, k = _factored_charpoly(fam)
-    return poly_mul(q, _linear_power(root, k))
+    return poly_mul(q, poly_linear_power(root, k))
 
 
 def absolute_bound(n: int) -> int:
@@ -505,7 +462,7 @@ def certify(fam: LineFamily, width: Fraction = DEFAULT_ROOT_WIDTH) -> dict:
         report["ok"] = True
         return report
 
-    recount = _rank(fam.pairs.reps)
+    recount = row_rank(fam.pairs.reps)
     checks.append(
         {
             "check": "rank",
@@ -556,8 +513,7 @@ def certify(fam: LineFamily, width: Fraction = DEFAULT_ROOT_WIDTH) -> dict:
     mult = k + extra
     entry = {"check": "least_eigenvalue", "value": target, "multiplicity": mult}
     if t > r:
-        for _ in range(extra):
-            q = poly_divmod(q, [-target, 1])[0]
+        q = poly_divmod(q, poly_linear_power(target, extra))[0]
         chain = sturm_chain(q)
         below = count_roots_halfopen(chain, -cauchy_bound(q) - 1, target)
         entry["passed"] = mult == t - r and below == 0

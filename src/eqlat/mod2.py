@@ -43,7 +43,7 @@ from .errors import (
     WrongNormX0,
     ZeroVector,
 )
-from .exact import IntMatrix, hnf, rank_det
+from .exact import IntMatrix, hnf, rank_det, row_rank
 from .fastops import gram_product, imatmul, imatmul_rows
 from .lattice import EmbeddedSublattice, GramLattice, Vec
 from .lines import LineFamily, line_family
@@ -320,7 +320,7 @@ def equiangular_via_s0(lat: GramLattice, x0: Sequence[int] | None = None) -> Equ
     s0 = _s0_slice(lat, x0, m)
     ys = [tuple(a - 2 * b for a, b in zip(x0, s)) for s in s0]
     out = _assemble(lat, x0, m, ys, odd_min)
-    if s0 and out.rank != rank_det(IntMatrix(s0))[0] - 1:
+    if s0 and out.rank != row_rank(s0) - 1:
         raise VerificationError("family rank != slice rank - 1")
     if len(s0) != 2 * len(out.pairs):
         raise VerificationError("slice does not pair up with the family")
@@ -335,7 +335,7 @@ def _s0_slice(lat: GramLattice, v: Vec, m: Fraction) -> list[Vec]:
     """
     reps = shell(lat, m)
     gv = imatmul(lat.gram.num.to_lists(), [[c] for c in v])
-    want = (m - 1) * lat.gram.den
+    want = int((m - 1) * lat.gram.den)  # m * den is the integer norm x.G_num.x
     out = []
     for r, (d,) in zip(reps, imatmul_rows(reps, gv)):
         if d == want:

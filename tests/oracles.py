@@ -3,10 +3,11 @@
 Everything here is deliberately written with different algorithms than the
 package (cofactor expansion instead of Bareiss, rational Gauss instead of
 HNF, a numpy grid scan instead of tree enumeration) so that agreement is
-meaningful.  `ref_search_chunk` and `ref_lll_reduce` are the exceptions:
-they are the library's earlier kernels, which walk the same tree and make
-the same reduction steps in the plainest way, so that the two can be
-compared result for result and in the same order.
+meaningful.  `ref_search_chunk`, `ref_lll_reduce` and
+`ref_krylov_annihilator` are the exceptions: they are the library's
+earlier kernels, which walk the same tree and make the same reduction
+steps in the plainest way, so that the two can be compared result for
+result and in the same order.
 """
 
 import math
@@ -17,6 +18,7 @@ import numpy as np
 
 from eqlat.exact import IntMatrix, RatMatrix
 from eqlat.lattice import GramLattice
+from eqlat.lines import _MINPOLY_CAP
 
 
 def ref_det(rows):
@@ -348,3 +350,38 @@ def is_lll_reduced(lat: GramLattice, delta: Fraction = Fraction(99, 100)) -> boo
         if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
             return False
     return True
+
+
+def ref_krylov_annihilator(rows, start) -> list[Fraction]:
+    """The Fraction Krylov iteration that lines._krylov_annihilator replaced.
+
+    Monic least-degree p with p(rows) @ start = 0, or [] once the Krylov
+    space outgrows _MINPOLY_CAP.
+
+    Maintains a row-reduced basis of the Krylov space; the first vector that
+    reduces to zero yields the dependency and hence the annihilator of the
+    start vector.
+    """
+    t = len(rows)
+    basis = []  # (pivot index, reduced vector, combination over Krylov steps)
+    v = [Fraction(e) for e in start]
+    combo = [Fraction(1)]
+    while True:
+        red = list(v)
+        coeffs = list(combo)
+        for piv, bvec, bcombo in basis:
+            if red[piv]:
+                f = red[piv] / bvec[piv]
+                for k in range(t):
+                    red[k] -= f * bvec[k]
+                for k in range(len(bcombo)):
+                    coeffs[k] -= f * bcombo[k]
+        piv = next((k for k in range(t) if red[k]), None)
+        if piv is None:
+            lead = coeffs[-1]
+            return [c / lead for c in coeffs]
+        basis.append((piv, red, coeffs))
+        if len(basis) > _MINPOLY_CAP:
+            return []
+        v = [sum(row[k] * v[k] for k in range(t)) for row in rows]
+        combo = [Fraction(0)] + combo

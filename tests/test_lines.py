@@ -1,10 +1,14 @@
 """Line families, Seidel matrices, spectra, and the bound suite."""
 
 import dataclasses
+import importlib.util
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from oracles import ref_krylov_annihilator
 
 from eqlat.errors import (
     BadParameter,
@@ -14,7 +18,14 @@ from eqlat.errors import (
     NotEquiangular,
 )
 from eqlat import exact, lines
-from eqlat.exact import IntMatrix, berkowitz, poly_eval, root_multiplicity
+from eqlat.exact import (
+    IntMatrix,
+    berkowitz,
+    poly_eval,
+    poly_linear_power,
+    poly_mul,
+    root_multiplicity,
+)
 from eqlat.lattice import GramLattice
 from eqlat.lines import (
     KNOWN_MAX_LINES,
@@ -210,6 +221,74 @@ def random_seidel(rng, t):
         for j in range(i + 1, t):
             rows[i][j] = rows[j][i] = rng.choice((-1, 1))
     return SeidelMatrix(rows)
+
+
+def clique_seidel(k):
+    """Seidel matrix of disjoint cliques of sizes 1..k: -1 inside, +1 across.
+
+    Its minimal polynomial has degree k + 1 and, for k >= 2, roots that are
+    not all integers, so the minimal-polynomial route must give up on it.
+    """
+    label = [c for c in range(k) for _ in range(c + 1)]
+    return [[0 if i == j else -1 if a == b else 1 for j, b in enumerate(label)]
+            for i, a in enumerate(label)]
+
+
+def benchmark_inputs():
+    """benchmark/inputs.py, which builds the Witt lines without eqlat."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_minpoly_route_matches_fraction_krylov(monkeypatch):
+    # every annihilator the integer route computes equals the Fraction
+    # iteration's, [] on both sides at the cap, and the route still proves
+    # (x + 5)^253 (x - 55)^23 for Witt and gives up on the rest
+    inputs = benchmark_inputs()
+    witt = inputs.seidel_of(inputs.witt_lines()[1])
+    switched = inputs.switch(witt, *inputs.signed_permutation(random.Random(5), 276))
+    spectrum = poly_mul(poly_linear_power(-5, 253), poly_linear_power(55, 23))
+    corpus = [(witt, spectrum), (switched, spectrum)]
+    corpus += [(clique_seidel(k), None) for k in range(6, 13)]
+    corpus += [(random_seidel(random.Random(t), t).rows, None) for t in (30, 55, 80)]
+    krylov, seen = lines._krylov_annihilator, []
+
+    def checked(rows, start):
+        ann = krylov(rows, start)
+        assert ann == ref_krylov_annihilator(rows, start)
+        seen.append(bool(ann))
+        return ann
+
+    monkeypatch.setattr(lines, "_krylov_annihilator", checked)
+    for rows, expected in corpus:
+        assert lines._charpoly_via_minpoly(rows) == expected
+    assert len(seen) >= len(corpus) and True in seen and False in seen
+
+
+def test_integer_roots_scan_is_bounded():
+    # degree 17 with a 61-bit constant term and no integer root: trial
+    # division up to sqrt|p(0)| would take about 10^9 steps
+    p = [2**60 + 1] + [0] * 16 + [1]
+    start = time.perf_counter()
+    assert lines._integer_roots(p, 135) is None
+    assert time.perf_counter() - start < 1.0
+    split = poly_mul(poly_linear_power(-5, 1), poly_linear_power(55, 1))
+    assert lines._integer_roots(split, 275) == [-5, 55]
+    assert lines._integer_roots(split, 54) is None  # 55 lies outside the bound
+    assert lines._integer_roots(poly_linear_power(3, 2), 10) is None  # repeated root
+
+
+def test_minpoly_route_gives_up_on_cliques_in_bounded_time():
+    # 16 cliques of sizes 1..16: degree-17 minimal polynomial whose constant
+    # term has 61 bits and whose roots are not all integers
+    rows = clique_seidel(16)
+    assert len(rows) == 136
+    start = time.perf_counter()
+    assert lines._charpoly_via_minpoly(rows) is None
+    assert time.perf_counter() - start < 5.0
 
 
 # least_eigenvalue of random_seidel(random.Random(t), t), as (lo, hi) with

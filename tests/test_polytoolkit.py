@@ -17,6 +17,9 @@ from eqlat.exact import (
     count_roots_halfopen,
     poly_divmod,
     poly_eval,
+    poly_lcm,
+    poly_linear_power,
+    poly_linear_sub,
     poly_mul,
     root_multiplicity,
     squarefree_part,
@@ -79,6 +82,37 @@ def test_poly_divmod_matches_sympy():
         assert (q, r) == (from_sympy(sq), from_sympy(sr))
     with pytest.raises(ZeroDivisionError):
         poly_divmod([1, 2], [0])
+
+
+def test_poly_lcm_matches_sympy():
+    rng = random.Random(107)
+    for _ in range(60):
+        a, b = rand_sympy_poly(rng), rand_sympy_poly(rng)
+        if rng.random() < 0.3:
+            b *= a  # a divides b: the lcm is b up to its content
+        expected = sympy.lcm(a, b).primitive()[1]
+        if expected.LC() < 0:
+            expected = -expected
+        ints = [[int(c) for c in reversed(p.all_coeffs())] for p in (a, b)]
+        assert poly_lcm(*ints) == [int(c) for c in reversed(expected.all_coeffs())]
+    # monic integer inputs give the monic lcm
+    assert poly_lcm([-6, 1, 1], [3, 4, 1]) == [-6, -5, 2, 1]  # (x + 3)(x - 2)(x + 1)
+
+
+def test_poly_linear_sub_matches_sympy():
+    rng = random.Random(108)
+    for _ in range(60):
+        p = rand_poly(rng)
+        a, b = rand_rational(rng) or 1, rand_rational(rng)
+        expected = to_sympy(p).as_expr().subs(X, to_sympy([b, a]).as_expr())
+        assert poly_linear_sub(p, a, b) == from_sympy(sympy.Poly(expected, X, domain="QQ"))
+
+
+def test_poly_linear_power_matches_sympy():
+    rng = random.Random(109)
+    for _ in range(20):
+        root, k = rand_rational(rng), rng.randint(0, 12)
+        assert poly_linear_power(root, k) == from_sympy(to_sympy([-root, 1]) ** k)
 
 
 def test_squarefree_part_matches_sympy():
