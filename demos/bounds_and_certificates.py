@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """What a certificate actually certifies.  A small family is worked end to
-end: its Seidel matrix, the exact characteristic polynomial, Sturm counts
-locating the least eigenvalue, and the three counting bounds."""
+end: its Seidel matrix, the exact characteristic polynomial, Budan-Fourier
+counts locating the least eigenvalue, and the three counting bounds."""
 
 from fractions import Fraction
 

@@ -11,7 +11,7 @@ The routines are the ones the rest of the library leans on: Hermite normal
 form with a unimodular transform, fraction-free rank/determinant and the
 leading minors of a Gram matrix (Bareiss), saturated integer kernels,
 integer solving on the HNF, the Berkowitz characteristic polynomial, and
-Sturm-chain real root isolation.
+root location for real-rooted polynomials by Budan-Fourier counts.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ __all__ = [
     "poly_linear_sub",
     "poly_linear_power",
     "squarefree_part",
-    "sturm_chain",
-    "count_roots_halfopen",
     "root_multiplicity",
-    "smallest_real_root",
+    "roots_above",
+    "least_root",
 ]
 
 
@@ -412,7 +411,7 @@ def berkowitz(m: IntMatrix | RatMatrix) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials (ascending integer coefficient lists) and Sturm chains
+# Polynomials (ascending integer coefficient lists) and real roots
 
 
 def _trim(p: Sequence) -> list:
@@ -472,26 +471,17 @@ def _to_primitive_int(p: Sequence) -> list[int]:
     q = [Fraction(c) for c in _trim(p)]
     if not q:
         return []
-    den = 1
-    for c in q:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in q))
     ints = [int(c * den) for c in q]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     return [v // g for v in ints]
-
-
-def _rem_primitive(a: Sequence, b: Sequence) -> list[int]:
-    """Primitive integer remainder of a by b (sign of the true remainder)."""
-    return _to_primitive_int(poly_divmod(a, b)[1])
 
 
 def poly_gcd(a: Sequence, b: Sequence) -> list[int]:
     """Primitive gcd over Z with positive leading coefficient."""
     a, b = _to_primitive_int(a), _to_primitive_int(b)
     while b:
-        a, b = b, _rem_primitive(a, b)
+        a, b = b, _to_primitive_int(poly_divmod(a, b)[1])
     if a and a[-1] < 0:
         a = [-c for c in a]
     return a
@@ -524,110 +514,121 @@ def squarefree_part(p: Sequence) -> list[int]:
     q = _to_primitive_int(p)
     if len(q) <= 1:
         return [1] if q else []
-    g = poly_gcd(q, poly_deriv(q))
+    g = [1] if _coprime_mod(q, poly_deriv(q)) else poly_gcd(q, poly_deriv(q))
     res = _to_primitive_int(poly_divmod(q, g)[0]) if len(g) > 1 else q
     return res if res[-1] > 0 else [-c for c in res]
 
 
 def root_multiplicity(p: Sequence, r: Fraction | int) -> int:
-    """Multiplicity of r as a root of p (0 when p(r) != 0)."""
-    linear = [-Fraction(r), 1]
-    q = _trim(p)
-    mult = 0
-    while len(q) > 1:
-        quo, rem = poly_divmod(q, linear)
-        if rem:
-            break
-        q = quo
-        mult += 1
-    return mult
+    """Multiplicity of r as a root of p (0 when p(r) != 0): the number of
+    derivatives of p that vanish at r, read off one Taylor shift."""
+    r = Fraction(r)
+    c = _taylor_shift(_to_primitive_int(p), r.numerator, r.denominator)
+    return next((j for j, v in enumerate(c) if v), 0)
 
 
-def sturm_chain(p: Sequence) -> list[list[int]]:
-    """Sturm chain of the squarefree part of p, primitive at every step."""
-    s0 = squarefree_part(p)
-    chain = [s0]
-    if len(s0) > 1:
-        chain.append(_to_primitive_int(poly_deriv(s0)))
-        while len(chain[-1]) > 1:
-            nxt = [-c for c in _rem_primitive(chain[-2], chain[-1])]
-            if not nxt:
-                break
-            chain.append(nxt)
-    return chain
+_PRIME = 2**61 - 1
 
 
-def _variations(chain: list[list[int]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _coprime_mod(a: list[int], b: list[int]) -> bool:
+    """Proves a, b coprime over Q by gcd 1 modulo _PRIME, when the reduction
+    keeps the degree of a and so of each factor of a; False: not proved."""
+    m = _PRIME
+    a, b = [c % m for c in a], _trim(c % m for c in b)
+    if not a[-1]:
+        return False
+    while len(b) > 1:
+        inv = pow(b[-1], -1, m)
+        while len(a) >= len(b):
+            f = a[-1] * inv
+            a = _trim([(x - f * y) % m for x, y in zip(a, [0] * (len(a) - len(b)) + b)])
+        a, b = b, a
+    return len(b) == 1
 
 
-def count_roots_halfopen(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in (a, b].  Requires chain[0](a) != 0.
+def _taylor_shift(q: Sequence[int], a: int, b: int) -> list[int]:
+    """Coefficients in y of b^n q((a + y)/b), for b > 0 and n = deg q: the
+    y^j one is b^(n-j) q^(j)(a/b) / j!, of the sign of q's j-th derivative."""
+    n = len(q) - 1
+    c = [v * b ** (n - i) for i, v in enumerate(q)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
 
-    Zero-skipping sign variation handles an exact root at b correctly, so
-    the bisection below may land on roots without special casing.
-    """
-    if poly_eval(chain[0], a) == 0:
-        raise ValueError("left endpoint is a root")
-    return _variations(chain, a) - _variations(chain, b)
+
+def _sign_changes(c: Iterable[int]) -> int:
+    signs = [v > 0 for v in c if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def cauchy_bound(p: Sequence) -> Fraction:
-    """B with every real root of p inside (-B, B)."""
-    q = _trim(p)
-    if len(q) <= 1:
-        return Fraction(1)
-    lead = abs(q[-1])
-    return 1 + max(abs(Fraction(c)) for c in q[:-1]) / lead
+def _sign_at(q: Sequence[int], a: int, b: int) -> int:
+    """Sign of q(a/b) for b > 0, by homogeneous integer Horner."""
+    acc, scale = 0, 1
+    for c in reversed(q):
+        acc, scale = acc * a + c * scale, scale * b
+    return (acc > 0) - (acc < 0)
+
+
+def roots_above(p: Sequence, x: Fraction | int) -> int:
+    """Roots of p above x, with multiplicity, when every root of p is real:
+    then the Budan-Fourier count, the sign changes of p(x), p'(x), ...,
+    p^(n)(x) with zeros dropped, is exact."""
+    x = Fraction(x)
+    return _sign_changes(_taylor_shift(_to_primitive_int(p), x.numerator, x.denominator))
 
 
 DEFAULT_ROOT_WIDTH = Fraction(1, 2**50)
 
 
-def smallest_real_root(
-    p: Sequence, width: Fraction = DEFAULT_ROOT_WIDTH
-) -> tuple[Fraction, Fraction]:
-    """Isolating interval (lo, hi] for the least real root of p.
+def least_root(p: Sequence, width: Fraction = DEFAULT_ROOT_WIDTH) -> tuple[Fraction, Fraction]:
+    """Isolating interval (lo, hi] for the least root of p, every root of
+    which must be real (as for the charpoly of a symmetric matrix).
 
-    Returns lo == hi when the root is found exactly (always the case for
-    integer roots).  Otherwise hi - lo <= width, the interval contains the
-    least root of p and no other, and the squarefree part of p changes sign
-    across it.  Raises ValueError when p has no real root.
-    """
-    chain = sturm_chain(p)
-    q = chain[0]
-    if len(q) <= 1:
+    lo == hi for a root found exactly (always an integer one); else hi - lo
+    <= width, only the least root lies inside, and the square-free part q
+    changes sign across it.  Bisects (-C, C], C = floor(Cauchy bound of q)
+    + 1, by roots_above counts on q until one root is left, then by the sign
+    of q; no root lies outside [-e, e], e = floor(sqrt(sum of squares of
+    the roots)) + 1.  ValueError on a constant, on a negative sum of squares
+    and on two roots closer than Mahler's separation bound."""
+    q = squarefree_part(p)
+    n = len(q) - 1
+    if n < 1:
         raise ValueError("constant polynomial has no roots")
-    bound = cauchy_bound(q)
-    lo = Fraction(-(bound.numerator // bound.denominator) - 1)
+    squares = q[n - 1] ** 2 - 2 * q[n - 2] * q[n] if n > 1 else q[0] ** 2
+    if squares < 0:
+        raise ValueError("polynomial is not real-rooted")
+    e = math.isqrt(squares // q[n] ** 2) + 1
+    norm2 = sum(c * c for c in q)  # distinct roots are > n^-(n+2)/2 |q|^(1-n) apart
+    sep = Fraction(1, 2 ** (((n + 2) * n.bit_length() + (n - 1) * norm2.bit_length()) // 2 + 1))
+    lo, vlo, vhi = Fraction(-2 - max(map(abs, q[:-1])) // q[n]), n, 0
     hi = -lo
-    if poly_eval(q, lo) == 0:
-        raise ValueError("no real roots")
-    # sign variations at lo and hi, carried from step to step: the number
-    # of roots in (a, b] is v(a) - v(b)
-    vlo, vhi = _variations(chain, lo), _variations(chain, hi)
-    if vlo == vhi:
-        raise ValueError("no real roots")
+    # (lo, hi] holds vlo - vhi roots; q > 0 above them all, so q(x) has the
+    # sign (-1)^(roots above x)
     while hi - lo > width or vlo - vhi > 1:
+        if vlo - vhi > 1 and hi - lo < sep:
+            raise ValueError("polynomial is not real-rooted")
         if hi - lo <= 1:
             # At most one integer can sit inside; try it for an exact hit.
-            k = Fraction(math.floor(lo) + 1)
-            if (lo < k <= hi and poly_eval(q, k) == 0
-                    and vlo - _variations(chain, k) == 1):
-                return k, k
+            k = math.floor(lo) + 1
+            if k <= hi and not _sign_at(q, k, 1) and vlo - roots_above(q, k) == 1:
+                return Fraction(k), Fraction(k)
         mid = (lo + hi) / 2
-        vmid = _variations(chain, mid)
-        if vlo - vmid == 1 and poly_eval(q, mid) == 0:
+        if not -e < mid < e:
+            vmid, hit = (n if mid < 0 else 0), False
+        elif vlo - vhi == 1:
+            s = _sign_at(q, mid.numerator, mid.denominator)
+            vmid, hit = vlo - (s != (-1) ** vlo), not s
+        else:
+            c = _taylor_shift(q, mid.numerator, mid.denominator)
+            vmid, hit = _sign_changes(c), not c[0]
+        if hit and vlo - vmid == 1:
             return mid, mid
         if vlo - vmid >= 1:
             hi, vhi = mid, vmid
         else:
             lo, vlo = mid, vmid
-    if poly_eval(q, hi) == 0:
+    if not _sign_at(q, hi.numerator, hi.denominator):
         return hi, hi
     return lo, hi

@@ -12,7 +12,7 @@ is positive semidefinite of rank r and -1/alpha is the least eigenvalue of
 S whenever t > r.  Switching (negating some representatives) conjugates S
 by a sign diagonal and reordering permutes it, so the characteristic
 polynomial is an invariant of the family itself.  It is computed exactly,
-and root locations are certified by Sturm counts, never by numerics.
+and root locations are certified by exact Budan-Fourier counts, never by numerics.
 
 Bound checks: a family of rank r has t <= r(r+1)/2 unconditionally,
 t <= r(1-alpha^2)/(1-r*alpha^2) when r*alpha^2 < 1, and 1/alpha must be an
@@ -36,19 +36,16 @@ from .exact import (
     DEFAULT_ROOT_WIDTH,
     IntMatrix,
     berkowitz,
-    cauchy_bound,
-    count_roots_halfopen,
-    poly_divmod,
+    least_root,
     poly_eval,
     poly_lcm,
     poly_linear_power,
     poly_linear_sub,
     poly_mul,
     root_multiplicity,
+    roots_above,
     row_rank,
-    smallest_real_root,
     solve_left,
-    sturm_chain,
 )
 from .fastops import gram_product, imatmul
 from .lattice import GramLattice
@@ -296,10 +293,10 @@ def _charpoly_via_minpoly(rows) -> list[int] | None:
         return None
     d = len(roots)
     # traces of the first d powers pin the eigenvalue multiplicities
-    traces = [t]
-    power = [[1 if i == j else 0 for j in range(t)] for i in range(t)]
-    for _ in range(d - 1):
-        power = imatmul(power, rows)
+    traces, power = [t], rows
+    for k in range(1, d):
+        if k > 1:
+            power = imatmul(power, rows)
         traces.append(sum(power[i][i] for i in range(t)))
     vand = IntMatrix([[r**k for k in range(d)] for r in roots])
     mults = solve_left(vand, traces)
@@ -316,10 +313,12 @@ def _charpoly_via_minpoly(rows) -> list[int] | None:
 
 
 def _annihilates(rows, p: list[int]) -> bool:
+    """p(S) == 0, by Horner from p[-1] S: deg p - 1 products for deg p >= 1."""
     t = len(rows)
-    acc = [[p[-1] if i == j else 0 for j in range(t)] for i in range(t)]
-    for c in reversed(p[:-1]):
-        acc = imatmul(acc, rows)
+    acc = [[p[-1] * e for e in row] for row in rows]
+    for k, c in enumerate(reversed(p[:-1])):
+        if k:
+            acc = imatmul(acc, rows)
         for i in range(t):
             acc[i][i] += c
     return all(not e for row in acc for e in row)
@@ -335,13 +334,14 @@ def _integer_roots(p: list[int], bound: int) -> list[int] | None:
 def least_eigenvalue(
     s: SeidelMatrix, width: Fraction = DEFAULT_ROOT_WIDTH
 ) -> tuple[Fraction, Fraction]:
-    """Isolating interval (lo, hi) for the least eigenvalue of S.
+    """Isolating interval (lo, hi] for the least eigenvalue of S.
 
     lo == hi when the eigenvalue is rational (always the case for integer
-    spectra); otherwise hi - lo <= width and Sturm counts certify that the
-    interval contains the least root and nothing lies below it.
+    spectra); otherwise hi - lo <= width and exact Budan-Fourier counts
+    certify that the interval contains the least root and nothing lies
+    below it.  S is symmetric, so its charpoly is real-rooted.
     """
-    return smallest_real_root(seidel_charpoly(s), width)
+    return least_root(seidel_charpoly(s), width)
 
 
 def _factored_charpoly(fam: LineFamily) -> tuple[list[Fraction], Fraction, int]:
@@ -437,6 +437,9 @@ def certify(fam: LineFamily, width: Fraction = DEFAULT_ROOT_WIDTH) -> dict:
     -1/alpha when t = rank.  Failures become entries with passed=False.
     Reference counts from published tables are attached as annotations and
     are never asserted.
+
+    roots_above and least_root need q of _factored_charpoly real-rooted: it
+    is, as Gram (B^T B) is similar to the symmetric Gram^1/2 B^T B Gram^1/2.
     """
     t, r, alpha = fam.t, fam.rank, fam.alpha
     report = {
@@ -509,20 +512,15 @@ def certify(fam: LineFamily, width: Fraction = DEFAULT_ROOT_WIDTH) -> dict:
         checks.append({"check": "least_eigenvalue", "passed": False, "note": str(exc)})
         report["ok"] = False
         return report
-    extra = root_multiplicity(q, target)
-    mult = k + extra
+    mult = k + root_multiplicity(q, target)
     entry = {"check": "least_eigenvalue", "value": target, "multiplicity": mult}
+    # no root of q at or below -1/alpha: an extra one there fails mult already
+    below = len(q) - 1 - roots_above(q, target)
+    entry["passed"] = mult == t - r and below == 0
     if t > r:
-        q = poly_divmod(q, poly_linear_power(target, extra))[0]
-        chain = sturm_chain(q)
-        below = count_roots_halfopen(chain, -cauchy_bound(q) - 1, target)
-        entry["passed"] = mult == t - r and below == 0
         entry["interval"] = (target, target)
     else:
-        chain = sturm_chain(q)
-        at_or_below = count_roots_halfopen(chain, -cauchy_bound(q) - 1, target)
-        entry["passed"] = mult == 0 and at_or_below == 0
-        entry["interval"] = smallest_real_root(q, width)
+        entry["interval"] = least_root(q, width)
         entry["note"] = "t = rank: the bound eigenvalue is not attained"
     checks.append(entry)
 

@@ -7,16 +7,32 @@ meaningful.  `ref_search_chunk`, `ref_lll_reduce` and
 `ref_krylov_annihilator` are the exceptions: they are the library's
 earlier kernels, which walk the same tree and make the same reduction
 steps in the plainest way, so that the two can be compared result for
-result and in the same order.
+result and in the same order.  So are the Sturm-chain root finder
+(`sturm_chain` .. `smallest_real_root`), which `exact.least_root`
+replaced while keeping every bisection decision, and `ref_least_check`,
+the least-eigenvalue entry of `certify` as the Sturm counts made it.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Sequence
 
 import numpy as np
 
-from eqlat.exact import IntMatrix, RatMatrix
+from eqlat.exact import (
+    DEFAULT_ROOT_WIDTH,
+    IntMatrix,
+    RatMatrix,
+    _to_primitive_int,
+    _trim,
+    poly_deriv,
+    poly_divmod,
+    poly_eval,
+    poly_linear_power,
+    root_multiplicity,
+    squarefree_part,
+)
 from eqlat.lattice import GramLattice
 from eqlat.lines import _MINPOLY_CAP
 
@@ -385,3 +401,116 @@ def ref_krylov_annihilator(rows, start) -> list[Fraction]:
             return []
         v = [sum(row[k] * v[k] for k in range(t)) for row in rows]
         combo = [Fraction(0)] + combo
+
+
+def _rem_primitive(a: Sequence, b: Sequence) -> list[int]:
+    """Primitive integer remainder of a by b (sign of the true remainder)."""
+    return _to_primitive_int(poly_divmod(a, b)[1])
+
+
+def sturm_chain(p: Sequence) -> list[list[int]]:
+    """Sturm chain of the squarefree part of p, primitive at every step."""
+    s0 = squarefree_part(p)
+    chain = [s0]
+    if len(s0) > 1:
+        chain.append(_to_primitive_int(poly_deriv(s0)))
+        while len(chain[-1]) > 1:
+            nxt = [-c for c in _rem_primitive(chain[-2], chain[-1])]
+            if not nxt:
+                break
+            chain.append(nxt)
+    return chain
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    signs = []
+    for p in chain:
+        v = poly_eval(p, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_roots_halfopen(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
+    """Distinct real roots in (a, b].  Requires chain[0](a) != 0.
+
+    Zero-skipping sign variation handles an exact root at b correctly, so
+    the bisection below may land on roots without special casing.
+    """
+    if poly_eval(chain[0], a) == 0:
+        raise ValueError("left endpoint is a root")
+    return _variations(chain, a) - _variations(chain, b)
+
+
+def cauchy_bound(p: Sequence) -> Fraction:
+    """B with every real root of p inside (-B, B)."""
+    q = _trim(p)
+    if len(q) <= 1:
+        return Fraction(1)
+    lead = abs(q[-1])
+    return 1 + max(abs(Fraction(c)) for c in q[:-1]) / lead
+
+
+def smallest_real_root(
+    p: Sequence, width: Fraction = DEFAULT_ROOT_WIDTH
+) -> tuple[Fraction, Fraction]:
+    """Isolating interval (lo, hi] for the least real root of p.
+
+    Returns lo == hi when the root is found exactly (always the case for
+    integer roots).  Otherwise hi - lo <= width, the interval contains the
+    least root of p and no other, and the squarefree part of p changes sign
+    across it.  Raises ValueError when p has no real root.
+    """
+    chain = sturm_chain(p)
+    q = chain[0]
+    if len(q) <= 1:
+        raise ValueError("constant polynomial has no roots")
+    bound = cauchy_bound(q)
+    lo = Fraction(-(bound.numerator // bound.denominator) - 1)
+    hi = -lo
+    if poly_eval(q, lo) == 0:
+        raise ValueError("no real roots")
+    # sign variations at lo and hi, carried from step to step: the number
+    # of roots in (a, b] is v(a) - v(b)
+    vlo, vhi = _variations(chain, lo), _variations(chain, hi)
+    if vlo == vhi:
+        raise ValueError("no real roots")
+    while hi - lo > width or vlo - vhi > 1:
+        if hi - lo <= 1:
+            # At most one integer can sit inside; try it for an exact hit.
+            k = Fraction(math.floor(lo) + 1)
+            if (lo < k <= hi and poly_eval(q, k) == 0
+                    and vlo - _variations(chain, k) == 1):
+                return k, k
+        mid = (lo + hi) / 2
+        vmid = _variations(chain, mid)
+        if vlo - vmid == 1 and poly_eval(q, mid) == 0:
+            return mid, mid
+        if vlo - vmid >= 1:
+            hi, vhi = mid, vmid
+        else:
+            lo, vlo = mid, vmid
+    if poly_eval(q, hi) == 0:
+        return hi, hi
+    return lo, hi
+
+
+def ref_least_check(q, target, k, t, r, width=DEFAULT_ROOT_WIDTH):
+    """The least-eigenvalue entry of `lines.certify` from (q, target, k) of
+    `lines._factored_charpoly`, located with Sturm counts."""
+    extra = root_multiplicity(q, target)
+    mult = k + extra
+    entry = {"check": "least_eigenvalue", "value": target, "multiplicity": mult}
+    if t > r:
+        q = poly_divmod(q, poly_linear_power(target, extra))[0]
+        chain = sturm_chain(q)
+        below = count_roots_halfopen(chain, -cauchy_bound(q) - 1, target)
+        entry["passed"] = mult == t - r and below == 0
+        entry["interval"] = (target, target)
+    else:
+        chain = sturm_chain(q)
+        at_or_below = count_roots_halfopen(chain, -cauchy_bound(q) - 1, target)
+        entry["passed"] = mult == 0 and at_or_below == 0
+        entry["interval"] = smallest_real_root(q, width)
+        entry["note"] = "t = rank: the bound eigenvalue is not attained"
+    return entry

@@ -1,10 +1,12 @@
-"""Acceptance gate: ten numbered criteria, one printed pass/fail line each."""
+"""Acceptance gate: ten numbered criteria, one printed pass/fail line each,
+plus a differential check of certify on the same families."""
 
 import time
 from fractions import Fraction as QQ
 
 import pytest
 import test_properties as props
+from oracles import ref_least_check
 
 from eqlat.constructions import (
     dn_projection_gram,
@@ -18,6 +20,7 @@ from eqlat.constructions import (
 from eqlat.errors import NotEquiangular
 from eqlat.fastops import imatmul
 from eqlat.lines import (
+    _factored_charpoly,
     absolute_bound,
     certify,
     line_family,
@@ -220,6 +223,14 @@ def test_criterion_07_spectral_identity(capsys, families):
     announce(capsys, 7, problems,
              f"{len(families)} families certified: {exact_root} with least eigenvalue "
              f"-1/alpha of multiplicity t - rank, {acute} acute (t = rank) strictly above")
+
+
+def test_certify_matches_the_sturm_oracle(families):
+    # the Budan-Fourier counts and least_root give the entry Sturm gave
+    assert len(families) == 34
+    for tag, fam in families:
+        chk = next(c for c in certify(fam)["checks"] if c["check"] == "least_eigenvalue")
+        assert chk == ref_least_check(*_factored_charpoly(fam), fam.t, fam.rank), tag
 
 
 def test_criterion_08_bounds(capsys, root_families, witt, families):

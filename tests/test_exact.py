@@ -1,10 +1,19 @@
 """Tests for the exact linear algebra core."""
 
 import random
+import time
 from fractions import Fraction as QQ
 
 import pytest
-from oracles import minors_gcd, poly_from_roots, ref_det, ref_rank
+from oracles import (
+    count_roots_halfopen,
+    minors_gcd,
+    poly_from_roots,
+    ref_det,
+    ref_rank,
+    smallest_real_root,
+    sturm_chain,
+)
 
 from eqlat.errors import NotPositiveDefinite
 from eqlat.lattice import GramLattice
@@ -12,17 +21,16 @@ from eqlat.exact import (
     IntMatrix,
     RatMatrix,
     berkowitz,
-    count_roots_halfopen,
     hnf,
     kernel_basis,
     leading_minors,
+    least_root,
     poly_eval,
     rank_det,
     root_multiplicity,
-    smallest_real_root,
+    roots_above,
     solve_left,
     squarefree_part,
-    sturm_chain,
 )
 
 WIDTH = QQ(1, 2**50)
@@ -236,7 +244,7 @@ def test_berkowitz_rational():
     assert berkowitz(m) == [QQ(0), QQ(-1), QQ(1)]
 
 
-# -- Sturm chains and root isolation ----------------------------------------
+# -- Root isolation: the Sturm oracle and the Budan-Fourier finder ----------
 
 
 def test_squarefree_part():
@@ -252,6 +260,15 @@ def test_squarefree_part_of_a_constant_is_one():
     assert squarefree_part([-3]) == [1]
     assert squarefree_part([QQ(5, 7)]) == [1]
     assert squarefree_part([0]) == []
+
+
+def test_squarefree_part_when_the_prime_cannot_decide():
+    # the coprimality check modulo 2^61 - 1 proves nothing when the prime
+    # divides the leading coefficient or splits a factor off modulo itself
+    prime = 2**61 - 1
+    assert squarefree_part([-1, 0, prime]) == [-1, 0, prime]
+    assert squarefree_part([prime, 0, 1]) == [prime, 0, 1]  # x^2 modulo the prime
+    assert squarefree_part(poly_from_roots([1, 1, prime])) == poly_from_roots([1, prime])
 
 
 def test_sturm_counts():
@@ -310,3 +327,81 @@ def test_smallest_root_random_rational():
 def test_smallest_root_requires_real_roots():
     with pytest.raises(ValueError):
         smallest_real_root([1, 0, 1])  # x^2 + 1
+
+
+def random_seidel_charpoly(rng, n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice((-1, 1))
+    return berkowitz(IntMatrix(rows))
+
+
+# sizes 20..50 over three seeds; the Sturm oracle takes 3 s at n = 50
+@pytest.mark.parametrize("seed, n", [(1, 20), (2, 26), (3, 32), (1, 38), (2, 44), (3, 50)])
+def test_least_root_matches_sturm_on_seidel_charpolys(seed, n):
+    p = random_seidel_charpoly(random.Random(seed), n)
+    assert least_root(p) == smallest_real_root(p)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [60, 70])
+def test_least_root_matches_sturm_on_large_seidel_charpolys(n):
+    p = random_seidel_charpoly(random.Random(n), n)
+    assert least_root(p) == smallest_real_root(p)
+
+
+def test_least_root_of_a_random_60_charpoly_is_fast():
+    # the Sturm chain took 8 s here; the Budan-Fourier search about 0.03 s
+    p = random_seidel_charpoly(random.Random(60), 60)
+    start = time.perf_counter()
+    lo, hi = least_root(p)
+    assert time.perf_counter() - start < 0.3
+    assert 0 < hi - lo <= WIDTH and poly_eval(p, lo) * poly_eval(p, hi) < 0
+
+
+def real_rooted_corpus(seed, count):
+    """count seeded integer polynomials with rational roots, some repeated."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        roots = [QQ(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 8]))
+                 for _ in range(rng.randint(1, 6))]
+        roots += rng.choices(roots, k=rng.randint(0, 3))
+        out.append((poly_from_roots(roots), sorted(roots)))
+    return out
+
+
+def test_least_root_matches_sturm_on_rational_roots():
+    for p, roots in real_rooted_corpus(67, 200):
+        got = least_root(p)
+        assert got == smallest_real_root(p)
+        assert got[0] <= roots[0] <= got[1]
+
+
+def test_least_root_width_and_sign_change():
+    rng = random.Random(5)
+    for width in (QQ(1, 2**10), QQ(1, 3), QQ(1, 2**60)):
+        p = random_seidel_charpoly(rng, 16)
+        lo, hi = least_root(p, width)
+        assert (lo, hi) == smallest_real_root(p, width)
+        assert 0 < hi - lo <= width
+        assert poly_eval(p, lo) * poly_eval(p, hi) < 0
+
+
+def test_roots_above_counts_with_multiplicity():
+    for p, roots in real_rooted_corpus(68, 60):
+        for x in {roots[0], roots[-1], QQ(1, 3), QQ(-7, 2), *roots[1:3]}:
+            assert roots_above(p, x) == sum(r > x for r in roots)
+    assert roots_above([QQ(6), 0, QQ(-5), 0, 1], 0) == 2  # +-sqrt(2), +-sqrt(3)
+
+
+def test_least_root_refuses_what_it_can_see_is_not_real_rooted():
+    with pytest.raises(ValueError):
+        least_root([1, 0, 1])  # x^2 + 1: the squared roots sum to -2
+    with pytest.raises(ValueError):
+        least_root([5])
+    # x^4 + 1 has no real root and the squared roots sum to 0, so only the
+    # separation bound stops the bisection on its phantom pair of roots
+    with pytest.raises(ValueError):
+        least_root([1, 0, 0, 0, 1])

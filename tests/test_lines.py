@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import ref_krylov_annihilator
+from oracles import cauchy_bound, poly_from_roots, ref_krylov_annihilator, ref_least_check
 
 from eqlat.errors import (
     BadParameter,
@@ -301,15 +301,17 @@ RANDOM_LEAST = {
 }
 
 
-def test_least_eigenvalue_bisection_evaluates_the_chain_once_per_step(monkeypatch):
+def test_least_eigenvalue_makes_few_budan_counts(monkeypatch):
+    # the intervals the Sturm search gave, from the same dyadic grid, with
+    # at most 10 full Budan-Fourier counts (Taylor shifts) per call
     calls = []
-    variations = exact._variations
+    shift = exact._taylor_shift
 
-    def counted(chain, x):
-        calls.append(x)
-        return variations(chain, x)
+    def counted(q, a, b):
+        calls.append((a, b))
+        return shift(q, a, b)
 
-    monkeypatch.setattr(exact, "_variations", counted)
+    monkeypatch.setattr(exact, "_taylor_shift", counted)
     for t, (lo, hi) in RANDOM_LEAST.items():
         s = random_seidel(random.Random(t), t)
         calls.clear()
@@ -317,11 +319,28 @@ def test_least_eigenvalue_bisection_evaluates_the_chain_once_per_step(monkeypatc
         assert got == (Fraction(*lo), Fraction(*hi))
         # the interval halves once per step, from (-B, B] with B the
         # integer bound the search starts from
-        bound = exact.cauchy_bound(exact.sturm_chain(seidel_charpoly(s))[0])
+        bound = cauchy_bound(exact.squarefree_part(seidel_charpoly(s)))
         ratio = 2 * (bound.numerator // bound.denominator + 1) / (got[1] - got[0])
         assert ratio.denominator == 1 and ratio.numerator.bit_count() == 1
-        steps = ratio.numerator.bit_length() - 1
-        assert len(calls) <= steps + 2  # one per step, plus lo and hi at the start
+        assert 1 <= len(calls) <= 10
+
+
+def test_witt_minpoly_route_makes_one_square_product(monkeypatch):
+    # the degree-2 minimal polynomial needs S^2 once, in the annihilation
+    # check; the trace of S is read off S itself
+    inputs = benchmark_inputs()
+    witt = inputs.seidel_of(inputs.witt_lines()[1])
+    t, sizes = len(witt), []
+    matmul = lines.imatmul
+
+    def counted(a, b):
+        sizes.append(len(a))
+        return matmul(a, b)
+
+    monkeypatch.setattr(lines, "imatmul", counted)
+    spectrum = poly_mul(poly_linear_power(-5, 253), poly_linear_power(55, 23))
+    assert lines._charpoly_via_minpoly(witt) == spectrum
+    assert sizes.count(t) == 1
 
 
 def test_switching_and_reordering_preserve_spectrum():
@@ -425,6 +444,21 @@ def test_certify_reports_a_tampered_family():
         assert not report["ok"]
         least = _entries(report)["least_eigenvalue"]
         assert not least["passed"] and note in least["note"]
+
+
+@pytest.mark.parametrize("offsets", [
+    (1, 2, 5), (-1, 1, 2), (0, 1, 2), (0, 0, 7), (Fraction(-1, 2), 3, 9),
+    (Fraction(1, 3), Fraction(1, 2), 4),
+])
+def test_least_eigenvalue_check_matches_sturm_on_crafted_spectra(monkeypatch, offsets):
+    # roots of q at, below and above -1/alpha, for t > rank (E8) and t = rank (A4)
+    for fam in (e8_family(), line_family(A4, equiangular_direct(A4).pairs)):
+        target, k = -1 / fam.alpha, fam.t - fam.rank
+        q = poly_from_roots([target + d for d in offsets])
+        monkeypatch.setattr(lines, "_factored_charpoly", lambda f: (q, target, k))
+        entry = _entries(certify(fam))["least_eigenvalue"]
+        assert entry == ref_least_check(q, target, k, fam.t, fam.rank)
+        assert entry["passed"] == (min(offsets) > 0)
 
 
 def test_certify_never_raises_on_report_entries():

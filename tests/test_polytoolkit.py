@@ -10,11 +10,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import count_roots_halfopen, sturm_chain
 
 from eqlat.exact import (
     IntMatrix,
     berkowitz,
-    count_roots_halfopen,
     poly_divmod,
     poly_eval,
     poly_lcm,
@@ -23,7 +23,6 @@ from eqlat.exact import (
     poly_mul,
     root_multiplicity,
     squarefree_part,
-    sturm_chain,
 )
 
 sympy = pytest.importorskip("sympy")
