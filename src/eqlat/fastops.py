@@ -21,18 +21,30 @@ def _max_abs(m: np.ndarray) -> int:
     return max(int(m.max()), -int(m.min()))
 
 
+def imatmul_array(a, b: Sequence[Sequence[int]]) -> np.ndarray | None:
+    """The exact product of a nonempty a and b as an int64 array, computed
+    _BLOCK rows of a at a time, or None when the bound does not prove that
+    int64 holds it.  a may be an integer array already."""
+    try:
+        na = a if isinstance(a, np.ndarray) else np.array(a, dtype=np.int64)
+        nb = np.array(b, dtype=np.int64)
+    except OverflowError:
+        return None  # an entry does not fit in int64
+    if _max_abs(na) * _max_abs(nb) * len(nb) >= _SAFE:
+        return None
+    out = np.empty((len(na), nb.shape[1]), dtype=np.int64)
+    for i in range(0, len(na), _BLOCK):
+        np.matmul(na[i:i + _BLOCK], nb, out=out[i:i + _BLOCK])
+    return out
+
+
 def imatmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact integer product of two row-major matrices."""
-    inner = len(b)
-    if inner == 0 or not a or not b[0]:
+    if len(b) == 0 or not a or not b[0]:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
-    try:
-        na, nb = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    except OverflowError:
-        pass  # an entry does not fit in int64
-    else:
-        if _max_abs(na) * _max_abs(nb) * inner < _SAFE:
-            return (na @ nb).tolist()
+    c = imatmul_array(a, b)
+    if c is not None:
+        return c.tolist()
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 

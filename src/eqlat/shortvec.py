@@ -1,19 +1,27 @@
 """Shortest vectors, norm shells and congruence-class shells, exactly.
 
 The pipeline is LLL reduction followed by a depth-first enumeration of
-the quadratic form, both entirely in Python integers on the data of a
-Bareiss elimination of the Gram matrix.  LLL keeps the leading minors and
-scaled Gram-Schmidt coefficients of its current basis; in the reduced
-basis, the same fraction-free Cholesky data gives the form as
+the quadratic form, both in integers on the data of a Bareiss elimination
+of the Gram matrix.  LLL keeps the leading minors and scaled Gram-Schmidt
+coefficients of its current basis; in the reduced basis, the same
+fraction-free Cholesky data gives the form as
 
     E * N(x) = sum_k g_k * (delta_{k+1} x_k + s_k)^2
 
 with all quantities integral, so pruning needs only integer comparisons
-and isqrt, and every reported norm is exact by construction.  The walk
-keeps a table of partial centre sums, one row per level, and on entering
-a level recomputes only the terms whose coordinates have changed since
-its last visit (Schnorr-Euchner), so a node costs a few multiply-adds
-instead of one per coordinate above it.
+and isqrt, and every reported norm is exact by construction.
+
+Two kernels walk the same tree, make the same decisions and visit the
+same nodes.  The Python kernel keeps a table of partial centre sums, one
+row per level, and on entering a level recomputes only the terms whose
+coordinates have changed since its last visit (Schnorr-Euchner), so a
+node costs a few multiply-adds instead of one per coordinate above it.
+It takes every walk first, so small walks never pay numpy's fixed cost; a
+walk past _BUDGET (4,096) nodes is redone by the batched kernel, which
+walks level by level on up to _BATCH (2,048) partial vectors at a time in
+numpy int64, when every number of the walk is proven to stay below 2**62.
+Leaves of large shells stay one integer array through the map back to the
+input basis, the sign canonicalisation and the sort.
 
 Walks run in LLL bases, so their cost does not depend on how the input
 is written.  least_vector answers in the input basis with one walk per
@@ -29,6 +37,7 @@ representative per +-pair.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
@@ -36,13 +45,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     DimensionMismatch,
     MixedNorms,
     ZeroVector,
 )
 from .exact import IntMatrix, RatMatrix, hnf, leading_minors
-from .fastops import gram_product, imatmul_rows
+from .fastops import gram_product, imatmul_array, imatmul_rows
 from .lattice import GramLattice, Vec
 
 __all__ = [
@@ -172,6 +183,18 @@ def _prep(lat: GramLattice) -> _Prep:
     return _Prep(lat)
 
 
+# Nodes the Python kernel walks before the batched kernel takes the walk
+# over, partial vectors per numpy step of the batched kernel, and the bound
+# below which its int64 arithmetic is proven exact
+_BUDGET = 4096
+_BATCH = 2048
+_SAFE = 2**62
+
+
+class _OverBudget(Exception):
+    """A budgeted Python walk reached more nodes than its budget."""
+
+
 def _search_chunk(payload: dict) -> object:
     """Enumerate the subtrees under the given top-level coordinate values.
 
@@ -183,6 +206,31 @@ def _search_chunk(payload: dict) -> object:
     nonzero scaled norm found as an inclusive bound and returns (best,
     leaves at best).  The exact-norm modes solve the bottom level in closed
     form and take its (at most two) roots in ascending order.
+
+    _walk takes the walk with a budget of _BUDGET nodes; past it,
+    _batched_walk redoes it, or _walk without a budget when int64 is not
+    proven to suffice.  "shell" and "le" leaves come from _walk as tuples
+    and from _batched_walk as one integer array, a row per leaf ("le" puts
+    the scaled norm in column 0); _listed turns the array into tuples.
+    """
+    try:
+        return _walk(payload, _BUDGET)[0]
+    except _OverBudget:
+        pass
+    return (_batched_walk(payload) or _walk(payload))[0]
+
+
+def _result(mode: str, limit: int, count: int, out) -> object:
+    if mode == "count":
+        return count
+    if mode == "mincount":
+        return limit, count
+    return out
+
+
+def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
+    """The Python kernel: (result, nodes), nodes counting the calls below the
+    top level; raises _OverBudget once nodes would pass budget.
 
     Centres come from the partial-sum table ps[k][j] = sum over l >= j of
     sub[k][l-k-1] * x_l, with ps[k][n] = 0, so s_k = ps[k][k+1].  stale[k]
@@ -210,9 +258,14 @@ def _search_chunk(payload: dict) -> object:
     stale = [top] * n
     out: list = []
     count = 0
+    nodes = -1  # the call at the top level is not a node
+    cap = -1 if budget is None else budget + 1  # -1: never reached
 
     def rec(k: int, acc: int, zero_above: bool) -> None:
-        nonlocal count, limit
+        nonlocal count, limit, nodes
+        nodes += 1
+        if nodes == cap:
+            raise _OverBudget
         row = sub[k]
         p = ps[k]
         j = stale[k]
@@ -278,11 +331,214 @@ def _search_chunk(payload: dict) -> object:
 
     if tops:
         rec(top, 0, True)
-    if mode == "count":
-        return count
-    if mode == "mincount":
-        return limit, count
-    return out
+    return _result(mode, limit, count, out), max(nodes, 0)
+
+
+def _isqrt(q: np.ndarray) -> np.ndarray:
+    """floor(sqrt(q)) of int64 entries in [0, 2**62).  The float root there
+    is below 2**31 with relative error under 2**-52, so it is off by at most
+    one, and one integer comparison each way fixes it."""
+    r = np.sqrt(q.astype(np.float64)).astype(np.int64)
+    r -= r * r > q
+    r += (r + 1) * (r + 1) <= q
+    return r
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, value) of the values lo[i], lo[i] + step, .. <= hi[i], row by row."""
+    cnt = np.maximum((hi - lo) // step + 1, 0)
+    row = np.repeat(np.arange(len(lo)), cnt)
+    first = np.cumsum(cnt) - cnt
+    return row, lo[row] + step * (np.arange(len(row)) - first[row])
+
+
+def _coordinate_bounds(delta: list[int], sub: list[list[int]], g: list[int],
+                       limit: int) -> list[int]:
+    """The largest |x_k| of a real point with sum_k g_k y_k^2 <= limit, where
+    y = M x, M_kk = delta[k+1] and M_kj = sub[k][j-k-1] for j > k, so every
+    node of a walk with that limit has |x_k| <= bound[k]: the maximum is
+    sqrt(limit * sum_i N_ki^2 / g_i) for N = M^-1.  Row k of N is kept in
+    integers, N_ki times delta[k+1] * .. * delta[i+1]."""
+    n = len(g)
+    scaled: list = [None] * n
+    for k in range(n - 1, -1, -1):
+        row = [1]
+        for i in range(k + 1, n):
+            acc, p = 0, 1  # p = delta[k+2] * .. * delta[j]
+            for j in range(k + 1, i + 1):
+                acc += sub[k][j - k - 1] * scaled[j][i - j] * p
+                p *= delta[j + 1]
+            row.append(-acc)
+        scaled[k] = row
+    bound = []
+    for k in range(n):
+        total, p = Fraction(0), 1
+        for i in range(k, n):
+            p *= delta[i + 1]
+            total += Fraction(scaled[k][i - k] ** 2, p * p * g[i])
+        bound.append(math.isqrt(math.floor(limit * total)))
+    return bound
+
+
+def _batched_walk(payload: dict) -> tuple[object, int] | None:
+    """_walk's (result, nodes) from numpy steps on _BATCH partial vectors at
+    a time, or None when int64 is not proven to hold every number.
+
+    The tree is walked in _walk's order: the rows of a level are taken
+    _BATCH at a time, and the children of a batch are used up, deepest
+    level first, before the next batch of its level.  A node's candidate
+    values are exactly those with |kv| <= kmax, so acc + g kv^2 never
+    exceeds limit; with limit, target, g and delta below 2**62 and every
+    centre sum below 2**62 by the bounds on |x_j| of _coordinate_bounds
+    (Python integers), int64 is exact throughout.  Coordinates are stored
+    in the narrowest integer type those bounds allow, int8 on Leech.
+
+    "mincount" lowers its bound at leaves, which _walk sees at once but a
+    batch takes in only when its rows were already made.  So rows are
+    checked against the live bound when their batch is taken, and each
+    lowering at a leaf takes back the nodes, in the current batch of each
+    level after the leaf's ancestor, that the new bound would have kept
+    _walk out of; "first" does the same with bound -1 and stops.  The node
+    count is then _walk's.
+    """
+    n, delta, sub, g = payload["n"], payload["delta"], payload["sub"], payload["g"]
+    parity, mode = payload["parity"], payload["mode"]
+    target, limit = payload["target"], payload["limit"]
+    top = n - 1
+    tops = [t for t in payload["tops"] if g[top] * (delta[n] * t) ** 2 <= limit]
+    if max(limit, target or 0, *g, *delta) >= _SAFE:
+        return None
+    if not tops:
+        return _result(mode, limit, 0, []), 0
+    bound = _coordinate_bounds(delta, sub, g, limit)
+    if any(sum(abs(c) * b for c, b in zip(sub[k], bound[k + 1:])) >= _SAFE
+           for k in range(n)):
+        return None  # a centre sum might not fit
+    i64 = np.int64
+    dtype = _narrowest(max(bound))
+    step = 2 if parity is not None else 1
+    exact = mode in ("shell", "first", "count")
+    subs = [np.array(r, dtype=i64) for r in sub]
+    # rows of level k waiting to be taken: (x, acc, zero_above, parent), with
+    # parent the index of the row in the batch last taken at level k + 1;
+    # taken[k] holds (acc, parent) of that batch
+    waiting: list = [None] * n
+    waiting[top] = (np.zeros((1, n), dtype), np.zeros(1, i64), np.ones(1, bool),
+                    np.zeros(1, i64))
+    cursor = [0] * n
+    taken: list = [None] * n
+    nodes = count = 0
+    out: list = []
+
+    def untaken(row: int, new: int, old: int) -> int:
+        """Rows after the ancestors of leaf row `row` with new < acc <= old."""
+        total = 0
+        for j in range(top):
+            acc, parent = taken[j]
+            tail = acc[row + 1:]
+            total += int(np.count_nonzero((tail > new) & (tail <= old)))
+            row = parent[row]
+        return total
+
+    k = top
+    while k <= top:
+        rows, i = waiting[k], cursor[k]
+        if i >= len(rows[1]):
+            waiting[k] = None
+            k += 1
+            continue
+        cursor[k] = i + _BATCH
+        x, acc, za, parent = (a[i:i + _BATCH] for a in rows)
+        if mode == "mincount" and acc.max() > limit:
+            keep = acc <= limit
+            x, acc, za, parent = x[keep], acc[keep], za[keep], parent[keep]
+        if k < top:
+            nodes += len(acc)
+        taken[k] = acc, parent
+        d, gk = delta[k + 1], g[k]
+        s = np.zeros(1, i64) if k == top else x[:, k + 1:] @ subs[k]
+        kmax = _isqrt((limit - acc) // gk)
+        lo = -((kmax + s) // d)
+        hi = (kmax - s) // d
+        lo[za & (lo < 0)] = 0
+        if parity is not None:
+            lo += (lo - parity[k]) % 2
+        if k == 0 and exact:
+            # g_0 (d x_0 + s)^2 = target - acc, roots taken ascending
+            q, r = np.divmod(target - acc, gk)
+            kk = _isqrt(np.maximum(q, 0))
+            ok = (r == 0) & (q >= 0) & (kk * kk == q) & bool(target)
+            row = np.repeat(np.arange(len(acc)), 2)
+            ok = np.column_stack([ok, ok & (kk != 0)]).ravel()
+            xv, r = np.divmod(np.column_stack([-kk, kk]).ravel() - s[row], d)
+            ok &= r == 0
+            if k == top:
+                ok &= np.isin(xv, tops)
+            else:
+                ok &= (lo[row] <= xv) & (xv <= hi[row]) & ((xv - lo[row]) % step == 0)
+            hits = np.flatnonzero(ok)
+            if mode == "count":
+                count += len(hits)
+            elif mode == "shell":
+                leaves = x[row[hits]]
+                leaves[:, 0] = xv[hits]
+                out.append(leaves)
+            elif len(hits):  # first
+                h = hits[0]
+                nodes -= untaken(row[h], -1, limit)
+                leaf = x[row[h]].tolist()
+                leaf[0] = int(xv[h])
+                out = [tuple(leaf)]
+                break
+            continue
+        if k == top:
+            row, xv = np.zeros(len(tops), dtype=np.intp), np.array(tops, dtype=i64)
+        else:
+            row, xv = _ranges(lo, hi, step)
+        kv = d * xv + s[row]
+        a2 = acc[row] + gk * kv * kv
+        if k:
+            child = x[row]
+            child[:, k] = xv
+            waiting[k - 1] = (child, a2, za[row] & (xv == 0), row)
+            cursor[k - 1] = 0
+            k -= 1
+        elif mode == "le":
+            keep = np.flatnonzero(a2)
+            leaves = np.empty((len(keep), n + 1), dtype=i64)
+            leaves[:, 1:] = x[row[keep]]
+            leaves[:, 0] = a2[keep]
+            leaves[:, 1] = xv[keep]
+            out.append(leaves)
+        elif len(a2):  # mincount
+            a2[a2 == 0] = limit + 1  # the zero vector is not a leaf
+            live = np.minimum.accumulate(np.concatenate(([limit], a2[:-1])))
+            for e in np.flatnonzero(a2 < live):
+                nodes -= untaken(row[e], a2[e], live[e])
+            best = int(a2.min())
+            if best < limit:
+                limit, count = best, 0
+            count += int(np.count_nonzero(a2 == limit))
+    if mode in ("shell", "le"):
+        width = n + (mode == "le")
+        out = np.concatenate(out) if out else np.empty((0, width), dtype=i64)
+    return _result(mode, limit, count, out), nodes
+
+
+def _listed(mode: str, found) -> list:
+    """A walk's "shell" or "le" leaves in _walk's form."""
+    if not isinstance(found, np.ndarray):
+        return found
+    if mode == "le":
+        return [(r[0], tuple(r[1:])) for r in found.tolist()]
+    return _as_tuples(found)
+
+
+def _as_tuples(a: np.ndarray, order: np.ndarray | None = None) -> list[Vec]:
+    """The rows of a, or a[order], as tuples, converted a block at a time."""
+    return [v for i in range(0, len(a), _BATCH)
+            for v in map(tuple, (a[i:i + _BATCH] if order is None
+                                 else a[order[i:i + _BATCH]]).tolist())]
 
 
 def _top_values(delta: list[int], g: list[int], limit: int, parity) -> list[int]:
@@ -314,7 +570,9 @@ def _run(prep: _Prep, mode: str, limit: int, target: int | None, parity) -> obje
     if mode == "mincount":
         best = min(b for b, _ in results)
         return best, sum(c for b, c in results if b == best)
-    return [v for r in results for v in r]
+    if all(isinstance(r, np.ndarray) for r in results):
+        return np.concatenate(results)
+    return [v for r in results for v in _listed(mode, r)]
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +588,30 @@ def _canonical(v: Vec) -> Vec:
     return v
 
 
-def _map_back(prep: _Prep, coords_red: list[Vec]) -> list[Vec]:
+def _map_back(prep: _Prep, coords_red) -> np.ndarray | list[Vec]:
+    """Rows of LLL-basis coordinates in the input basis, with canonical
+    signs: an integer array for an array whose product fastops proves to
+    fit in int64, else tuples."""
+    if isinstance(coords_red, np.ndarray) and len(coords_red):
+        y = imatmul_array(coords_red, prep.u.rows)
+        if y is not None:
+            lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
+            y[lead < 0] *= -1
+            return y.astype(_narrowest(max(-int(y.min()), int(y.max()))))
+        coords_red = _listed("shell", coords_red)
     return [_canonical(tuple(v)) for v in imatmul_rows(coords_red, prep.u.to_lists())]
+
+
+def _narrowest(bound: int):
+    """The narrowest of int8, int16 and int64 that holds [-bound, bound]."""
+    return next(t for t in (np.int8, np.int16, np.int64) if bound <= np.iinfo(t).max)
+
+
+def _sorted_vectors(rows) -> tuple[Vec, ...]:
+    """Rows from _map_back as sorted tuples; arrays are sorted in numpy."""
+    if isinstance(rows, list):
+        return tuple(sorted(rows))
+    return tuple(_as_tuples(rows, np.lexsort(rows.T[::-1])))
 
 
 def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
@@ -423,7 +703,7 @@ def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None,
     if target is None or target <= 0:
         return ()
     pr = None if parity is None else _parity_reduced(prep, parity)
-    return tuple(sorted(_map_back(prep, _run(prep, "shell", target, target, pr))))
+    return _sorted_vectors(_map_back(prep, _run(prep, "shell", target, target, pr)))
 
 
 def shell(lat: GramLattice, r) -> tuple[Vec, ...]:
@@ -452,7 +732,7 @@ def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
     """Sorted (norm, representative) for all +-pairs with 0 < norm <= r."""
     prep = _prep(lat)
     limit = _scaled_limit(prep, r)
-    found = _run(prep, "le", limit, None, None)
+    found = _listed("le", _run(prep, "le", limit, None, None))
     es = prep.escale
     vecs = _map_back(prep, [v for _, v in found])
     return sorted(
@@ -489,6 +769,17 @@ def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     return Fraction(best // prep.escale, prep.den)
 
 
+def _canonical_ascending(reps, n: int) -> bool:
+    """reps is a tuple of int tuples of length n, canonical and strictly
+    ascending from above 0, as shell returns them and PairSet keeps them."""
+    return (type(reps) is tuple
+            and set(map(type, reps)) <= {tuple}
+            and set(map(len, reps)) <= {n}
+            and set(map(type, itertools.chain.from_iterable(reps))) <= {int}
+            and all(map(operator.lt, ((0,) * n,) + reps, reps))
+            and all(_canonical(v) is v for v in reps))
+
+
 @dataclass(frozen=True, slots=True)
 class PairSet:
     """A finite set of +-pairs of lattice vectors of one common norm.
@@ -504,15 +795,17 @@ class PairSet:
 
     def __post_init__(self):
         n = self.lattice.dim
-        seen = set()
-        for v in self.reps:
-            v = _canonical(tuple(int(c) for c in v))
-            if not any(v):
-                raise ZeroVector("pair sets cannot contain 0")
-            if len(v) != n:
-                raise DimensionMismatch(f"vector length {len(v)} != {n}")
-            seen.add(v)
-        reps = tuple(sorted(seen))
+        reps = self.reps
+        if not _canonical_ascending(reps, n):
+            seen = set()
+            for v in reps:
+                v = _canonical(tuple(int(c) for c in v))
+                if not any(v):
+                    raise ZeroVector("pair sets cannot contain 0")
+                if len(v) != n:
+                    raise DimensionMismatch(f"vector length {len(v)} != {n}")
+                seen.add(v)
+            reps = tuple(sorted(seen))
         gram = self.lattice.gram
         norms = {sum(map(operator.mul, row, v))
                  for row, v in zip(imatmul_rows(reps, gram.num.to_lists()), reps)}

@@ -141,12 +141,14 @@ def grid_short_vectors(gram_rows, bound):
     return out
 
 
-def ref_search_chunk(payload: dict) -> object:
+def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
     """The recursive enumeration kernel that shortvec._search_chunk replaced.
 
     It recomputes every centre from scratch and makes a call per node for
     the bounds and per leaf for the bookkeeping; the tree, its order and
-    the results are meant to be the same as the library's.
+    the results are meant to be the same as the library's.  visits, when
+    given, receives the level of every node (every call below the top
+    level) in the order they are entered.
 
     mode: "le" collects (scaled_norm, coords) leaves and "shell" the coords
     of exact-norm leaves; "first" stops at the first exact-norm leaf, which
@@ -198,6 +200,8 @@ def ref_search_chunk(payload: dict) -> object:
 
     def rec(k: int, acc: int, zero_above: bool) -> None:
         nonlocal count
+        if visits is not None:
+            visits.append(k)
         row = sub[k]
         s = 0
         for j in range(k + 1, n):

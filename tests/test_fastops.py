@@ -1,8 +1,10 @@
 """The int64 accelerator must agree with Python integers on every input."""
 
+import numpy as np
 import pytest
 
-from eqlat.fastops import gram_product, imatmul
+from eqlat import fastops
+from eqlat.fastops import gram_product, imatmul, imatmul_array
 
 
 def ref_product(a, b):
@@ -26,3 +28,14 @@ def test_gram_product():
     assert gram_product(rows, g) == ref_product(ref_product(rows, g), cols)
     assert gram_product(rows) == ref_product(rows, cols)
     assert gram_product([]) == []
+
+
+def test_imatmul_array():
+    assert imatmul_array([[2**31] * 4], [[2**31]] * 4) is None  # bound 2**64
+    assert imatmul_array([[2**64]], [[1]]) is None  # not an int64
+    rows = np.arange(6 * fastops._BLOCK + 6).reshape(-1, 2) % 200 - 100
+    a = rows.astype(np.int8)  # more than one block, narrow entries
+    b = [[3, -1, 0], [-7, 2, 5]]
+    got = imatmul_array(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == ref_product(a.tolist(), b)

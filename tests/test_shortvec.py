@@ -372,6 +372,26 @@ def test_pairset_rejects():
         PairSet(A2, [(1, 0), (1, 0, 0)])
 
 
+def test_pairset_keeps_canonical_sorted_input():
+    reps = shell(A2, 2)
+    assert PairSet(A2, reps).reps is reps  # checked, not rebuilt
+    want = ((0, 1), (1, -1), (1, 0))
+    for given in (list(reps), reps[::-1], reps + reps[:1],  # not a tuple, order, duplicate
+                  ((0, -1), (1, -1), (1, 0)),  # a sign
+                  tuple(tuple(np.int64(c) for c in v) for v in reps),  # not ints
+                  ((0, True), (1, -1), (1, 0))):
+        ps = PairSet(A2, given)
+        assert ps.reps == want and ps.norm == 2
+        assert all(type(c) is int for v in ps.reps for c in v)
+    assert PairSet(A2, ()).norm is None
+    with pytest.raises(ZeroVector):
+        PairSet(A2, ((0, 0), (0, 1)))
+    with pytest.raises(DimensionMismatch):
+        PairSet(A2, ((0, 1), (1, 0, 0)))
+    with pytest.raises(MixedNorms):
+        PairSet(A2, ((0, 1), (1, 1)))
+
+
 # -- the kernel against the reference walk ------------------------------------
 
 
@@ -394,7 +414,19 @@ def kernel_payloads(prep, r, parity):
                    "tops": chunk}
 
 
+def walked(kernel, payload):
+    """(result, nodes) of one kernel, leaves in the Python kernel's form;
+    None when the batched kernel declines a walk past its int64 bound."""
+    got = kernel(payload)
+    return got and (shortvec._listed(payload["mode"], got[0]), got[1])
+
+
+KERNELS = {"python": shortvec._walk, "batched": shortvec._batched_walk}
+
+
 def test_kernel_matches_reference_walk(monkeypatch):
+    """Both kernels give the reference's results and visit its nodes, in
+    every mode, on parity walks and on the coset walks of least_vector."""
     from test_mod2 import skewed_basis
 
     rng = random.Random(131)
@@ -410,7 +442,7 @@ def test_kernel_matches_reference_walk(monkeypatch):
         GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
                      [-1, 2, -6, 11]]),
     ]
-    walked = set()
+    seen = set()
     for lat in lats:
         n = lat.dim
         m = minimum(lat)
@@ -418,11 +450,13 @@ def test_kernel_matches_reference_walk(monkeypatch):
         for par in (None, parity):
             for payload in kernel_payloads(shortvec._prep(lat), m + 2, par):
                 mode = payload["mode"]
-                got = shortvec._search_chunk(payload)
-                assert got == ref_search_chunk(payload), mode
-                if got[1] if mode == "mincount" else got:
-                    walked.add(mode)
-    assert walked == {"le", "shell", "first", "count", "mincount"}
+                visits = []
+                want = ref_search_chunk(payload, visits), len(visits)
+                for name, walk in KERNELS.items():
+                    assert walked(walk, payload) == want, (name, mode)
+                if want[0][1] if mode == "mincount" else want[0]:
+                    seen.add(mode)
+    assert seen == {"le", "shell", "first", "count", "mincount"}
 
     # the coset walks of least_vector: a prefix held at 1 on top, e_i, then
     # a reduced block, in a basis that is not reduced as a whole
@@ -430,9 +464,8 @@ def test_kernel_matches_reference_walk(monkeypatch):
     search = shortvec._search_chunk
 
     def captured(payload):
-        got = search(payload)
-        walks.append((payload, got))
-        return got
+        walks.append(payload)
+        return search(payload)
 
     monkeypatch.setattr(shortvec, "_search_chunk", captured)
     for lat in lats:
@@ -440,6 +473,122 @@ def test_kernel_matches_reference_walk(monkeypatch):
         for r in (m, m + 2):
             shortvec.least_vector(lat, r)
     monkeypatch.undo()
-    assert any(payload["tops"] == [1] for payload, _ in walks)
-    for payload, got in walks:
-        assert got == ref_search_chunk(payload)
+    assert any(payload["tops"] == [1] for payload in walks)
+    # these bases are reduced below their top two levels only, so escale,
+    # and with it the scaled bound, often passes 2**62
+    declined = 0
+    for payload in walks:
+        visits = []
+        want = ref_search_chunk(payload, visits), len(visits)
+        assert walked(shortvec._walk, payload) == want
+        got = walked(shortvec._batched_walk, payload)
+        if got is None:
+            assert payload["limit"] >= shortvec._SAFE
+            declined += 1
+        else:
+            assert got == want
+    assert 0 < declined < len(walks)
+
+
+def test_batched_kernel_at_batch_boundaries(monkeypatch):
+    """Batches of one to a few rows split every level; a lowered "mincount"
+    bound and a "first" hit must still take back exactly the nodes the
+    Python kernel never enters."""
+    rng = random.Random(149)
+    lowered = batched = 0
+    for _ in range(30):
+        lat = near_reduced_gram(rng, rng.randint(2, 6))
+        m = minimum(lat)
+        parity = tuple(rng.randint(0, 1) for _ in range(lat.dim - 1)) + (1,)
+        for par in (None, parity):
+            for payload in kernel_payloads(shortvec._prep(lat), m + 2, par):
+                want = walked(shortvec._walk, payload)
+                for size in (1, 2, 3, 64):
+                    monkeypatch.setattr(shortvec, "_BATCH", size)
+                    got = walked(shortvec._batched_walk, payload)
+                    assert got == want or got is None and payload["limit"] >= shortvec._SAFE
+                batched += got is not None
+                lowered += (got is not None and payload["mode"] == "mincount"
+                            and want[0][0] < payload["limit"])
+    assert lowered and batched > 500
+
+
+def leech_min_payload():
+    prep = shortvec._prep(leech().lattice)
+    limit = prep.escale * min(prep.red.gram.num[i, i] for i in range(prep.n))
+    return {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "g": prep.g,
+            "parity": None, "mode": "mincount", "target": None, "limit": limit,
+            "tops": shortvec._top_values(prep.delta, prep.g, limit, None)}
+
+
+def test_batched_kernel_visits_the_leech_minimum_walk():
+    # 1,971,697 nodes below the top level: the count of the reference walk
+    # (test_leech_minimum_walk_matches_reference) and of the Python kernel
+    payload = leech_min_payload()
+    (best, count), nodes = shortvec._batched_walk(payload)
+    assert nodes == 1_971_697
+    assert (QQ(best // shortvec._prep(leech().lattice).escale), count) == (4, 98_280)
+
+
+@pytest.mark.slow
+def test_leech_minimum_walk_matches_reference():
+    payload = leech_min_payload()
+    visits = []
+    want = ref_search_chunk(payload, visits), len(visits)
+    assert want[1] == 1_971_697
+    assert shortvec._walk(payload) == shortvec._batched_walk(payload) == want
+
+
+def test_batched_kernel_declines_past_the_int64_bound(monkeypatch):
+    """A scaled bound of 2**62 or more leaves the walk to the Python kernel,
+    which still gives the reference answer."""
+    big = GramLattice([[2**40 * a for a in row]
+                       for row in root_lattice("D", 5).lattice.gram.num.rows])
+    prep = shortvec._prep(big)
+    payloads = list(kernel_payloads(prep, minimum(big) + 2**41, None))
+    assert all(p["limit"] >= shortvec._SAFE for p in payloads)
+    monkeypatch.setattr(shortvec, "_BUDGET", 1)  # every walk passes the budget
+    for payload in payloads:
+        assert shortvec._batched_walk(payload) is None
+        assert shortvec._search_chunk(payload) == ref_search_chunk(payload)
+
+
+def test_small_walks_never_enter_the_batched_kernel(monkeypatch):
+    def refuse(payload):
+        raise AssertionError("batched kernel entered")
+
+    monkeypatch.setattr(shortvec, "_batched_walk", refuse)
+    e8 = root_lattice("E", 8).lattice
+    prep = shortvec._prep(e8)
+    for payload in kernel_payloads(prep, 2, None):
+        assert shortvec._walk(payload)[1] <= shortvec._BUDGET
+        assert shortvec._search_chunk(payload) == ref_search_chunk(payload)
+    shortvec._coset_shell.cache_clear()
+    assert len(shell(e8, 2)) == 120
+
+
+def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
+    entered = []
+    batched = shortvec._batched_walk
+
+    def spy(payload):
+        entered.append(payload["mode"])
+        return batched(payload)
+
+    monkeypatch.setattr(shortvec, "_batched_walk", spy)
+    e8 = root_lattice("E", 8).lattice
+    over = []
+    # the E8 norm-8 walks pass the budget; at a budget of 100 nodes, so do
+    # its "mincount" walks (247 nodes when whole)
+    for budget, r in ((shortvec._BUDGET, 8), (100, 6)):
+        monkeypatch.setattr(shortvec, "_BUDGET", budget)
+        for payload in kernel_payloads(shortvec._prep(e8), r, None):
+            alone = shortvec._walk(payload)
+            if alone[1] > budget:
+                over.append(payload["mode"])
+                with pytest.raises(shortvec._OverBudget):
+                    shortvec._walk(payload, budget)
+            got = shortvec._search_chunk(payload)
+            assert shortvec._listed(payload["mode"], got) == alone[0]
+    assert entered == over
+    assert set(over) == {"le", "shell", "count", "mincount"}
