@@ -1,9 +1,9 @@
-"""numpy-backed integer matrix products with proven-safe fallback.
+"""numpy-backed exact integer matrix products.
 
 The rest of the library is exact; numpy is only an accelerator.  Every call
 first checks an a-priori bound on the largest possible entry of the product,
-uses int64 when that bound stays below 2**62, and otherwise falls back to
-plain Python integers, so overflow cannot silently occur.
+uses int64 when that bound stays below 2**62, and otherwise multiplies
+object arrays of Python integers, so overflow cannot silently occur.
 """
 
 from __future__ import annotations
@@ -18,23 +18,32 @@ _BLOCK = 4096
 
 def _max_abs(m: np.ndarray) -> int:
     # Python ints, so the negation is exact even at -2**63
-    return max(int(m.max()), -int(m.min()))
+    return max(int(m.max(initial=0)), -int(m.min(initial=0)))
 
 
-def imatmul_array(a, b: Sequence[Sequence[int]]) -> np.ndarray | None:
-    """The exact product of a nonempty a and b as an int64 array, computed
-    _BLOCK rows of a at a time, or None when the bound does not prove that
-    int64 holds it.  a may be an integer array already."""
+def int_array(a) -> np.ndarray:
+    """a as an int64 array, or as an object array of Python integers when an
+    entry does not fit; an integer array is kept as it is."""
+    if isinstance(a, np.ndarray):
+        return a
     try:
-        na = a if isinstance(a, np.ndarray) else np.array(a, dtype=np.int64)
-        nb = np.array(b, dtype=np.int64)
+        return np.array(a, dtype=np.int64)
     except OverflowError:
-        return None  # an entry does not fit in int64
+        return np.array(a, dtype=object)
+
+
+def imatmul_array(a, b: Sequence[Sequence[int]]) -> np.ndarray:
+    """The exact product of a and b (2-d, b nonempty): an int64 array,
+    computed _BLOCK rows of a at a time, when the bound proves that int64
+    holds it, else an object array of Python integers.  a may be an integer
+    array already."""
+    na, nb = int_array(a), int_array(b)
     if _max_abs(na) * _max_abs(nb) * len(nb) >= _SAFE:
-        return None
+        return na.astype(object) @ nb.astype(object)
+    nb = nb.astype(np.int64, copy=False)
     out = np.empty((len(na), nb.shape[1]), dtype=np.int64)
     for i in range(0, len(na), _BLOCK):
-        np.matmul(na[i:i + _BLOCK], nb, out=out[i:i + _BLOCK])
+        np.matmul(na[i:i + _BLOCK].astype(np.int64, copy=False), nb, out=out[i:i + _BLOCK])
     return out
 
 
@@ -42,11 +51,7 @@ def imatmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
     """Exact integer product of two row-major matrices."""
     if len(b) == 0 or not a or not b[0]:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
-    c = imatmul_array(a, b)
-    if c is not None:
-        return c.tolist()
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return imatmul_array(a, b).tolist()
 
 
 def imatmul_rows(a: Sequence[Sequence[int]], b: list[list[int]]):

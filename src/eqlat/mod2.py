@@ -24,6 +24,7 @@ EquiangularSet, a LineFamily that also keeps x0 and m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -43,7 +44,7 @@ from .errors import (
     WrongNormX0,
     ZeroVector,
 )
-from .exact import IntMatrix, hnf, rank_det, row_rank
+from .exact import IntMatrix, hnf, row_rank
 from .fastops import gram_product, imatmul, imatmul_rows
 from .lattice import EmbeddedSublattice, GramLattice, Vec
 from .lines import LineFamily, line_family
@@ -395,9 +396,9 @@ def sqrt2_even_check(lat: GramLattice) -> GramLattice:
     rows = [r for r in h.rows if any(r)]
     if len(rows) < lat.dim:
         raise NotGenerated("minimal vectors do not span")
-    index = rank_det(IntMatrix(rows))[1]
-    if abs(index) != 1:
-        raise NotGenerated(f"minimal vectors span a sublattice of index {abs(index)}")
+    index = math.prod(rows[i][i] for i in range(lat.dim))  # the HNF pivots
+    if index != 1:
+        raise NotGenerated(f"minimal vectors span a sublattice of index {index}")
     half = lat.even_part().induced.rescale(Fraction(1, 2))
     if half.integrality() != "even":
         raise VerificationError("half-rescaled even part is not even integral")

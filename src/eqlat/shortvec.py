@@ -18,10 +18,11 @@ coordinates have changed since its last visit (Schnorr-Euchner), so a
 node costs a few multiply-adds instead of one per coordinate above it.
 It takes every walk first, so small walks never pay numpy's fixed cost; a
 walk past _BUDGET (4,096) nodes is redone by the batched kernel, which
-walks level by level on up to _BATCH (2,048) partial vectors at a time in
-numpy int64, when every number of the walk is proven to stay below 2**62.
-Leaves of large shells stay one integer array through the map back to the
-input basis, the sign canonicalisation and the sort.
+walks level by level on up to _BATCH (2,048) partial vectors at a time:
+in numpy int64 when every number of the walk is proven to stay below
+2**62, else in object arrays of Python integers.  Both kernels hand their
+leaves over as one integer array, which stays one array through the map
+back to the input basis, the sign canonicalisation and the sort.
 
 Walks run in LLL bases, so their cost does not depend on how the input
 is written.  least_vector answers in the input basis with one walk per
@@ -40,6 +41,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +55,7 @@ from .errors import (
     ZeroVector,
 )
 from .exact import IntMatrix, RatMatrix, hnf, leading_minors
-from .fastops import gram_product, imatmul_array, imatmul_rows
+from .fastops import gram_product, imatmul_array, imatmul_rows, int_array
 from .lattice import GramLattice, Vec
 
 __all__ = [
@@ -74,7 +76,8 @@ _THREADS = 1
 
 
 def set_threads(n: int) -> None:
-    """Worker processes for top-level enumeration splitting; 1 = serial."""
+    """Worker processes for top-level enumeration splitting, at most one
+    per core; 1 = serial."""
     global _THREADS
     if isinstance(n, bool):
         raise TypeError("thread count must be an integer, not a bool")
@@ -208,16 +211,14 @@ def _search_chunk(payload: dict) -> object:
     form and take its (at most two) roots in ascending order.
 
     _walk takes the walk with a budget of _BUDGET nodes; past it,
-    _batched_walk redoes it, or _walk without a budget when int64 is not
-    proven to suffice.  "shell" and "le" leaves come from _walk as tuples
-    and from _batched_walk as one integer array, a row per leaf ("le" puts
-    the scaled norm in column 0); _listed turns the array into tuples.
+    _batched_walk redoes it.  Both kernels return "shell" and "le" leaves
+    as one integer array, a row per leaf ("le" puts the scaled norm in
+    column 0), and the "first" leaf as a list of one tuple.
     """
     try:
         return _walk(payload, _BUDGET)[0]
     except _OverBudget:
-        pass
-    return (_batched_walk(payload) or _walk(payload))[0]
+        return _batched_walk(payload)[0]
 
 
 def _result(mode: str, limit: int, count: int, out) -> object:
@@ -315,7 +316,7 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
                     continue
                 if mode == "le":
                     x[0] = xv
-                    out.append((a2, tuple(x)))
+                    out.append((a2, *x))
                     continue
                 if a2 < limit:  # mincount: a smaller norm restarts the count
                     limit = a2
@@ -331,13 +332,18 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
 
     if tops:
         rec(top, 0, True)
+    if mode in ("shell", "le"):
+        out = int_array(out) if out else np.empty((0, n + (mode == "le")), np.int64)
     return _result(mode, limit, count, out), max(nodes, 0)
 
 
 def _isqrt(q: np.ndarray) -> np.ndarray:
-    """floor(sqrt(q)) of int64 entries in [0, 2**62).  The float root there
-    is below 2**31 with relative error under 2**-52, so it is off by at most
-    one, and one integer comparison each way fixes it."""
+    """floor(sqrt(q)) of nonnegative entries: math.isqrt on Python integers,
+    and for int64 entries below 2**62 the float root, below 2**31 with
+    relative error under 2**-52 and so off by at most one, fixed by one
+    integer comparison each way."""
+    if q.dtype == object:
+        return np.frompyfunc(math.isqrt, 1, 1)(q)
     r = np.sqrt(q.astype(np.float64)).astype(np.int64)
     r -= r * r > q
     r += (r + 1) * (r + 1) <= q
@@ -346,7 +352,7 @@ def _isqrt(q: np.ndarray) -> np.ndarray:
 
 def _ranges(lo: np.ndarray, hi: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, value) of the values lo[i], lo[i] + step, .. <= hi[i], row by row."""
-    cnt = np.maximum((hi - lo) // step + 1, 0)
+    cnt = np.maximum((hi - lo) // step + 1, 0).astype(np.intp)
     row = np.repeat(np.arange(len(lo)), cnt)
     first = np.cumsum(cnt) - cnt
     return row, lo[row] + step * (np.arange(len(row)) - first[row])
@@ -357,41 +363,25 @@ def _coordinate_bounds(delta: list[int], sub: list[list[int]], g: list[int],
     """The largest |x_k| of a real point with sum_k g_k y_k^2 <= limit, where
     y = M x, M_kk = delta[k+1] and M_kj = sub[k][j-k-1] for j > k, so every
     node of a walk with that limit has |x_k| <= bound[k]: the maximum is
-    sqrt(limit * sum_i N_ki^2 / g_i) for N = M^-1.  Row k of N is kept in
-    integers, N_ki times delta[k+1] * .. * delta[i+1]."""
-    n = len(g)
-    scaled: list = [None] * n
-    for k in range(n - 1, -1, -1):
-        row = [1]
-        for i in range(k + 1, n):
-            acc, p = 0, 1  # p = delta[k+2] * .. * delta[j]
-            for j in range(k + 1, i + 1):
-                acc += sub[k][j - k - 1] * scaled[j][i - j] * p
-                p *= delta[j + 1]
-            row.append(-acc)
-        scaled[k] = row
-    bound = []
-    for k in range(n):
-        total, p = Fraction(0), 1
-        for i in range(k, n):
-            p *= delta[i + 1]
-            total += Fraction(scaled[k][i - k] ** 2, p * p * g[i])
-        bound.append(math.isqrt(math.floor(limit * total)))
-    return bound
+    sqrt(limit * sum_i N_ki^2 / g_i) for N = M^-1."""
+    inv = RatMatrix([[0] * k + [delta[k + 1]] + sub[k] for k in range(len(g))]).inverse()
+    return [math.isqrt(limit * sum(Fraction(v * v, gi) for v, gi in zip(row, g)) // inv.den**2)
+            for row in inv.num.rows]
 
 
-def _batched_walk(payload: dict) -> tuple[object, int] | None:
+def _batched_walk(payload: dict) -> tuple[object, int]:
     """_walk's (result, nodes) from numpy steps on _BATCH partial vectors at
-    a time, or None when int64 is not proven to hold every number.
+    a time.
 
     The tree is walked in _walk's order: the rows of a level are taken
     _BATCH at a time, and the children of a batch are used up, deepest
     level first, before the next batch of its level.  A node's candidate
     values are exactly those with |kv| <= kmax, so acc + g kv^2 never
     exceeds limit; with limit, target, g and delta below 2**62 and every
-    centre sum below 2**62 by the bounds on |x_j| of _coordinate_bounds
-    (Python integers), int64 is exact throughout.  Coordinates are stored
-    in the narrowest integer type those bounds allow, int8 on Leech.
+    centre sum below 2**62 by the bounds on |x_j| of _coordinate_bounds,
+    int64 is exact throughout, and otherwise the same steps run on object
+    arrays of Python integers.  Coordinates are stored in the narrowest
+    integer type those bounds allow, int8 on Leech.
 
     "mincount" lowers its bound at leaves, which _walk sees at once but a
     batch takes in only when its rows were already made.  So rows are
@@ -406,25 +396,23 @@ def _batched_walk(payload: dict) -> tuple[object, int] | None:
     target, limit = payload["target"], payload["limit"]
     top = n - 1
     tops = [t for t in payload["tops"] if g[top] * (delta[n] * t) ** 2 <= limit]
-    if max(limit, target or 0, *g, *delta) >= _SAFE:
-        return None
     if not tops:
-        return _result(mode, limit, 0, []), 0
+        return _walk(dict(payload, tops=[]))
     bound = _coordinate_bounds(delta, sub, g, limit)
-    if any(sum(abs(c) * b for c, b in zip(sub[k], bound[k + 1:])) >= _SAFE
-           for k in range(n)):
-        return None  # a centre sum might not fit
-    i64 = np.int64
+    fits = max(limit, target or 0, *g, *delta) < _SAFE and all(
+        sum(abs(c) * b for c, b in zip(sub[k], bound[k + 1:])) < _SAFE
+        for k in range(n))
+    num = np.int64 if fits else object
     dtype = _narrowest(max(bound))
     step = 2 if parity is not None else 1
     exact = mode in ("shell", "first", "count")
-    subs = [np.array(r, dtype=i64) for r in sub]
+    subs = [np.array(r, dtype=num) for r in sub]
     # rows of level k waiting to be taken: (x, acc, zero_above, parent), with
     # parent the index of the row in the batch last taken at level k + 1;
     # taken[k] holds (acc, parent) of that batch
     waiting: list = [None] * n
-    waiting[top] = (np.zeros((1, n), dtype), np.zeros(1, i64), np.ones(1, bool),
-                    np.zeros(1, i64))
+    waiting[top] = (np.zeros((1, n), dtype), np.zeros(1, num), np.ones(1, bool),
+                    np.zeros(1, np.intp))
     cursor = [0] * n
     taken: list = [None] * n
     nodes = count = 0
@@ -456,7 +444,7 @@ def _batched_walk(payload: dict) -> tuple[object, int] | None:
             nodes += len(acc)
         taken[k] = acc, parent
         d, gk = delta[k + 1], g[k]
-        s = np.zeros(1, i64) if k == top else x[:, k + 1:] @ subs[k]
+        s = np.zeros(1, num) if k == top else x[:, k + 1:] @ subs[k]
         kmax = _isqrt((limit - acc) // gk)
         lo = -((kmax + s) // d)
         hi = (kmax - s) // d
@@ -465,13 +453,15 @@ def _batched_walk(payload: dict) -> tuple[object, int] | None:
             lo += (lo - parity[k]) % 2
         if k == 0 and exact:
             # g_0 (d x_0 + s)^2 = target - acc, roots taken ascending
-            q, r = np.divmod(target - acc, gk)
+            rest = target - acc
+            q = rest // gk
             kk = _isqrt(np.maximum(q, 0))
-            ok = (r == 0) & (q >= 0) & (kk * kk == q) & bool(target)
+            ok = (rest % gk == 0) & (q >= 0) & (kk * kk == q) & bool(target)
             row = np.repeat(np.arange(len(acc)), 2)
             ok = np.column_stack([ok, ok & (kk != 0)]).ravel()
-            xv, r = np.divmod(np.column_stack([-kk, kk]).ravel() - s[row], d)
-            ok &= r == 0
+            kv = np.column_stack([-kk, kk]).ravel() - s[row]
+            xv = kv // d
+            ok &= kv % d == 0
             if k == top:
                 ok &= np.isin(xv, tops)
             else:
@@ -492,7 +482,7 @@ def _batched_walk(payload: dict) -> tuple[object, int] | None:
                 break
             continue
         if k == top:
-            row, xv = np.zeros(len(tops), dtype=np.intp), np.array(tops, dtype=i64)
+            row, xv = np.zeros(len(tops), dtype=np.intp), np.array(tops, dtype=num)
         else:
             row, xv = _ranges(lo, hi, step)
         kv = d * xv + s[row]
@@ -505,14 +495,14 @@ def _batched_walk(payload: dict) -> tuple[object, int] | None:
             k -= 1
         elif mode == "le":
             keep = np.flatnonzero(a2)
-            leaves = np.empty((len(keep), n + 1), dtype=i64)
+            leaves = np.empty((len(keep), n + 1), dtype=num)
             leaves[:, 1:] = x[row[keep]]
             leaves[:, 0] = a2[keep]
             leaves[:, 1] = xv[keep]
             out.append(leaves)
         elif len(a2):  # mincount
             a2[a2 == 0] = limit + 1  # the zero vector is not a leaf
-            live = np.minimum.accumulate(np.concatenate(([limit], a2[:-1])))
+            live = np.minimum.accumulate(np.concatenate((np.array([limit], num), a2[:-1])))
             for e in np.flatnonzero(a2 < live):
                 nodes -= untaken(row[e], a2[e], live[e])
             best = int(a2.min())
@@ -520,25 +510,8 @@ def _batched_walk(payload: dict) -> tuple[object, int] | None:
                 limit, count = best, 0
             count += int(np.count_nonzero(a2 == limit))
     if mode in ("shell", "le"):
-        width = n + (mode == "le")
-        out = np.concatenate(out) if out else np.empty((0, width), dtype=i64)
+        out = np.concatenate(out) if out else np.empty((0, n + (mode == "le")), num)
     return _result(mode, limit, count, out), nodes
-
-
-def _listed(mode: str, found) -> list:
-    """A walk's "shell" or "le" leaves in _walk's form."""
-    if not isinstance(found, np.ndarray):
-        return found
-    if mode == "le":
-        return [(r[0], tuple(r[1:])) for r in found.tolist()]
-    return _as_tuples(found)
-
-
-def _as_tuples(a: np.ndarray, order: np.ndarray | None = None) -> list[Vec]:
-    """The rows of a, or a[order], as tuples, converted a block at a time."""
-    return [v for i in range(0, len(a), _BATCH)
-            for v in map(tuple, (a[i:i + _BATCH] if order is None
-                                 else a[order[i:i + _BATCH]]).tolist())]
 
 
 def _top_values(delta: list[int], g: list[int], limit: int, parity) -> list[int]:
@@ -555,24 +528,20 @@ def _top_values(delta: list[int], g: list[int], limit: int, parity) -> list[int]
 
 def _run(prep: _Prep, mode: str, limit: int, target: int | None, parity) -> object:
     tops = _top_values(prep.delta, prep.g, limit, parity) if prep.n else []
-    if not tops:
-        return {"count": 0, "mincount": (limit, 0)}.get(mode, [])
     payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "g": prep.g,
                "parity": parity, "mode": mode, "target": target, "limit": limit}
-    threads = _THREADS
-    if threads <= 1 or len(tops) < 2:
+    workers = min(_THREADS, len(tops), os.cpu_count() or 1)
+    if workers <= 1:
         return _search_chunk(dict(payload, tops=tops))
-    jobs = [dict(payload, tops=tops[i::threads]) for i in range(min(threads, len(tops)))]
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+    jobs = [dict(payload, tops=tops[i::workers]) for i in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_search_chunk, jobs))
     if mode == "count":
         return sum(results)
     if mode == "mincount":
         best = min(b for b, _ in results)
         return best, sum(c for b, c in results if b == best)
-    if all(isinstance(r, np.ndarray) for r in results):
-        return np.concatenate(results)
-    return [v for r in results for v in _listed(mode, r)]
+    return np.concatenate(results)
 
 
 # ---------------------------------------------------------------------------
@@ -588,30 +557,30 @@ def _canonical(v: Vec) -> Vec:
     return v
 
 
-def _map_back(prep: _Prep, coords_red) -> np.ndarray | list[Vec]:
+def _map_back(prep: _Prep, coords_red: np.ndarray) -> np.ndarray:
     """Rows of LLL-basis coordinates in the input basis, with canonical
-    signs: an integer array for an array whose product fastops proves to
-    fit in int64, else tuples."""
-    if isinstance(coords_red, np.ndarray) and len(coords_red):
-        y = imatmul_array(coords_red, prep.u.rows)
-        if y is not None:
-            lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
-            y[lead < 0] *= -1
-            return y.astype(_narrowest(max(-int(y.min()), int(y.max()))))
-        coords_red = _listed("shell", coords_red)
-    return [_canonical(tuple(v)) for v in imatmul_rows(coords_red, prep.u.to_lists())]
+    signs, in the narrowest integer type that holds them."""
+    if not coords_red.size:
+        return coords_red
+    y = imatmul_array(coords_red, prep.u.rows)
+    lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
+    y[lead < 0] *= -1
+    return y.astype(_narrowest(max(-int(y.min()), int(y.max()))))
 
 
 def _narrowest(bound: int):
-    """The narrowest of int8, int16 and int64 that holds [-bound, bound]."""
-    return next(t for t in (np.int8, np.int16, np.int64) if bound <= np.iinfo(t).max)
+    """The narrowest of int8, int16 and int64 that holds [-bound, bound],
+    else object (Python integers)."""
+    return next((t for t in (np.int8, np.int16, np.int64) if bound <= np.iinfo(t).max),
+                object)
 
 
-def _sorted_vectors(rows) -> tuple[Vec, ...]:
-    """Rows from _map_back as sorted tuples; arrays are sorted in numpy."""
-    if isinstance(rows, list):
-        return tuple(sorted(rows))
-    return tuple(_as_tuples(rows, np.lexsort(rows.T[::-1])))
+def _sorted_vectors(rows: np.ndarray) -> tuple[Vec, ...]:
+    """Rows from _map_back as tuples, sorted in numpy and converted a block
+    at a time."""
+    order = np.lexsort(rows.T[::-1])
+    return tuple([v for i in range(0, len(rows), _BATCH)
+                  for v in map(tuple, rows[order[i:i + _BATCH]].tolist())])
 
 
 def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
@@ -700,7 +669,7 @@ def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None,
     """The sorted norm-r shell, of the class parity mod 2L unless None."""
     prep = _prep(lat)
     target = _scaled_target(prep, r)
-    if target is None or target <= 0:
+    if target is None or target <= 0 or not prep.n:
         return ()
     pr = None if parity is None else _parity_reduced(prep, parity)
     return _sorted_vectors(_map_back(prep, _run(prep, "shell", target, target, pr)))
@@ -732,13 +701,10 @@ def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
     """Sorted (norm, representative) for all +-pairs with 0 < norm <= r."""
     prep = _prep(lat)
     limit = _scaled_limit(prep, r)
-    found = _listed("le", _run(prep, "le", limit, None, None))
-    es = prep.escale
-    vecs = _map_back(prep, [v for _, v in found])
-    return sorted(
-        (Fraction(a // es, prep.den), v)
-        for (a, _), v in zip(found, vecs)
-    )
+    found = _run(prep, "le", limit, None, None)
+    vecs = _map_back(prep, found[:, 1:]).tolist()
+    return sorted((Fraction(a // prep.escale, prep.den), tuple(v))
+                  for a, v in zip(found[:, 0].tolist(), vecs))
 
 
 def _check_parity(lat: GramLattice, parity: Sequence[int]) -> tuple[int, ...]:

@@ -3,14 +3,15 @@
 Everything here is deliberately written with different algorithms than the
 package (cofactor expansion instead of Bareiss, rational Gauss instead of
 HNF, a numpy grid scan instead of tree enumeration) so that agreement is
-meaningful.  `ref_search_chunk`, `ref_lll_reduce` and
-`ref_krylov_annihilator` are the exceptions: they are the library's
-earlier kernels, which walk the same tree and make the same reduction
-steps in the plainest way, so that the two can be compared result for
-result and in the same order.  So are the Sturm-chain root finder
-(`sturm_chain` .. `smallest_real_root`), which `exact.least_root`
-replaced while keeping every bisection decision, and `ref_least_check`,
-the least-eigenvalue entry of `certify` as the Sturm counts made it.
+meaningful.  `ref_search_chunk`, `ref_coordinate_bounds`, `ref_lll_reduce`
+and `ref_krylov_annihilator` are the exceptions: they are the library's
+earlier kernels, which walk the same tree, bound the same coordinates and
+make the same reduction steps in the plainest way, so that the two can be
+compared result for result and in the same order.  So are the Sturm-chain
+root finder (`sturm_chain` .. `smallest_real_root`), which
+`exact.least_root` replaced while keeping every bisection decision, and
+`ref_least_check`, the least-eigenvalue entry of `certify` as the Sturm
+counts made it.
 """
 
 import math
@@ -272,6 +273,34 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
     if mode == "mincount":
         return limit, count
     return out
+
+
+def ref_coordinate_bounds(delta: list[int], sub: list[list[int]], g: list[int],
+                          limit: int) -> list[int]:
+    """The largest |x_k| of a real point with sum_k g_k y_k^2 <= limit, where
+    y = M x, M_kk = delta[k+1] and M_kj = sub[k][j-k-1] for j > k, so every
+    node of a walk with that limit has |x_k| <= bound[k]: the maximum is
+    sqrt(limit * sum_i N_ki^2 / g_i) for N = M^-1.  Row k of N is kept in
+    integers, N_ki times delta[k+1] * .. * delta[i+1]."""
+    n = len(g)
+    scaled: list = [None] * n
+    for k in range(n - 1, -1, -1):
+        row = [1]
+        for i in range(k + 1, n):
+            acc, p = 0, 1  # p = delta[k+2] * .. * delta[j]
+            for j in range(k + 1, i + 1):
+                acc += sub[k][j - k - 1] * scaled[j][i - j] * p
+                p *= delta[j + 1]
+            row.append(-acc)
+        scaled[k] = row
+    bound = []
+    for k in range(n):
+        total, p = Fraction(0), 1
+        for i in range(k, n):
+            p *= delta[i + 1]
+            total += Fraction(scaled[k][i - k] ** 2, p * p * g[i])
+        bound.append(math.isqrt(math.floor(limit * total)))
+    return bound
 
 
 def _round_half_up(q: Fraction) -> int:

@@ -1,5 +1,7 @@
 """The int64 accelerator must agree with Python integers on every input."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,15 @@ def ref_product(a, b):
     ([[-2**63, 0], [1, 1]], [[-1, 0], [0, 1]]),             # -2**63 * -1 = 2**63
     ([[2**31] * 4], [[2**31]] * 4),                         # bound 2**64 > 2**62
     ([[2**30, -2**30]], [[2**30], [2**30 - 1]]),            # bound 2**61: int64
+    # seeded 7x5 by 5x3 matrices with entries up to 2**bits
+    *[([[rng.randint(-2**bits, 2**bits) for _ in range(5)] for _ in range(7)],
+       [[rng.randint(-2**bits, 2**bits) for _ in range(3)] for _ in range(5)])
+      for rng in [random.Random(83)] for bits in (8, 30, 31, 62, 63, 64, 80)],
 ])
 def test_imatmul_matches_python_integers(a, b):
-    assert imatmul(a, b) == ref_product(a, b)
+    got = imatmul(a, b)
+    assert got == ref_product(a, b)
+    assert all(type(v) is int for row in got for v in row)
 
 
 def test_gram_product():
@@ -31,8 +39,10 @@ def test_gram_product():
 
 
 def test_imatmul_array():
-    assert imatmul_array([[2**31] * 4], [[2**31]] * 4) is None  # bound 2**64
-    assert imatmul_array([[2**64]], [[1]]) is None  # not an int64
+    got = imatmul_array([[2**31] * 4], [[2**31]] * 4)  # bound 2**64
+    assert got.dtype == object and got.tolist() == [[2**64]]
+    got = imatmul_array([[2**64]], [[1]])  # not an int64
+    assert got.dtype == object and got.tolist() == [[2**64]]
     rows = np.arange(6 * fastops._BLOCK + 6).reshape(-1, 2) % 200 - 100
     a = rows.astype(np.int8)  # more than one block, narrow entries
     b = [[3, -1, 0], [-7, 2, 5]]

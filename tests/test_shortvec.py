@@ -6,12 +6,18 @@ from fractions import Fraction as QQ
 
 import numpy as np
 import pytest
-from oracles import grid_short_vectors, is_lll_reduced, ref_lll_reduce, ref_search_chunk
+from oracles import (
+    grid_short_vectors,
+    is_lll_reduced,
+    ref_coordinate_bounds,
+    ref_lll_reduce,
+    ref_search_chunk,
+)
 
 from eqlat import shortvec
 from eqlat.constructions import leech, root_lattice
 from eqlat.errors import DimensionMismatch, MixedNorms, NotPositiveDefinite, ZeroVector
-from eqlat.exact import IntMatrix, rank_det
+from eqlat.exact import IntMatrix, RatMatrix, rank_det
 from eqlat.lattice import GramLattice
 from eqlat.shortvec import (
     PairSet,
@@ -414,27 +420,35 @@ def kernel_payloads(prep, r, parity):
                    "tops": chunk}
 
 
+def listed(mode, found):
+    """A walk's result with "shell" and "le" leaves as tuples, as
+    ref_search_chunk gives them."""
+    if mode == "le":
+        return [(r[0], tuple(r[1:])) for r in found.tolist()]
+    if mode == "shell":
+        return list(map(tuple, found.tolist()))
+    return found
+
+
 def walked(kernel, payload):
-    """(result, nodes) of one kernel, leaves in the Python kernel's form;
-    None when the batched kernel declines a walk past its int64 bound."""
-    got = kernel(payload)
-    return got and (shortvec._listed(payload["mode"], got[0]), got[1])
+    """(result, nodes) of one kernel, leaves in ref_search_chunk's form."""
+    found, nodes = kernel(payload)
+    return listed(payload["mode"], found), nodes
 
 
 KERNELS = {"python": shortvec._walk, "batched": shortvec._batched_walk}
 
 
-def test_kernel_matches_reference_walk(monkeypatch):
-    """Both kernels give the reference's results and visit its nodes, in
-    every mode, on parity walks and on the coset walks of least_vector."""
+def kernel_corpus(rng):
+    """Root lattices in skewed bases from rng, and three lattices with one
+    quirk each."""
     from test_mod2 import skewed_basis
 
-    rng = random.Random(131)
     lats = [skewed_basis(root_lattice(fam, n).lattice, rng)
             for fam, dims in (("A", range(4, 13)), ("D", range(4, 13)),
                               ("E", range(6, 9)))
             for n in dims]
-    lats += [
+    return lats + [
         A2.rescale(QQ(1, 2)),  # rational Gram matrix
         GramLattice([[3]]),  # dimension 1
         # LLL leaves this basis alone and its diagonal minimum 11 lies above
@@ -442,6 +456,13 @@ def test_kernel_matches_reference_walk(monkeypatch):
         GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
                      [-1, 2, -6, 11]]),
     ]
+
+
+def test_kernel_matches_reference_walk(monkeypatch):
+    """Both kernels give the reference's results and visit its nodes, in
+    every mode, on parity walks and on the coset walks of least_vector."""
+    rng = random.Random(131)
+    lats = kernel_corpus(rng)
     seen = set()
     for lat in lats:
         n = lat.dim
@@ -475,19 +496,30 @@ def test_kernel_matches_reference_walk(monkeypatch):
     monkeypatch.undo()
     assert any(payload["tops"] == [1] for payload in walks)
     # these bases are reduced below their top two levels only, so escale,
-    # and with it the scaled bound, often passes 2**62
-    declined = 0
+    # and with it the scaled bound, often passes 2**62: the batched kernel
+    # then walks in Python integers
+    past = 0
     for payload in walks:
         visits = []
         want = ref_search_chunk(payload, visits), len(visits)
-        assert walked(shortvec._walk, payload) == want
-        got = walked(shortvec._batched_walk, payload)
-        if got is None:
-            assert payload["limit"] >= shortvec._SAFE
-            declined += 1
-        else:
-            assert got == want
-    assert 0 < declined < len(walks)
+        for name, walk in KERNELS.items():
+            assert walked(walk, payload) == want, name
+        past += payload["limit"] >= shortvec._SAFE
+    assert 0 < past < len(walks)
+
+
+def test_coordinate_bounds_match_reference():
+    """The bounds from RatMatrix.inverse are the scaled-integer ones, on the
+    kernel corpus and on Leech, whose walk coordinates they keep in int8."""
+    for lat in kernel_corpus(random.Random(131)) + [leech().lattice]:
+        prep = shortvec._prep(lat)
+        m = minimum(lat)
+        for r in (m, m + 2, 100 * m):
+            data = prep.delta, prep.sub, prep.g, shortvec._scaled_limit(prep, r)
+            assert shortvec._coordinate_bounds(*data) == ref_coordinate_bounds(*data)
+    prep = shortvec._prep(leech().lattice)
+    four = shortvec._scaled_limit(prep, 4)
+    assert max(shortvec._coordinate_bounds(prep.delta, prep.sub, prep.g, four)) == 12
 
 
 def test_batched_kernel_at_batch_boundaries(monkeypatch):
@@ -505,11 +537,9 @@ def test_batched_kernel_at_batch_boundaries(monkeypatch):
                 want = walked(shortvec._walk, payload)
                 for size in (1, 2, 3, 64):
                     monkeypatch.setattr(shortvec, "_BATCH", size)
-                    got = walked(shortvec._batched_walk, payload)
-                    assert got == want or got is None and payload["limit"] >= shortvec._SAFE
-                batched += got is not None
-                lowered += (got is not None and payload["mode"] == "mincount"
-                            and want[0][0] < payload["limit"])
+                    assert walked(shortvec._batched_walk, payload) == want
+                batched += 1
+                lowered += payload["mode"] == "mincount" and want[0][0] < payload["limit"]
     assert lowered and batched > 500
 
 
@@ -539,9 +569,9 @@ def test_leech_minimum_walk_matches_reference():
     assert shortvec._walk(payload) == shortvec._batched_walk(payload) == want
 
 
-def test_batched_kernel_declines_past_the_int64_bound(monkeypatch):
-    """A scaled bound of 2**62 or more leaves the walk to the Python kernel,
-    which still gives the reference answer."""
+def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
+    """A scaled bound of 2**62 or more runs the batched kernel on Python
+    integers, with the reference's results and node counts."""
     big = GramLattice([[2**40 * a for a in row]
                        for row in root_lattice("D", 5).lattice.gram.num.rows])
     prep = shortvec._prep(big)
@@ -549,8 +579,10 @@ def test_batched_kernel_declines_past_the_int64_bound(monkeypatch):
     assert all(p["limit"] >= shortvec._SAFE for p in payloads)
     monkeypatch.setattr(shortvec, "_BUDGET", 1)  # every walk passes the budget
     for payload in payloads:
-        assert shortvec._batched_walk(payload) is None
-        assert shortvec._search_chunk(payload) == ref_search_chunk(payload)
+        visits = []
+        want = ref_search_chunk(payload, visits), len(visits)
+        assert walked(shortvec._batched_walk, payload) == want
+        assert listed(payload["mode"], shortvec._search_chunk(payload)) == want[0]
 
 
 def test_small_walks_never_enter_the_batched_kernel(monkeypatch):
@@ -562,7 +594,8 @@ def test_small_walks_never_enter_the_batched_kernel(monkeypatch):
     prep = shortvec._prep(e8)
     for payload in kernel_payloads(prep, 2, None):
         assert shortvec._walk(payload)[1] <= shortvec._BUDGET
-        assert shortvec._search_chunk(payload) == ref_search_chunk(payload)
+        got = shortvec._search_chunk(payload)
+        assert listed(payload["mode"], got) == ref_search_chunk(payload)
     shortvec._coset_shell.cache_clear()
     assert len(shell(e8, 2)) == 120
 
@@ -588,7 +621,63 @@ def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
                 over.append(payload["mode"])
                 with pytest.raises(shortvec._OverBudget):
                     shortvec._walk(payload, budget)
-            got = shortvec._search_chunk(payload)
-            assert shortvec._listed(payload["mode"], got) == alone[0]
+            mode = payload["mode"]
+            assert listed(mode, shortvec._search_chunk(payload)) == listed(mode, alone[0])
     assert entered == over
     assert set(over) == {"le", "shell", "count", "mincount"}
+
+
+@pytest.mark.parametrize("budget", [shortvec._BUDGET, 0])
+def test_entries_past_int64_stay_exact(monkeypatch, budget):
+    """Walk coordinates, scaled norms and input-basis coordinates past 2**63
+    come out exact from either kernel (budget 0 sends every walk with a node
+    below its top level to the batched kernel)."""
+    monkeypatch.setattr(shortvec, "_BUDGET", budget)
+    for cache in (shortvec._prep, shortvec._coset_shell, shortvec._min_count):
+        cache.cache_clear()
+    # x_0^2 + d x_1^2 = d: the bottom level solves x_0 = 2**65 + 1 in
+    # closed form, so the walk is two nodes deep with coordinates past 2**63
+    d = (2**65 + 1) ** 2
+    wide = GramLattice(RatMatrix(IntMatrix([[1, 0], [0, d]]), d))
+    assert shell(wide, 1) == ((0, 1), (2**65 + 1, 0))
+    assert coset_shell(wide, (1, 0), 1) == ((2**65 + 1, 0),)
+    # diag(p, p + 1) in the basis e_0, N e_0 + e_1: escale is p^2 (p + 1),
+    # so the scaled bounds pass 2**62, and e_1 = (-N, 1) in the input basis
+    p, big = 2**32, 2**70
+    skew = GramLattice([[p, big * p], [big * p, big**2 * p + p + 1]])
+    assert vectors_upto(skew, p + 1) == [(p, (1, 0)), (p + 1, (big, -1))]
+    assert shell(skew, p + 1) == ((big, -1),)
+    assert coset_shell(skew, (0, 1), p + 1) == ((big, -1),)
+    for v in shell(wide, 1) + shell(skew, p + 1) + coset_shell(skew, (0, 1), p + 1):
+        assert all(type(c) is int for c in v)
+
+
+def test_workers_never_exceed_the_cores(monkeypatch):
+    """--threads 5000 on a walk with 1,001 top-level values starts one
+    worker per core, not one per value; the pool here maps serially."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append([max_workers])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            pools[-1].append(len(jobs))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(shortvec, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(shortvec.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(shortvec, "_THREADS", 5000)
+    line = GramLattice([[1]])
+    shortvec._coset_shell.cache_clear()
+    assert shell(line, 10**6) == ((1000,),)
+    found = vectors_upto(line, 10**6)
+    assert len(found) == 1000 and found[-1] == (10**6, (1000,))
+    assert pools == [[3, 3], [3, 3]]
