@@ -374,32 +374,27 @@ def solve_left(b: IntMatrix, x: Sequence[int]) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 # Characteristic polynomial
 
-def berkowitz(m: IntMatrix | RatMatrix) -> list:
+def berkowitz(m: IntMatrix) -> list[int]:
     """Coefficients of det(x*I - m), ascending, by Berkowitz's algorithm.
 
-    Division-free, so integer input gives integer coefficients and rational
-    input stays exact.  Returns [c0, c1, ..., 1] of length n + 1.
+    Division-free, so the coefficients are integers.  Returns
+    [c0, c1, ..., 1] of length n + 1.
     """
-    if isinstance(m, RatMatrix):
-        rows = m.to_fractions()
-        one = Fraction(1)
-    else:
-        rows = m.to_lists()
-        one = 1
+    rows = m.to_lists()
     n = len(rows)
     if n == 0:
-        return [one]
+        return [1]
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("berkowitz needs a square matrix")
     # polys[k] holds det(x*I - leading k x k block), descending coefficients.
-    poly = [one, -rows[0][0]]
+    poly = [1, -rows[0][0]]
     for k in range(1, n):
         akk = rows[k][k]
         row = rows[k][:k]
         col = [rows[i][k] for i in range(k)]
         block = [r[:k] for r in rows[:k]]
         # Toeplitz column: -a_kk, -(row @ col), -(row @ M col), ...
-        toep = [one, -akk]
+        toep = [1, -akk]
         vec = col
         for _ in range(k):
             toep.append(-sum(a * b for a, b in zip(row, vec)))

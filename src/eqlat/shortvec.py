@@ -12,17 +12,15 @@ with all quantities integral, so pruning needs only integer comparisons
 and isqrt, and every reported norm is exact by construction.
 
 Two kernels walk the same tree, make the same decisions and visit the
-same nodes.  The Python kernel keeps a table of partial centre sums, one
-row per level, and on entering a level recomputes only the terms whose
-coordinates have changed since its last visit (Schnorr-Euchner), so a
-node costs a few multiply-adds instead of one per coordinate above it.
-It takes every walk first, so small walks never pay numpy's fixed cost; a
-walk past _BUDGET (4,096) nodes is redone by the batched kernel, which
-walks level by level on up to _BATCH (2,048) partial vectors at a time:
-in numpy int64 when every number of the walk is proven to stay below
-2**62, else in object arrays of Python integers.  Both kernels hand their
-leaves over as one integer array, which stays one array through the map
-back to the input basis, the sign canonicalisation and the sort.
+same nodes.  The Python kernel recomputes each centre from the
+coordinates above it and takes every walk first, so small walks never pay
+numpy's fixed cost; a walk past _BUDGET (4,096) nodes is redone by the
+batched kernel, which walks level by level on up to _BATCH (2,048)
+partial vectors at a time: in numpy int64 when every number of the walk
+is proven to stay below 2**62, else in object arrays of Python integers.
+Both kernels hand their leaves over as one integer array, which stays one
+array through the map back to the input basis, the sign canonicalisation
+and the sort.
 
 Walks run in LLL bases, so their cost does not depend on how the input
 is written.  least_vector answers in the input basis with one walk per
@@ -55,7 +53,7 @@ from .errors import (
     ZeroVector,
 )
 from .exact import IntMatrix, RatMatrix, hnf, leading_minors
-from .fastops import gram_product, imatmul_array, imatmul_rows, int_array
+from .fastops import _SAFE, gram_product, imatmul_array, imatmul_rows, int_array
 from .lattice import GramLattice, Vec
 
 __all__ = [
@@ -162,19 +160,20 @@ def _walk_data(num: IntMatrix) -> tuple[list[int], list[list[int]], list[int], i
     return delta, sub, [escale // ek for ek in e], escale
 
 
+@dataclass(frozen=True, slots=True)
 class _Prep:
-    __slots__ = ("lat", "red", "u", "uinv", "n", "den", "delta", "sub", "g", "escale")
+    """Enumeration data of lat in its LLL basis red = u lat u^T."""
 
-    def __init__(self, lat: GramLattice):
-        """Enumeration data in the LLL basis of lat."""
-        red, u = lll_reduce(lat)
-        self.lat = lat
-        self.red = red
-        self.u = u
-        self.uinv = hnf(u)[1]  # the HNF of a unimodular U is I
-        self.n = lat.dim
-        self.den = red.gram.den
-        self.delta, self.sub, self.g, self.escale = _walk_data(red.gram.num)
+    lat: GramLattice
+    red: GramLattice
+    u: IntMatrix
+    uinv: IntMatrix
+    n: int
+    den: int
+    delta: list[int]
+    sub: list[list[int]]
+    g: list[int]
+    escale: int
 
 
 # Entries kept by each result cache below; least recently used go first.
@@ -183,15 +182,16 @@ _CACHE_SIZE = 512
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _prep(lat: GramLattice) -> _Prep:
-    return _Prep(lat)
+    red, u = lll_reduce(lat)
+    uinv = hnf(u)[1]  # the HNF of a unimodular U is I
+    return _Prep(lat, red, u, uinv, lat.dim, red.gram.den, *_walk_data(red.gram.num))
 
 
 # Nodes the Python kernel walks before the batched kernel takes the walk
-# over, partial vectors per numpy step of the batched kernel, and the bound
-# below which its int64 arithmetic is proven exact
+# over, and partial vectors per numpy step of the batched kernel; its int64
+# arithmetic is proven exact below fastops._SAFE
 _BUDGET = 4096
 _BATCH = 2048
-_SAFE = 2**62
 
 
 class _OverBudget(Exception):
@@ -211,9 +211,10 @@ def _search_chunk(payload: dict) -> object:
     form and take its (at most two) roots in ascending order.
 
     _walk takes the walk with a budget of _BUDGET nodes; past it,
-    _batched_walk redoes it.  Both kernels return "shell" and "le" leaves
-    as one integer array, a row per leaf ("le" puts the scaled norm in
-    column 0), and the "first" leaf as a list of one tuple.
+    _batched_walk redoes it.  The two kernels share only this contract:
+    both return "shell" and "le" leaves as one integer array, a row per
+    leaf ("le" puts the scaled norm in column 0), and the "first" leaf as a
+    list of one tuple.
     """
     try:
         return _walk(payload, _BUDGET)[0]
@@ -231,15 +232,8 @@ def _result(mode: str, limit: int, count: int, out) -> object:
 
 def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
     """The Python kernel: (result, nodes), nodes counting the calls below the
-    top level; raises _OverBudget once nodes would pass budget.
-
-    Centres come from the partial-sum table ps[k][j] = sum over l >= j of
-    sub[k][l-k-1] * x_l, with ps[k][n] = 0, so s_k = ps[k][k+1].  stale[k]
-    is the highest j whose x_j changed since row k was last brought up to
-    date: entering level k refreshes ps[k][j] for j from stale[k] down to
-    k+1 only, hands stale[k] down to stale[k-1] and resets it to k+1, the
-    one coordinate that changes before level k is entered again unless a
-    higher level moves first.
+    top level; raises _OverBudget once nodes would pass budget.  Each node
+    computes its centre s_k = sum over j > k of sub[k][j-k-1] * x_j afresh.
     """
     n = payload["n"]
     delta = payload["delta"]
@@ -255,8 +249,6 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
     isqrt = math.isqrt
     top = n - 1
     x = [0] * n
-    ps = [[0] * (n + 1) for _ in range(n)]
-    stale = [top] * n
     out: list = []
     count = 0
     nodes = -1  # the call at the top level is not a node
@@ -267,17 +259,7 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
         nodes += 1
         if nodes == cap:
             raise _OverBudget
-        row = sub[k]
-        p = ps[k]
-        j = stale[k]
-        s = p[j + 1]
-        while j > k:
-            s += row[j - k - 1] * x[j]
-            p[j] = s
-            j -= 1
-        if k and stale[k - 1] < stale[k]:
-            stale[k - 1] = stale[k]
-        stale[k] = k + 1
+        s = sum(map(operator.mul, sub[k], x[k + 1:]))
         d = delta[k + 1]
         gk = g[k]
         kmax = isqrt((limit - acc) // gk)
@@ -397,7 +379,8 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     top = n - 1
     tops = [t for t in payload["tops"] if g[top] * (delta[n] * t) ** 2 <= limit]
     if not tops:
-        return _walk(dict(payload, tops=[]))
+        empty = [] if mode == "first" else np.empty((0, n + (mode == "le")), np.int64)
+        return _result(mode, limit, 0, empty), 0
     bound = _coordinate_bounds(delta, sub, g, limit)
     fits = max(limit, target or 0, *g, *delta) < _SAFE and all(
         sum(abs(c) * b for c, b in zip(sub[k], bound[k + 1:])) < _SAFE

@@ -239,11 +239,6 @@ def test_berkowitz_matches_pointwise_determinants():
             assert poly_eval(p, x0) == ref_det(shifted)
 
 
-def test_berkowitz_rational():
-    m = RatMatrix([[1, 1], [1, 1]], 2)
-    assert berkowitz(m) == [QQ(0), QQ(-1), QQ(1)]
-
-
 # -- Root isolation: the Sturm oracle and the Budan-Fourier finder ----------
 
 

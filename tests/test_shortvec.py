@@ -543,6 +543,23 @@ def test_batched_kernel_at_batch_boundaries(monkeypatch):
     assert lowered and batched > 500
 
 
+def test_batched_kernel_answers_an_empty_top_level(monkeypatch):
+    """With no top-level value inside the bound, the batched kernel gives
+    the empty result of each of the five modes itself, without the Python
+    kernel."""
+    def refuse(payload, budget=None):
+        raise AssertionError("Python kernel entered")
+
+    payloads = [payload for lat in (root_lattice("E", 8).lattice, GramLattice([[3]]))
+                for payload in kernel_payloads(shortvec._prep(lat), minimum(lat), None)]
+    monkeypatch.setattr(shortvec, "_walk", refuse)
+    for payload in payloads:
+        top = shortvec._top_values(payload["delta"], payload["g"], payload["limit"], None)
+        for tops in ([], [top[-1] + 1]):  # none, or none inside the bound
+            empty = dict(payload, tops=tops)
+            assert walked(shortvec._batched_walk, empty) == (ref_search_chunk(empty), 0)
+
+
 def leech_min_payload():
     prep = shortvec._prep(leech().lattice)
     limit = prep.escale * min(prep.red.gram.num[i, i] for i in range(prep.n))
