@@ -64,6 +64,20 @@ def imatmul_rows(a: Sequence[Sequence[int]], b: list[list[int]]):
         yield from imatmul(a[i:i + _BLOCK], b)
 
 
+def row_norms(a: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> np.ndarray:
+    """The exact a_i g a_i^T of every row a_i of a (2-d, g nonempty), _BLOCK
+    rows at a time: imatmul_array's product, then the row sums in int64
+    when the bound proves that int64 holds them, else in Python integers."""
+    out = [np.empty(0, np.int64)]
+    for i in range(0, len(a), _BLOCK):
+        block = int_array(a[i:i + _BLOCK])
+        y = imatmul_array(block, g)
+        if _max_abs(y) * _max_abs(block) * len(g) >= _SAFE:
+            y, block = y.astype(object), block.astype(object)
+        out.append((y * block).sum(axis=1))
+    return np.concatenate(out)
+
+
 def gram_product(
     rows: Sequence[Sequence[int]], g: Sequence[Sequence[int]] | None = None
 ) -> list[list[int]]:

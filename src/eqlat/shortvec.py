@@ -4,12 +4,14 @@ The pipeline is LLL reduction followed by a depth-first enumeration of
 the quadratic form, both in integers on the data of a Bareiss elimination
 of the Gram matrix.  LLL keeps the leading minors and scaled Gram-Schmidt
 coefficients of its current basis; in the reduced basis, the same
-fraction-free Cholesky data gives the form as
+fraction-free Cholesky data gives A_k = delta_k * (norm over levels >= k),
+a Gram determinant, as the integer
 
-    E * N(x) = sum_k g_k * (delta_{k+1} x_k + s_k)^2
+    A_k = (delta_k A_{k+1} + (delta_{k+1} x_k + s_k)^2) / delta_{k+1},  A_0 = N(x),
 
-with all quantities integral, so pruning needs only integer comparisons
-and isqrt, and every reported norm is exact by construction.
+so pruning needs only integer comparisons and isqrt, every reported norm
+is exact by construction, and a walk with bound R holds no number above
+2 delta_k delta_{k+1} R.
 
 Two kernels walk the same tree, make the same decisions and visit the
 same nodes.  The Python kernel recomputes each centre from the
@@ -40,7 +42,6 @@ import itertools
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -53,7 +54,7 @@ from .errors import (
     ZeroVector,
 )
 from .exact import IntMatrix, RatMatrix, hnf, leading_minors
-from .fastops import _SAFE, gram_product, imatmul_array, imatmul_rows, int_array
+from .fastops import _SAFE, gram_product, imatmul_array, int_array, row_norms
 from .lattice import GramLattice, Vec
 
 __all__ = [
@@ -151,15 +152,6 @@ def lll_reduce(lat: GramLattice) -> tuple[GramLattice, IntMatrix]:
 # Fraction-free enumeration data
 
 
-def _walk_data(num: IntMatrix) -> tuple[list[int], list[list[int]], list[int], int]:
-    """Walk data (delta, sub, g, E) of a Gram matrix in its own basis, from
-    its Bareiss minors: E * N(x) = sum_k g_k * (delta_{k+1} x_k + s_k)^2."""
-    delta, sub = leading_minors(num)
-    e = [delta[k] * delta[k + 1] for k in range(num.nrows)]
-    escale = math.lcm(*e) if e else 1
-    return delta, sub, [escale // ek for ek in e], escale
-
-
 @dataclass(frozen=True, slots=True)
 class _Prep:
     """Enumeration data of lat in its LLL basis red = u lat u^T."""
@@ -172,8 +164,6 @@ class _Prep:
     den: int
     delta: list[int]
     sub: list[list[int]]
-    g: list[int]
-    escale: int
 
 
 # Entries kept by each result cache below; least recently used go first.
@@ -184,7 +174,7 @@ _CACHE_SIZE = 512
 def _prep(lat: GramLattice) -> _Prep:
     red, u = lll_reduce(lat)
     uinv = hnf(u)[1]  # the HNF of a unimodular U is I
-    return _Prep(lat, red, u, uinv, lat.dim, red.gram.den, *_walk_data(red.gram.num))
+    return _Prep(lat, red, u, uinv, lat.dim, red.gram.den, *leading_minors(red.gram.num))
 
 
 # Nodes the Python kernel walks before the batched kernel takes the walk
@@ -202,19 +192,20 @@ def _search_chunk(payload: dict) -> object:
     """Enumerate the subtrees under the given top-level coordinate values.
 
     Top-level function so process pools can pick it up by reference.
-    mode: "le" collects (scaled_norm, coords) leaves and "shell" the coords
-    of exact-norm leaves; "first" stops at the first exact-norm leaf, which
-    is the least in the walk's order (each level ascending, top level
-    first); "count" counts exact-norm leaves; "mincount" keeps the least
-    nonzero scaled norm found as an inclusive bound and returns (best,
-    leaves at best).  The exact-norm modes solve the bottom level in closed
-    form and take its (at most two) roots in ascending order.
+    limit and target are norms in units of the Gram numerator (x G x^T).
+    mode: "le" collects (norm, coords) leaves and "shell" the coords of
+    exact-norm leaves; "first" stops at the first exact-norm leaf, which is
+    the least in the walk's order (each level ascending, top level first);
+    "count" counts exact-norm leaves; "mincount" keeps the least nonzero
+    norm found as an inclusive bound and returns (best, leaves at best).
+    The exact-norm modes solve the bottom level in closed form and take its
+    (at most two) roots in ascending order.
 
     _walk takes the walk with a budget of _BUDGET nodes; past it,
     _batched_walk redoes it.  The two kernels share only this contract:
     both return "shell" and "le" leaves as one integer array, a row per
-    leaf ("le" puts the scaled norm in column 0), and the "first" leaf as a
-    list of one tuple.
+    leaf ("le" puts the norm in column 0), and the "first" leaf as a list
+    of one tuple.
     """
     try:
         return _walk(payload, _BUDGET)[0]
@@ -235,15 +226,9 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
     top level; raises _OverBudget once nodes would pass budget.  Each node
     computes its centre s_k = sum over j > k of sub[k][j-k-1] * x_j afresh.
     """
-    n = payload["n"]
-    delta = payload["delta"]
-    sub = payload["sub"]
-    g = payload["g"]
-    parity = payload["parity"]
-    mode = payload["mode"]
-    target = payload["target"]
-    limit = payload["limit"]
-    tops = payload["tops"]
+    n, delta, sub, tops = payload["n"], payload["delta"], payload["sub"], payload["tops"]
+    parity, mode = payload["parity"], payload["mode"]
+    target, limit = payload["target"], payload["limit"]
     step = 2 if parity is not None else 1
     exact = mode in ("shell", "first", "count")
     isqrt = math.isqrt
@@ -255,14 +240,14 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
     cap = -1 if budget is None else budget + 1  # -1: never reached
 
     def rec(k: int, acc: int, zero_above: bool) -> None:
+        # acc is A_{k+1}, at most delta[k+1] * limit
         nonlocal count, limit, nodes
         nodes += 1
         if nodes == cap:
             raise _OverBudget
         s = sum(map(operator.mul, sub[k], x[k + 1:]))
-        d = delta[k + 1]
-        gk = g[k]
-        kmax = isqrt((limit - acc) // gk)
+        d, dk = delta[k + 1], delta[k]
+        kmax = isqrt(dk * (d * limit - acc))
         lo = -((kmax + s) // d)
         if zero_above and lo < 0:
             lo = 0
@@ -271,9 +256,9 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
         values = tops if k == top else range(lo, (kmax - s) // d + 1, step)
         if k == 0:
             if exact:
-                # g_0 (d x_0 + s)^2 = target - acc, roots taken ascending
-                q, r = divmod(target - acc, gk)
-                if r or q < 0 or not target:  # norm 0 is the zero vector alone
+                # (d x_0 + s)^2 = d * target - acc, roots taken ascending
+                q = d * target - acc
+                if q < 0 or not target:  # norm 0 is the zero vector alone
                     return
                 kk = isqrt(q)
                 if kk * kk != q:
@@ -293,7 +278,7 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
                 return
             for xv in values:
                 kv = d * xv + s
-                a2 = acc + gk * kv * kv
+                a2 = (acc + kv * kv) // d  # the norm, as delta[0] = 1
                 if a2 > limit or not a2:
                     continue
                 if mode == "le":
@@ -305,10 +290,11 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
                     count = 0
                 count += 1
             return
+        acc *= dk
         for xv in values:
             kv = d * xv + s
-            a2 = acc + gk * kv * kv
-            if a2 <= limit:
+            a2 = (acc + kv * kv) // d
+            if a2 <= dk * limit:
                 x[k] = xv
                 rec(k - 1, a2, zero_above and not xv)
 
@@ -340,106 +326,128 @@ def _ranges(lo: np.ndarray, hi: np.ndarray, step: int) -> tuple[np.ndarray, np.n
     return row, lo[row] + step * (np.arange(len(row)) - first[row])
 
 
-def _coordinate_bounds(delta: list[int], sub: list[list[int]], g: list[int],
-                       limit: int) -> list[int]:
-    """The largest |x_k| of a real point with sum_k g_k y_k^2 <= limit, where
-    y = M x, M_kk = delta[k+1] and M_kj = sub[k][j-k-1] for j > k, so every
-    node of a walk with that limit has |x_k| <= bound[k]: the maximum is
-    sqrt(limit * sum_i N_ki^2 / g_i) for N = M^-1."""
-    inv = RatMatrix([[0] * k + [delta[k + 1]] + sub[k] for k in range(len(g))]).inverse()
-    return [math.isqrt(limit * sum(Fraction(v * v, gi) for v, gi in zip(row, g)) // inv.den**2)
-            for row in inv.num.rows]
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _ellipsoid(delta: tuple[int, ...], sub: tuple[tuple[int, ...], ...]) -> tuple[tuple, int]:
+    # (w, e): w[k] / e = sum_i N_ki^2 delta_i delta_{i+1}, once per walk basis
+    inv = RatMatrix([[0] * k + [delta[k + 1], *row] for k, row in enumerate(sub)]).inverse()
+    return tuple(sum(v * v * a * b for v, a, b in zip(row, delta, delta[1:]))
+                 for row in inv.num.rows), inv.den**2
+
+
+def _coordinate_bounds(delta: list[int], sub: list[list[int]], limit: int) -> list[int]:
+    """The largest |x_k| of a real point of norm sum_k y_k^2 / (delta_k
+    delta_{k+1}) <= limit, y = M x with M_kk = delta[k+1] and M_kj =
+    sub[k][j-k-1] (j > k), so every node of a walk with that limit has
+    |x_k| <= bound[k]: the maximum is sqrt(limit * w[k] / e) for N = M^-1."""
+    w, e = _ellipsoid(tuple(delta), tuple(map(tuple, sub)))
+    return [math.isqrt(limit * wk // e) for wk in w]
+
+
+def _walk_types(delta: list[int], sub: list[list[int]], limit: int, target: int | None):
+    """(number type, coordinate type) of a batched walk: int64 when the
+    bound 2 delta_k delta_{k+1} max(limit, target) and the centre sums are
+    below 2**62, else object; coordinates in the narrowest type they fit."""
+    bound = _coordinate_bounds(delta, sub, limit)
+    top = 2 * max(map(operator.mul, delta, delta[1:])) * max(limit, target or 0, 1)
+    fits = top < _SAFE and all(sum(abs(c) * b for c, b in zip(row, bound[k + 1:])) < _SAFE
+                               for k, row in enumerate(sub))
+    return (np.int64 if fits else object), _narrowest(max(bound))
 
 
 def _batched_walk(payload: dict) -> tuple[object, int]:
     """_walk's (result, nodes) from numpy steps on _BATCH partial vectors at
     a time.
 
-    The tree is walked in _walk's order: the rows of a level are taken
-    _BATCH at a time, and the children of a batch are used up, deepest
-    level first, before the next batch of its level.  A node's candidate
-    values are exactly those with |kv| <= kmax, so acc + g kv^2 never
-    exceeds limit; with limit, target, g and delta below 2**62 and every
-    centre sum below 2**62 by the bounds on |x_j| of _coordinate_bounds,
-    int64 is exact throughout, and otherwise the same steps run on object
-    arrays of Python integers.  Coordinates are stored in the narrowest
-    integer type those bounds allow, int8 on Leech.
+    Each level queues its rows in _walk's order.  A step takes the first
+    _BATCH rows of the deepest level that holds that many, else of the
+    highest nonempty level, and queues their children at the level below.
+    A node's candidate values are exactly those with |y_k| <= kmax, so no
+    number exceeds 2 delta_k delta_{k+1} max(limit, target); int64 runs
+    where _walk_types proves it exact, object arrays of Python integers
+    otherwise.  Coordinates take the narrowest type, int8 on Leech.
 
     "mincount" lowers its bound at leaves, which _walk sees at once but a
-    batch takes in only when its rows were already made.  So rows are
-    checked against the live bound when their batch is taken, and each
-    lowering at a leaf takes back the nodes, in the current batch of each
-    level after the leaf's ancestor, that the new bound would have kept
-    _walk out of; "first" does the same with bound -1 and stops.  The node
-    count is then _walk's.
+    step takes in only when its rows were already made.  So rows are checked
+    against the live bound when they are taken, and each lowering at a leaf
+    takes back the nodes taken at each level after the leaf's ancestor that
+    the new bound would have kept _walk out of; "first" does the same with
+    bound -1 and stops.  The node count is then _walk's.
     """
-    n, delta, sub, g = payload["n"], payload["delta"], payload["sub"], payload["g"]
+    n, delta, sub = payload["n"], payload["delta"], payload["sub"]
     parity, mode = payload["parity"], payload["mode"]
     target, limit = payload["target"], payload["limit"]
     top = n - 1
-    tops = [t for t in payload["tops"] if g[top] * (delta[n] * t) ** 2 <= limit]
-    if not tops:
-        empty = [] if mode == "first" else np.empty((0, n + (mode == "le")), np.int64)
-        return _result(mode, limit, 0, empty), 0
-    bound = _coordinate_bounds(delta, sub, g, limit)
-    fits = max(limit, target or 0, *g, *delta) < _SAFE and all(
-        sum(abs(c) * b for c, b in zip(sub[k], bound[k + 1:])) < _SAFE
-        for k in range(n))
-    num = np.int64 if fits else object
-    dtype = _narrowest(max(bound))
+    tops = [t for t in payload["tops"] if delta[n] * t * t <= delta[top] * limit]
+    num, dtype = _walk_types(delta, sub, limit, target)
     step = 2 if parity is not None else 1
     exact = mode in ("shell", "first", "count")
     subs = [np.array(r, dtype=num) for r in sub]
-    # rows of level k waiting to be taken: (x, acc, zero_above, parent), with
-    # parent the index of the row in the batch last taken at level k + 1;
-    # taken[k] holds (acc, parent) of that batch
-    waiting: list = [None] * n
-    waiting[top] = (np.zeros((1, n), dtype), np.zeros(1, num), np.ones(1, bool),
-                    np.zeros(1, np.intp))
-    cursor = [0] * n
-    taken: list = [None] * n
-    nodes = count = 0
+    # queue[k]: rows of level k not taken yet, (x, acc = A_{k+1}, zero_above,
+    # parent's index among the taken[k + 1] rows taken at level k + 1); kept[k]:
+    # (first index, least bound admitting each row, parent) of the batches
+    # taken since the oldest row with descendants queued, for take-backs
+    queue = [(np.zeros((c, n), dtype), np.zeros(c, num), np.ones(c, bool), np.zeros(c, np.intp))
+             for c in [0] * top + [1]]
+    taken = [0] * n
+    kept: list = [[] for _ in range(n)]
+    nodes = count = steps = 0
     out: list = []
 
+    def parent(j: int, row: int) -> int:
+        start, _, up = next(b for b in reversed(kept[j]) if b[0] <= row)
+        return int(up[row - start])
+
+    def trim() -> None:
+        low = taken[0]  # the leaves of a level-0 row are done in its step
+        for j in range(top):
+            kept[j] = [b for b in kept[j] if b[0] + len(b[1]) > low]
+            up = [taken[j + 1], *queue[j][3][:1].tolist()]
+            low = min(up + ([parent(j, low)] if low < taken[j] else []))
+
     def untaken(row: int, new: int, old: int) -> int:
-        """Rows after the ancestors of leaf row `row` with new < acc <= old."""
+        """Nodes taken after the ancestors of level-0 row `row` that only old admits."""
         total = 0
         for j in range(top):
-            acc, parent = taken[j]
-            tail = acc[row + 1:]
-            total += int(np.count_nonzero((tail > new) & (tail <= old)))
-            row = parent[row]
+            for start, least, _ in kept[j]:
+                tail = least[max(row + 1 - start, 0):]
+                total += int(np.count_nonzero((tail > new) & (tail <= old)))
+            row = parent(j, row)
         return total
 
-    k = top
-    while k <= top:
-        rows, i = waiting[k], cursor[k]
-        if i >= len(rows[1]):
-            waiting[k] = None
-            k += 1
-            continue
-        cursor[k] = i + _BATCH
-        x, acc, za, parent = (a[i:i + _BATCH] for a in rows)
-        if mode == "mincount" and acc.max() > limit:
-            keep = acc <= limit
-            x, acc, za, parent = x[keep], acc[keep], za[keep], parent[keep]
+    while True:
+        sizes = [len(q[1]) for q in queue]
+        k = next((j for j, c in enumerate(sizes) if c >= _BATCH),
+                 max((j for j, c in enumerate(sizes) if c), default=-1))
+        if k < 0:
+            break
+        steps += 1
+        if mode in ("mincount", "first") and steps % n == 0:
+            trim()
+        x, acc, za, up = (a[:_BATCH] for a in queue[k])
+        queue[k] = tuple(a[_BATCH:] for a in queue[k])
+        d, dk = delta[k + 1], delta[k]
+        if mode == "mincount" and acc.max() > d * limit:
+            keep = acc <= d * limit
+            x, acc, za, up = x[keep], acc[keep], za[keep], up[keep]
+        first = taken[k]
+        taken[k] += len(acc)
         if k < top:
             nodes += len(acc)
-        taken[k] = acc, parent
-        d, gk = delta[k + 1], g[k]
+            if mode in ("mincount", "first"):
+                least = (-(-acc // d)).astype(_narrowest(limit))
+                kept[k].append((first, least, up.astype(_narrowest(taken[k + 1]))))
         s = np.zeros(1, num) if k == top else x[:, k + 1:] @ subs[k]
-        kmax = _isqrt((limit - acc) // gk)
+        kmax = _isqrt(dk * (d * limit - acc))
         lo = -((kmax + s) // d)
         hi = (kmax - s) // d
         lo[za & (lo < 0)] = 0
         if parity is not None:
             lo += (lo - parity[k]) % 2
         if k == 0 and exact:
-            # g_0 (d x_0 + s)^2 = target - acc, roots taken ascending
-            rest = target - acc
-            q = rest // gk
+            # (d x_0 + s)^2 = d * target - acc, roots taken ascending
+            q = d * target - acc
             kk = _isqrt(np.maximum(q, 0))
-            ok = (rest % gk == 0) & (q >= 0) & (kk * kk == q) & bool(target)
+            ok = (q >= 0) & (kk * kk == q) & bool(target)
             row = np.repeat(np.arange(len(acc)), 2)
             ok = np.column_stack([ok, ok & (kk != 0)]).ravel()
             kv = np.column_stack([-kk, kk]).ravel() - s[row]
@@ -458,7 +466,7 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
                 out.append(leaves)
             elif len(hits):  # first
                 h = hits[0]
-                nodes -= untaken(row[h], -1, limit)
+                nodes -= untaken(first + int(row[h]), -1, limit)
                 leaf = x[row[h]].tolist()
                 leaf[0] = int(xv[h])
                 out = [tuple(leaf)]
@@ -469,13 +477,12 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
         else:
             row, xv = _ranges(lo, hi, step)
         kv = d * xv + s[row]
-        a2 = acc[row] + gk * kv * kv
+        a2 = (dk * acc[row] + kv * kv) // d
         if k:
             child = x[row]
             child[:, k] = xv
-            waiting[k - 1] = (child, a2, za[row] & (xv == 0), row)
-            cursor[k - 1] = 0
-            k -= 1
+            new = child, a2, za[row] & (xv == 0), first + row
+            queue[k - 1] = tuple(map(np.concatenate, zip(queue[k - 1], new)))
         elif mode == "le":
             keep = np.flatnonzero(a2)
             leaves = np.empty((len(keep), n + 1), dtype=num)
@@ -487,7 +494,7 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
             a2[a2 == 0] = limit + 1  # the zero vector is not a leaf
             live = np.minimum.accumulate(np.concatenate((np.array([limit], num), a2[:-1])))
             for e in np.flatnonzero(a2 < live):
-                nodes -= untaken(row[e], a2[e], live[e])
+                nodes -= untaken(first + int(row[e]), int(a2[e]), int(live[e]))
             best = int(a2.min())
             if best < limit:
                 limit, count = best, 0
@@ -497,25 +504,27 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     return _result(mode, limit, count, out), nodes
 
 
-def _top_values(delta: list[int], g: list[int], limit: int, parity) -> list[int]:
+def _top_values(delta: list[int], limit: int, parity) -> list[int]:
     """Top-level values of a walk: at least 0 (sign rule), within the bound."""
     if limit < 0:
         return []
-    top = len(g) - 1
-    lo, hi = 0, math.isqrt(limit // g[top]) // delta[top + 1]
-    if parity is not None and (lo - parity[top]) % 2:
+    d = delta[-1]
+    lo, hi = 0, math.isqrt(delta[-2] * d * limit) // d
+    if parity is not None and (lo - parity[-1]) % 2:
         lo += 1
     step = 2 if parity is not None else 1
     return list(range(lo, hi + 1, step))
 
 
 def _run(prep: _Prep, mode: str, limit: int, target: int | None, parity) -> object:
-    tops = _top_values(prep.delta, prep.g, limit, parity) if prep.n else []
-    payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "g": prep.g,
-               "parity": parity, "mode": mode, "target": target, "limit": limit}
+    tops = _top_values(prep.delta, limit, parity) if prep.n else []
+    payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": parity,
+               "mode": mode, "target": target, "limit": limit}
     workers = min(_THREADS, len(tops), os.cpu_count() or 1)
     if workers <= 1:
         return _search_chunk(dict(payload, tops=tops))
+    from concurrent.futures import ProcessPoolExecutor  # only a split walk pays its import
+
     jobs = [dict(payload, tops=tops[i::workers]) for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_search_chunk, jobs))
@@ -552,10 +561,10 @@ def _map_back(prep: _Prep, coords_red: np.ndarray) -> np.ndarray:
 
 
 def _narrowest(bound: int):
-    """The narrowest of int8, int16 and int64 that holds [-bound, bound],
-    else object (Python integers)."""
-    return next((t for t in (np.int8, np.int16, np.int64) if bound <= np.iinfo(t).max),
-                object)
+    """The narrowest of int8, int16, int32 and int64 that holds [-bound,
+    bound], else object (Python integers)."""
+    types = np.int8, np.int16, np.int32, np.int64
+    return next((t for t in types if bound <= np.iinfo(t).max), object)
 
 
 def _sorted_vectors(rows: np.ndarray) -> tuple[Vec, ...]:
@@ -568,24 +577,7 @@ def _sorted_vectors(rows: np.ndarray) -> tuple[Vec, ...]:
 
 def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
     # x = y U: x has class p mod 2 iff y has class p U^-1 mod 2.
-    uinv = prep.uinv.rows
-    n = prep.n
-    return tuple(
-        sum(parity[i] * uinv[i][j] for i in range(n)) % 2 for j in range(n)
-    )
-
-
-def _scaled_target(prep: _Prep, r) -> int | None:
-    """target for E * (x num x) == E * r * den, or None if r is unreachable."""
-    t = Fraction(r) * prep.den
-    if t.denominator != 1:
-        return None
-    return prep.escale * int(t)
-
-
-def _scaled_limit(prep: _Prep, r) -> int:
-    t = Fraction(r) * prep.den
-    return prep.escale * math.floor(t)
+    return tuple(v % 2 for v in imatmul_array([parity], prep.uinv.rows)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +590,8 @@ def _min_count(lat: GramLattice) -> tuple[Fraction, int]:
         raise DimensionMismatch("empty lattice has no minimum")
     prep = _prep(lat)
     seed = min(prep.red.gram.num[i, i] for i in range(prep.n))  # attained
-    best, count = _run(prep, "mincount", prep.escale * seed, None, None)
-    return Fraction(best // prep.escale, prep.den), count
+    best, count = _run(prep, "mincount", seed, None, None)
+    return Fraction(best, prep.den), count
 
 
 def minimum(lat: GramLattice) -> Fraction:
@@ -633,12 +625,11 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
         lifted = any(x)
         if lifted:
             rows.append(x + [0] * (n - i))
-        delta, sub, g, escale = _walk_data(IntMatrix(gram_product(rows, num)))
-        target = escale * int(t)
+        delta, sub = leading_minors(IntMatrix(gram_product(rows, num)))
         found = _search_chunk({
-            "n": len(rows), "delta": delta, "sub": sub, "g": g, "parity": None,
-            "mode": "first", "target": target, "limit": target,
-            "tops": [1] if lifted else _top_values(delta, g, target, None),
+            "n": len(rows), "delta": delta, "sub": sub, "parity": None,
+            "mode": "first", "target": int(t), "limit": int(t),
+            "tops": [1] if lifted else _top_values(delta, int(t), None),
         })
         if not found:
             return None
@@ -651,9 +642,10 @@ def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None,
                  r: Fraction) -> tuple[Vec, ...]:
     """The sorted norm-r shell, of the class parity mod 2L unless None."""
     prep = _prep(lat)
-    target = _scaled_target(prep, r)
-    if target is None or target <= 0 or not prep.n:
+    target = r * prep.den
+    if target.denominator != 1 or target <= 0 or not prep.n:
         return ()
+    target = int(target)
     pr = None if parity is None else _parity_reduced(prep, parity)
     return _sorted_vectors(_map_back(prep, _run(prep, "shell", target, target, pr)))
 
@@ -671,22 +663,21 @@ def shell_count(lat: GramLattice, r) -> int:
     """Number of +-pairs of norm exactly r, without storing vectors."""
     r = Fraction(r)
     prep = _prep(lat)
-    target = _scaled_target(prep, r)
-    if target is None or target <= 0 or not prep.n:
+    target = r * prep.den
+    if target.denominator != 1 or target <= 0 or not prep.n:
         return 0
     m, count = _min_count(lat)
     if r <= m:
         return count if r == m else 0
-    return _run(prep, "count", target, target, None)
+    return _run(prep, "count", int(target), int(target), None)
 
 
 def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
     """Sorted (norm, representative) for all +-pairs with 0 < norm <= r."""
     prep = _prep(lat)
-    limit = _scaled_limit(prep, r)
-    found = _run(prep, "le", limit, None, None)
+    found = _run(prep, "le", math.floor(Fraction(r) * prep.den), None, None)
     vecs = _map_back(prep, found[:, 1:]).tolist()
-    return sorted((Fraction(a // prep.escale, prep.den), tuple(v))
+    return sorted((Fraction(a, prep.den), tuple(v))
                   for a, v in zip(found[:, 0].tolist(), vecs))
 
 
@@ -714,8 +705,8 @@ def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     prep = _prep(lat)
     seed = lat.norm(p)  # the 0/1 lift itself lies in the class
     pr = _parity_reduced(prep, p)
-    best, _ = _run(prep, "mincount", _scaled_limit(prep, seed), None, pr)
-    return Fraction(best // prep.escale, prep.den)
+    best, _ = _run(prep, "mincount", math.floor(seed * prep.den), None, pr)
+    return Fraction(best, prep.den)
 
 
 def _canonical_ascending(reps, n: int) -> bool:
@@ -756,8 +747,7 @@ class PairSet:
                 seen.add(v)
             reps = tuple(sorted(seen))
         gram = self.lattice.gram
-        norms = {sum(map(operator.mul, row, v))
-                 for row, v in zip(imatmul_rows(reps, gram.num.to_lists()), reps)}
+        norms = set(row_norms(reps, gram.num.rows).tolist())
         if len(norms) > 1:
             raise MixedNorms(f"norms {sorted(Fraction(a, gram.den) for a in norms)}")
         object.__setattr__(self, "reps", reps)
@@ -773,11 +763,7 @@ class PairSet:
         return f"PairSet({len(self.reps)} pairs of norm {self.norm})"
 
     def signed(self) -> list[Vec]:
-        out = []
-        for v in self.reps:
-            out.append(v)
-            out.append(tuple(-c for c in v))
-        return out
+        return [w for v in self.reps for w in (v, tuple(-c for c in v))]
 
     def contains(self, v: Sequence[int]) -> bool:
         return _canonical(tuple(int(c) for c in v)) in self.reps

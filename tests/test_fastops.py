@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eqlat import fastops
-from eqlat.fastops import gram_product, imatmul, imatmul_array
+from eqlat.fastops import gram_product, imatmul, imatmul_array, row_norms
 
 
 def ref_product(a, b):
@@ -49,3 +49,19 @@ def test_imatmul_array():
     got = imatmul_array(a, b)
     assert got.dtype == np.int64
     assert got.tolist() == ref_product(a.tolist(), b)
+
+
+def test_row_norms():
+    """int64 while the bound allows, Python integers past it, over blocks."""
+    g = [[2, -1], [-1, 2]]
+
+    def norm(a, b):
+        return 2 * a * a - 2 * a * b + 2 * b * b
+
+    rows = [[i % 7 - 3, i % 5 - 2] for i in range(2 * fastops._BLOCK + 3)]
+    got = row_norms(rows, g)
+    assert got.dtype == np.int64 and got.tolist() == [norm(*r) for r in rows]
+    for big in ([2**31, 0], [2**64, 1]):  # a bound past 2**62, an entry past int64
+        got = row_norms([big], g)
+        assert got.dtype == object and got.tolist() == [norm(*big)]
+    assert row_norms([], g).tolist() == []

@@ -18,6 +18,7 @@ from eqlat import shortvec
 from eqlat.constructions import leech, root_lattice
 from eqlat.errors import DimensionMismatch, MixedNorms, NotPositiveDefinite, ZeroVector
 from eqlat.exact import IntMatrix, RatMatrix, rank_det
+from eqlat.fastops import gram_product
 from eqlat.lattice import GramLattice
 from eqlat.shortvec import (
     PairSet,
@@ -396,6 +397,10 @@ def test_pairset_keeps_canonical_sorted_input():
         PairSet(A2, ((0, 1), (1, 0, 0)))
     with pytest.raises(MixedNorms):
         PairSet(A2, ((0, 1), (1, 1)))
+    big = 2**64  # norms past 2**127, checked in Python integers
+    assert PairSet(Z2, ((0, big), (big, 0))).norm == big**2
+    with pytest.raises(MixedNorms):
+        PairSet(Z2, ((0, big), (big + 1, 0)))
 
 
 # -- the kernel against the reference walk ------------------------------------
@@ -404,20 +409,48 @@ def test_pairset_keeps_canonical_sorted_input():
 def kernel_payloads(prep, r, parity):
     """Payloads of all five modes at norm r, whole and split in two."""
     pr = None if parity is None else shortvec._parity_reduced(prep, parity)
-    target = shortvec._scaled_target(prep, r)
+    target = math.floor(r * prep.den)
     if parity is None:
         seed = min(prep.red.gram.num[i, i] for i in range(prep.n))
     else:
-        seed = prep.lat.norm(parity)  # the 0/1 lift lies in the class
-    for mode, limit, tgt in (("le", shortvec._scaled_limit(prep, r), None),
-                             ("shell", target, target), ("first", target, target),
-                             ("count", target, target),
-                             ("mincount", shortvec._scaled_limit(prep, seed), None)):
-        tops = shortvec._top_values(prep.delta, prep.g, limit, pr)
+        seed = math.floor(prep.lat.norm(parity) * prep.den)  # the 0/1 lift lies in the class
+    for mode, limit, tgt in (("le", target, None), ("shell", target, target),
+                             ("first", target, target), ("count", target, target),
+                             ("mincount", seed, None)):
+        tops = shortvec._top_values(prep.delta, limit, pr)
         for chunk in (tops, tops[0::2], tops[1::2]):
-            yield {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "g": prep.g,
+            yield {"n": prep.n, "delta": prep.delta, "sub": prep.sub,
                    "parity": pr, "mode": mode, "target": tgt, "limit": limit,
                    "tops": chunk}
+
+
+def lcm_form(delta):
+    """(E, g) of the form the reference walks, E * N(x) = sum_k g_k y_k^2:
+    E is the lcm of every delta_k delta_{k+1} and g_k = E / (delta_k delta_{k+1})."""
+    e = [a * b for a, b in zip(delta, delta[1:])]
+    scale = math.lcm(*e)
+    return scale, [scale // v for v in e]
+
+
+def ref_walk(payload, visits=None):
+    """ref_search_chunk on payload in its lcm form, with the norms it
+    reports brought back to the payload's units."""
+    scale, g = lcm_form(payload["delta"])
+    target = payload["target"]
+    found = ref_search_chunk(dict(payload, g=g, limit=scale * payload["limit"],
+                                  target=None if target is None else scale * target), visits)
+    if payload["mode"] == "le":
+        return [(a // scale, v) for a, v in found]
+    if payload["mode"] == "mincount":
+        return found[0] // scale, found[1]
+    return found
+
+
+def in_int64(payload):
+    """Whether the batched kernel walks payload in int64."""
+    types = shortvec._walk_types(payload["delta"], payload["sub"], payload["limit"],
+                                 payload["target"])
+    return types[0] is np.int64
 
 
 def listed(mode, found):
@@ -472,7 +505,7 @@ def test_kernel_matches_reference_walk(monkeypatch):
             for payload in kernel_payloads(shortvec._prep(lat), m + 2, par):
                 mode = payload["mode"]
                 visits = []
-                want = ref_search_chunk(payload, visits), len(visits)
+                want = ref_walk(payload, visits), len(visits)
                 for name, walk in KERNELS.items():
                     assert walked(walk, payload) == want, (name, mode)
                 if want[0][1] if mode == "mincount" else want[0]:
@@ -495,31 +528,33 @@ def test_kernel_matches_reference_walk(monkeypatch):
             shortvec.least_vector(lat, r)
     monkeypatch.undo()
     assert any(payload["tops"] == [1] for payload in walks)
-    # these bases are reduced below their top two levels only, so escale,
-    # and with it the scaled bound, often passes 2**62: the batched kernel
-    # then walks in Python integers
+    # these bases are reduced below their top two levels only, so their
+    # leading minors are large, and a few walks pass the int64 bound: the
+    # batched kernel then walks in Python integers
     past = 0
     for payload in walks:
         visits = []
-        want = ref_search_chunk(payload, visits), len(visits)
+        want = ref_walk(payload, visits), len(visits)
         for name, walk in KERNELS.items():
             assert walked(walk, payload) == want, name
-        past += payload["limit"] >= shortvec._SAFE
+        past += not in_int64(payload)
     assert 0 < past < len(walks)
 
 
 def test_coordinate_bounds_match_reference():
-    """The bounds from RatMatrix.inverse are the scaled-integer ones, on the
-    kernel corpus and on Leech, whose walk coordinates they keep in int8."""
+    """The bounds from RatMatrix.inverse are the scaled-integer ones of the
+    lcm form, on the kernel corpus and on Leech, whose walk coordinates they
+    keep in int8."""
     for lat in kernel_corpus(random.Random(131)) + [leech().lattice]:
         prep = shortvec._prep(lat)
+        scale, g = lcm_form(prep.delta)
         m = minimum(lat)
         for r in (m, m + 2, 100 * m):
-            data = prep.delta, prep.sub, prep.g, shortvec._scaled_limit(prep, r)
-            assert shortvec._coordinate_bounds(*data) == ref_coordinate_bounds(*data)
+            limit = math.floor(r * prep.den)
+            assert (shortvec._coordinate_bounds(prep.delta, prep.sub, limit)
+                    == ref_coordinate_bounds(prep.delta, prep.sub, g, scale * limit))
     prep = shortvec._prep(leech().lattice)
-    four = shortvec._scaled_limit(prep, 4)
-    assert max(shortvec._coordinate_bounds(prep.delta, prep.sub, prep.g, four)) == 12
+    assert max(shortvec._coordinate_bounds(prep.delta, prep.sub, 4)) == 12
 
 
 def test_batched_kernel_at_batch_boundaries(monkeypatch):
@@ -554,18 +589,18 @@ def test_batched_kernel_answers_an_empty_top_level(monkeypatch):
                 for payload in kernel_payloads(shortvec._prep(lat), minimum(lat), None)]
     monkeypatch.setattr(shortvec, "_walk", refuse)
     for payload in payloads:
-        top = shortvec._top_values(payload["delta"], payload["g"], payload["limit"], None)
+        top = shortvec._top_values(payload["delta"], payload["limit"], None)
         for tops in ([], [top[-1] + 1]):  # none, or none inside the bound
             empty = dict(payload, tops=tops)
-            assert walked(shortvec._batched_walk, empty) == (ref_search_chunk(empty), 0)
+            assert walked(shortvec._batched_walk, empty) == (ref_walk(empty), 0)
 
 
 def leech_min_payload():
     prep = shortvec._prep(leech().lattice)
-    limit = prep.escale * min(prep.red.gram.num[i, i] for i in range(prep.n))
-    return {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "g": prep.g,
+    limit = min(prep.red.gram.num[i, i] for i in range(prep.n))
+    return {"n": prep.n, "delta": prep.delta, "sub": prep.sub,
             "parity": None, "mode": "mincount", "target": None, "limit": limit,
-            "tops": shortvec._top_values(prep.delta, prep.g, limit, None)}
+            "tops": shortvec._top_values(prep.delta, limit, None)}
 
 
 def test_batched_kernel_visits_the_leech_minimum_walk():
@@ -574,32 +609,57 @@ def test_batched_kernel_visits_the_leech_minimum_walk():
     payload = leech_min_payload()
     (best, count), nodes = shortvec._batched_walk(payload)
     assert nodes == 1_971_697
-    assert (QQ(best // shortvec._prep(leech().lattice).escale), count) == (4, 98_280)
+    assert (best, count) == (4, 98_280)
 
 
 @pytest.mark.slow
 def test_leech_minimum_walk_matches_reference():
     payload = leech_min_payload()
     visits = []
-    want = ref_search_chunk(payload, visits), len(visits)
+    want = ref_walk(payload, visits), len(visits)
     assert want[1] == 1_971_697
     assert shortvec._walk(payload) == shortvec._batched_walk(payload) == want
 
 
 def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
-    """A scaled bound of 2**62 or more runs the batched kernel on Python
+    """Walks whose numbers may pass 2**62 run the batched kernel on Python
     integers, with the reference's results and node counts."""
     big = GramLattice([[2**40 * a for a in row]
                        for row in root_lattice("D", 5).lattice.gram.num.rows])
     prep = shortvec._prep(big)
     payloads = list(kernel_payloads(prep, minimum(big) + 2**41, None))
-    assert all(p["limit"] >= shortvec._SAFE for p in payloads)
+    assert not any(map(in_int64, payloads))
     monkeypatch.setattr(shortvec, "_BUDGET", 1)  # every walk passes the budget
     for payload in payloads:
         visits = []
-        want = ref_search_chunk(payload, visits), len(visits)
+        want = ref_walk(payload, visits), len(visits)
         assert walked(shortvec._batched_walk, payload) == want
         assert listed(payload["mode"], shortvec._search_chunk(payload)) == want[0]
+
+
+def test_leech_walks_stay_in_int64():
+    """Leech walks whose lcm-scaled bounds passed 2**62 walk in int64: the
+    class shells of x0 at norms 6 and 10 (the Python kernel's results and
+    node counts), and the minimum in a seeded skewed basis."""
+    from test_lines import benchmark_inputs
+
+    big = leech()
+    lat, x0 = big.lattice, big.marks["x0"]
+    prep = shortvec._prep(lat)
+    pr = shortvec._parity_reduced(prep, [v % 2 for v in x0])
+    for r, pairs in ((6, 1), (10, 276)):
+        payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": pr,
+                   "mode": "shell", "target": r, "limit": r,
+                   "tops": shortvec._top_values(prep.delta, r, pr)}
+        assert in_int64(payload)
+        want = walked(shortvec._walk, payload)
+        assert len(want[0]) == pairs and walked(shortvec._batched_walk, payload) == want
+    u, _ = benchmark_inputs().unimodular(random.Random(2), lat.dim)
+    skew = shortvec._prep(GramLattice(gram_product(u, lat.gram.num.rows)))
+    payload = dict(leech_min_payload(), delta=skew.delta, sub=skew.sub,
+                   tops=shortvec._top_values(skew.delta, 4, None))
+    assert in_int64(payload)
+    assert shortvec._batched_walk(payload)[0] == (4, 98_280)
 
 
 def test_small_walks_never_enter_the_batched_kernel(monkeypatch):
@@ -612,7 +672,7 @@ def test_small_walks_never_enter_the_batched_kernel(monkeypatch):
     for payload in kernel_payloads(prep, 2, None):
         assert shortvec._walk(payload)[1] <= shortvec._BUDGET
         got = shortvec._search_chunk(payload)
-        assert listed(payload["mode"], got) == ref_search_chunk(payload)
+        assert listed(payload["mode"], got) == ref_walk(payload)
     shortvec._coset_shell.cache_clear()
     assert len(shell(e8, 2)) == 120
 
@@ -658,8 +718,9 @@ def test_entries_past_int64_stay_exact(monkeypatch, budget):
     wide = GramLattice(RatMatrix(IntMatrix([[1, 0], [0, d]]), d))
     assert shell(wide, 1) == ((0, 1), (2**65 + 1, 0))
     assert coset_shell(wide, (1, 0), 1) == ((2**65 + 1, 0),)
-    # diag(p, p + 1) in the basis e_0, N e_0 + e_1: escale is p^2 (p + 1),
-    # so the scaled bounds pass 2**62, and e_1 = (-N, 1) in the input basis
+    # diag(p, p + 1) in the basis e_0, N e_0 + e_1: delta_1 delta_2 is
+    # p^2 (p + 1), so the walks' numbers pass 2**62, and e_1 = (-N, 1) in
+    # the input basis
     p, big = 2**32, 2**70
     skew = GramLattice([[p, big * p], [big * p, big**2 * p + p + 1]])
     assert vectors_upto(skew, p + 1) == [(p, (1, 0)), (p + 1, (big, -1))]
@@ -689,7 +750,7 @@ def test_workers_never_exceed_the_cores(monkeypatch):
             pools[-1].append(len(jobs))
             return map(fn, jobs)
 
-    monkeypatch.setattr(shortvec, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(shortvec.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(shortvec, "_THREADS", 5000)
     line = GramLattice([[1]])
