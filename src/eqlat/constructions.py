@@ -34,7 +34,7 @@ from .exact import IntMatrix, RatMatrix, hnf, rank_det, row_rank, solve_left
 from .fastops import gram_product, imatmul
 from .lattice import GramLattice
 from .mod2 import equiangular_direct
-from .shortvec import PairSet, minimum, shell, shell_count, vectors_upto
+from .shortvec import PairSet, _shell_rows, minimum, shell_count, vectors_upto
 
 Vec = tuple[int, ...]
 
@@ -609,7 +609,7 @@ def section_search(lat, budget: int, depth: int = 1) -> list[dict]:
     cur_w = cur_sub = None
     for d in range(depth + 1):
         mn = minimum(cur)
-        sh = shell(cur, mn)
+        sh = _shell_rows(cur, mn)
         out.append({"depth": d, "dim": cur.dim, "w": cur_w, "sub": cur_sub,
                     "lattice": cur, "minimum": mn, "s": len(sh),
                     "pairs": PairSet(cur, sh)})

@@ -54,16 +54,6 @@ def imatmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
     return imatmul_array(a, b).tolist()
 
 
-def imatmul_rows(a: Sequence[Sequence[int]], b: list[list[int]]):
-    """The rows of imatmul(a, b), computed _BLOCK rows of a at a time.
-
-    For tall a this keeps the int64 temporaries and the list of result rows
-    to one block's size.
-    """
-    for i in range(0, len(a), _BLOCK):
-        yield from imatmul(a[i:i + _BLOCK], b)
-
-
 def row_norms(a: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> np.ndarray:
     """The exact a_i g a_i^T of every row a_i of a (2-d, g nonempty), _BLOCK
     rows at a time: imatmul_array's product, then the row sums in int64

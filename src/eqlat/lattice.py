@@ -71,7 +71,10 @@ class GramLattice:
     def _check(self, x: Sequence[int]) -> Vec:
         if len(x) != self.dim:
             raise DimensionMismatch(f"vector length {len(x)} != {self.dim}")
-        return tuple(int(v) for v in x)
+        v = tuple(map(int, x))
+        if v != tuple(x):  # int() truncates 1.5 to 1
+            raise NotInLattice(f"coordinates {tuple(x)} are not all integers")
+        return v
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
         x, y = self._check(x), self._check(y)

@@ -119,8 +119,8 @@ class LineFamily:
 def line_family(lat: GramLattice, vectors) -> LineFamily:
     """Validate vectors as an equiangular family on lat and package them.
 
-    vectors may be a PairSet on lat or any iterable of coordinate vectors;
-    one representative per +-pair is kept and they must share one norm.
+    vectors may be a PairSet on lat, an integer array or an iterable of
+    vectors; one representative per +-pair is kept, all of one norm.
     Every two distinct lines must realize the same absolute inner product
     c > 0; the first offending pair is reported otherwise.  More lines
     than Gerzon's bound r(r+1)/2 in rank r are rejected before any product

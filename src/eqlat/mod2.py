@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     BadParameter,
     DegeneratePair,
@@ -45,13 +47,13 @@ from .errors import (
     ZeroVector,
 )
 from .exact import IntMatrix, hnf, row_rank
-from .fastops import gram_product, imatmul, imatmul_rows
+from .fastops import gram_product, imatmul, imatmul_array
 from .lattice import EmbeddedSublattice, GramLattice, Vec
 from .lines import LineFamily, line_family
 from .shortvec import (
     PairSet,
+    _shell_rows,
     coset_minimum,
-    coset_shell,
     least_vector,
     minimum,
     shell,
@@ -201,7 +203,7 @@ def mod2_class(
     """
     x0 = _vec(x0)
     first = coset_minimum(lat, x0)
-    minimizers = PairSet(lat, coset_shell(lat, x0, first))
+    minimizers = PairSet(lat, _shell_rows(lat, first, x0))
     m = minimum(lat)
     if first < 2 * m and len(minimizers) != 1:
         raise VerificationError(
@@ -214,8 +216,8 @@ def mod2_class(
         c = max(4 * m - first, first + 4)
         c += (int(first) - int(c)) % 4
         while c <= first + 4 * m:
-            sh = coset_shell(lat, x0, c)
-            if sh:
+            sh = _shell_rows(lat, c, x0)
+            if len(sh):
                 second = c
                 second_shell = PairSet(lat, sh)
                 break
@@ -306,8 +308,7 @@ def _assemble(lat, x0, m, vectors, odd_min) -> EquiangularSet:
 def equiangular_direct(lat: GramLattice, x0: Sequence[int] | None = None) -> EquiangularSet:
     """The family by direct enumeration of the class shell at 2m + 2."""
     m, x0, odd_min = _gate(lat, x0)
-    reps = coset_shell(lat, x0, 2 * m + 2)
-    return _assemble(lat, x0, m, reps, odd_min)
+    return _assemble(lat, x0, m, _shell_rows(lat, 2 * m + 2, x0), odd_min)
 
 
 def equiangular_via_s0(lat: GramLattice, x0: Sequence[int] | None = None) -> EquiangularSet:
@@ -332,18 +333,14 @@ def _s0_slice(lat: GramLattice, v: Vec, m: Fraction) -> list[Vec]:
     """The minimal vectors x with v.x = m - 1, one per +-pair, in shell order.
 
     Each pair contributes the member whose product with v is m - 1; all
-    products come from one integer matrix product against G v.
+    products come from one product of the cached shell array with G v.
     """
-    reps = shell(lat, m)
+    reps = _shell_rows(lat, m)
     gv = imatmul(lat.gram.num.to_lists(), [[c] for c in v])
     want = int((m - 1) * lat.gram.den)  # m * den is the integer norm x.G_num.x
-    out = []
-    for r, (d,) in zip(reps, imatmul_rows(reps, gv)):
-        if d == want:
-            out.append(r)
-        elif -d == want:
-            out.append(_neg(r))
-    return out
+    d = imatmul_array(reps, gv)[:, 0]
+    pick = np.flatnonzero((d == want) | (d == -want))
+    return list(map(tuple, np.where((d[pick] == want)[:, None], reps[pick], -reps[pick]).tolist()))
 
 
 def relative_lattice(lat: GramLattice, x0: Sequence[int]) -> EmbeddedSublattice:
@@ -362,8 +359,8 @@ def relative_lattice(lat: GramLattice, x0: Sequence[int]) -> EmbeddedSublattice:
     if mp >= 2 * m:
         raise BadParameter(f"N(x0) = {mp} must be below 2m = {2 * m}")
     msec = 4 * m - mp
-    targets = coset_shell(lat, x0, msec)
-    if not targets:
+    targets = _shell_rows(lat, msec, x0)
+    if not len(targets):
         raise EmptyClass(f"class of x0 has no vectors of norm {msec}")
     n = lat.dim
     gens = [[2 * (i == j) for j in range(n)] for i in range(n)]
@@ -376,8 +373,8 @@ def relative_lattice(lat: GramLattice, x0: Sequence[int]) -> EmbeddedSublattice:
     found = vectors_upto(rel.induced, msec)
     if not found or found[0][0] != msec:
         raise VerificationError("relative lattice minimum is not 4m - m'")
-    back = PairSet(lat, imatmul([c for _, c in found], rel.basis_rows.rows))
-    if back.reps != targets:
+    back = PairSet(lat, imatmul_array([c for _, c in found], rel.basis_rows.rows))
+    if back != PairSet(lat, targets):
         raise VerificationError("minimal vectors differ from the class shell")
     return rel
 
@@ -391,8 +388,7 @@ def sqrt2_even_check(lat: GramLattice) -> GramLattice:
     """
     if not lat.is_integral():
         raise NotIntegral("needs an integral lattice")
-    reps = shell(lat, minimum(lat))
-    h, _ = hnf(IntMatrix(list(reps)))
+    h, _ = hnf(IntMatrix(_shell_rows(lat, minimum(lat)).tolist()))
     rows = [r for r in h.rows if any(r)]
     if len(rows) < lat.dim:
         raise NotGenerated("minimal vectors do not span")
@@ -421,14 +417,10 @@ def check_scalar_products_after_projection(lat: GramLattice, v: Sequence[int]) -
     if lat.norm(v) != 2 * m - 2:
         raise WrongNormX0(f"N(v) = {lat.norm(v)}, need 2m - 2 = {2 * m - 2}")
     proj = lat.project_along(v)
-    s = shell(lat, m)
-    images = set()
-    for x in s:
-        px = proj.coords(x)
-        if any(px):
-            images.add(px)
-            images.add(_neg(px))
-    covered = all(u in images for u in shell(proj.lattice, minimum(proj.lattice)))
+    px = imatmul_array(_shell_rows(lat, m), proj._tinv.rows)  # proj.coords of each row
+    images = set(map(tuple, px[:, 1:].tolist()))
+    covered = all(u in images or _neg(u) in images
+                  for u in shell(proj.lattice, minimum(proj.lattice)))
     lo, hi = Fraction(m - 3, 4), Fraction(3 * m - 1, 4)
     report: dict = {"applicable": covered, "m": m, "bounds": (lo, hi)}
     if not covered:

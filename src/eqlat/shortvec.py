@@ -22,7 +22,8 @@ partial vectors at a time: in numpy int64 when every number of the walk
 is proven to stay below 2**62, else in object arrays of Python integers.
 Both kernels hand their leaves over as one integer array, which stays one
 array through the map back to the input basis, the sign canonicalisation
-and the sort.
+and the sort, and is cached as it is: only shell and coset_shell make
+tuples of it.
 
 Walks run in LLL bases, so their cost does not depend on how the input
 is written.  least_vector answers in the input basis with one walk per
@@ -38,7 +39,6 @@ representative per +-pair.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import os
@@ -51,10 +51,11 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     MixedNorms,
+    NotInLattice,
     ZeroVector,
 )
 from .exact import IntMatrix, RatMatrix, hnf, leading_minors
-from .fastops import _SAFE, gram_product, imatmul_array, int_array, row_norms
+from .fastops import _SAFE, _max_abs, gram_product, imatmul_array, int_array, row_norms
 from .lattice import GramLattice, Vec
 
 __all__ = [
@@ -361,6 +362,11 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     Each level queues its rows in _walk's order.  A step takes the first
     _BATCH rows of the deepest level that holds that many, else of the
     highest nonempty level, and queues their children at the level below.
+    Level k gains rows only from steps at level k + 1, which run only while
+    it holds fewer than _BATCH rows and give each row they take at most
+    2 bound[k+1] / step + 1 children (_coordinate_bounds), so level k holds
+    fewer than _BATCH (2 + 2 bound[k+1] / step) rows; the Leech minimum walk
+    peaks at 33,935 queued rows over all levels, at most 5,898 on one.
     A node's candidate values are exactly those with |y_k| <= kmax, so no
     number exceeds 2 delta_k delta_{k+1} max(limit, target); int64 runs
     where _walk_types proves it exact, object arrays of Python integers
@@ -540,26 +546,6 @@ def _run(prep: _Prep, mode: str, limit: int, target: int | None, parity) -> obje
 # Coordinate plumbing
 
 
-def _canonical(v: Vec) -> Vec:
-    for c in v:
-        if c > 0:
-            return v
-        if c < 0:
-            return tuple(-w for w in v)
-    return v
-
-
-def _map_back(prep: _Prep, coords_red: np.ndarray) -> np.ndarray:
-    """Rows of LLL-basis coordinates in the input basis, with canonical
-    signs, in the narrowest integer type that holds them."""
-    if not coords_red.size:
-        return coords_red
-    y = imatmul_array(coords_red, prep.u.rows)
-    lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
-    y[lead < 0] *= -1
-    return y.astype(_narrowest(max(-int(y.min()), int(y.max()))))
-
-
 def _narrowest(bound: int):
     """The narrowest of int8, int16, int32 and int64 that holds [-bound,
     bound], else object (Python integers)."""
@@ -567,12 +553,26 @@ def _narrowest(bound: int):
     return next((t for t in types if bound <= np.iinfo(t).max), object)
 
 
-def _sorted_vectors(rows: np.ndarray) -> tuple[Vec, ...]:
-    """Rows from _map_back as tuples, sorted in numpy and converted a block
-    at a time."""
-    order = np.lexsort(rows.T[::-1])
+def _canonical(rows: np.ndarray, key: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(rows, key) in a shell's canonical form, rows left as they are: each
+    row signed so that its first nonzero entry is positive, in the narrowest
+    integer type, sorted (by key first if given) and without repeats."""
+    if not rows.size:
+        return rows.astype(np.int8), key
+    rows = rows.astype(_narrowest(_max_abs(rows)), copy=False)  # so -rows fits
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    rows = np.where((lead < 0)[:, None], -rows, rows)
+    order = np.lexsort([*rows.T[::-1], *([] if key is None else [key])])
+    rows = rows[order]
+    new = np.ones(len(rows), bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[new], None if key is None else key[order][new]
+
+
+def _tuples(rows: np.ndarray) -> tuple[Vec, ...]:
+    """Integer rows as tuples of Python integers, converted a block at a time."""
     return tuple([v for i in range(0, len(rows), _BATCH)
-                  for v in map(tuple, rows[order[i:i + _BATCH]].tolist())])
+                  for v in map(tuple, rows[i:i + _BATCH].tolist())])
 
 
 def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
@@ -638,16 +638,23 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None,
-                 r: Fraction) -> tuple[Vec, ...]:
-    """The sorted norm-r shell, of the class parity mod 2L unless None."""
+def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None, r: Fraction) -> np.ndarray:
+    """The norm-r shell, of the class parity mod 2L unless None, as _canonical
+    rows; read-only, as every caller shares the one array."""
     prep = _prep(lat)
     target = r * prep.den
-    if target.denominator != 1 or target <= 0 or not prep.n:
-        return ()
-    target = int(target)
-    pr = None if parity is None else _parity_reduced(prep, parity)
-    return _sorted_vectors(_map_back(prep, _run(prep, "shell", target, target, pr)))
+    rows = np.zeros((0, prep.n), np.int8)
+    if target.denominator == 1 and target > 0 and prep.n:
+        pr = None if parity is None else _parity_reduced(prep, parity)
+        found = _run(prep, "shell", int(target), int(target), pr)
+        rows, _ = _canonical(imatmul_array(found, prep.u.rows))  # in the input basis
+    rows.flags.writeable = False
+    return rows
+
+
+def _shell_rows(lat: GramLattice, r, parity: Sequence[int] | None = None) -> np.ndarray:
+    """The cached array behind shell(lat, r), or coset_shell(lat, parity, r)."""
+    return _coset_shell(lat, None if parity is None else _check_parity(lat, parity), Fraction(r))
 
 
 def shell(lat: GramLattice, r) -> tuple[Vec, ...]:
@@ -656,7 +663,7 @@ def shell(lat: GramLattice, r) -> tuple[Vec, ...]:
     Representatives have positive leading coordinate and come sorted, so
     the result is canonical.
     """
-    return _coset_shell(lat, None, Fraction(r))
+    return _tuples(_shell_rows(lat, r))
 
 
 def shell_count(lat: GramLattice, r) -> int:
@@ -675,10 +682,11 @@ def shell_count(lat: GramLattice, r) -> int:
 def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
     """Sorted (norm, representative) for all +-pairs with 0 < norm <= r."""
     prep = _prep(lat)
+    if not prep.n:
+        return []
     found = _run(prep, "le", math.floor(Fraction(r) * prep.den), None, None)
-    vecs = _map_back(prep, found[:, 1:]).tolist()
-    return sorted((Fraction(a, prep.den), tuple(v))
-                  for a, v in zip(found[:, 0].tolist(), vecs))
+    rows, norms = _canonical(imatmul_array(found[:, 1:], prep.u.rows), found[:, 0])
+    return [(Fraction(a, prep.den), v) for a, v in zip(norms.tolist(), _tuples(rows))]
 
 
 def _check_parity(lat: GramLattice, parity: Sequence[int]) -> tuple[int, ...]:
@@ -696,7 +704,7 @@ def coset_shell(lat: GramLattice, parity: Sequence[int], r) -> tuple[Vec, ...]:
     parity is read mod 2 coordinatewise.  Since -x = x mod 2L, the class is
     a union of +-pairs and one representative per pair is returned.
     """
-    return _coset_shell(lat, _check_parity(lat, parity), Fraction(r))
+    return _tuples(_shell_rows(lat, r, parity))
 
 
 def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
@@ -709,24 +717,15 @@ def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     return Fraction(best, prep.den)
 
 
-def _canonical_ascending(reps, n: int) -> bool:
-    """reps is a tuple of int tuples of length n, canonical and strictly
-    ascending from above 0, as shell returns them and PairSet keeps them."""
-    return (type(reps) is tuple
-            and set(map(type, reps)) <= {tuple}
-            and set(map(len, reps)) <= {n}
-            and set(map(type, itertools.chain.from_iterable(reps))) <= {int}
-            and all(map(operator.lt, ((0,) * n,) + reps, reps))
-            and all(_canonical(v) is v for v in reps))
-
-
 @dataclass(frozen=True, slots=True)
 class PairSet:
     """A finite set of +-pairs of lattice vectors of one common norm.
 
-    Built from any iterable of vectors; reps holds one canonical
-    representative per pair, sorted, and norm is their common norm (None
-    when empty).  Equality compares the lattice and the representatives.
+    Built from an iterable of vectors or an integer array; reps holds one
+    representative per pair in shell's canonical form (positive leading
+    coordinate, sorted, tuples of Python integers), and norm is their
+    common norm (None when empty).  Equality compares the lattice and the
+    representatives.
     """
 
     lattice: GramLattice
@@ -734,23 +733,28 @@ class PairSet:
     norm: Fraction | None = field(init=False, compare=False)
 
     def __post_init__(self):
-        n = self.lattice.dim
-        reps = self.reps
-        if not _canonical_ascending(reps, n):
-            seen = set()
-            for v in reps:
-                v = _canonical(tuple(int(c) for c in v))
-                if not any(v):
-                    raise ZeroVector("pair sets cannot contain 0")
-                if len(v) != n:
-                    raise DimensionMismatch(f"vector length {len(v)} != {n}")
-                seen.add(v)
-            reps = tuple(sorted(seen))
+        n, given = self.lattice.dim, self.reps
+        if not isinstance(given, np.ndarray):
+            given = list(given) or np.zeros((0, n), np.int8)
+        try:
+            rows = np.asarray(given)
+        except ValueError:  # rows of different lengths
+            rows = np.zeros(0)
+        if rows.shape[1:] != (n,):
+            raise DimensionMismatch(f"vectors are not rows of length {n}")
+        if rows.dtype.kind not in "bi":  # casts round 0.99 to 0 and 2**63 + 1 to a float
+            given = np.array(given, dtype=object)
+            rows = np.frompyfunc(int, 1, 1)(given)  # Python integers
+            if (rows != given).any():
+                raise NotInLattice("a coordinate is not an integer")
+        if not (rows != 0).any(axis=1).all():
+            raise ZeroVector("pair sets cannot contain 0")
+        rows, _ = _canonical(rows)
         gram = self.lattice.gram
-        norms = set(row_norms(reps, gram.num.rows).tolist())
+        norms = set(row_norms(rows, gram.num.rows).tolist())
         if len(norms) > 1:
             raise MixedNorms(f"norms {sorted(Fraction(a, gram.den) for a in norms)}")
-        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "reps", _tuples(rows))
         object.__setattr__(self, "norm", Fraction(norms.pop(), gram.den) if norms else None)
 
     def __len__(self) -> int:
@@ -766,4 +770,5 @@ class PairSet:
         return [w for v in self.reps for w in (v, tuple(-c for c in v))]
 
     def contains(self, v: Sequence[int]) -> bool:
-        return _canonical(tuple(int(c) for c in v)) in self.reps
+        v = tuple(int(c) for c in v)
+        return v in self.reps or tuple(-c for c in v) in self.reps

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as QQ
 from itertools import product
 
+import numpy as np
 import pytest
 
 from eqlat.errors import (
@@ -37,6 +38,18 @@ def test_basic_invariants():
     assert A2.norm((1, 1)) == 6
     assert A2.integrality() == "even"
     assert Z2.integrality() == "odd"
+
+
+def test_non_integral_coordinates_are_rejected():
+    # int() would truncate: A2.norm((1.5, 0)) once came out as N((1, 0)) = 2
+    for bad in ((1.5, 0), (QQ(1, 2), 1), (0, np.float64(0.25))):
+        with pytest.raises(NotInLattice):
+            A2.norm(bad)
+        with pytest.raises(NotInLattice):
+            A2.inner((1, 0), bad)
+    for same in ((2.0, -1), (QQ(4, 2), -1), (np.int64(2), np.float64(-1)), np.array([2, -1])):
+        assert A2.norm(same) == A2.norm((2, -1)) == 6
+    assert Z2.norm((True, False)) == 1
 
 
 def test_rejects_indefinite_gram():

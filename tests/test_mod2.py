@@ -33,7 +33,7 @@ from eqlat.mod2 import (
     relative_lattice,
     sqrt2_even_check,
 )
-from eqlat import shortvec
+from eqlat import mod2, shortvec
 from eqlat.shortvec import least_vector, minimum, shell, vectors_upto
 
 A2 = GramLattice([[2, 1], [1, 2]], name="A2")
@@ -249,6 +249,27 @@ def test_equiangular_e8():
     assert fam.alpha == Fraction(1, 3)
     via = equiangular_via_s0(E8, fam.x0)
     assert via.pairs == fam.pairs
+
+
+def test_s0_slice_matches_a_python_loop():
+    """_s0_slice picks and signs rows of the cached shell array; a Python
+    loop over shell(), with x0.x from lat.inner, picks the same members in
+    shell order."""
+    big = leech()
+    for lat, x0 in ((E8, default_x0(E8)), (big.lattice, big.marks["x0"])):
+        m, n = minimum(lat), lat.dim
+        # x0.e_i, integers on these integral lattices, so x0.x is one dot product
+        gx0 = [int(lat.inner(x0, [int(i == j) for j in range(n)])) for i in range(n)]
+        want = []
+        for x in shell(lat, m):
+            d = sum(a * b for a, b in zip(x, gx0))
+            if d == m - 1:
+                want.append(x)
+            elif -d == m - 1:
+                want.append(tuple(-c for c in x))
+        got = mod2._s0_slice(lat, x0, m)
+        assert got == want and len(got) > 1
+        assert all(type(c) is int for v in got for c in v)
 
 
 def test_equiangular_odd_minimum_nonempty():

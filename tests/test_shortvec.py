@@ -16,7 +16,13 @@ from oracles import (
 
 from eqlat import shortvec
 from eqlat.constructions import leech, root_lattice
-from eqlat.errors import DimensionMismatch, MixedNorms, NotPositiveDefinite, ZeroVector
+from eqlat.errors import (
+    DimensionMismatch,
+    MixedNorms,
+    NotInLattice,
+    NotPositiveDefinite,
+    ZeroVector,
+)
 from eqlat.exact import IntMatrix, RatMatrix, rank_det
 from eqlat.fastops import gram_product
 from eqlat.lattice import GramLattice
@@ -381,7 +387,7 @@ def test_pairset_rejects():
 
 def test_pairset_keeps_canonical_sorted_input():
     reps = shell(A2, 2)
-    assert PairSet(A2, reps).reps is reps  # checked, not rebuilt
+    assert PairSet(A2, reps).reps == reps  # canonical input comes back unchanged
     want = ((0, 1), (1, -1), (1, 0))
     for given in (list(reps), reps[::-1], reps + reps[:1],  # not a tuple, order, duplicate
                   ((0, -1), (1, -1), (1, 0)),  # a sign
@@ -401,6 +407,73 @@ def test_pairset_keeps_canonical_sorted_input():
     assert PairSet(Z2, ((0, big), (big, 0))).norm == big**2
     with pytest.raises(MixedNorms):
         PairSet(Z2, ((0, big), (big + 1, 0)))
+
+
+def test_pairset_takes_integer_arrays():
+    """PairSet built from an int8, int64 or object array equals PairSet built
+    from the same rows as tuples: signs flipped, rows repeated, order
+    reversed, and entries past 2**63."""
+    e8 = root_lattice("E", 8).lattice
+    rows = np.array(shell(e8, 2), dtype=np.int8)
+    messy = np.concatenate([rows[::-1], -rows[:7], rows[3:9]])
+    want = PairSet(e8, shell(e8, 2))
+    for dtype in (np.int8, np.int64, object):
+        got = PairSet(e8, messy.astype(dtype))
+        assert got == want == PairSet(e8, list(map(tuple, messy.tolist())))
+        assert all(type(c) is int for v in got.reps for c in v)
+    k = 2**62  # the pairs of norm 25 k**2 in Z2, entries up to 5 k > 2**63
+    wide = [(-5 * k, 0), (3 * k, 4 * k), (-3 * k, -4 * k), (4 * k, -3 * k), (0, -5 * k), (3 * k, 4 * k)]
+    got = PairSet(Z2, np.array(wide, dtype=object))
+    assert got == PairSet(Z2, wide)
+    assert got.reps == ((0, 5 * k), (3 * k, 4 * k), (4 * k, -3 * k), (5 * k, 0))
+    assert all(type(c) is int for v in got.reps for c in v)
+    with pytest.raises(DimensionMismatch):
+        PairSet(A2, np.zeros((2, 3), np.int8))
+    with pytest.raises(ZeroVector):
+        PairSet(A2, np.array([[1, 0], [0, 0]]))
+    with pytest.raises(MixedNorms):
+        PairSet(A2, np.array([[1, 0], [1, 1]], dtype=np.int8))
+
+
+def test_pairset_rejects_non_integral_coordinates():
+    # a cast would truncate: PairSet(A2, [(0.99, 1)]) once gave reps ((0, 1),)
+    for bad in ([(0.99, 1)], [(1, 0), (QQ(1, 2), 1)], [(np.float64(1.5), 0)],
+                np.array([[0.5, 1.0]]), [(2**64 + QQ(1, 2), 1)]):
+        with pytest.raises(NotInLattice):
+            PairSet(A2, bad)
+    got = PairSet(A2, [(1.0, 0), (QQ(2, 2), -1), (np.float64(0), True), np.array([-1.0, 0.0])])
+    assert got.reps == ((0, 1), (1, -1), (1, 0))
+    assert all(type(c) is int for v in got.reps for c in v)
+
+
+def test_cached_shells_are_read_only():
+    e8 = root_lattice("E", 8).lattice
+    rows = shortvec._shell_rows(e8, 2)
+    assert rows.dtype == np.int8 and rows.shape == (120, 8)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 5
+    assert shortvec._shell_rows(e8, 2) is rows
+    assert PairSet(e8, rows).reps == shell(e8, 2) == shortvec._tuples(rows)
+    empty = shortvec._shell_rows(e8, 3)  # E8 is even
+    assert empty.shape == (0, 8) and not empty.flags.writeable
+
+
+def test_vectors_upto_sorts_as_python_does(monkeypatch):
+    """vectors_upto sorts in numpy with the norm as the first key, which is
+    Python's order on (norm, vector) pairs, on the kernel corpus and on a
+    walk in Python integers (D5 scaled by 2**40, batched on object arrays)."""
+    big = GramLattice([[2**40 * a for a in row]
+                       for row in root_lattice("D", 5).lattice.gram.num.rows])
+    limit = 3 * 2**41  # norms 2**41 and 2**42
+    prep = shortvec._prep(big)
+    assert shortvec._walk_types(prep.delta, prep.sub, limit, None)[0] is object
+    monkeypatch.setattr(shortvec, "_BUDGET", 0)  # every walk batched
+    for lat, r in [(lat, minimum(lat) + 2) for lat in kernel_corpus(random.Random(131))] + [(big, limit)]:
+        got = vectors_upto(lat, r)
+        assert got == sorted(got)
+        norms = sorted({a for a, _ in got})
+        assert len(norms) > 1 or lat.dim == 1
+        assert got == [(a, v) for a in norms for v in shell(lat, a)]
 
 
 # -- the kernel against the reference walk ------------------------------------
