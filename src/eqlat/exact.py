@@ -19,10 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .fastops import gram_product, imatmul
+from .fastops import gram_product, imatmul, int_array
 
 __all__ = [
     "IntMatrix",
@@ -33,7 +35,7 @@ __all__ = [
     "kernel_basis",
     "leading_minors",
     "solve_left",
-    "berkowitz",
+    "charpoly",
     "poly_eval",
     "poly_deriv",
     "poly_mul",
@@ -374,35 +376,76 @@ def solve_left(b: IntMatrix, x: Sequence[int]) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 # Characteristic polynomial
 
-def berkowitz(m: IntMatrix) -> list[int]:
-    """Coefficients of det(x*I - m), ascending, by Berkowitz's algorithm.
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with bases 2, 7, 61: exact for odd p < 4,759,123,141."""
+    if math.gcd(p, 3 * 5 * 7 * 11 * 13) > 1:  # a cheap sieve for most composites
+        return p in (3, 5, 7, 11, 13)
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    for a in (2, 7, 61):
+        xs = [pow(a, (p - 1) >> i, p) for i in range(s, 0, -1)]  # a^(d 2^i), i < s
+        if a % p and xs[0] != 1 and p - 1 not in xs:
+            return False
+    return True
 
-    Division-free, so the coefficients are integers.  Returns
-    [c0, c1, ..., 1] of length n + 1.
+
+def _charpoly_primes(n: int) -> Iterator[int]:
+    """Primes p with n (p - 1)**2 < 2**63, descending: a dot product of n
+    residues mod p is exact in int64, and p < 2**32 keeps _is_prime exact."""
+    top = math.isqrt((2**63 - 1) // n) + 1
+    return (p for p in range(top - 1 + top % 2, 2, -2) if _is_prime(p))
+
+
+def charpoly(m: IntMatrix) -> list[int]:
+    """Coefficients of det(x*I - m), ascending: [c0, c1, ..., 1].
+
+    Multimodular, with no floats: the primes' product exceeds 2B + 1, where
+    B = max_k C(n, k) R^k (R^2 >= every squared row norm) bounds each sum
+    of k x k principal minors by Hadamard's inequality, so the symmetric
+    CRT residues are the coefficients.  Mod all primes at once, in int64, a
+    similarity transform brings m to upper Hessenberg form H, each prime
+    pivoting on its own (it keeps the charpoly mod p, so no prime is bad).
+    Then p_k = x p_{k-1} - sum_{i<k} H[i, k-1] s_i p_i, where s_i is the
+    product of the H[j, j-1] for i < j < k, gives p_n (Cohen, Alg. 2.2.9).
     """
-    rows = m.to_lists()
+    rows = m.rows
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("charpoly needs a square matrix")
     if n == 0:
         return [1]
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("berkowitz needs a square matrix")
-    # polys[k] holds det(x*I - leading k x k block), descending coefficients.
-    poly = [1, -rows[0][0]]
-    for k in range(1, n):
-        akk = rows[k][k]
-        row = rows[k][:k]
-        col = [rows[i][k] for i in range(k)]
-        block = [r[:k] for r in rows[:k]]
-        # Toeplitz column: -a_kk, -(row @ col), -(row @ M col), ...
-        toep = [1, -akk]
-        vec = col
-        for _ in range(k):
-            toep.append(-sum(a * b for a, b in zip(row, vec)))
-            vec = [sum(block[i][j] * vec[j] for j in range(k)) for i in range(k)]
-        # Lower-triangular Toeplitz times the previous coefficient vector:
-        # the first k + 2 entries of the convolution.
-        poly = poly_mul(toep, poly)[: k + 2]
-    return list(reversed(poly))
+    sq = max(sum(v * v for v in row) for row in rows)
+    r = math.isqrt(sq - 1) + 1 if sq else 0
+    bound = 2 * max(math.comb(n, k) * r**k for k in range(n + 1)) + 1
+    primes, mod = [], 1
+    for p in _charpoly_primes(n):
+        primes.append(p)
+        mod *= p
+        if mod > bound:
+            break
+    ps, pr = np.array(primes, dtype=np.int64)[:, None], np.arange(len(primes))
+    h = (int_array(rows)[None] % ps[:, :, None]).astype(np.int64)
+    for c in range(n - 2):
+        # each prime swaps row and column c + 1 with those of its pivot;
+        # a zero column gives piv = c + 1, a zero inverse and no step
+        piv = (h[:, c + 1:, c] != 0).argmax(axis=1) + c + 1
+        h[pr, c + 1], h[pr, piv] = h[pr, piv], h[pr, c + 1]
+        h[pr, :, c + 1], h[pr, :, piv] = h[pr, :, piv], h[pr, :, c + 1]
+        inv = [pow(t, -1, p) if t else 0 for t, p in zip(h[:, c + 1, c].tolist(), primes)]
+        u = h[:, c + 2:, c] * np.array(inv, dtype=np.int64)[:, None] % ps
+        h[:, c + 2:, c:] = (h[:, c + 2:, c:] - u[:, :, None] * h[:, c + 1:c + 2, c:]) % ps[:, :, None]
+        h[:, :, c + 1] = (h[:, :, c + 1] + (h[:, :, c + 2:] @ u[:, :, None])[:, :, 0]) % ps
+    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)  # p_k, ascending
+    polys[:, 0, 0] = 1
+    s = np.ones((len(primes), n), dtype=np.int64)
+    for k in range(1, n + 1):
+        w = h[:, :k, k - 1] * s[:, :k] % ps
+        polys[:, k, 1:k + 1] = polys[:, k - 1, :k]
+        polys[:, k, :k] = (polys[:, k, :k] - (w[:, None, :] @ polys[:, :k, :k])[:, 0]) % ps
+        if k < n:
+            s[:, :k] = s[:, :k] * h[:, k, k - 1, None] % ps
+    out = sum(res * (mod // p * pow(mod // p, -1, p))
+              for p, res in zip(primes, polys[:, n].astype(object)))
+    return [int(c) - mod if c > mod // 2 else int(c) for c in out % mod]
 
 
 # ---------------------------------------------------------------------------

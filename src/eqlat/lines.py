@@ -35,7 +35,7 @@ from .errors import (
 from .exact import (
     DEFAULT_ROOT_WIDTH,
     IntMatrix,
-    berkowitz,
+    charpoly,
     least_root,
     poly_eval,
     poly_lcm,
@@ -208,28 +208,27 @@ def seidel(fam: LineFamily) -> SeidelMatrix:
     )
 
 
-# Above this size Berkowitz on the t x t matrix is no longer cheap and the
-# minimal-polynomial route is tried first.
-_BERKOWITZ_CAP = 64
+# Above this size the minimal-polynomial route is tried first: it settles
+# the structured t = 276 Witt matrix in under 0.1 s, exact.charpoly in seconds.
+_MINPOLY_FIRST = 64
 _MINPOLY_CAP = 24
 
 
 def seidel_charpoly(s: SeidelMatrix) -> list[int]:
     """Coefficients of det(xI - S), ascending, exactly.
 
-    Small matrices go straight to the fraction-free Berkowitz algorithm.
-    Larger ones first try a verified minimal-polynomial route which handles
-    the highly structured matrices produced by lattice families (an exact
-    annihilation identity plus trace equations pin the multiplicities); when
-    the structure is absent it falls back to Berkowitz, which is always
-    correct, merely slow.
+    Matrices up to _MINPOLY_FIRST rows go straight to the multimodular
+    exact.charpoly.  Larger ones first try a verified minimal-polynomial
+    route which handles the highly structured matrices produced by lattice
+    families (an exact annihilation identity plus trace equations pin the
+    multiplicities); when the structure is absent they fall back to
+    exact.charpoly, which is always correct.
     """
-    if len(s.rows) <= _BERKOWITZ_CAP:
-        return berkowitz(IntMatrix(s.rows))
-    p = _charpoly_via_minpoly([list(r) for r in s.rows])
-    if p is not None:
-        return p
-    return berkowitz(IntMatrix(s.rows))
+    if len(s.rows) > _MINPOLY_FIRST:
+        p = _charpoly_via_minpoly([list(r) for r in s.rows])
+        if p is not None:
+            return p
+    return charpoly(IntMatrix(s.rows))
 
 
 def _krylov_annihilator(rows, start) -> list[int]:
@@ -347,15 +346,16 @@ def least_eigenvalue(
 def _factored_charpoly(fam: LineFamily) -> tuple[list[Fraction], Fraction, int]:
     """(q, root, k) with det(xI - S) = q(x) (x - root)^k.
 
-    q is the monic degree-r factor that the n x n product of
-    family_charpoly carries, root = -1/alpha and k = t - r.  Raises
-    VerificationError when the rank or the trace of S disagrees with it.
+    q is the monic degree-r factor that the characteristic polynomial of
+    the n x n product of family_charpoly carries (by exact.charpoly), root
+    = -1/alpha and k = t - r.  Raises VerificationError when the rank or
+    the trace of S disagrees with it.
     """
     if fam.alpha is None:
         raise DegeneratePair(f"{fam.t} line(s) carry no angle")
     t, r, n = fam.t, fam.rank, fam.lattice.dim
     btb = gram_product(list(zip(*fam.pairs.reps)))  # B^T B for B the reps
-    p = berkowitz(IntMatrix(imatmul(fam.lattice.gram.num.rows, btb)))
+    p = charpoly(IntMatrix(imatmul(fam.lattice.gram.num.rows, btb)))
     if any(p[k] for k in range(n - r)) or not p[n - r]:
         raise VerificationError("spectral factor disagrees with the rank")
     # roots of g are den*N*(alpha*lambda + 1) over Seidel eigenvalues lambda

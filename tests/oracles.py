@@ -9,9 +9,12 @@ earlier kernels, which walk the same tree, bound the same coordinates and
 make the same reduction steps in the plainest way, so that the two can be
 compared result for result and in the same order.  So are the Sturm-chain
 root finder (`sturm_chain` .. `smallest_real_root`), which
-`exact.least_root` replaced while keeping every bisection decision, and
+`exact.least_root` replaced while keeping every bisection decision,
 `ref_least_check`, the least-eigenvalue entry of `certify` as the Sturm
-counts made it.
+counts made it, and `ref_check_scalar_products_after_projection`, the
+pair-by-pair loop of `mod2.check_scalar_products_after_projection`.
+`berkowitz`, the division-free characteristic polynomial over the
+integers, is the reference for the multimodular `exact.charpoly`.
 """
 
 import math
@@ -21,6 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
+from eqlat import mod2
+from eqlat.errors import DimensionMismatch, VerificationError, WrongNormX0
 from eqlat.exact import (
     DEFAULT_ROOT_WIDTH,
     IntMatrix,
@@ -31,11 +36,14 @@ from eqlat.exact import (
     poly_divmod,
     poly_eval,
     poly_linear_power,
+    poly_mul,
     root_multiplicity,
     squarefree_part,
 )
+from eqlat.fastops import gram_product, imatmul_array
 from eqlat.lattice import GramLattice
 from eqlat.lines import _MINPOLY_CAP
+from eqlat.shortvec import _shell_rows, minimum, shell
 
 
 def ref_det(rows):
@@ -547,3 +555,71 @@ def ref_least_check(q, target, k, t, r, width=DEFAULT_ROOT_WIDTH):
         entry["interval"] = smallest_real_root(q, width)
         entry["note"] = "t = rank: the bound eigenvalue is not attained"
     return entry
+
+
+def berkowitz(m: IntMatrix) -> list[int]:
+    """Coefficients of det(x*I - m), ascending, by Berkowitz's algorithm.
+
+    Division-free, so the coefficients are integers.  Returns
+    [c0, c1, ..., 1] of length n + 1.
+    """
+    rows = m.to_lists()
+    n = len(rows)
+    if n == 0:
+        return [1]
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("berkowitz needs a square matrix")
+    # polys[k] holds det(x*I - leading k x k block), descending coefficients.
+    poly = [1, -rows[0][0]]
+    for k in range(1, n):
+        akk = rows[k][k]
+        row = rows[k][:k]
+        col = [rows[i][k] for i in range(k)]
+        block = [r[:k] for r in rows[:k]]
+        # Toeplitz column: -a_kk, -(row @ col), -(row @ M col), ...
+        toep = [1, -akk]
+        vec = col
+        for _ in range(k):
+            toep.append(-sum(a * b for a, b in zip(row, vec)))
+            vec = [sum(block[i][j] * vec[j] for j in range(k)) for i in range(k)]
+        # Lower-triangular Toeplitz times the previous coefficient vector:
+        # the first k + 2 entries of the convolution.
+        poly = poly_mul(toep, poly)[: k + 2]
+    return list(reversed(poly))
+
+
+def ref_check_scalar_products_after_projection(lat: GramLattice, v: Sequence[int]) -> dict:
+    """`mod2.check_scalar_products_after_projection` with its slice pairs
+    checked one at a time: the antipodal partner by x + y == v, each
+    product as a Fraction."""
+    v = mod2._vec(v)
+    m = minimum(lat)
+    if lat.norm(v) != 2 * m - 2:
+        raise WrongNormX0(f"N(v) = {lat.norm(v)}, need 2m - 2 = {2 * m - 2}")
+    proj = lat.project_along(v)
+    px = imatmul_array(_shell_rows(lat, m), proj._tinv.rows)  # proj.coords of each row
+    images = set(map(tuple, px[:, 1:].tolist()))
+    covered = all(u in images or mod2._neg(u) in images
+                  for u in shell(proj.lattice, minimum(proj.lattice)))
+    lo, hi = Fraction(m - 3, 4), Fraction(3 * m - 1, 4)
+    report: dict = {"applicable": covered, "m": m, "bounds": (lo, hi)}
+    if not covered:
+        report["reason"] = "image minimum not attained on projected minimal vectors"
+        return report
+    slice_ = mod2._s0_slice(lat, v, m)
+    den = lat.gram.den
+    prod = gram_product(slice_, lat.gram.num.rows)
+    values = set()
+    checked = 0
+    for i in range(len(slice_)):
+        for j in range(i + 1, len(slice_)):
+            if tuple(a + b for a, b in zip(slice_[i], slice_[j])) == v:
+                continue  # p(x) = -p(y): the excluded antipodal partner
+            d = Fraction(prod[i][j], den)
+            checked += 1
+            values.add(d)
+            if not lo <= d <= hi:
+                raise VerificationError(f"slice product {d} outside [{lo}, {hi}]")
+    report.update(ok=True, pairs_checked=checked, slice_size=len(slice_),
+                  products=sorted(values))
+    return report

@@ -1,11 +1,14 @@
 """Tests for the exact linear algebra core."""
 
+import itertools
+import math
 import random
 import time
 from fractions import Fraction as QQ
 
 import pytest
 from oracles import (
+    berkowitz,
     count_roots_halfopen,
     minors_gcd,
     poly_from_roots,
@@ -15,12 +18,14 @@ from oracles import (
     sturm_chain,
 )
 
-from eqlat.errors import NotPositiveDefinite
+from eqlat.errors import DimensionMismatch, NotPositiveDefinite
 from eqlat.lattice import GramLattice
 from eqlat.exact import (
     IntMatrix,
     RatMatrix,
-    berkowitz,
+    _charpoly_primes,
+    _is_prime,
+    charpoly,
     hnf,
     kernel_basis,
     leading_minors,
@@ -217,12 +222,14 @@ def test_rat_inverse():
 
 def test_berkowitz_gram_example():
     assert berkowitz(IntMatrix([[2, 1], [1, 2]])) == [3, -4, 1]
+    assert charpoly(IntMatrix([[2, 1], [1, 2]])) == [3, -4, 1]
 
 
 def test_berkowitz_triangle_of_lines():
     # Sign matrix of three coplanar lines at mutual 60 degrees.
     s = IntMatrix([[0, 1, -1], [1, 0, 1], [-1, 1, 0]])
     assert berkowitz(s) == [2, -3, 0, 1]
+    assert charpoly(s) == [2, -3, 0, 1]
 
 
 def test_berkowitz_matches_pointwise_determinants():
@@ -232,11 +239,78 @@ def test_berkowitz_matches_pointwise_determinants():
         m = rand_matrix(rng, n, n, -6, 6)
         p = berkowitz(m)
         assert len(p) == n + 1 and p[-1] == 1
+        assert charpoly(m) == p
         for x0 in (-3, -1, 0, 2, 7):
             shifted = [
                 [x0 * (i == j) - m[i, j] for j in range(n)] for i in range(n)
             ]
             assert poly_eval(p, x0) == ref_det(shifted)
+
+
+def rand_symmetric(rng, n, lo, hi):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = rng.randint(lo, hi)
+    return IntMatrix(rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13, 21, 30, 40])
+def test_charpoly_matches_berkowitz(n):
+    rng = random.Random(100 + n)
+    for m in (rand_matrix(rng, n, n, -2**40, 2**40), rand_symmetric(rng, n, -2**40, 2**40),
+              rand_matrix(rng, n, n, -3, 3), rand_symmetric(rng, n, -1, 1),
+              rand_matrix(rng, n, n, -2**70, 2**70)):  # past int64: object reduction
+        assert charpoly(m) == berkowitz(m)
+
+
+def test_charpoly_pivot_swaps_and_skipped_columns():
+    # 0/+-1/2 entries, mostly zero: subdiagonal zeros with a pivot further
+    # down force swaps, and columns zero below the subdiagonal are skipped;
+    # triangular, permutation and block matrices take each branch throughout
+    rng = random.Random(62)
+    corpus = [IntMatrix([[rng.choice((0,) * 6 + (1, -1, 2)) for _ in range(n)]
+                         for _ in range(n)]) for n in range(1, 26) for _ in range(4)]
+    for n in (3, 7, 12):
+        corpus.append(IntMatrix([[int(j > i) for j in range(n)] for i in range(n)]))
+        corpus.append(IntMatrix([[int(i > j) * (i - j) for j in range(n)] for i in range(n)]))
+        perm = rng.sample(range(n), n)
+        corpus.append(IntMatrix([[int(j == perm[i]) for j in range(n)] for i in range(n)]))
+        corpus.append(IntMatrix([[2 * (i // 3 == j // 3) - (i == j) for j in range(n)]
+                                 for i in range(n)]))
+        corpus.append(IntMatrix.zeros(n, n))
+    for m in corpus:
+        assert charpoly(m) == berkowitz(m)
+
+
+def test_charpoly_entries_divisible_by_the_first_prime():
+    # the first prime sees the zero matrix, or a different pivot pattern
+    # than the other primes
+    rng = random.Random(63)
+    for n in (1, 2, 5, 9, 16, 24):
+        p = next(_charpoly_primes(n))
+        mult = IntMatrix([[p * rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        mixed = IntMatrix([[rng.choice((0, 1, -1, p, -p, 2 * p)) for _ in range(n)]
+                           for _ in range(n)])
+        for m in (mult, mixed):
+            assert charpoly(m) == berkowitz(m)
+
+
+def test_charpoly_primes():
+    # Miller-Rabin with bases 2, 7, 61 against trial division, and the
+    # int64 rule n (p - 1)^2 < 2^63 for the primes charpoly takes
+    def trial(k):
+        return k > 1 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+    assert [k for k in range(3, 20000, 2) if _is_prime(k)] == [
+        k for k in range(3, 20000, 2) if trial(k)]
+    for n in (1, 40, 276, 8192):
+        ps = list(itertools.islice(_charpoly_primes(n), 3))
+        assert all(map(trial, ps)) and ps == sorted(ps, reverse=True)
+        assert n * (ps[0] - 1) ** 2 < 2**63 < 2 * n * ps[0] ** 2
+    assert next(_charpoly_primes(8192)) < 2**25
+    with pytest.raises(DimensionMismatch):
+        charpoly(IntMatrix([[1, 2]]))
 
 
 # -- Root isolation: the Sturm oracle and the Budan-Fourier finder ----------

@@ -8,7 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import cauchy_bound, poly_from_roots, ref_krylov_annihilator, ref_least_check
+from oracles import (
+    berkowitz,
+    cauchy_bound,
+    poly_from_roots,
+    ref_krylov_annihilator,
+    ref_least_check,
+)
 
 from eqlat.errors import (
     BadParameter,
@@ -20,7 +26,6 @@ from eqlat.errors import (
 from eqlat import exact, lines
 from eqlat.exact import (
     IntMatrix,
-    berkowitz,
     poly_eval,
     poly_linear_power,
     poly_mul,
@@ -469,3 +474,19 @@ def test_certify_never_raises_on_report_entries():
     by = _entries(report)
     assert by["relative_bound"]["applicable"]  # 2/4 < 1
     assert report["ok"]
+
+
+@pytest.mark.slow
+def test_unstructured_276_charpoly():
+    # Witt's Seidel matrix with one symmetric pair negated: no small integer
+    # spectrum, so only exact.charpoly settles it; trace 0 and the sum of
+    # the squared entries fix the two top coefficients
+    inputs = benchmark_inputs()
+    rows = [list(r) for r in inputs.seidel_of(inputs.witt_lines()[1])]
+    rows[0][1], rows[1][0] = -rows[0][1], -rows[1][0]
+    n = len(rows)
+    start = time.perf_counter()
+    p = exact.charpoly(IntMatrix(rows))
+    assert time.perf_counter() - start < 60
+    assert len(p) == n + 1 and p[n] == 1
+    assert p[n - 1] == 0 and p[n - 2] == -n * (n - 1) // 2 == -37950

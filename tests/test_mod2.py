@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracles import ref_check_scalar_products_after_projection
 
 from eqlat.errors import (
     DegeneratePair,
@@ -388,6 +389,13 @@ def test_projected_products_e8():
     assert rep["applicable"] and rep["ok"]
     assert rep["products"] == [0, 1]
     assert rep["pairs_checked"] == 1512
+
+
+@pytest.mark.parametrize("lat, v", [(D5, default_x0(D5)), (E8, default_x0(E8)),
+                                     (GramLattice([[2, 0], [0, 6]]), (1, 0))])
+def test_projected_products_match_pairwise_loop(lat, v):
+    assert (check_scalar_products_after_projection(lat, v)
+            == ref_check_scalar_products_after_projection(lat, v))
 
 
 def test_projected_products_not_applicable():

@@ -10,11 +10,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import count_roots_halfopen, sturm_chain
+from oracles import berkowitz, count_roots_halfopen, sturm_chain
 
 from eqlat.exact import (
     IntMatrix,
-    berkowitz,
+    charpoly,
     poly_divmod,
     poly_eval,
     poly_lcm,
@@ -171,4 +171,5 @@ def test_berkowitz_matches_sympy():
     for n in (8, 11, 14, 17, 20):
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         expected = [int(c) for c in reversed(sympy.Matrix(rows).charpoly(X).all_coeffs())]
+        assert charpoly(IntMatrix(rows)) == expected
         assert berkowitz(IntMatrix(rows)) == expected
