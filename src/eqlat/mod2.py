@@ -52,11 +52,11 @@ from .lattice import EmbeddedSublattice, GramLattice, Vec
 from .lines import LineFamily, line_family
 from .shortvec import (
     PairSet,
+    _canonical,
     _shell_rows,
     coset_minimum,
     least_vector,
     minimum,
-    shell,
     vectors_upto,
 )
 
@@ -329,6 +329,11 @@ def equiangular_via_s0(lat: GramLattice, x0: Sequence[int] | None = None) -> Equ
     return out
 
 
+def _dots(lat: GramLattice, rows: np.ndarray, v: Vec) -> np.ndarray:
+    """x G_num v for each row x: den times its product with v."""
+    return imatmul_array(rows, imatmul(lat.gram.num.to_lists(), [[c] for c in v]))[:, 0]
+
+
 def _s0_slice(lat: GramLattice, v: Vec, m: Fraction) -> list[Vec]:
     """The minimal vectors x with v.x = m - 1, one per +-pair, in shell order.
 
@@ -336,9 +341,8 @@ def _s0_slice(lat: GramLattice, v: Vec, m: Fraction) -> list[Vec]:
     products come from one product of the cached shell array with G v.
     """
     reps = _shell_rows(lat, m)
-    gv = imatmul(lat.gram.num.to_lists(), [[c] for c in v])
     want = int((m - 1) * lat.gram.den)  # m * den is the integer norm x.G_num.x
-    d = imatmul_array(reps, gv)[:, 0]
+    d = _dots(lat, reps, v)
     pick = np.flatnonzero((d == want) | (d == -want))
     return list(map(tuple, np.where((d[pick] == want)[:, None], reps[pick], -reps[pick]).tolist()))
 
@@ -417,10 +421,16 @@ def check_scalar_products_after_projection(lat: GramLattice, v: Sequence[int]) -
     if lat.norm(v) != 2 * m - 2:
         raise WrongNormX0(f"N(v) = {lat.norm(v)}, need 2m - 2 = {2 * m - 2}")
     proj = lat.project_along(v)
-    px = imatmul_array(_shell_rows(lat, m), proj._tinv.rows)  # proj.coords of each row
-    images = set(map(tuple, px[:, 1:].tolist()))
-    covered = all(u in images or _neg(u) in images
-                  for u in shell(proj.lattice, minimum(proj.lattice)))
+    reps, mp = _shell_rows(lat, m), minimum(proj.lattice)
+    # N(p(x)) = m - (x.v)^2 / N(v), so only the rows with (x G_num v)^2 = t
+    # can project onto minimal vectors of the image
+    t = (m - mp) * lat.norm(v) * lat.gram.den**2
+    r = math.isqrt(int(t)) if t >= 0 and t.denominator == 1 else -1
+    near = reps[np.abs(_dots(lat, reps, v)) == r] if r * r == t else reps[:0]
+    images, _ = _canonical(imatmul_array(near, proj._tinv.rows)[:, 1:])  # proj.coords
+    # the image's minimal pairs are all images iff adding them adds no row
+    wanted = _shell_rows(proj.lattice, mp)
+    covered = len(_canonical(np.concatenate([images, wanted]))[0]) == len(images)
     lo, hi = Fraction(m - 3, 4), Fraction(3 * m - 1, 4)
     report: dict = {"applicable": covered, "m": m, "bounds": (lo, hi)}
     if not covered:

@@ -23,7 +23,8 @@ is proven to stay below 2**62, else in object arrays of Python integers.
 Both kernels hand their leaves over as one integer array, which stays one
 array through the map back to the input basis, the sign canonicalisation
 and the sort, and is cached as it is: only shell and coset_shell make
-tuples of it.
+tuples of it.  The minimum walk keeps its leaves at the least norm, so
+the shell at the minimum is read from it, not walked again.
 
 Walks run in LLL bases, so their cost does not depend on how the input
 is written.  least_vector answers in the input basis with one walk per
@@ -166,6 +167,11 @@ class _Prep:
     delta: list[int]
     sub: list[list[int]]
 
+    @property
+    def seed(self) -> int:
+        """The minimum walk's first bound: the least reduced diagonal, attained."""
+        return min(self.red.gram.num[i, i] for i in range(self.n))
+
 
 # Entries kept by each result cache below; least recently used go first.
 _CACHE_SIZE = 512
@@ -198,15 +204,17 @@ def _search_chunk(payload: dict) -> object:
     exact-norm leaves; "first" stops at the first exact-norm leaf, which is
     the least in the walk's order (each level ascending, top level first);
     "count" counts exact-norm leaves; "mincount" keeps the least nonzero
-    norm found as an inclusive bound and returns (best, leaves at best).
-    The exact-norm modes solve the bottom level in closed form and take its
-    (at most two) roots in ascending order.
+    norm found as an inclusive bound, drops the leaves it holds whenever it
+    lowers that bound, and returns (best, leaves at best).  The exact-norm
+    modes solve the bottom level in closed form and take its (at most two)
+    roots in ascending order.
 
     _walk takes the walk with a budget of _BUDGET nodes; past it,
     _batched_walk redoes it.  The two kernels share only this contract:
     both return "shell" and "le" leaves as one integer array, a row per
-    leaf ("le" puts the norm in column 0), and the "first" leaf as a list
-    of one tuple.
+    leaf ("le" puts the norm in column 0), "mincount" leaves as a list of
+    integer arrays (left unjoined, as most callers only count them), and
+    the "first" leaf as a list of one tuple.
     """
     try:
         return _walk(payload, _BUDGET)[0]
@@ -217,9 +225,7 @@ def _search_chunk(payload: dict) -> object:
 def _result(mode: str, limit: int, count: int, out) -> object:
     if mode == "count":
         return count
-    if mode == "mincount":
-        return limit, count
-    return out
+    return (limit, out) if mode == "mincount" else out
 
 
 def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
@@ -286,10 +292,11 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
                     x[0] = xv
                     out.append((a2, *x))
                     continue
-                if a2 < limit:  # mincount: a smaller norm restarts the count
+                if a2 < limit:  # mincount: a smaller norm drops the leaves held
                     limit = a2
-                    count = 0
-                count += 1
+                    out.clear()
+                x[0] = xv
+                out.append(tuple(x))
             return
         acc *= dk
         for xv in values:
@@ -303,6 +310,8 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
         rec(top, 0, True)
     if mode in ("shell", "le"):
         out = int_array(out) if out else np.empty((0, n + (mode == "le")), np.int64)
+    elif mode == "mincount":
+        out = [int_array(out)] if out else []
     return _result(mode, limit, count, out), max(nodes, 0)
 
 
@@ -503,8 +512,12 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
                 nodes -= untaken(first + int(row[e]), int(a2[e]), int(live[e]))
             best = int(a2.min())
             if best < limit:
-                limit, count = best, 0
-            count += int(np.count_nonzero(a2 == limit))
+                limit, out = best, []
+            hits = np.flatnonzero(a2 == limit)
+            if len(hits):
+                leaves = x[row[hits]]
+                leaves[:, 0] = xv[hits]
+                out.append(leaves)
     if mode in ("shell", "le"):
         out = np.concatenate(out) if out else np.empty((0, n + (mode == "le")), num)
     return _result(mode, limit, count, out), nodes
@@ -538,7 +551,7 @@ def _run(prep: _Prep, mode: str, limit: int, target: int | None, parity) -> obje
         return sum(results)
     if mode == "mincount":
         best = min(b for b, _ in results)
-        return best, sum(c for b, c in results if b == best)
+        return best, [c for b, chunks in results if b == best for c in chunks]
     return np.concatenate(results)
 
 
@@ -584,21 +597,21 @@ def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
 # Public interface
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _min_count(lat: GramLattice) -> tuple[Fraction, int]:
-    """(minimum, number of +-pairs at the minimum) from one walk."""
+def _min_count(lat: GramLattice) -> tuple[Fraction, list[np.ndarray]]:
+    """(minimum, one vector per +-pair at the minimum) from one "mincount"
+    walk; the vectors are in the reduced basis, as the walk's chunks."""
     if lat.dim == 0:
         raise DimensionMismatch("empty lattice has no minimum")
     prep = _prep(lat)
-    seed = min(prep.red.gram.num[i, i] for i in range(prep.n))  # attained
-    best, count = _run(prep, "mincount", seed, None, None)
-    return Fraction(best, prep.den), count
+    best, leaves = _run(prep, "mincount", prep.seed, None, None)
+    return Fraction(best, prep.den), leaves
 
 
 def minimum(lat: GramLattice) -> Fraction:
     """Exact minimum norm of the nonzero vectors.
 
-    One walk finds the minimum and counts its pairs; the count is kept for
-    shell_count.
+    One walk finds the minimum and keeps its pairs: shell_count and shell
+    at the minimum read them without a second walk.
     """
     return _min_count(lat)[0]
 
@@ -645,8 +658,14 @@ def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None, r: Fraction) 
     target = r * prep.den
     rows = np.zeros((0, prep.n), np.int8)
     if target.denominator == 1 and target > 0 and prep.n:
-        pr = None if parity is None else _parity_reduced(prep, parity)
-        found = _run(prep, "shell", int(target), int(target), pr)
+        # up to its bound the minimum walk answers: it holds the shell at the
+        # minimum and shows that none lies below
+        m, leaves = _min_count(lat) if parity is None and target <= prep.seed else (0, None)
+        if r == m:
+            found = np.concatenate(leaves)
+        else:
+            pr = None if parity is None else _parity_reduced(prep, parity)
+            found = _run(prep, "shell", int(target), int(target), pr) if r > m else rows
         rows, _ = _canonical(imatmul_array(found, prep.u.rows))  # in the input basis
     rows.flags.writeable = False
     return rows
@@ -673,9 +692,9 @@ def shell_count(lat: GramLattice, r) -> int:
     target = r * prep.den
     if target.denominator != 1 or target <= 0 or not prep.n:
         return 0
-    m, count = _min_count(lat)
+    m, leaves = _min_count(lat)
     if r <= m:
-        return count if r == m else 0
+        return sum(map(len, leaves)) if r == m else 0
     return _run(prep, "count", int(target), int(target), None)
 
 

@@ -164,7 +164,8 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
     is the least in the walk's order (each level ascending, top level
     first); "count" counts exact-norm leaves closed-form at the bottom
     level; "mincount" keeps the least nonzero scaled norm found as an
-    inclusive bound and returns (best, leaves at best).
+    inclusive bound, drops the leaves it holds whenever it lowers that
+    bound, and returns (best, leaves at best).
     """
     n = payload["n"]
     delta = payload["delta"]
@@ -192,12 +193,12 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
 
     def leaf(a2: int) -> bool:
         """Record a nonzero leaf of scaled norm a2 <= limit; True ends the walk."""
-        nonlocal count, limit
+        nonlocal limit
         if mode == "mincount":
             if a2 < limit:
                 limit = a2
-                count = 0
-            count += 1
+                out.clear()
+            out.append(tuple(x))
         elif mode == "le":
             out.append((a2, tuple(x)))
         elif a2 == target:
@@ -279,7 +280,7 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
     if mode == "count":
         return count
     if mode == "mincount":
-        return limit, count
+        return limit, out
     return out
 
 

@@ -26,6 +26,7 @@ from eqlat.errors import (
 from eqlat.exact import IntMatrix, RatMatrix, rank_det
 from eqlat.fastops import gram_product
 from eqlat.lattice import GramLattice
+from eqlat.mod2 import equiangular_via_s0
 from eqlat.shortvec import (
     PairSet,
     coset_minimum,
@@ -201,6 +202,7 @@ def test_minimum_and_count_match_grid_oracle():
         m = oracle[0][0]
         assert minimum(lat) == m
         assert shell_count(lat, m) == sum(nm == m for nm, _ in oracle)
+        assert shell(lat, m) == tuple(v for nm, v in oracle if nm == m)  # the walk's leaves
         red, _ = lll_reduce(lat)
         lowered += min(red.gram.num[i, i] for i in range(lat.dim)) > m
         checked += 1
@@ -216,11 +218,26 @@ def test_minimum_and_count_share_one_walk(monkeypatch):
 
     monkeypatch.setattr(shortvec, "_search_chunk", counted)
     shortvec._min_count.cache_clear()
+    shortvec._coset_shell.cache_clear()
     e8 = root_lattice("E", 8).lattice
     assert shell_count(e8, minimum(e8)) == 120
     assert modes == ["mincount"]
+    # the shell at the minimum is the leaves that walk kept, and the S0
+    # slice reads that shell
+    assert len(shell(e8, 2)) == shell_count(e8, 2) == 120
+    assert equiangular_via_s0(e8, (0, 0, 0, 0, 0, 0, 1, -1)).t == 28
+    assert shell(e8, 1) == ()  # below the minimum
+    assert modes == ["mincount"]
     assert shell_count(e8, 4) == 1080
     assert modes == ["mincount", "count"]
+    # a basis whose least diagonal entry, 11, lies above the minimum 10:
+    # norms up to 10 come from the minimum walk, norm 11 takes its own walk
+    lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6], [-1, 2, -6, 11]])
+    assert shortvec._prep(lat).seed == 11
+    modes.clear()
+    assert shell(lat, 9) == () and len(shell(lat, 10)) == shell_count(lat, 10) > 0
+    assert modes == ["mincount"]
+    assert shell(lat, 11) and modes == ["mincount", "shell"]
 
 
 def test_shell_count_zero_cases():
@@ -341,13 +358,18 @@ def test_threaded_minimum_and_count_match_serial():
     # minimum 10, and the two top-level values split across two workers
     lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
                        [-1, 2, -6, 11]])
-    shortvec._min_count.cache_clear()
-    serial = (minimum(lat), shell_count(lat, minimum(lat)))
-    assert serial == (10, 1)
-    shortvec._min_count.cache_clear()
+
+    def answers():
+        shortvec._min_count.cache_clear()
+        shortvec._coset_shell.cache_clear()
+        m = minimum(lat)
+        return m, shell_count(lat, m), shell(lat, m)  # the shell from the kept leaves
+
+    serial = answers()
+    assert serial[:2] == (10, 1)
     set_threads(2)
     try:
-        assert (minimum(lat), shell_count(lat, minimum(lat))) == serial
+        assert answers() == serial
     finally:
         set_threads(1)
 
@@ -484,7 +506,7 @@ def kernel_payloads(prep, r, parity):
     pr = None if parity is None else shortvec._parity_reduced(prep, parity)
     target = math.floor(r * prep.den)
     if parity is None:
-        seed = min(prep.red.gram.num[i, i] for i in range(prep.n))
+        seed = prep.seed
     else:
         seed = math.floor(prep.lat.norm(parity) * prep.den)  # the 0/1 lift lies in the class
     for mode, limit, tgt in (("le", target, None), ("shell", target, target),
@@ -515,7 +537,7 @@ def ref_walk(payload, visits=None):
     if payload["mode"] == "le":
         return [(a // scale, v) for a, v in found]
     if payload["mode"] == "mincount":
-        return found[0] // scale, found[1]
+        return found[0] // scale, sorted(found[1])
     return found
 
 
@@ -527,12 +549,16 @@ def in_int64(payload):
 
 
 def listed(mode, found):
-    """A walk's result with "shell" and "le" leaves as tuples, as
-    ref_search_chunk gives them."""
+    """A walk's result with "shell", "le" and "mincount" leaves as tuples,
+    as ref_search_chunk gives them ("mincount" leaves sorted, as ref_walk
+    gives them)."""
     if mode == "le":
         return [(r[0], tuple(r[1:])) for r in found.tolist()]
     if mode == "shell":
         return list(map(tuple, found.tolist()))
+    if mode == "mincount":
+        best, chunks = found
+        return best, sorted(v for chunk in chunks for v in map(tuple, chunk.tolist()))
     return found
 
 
@@ -614,6 +640,33 @@ def test_kernel_matches_reference_walk(monkeypatch):
     assert 0 < past < len(walks)
 
 
+@pytest.mark.parametrize("budget, batch", [(shortvec._BUDGET, shortvec._BATCH),
+                                           (0, shortvec._BATCH), (0, 2)])
+def test_mincount_leaves_match_reference_walk(monkeypatch, budget, batch):
+    """"mincount" keeps the leaves at its running best norm and drops them
+    when a leaf lowers that bound.  On bases whose first leaf lies above the
+    minimum, both kernels, and the dispatch with every walk batched or not,
+    give the reference's sorted leaves and node counts; batches of two rows
+    make the batched kernel hold leaves from earlier steps when it drops."""
+    monkeypatch.setattr(shortvec, "_BUDGET", budget)
+    monkeypatch.setattr(shortvec, "_BATCH", batch)
+    rng = random.Random(109)
+    dropped = 0
+    while dropped < 5:
+        prep = shortvec._prep(near_reduced_gram(rng, rng.randint(2, 6)))
+        for payload in kernel_payloads(prep, 1, None):
+            if payload["mode"] != "mincount":
+                continue
+            visits = []
+            want = ref_walk(payload, visits), len(visits)
+            for walk in KERNELS.values():
+                assert walked(walk, payload) == want
+            assert listed("mincount", shortvec._search_chunk(payload)) == want[0]
+            # the first leaf of the walk, taken before any bound is lowered
+            first = ref_walk(dict(payload, mode="le"))[:1]
+            dropped += bool(first) and first[0][0] > want[0][0]
+
+
 def test_coordinate_bounds_match_reference():
     """The bounds from RatMatrix.inverse are the scaled-integer ones of the
     lcm form, on the kernel corpus and on Leech, whose walk coordinates they
@@ -670,7 +723,7 @@ def test_batched_kernel_answers_an_empty_top_level(monkeypatch):
 
 def leech_min_payload():
     prep = shortvec._prep(leech().lattice)
-    limit = min(prep.red.gram.num[i, i] for i in range(prep.n))
+    limit = prep.seed
     return {"n": prep.n, "delta": prep.delta, "sub": prep.sub,
             "parity": None, "mode": "mincount", "target": None, "limit": limit,
             "tops": shortvec._top_values(prep.delta, limit, None)}
@@ -680,9 +733,9 @@ def test_batched_kernel_visits_the_leech_minimum_walk():
     # 1,971,697 nodes below the top level: the count of the reference walk
     # (test_leech_minimum_walk_matches_reference) and of the Python kernel
     payload = leech_min_payload()
-    (best, count), nodes = shortvec._batched_walk(payload)
+    (best, leaves), nodes = shortvec._batched_walk(payload)
     assert nodes == 1_971_697
-    assert (best, count) == (4, 98_280)
+    assert best == 4 and sum(map(len, leaves)) == 98_280
 
 
 @pytest.mark.slow
@@ -691,7 +744,7 @@ def test_leech_minimum_walk_matches_reference():
     visits = []
     want = ref_walk(payload, visits), len(visits)
     assert want[1] == 1_971_697
-    assert shortvec._walk(payload) == shortvec._batched_walk(payload) == want
+    assert walked(shortvec._walk, payload) == walked(shortvec._batched_walk, payload) == want
 
 
 def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
@@ -732,7 +785,8 @@ def test_leech_walks_stay_in_int64():
     payload = dict(leech_min_payload(), delta=skew.delta, sub=skew.sub,
                    tops=shortvec._top_values(skew.delta, 4, None))
     assert in_int64(payload)
-    assert shortvec._batched_walk(payload)[0] == (4, 98_280)
+    best, leaves = shortvec._batched_walk(payload)[0]
+    assert best == 4 and sum(map(len, leaves)) == 98_280
 
 
 def test_small_walks_never_enter_the_batched_kernel(monkeypatch):
