@@ -14,7 +14,7 @@ class NotPositiveDefinite(EqlatError):
 
 
 class NotIntegral(EqlatError):
-    """An integral lattice was required."""
+    """An integral lattice, or an integer matrix entry, was required."""
 
 
 class NotOdd(EqlatError):

@@ -10,8 +10,11 @@ denominator in lowest terms, so both hash and compare by value.
 The routines are the ones the rest of the library leans on: Hermite normal
 form with a unimodular transform, fraction-free rank/determinant and the
 leading minors of a Gram matrix (Bareiss), saturated integer kernels,
-integer solving on the HNF, the Berkowitz characteristic polynomial, and
-root location for real-rooted polynomials by Budan-Fourier counts.
+integer solving on the HNF, the characteristic polynomial (a multimodular
+Hessenberg reduction in numpy int64, lifted by CRT past Hadamard's bound),
+and root location for real-rooted polynomials by Budan-Fourier counts.
+Matrix entries must be integers: an entry v with int(v) != v, such as 5/2,
+2.7 or the string '1', raises NotIntegral instead of being truncated.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotIntegral, NotPositiveDefinite
 from .fastops import gram_product, imatmul, int_array
 
 __all__ = [
@@ -50,8 +53,21 @@ __all__ = [
 ]
 
 
+def _int_row(row: Iterable[int]) -> tuple[int, ...]:
+    """row as a tuple of ints, raising NotIntegral unless int(v) == v for
+    every entry v; a row of plain ints passes with its own objects."""
+    row = tuple(row)
+    try:
+        out = tuple(map(int, row))
+    except (TypeError, ValueError, OverflowError):  # '1.5', None, inf
+        out = None
+    if out != row:  # int() alone truncates 5/2 and 2.7 to 2
+        raise NotIntegral(f"entries {row} are not all integers")
+    return out
+
+
 def _as_int_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    out = tuple(tuple(int(v) for v in row) for row in rows)
+    out = tuple(map(_int_row, rows))
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionMismatch("ragged rows")
     return out

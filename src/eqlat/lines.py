@@ -23,7 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import floor, gcd
+
+import numpy as np
 
 from .errors import (
     BadParameter,
@@ -35,6 +38,7 @@ from .errors import (
 from .exact import (
     DEFAULT_ROOT_WIDTH,
     IntMatrix,
+    _int_row,
     charpoly,
     least_root,
     poly_eval,
@@ -47,7 +51,7 @@ from .exact import (
     row_rank,
     solve_left,
 )
-from .fastops import gram_product, imatmul
+from .fastops import _SAFE, _max_abs, imatmul_array, int_array
 from .lattice import GramLattice
 from .shortvec import PairSet
 
@@ -85,10 +89,6 @@ LATTICE_LINES_KNOWN = {
     14: 28, 15: 36, 16: 38, 17: 48, 18: 56,
     19: 72, 20: 90, 21: 126, 22: 176, 23: 276,
 }
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -143,16 +143,13 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
         raise NotEquiangular(
             f"{t} lines exceed Gerzon's bound {absolute_bound(rank)} in rank {rank}"
         )
-    den = lat.gram.den
-    prods = gram_product(reps, lat.gram.num.rows)
-    c_num = abs(prods[0][1])
-    for i in range(t):
-        for j in range(i + 1, t):
-            if abs(prods[i][j]) != c_num:
-                raise NotEquiangular(
-                    f"pairs {reps[i]} and {reps[j]}: |inner| "
-                    f"{Fraction(abs(prods[i][j]), den)} != {Fraction(c_num, den)}"
-                )
+    prods, den = _products(lat, reps), lat.gram.den
+    c_num = abs(int(prods[0, 1]))
+    bad = np.triu((prods != c_num) & (prods != -c_num), 1)
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), t)  # the first in row-major order
+        raise NotEquiangular(f"pairs {reps[i]} and {reps[j]}: |inner| "
+                             f"{Fraction(abs(int(prods[i, j])), den)} != {Fraction(c_num, den)}")
     c = Fraction(c_num, den)
     if c == 0:
         raise NotEquiangular("orthogonal lines: the common inner product is 0")
@@ -161,32 +158,58 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
     return LineFamily(lat, pairs, t, rank, c, c / pairs.norm)
 
 
-@dataclass(frozen=True, slots=True)
-class SeidelMatrix:
-    """Symmetric matrix with zero diagonal and entries +-1 off it."""
+def _products(lat: GramLattice, reps) -> np.ndarray:
+    """The exact t x t inner-product numerators reps G reps^T."""
+    b = int_array(reps)
+    return imatmul_array(imatmul_array(b, lat.gram.num.rows), b.T)
 
-    rows: tuple[tuple[int, ...], ...]
+
+@dataclass(frozen=True, slots=True, eq=False)
+class SeidelMatrix:
+    """Symmetric matrix with zero diagonal and entries +-1 off it, kept as
+    one read-only int8 array; rows (row tuples) is built on demand.  Entries
+    must be integers (NotIntegral); the first fault of the row-by-row scan
+    (length, diagonal, then per later column +-1 and symmetry) raises
+    BadParameter."""
+
+    array: np.ndarray
 
     def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
-        t = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != t:
-                raise BadParameter("matrix is not square")
-            if row[i] != 0:
-                raise BadParameter(f"nonzero diagonal entry at {i}")
-            for j in range(i + 1, t):
-                if row[j] not in (-1, 1):
-                    raise BadParameter(f"entry ({i},{j}) = {row[j]} is not +-1")
-                if rows[j][i] != row[j]:
-                    raise BadParameter(f"asymmetry at ({i},{j})")
-        object.__setattr__(self, "rows", rows)
+        a = self.array
+        if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
+            a = [_int_row(row) for row in a]
+        t = len(a)
+        k = next((i for i, row in enumerate(a) if len(row) != t), t)  # rows scanned
+        a = int_array(a if k == t else [tuple(r[:t]) + (0,) * (t - len(r)) for r in a])
+        a = a.reshape(t, t)
+        upper = np.triu(np.ones((k, t), bool), 1)
+        pm = upper & (abs(a[:k]) != 1)
+        bad = pm | upper & (a[:k] != a.T[:k]) | np.eye(k, t, dtype=bool) & (a[:k] != 0)
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), t)  # the first in row-major order
+            raise BadParameter(f"nonzero diagonal entry at {i}" if i == j else
+                               f"entry ({i},{j}) = {a[i, j]} is not +-1" if pm[i, j] else
+                               f"asymmetry at ({i},{j})")
+        if k < t:
+            raise BadParameter("matrix is not square")
+        object.__setattr__(self, "array", a.astype(np.int8))
+        self.array.flags.writeable = False
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
+
+    def __eq__(self, other):
+        return isinstance(other, SeidelMatrix) and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash(self.array.tobytes())
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.array)
 
     def __repr__(self):
-        return f"SeidelMatrix(t={len(self.rows)})"
+        return f"SeidelMatrix(t={len(self.array)})"
 
 
 def seidel(fam: LineFamily) -> SeidelMatrix:
@@ -199,13 +222,10 @@ def seidel(fam: LineFamily) -> SeidelMatrix:
     """
     if fam.alpha is None:
         raise DegeneratePair(f"{fam.t} line(s) carry no angle")
-    prods = gram_product(fam.pairs.reps, fam.lattice.gram.num.rows)
-    return SeidelMatrix(
-        [
-            [0 if i == j else _sign(e) for j, e in enumerate(row)]
-            for i, row in enumerate(prods)
-        ]
-    )
+    s = _products(fam.lattice, fam.pairs.reps)
+    np.sign(s, out=s)
+    np.fill_diagonal(s, 0)
+    return SeidelMatrix(s.astype(np.int8))
 
 
 # Above this size the minimal-polynomial route is tried first: it settles
@@ -224,8 +244,8 @@ def seidel_charpoly(s: SeidelMatrix) -> list[int]:
     multiplicities); when the structure is absent they fall back to
     exact.charpoly, which is always correct.
     """
-    if len(s.rows) > _MINPOLY_FIRST:
-        p = _charpoly_via_minpoly([list(r) for r in s.rows])
+    if len(s) > _MINPOLY_FIRST:
+        p = _charpoly_via_minpoly(s.array)
         if p is not None:
             return p
     return charpoly(IntMatrix(s.rows))
@@ -256,7 +276,7 @@ def _krylov_annihilator(rows, start) -> list[int]:
             return [c // row[t + k] for c in row[t:t + k + 1]]
         content = gcd(*row)
         basis.append((piv, [x // content for x in row]))
-        v = imatmul([v], rows)[0]  # S v, as S is symmetric
+        v = imatmul_array([v], rows)[0].tolist()  # S v, as S is symmetric
     return []
 
 
@@ -269,14 +289,14 @@ def _charpoly_via_minpoly(rows) -> list[int] | None:
     exact identity, its roots are integers, and the multiplicities are the
     unique solution of the trace equations.
     """
-    t = len(rows)
-    # Gershgorin: every eigenvalue lies within the largest absolute row sum
-    bound = max(sum(map(abs, row)) for row in rows)
+    s = int_array(rows)
+    t = len(s)
+    bound = t * _max_abs(s)  # Gershgorin: every |eigenvalue| <= t max |entry|
     starts = [[1 + (k % 7) for k in range(t)]]
     starts += [[int(i == k) for i in range(t)] for k in range(min(4, t))]
     minpoly = [1]
     for start in starts:
-        ann = _krylov_annihilator(rows, start)
+        ann = _krylov_annihilator(s, start)
         if not ann:
             return None
         minpoly = poly_lcm(minpoly, ann)
@@ -286,41 +306,41 @@ def _charpoly_via_minpoly(rows) -> list[int] | None:
         roots = _integer_roots(minpoly, bound)
         if roots is None:
             return None
-        if _annihilates(rows, minpoly):
+        if _annihilates(s, minpoly):
             break
     else:
         return None
     d = len(roots)
     # traces of the first d powers pin the eigenvalue multiplicities
-    traces, power = [t], rows
+    traces, power = [t], s
     for k in range(1, d):
         if k > 1:
-            power = imatmul(power, rows)
-        traces.append(sum(power[i][i] for i in range(t)))
+            power = imatmul_array(power, s)
+        traces.append(int(np.trace(power, dtype=object)))
     vand = IntMatrix([[r**k for k in range(d)] for r in roots])
     mults = solve_left(vand, traces)
     if mults is None:
         return None
-    out = [1]
-    for root, mult in zip(roots, mults):
-        if mult <= 0:
-            return None
-        out = poly_mul(out, poly_linear_power(root, mult))
-    if len(out) != t + 1:
+    if min(mults) <= 0:
         return None
-    return out
+    # of degree t, as the first trace equation sums the multiplicities
+    return reduce(poly_mul, map(poly_linear_power, roots, mults), [1])
 
 
 def _annihilates(rows, p: list[int]) -> bool:
-    """p(S) == 0, by Horner from p[-1] S: deg p - 1 products for deg p >= 1."""
-    t = len(rows)
-    acc = [[p[-1] * e for e in row] for row in rows]
+    """p(S) == 0, by Horner from p[-1] S: deg p - 1 products for deg p >= 1.
+
+    An int64 acc has entries below 2**62, imatmul_array's bound, so adding
+    c to its diagonal is exact in int64 while |c| < 2**62 too."""
+    s = int_array(rows)
+    acc = (s if _max_abs(s) * abs(p[-1]) < _SAFE else s.astype(object)) * p[-1]
     for k, c in enumerate(reversed(p[:-1])):
         if k:
-            acc = imatmul(acc, rows)
-        for i in range(t):
-            acc[i][i] += c
-    return all(not e for row in acc for e in row)
+            acc = imatmul_array(acc, s)
+        if abs(c) >= _SAFE:
+            acc = acc.astype(object)
+        acc.flat[::len(s) + 1] += c
+    return not acc.any()
 
 
 def _integer_roots(p: list[int], bound: int) -> list[int] | None:
@@ -354,16 +374,14 @@ def _factored_charpoly(fam: LineFamily) -> tuple[list[Fraction], Fraction, int]:
     if fam.alpha is None:
         raise DegeneratePair(f"{fam.t} line(s) carry no angle")
     t, r, n = fam.t, fam.rank, fam.lattice.dim
-    btb = gram_product(list(zip(*fam.pairs.reps)))  # B^T B for B the reps
-    p = charpoly(IntMatrix(imatmul(fam.lattice.gram.num.rows, btb)))
+    b = int_array(fam.pairs.reps)  # B, the reps as rows; Gram (B^T B) next
+    p = charpoly(IntMatrix(imatmul_array(fam.lattice.gram.num.rows, imatmul_array(b.T, b))))
     if any(p[k] for k in range(n - r)) or not p[n - r]:
         raise VerificationError("spectral factor disagrees with the rank")
     # roots of g are den*N*(alpha*lambda + 1) over Seidel eigenvalues lambda
     scale = fam.lattice.gram.den * fam.pairs.norm
     q = poly_linear_sub(p[n - r:], scale * fam.alpha, scale)
-    if not q[-1]:
-        raise VerificationError("degree loss in the spectral substitution")
-    q = [c / q[-1] for c in q]
+    q = [c / q[-1] for c in q]  # q[-1] = (scale alpha)^r > 0
     root, k = -1 / fam.alpha, t - r
     if q[r - 1] != k * root:  # trace of a Seidel matrix is 0
         raise VerificationError("assembled spectrum fails the trace identity")

@@ -692,9 +692,10 @@ def shell_count(lat: GramLattice, r) -> int:
     target = r * prep.den
     if target.denominator != 1 or target <= 0 or not prep.n:
         return 0
-    m, leaves = _min_count(lat)
-    if r <= m:
-        return sum(map(len, leaves)) if r == m else 0
+    if target <= prep.seed:  # up to its bound the minimum walk answers
+        m, leaves = _min_count(lat)
+        if r <= m:
+            return sum(map(len, leaves)) if r == m else 0
     return _run(prep, "count", int(target), int(target), None)
 
 

@@ -11,8 +11,11 @@ compared result for result and in the same order.  So are the Sturm-chain
 root finder (`sturm_chain` .. `smallest_real_root`), which
 `exact.least_root` replaced while keeping every bisection decision,
 `ref_least_check`, the least-eigenvalue entry of `certify` as the Sturm
-counts made it, and `ref_check_scalar_products_after_projection`, the
-pair-by-pair loop of `mod2.check_scalar_products_after_projection`.
+counts made it, `ref_check_scalar_products_after_projection`, the
+pair-by-pair loop of `mod2.check_scalar_products_after_projection`, and
+`ref_seidel_rows` and `ref_equiangular_pairs`, the entry-by-entry scans
+that `lines.SeidelMatrix` and `lines.line_family` ran before they kept one
+integer array.
 `berkowitz`, the division-free characteristic polynomial over the
 integers, is the reference for the multimodular `exact.charpoly`.
 """
@@ -25,7 +28,14 @@ from typing import Sequence
 import numpy as np
 
 from eqlat import mod2
-from eqlat.errors import DimensionMismatch, VerificationError, WrongNormX0
+from eqlat.errors import (
+    BadParameter,
+    DimensionMismatch,
+    NotEquiangular,
+    NotIntegral,
+    VerificationError,
+    WrongNormX0,
+)
 from eqlat.exact import (
     DEFAULT_ROOT_WIDTH,
     IntMatrix,
@@ -624,3 +634,67 @@ def ref_check_scalar_products_after_projection(lat: GramLattice, v: Sequence[int
     report.update(ok=True, pairs_checked=checked, slice_size=len(slice_),
                   products=sorted(values))
     return report
+
+
+def _is_integer(v) -> bool:
+    try:
+        return int(v) == v
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def ref_seidel_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """The rows SeidelMatrix(rows) keeps, scanned entry by entry.
+
+    The integer rule comes first (NotIntegral names the first row with an
+    entry v where int(v) != v); the rest is the scan SeidelMatrix made
+    before it kept one array: row by row, the length, the diagonal, then
+    for each later column +-1 and symmetry.
+    """
+    rows = [tuple(row) for row in rows]
+    for row in rows:
+        if not all(map(_is_integer, row)):
+            raise NotIntegral(f"entries {row} are not all integers")
+    rows = tuple(tuple(int(e) for e in row) for row in rows)
+    t = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != t:
+            raise BadParameter("matrix is not square")
+        if row[i] != 0:
+            raise BadParameter(f"nonzero diagonal entry at {i}")
+        for j in range(i + 1, t):
+            if row[j] not in (-1, 1):
+                raise BadParameter(f"entry ({i},{j}) = {row[j]} is not +-1")
+            if rows[j][i] != row[j]:
+                raise BadParameter(f"asymmetry at ({i},{j})")
+    return rows
+
+
+def ref_equiangular_pairs(lat: GramLattice, reps: Sequence[Sequence[int]]) -> Fraction:
+    """The common |inner| of two or more representatives, by the pair loop
+    line_family ran before its product array: NotEquiangular names the
+    first pair i < j, in row-major order, off the |inner| of pair (0, 1)."""
+    t, den = len(reps), lat.gram.den
+    prods = gram_product(reps, lat.gram.num.rows)
+    c_num = abs(prods[0][1])
+    for i in range(t):
+        for j in range(i + 1, t):
+            if abs(prods[i][j]) != c_num:
+                raise NotEquiangular(
+                    f"pairs {reps[i]} and {reps[j]}: |inner| "
+                    f"{Fraction(abs(prods[i][j]), den)} != {Fraction(c_num, den)}"
+                )
+    return Fraction(c_num, den)
+
+
+def ref_poly_at_matrix(rows: Sequence[Sequence[int]], p: Sequence[int]) -> list[list[int]]:
+    """p(rows) in Python integers: the sum of p[k] rows^k, powers by a
+    plain triple loop."""
+    t = len(rows)
+    power = [[int(i == j) for j in range(t)] for i in range(t)]
+    out = [[0] * t for _ in range(t)]
+    for c in p:
+        out = [[o + c * e for o, e in zip(orow, prow)] for orow, prow in zip(out, power)]
+        power = [[sum(power[i][k] * rows[k][j] for k in range(t)) for j in range(t)]
+                 for i in range(t)]
+    return out

@@ -18,7 +18,7 @@ from oracles import (
     sturm_chain,
 )
 
-from eqlat.errors import DimensionMismatch, NotPositiveDefinite
+from eqlat.errors import DimensionMismatch, NotIntegral, NotPositiveDefinite
 from eqlat.lattice import GramLattice
 from eqlat.exact import (
     IntMatrix,
@@ -46,6 +46,20 @@ def rand_matrix(rng, nr, nc, lo=-9, hi=9):
 
 
 # -- Hermite normal form ----------------------------------------------------
+
+
+def test_non_integer_entries_are_rejected():
+    # int() alone would read these as the Gram [[2, 1], [1, 2]] and as [[2]]
+    with pytest.raises(NotIntegral, match="not all integers"):
+        GramLattice([[QQ(5, 2), 1], [1, 2]])
+    with pytest.raises(NotIntegral, match="not all integers"):
+        IntMatrix([[2.7]])
+    for bad in ("1", None, float("inf"), float("nan")):
+        with pytest.raises(NotIntegral):
+            IntMatrix([[1, bad]])
+    # integral values of other types are read as the integers they equal
+    assert IntMatrix([[2.0, QQ(6, 3), True]]).rows == ((2, 2, 1),)
+    assert GramLattice([[QQ(4, 2), 1], [1, 2.0]]) == GramLattice([[2, 1], [1, 2]])
 
 
 def test_hnf_worked_example():

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import (
     berkowitz,
@@ -14,6 +15,7 @@ from oracles import (
     poly_from_roots,
     ref_krylov_annihilator,
     ref_least_check,
+    ref_poly_at_matrix,
 )
 
 from eqlat.errors import (
@@ -22,6 +24,7 @@ from eqlat.errors import (
     MixedNorms,
     NotApplicable,
     NotEquiangular,
+    NotIntegral,
 )
 from eqlat import exact, lines
 from eqlat.exact import (
@@ -117,14 +120,10 @@ def test_line_family_rejects_root_system():
 
 def test_line_family_rejects_beyond_gerzon_without_products(monkeypatch):
     # 120 pairs in rank 8 exceed 8 * 9 / 2 = 36: no pairwise product is formed
-    real = lines.gram_product
+    def no_product(a, b):
+        raise AssertionError("formed the t x t product")
 
-    def rank_only(rows, g=None):
-        if g is not None:
-            raise AssertionError("formed the t x t product")
-        return real(rows)
-
-    monkeypatch.setattr(lines, "gram_product", rank_only)
+    monkeypatch.setattr(lines, "imatmul_array", no_product)
     with pytest.raises(NotEquiangular, match="Gerzon's bound 36 in rank 8"):
         line_family(E8, shell(E8, 2))
 
@@ -177,6 +176,50 @@ def test_seidel_matrix_validation():
         SeidelMatrix([[0, 2], [2, 0]])
     with pytest.raises(BadParameter, match="asymmetry"):
         SeidelMatrix([[0, 1], [-1, 0]])
+
+
+def test_seidel_matrix_rejects_non_integer_entries():
+    # int() alone read the first as [[0, 1], [1, 0]], with charpoly x^2 - 1
+    for bad in (1.5, "1", Fraction(1, 2)):
+        with pytest.raises(NotIntegral, match="not all integers"):
+            SeidelMatrix([[0, bad], [bad, 0]])
+    assert SeidelMatrix([[0, 1.0], [Fraction(1), 0]]).rows == ((0, 1), (1, 0))
+
+
+def test_seidel_matrix_keeps_one_read_only_array():
+    rows = [[0, 1, -1], [1, 0, 1], [-1, 1, 0]]
+    s = SeidelMatrix(rows)
+    assert s.array.dtype == np.int8 and not s.array.flags.writeable
+    assert s.rows == tuple(map(tuple, rows)) and len(s) == 3
+    same = SeidelMatrix(np.array(rows, dtype=np.int64))
+    assert s == same and hash(s) == hash(same) and len({s, same}) == 1
+    assert s != SeidelMatrix([[0, 1], [1, 0]]) and s != rows
+    with pytest.raises(ValueError):
+        s.array[0, 1] = -1
+    with pytest.raises(BadParameter):
+        SeidelMatrix([[0, 1], []])  # the entry scan raised IndexError here
+
+
+def test_annihilates_is_exact_past_int64():
+    # J - I on 5 lines has minimal polynomial (x - 4)(x + 1); coefficients
+    # past 2**62 put the Horner sums on Python integers, where 2**64 I is
+    # not the zero that int64 wraparound would make of it
+    s = [[int(i != j) for j in range(5)] for i in range(5)]
+    m = [-4, -3, 1]
+    big = poly_mul(m, [-(2**63), 1])
+    cases = [
+        (m, True),
+        (big, True),
+        ([big[0] + 2**64] + big[1:], False),
+        ([2**70 * c for c in m], True),
+        ([2**70 * c for c in m[:-1]] + [2**70 + 2**64], False),
+        ([2**64] + m[1:], False),
+    ]
+    for p, annihilates in cases:
+        value = ref_poly_at_matrix(s, p)
+        assert (not any(map(any, value))) is annihilates
+        assert lines._annihilates(s, p) is annihilates
+        assert lines._annihilates(np.array(s), p) is annihilates
 
 
 def test_family_charpoly_matches_direct_computation():
@@ -336,13 +379,13 @@ def test_witt_minpoly_route_makes_one_square_product(monkeypatch):
     inputs = benchmark_inputs()
     witt = inputs.seidel_of(inputs.witt_lines()[1])
     t, sizes = len(witt), []
-    matmul = lines.imatmul
+    matmul = lines.imatmul_array
 
     def counted(a, b):
         sizes.append(len(a))
         return matmul(a, b)
 
-    monkeypatch.setattr(lines, "imatmul", counted)
+    monkeypatch.setattr(lines, "imatmul_array", counted)
     spectrum = poly_mul(poly_linear_power(-5, 253), poly_linear_power(55, 23))
     assert lines._charpoly_via_minpoly(witt) == spectrum
     assert sizes.count(t) == 1

@@ -240,6 +240,30 @@ def test_minimum_and_count_share_one_walk(monkeypatch):
     assert shell(lat, 11) and modes == ["mincount", "shell"]
 
 
+def test_shell_count_above_the_seed_walks_once(monkeypatch):
+    # above the minimum walk's first bound, shell_count makes only its own
+    # "count" walk; the counts agree with the shells' walks at every norm
+    modes = []
+    search = shortvec._search_chunk
+
+    def counted(payload):
+        modes.append(payload["mode"])
+        return search(payload)
+
+    monkeypatch.setattr(shortvec, "_search_chunk", counted)
+    shortvec._min_count.cache_clear()
+    e8 = root_lattice("E", 8).lattice
+    assert shell_count(e8, 4) == 1080
+    assert modes == ["count"]
+    rng = random.Random(41)
+    corpus = [A2, Z2, e8, root_lattice("D", 5).lattice]
+    corpus += [rand_gram(rng, n) for n in (2, 3, 4, 5)]
+    for lat in corpus:
+        shortvec._min_count.cache_clear()
+        for r in range(1, 13):
+            assert shell_count(lat, r) == len(shell(lat, r))
+
+
 def test_shell_count_zero_cases():
     assert shell_count(A2, 0) == shell_count(A2, -2) == 0
     assert shell_count(A2, QQ(1, 2)) == 0  # unreachable on an integral lattice
