@@ -68,9 +68,15 @@ def row_norms(a: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> np.ndar
     return np.concatenate(out)
 
 
+def gram_array(rows, g: Sequence[Sequence[int]] | None = None) -> np.ndarray:
+    """rows @ g @ rows^T, or rows @ rows^T when g is None, exact, as
+    imatmul_array's array (rows 2-d)."""
+    b = int_array(rows)
+    return imatmul_array(b if g is None else imatmul_array(b, g), b.T)
+
+
 def gram_product(
     rows: Sequence[Sequence[int]], g: Sequence[Sequence[int]] | None = None
 ) -> list[list[int]]:
-    """rows @ g @ rows^T, or rows @ rows^T when g is None, exact."""
-    cols = [list(c) for c in zip(*rows)]
-    return imatmul(rows if g is None else imatmul(rows, g), cols)
+    """gram_array as lists of Python integers; [] for no rows."""
+    return gram_array(rows, g).tolist() if len(rows) else []

@@ -51,7 +51,7 @@ from .exact import (
     row_rank,
     solve_left,
 )
-from .fastops import _SAFE, _max_abs, imatmul_array, int_array
+from .fastops import _SAFE, _max_abs, gram_array, imatmul_array, int_array
 from .lattice import GramLattice
 from .shortvec import PairSet
 
@@ -143,7 +143,7 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
         raise NotEquiangular(
             f"{t} lines exceed Gerzon's bound {absolute_bound(rank)} in rank {rank}"
         )
-    prods, den = _products(lat, reps), lat.gram.den
+    prods, den = gram_array(reps, lat.gram.num.rows), lat.gram.den
     c_num = abs(int(prods[0, 1]))
     bad = np.triu((prods != c_num) & (prods != -c_num), 1)
     if bad.any():
@@ -156,12 +156,6 @@ def line_family(lat: GramLattice, vectors) -> LineFamily:
     if not c < pairs.norm:
         raise NotEquiangular(f"|inner| {c} not below the norm {pairs.norm}")
     return LineFamily(lat, pairs, t, rank, c, c / pairs.norm)
-
-
-def _products(lat: GramLattice, reps) -> np.ndarray:
-    """The exact t x t inner-product numerators reps G reps^T."""
-    b = int_array(reps)
-    return imatmul_array(imatmul_array(b, lat.gram.num.rows), b.T)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -222,7 +216,7 @@ def seidel(fam: LineFamily) -> SeidelMatrix:
     """
     if fam.alpha is None:
         raise DegeneratePair(f"{fam.t} line(s) carry no angle")
-    s = _products(fam.lattice, fam.pairs.reps)
+    s = gram_array(fam.pairs.reps, fam.lattice.gram.num.rows)
     np.sign(s, out=s)
     np.fill_diagonal(s, 0)
     return SeidelMatrix(s.astype(np.int8))
@@ -319,9 +313,7 @@ def _charpoly_via_minpoly(rows) -> list[int] | None:
         traces.append(int(np.trace(power, dtype=object)))
     vand = IntMatrix([[r**k for k in range(d)] for r in roots])
     mults = solve_left(vand, traces)
-    if mults is None:
-        return None
-    if min(mults) <= 0:
+    if mults is None or min(mults) <= 0:
         return None
     # of degree t, as the first trace equation sums the multiplicities
     return reduce(poly_mul, map(poly_linear_power, roots, mults), [1])
@@ -330,10 +322,11 @@ def _charpoly_via_minpoly(rows) -> list[int] | None:
 def _annihilates(rows, p: list[int]) -> bool:
     """p(S) == 0, by Horner from p[-1] S: deg p - 1 products for deg p >= 1.
 
-    An int64 acc has entries below 2**62, imatmul_array's bound, so adding
-    c to its diagonal is exact in int64 while |c| < 2**62 too."""
+    acc is int64 (never the int8 of a Seidel array) or Python integers.  An
+    int64 acc has entries below 2**62, imatmul_array's bound, so adding c
+    to its diagonal is exact in int64 while |c| < 2**62 too."""
     s = int_array(rows)
-    acc = (s if _max_abs(s) * abs(p[-1]) < _SAFE else s.astype(object)) * p[-1]
+    acc = s.astype(np.int64 if max(_max_abs(s), 1) * abs(p[-1]) < _SAFE else object) * p[-1]
     for k, c in enumerate(reversed(p[:-1])):
         if k:
             acc = imatmul_array(acc, s)
@@ -374,8 +367,8 @@ def _factored_charpoly(fam: LineFamily) -> tuple[list[Fraction], Fraction, int]:
     if fam.alpha is None:
         raise DegeneratePair(f"{fam.t} line(s) carry no angle")
     t, r, n = fam.t, fam.rank, fam.lattice.dim
-    b = int_array(fam.pairs.reps)  # B, the reps as rows; Gram (B^T B) next
-    p = charpoly(IntMatrix(imatmul_array(fam.lattice.gram.num.rows, imatmul_array(b.T, b))))
+    btb = gram_array(int_array(fam.pairs.reps).T)  # B^T B for B the reps
+    p = charpoly(IntMatrix(imatmul_array(fam.lattice.gram.num.rows, btb)))
     if any(p[k] for k in range(n - r)) or not p[n - r]:
         raise VerificationError("spectral factor disagrees with the rank")
     # roots of g are den*N*(alpha*lambda + 1) over Seidel eigenvalues lambda

@@ -47,7 +47,7 @@ from .errors import (
     ZeroVector,
 )
 from .exact import IntMatrix, hnf, row_rank
-from .fastops import imatmul, imatmul_array, int_array
+from .fastops import gram_array, imatmul, imatmul_array, int_array
 from .lattice import EmbeddedSublattice, GramLattice, Vec
 from .lines import LineFamily, line_family
 from .shortvec import (
@@ -440,7 +440,7 @@ def check_scalar_products_after_projection(lat: GramLattice, v: Sequence[int]) -
     s = int_array(slice_).reshape(len(slice_), lat.dim)
     den = lat.gram.den
     i, j = np.triu_indices(len(s), 1)
-    prods = imatmul_array(imatmul_array(s, lat.gram.num.rows), s.T)[i, j]
+    prods = gram_array(s, lat.gram.num.rows)[i, j]
     # x.v = y.v = m - 1, N(x) = N(y) = m and N(v) = 2m - 2 give
     # N(x + y - v) = 2 + 2 x.y, so the antipodal partners, x + y = v, are
     # the pairs with x.y = -1

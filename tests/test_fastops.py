@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eqlat import fastops
-from eqlat.fastops import gram_product, imatmul, imatmul_array, row_norms
+from eqlat.fastops import gram_array, gram_product, imatmul, imatmul_array, row_norms
 
 
 def ref_product(a, b):
@@ -36,6 +36,12 @@ def test_gram_product():
     assert gram_product(rows, g) == ref_product(ref_product(rows, g), cols)
     assert gram_product(rows) == ref_product(rows, cols)
     assert gram_product([]) == []
+    # one int8 array in, exact int64 or Python integers out
+    small = gram_array(np.array(rows, dtype=np.int8), g)
+    assert small.dtype == np.int64 and small.tolist() == gram_product(rows, g)
+    big = [[2**40, 1], [3, -2**40]]
+    assert gram_array(big).tolist() == ref_product(big, list(zip(*big)))
+    assert gram_array(np.zeros((0, 3), np.int64), g).shape == (0, 0)
 
 
 def test_imatmul_array():

@@ -123,7 +123,7 @@ def test_line_family_rejects_beyond_gerzon_without_products(monkeypatch):
     def no_product(a, b):
         raise AssertionError("formed the t x t product")
 
-    monkeypatch.setattr(lines, "imatmul_array", no_product)
+    monkeypatch.setattr(lines, "gram_array", no_product)
     with pytest.raises(NotEquiangular, match="Gerzon's bound 36 in rank 8"):
         line_family(E8, shell(E8, 2))
 
@@ -220,6 +220,12 @@ def test_annihilates_is_exact_past_int64():
         assert (not any(map(any, value))) is annihilates
         assert lines._annihilates(s, p) is annihilates
         assert lines._annihilates(np.array(s), p) is annihilates
+        assert lines._annihilates(SeidelMatrix(s).array, p) is annihilates
+    # J - I on 131 lines: (x - 130)(x + 1) = x^2 - 129x - 130, whose
+    # coefficients leave int8, so Horner must not add them to an int8 acc
+    s = SeidelMatrix([[int(i != j) for j in range(131)] for i in range(131)]).array
+    assert lines._annihilates(s, [-130, -129, 1])
+    assert not lines._annihilates(s, [-130, -128, 1])
 
 
 def test_family_charpoly_matches_direct_computation():
@@ -260,6 +266,16 @@ def test_charpoly_large_structured_matrix():
     assert len(p) == t + 1 and p[-1] == 1
     assert root_multiplicity(p, Fraction(-1)) == t - 1
     assert poly_eval(p, t - 1) == 0
+    assert least_eigenvalue(s) == (-1, -1)
+
+
+def test_seidel_charpoly_past_int8_coefficients():
+    # the minimal-polynomial route on J - I, t = 131: x^2 - 129x - 130 has
+    # coefficients outside int8, the type of the Seidel array
+    t = 131
+    s = SeidelMatrix([[int(i != j) for j in range(t)] for i in range(t)])
+    assert seidel_charpoly(s) == poly_mul(poly_linear_power(t - 1, 1),
+                                          poly_linear_power(-1, t - 1))
     assert least_eigenvalue(s) == (-1, -1)
 
 
@@ -393,7 +409,7 @@ def test_witt_minpoly_route_makes_one_square_product(monkeypatch):
 
 def test_switching_and_reordering_preserve_spectrum():
     base = seidel(line_family(D5, equiangular_direct(D5).pairs))
-    t = len(base)
+    t, rows = len(base), base.rows
     reference = seidel_charpoly(base)
     rng = random.Random(7)
     for _ in range(12):
@@ -401,7 +417,7 @@ def test_switching_and_reordering_preserve_spectrum():
         perm = list(range(t))
         rng.shuffle(perm)
         switched = [
-            [signs[i] * signs[j] * base.rows[perm[i]][perm[j]] for j in range(t)]
+            [signs[i] * signs[j] * rows[perm[i]][perm[j]] for j in range(t)]
             for i in range(t)
         ]
         assert seidel_charpoly(SeidelMatrix(switched)) == reference
