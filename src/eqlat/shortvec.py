@@ -13,13 +13,13 @@ so pruning needs only integer comparisons and isqrt, every reported norm
 is exact by construction, and a walk with bound R holds no number above
 2 delta_k delta_{k+1} R.
 
-Two kernels walk the same tree, make the same decisions and visit the
-same nodes.  The Python kernel recomputes each centre from the
-coordinates above it and takes every walk first, so small walks never pay
-numpy's fixed cost; a walk past _BUDGET (4,096) nodes is redone by the
-batched kernel, which walks level by level on up to _BATCH (2,048)
-partial vectors at a time: in numpy int64 when every number of the walk
-is proven to stay below 2**62, else in object arrays of Python integers.
+Two kernels walk the same tree and return the same results.  The Python
+kernel recomputes each centre from the coordinates above it and takes
+every walk first, so small walks never pay numpy's fixed cost; a walk
+past _BUDGET (4,096) nodes is redone by the batched kernel, which walks
+level by level on up to _BATCH (2,048) partial vectors at a time: in
+numpy int64 when every number of the walk is proven to stay below 2**62,
+else in object arrays of Python integers.
 Both kernels hand their leaves over as one integer array, which stays one
 array through the map back to the input basis, the sign canonicalisation
 and the sort, and is cached as it is: only shell and coset_shell make
@@ -365,8 +365,8 @@ def _walk_types(delta: list[int], sub: list[list[int]], limit: int, target: int 
 
 
 def _batched_walk(payload: dict) -> tuple[object, int]:
-    """_walk's (result, nodes) from numpy steps on _BATCH partial vectors at
-    a time.
+    """_walk's result from numpy steps on _BATCH partial vectors at a time,
+    with nodes, the rows it expanded below the top level.
 
     Each level queues its rows in _walk's order.  A step takes the first
     _BATCH rows of the deepest level that holds that many, else of the
@@ -382,11 +382,13 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     otherwise.  Coordinates take the narrowest type, int8 on Leech.
 
     "mincount" lowers its bound at leaves, which _walk sees at once but a
-    step takes in only when its rows were already made.  So rows are checked
-    against the live bound when they are taken, and each lowering at a leaf
-    takes back the nodes taken at each level after the leaf's ancestor that
-    the new bound would have kept _walk out of; "first" does the same with
-    bound -1 and stops.  The node count is then _walk's.
+    step takes in only when its rows were already made, so rows are checked
+    against the live bound when they are taken; "first" stops after the step
+    that finds its leaf.  So nodes is _walk's count wherever the bound never
+    lowers: every "le", "shell" and "count" walk, a "mincount" walk that
+    starts at its minimum, a "first" walk that finds nothing.  Otherwise it
+    lies between _walk's count and that of the "count" walk at the first
+    bound, whose tree holds every row made here.
     """
     n, delta, sub = payload["n"], payload["delta"], payload["sub"]
     parity, mode = payload["parity"], payload["mode"]
@@ -397,37 +399,11 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     step = 2 if parity is not None else 1
     exact = mode in ("shell", "first", "count")
     subs = [np.array(r, dtype=num) for r in sub]
-    # queue[k]: rows of level k not taken yet, (x, acc = A_{k+1}, zero_above,
-    # parent's index among the taken[k + 1] rows taken at level k + 1); kept[k]:
-    # (first index, least bound admitting each row, parent) of the batches
-    # taken since the oldest row with descendants queued, for take-backs
-    queue = [(np.zeros((c, n), dtype), np.zeros(c, num), np.ones(c, bool), np.zeros(c, np.intp))
+    # queue[k]: rows of level k not taken yet, (x, acc = A_{k+1}, zero_above)
+    queue = [(np.zeros((c, n), dtype), np.zeros(c, num), np.ones(c, bool))
              for c in [0] * top + [1]]
-    taken = [0] * n
-    kept: list = [[] for _ in range(n)]
-    nodes = count = steps = 0
+    nodes = count = 0
     out: list = []
-
-    def parent(j: int, row: int) -> int:
-        start, _, up = next(b for b in reversed(kept[j]) if b[0] <= row)
-        return int(up[row - start])
-
-    def trim() -> None:
-        low = taken[0]  # the leaves of a level-0 row are done in its step
-        for j in range(top):
-            kept[j] = [b for b in kept[j] if b[0] + len(b[1]) > low]
-            up = [taken[j + 1], *queue[j][3][:1].tolist()]
-            low = min(up + ([parent(j, low)] if low < taken[j] else []))
-
-    def untaken(row: int, new: int, old: int) -> int:
-        """Nodes taken after the ancestors of level-0 row `row` that only old admits."""
-        total = 0
-        for j in range(top):
-            for start, least, _ in kept[j]:
-                tail = least[max(row + 1 - start, 0):]
-                total += int(np.count_nonzero((tail > new) & (tail <= old)))
-            row = parent(j, row)
-        return total
 
     while True:
         sizes = [len(q[1]) for q in queue]
@@ -435,22 +411,14 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
                  max((j for j, c in enumerate(sizes) if c), default=-1))
         if k < 0:
             break
-        steps += 1
-        if mode in ("mincount", "first") and steps % n == 0:
-            trim()
-        x, acc, za, up = (a[:_BATCH] for a in queue[k])
+        x, acc, za = (a[:_BATCH] for a in queue[k])
         queue[k] = tuple(a[_BATCH:] for a in queue[k])
         d, dk = delta[k + 1], delta[k]
         if mode == "mincount" and acc.max() > d * limit:
             keep = acc <= d * limit
-            x, acc, za, up = x[keep], acc[keep], za[keep], up[keep]
-        first = taken[k]
-        taken[k] += len(acc)
+            x, acc, za = x[keep], acc[keep], za[keep]
         if k < top:
             nodes += len(acc)
-            if mode in ("mincount", "first"):
-                least = (-(-acc // d)).astype(_narrowest(limit))
-                kept[k].append((first, least, up.astype(_narrowest(taken[k + 1]))))
         s = np.zeros(1, num) if k == top else x[:, k + 1:] @ subs[k]
         kmax = _isqrt(dk * (d * limit - acc))
         lo = -((kmax + s) // d)
@@ -481,7 +449,6 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
                 out.append(leaves)
             elif len(hits):  # first
                 h = hits[0]
-                nodes -= untaken(first + int(row[h]), -1, limit)
                 leaf = x[row[h]].tolist()
                 leaf[0] = int(xv[h])
                 out = [tuple(leaf)]
@@ -496,7 +463,7 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
         if k:
             child = x[row]
             child[:, k] = xv
-            new = child, a2, za[row] & (xv == 0), first + row
+            new = child, a2, za[row] & (xv == 0)
             queue[k - 1] = tuple(map(np.concatenate, zip(queue[k - 1], new)))
         elif mode == "le":
             keep = np.flatnonzero(a2)
@@ -507,9 +474,6 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
             out.append(leaves)
         elif len(a2):  # mincount
             a2[a2 == 0] = limit + 1  # the zero vector is not a leaf
-            live = np.minimum.accumulate(np.concatenate((np.array([limit], num), a2[:-1])))
-            for e in np.flatnonzero(a2 < live):
-                nodes -= untaken(first + int(row[e]), int(a2[e]), int(live[e]))
             best = int(a2.min())
             if best < limit:
                 limit, out = best, []
