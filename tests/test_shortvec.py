@@ -599,7 +599,7 @@ def check_batched(payload, want):
     lowers it or a "first" walk that finds its leaf may count rows made
     before that, but never more than the "count" walk at the first bound,
     whose tree holds them all.  That walk is budgeted at the batched count:
-    whole, it can pass millions of nodes at a coset walk's seed."""
+    whole, at a coset walk's seed, it can pass 200,000 nodes."""
     got, nodes = walked(shortvec._batched_walk, payload)
     assert got == want[0]
     mode = payload["mode"]
