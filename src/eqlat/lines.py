@@ -222,8 +222,9 @@ def seidel(fam: LineFamily) -> SeidelMatrix:
     return SeidelMatrix(s.astype(np.int8))
 
 
-# Above this size the minimal-polynomial route is tried first: it settles
-# the structured t = 276 Witt matrix in under 0.1 s, exact.charpoly in seconds.
+# Above this size the minimal-polynomial route is tried first: it settles the
+# structured t = 276 Witt matrix in about 10 ms, its one S^2 from sign-bit
+# popcounts (_sign_square), where exact.charpoly takes seconds.
 _MINPOLY_FIRST = 64
 _MINPOLY_CAP = 24
 
@@ -234,7 +235,8 @@ def seidel_charpoly(s: SeidelMatrix) -> list[int]:
     Matrices up to _MINPOLY_FIRST rows go straight to the multimodular
     exact.charpoly.  Larger ones first try a verified minimal-polynomial
     route which handles the highly structured matrices produced by lattice
-    families (an exact annihilation identity plus trace equations pin the
+    families (an exact annihilation identity, whose first product S^2 is
+    integer popcounts of the sign bits, plus trace equations pin the
     multiplicities); when the structure is absent they fall back to
     exact.charpoly, which is always correct.
     """
@@ -320,20 +322,43 @@ def _charpoly_via_minpoly(rows) -> list[int] | None:
 
 
 def _annihilates(rows, p: list[int]) -> bool:
-    """p(S) == 0, by Horner from p[-1] S: deg p - 1 products for deg p >= 1.
-
-    acc is int64 (never the int8 of a Seidel array) or Python integers.  An
-    int64 acc has entries below 2**62, imatmul_array's bound, so adding c
-    to its diagonal is exact in int64 while |c| < 2**62 too."""
-    s = int_array(rows)
-    acc = s.astype(np.int64 if max(_max_abs(s), 1) * abs(p[-1]) < _SAFE else object) * p[-1]
-    for k, c in enumerate(reversed(p[:-1])):
+    """p(S) == 0, by Horner from p[-1] S: deg p - 1 products for deg p >= 1,
+    the first, (p[-1] S + p[-2] I) S, from _sign_square when S is a Seidel
+    matrix, the rest from imatmul_array.  acc is int64 (never int8) or Python
+    integers.  An int64 acc has entries below 2**62, imatmul_array's bound,
+    so adding c to its diagonal is exact in int64 while |c| < 2**62 too."""
+    s, rest = int_array(rows), p[:-2]
+    acc = _sign_square(s, p[-1], p[-2]) if rest else None
+    if acc is None:
+        rest = p[:-1]
+        acc = s.astype(np.int64 if max(_max_abs(s), 1) * abs(p[-1]) < _SAFE else object) * p[-1]
+    for k, c in enumerate(reversed(rest)):
         if k:
             acc = imatmul_array(acc, s)
         if abs(c) >= _SAFE:
             acc = acc.astype(object)
         acc.flat[::len(s) + 1] += c
     return not acc.any()
+
+
+def _sign_square(s: np.ndarray, a: int, b: int) -> np.ndarray | None:
+    """a S^2 + b S in int64, or None unless s is a Seidel matrix of a signed
+    integer type and |a| (t - 1) + |b| < 2**62.  With B_i row i of S < 0
+    packed in uint64 words, (S^2)_ij = t - 2 popcount(B_i ^ B_j) - 2 s_ij off
+    the diagonal and t - 1 on it: popcounts, no product, in blocks of rows
+    whose xor is no larger than the result, and every multiply in int64."""
+    t = len(s)
+    if s.dtype.kind != "i" or abs(a) * max(t - 1, 1) + abs(b) >= _SAFE or not (
+            (abs(s) == ~np.eye(t, dtype=bool)).all() and (s == s.T).all()):
+        return None
+    bits = np.packbits(np.pad(s < 0, ((0, 0), (0, -t % 64))), axis=1).view(np.uint64)
+    out, h = np.empty((t, t), np.int64), max(t // max(bits.shape[1], 1), 1)
+    for i in range(0, t, h):
+        pop = np.bitwise_count(bits[i:i + h, None] ^ bits).sum(2, dtype=np.int64)
+        sq = t - 2 * (pop + s[i:i + h])
+        np.fill_diagonal(sq[:, i:], t - 1)
+        out[i:i + h] = sq * a + s[i:i + h] * np.int64(b)
+    return out
 
 
 def _integer_roots(p: list[int], bound: int) -> list[int] | None:

@@ -695,9 +695,9 @@ def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     """Least norm in the congruence class of parity mod 2L."""
     p = _check_parity(lat, parity)
     prep = _prep(lat)
-    seed = lat.norm(p)  # the 0/1 lift itself lies in the class
     pr = _parity_reduced(prep, p)
-    best, _ = _run(prep, "mincount", math.floor(seed * prep.den), None, pr)
+    seed = int(row_norms([pr], prep.red.gram.num.rows)[0])  # its 0/1 lift, LLL basis
+    best, _ = _run(prep, "mincount", seed, None, pr)
     return Fraction(best, prep.den)
 
 

@@ -34,6 +34,7 @@ from eqlat.exact import (
     poly_mul,
     root_multiplicity,
 )
+from eqlat.fastops import imatmul_array
 from eqlat.lattice import GramLattice
 from eqlat.lines import (
     KNOWN_MAX_LINES,
@@ -200,10 +201,20 @@ def test_seidel_matrix_keeps_one_read_only_array():
         SeidelMatrix([[0, 1], []])  # the entry scan raised IndexError here
 
 
-def test_annihilates_is_exact_past_int64():
+def test_annihilates_is_exact_past_int64(monkeypatch):
     # J - I on 5 lines has minimal polynomial (x - 4)(x + 1); coefficients
     # past 2**62 put the Horner sums on Python integers, where 2**64 I is
-    # not the zero that int64 wraparound would make of it
+    # not the zero that int64 wraparound would make of it.  J - I is a
+    # Seidel matrix, so every case first asks the sign-bit square, which
+    # answers while |p[-1]| (t - 1) + |p[-2]| < 2**62 and declines past it
+    answered = []
+    sign_square = lines._sign_square
+
+    def recorded(s, a, b):
+        answered.append(sign_square(s, a, b) is not None)
+        return sign_square(s, a, b)
+
+    monkeypatch.setattr(lines, "_sign_square", recorded)
     s = [[int(i != j) for j in range(5)] for i in range(5)]
     m = [-4, -3, 1]
     big = poly_mul(m, [-(2**63), 1])
@@ -218,14 +229,56 @@ def test_annihilates_is_exact_past_int64():
     for p, annihilates in cases:
         value = ref_poly_at_matrix(s, p)
         assert (not any(map(any, value))) is annihilates
+        answered.clear()
         assert lines._annihilates(s, p) is annihilates
         assert lines._annihilates(np.array(s), p) is annihilates
         assert lines._annihilates(SeidelMatrix(s).array, p) is annihilates
+        assert answered == [abs(p[-1]) * 4 + abs(p[-2]) < 2**62] * 3
     # J - I on 131 lines: (x - 130)(x + 1) = x^2 - 129x - 130, whose
-    # coefficients leave int8, so Horner must not add them to an int8 acc
+    # coefficients leave int8, so no multiply may be in the int8 of the array
     s = SeidelMatrix([[int(i != j) for j in range(131)] for i in range(131)]).array
+    answered.clear()
     assert lines._annihilates(s, [-130, -129, 1])
     assert not lines._annihilates(s, [-130, -128, 1])
+    assert answered == [True, True]
+
+
+def test_sign_square_matches_products():
+    # p[-1] S^2 + p[-2] S from sign bits equals imatmul_array's S S, and
+    # the plain triple loop of the oracle on the smaller matrices, for t on
+    # both sides of the 64-bit word; past 2**62, on a matrix that is not
+    # Seidel or on Python integers, it declines and Horner keeps imatmul_array
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.one_of(st.integers(-300, 300), st.integers(-(2**63), 2**63))
+    fault = st.sampled_from([None, "diagonal", "entry", "asymmetry"])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.one_of(st.integers(1, 130), st.sampled_from((63, 64, 65))),
+                      coefficient, coefficient, fault, st.integers(0, 2**32))
+    def check(t, a, b, fault, seed):
+        rng = random.Random(seed)
+        s = random_seidel(rng, t).array.copy()
+        if fault and t > 1:
+            i, j = rng.sample(range(t), 2)
+            if fault == "diagonal":
+                s[i, i] = rng.choice((-1, 1))
+            elif fault == "entry":
+                s[i, j] = s[j, i] = rng.choice((-2, 0, 2))
+            else:
+                s[i, j] = -s[i, j]
+        want = imatmul_array(s, s).astype(object) * a + s.astype(object) * b
+        if t <= 24:
+            assert want.tolist() == ref_poly_at_matrix(s.tolist(), [0, b, a])
+        for given in (s, s.astype(np.int64)):
+            got = lines._sign_square(given, a, b)
+            if fault and t > 1 or abs(a) * max(t - 1, 1) + abs(b) >= 2**62:
+                assert got is None
+            else:
+                assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert lines._sign_square(s.astype(object), a, b) is None  # Horner's object path
+
+    check()
 
 
 def test_family_charpoly_matches_direct_computation():
@@ -391,20 +444,29 @@ def test_least_eigenvalue_makes_few_budan_counts(monkeypatch):
 
 def test_witt_minpoly_route_makes_one_square_product(monkeypatch):
     # the degree-2 minimal polynomial needs S^2 once, in the annihilation
-    # check; the trace of S is read off S itself
+    # check, and takes it from sign bits: imatmul_array makes no t x t
+    # product; the trace of S is read off S itself
     inputs = benchmark_inputs()
     witt = inputs.seidel_of(inputs.witt_lines()[1])
-    t, sizes = len(witt), []
-    matmul = lines.imatmul_array
+    t, sizes, squares = len(witt), [], []
+    matmul, sign_square = lines.imatmul_array, lines._sign_square
 
     def counted(a, b):
         sizes.append(len(a))
         return matmul(a, b)
 
     monkeypatch.setattr(lines, "imatmul_array", counted)
+    monkeypatch.setattr(lines, "_sign_square", lambda *args: squares.append(args[1:])
+                        or sign_square(*args))
     spectrum = poly_mul(poly_linear_power(-5, 253), poly_linear_power(55, 23))
-    assert lines._charpoly_via_minpoly(witt) == spectrum
-    assert sizes.count(t) == 1
+    for given in (witt, SeidelMatrix(witt).array):
+        sizes.clear(), squares.clear()
+        assert lines._charpoly_via_minpoly(given) == spectrum
+        assert sizes.count(t) == 0 and squares == [(1, -50)]
+    sizes.clear()
+    assert lines._annihilates(SeidelMatrix(witt).array, [-275, -50, 1])
+    assert not lines._annihilates(SeidelMatrix(witt).array, [-275, -49, 1])
+    assert sizes == []
 
 
 def test_switching_and_reordering_preserve_spectrum():

@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from eqlat import shortvec
-from eqlat.constructions import leech, root_lattice
+from eqlat.constructions import leech, root_lattice, standard_x0
 from eqlat.errors import (
     DimensionMismatch,
     MixedNorms,
@@ -305,6 +305,40 @@ def test_coset_shell_a2():
     assert coset_shell(A2, (1, 0), 2) == ((1, 0),)
     assert coset_shell(A2, (1, 0), 6) == ((1, -2),)
     assert coset_minimum(A2, (1, 0)) == 2
+
+
+def test_coset_minimum_walks_from_the_reduced_lift(monkeypatch):
+    """coset_minimum seeds its "mincount" walk with the norm of the 0/1 lift
+    of the reduced parity in the LLL basis.  In the skewed bases of A16, D16
+    and E8 that the skewed-bases benchmark draws at seed 11, it gives the
+    class minimum 2 of the root x0, as the walk from the input-basis lift
+    does, and walks the reference's nodes at its seed: 15, 297 and 76, where
+    the input-basis seeds cost 258,319, 12,657 and 1,084."""
+    from test_lines import benchmark_inputs
+
+    inputs, rng = benchmark_inputs(), random.Random(11)
+    bases = {(fam, n): inputs.unimodular(rng, n)
+             for fam, dims in (("A", range(4, 17)), ("D", range(4, 17)), ("E", (6, 7, 8)))
+             for n in dims}
+    walks = []
+    search = shortvec._search_chunk
+    monkeypatch.setattr(shortvec, "_search_chunk",
+                        lambda payload: walks.append(payload) or search(payload))
+    for fam, n, nodes in (("A", 16, 15), ("D", 16, 297), ("E", 8, 76)):
+        u, uinv = bases[fam, n]
+        lat = GramLattice(gram_product(u, root_lattice(fam, n).lattice.gram.num.rows))
+        x0 = inputs.matmul([list(standard_x0(fam, n))], uinv)[0]
+        walks.clear()
+        assert coset_minimum(lat, x0) == 2
+        (payload,) = walks
+        prep, first = shortvec._prep(lat), lat.norm([v % 2 for v in x0])
+        seed = prep.red.norm(shortvec._parity_reduced(prep, x0)) * prep.den
+        assert payload["limit"] == seed <= first * prep.den
+        visits = []
+        assert ref_walk(payload, visits)[0] == 2
+        assert shortvec._walk(payload)[1] == len(visits) == nodes
+        old = shortvec._run(prep, "mincount", int(first * prep.den), None, payload["parity"])
+        assert old[0] == 2
 
 
 def test_cosets_partition_shell():
