@@ -223,14 +223,15 @@ def cmd_shell(args) -> int:
     if r <= 0:
         raise _Exit(USAGE, "norm must be positive")
     _note(args, f"enumerating the norm-{r} shell of {lat.name}")
-    reps = shell(lat, r)
+    reps = shell(lat, r) if args.vectors else ()  # the count alone stores no shell
+    s = len(reps) if args.vectors else shell_count(lat, r)
     if args.json:
-        doc = {"norm": r, "s": len(reps)}
+        doc = {"norm": r, "s": s}
         if args.vectors:
             doc["vectors"] = [list(v) for v in reps]
         _print_json(doc)
     else:
-        print(f"s_{_frac(r)}={len(reps)}")
+        print(f"s_{_frac(r)}={s}")
         if args.vectors:
             for v in reps:
                 print(",".join(str(c) for c in v))

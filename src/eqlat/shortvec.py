@@ -1,11 +1,11 @@
 """Shortest vectors, norm shells and congruence-class shells, exactly.
 
 The pipeline is LLL reduction followed by a depth-first enumeration of
-the quadratic form, both in integers on the data of a Bareiss elimination
+the quadratic form, both in integers on the data of one Bareiss elimination
 of the Gram matrix.  LLL keeps the leading minors and scaled Gram-Schmidt
-coefficients of its current basis; in the reduced basis, the same
-fraction-free Cholesky data gives A_k = delta_k * (norm over levels >= k),
-a Gram determinant, as the integer
+coefficients of its current basis, and the walks read them from its final
+state: that fraction-free Cholesky data gives A_k = delta_k * (norm over
+levels >= k), a Gram determinant, as the integer
 
     A_k = (delta_k A_{k+1} + (delta_{k+1} x_k + s_k)^2) / delta_{k+1},  A_0 = N(x),
 
@@ -55,8 +55,8 @@ from .errors import (
     NotInLattice,
     ZeroVector,
 )
-from .exact import IntMatrix, RatMatrix, hnf, leading_minors
-from .fastops import _SAFE, _max_abs, gram_product, imatmul_array, int_array, row_norms
+from .exact import IntMatrix, RatMatrix, leading_minors, solve_left
+from .fastops import _SAFE, _max_abs, gram_product, imatmul, imatmul_array, int_array, row_norms
 from .lattice import GramLattice, Vec
 
 __all__ = [
@@ -100,16 +100,22 @@ def lll_reduce(lat: GramLattice) -> tuple[GramLattice, IntMatrix]:
     """LLL-reduce a lattice given only by its Gram matrix, with delta = 99/100.
 
     Returns (reduced, U) with reduced.gram == U G U^T and det U = +-1.
+    """
+    u = _lll(lat.gram.num)[0]
+    return GramLattice(RatMatrix(gram_product(u.rows, lat.gram.num.rows), lat.gram.den)), u
+
+
+def _lll(g: IntMatrix) -> tuple[IntMatrix, list[int], list[list[int]]]:
+    """(U, leading_minors(U g U^T)) for the LLL transform U of the Gram matrix g.
+
     Integral LLL (de Weger 1987; Cohen, Alg. 2.6.7): the state is the
     Bareiss data of the current basis, d[k] the k-th leading minor and
     lam[k][l] = d[l+1] mu_kl, so every decision is an integer comparison
-    and every update an exact division.
+    and every update an exact division; the final state is the result.
     """
-    n = lat.dim
+    n = g.nrows
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    if n <= 1:
-        return lat, IntMatrix(u)
-    d, sub = leading_minors(lat.gram.num)
+    d, sub = leading_minors(g)
     lam = [[sub[l][k - l - 1] for l in range(k)] for k in range(n)]
 
     def red(k: int, l: int) -> None:
@@ -146,8 +152,7 @@ def lll_reduce(lat: GramLattice) -> tuple[GramLattice, IntMatrix]:
                 red(k, l)
             k += 1
 
-    num = IntMatrix(gram_product(u, lat.gram.num.rows))
-    return GramLattice(RatMatrix(num, lat.gram.den)), IntMatrix(u)
+    return IntMatrix(u), d, [[lam[i][k] for i in range(k + 1, n)] for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +161,15 @@ def lll_reduce(lat: GramLattice) -> tuple[GramLattice, IntMatrix]:
 
 @dataclass(frozen=True, slots=True)
 class _Prep:
-    """Enumeration data of lat in its LLL basis red = u lat u^T."""
+    """_lll's data of a lattice's Gram numerator G, and seed, the minimum
+    walk's first bound: the least diagonal entry of u G u^T, attained."""
 
-    lat: GramLattice
-    red: GramLattice
     u: IntMatrix
-    uinv: IntMatrix
     n: int
     den: int
     delta: list[int]
     sub: list[list[int]]
-
-    @property
-    def seed(self) -> int:
-        """The minimum walk's first bound: the least reduced diagonal, attained."""
-        return min(self.red.gram.num[i, i] for i in range(self.n))
+    seed: int
 
 
 # Entries kept by each result cache below; least recently used go first.
@@ -179,9 +178,9 @@ _CACHE_SIZE = 512
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _prep(lat: GramLattice) -> _Prep:
-    red, u = lll_reduce(lat)
-    uinv = hnf(u)[1]  # the HNF of a unimodular U is I
-    return _Prep(lat, red, u, uinv, lat.dim, red.gram.den, *leading_minors(red.gram.num))
+    u, delta, sub = _lll(lat.gram.num)  # unimodular: U G U^T keeps den
+    seed = min(row_norms(u.rows, lat.gram.num.rows).tolist(), default=0)
+    return _Prep(u, lat.dim, lat.gram.den, delta, sub, seed)
 
 
 # Nodes the Python kernel walks before the batched kernel takes the walk
@@ -553,8 +552,8 @@ def _tuples(rows: np.ndarray) -> tuple[Vec, ...]:
 
 
 def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
-    # x = y U: x has class p mod 2 iff y has class p U^-1 mod 2.
-    return tuple(v % 2 for v in imatmul_array([parity], prep.uinv.rows)[0].tolist())
+    # x = y U: x has class p mod 2 iff y, the solution of y U = p, has it mod 2
+    return tuple(v % 2 for v in solve_left(prep.u, parity))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +595,7 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
     num = lat.gram.num.rows
     x: list[int] = []
     for i in range(n):
-        _, u = lll_reduce(GramLattice([row[i + 1:] for row in num[i + 1:]]))
+        u = _lll(IntMatrix([row[i + 1:] for row in num[i + 1:]]))[0]
         rows = [[0] * (i + 1) + list(row) for row in u.rows]
         rows.append([int(j == i) for j in range(n)])
         lifted = any(x)
@@ -693,10 +692,10 @@ def coset_shell(lat: GramLattice, parity: Sequence[int], r) -> tuple[Vec, ...]:
 
 def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     """Least norm in the congruence class of parity mod 2L."""
-    p = _check_parity(lat, parity)
     prep = _prep(lat)
-    pr = _parity_reduced(prep, p)
-    seed = int(row_norms([pr], prep.red.gram.num.rows)[0])  # its 0/1 lift, LLL basis
+    pr = _parity_reduced(prep, _check_parity(lat, parity))
+    lifts = [imatmul([pr], prep.u.rows)[0], [int(v) for v in parity]]  # both in the class
+    seed = min(row_norms(lifts, lat.gram.num.rows).tolist())
     best, _ = _run(prep, "mincount", seed, None, pr)
     return Fraction(best, prep.den)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from eqlat import shortvec
+from eqlat import cli, shortvec
 from eqlat.cli import main
 from eqlat.constructions import dn_projection_gram, root_lattice
 from eqlat.exact import IntMatrix, solve_left
@@ -110,6 +110,22 @@ def test_shell_lists_vectors(capsys, tmp_path):
     assert sorted(lines[1:]) == ["0,1", "1,-1", "1,0"]
     rc, out, _ = run(capsys, "shell", path, "--norm", "2", "--vectors", "--json")
     assert json.loads(out)["vectors"] == [[0, 1], [1, -1], [1, 0]]
+
+
+def test_shell_count_builds_no_shell(capsys, tmp_path, monkeypatch):
+    """Without --vectors, eqlat shell prints the count of E8's norm-4 shell,
+    byte for byte as before, without building or caching the shell."""
+    path = e8_file(capsys, tmp_path)
+    rc, out, _ = run(capsys, "shell", path, "--norm", "4", "--vectors")
+    assert rc == 0 and out.splitlines()[0] == "s_4=1080" and len(out.splitlines()) == 1081
+
+    def refuse(*args):
+        raise AssertionError("the shell was built")
+
+    monkeypatch.setattr(cli, "shell", refuse)
+    monkeypatch.setattr(shortvec, "_coset_shell", refuse)
+    assert run(capsys, "shell", path, "--norm", "4") == (0, "s_4=1080\n", "")
+    assert run(capsys, "shell", path, "--norm", "4", "--json") == (0, '{"norm": "4", "s": 1080}\n', "")
 
 
 def test_shell_rejects_bad_norm(capsys, tmp_path):

@@ -14,7 +14,7 @@ from oracles import (
     ref_search_chunk,
 )
 
-from eqlat import shortvec
+from eqlat import exact, shortvec
 from eqlat.constructions import leech, root_lattice, standard_x0
 from eqlat.errors import (
     DimensionMismatch,
@@ -23,8 +23,8 @@ from eqlat.errors import (
     NotPositiveDefinite,
     ZeroVector,
 )
-from eqlat.exact import IntMatrix, RatMatrix, rank_det
-from eqlat.fastops import gram_product
+from eqlat.exact import IntMatrix, RatMatrix, leading_minors, rank_det
+from eqlat.fastops import gram_product, imatmul
 from eqlat.lattice import GramLattice
 from eqlat.mod2 import equiangular_via_s0
 from eqlat.shortvec import (
@@ -98,8 +98,46 @@ def test_lll_matches_reference():
     ]
     for lat in lats:
         assert lll_reduce(lat) == ref_lll_reduce(lat), lat
+        # the walk data is LLL's final state: the Bareiss data of its Gram
+        prep, red = shortvec._prep(lat), lll_reduce(lat)[0].gram.num
+        assert (prep.delta, prep.sub) == leading_minors(red), lat
+        assert prep.seed == min((red[i, i] for i in range(lat.dim)), default=0)
+
+
+def test_parity_reduction_solves_y_u_mod_2():
+    """_parity_reduced(prep, p) is a y with y U = p mod 2, from one solve."""
+    from test_mod2 import skewed_basis
+
+    rng = random.Random(139)
+    for fam, n in (("A", 9), ("D", 12), ("E", 8)):
+        lat = skewed_basis(root_lattice(fam, n).lattice, rng)
         prep = shortvec._prep(lat)
-        assert prep.uinv @ prep.u == IntMatrix.identity(lat.dim)
+        for _ in range(5):
+            p = [rng.randint(0, 1) for _ in range(n - 1)] + [1]
+            y = shortvec._parity_reduced(prep, p)
+            assert set(y) <= {0, 1}
+            assert [v % 2 for v in imatmul([y], prep.u.rows)[0]] == p
+
+
+def test_prep_runs_one_elimination(monkeypatch):
+    """_prep of a fresh lattice makes one Bareiss pass, inside LLL, and no
+    HNF, GramLattice or lll_reduce call."""
+    from test_mod2 import skewed_basis
+
+    lat = skewed_basis(root_lattice("D", 9).lattice, random.Random(141))
+    calls = []
+
+    def counted(name, f):
+        return lambda *a, **k: calls.append(name) or f(*a, **k)
+
+    monkeypatch.setattr(shortvec, "leading_minors", counted("minors", shortvec.leading_minors))
+    monkeypatch.setattr(exact, "hnf", counted("hnf", exact.hnf))
+    monkeypatch.setattr(shortvec, "lll_reduce", counted("lll", shortvec.lll_reduce))
+    monkeypatch.setattr(GramLattice, "__post_init__",
+                        counted("lattice", GramLattice.__post_init__))
+    prep = shortvec._prep.__wrapped__(lat)
+    assert calls == ["minors"]
+    assert (prep.n, prep.den) == (9, 1)
 
 
 # -- minimum and shells -------------------------------------------------------
@@ -309,11 +347,12 @@ def test_coset_shell_a2():
 
 def test_coset_minimum_walks_from_the_reduced_lift(monkeypatch):
     """coset_minimum seeds its "mincount" walk with the norm of the 0/1 lift
-    of the reduced parity in the LLL basis.  In the skewed bases of A16, D16
-    and E8 that the skewed-bases benchmark draws at seed 11, it gives the
-    class minimum 2 of the root x0, as the walk from the input-basis lift
-    does, and walks the reference's nodes at its seed: 15, 297 and 76, where
-    the input-basis seeds cost 258,319, 12,657 and 1,084."""
+    of the reduced parity in the LLL basis when the vector it is given is
+    longer.  Given the 0/1 class of the root x0 in the skewed bases of A16,
+    D16 and E8 that the skewed-bases benchmark draws at seed 11, it gives the
+    class minimum 2, as the walk from the input-basis lift does, and walks
+    the reference's nodes at its seed: 15, 297 and 76, where the input-basis
+    seeds cost 258,319, 12,657 and 1,084."""
     from test_lines import benchmark_inputs
 
     inputs, rng = benchmark_inputs(), random.Random(11)
@@ -328,17 +367,42 @@ def test_coset_minimum_walks_from_the_reduced_lift(monkeypatch):
         u, uinv = bases[fam, n]
         lat = GramLattice(gram_product(u, root_lattice(fam, n).lattice.gram.num.rows))
         x0 = inputs.matmul([list(standard_x0(fam, n))], uinv)[0]
+        lift = [v % 2 for v in x0]
         walks.clear()
-        assert coset_minimum(lat, x0) == 2
+        assert coset_minimum(lat, lift) == 2
         (payload,) = walks
-        prep, first = shortvec._prep(lat), lat.norm([v % 2 for v in x0])
-        seed = prep.red.norm(shortvec._parity_reduced(prep, x0)) * prep.den
+        prep, first = shortvec._prep(lat), lat.norm(lift)
+        pr = shortvec._parity_reduced(prep, x0)
+        seed = lat.norm(imatmul([pr], prep.u.rows)[0]) * prep.den
         assert payload["limit"] == seed <= first * prep.den
         visits = []
         assert ref_walk(payload, visits)[0] == 2
         assert shortvec._walk(payload)[1] == len(visits) == nodes
         old = shortvec._run(prep, "mincount", int(first * prep.den), None, payload["parity"])
         assert old[0] == 2
+
+
+def test_coset_minimum_walks_from_the_given_vector(monkeypatch):
+    """The vector given to coset_minimum lies in its class, so its norm
+    seeds the walk when it is below the reduced lift's: the Leech x0 class
+    (minimum 6) walks 3,064 nodes from x0, the reference's count, where the
+    reduced lift's seed 50 walks 343,448 to the same minimum."""
+    big = leech()
+    lat, x0 = big.lattice, big.marks["x0"]
+    walks = []
+    search = shortvec._search_chunk
+    monkeypatch.setattr(shortvec, "_search_chunk",
+                        lambda payload: walks.append(payload) or search(payload))
+    assert coset_minimum(lat, x0) == 6
+    (payload,) = walks
+    assert payload["limit"] == lat.norm(x0) == 6
+    visits = []
+    assert ref_walk(payload, visits)[0] == 6
+    assert shortvec._walk(payload)[1] == len(visits) == 3_064
+    prep = shortvec._prep(lat)
+    lift = lat.norm(imatmul([payload["parity"]], prep.u.rows)[0])
+    assert lift == 50
+    assert shortvec._run(prep, "mincount", 50, None, payload["parity"])[0] == 6
 
 
 def test_cosets_partition_shell():
@@ -559,14 +623,15 @@ def test_vectors_upto_sorts_as_python_does(monkeypatch):
 # -- the kernel against the reference walk ------------------------------------
 
 
-def kernel_payloads(prep, r, parity):
-    """Payloads of all five modes at norm r, whole and split in two."""
+def kernel_payloads(lat, r, parity):
+    """Payloads of all five modes at norm r on lat, whole and split in two."""
+    prep = shortvec._prep(lat)
     pr = None if parity is None else shortvec._parity_reduced(prep, parity)
     target = math.floor(r * prep.den)
     if parity is None:
         seed = prep.seed
     else:
-        seed = math.floor(prep.lat.norm(parity) * prep.den)  # the 0/1 lift lies in the class
+        seed = math.floor(lat.norm(parity) * prep.den)  # the 0/1 lift lies in the class
     for mode, limit, tgt in (("le", target, None), ("shell", target, target),
                              ("first", target, target), ("count", target, target),
                              ("mincount", seed, None)):
@@ -679,7 +744,7 @@ def test_kernel_matches_reference_walk(monkeypatch):
         m = minimum(lat)
         parity = tuple(rng.randint(0, 1) for _ in range(n - 1)) + (1,)
         for par in (None, parity):
-            for payload in kernel_payloads(shortvec._prep(lat), m + 2, par):
+            for payload in kernel_payloads(lat, m + 2, par):
                 mode = payload["mode"]
                 visits = []
                 want = ref_walk(payload, visits), len(visits)
@@ -732,8 +797,8 @@ def test_mincount_leaves_match_reference_walk(monkeypatch, budget, batch):
     rng = random.Random(109)
     dropped = 0
     while dropped < 5:
-        prep = shortvec._prep(near_reduced_gram(rng, rng.randint(2, 6)))
-        for payload in kernel_payloads(prep, 1, None):
+        lat = near_reduced_gram(rng, rng.randint(2, 6))
+        for payload in kernel_payloads(lat, 1, None):
             if payload["mode"] != "mincount":
                 continue
             visits = []
@@ -774,7 +839,7 @@ def test_batched_kernel_at_batch_boundaries(monkeypatch):
         m = minimum(lat)
         parity = tuple(rng.randint(0, 1) for _ in range(lat.dim - 1)) + (1,)
         for par in (None, parity):
-            for payload in kernel_payloads(shortvec._prep(lat), m + 2, par):
+            for payload in kernel_payloads(lat, m + 2, par):
                 want = walked(shortvec._walk, payload)
                 for size in (1, 2, 3, 64):
                     monkeypatch.setattr(shortvec, "_BATCH", size)
@@ -792,7 +857,7 @@ def test_batched_kernel_answers_an_empty_top_level(monkeypatch):
         raise AssertionError("Python kernel entered")
 
     payloads = [payload for lat in (root_lattice("E", 8).lattice, GramLattice([[3]]))
-                for payload in kernel_payloads(shortvec._prep(lat), minimum(lat), None)]
+                for payload in kernel_payloads(lat, minimum(lat), None)]
     monkeypatch.setattr(shortvec, "_walk", refuse)
     for payload in payloads:
         top = shortvec._top_values(payload["delta"], payload["limit"], None)
@@ -833,8 +898,7 @@ def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
     check_batched allows."""
     big = GramLattice([[2**40 * a for a in row]
                        for row in root_lattice("D", 5).lattice.gram.num.rows])
-    prep = shortvec._prep(big)
-    payloads = list(kernel_payloads(prep, minimum(big) + 2**41, None))
+    payloads = list(kernel_payloads(big, minimum(big) + 2**41, None))
     assert not any(map(in_int64, payloads))
     monkeypatch.setattr(shortvec, "_BUDGET", 1)  # every walk passes the budget
     for payload in payloads:
@@ -876,8 +940,7 @@ def test_small_walks_never_enter_the_batched_kernel(monkeypatch):
 
     monkeypatch.setattr(shortvec, "_batched_walk", refuse)
     e8 = root_lattice("E", 8).lattice
-    prep = shortvec._prep(e8)
-    for payload in kernel_payloads(prep, 2, None):
+    for payload in kernel_payloads(e8, 2, None):
         assert shortvec._walk(payload)[1] <= shortvec._BUDGET
         got = shortvec._search_chunk(payload)
         assert listed(payload["mode"], got) == ref_walk(payload)
@@ -900,7 +963,7 @@ def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
     # its "mincount" walks (247 nodes when whole)
     for budget, r in ((shortvec._BUDGET, 8), (100, 6)):
         monkeypatch.setattr(shortvec, "_BUDGET", budget)
-        for payload in kernel_payloads(shortvec._prep(e8), r, None):
+        for payload in kernel_payloads(e8, r, None):
             alone = shortvec._walk(payload)
             if alone[1] > budget:
                 over.append(payload["mode"])
