@@ -2,10 +2,13 @@
 
 The pipeline is LLL reduction followed by a depth-first enumeration of
 the quadratic form, both in integers on the data of one Bareiss elimination
-of the Gram matrix.  LLL keeps the leading minors and scaled Gram-Schmidt
-coefficients of its current basis, and the walks read them from its final
-state: that fraction-free Cholesky data gives A_k = delta_k * (norm over
-levels >= k), a Gram determinant, as the integer
+of the Gram numerator divided by its content g.  That changes no decision
+and shrinks the k-th leading minor by g**k, so even lattices such as the
+Leech relative lattice walk in int64; a norm whose numerator g does not
+divide has an empty shell and no walk.  LLL keeps the leading minors and
+scaled Gram-Schmidt coefficients of its current basis, and the walks read
+them from its final state: that fraction-free Cholesky data gives A_k =
+delta_k * (norm over levels >= k), a Gram determinant, as the integer
 
     A_k = (delta_k A_{k+1} + (delta_{k+1} x_k + s_k)^2) / delta_{k+1},  A_0 = N(x),
 
@@ -14,12 +17,13 @@ is exact by construction, and a walk with bound R holds no number above
 2 delta_k delta_{k+1} R.
 
 Two kernels walk the same tree and return the same results.  The Python
-kernel recomputes each centre from the coordinates above it and takes
-every walk first, so small walks never pay numpy's fixed cost; a walk
-past _BUDGET (4,096) nodes is redone by the batched kernel, which walks
-level by level on up to _BATCH (2,048) partial vectors at a time: in
-numpy int64 when every number of the walk is proven to stay below 2**62,
-else in object arrays of Python integers.
+kernel recomputes each centre from the coordinates above it and takes the
+small walks, so they never pay numpy's fixed cost.  The batched kernel
+takes a walk whose Gaussian-heuristic forecast passes _BUDGET (4,096)
+nodes, except a "first" walk, and redoes any walk the Python kernel finds
+past _BUDGET.  It walks level by level on up to _BATCH (2,048) partial
+vectors at a time: in numpy int64 when every number of the walk is proven
+to stay below 2**62, else in object arrays of Python integers.
 Both kernels hand their leaves over as one integer array, which stays one
 array through the map back to the input basis, the sign canonicalisation
 and the sort, and is cached as it is: only shell and coset_shell make
@@ -161,12 +165,13 @@ def _lll(g: IntMatrix) -> tuple[IntMatrix, list[int], list[list[int]]]:
 
 @dataclass(frozen=True, slots=True)
 class _Prep:
-    """_lll's data of a lattice's Gram numerator G, and seed, the minimum
-    walk's first bound: the least diagonal entry of u G u^T, attained."""
+    """_lll's data of G, the Gram numerator divided by its content g, and
+    seed, the minimum walk's first bound: the least diagonal entry of
+    u G u^T, attained.  Norms in walk units are norms times den."""
 
     u: IntMatrix
     n: int
-    den: int
+    den: Fraction
     delta: list[int]
     sub: list[list[int]]
     seed: int
@@ -178,14 +183,21 @@ _CACHE_SIZE = 512
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _prep(lat: GramLattice) -> _Prep:
-    u, delta, sub = _lll(lat.gram.num)  # unimodular: U G U^T keeps den
-    seed = min(row_norms(u.rows, lat.gram.num.rows).tolist(), default=0)
-    return _Prep(u, lat.dim, lat.gram.den, delta, sub, seed)
+    num, g = _primitive(lat.gram.num.rows)  # LLL's tests are homogeneous
+    u, delta, sub = _lll(num)  # unimodular: U G U^T keeps den
+    seed = min(row_norms(u.rows, num.rows).tolist(), default=0)
+    return _Prep(u, lat.dim, Fraction(lat.gram.den, g), delta, sub, seed)
 
 
-# Nodes the Python kernel walks before the batched kernel takes the walk
-# over, and partial vectors per numpy step of the batched kernel; its int64
-# arithmetic is proven exact below fastops._SAFE
+def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
+    """(rows / g, g) for the content g of an integer matrix, 1 if empty."""
+    g = math.gcd(*(v for row in rows for v in row)) or 1
+    return IntMatrix([[v // g for v in row] for row in rows]), g
+
+
+# Nodes past which a walk belongs to the batched kernel, and partial vectors
+# per numpy step of the batched kernel; its int64 arithmetic is proven exact
+# below fastops._SAFE
 _BUDGET = 4096
 _BATCH = 2048
 
@@ -208,17 +220,32 @@ def _search_chunk(payload: dict) -> object:
     modes solve the bottom level in closed form and take its (at most two)
     roots in ascending order.
 
-    _walk takes the walk with a budget of _BUDGET nodes; past it,
-    _batched_walk redoes it.  The two kernels share only this contract:
-    both return "shell" and "le" leaves as one integer array, a row per
-    leaf ("le" puts the norm in column 0), "mincount" leaves as a list of
-    integer arrays (left unjoined, as most callers only count them), and
-    the "first" leaf as a list of one tuple.
+    A walk other than "first" whose _forecast passes _BUDGET goes to
+    _batched_walk; _walk takes the others with a budget of _BUDGET nodes,
+    and past it _batched_walk redoes them.  The two kernels share only this
+    contract, so the forecast decides no result: both return "shell" and
+    "le" leaves as one integer array, a row per leaf ("le" puts the norm in
+    column 0), "mincount" leaves as a list of integer arrays (left unjoined,
+    as most callers only count them), and the "first" leaf as a list of one
+    tuple.
     """
+    if payload["mode"] != "first" and _forecast(payload) > _BUDGET:
+        return _batched_walk(payload)[0]
     try:
         return _walk(payload, _BUDGET)[0]
     except _OverBudget:
         return _batched_walk(payload)[0]
+
+
+def _forecast(payload: dict) -> float:
+    """The Gaussian-heuristic node count of the walk (Hanrot-Stehle 2007):
+    the sum over m of V_m(sqrt R) sqrt(delta_{n-m} / delta_n) / 2, with
+    R / 4 on a class, a coset of 2L, and each term capped at e**700."""
+    n, delta, log = payload["n"], payload["delta"], math.log
+    r = log(math.pi) + log(max(payload["limit"], 1)) - (payload["parity"] is not None) * log(4)
+    return sum(math.exp(min(m / 2 * r - math.lgamma(m / 2 + 1)
+                            + (log(delta[n - m]) - log(delta[n])) / 2, 700))
+               for m in range(1, n + 1)) / 2
 
 
 def _result(mode: str, limit: int, count: int, out) -> object:
@@ -601,11 +628,13 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
         lifted = any(x)
         if lifted:
             rows.append(x + [0] * (n - i))
-        delta, sub = leading_minors(IntMatrix(gram_product(rows, num)))
-        found = _search_chunk({
+        gram, g = _primitive(gram_product(rows, num))
+        q, rest = divmod(int(t), g)  # every norm in the span of rows is a multiple of g
+        delta, sub = leading_minors(gram)
+        found = not rest and _search_chunk({
             "n": len(rows), "delta": delta, "sub": sub, "parity": None,
-            "mode": "first", "target": int(t), "limit": int(t),
-            "tops": [1] if lifted else _top_values(delta, int(t), None),
+            "mode": "first", "target": q, "limit": q,
+            "tops": [1] if lifted else _top_values(delta, q, None),
         })
         if not found:
             return None
@@ -695,8 +724,8 @@ def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     prep = _prep(lat)
     pr = _parity_reduced(prep, _check_parity(lat, parity))
     lifts = [imatmul([pr], prep.u.rows)[0], [int(v) for v in parity]]  # both in the class
-    seed = min(row_norms(lifts, lat.gram.num.rows).tolist())
-    best, _ = _run(prep, "mincount", seed, None, pr)
+    norm = Fraction(min(row_norms(lifts, lat.gram.num.rows).tolist()), lat.gram.den)
+    best, _ = _run(prep, "mincount", int(norm * prep.den), None, pr)
     return Fraction(best, prep.den)
 
 

@@ -77,7 +77,8 @@ def test_lll_transform_consistent():
         assert rank_det(u)[1] in (1, -1)
 
 
-def test_lll_matches_reference():
+def lll_corpus():
+    """Root lattices and Leech in seeded skewed bases, and a few quirks."""
     from test_mod2 import skewed_basis
 
     rng = random.Random(137)
@@ -87,7 +88,7 @@ def test_lll_matches_reference():
                               ("E", range(6, 9)))
             for n in dims]
     lech = leech().lattice
-    lats += [
+    return lats + [
         lech,
         skewed_basis(lech, rng),
         A2.rescale(QQ(1, 2)),  # rational Gram matrix
@@ -96,12 +97,36 @@ def test_lll_matches_reference():
         A2,
         GramLattice([[1, 1000], [1000, 1000001]]),
     ]
-    for lat in lats:
+
+
+def primitive(m):
+    """An integer matrix divided by its content, the gcd of its entries."""
+    g = math.gcd(*(v for row in m.rows for v in row)) or 1
+    return IntMatrix([[v // g for v in row] for row in m.rows])
+
+
+def test_lll_matches_reference():
+    for lat in lll_corpus():
         assert lll_reduce(lat) == ref_lll_reduce(lat), lat
         # the walk data is LLL's final state: the Bareiss data of its Gram
-        prep, red = shortvec._prep(lat), lll_reduce(lat)[0].gram.num
+        # divided by its content
+        prep, red = shortvec._prep(lat), primitive(lll_reduce(lat)[0].gram.num)
         assert (prep.delta, prep.sub) == leading_minors(red), lat
         assert prep.seed == min((red[i, i] for i in range(lat.dim)), default=0)
+
+
+def test_lll_transform_ignores_the_content():
+    """LLL's tests are homogeneous, so the Gram numerator divided by its
+    content gives the same U, on the corpus and on it scaled by 2, 3 and
+    2**40; the leading minors scale by g**k."""
+    for lat in lll_corpus():
+        num = primitive(lat.gram.num)
+        u, delta, _ = shortvec._lll(num)
+        assert shortvec._prep(lat).u == u, lat
+        for g in (2, 3, 2**40):
+            scaled = shortvec._lll(IntMatrix([[g * v for v in row] for row in num.rows]))
+            assert scaled[0] == u, (lat, g)
+            assert scaled[1] == [g**k * d for k, d in enumerate(delta)]
 
 
 def test_parity_reduction_solves_y_u_mod_2():
@@ -602,13 +627,20 @@ def test_cached_shells_are_read_only():
     assert empty.shape == (0, 8) and not empty.flags.writeable
 
 
+def past_int64():
+    """2**40 G + I for G the Gram matrix of D5: entries past 2**40 with
+    content 1, so its walks pass the int64 bound.  Its norms are 2**40 N(x)
+    + x.x, with N(x) the norm of x in D5."""
+    return GramLattice([[2**40 * a + (i == j) for j, a in enumerate(row)]
+                        for i, row in enumerate(root_lattice("D", 5).lattice.gram.num.rows)])
+
+
 def test_vectors_upto_sorts_as_python_does(monkeypatch):
     """vectors_upto sorts in numpy with the norm as the first key, which is
     Python's order on (norm, vector) pairs, on the kernel corpus and on a
-    walk in Python integers (D5 scaled by 2**40, batched on object arrays)."""
-    big = GramLattice([[2**40 * a for a in row]
-                       for row in root_lattice("D", 5).lattice.gram.num.rows])
-    limit = 3 * 2**41  # norms 2**41 and 2**42
+    walk in Python integers (past_int64, batched on object arrays)."""
+    big = past_int64()
+    limit = 3 * 2**41  # norms 2**41 + x.x and 2**42 + x.x
     prep = shortvec._prep(big)
     assert shortvec._walk_types(prep.delta, prep.sub, limit, None)[0] is object
     monkeypatch.setattr(shortvec, "_BUDGET", 0)  # every walk batched
@@ -896,16 +928,55 @@ def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
     """Walks whose numbers may pass 2**62 run the batched kernel on Python
     integers, with the reference's results and node counts as
     check_batched allows."""
-    big = GramLattice([[2**40 * a for a in row]
-                       for row in root_lattice("D", 5).lattice.gram.num.rows])
+    big = past_int64()
     payloads = list(kernel_payloads(big, minimum(big) + 2**41, None))
     assert not any(map(in_int64, payloads))
-    monkeypatch.setattr(shortvec, "_BUDGET", 1)  # every walk passes the budget
+    # every walk but "first" forecasts past the budget, and "first" walks pass it
+    monkeypatch.setattr(shortvec, "_BUDGET", 1)
     for payload in payloads:
         visits = []
         want = ref_walk(payload, visits), len(visits)
         check_batched(payload, want)
         assert listed(payload["mode"], shortvec._search_chunk(payload)) == want[0]
+
+
+def test_content_is_divided_out_of_the_walk():
+    """D5 scaled by 2**40 has entries past int64 but content 2**40: it walks
+    on D5's data, in int64, and its norms come out scaled back."""
+    d5 = root_lattice("D", 5).lattice
+    big = GramLattice([[2**40 * a for a in row] for row in d5.gram.num.rows])
+    prep, small = shortvec._prep(big), shortvec._prep(d5)
+    assert (prep.u, prep.delta, prep.sub, prep.seed) == (small.u, small.delta, small.sub, small.seed)
+    assert prep.den == QQ(1, 2**40)
+    payloads = list(kernel_payloads(big, minimum(big) + 2**41, None))
+    assert all(map(in_int64, payloads))
+    le = next(p for p in payloads if p["mode"] == "le")
+    assert shortvec._batched_walk(le)[0].dtype == np.int64
+    assert minimum(big) == 2**41
+    assert shell(big, 2**41) == shell(d5, 2)
+    assert shell_count(big, 2**42) == shell_count(d5, 4) > 0
+    assert vectors_upto(big, 2**42) == [(2**40 * a, v) for a, v in vectors_upto(d5, 4)]
+    assert coset_minimum(big, (1, 0, 0, 0, 1)) == 2**40 * coset_minimum(d5, (1, 0, 0, 0, 1))
+    assert shortvec.least_vector(big, 2**42) == shortvec.least_vector(d5, 4)
+
+
+def test_odd_targets_on_an_even_lattice_walk_nothing(monkeypatch):
+    """On a Gram numerator of content 2 every norm is an even multiple of
+    1 / den: a target that is not gives empty shell, shell_count,
+    coset_shell and least_vector results without a walk."""
+    def refuse(payload):
+        raise AssertionError("walked")
+
+    even = GramLattice([[2 * a for a in row] for row in root_lattice("E", 8).lattice.gram.num.rows])
+    skew = A2.rescale(QQ(2, 3))  # (4 2; 2 4) / 3: norms are multiples of 2/3
+    monkeypatch.setattr(shortvec, "_search_chunk", refuse)
+    for lat, r in ((even, 3), (even, 5), (skew, 1), (skew, QQ(5, 3))):
+        shortvec._coset_shell.cache_clear()
+        assert shell(lat, r) == () and shell_count(lat, r) == 0
+        assert coset_shell(lat, (1,) + (0,) * (lat.dim - 1), r) == ()
+        assert shortvec.least_vector(lat, r) is None
+    monkeypatch.undo()
+    assert shell_count(even, 4) == 120 and len(shell(skew, QQ(4, 3))) == 3
 
 
 def test_leech_walks_stay_in_int64():
@@ -935,51 +1006,139 @@ def test_leech_walks_stay_in_int64():
 
 
 def test_small_walks_never_enter_the_batched_kernel(monkeypatch):
+    """The E8 walks at norms 2 and 4 forecast and walk at most _BUDGET
+    nodes (1,511 for the whole norm-4 walk), so the Python kernel takes
+    them all."""
     def refuse(payload):
         raise AssertionError("batched kernel entered")
 
     monkeypatch.setattr(shortvec, "_batched_walk", refuse)
     e8 = root_lattice("E", 8).lattice
-    for payload in kernel_payloads(e8, 2, None):
-        assert shortvec._walk(payload)[1] <= shortvec._BUDGET
-        got = shortvec._search_chunk(payload)
-        assert listed(payload["mode"], got) == ref_walk(payload)
+    for r in (2, 4):
+        for payload in kernel_payloads(e8, r, None):
+            assert shortvec._walk(payload)[1] <= shortvec._BUDGET
+            got = shortvec._search_chunk(payload)
+            assert listed(payload["mode"], got) == ref_walk(payload)
     shortvec._coset_shell.cache_clear()
     assert len(shell(e8, 2)) == 120
 
 
 def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
-    entered = []
-    batched = shortvec._batched_walk
+    """A walk other than "first" whose forecast passes the budget goes
+    straight to the batched kernel; any other walk starts in the Python
+    kernel, which hands it over once it passes the budget.  Either way the
+    result is the Python kernel's.  E8's norm-8 walks forecast 16,831 nodes
+    against the default budget; at a budget of 100 so do its "mincount"
+    walks (forecast 175, 247 nodes when whole).  D16's norm-2 walks
+    (forecast 392, 1,228 nodes when whole) pass a budget of 1,000 only in
+    the Python kernel."""
+    entered, handed = [], []
+    batched, walk = shortvec._batched_walk, shortvec._walk
 
     def spy(payload):
         entered.append(payload["mode"])
         return batched(payload)
 
+    def budgeted(payload, budget=None):
+        try:
+            return walk(payload, budget)
+        except shortvec._OverBudget:
+            handed.append(payload["mode"])
+            raise
+
     monkeypatch.setattr(shortvec, "_batched_walk", spy)
-    e8 = root_lattice("E", 8).lattice
-    over = []
-    # the E8 norm-8 walks pass the budget; at a budget of 100 nodes, so do
-    # its "mincount" walks (247 nodes when whole)
-    for budget, r in ((shortvec._BUDGET, 8), (100, 6)):
+    monkeypatch.setattr(shortvec, "_walk", budgeted)
+    e8, d16 = root_lattice("E", 8).lattice, root_lattice("D", 16).lattice
+    forecast, over = [], []
+    for budget, lat, r in ((shortvec._BUDGET, e8, 8), (100, e8, 6), (1000, d16, 2)):
         monkeypatch.setattr(shortvec, "_BUDGET", budget)
-        for payload in kernel_payloads(e8, r, None):
-            alone = shortvec._walk(payload)
-            if alone[1] > budget:
-                over.append(payload["mode"])
-                with pytest.raises(shortvec._OverBudget):
-                    shortvec._walk(payload, budget)
+        for payload in kernel_payloads(lat, r, None):
             mode = payload["mode"]
+            alone = walk(payload)
+            if mode != "first" and shortvec._forecast(payload) > budget:
+                forecast.append(mode)
+            elif alone[1] > budget:
+                over.append(mode)
+                with pytest.raises(shortvec._OverBudget):
+                    walk(payload, budget)
             assert listed(mode, shortvec._search_chunk(payload)) == listed(mode, alone[0])
-    assert entered == over
-    assert set(over) == {"le", "shell", "count", "mincount"}
+            assert len(entered) == len(forecast) + len(over)
+    assert handed == over
+    assert set(forecast) == set(over) == {"le", "shell", "count", "mincount"}
+
+
+def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
+    """The leech-cli walks forecast past _BUDGET and enter the batched
+    kernel with no Python-kernel trial: the minimum walk, the class shell
+    of x0 at norm 10 and the relative lattice's vectors_upto, which
+    dividing out the content 2 of its Gram puts in int64."""
+    from eqlat.mod2 import relative_lattice
+
+    def refuse(payload, budget=None):
+        raise AssertionError("Python kernel entered")
+
+    entered = []
+    batched = shortvec._batched_walk
+
+    def spy(payload):
+        types = shortvec._walk_types(payload["delta"], payload["sub"], payload["limit"],
+                                     payload["target"])
+        entered.append((payload["mode"], types[0], shortvec._forecast(payload)))
+        return batched(payload)
+
+    big = leech()
+    lat, x0 = big.lattice, big.marks["x0"]
+    relative = relative_lattice(lat, x0).induced
+    assert shortvec._prep(relative).den == QQ(1, 2)
+    for cache in (shortvec._min_count, shortvec._coset_shell):
+        cache.cache_clear()
+    monkeypatch.setattr(shortvec, "_walk", refuse)
+    monkeypatch.setattr(shortvec, "_batched_walk", spy)
+    assert minimum(lat) == 4
+    assert len(coset_shell(lat, x0, 10)) == 276
+    assert len(vectors_upto(relative, 16 - lat.norm(x0))) > 0
+    assert [(mode, num) for mode, num, _ in entered] == [
+        ("mincount", np.int64), ("shell", np.int64), ("le", np.int64)]
+    assert all(f > shortvec._BUDGET for *_, f in entered)
+
+
+def test_first_walks_start_in_the_python_kernel(monkeypatch):
+    """A "first" walk stops at its first leaf, so the forecast of its whole
+    tree says nothing of its cost: it starts in the Python kernel also when
+    that forecast passes _BUDGET, as on Leech."""
+    log = []
+    chunk, walk, batched = shortvec._search_chunk, shortvec._walk, shortvec._batched_walk
+
+    def logged(name, f):
+        return lambda payload, *a: log.append(name) or f(payload, *a)
+
+    monkeypatch.setattr(shortvec, "_walk", logged("walk", walk))
+    monkeypatch.setattr(shortvec, "_batched_walk", logged("batched", batched))
+    monkeypatch.setattr(shortvec, "_search_chunk", logged("chunk", chunk))
+    first = dict(leech_min_payload(), mode="first", target=4)
+    assert shortvec._forecast(first) > shortvec._BUDGET
+    assert len(shortvec._search_chunk(first)) == 1
+    assert shortvec.least_vector(leech().lattice, 6) is not None
+    assert log.count("chunk") > 1
+    assert all(log[i + 1] == "walk" for i, name in enumerate(log) if name == "chunk")
+
+
+@pytest.mark.parametrize("name, r, nodes", [("Leech", 4, 1_971_697), ("E8", 4, 1_511),
+                                           ("A16", 6, 240_676), ("D16", 2, 1_228)])
+def test_forecast_is_near_the_node_count(name, r, nodes):
+    """The Gaussian-heuristic forecast lies within a factor of 4 of the
+    nodes of the whole "count" walk."""
+    lat = leech().lattice if name == "Leech" else root_lattice(name[0], int(name[1:])).lattice
+    payload = next(p for p in kernel_payloads(lat, r, None) if p["mode"] == "count")
+    assert shortvec._batched_walk(payload)[1] == nodes
+    assert nodes / 4 < shortvec._forecast(payload) < 4 * nodes
 
 
 @pytest.mark.parametrize("budget", [shortvec._BUDGET, 0])
 def test_entries_past_int64_stay_exact(monkeypatch, budget):
     """Walk coordinates, scaled norms and input-basis coordinates past 2**63
-    come out exact from either kernel (budget 0 sends every walk with a node
-    below its top level to the batched kernel)."""
+    come out exact from either kernel (budget 0 sends every walk to the
+    batched kernel by its forecast)."""
     monkeypatch.setattr(shortvec, "_BUDGET", budget)
     for cache in (shortvec._prep, shortvec._coset_shell, shortvec._min_count):
         cache.cache_clear()
