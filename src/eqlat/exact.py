@@ -355,7 +355,7 @@ def leading_minors(g: IntMatrix) -> tuple[list[int], list[list[int]]]:
     return delta, sub
 
 
-def _back_substitute(h: IntMatrix, u: IntMatrix, x: list[int]) -> tuple[int, ...] | None:
+def _back_substitute(h: IntMatrix, u: IntMatrix, x: Sequence[int]) -> tuple[int, ...] | None:
     """c with c @ b = x, given (h, u) = hnf(b); None when there is none.
 
     Each pivot row of h fixes one coordinate of c' (c' @ h = x) by exact
@@ -382,11 +382,12 @@ def solve_left(b: IntMatrix, x: Sequence[int]) -> tuple[int, ...] | None:
     """Integer row vector c with c @ b = x; None if x is not in the row lattice.
 
     Back-substitution on the Hermite normal form of b.  When the rows of b
-    are dependent any one solution is returned.
+    are dependent any one solution is returned.  x is read as b's rows are:
+    an entry with int(v) != v raises NotIntegral.
     """
     if len(x) != b.ncols:
         raise DimensionMismatch(f"vector length {len(x)} != {b.ncols}")
-    return _back_substitute(*hnf(b), [int(v) for v in x])
+    return _back_substitute(*hnf(b), _int_row(x))
 
 
 # ---------------------------------------------------------------------------

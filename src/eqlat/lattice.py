@@ -23,7 +23,7 @@ from .errors import (
     VerificationError,
     ZeroVector,
 )
-from .exact import IntMatrix, RatMatrix, hnf, kernel_basis, leading_minors, solve_left
+from .exact import IntMatrix, RatMatrix, _int_row, hnf, kernel_basis, leading_minors, solve_left
 from .fastops import gram_product, imatmul
 
 Vec = tuple[int, ...]
@@ -71,10 +71,10 @@ class GramLattice:
     def _check(self, x: Sequence[int]) -> Vec:
         if len(x) != self.dim:
             raise DimensionMismatch(f"vector length {len(x)} != {self.dim}")
-        v = tuple(map(int, x))
-        if v != tuple(x):  # int() truncates 1.5 to 1
-            raise NotInLattice(f"coordinates {tuple(x)} are not all integers")
-        return v
+        try:
+            return _int_row(x)  # int() alone truncates 1.5 to 1
+        except NotIntegral:
+            raise NotInLattice(f"coordinates {tuple(x)} are not all integers") from None
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
         x, y = self._check(x), self._check(y)
@@ -219,13 +219,13 @@ class EmbeddedSublattice:
 
     def coords_of(self, x: Sequence[int]) -> Vec:
         """Sublattice coordinates of an ambient vector; NotInLattice if out."""
-        sol = solve_left(self.basis_rows, x)
+        sol = solve_left(self.basis_rows, self.ambient._check(x))
         if sol is None:
             raise NotInLattice("vector outside the sublattice")
         return sol
 
     def contains(self, x: Sequence[int]) -> bool:
-        return solve_left(self.basis_rows, x) is not None
+        return solve_left(self.basis_rows, self.ambient._check(x)) is not None
 
     def restrict(self, inner: "EmbeddedSublattice") -> "EmbeddedSublattice":
         """Compose: a sublattice of this sublattice, in ambient coordinates."""
@@ -244,7 +244,5 @@ class Projection:
 
     def coords(self, x: Sequence[int]) -> Vec:
         """Coordinates of the projected vector in the image lattice."""
-        if len(x) != self.source.dim:
-            raise DimensionMismatch("wrong length")
         # x @ tinv, integer since t is unimodular; coordinate 0 runs along v
-        return tuple(imatmul([[int(xi) for xi in x]], self._tinv.rows)[0][1:])
+        return tuple(imatmul([self.source._check(x)], self._tinv.rows)[0][1:])

@@ -16,14 +16,15 @@ so pruning needs only integer comparisons and isqrt, every reported norm
 is exact by construction, and a walk with bound R holds no number above
 2 delta_k delta_{k+1} R.
 
-Two kernels walk the same tree and return the same results.  The Python
-kernel recomputes each centre from the coordinates above it and takes the
-small walks, so they never pay numpy's fixed cost.  The batched kernel
-takes a walk whose Gaussian-heuristic forecast passes _BUDGET (4,096)
-nodes, except a "first" walk, and redoes any walk the Python kernel finds
-past _BUDGET.  It walks level by level on up to _BATCH (2,048) partial
-vectors at a time: in numpy int64 when every number of the walk is proven
-to stay below 2**62, else in object arrays of Python integers.
+Two kernels walk the same tree and return the same results, and one rule
+picks between them: a walk whose Gaussian-heuristic forecast passes
+_BUDGET (4,096) nodes is batched, any other walk runs in Python.  The
+Python kernel recomputes each centre from the coordinates above it, so
+small walks never pay numpy's fixed cost; it alone takes least_vector's
+"first" walks, which stop at their first leaf.  The batched kernel walks
+level by level on up to _BATCH (2,048) partial vectors at a time: in numpy
+int64 when every number of the walk is proven to stay below 2**62, else in
+object arrays of Python integers.
 Both kernels hand their leaves over as one integer array, which stays one
 array through the map back to the input basis, the sign canonicalisation
 and the sort, and is cached as it is: only shell and coset_shell make
@@ -195,46 +196,36 @@ def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
     return IntMatrix([[v // g for v in row] for row in rows]), g
 
 
-# Nodes past which a walk belongs to the batched kernel, and partial vectors
-# per numpy step of the batched kernel; its int64 arithmetic is proven exact
-# below fastops._SAFE
+# Forecast nodes past which a walk is batched, and partial vectors per numpy
+# step of the batched kernel; its int64 arithmetic is proven exact below
+# fastops._SAFE
 _BUDGET = 4096
 _BATCH = 2048
-
-
-class _OverBudget(Exception):
-    """A budgeted Python walk reached more nodes than its budget."""
 
 
 def _search_chunk(payload: dict) -> object:
     """Enumerate the subtrees under the given top-level coordinate values.
 
     Top-level function so process pools can pick it up by reference.
-    limit and target are norms in units of the Gram numerator (x G x^T).
-    mode: "le" collects (norm, coords) leaves and "shell" the coords of
-    exact-norm leaves; "first" stops at the first exact-norm leaf, which is
-    the least in the walk's order (each level ascending, top level first);
-    "count" counts exact-norm leaves; "mincount" keeps the least nonzero
-    norm found as an inclusive bound, drops the leaves it holds whenever it
-    lowers that bound, and returns (best, leaves at best).  The exact-norm
-    modes solve the bottom level in closed form and take its (at most two)
-    roots in ascending order.
+    limit is a norm in units of the Gram numerator (x G x^T).  mode: "le"
+    collects (norm, coords) leaves with norm <= limit and "shell" the coords
+    of leaves with norm == limit; "first" stops at the first leaf of norm
+    limit, which is the least in the walk's order (each level ascending, top
+    level first); "count" counts leaves of norm limit; "mincount" keeps the
+    least nonzero norm found as an inclusive bound, drops the leaves it
+    holds whenever it lowers that bound, and returns (best, leaves at best).
+    The exact-norm modes solve the bottom level in closed form and take its
+    (at most two) roots in ascending order.
 
-    A walk other than "first" whose _forecast passes _BUDGET goes to
-    _batched_walk; _walk takes the others with a budget of _BUDGET nodes,
-    and past it _batched_walk redoes them.  The two kernels share only this
-    contract, so the forecast decides no result: both return "shell" and
-    "le" leaves as one integer array, a row per leaf ("le" puts the norm in
-    column 0), "mincount" leaves as a list of integer arrays (left unjoined,
-    as most callers only count them), and the "first" leaf as a list of one
-    tuple.
+    A walk whose _forecast passes _BUDGET goes to _batched_walk, any other
+    to _walk.  The two kernels share only this contract, so the forecast
+    decides no result: both return "shell" and "le" leaves as one integer
+    array, a row per leaf ("le" puts the norm in column 0), and "mincount"
+    leaves as a list of integer arrays (left unjoined, as most callers only
+    count them).  "first" walks are _walk's alone, which returns the leaf as
+    a list of one tuple.
     """
-    if payload["mode"] != "first" and _forecast(payload) > _BUDGET:
-        return _batched_walk(payload)[0]
-    try:
-        return _walk(payload, _BUDGET)[0]
-    except _OverBudget:
-        return _batched_walk(payload)[0]
+    return (_batched_walk if _forecast(payload) > _BUDGET else _walk)(payload)[0]
 
 
 def _forecast(payload: dict) -> float:
@@ -254,14 +245,13 @@ def _result(mode: str, limit: int, count: int, out) -> object:
     return (limit, out) if mode == "mincount" else out
 
 
-def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
+def _walk(payload: dict) -> tuple[object, int]:
     """The Python kernel: (result, nodes), nodes counting the calls below the
-    top level; raises _OverBudget once nodes would pass budget.  Each node
-    computes its centre s_k = sum over j > k of sub[k][j-k-1] * x_j afresh.
+    top level.  Each node computes its centre s_k = sum over j > k of
+    sub[k][j-k-1] * x_j afresh.
     """
     n, delta, sub, tops = payload["n"], payload["delta"], payload["sub"], payload["tops"]
-    parity, mode = payload["parity"], payload["mode"]
-    target, limit = payload["target"], payload["limit"]
+    parity, mode, limit = payload["parity"], payload["mode"], payload["limit"]
     step = 2 if parity is not None else 1
     exact = mode in ("shell", "first", "count")
     isqrt = math.isqrt
@@ -270,14 +260,11 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
     out: list = []
     count = 0
     nodes = -1  # the call at the top level is not a node
-    cap = -1 if budget is None else budget + 1  # -1: never reached
 
     def rec(k: int, acc: int, zero_above: bool) -> None:
         # acc is A_{k+1}, at most delta[k+1] * limit
         nonlocal count, limit, nodes
         nodes += 1
-        if nodes == cap:
-            raise _OverBudget
         s = sum(map(operator.mul, sub[k], x[k + 1:]))
         d, dk = delta[k + 1], delta[k]
         kmax = isqrt(dk * (d * limit - acc))
@@ -289,9 +276,9 @@ def _walk(payload: dict, budget: int | None = None) -> tuple[object, int]:
         values = tops if k == top else range(lo, (kmax - s) // d + 1, step)
         if k == 0:
             if exact:
-                # (d x_0 + s)^2 = d * target - acc, roots taken ascending
-                q = d * target - acc
-                if q < 0 or not target:  # norm 0 is the zero vector alone
+                # (d x_0 + s)^2 = d * limit - acc, roots taken ascending
+                q = d * limit - acc
+                if q < 0 or not limit:  # norm 0 is the zero vector alone
                     return
                 kk = isqrt(q)
                 if kk * kk != q:
@@ -379,12 +366,12 @@ def _coordinate_bounds(delta: list[int], sub: list[list[int]], limit: int) -> li
     return [math.isqrt(limit * wk // e) for wk in w]
 
 
-def _walk_types(delta: list[int], sub: list[list[int]], limit: int, target: int | None):
+def _walk_types(delta: list[int], sub: list[list[int]], limit: int):
     """(number type, coordinate type) of a batched walk: int64 when the
-    bound 2 delta_k delta_{k+1} max(limit, target) and the centre sums are
-    below 2**62, else object; coordinates in the narrowest type they fit."""
+    bound 2 delta_k delta_{k+1} limit and the centre sums are below 2**62,
+    else object; coordinates in the narrowest type they fit."""
     bound = _coordinate_bounds(delta, sub, limit)
-    top = 2 * max(map(operator.mul, delta, delta[1:])) * max(limit, target or 0, 1)
+    top = 2 * max(map(operator.mul, delta, delta[1:])) * max(limit, 1)
     fits = top < _SAFE and all(sum(abs(c) * b for c, b in zip(row, bound[k + 1:])) < _SAFE
                                for k, row in enumerate(sub))
     return (np.int64 if fits else object), _narrowest(max(bound))
@@ -403,27 +390,28 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     fewer than _BATCH (2 + 2 bound[k+1] / step) rows; the Leech minimum walk
     peaks at 33,935 queued rows over all levels, at most 5,898 on one.
     A node's candidate values are exactly those with |y_k| <= kmax, so no
-    number exceeds 2 delta_k delta_{k+1} max(limit, target); int64 runs
-    where _walk_types proves it exact, object arrays of Python integers
-    otherwise.  Coordinates take the narrowest type, int8 on Leech.
+    number exceeds 2 delta_k delta_{k+1} limit; int64 runs where _walk_types
+    proves it exact, object arrays of Python integers otherwise.
+    Coordinates take the narrowest type, int8 on Leech.  A "first" walk
+    raises ValueError: it stops at its first leaf, which only _walk takes.
 
     "mincount" lowers its bound at leaves, which _walk sees at once but a
     step takes in only when its rows were already made, so rows are checked
-    against the live bound when they are taken; "first" stops after the step
-    that finds its leaf.  So nodes is _walk's count wherever the bound never
-    lowers: every "le", "shell" and "count" walk, a "mincount" walk that
-    starts at its minimum, a "first" walk that finds nothing.  Otherwise it
-    lies between _walk's count and that of the "count" walk at the first
-    bound, whose tree holds every row made here.
+    against the live bound when they are taken.  So nodes is _walk's count
+    wherever the bound never lowers: every "le", "shell" and "count" walk,
+    and a "mincount" walk that starts at its minimum.  Otherwise it lies
+    between _walk's count and that of the "count" walk at the first bound,
+    whose tree holds every row made here.
     """
     n, delta, sub = payload["n"], payload["delta"], payload["sub"]
-    parity, mode = payload["parity"], payload["mode"]
-    target, limit = payload["target"], payload["limit"]
+    parity, mode, limit = payload["parity"], payload["mode"], payload["limit"]
+    if mode == "first":
+        raise ValueError('"first" walks run in _walk alone')
     top = n - 1
     tops = [t for t in payload["tops"] if delta[n] * t * t <= delta[top] * limit]
-    num, dtype = _walk_types(delta, sub, limit, target)
+    num, dtype = _walk_types(delta, sub, limit)
     step = 2 if parity is not None else 1
-    exact = mode in ("shell", "first", "count")
+    exact = mode in ("shell", "count")
     subs = [np.array(r, dtype=num) for r in sub]
     # queue[k]: rows of level k not taken yet, (x, acc = A_{k+1}, zero_above)
     queue = [(np.zeros((c, n), dtype), np.zeros(c, num), np.ones(c, bool))
@@ -453,10 +441,10 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
         if parity is not None:
             lo += (lo - parity[k]) % 2
         if k == 0 and exact:
-            # (d x_0 + s)^2 = d * target - acc, roots taken ascending
-            q = d * target - acc
+            # (d x_0 + s)^2 = d * limit - acc, roots taken ascending
+            q = d * limit - acc
             kk = _isqrt(np.maximum(q, 0))
-            ok = (q >= 0) & (kk * kk == q) & bool(target)
+            ok = (q >= 0) & (kk * kk == q) & bool(limit)
             row = np.repeat(np.arange(len(acc)), 2)
             ok = np.column_stack([ok, ok & (kk != 0)]).ravel()
             kv = np.column_stack([-kk, kk]).ravel() - s[row]
@@ -469,16 +457,10 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
             hits = np.flatnonzero(ok)
             if mode == "count":
                 count += len(hits)
-            elif mode == "shell":
+            else:
                 leaves = x[row[hits]]
                 leaves[:, 0] = xv[hits]
                 out.append(leaves)
-            elif len(hits):  # first
-                h = hits[0]
-                leaf = x[row[h]].tolist()
-                leaf[0] = int(xv[h])
-                out = [tuple(leaf)]
-                break
             continue
         if k == top:
             row, xv = np.zeros(len(tops), dtype=np.intp), np.array(tops, dtype=num)
@@ -525,10 +507,10 @@ def _top_values(delta: list[int], limit: int, parity) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _run(prep: _Prep, mode: str, limit: int, target: int | None, parity) -> object:
+def _run(prep: _Prep, mode: str, limit: int, parity) -> object:
     tops = _top_values(prep.delta, limit, parity) if prep.n else []
     payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": parity,
-               "mode": mode, "target": target, "limit": limit}
+               "mode": mode, "limit": limit}
     workers = min(_THREADS, len(tops), os.cpu_count() or 1)
     if workers <= 1:
         return _search_chunk(dict(payload, tops=tops))
@@ -593,7 +575,7 @@ def _min_count(lat: GramLattice) -> tuple[Fraction, list[np.ndarray]]:
     if lat.dim == 0:
         raise DimensionMismatch("empty lattice has no minimum")
     prep = _prep(lat)
-    best, leaves = _run(prep, "mincount", prep.seed, None, None)
+    best, leaves = _run(prep, "mincount", prep.seed, None)
     return Fraction(best, prep.den), leaves
 
 
@@ -631,11 +613,10 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
         gram, g = _primitive(gram_product(rows, num))
         q, rest = divmod(int(t), g)  # every norm in the span of rows is a multiple of g
         delta, sub = leading_minors(gram)
-        found = not rest and _search_chunk({
-            "n": len(rows), "delta": delta, "sub": sub, "parity": None,
-            "mode": "first", "target": q, "limit": q,
-            "tops": [1] if lifted else _top_values(delta, q, None),
-        })
+        found = not rest and _walk({
+            "n": len(rows), "delta": delta, "sub": sub, "parity": None, "mode": "first",
+            "limit": q, "tops": [1] if lifted else _top_values(delta, q, None),
+        })[0]
         if not found:
             return None
         x.append(found[0][len(rows) - 1 - lifted])
@@ -657,7 +638,7 @@ def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None, r: Fraction) 
             found = np.concatenate(leaves)
         else:
             pr = None if parity is None else _parity_reduced(prep, parity)
-            found = _run(prep, "shell", int(target), int(target), pr) if r > m else rows
+            found = _run(prep, "shell", int(target), pr) if r > m else rows
         rows, _ = _canonical(imatmul_array(found, prep.u.rows))  # in the input basis
     rows.flags.writeable = False
     return rows
@@ -688,7 +669,7 @@ def shell_count(lat: GramLattice, r) -> int:
         m, leaves = _min_count(lat)
         if r <= m:
             return sum(map(len, leaves)) if r == m else 0
-    return _run(prep, "count", int(target), int(target), None)
+    return _run(prep, "count", int(target), None)
 
 
 def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
@@ -696,15 +677,13 @@ def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
     prep = _prep(lat)
     if not prep.n:
         return []
-    found = _run(prep, "le", math.floor(Fraction(r) * prep.den), None, None)
+    found = _run(prep, "le", math.floor(Fraction(r) * prep.den), None)
     rows, norms = _canonical(imatmul_array(found[:, 1:], prep.u.rows), found[:, 0])
     return [(Fraction(a, prep.den), v) for a, v in zip(norms.tolist(), _tuples(rows))]
 
 
 def _check_parity(lat: GramLattice, parity: Sequence[int]) -> tuple[int, ...]:
-    if len(parity) != lat.dim:
-        raise DimensionMismatch("parity vector has wrong length")
-    p = tuple(int(v) % 2 for v in parity)
+    p = tuple(v % 2 for v in lat._check(parity))
     if not any(p):
         raise ZeroVector("class of 0 mod 2L is the lattice itself")
     return p
@@ -725,7 +704,7 @@ def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     pr = _parity_reduced(prep, _check_parity(lat, parity))
     lifts = [imatmul([pr], prep.u.rows)[0], [int(v) for v in parity]]  # both in the class
     norm = Fraction(min(row_norms(lifts, lat.gram.num.rows).tolist()), lat.gram.den)
-    best, _ = _run(prep, "mincount", int(norm * prep.den), None, pr)
+    best, _ = _run(prep, "mincount", int(norm * prep.den), pr)
     return Fraction(best, prep.den)
 
 
@@ -782,5 +761,5 @@ class PairSet:
         return [w for v in self.reps for w in (v, tuple(-c for c in v))]
 
     def contains(self, v: Sequence[int]) -> bool:
-        v = tuple(int(c) for c in v)
+        v = self.lattice._check(v)
         return v in self.reps or tuple(-c for c in v) in self.reps

@@ -6,6 +6,7 @@ import random
 import time
 from fractions import Fraction as QQ
 
+import numpy as np
 import pytest
 from oracles import (
     berkowitz,
@@ -205,6 +206,15 @@ def test_solve_left_needs_an_integer_solution():
     # (1/2, 0) solves it over Q, but (1, 0) is outside the row lattice
     assert solve_left(IntMatrix([[2, 0], [0, 2]]), [1, 0]) is None
     assert solve_left(IntMatrix([[2, 0], [0, 2]]), [4, -2]) == (2, -1)
+
+
+def test_solve_left_rejects_non_integer_targets():
+    # int() alone truncated 2.7 to 2 and solved for (2, 0) instead
+    b = IntMatrix([[1, 1], [2, 0]])
+    for x in ([2.7, 0], [QQ(3, 2), 1], [-0.5, 1]):
+        with pytest.raises(NotIntegral):
+            solve_left(b, x)
+    assert solve_left(b, [QQ(2), np.int64(0)]) == solve_left(b, [2, 0]) == (0, 1)
 
 
 def test_solve_left_dependent_rows():

@@ -97,6 +97,18 @@ def test_coords_roundtrip():
         sub.coords_of((1, 0))
 
 
+def test_sublattice_coordinates_must_be_integers():
+    # int() alone truncated (2.7, 0) to (2, 0), whose coordinates are (2, -1)
+    sub = Z2.sublattice([(1, 1), (2, 0)])
+    for x in [(2.7, 0), (1.5, 1), (QQ(3, 2), 1), ("1.5", 0), (None, 0), (float("inf"), 0)]:
+        with pytest.raises(NotInLattice):
+            sub.coords_of(x)
+        with pytest.raises(NotInLattice):
+            sub.contains(x)
+    assert sub.coords_of((QQ(3), np.int64(1))) == sub.coords_of((3, 1))
+    assert sub.contains((QQ(3), np.int64(1)))
+
+
 def test_orthogonal_section_gives_hexagonal():
     sec = Z3.orthogonal_section((1, 1, 1))
     assert sec.dim == 2
@@ -125,6 +137,9 @@ def test_projection_hexagonal():
     assert proj.lattice.det * A2.norm((1, 0)) == A2.det
     assert proj.coords((0, 1)) == (1,)
     assert proj.coords((1, 0)) == (0,)
+    assert proj.coords((QQ(2), np.int64(1))) == (1,)
+    with pytest.raises(NotInLattice):  # int() alone read (0.5, 1) as (0, 1)
+        proj.coords((0.5, 1))
 
 
 def test_projection_rejects_bad_vectors():

@@ -206,13 +206,14 @@ def test_default_x0_leech_without_the_norm_6_shell(monkeypatch):
     lat = leech().lattice
     assert minimum(lat) == 4
     modes = []
-    search = shortvec._search_chunk
 
-    def recorded(payload):
-        modes.append(payload["mode"])
-        return search(payload)
+    def recorded(f):
+        return lambda payload: modes.append(payload["mode"]) or f(payload)
 
-    monkeypatch.setattr(shortvec, "_search_chunk", recorded)
+    # least_vector's walks enter the Python kernel directly, any other walk
+    # would pass _search_chunk
+    monkeypatch.setattr(shortvec, "_search_chunk", recorded(shortvec._search_chunk))
+    monkeypatch.setattr(shortvec, "_walk", recorded(shortvec._walk))
     start = time.perf_counter()
     x0 = default_x0(lat)
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 """Tests for LLL reduction and exact shell enumeration."""
 
+import contextlib
 import math
 import random
 from fractions import Fraction as QQ
@@ -362,6 +363,15 @@ def test_coset_shell_z2():
     assert coset_shell(Z2, (1, 1), 2) == ((1, -1), (1, 1))
     assert coset_minimum(Z2, (1, 0)) == 1
     assert coset_minimum(Z2, (1, 1)) == 2
+    # a class is named by a lattice vector: int() alone read 1.5 as 1
+    for bad in ((1.5, 0), (QQ(1, 2), 1)):
+        with pytest.raises(NotInLattice):
+            coset_shell(Z2, bad, 1)
+        with pytest.raises(NotInLattice):
+            coset_minimum(Z2, bad)
+    with pytest.raises(DimensionMismatch):
+        coset_minimum(Z2, (1, 0, 0))
+    assert coset_shell(Z2, (np.int64(3), QQ(2)), 1) == ((1, 0),)
 
 
 def test_coset_shell_a2():
@@ -403,7 +413,7 @@ def test_coset_minimum_walks_from_the_reduced_lift(monkeypatch):
         visits = []
         assert ref_walk(payload, visits)[0] == 2
         assert shortvec._walk(payload)[1] == len(visits) == nodes
-        old = shortvec._run(prep, "mincount", int(first * prep.den), None, payload["parity"])
+        old = shortvec._run(prep, "mincount", int(first * prep.den), payload["parity"])
         assert old[0] == 2
 
 
@@ -427,7 +437,7 @@ def test_coset_minimum_walks_from_the_given_vector(monkeypatch):
     prep = shortvec._prep(lat)
     lift = lat.norm(imatmul([payload["parity"]], prep.u.rows)[0])
     assert lift == 50
-    assert shortvec._run(prep, "mincount", 50, None, payload["parity"])[0] == 6
+    assert shortvec._run(prep, "mincount", 50, payload["parity"])[0] == 6
 
 
 def test_cosets_partition_shell():
@@ -545,6 +555,15 @@ def test_pairset_basics():
     assert ps == PairSet(A2, [(0, -1), (1, 0)])
 
 
+def test_pairset_contains_reads_lattice_vectors():
+    # int() alone truncated (1.5, 0) to (1, 0), a pair of the Z2 shell
+    ps = PairSet(Z2, shell(Z2, 1))
+    for v in [(1.5, 0), (QQ(3, 2), 0), (-0.5, 1)]:
+        with pytest.raises(NotInLattice):
+            ps.contains(v)
+    assert ps.contains((QQ(-1), np.int64(0))) and not ps.contains((np.int64(1), QQ(1)))
+
+
 def test_pairset_rejects():
     with pytest.raises(MixedNorms):
         PairSet(A2, [(1, 0), (1, 1)])
@@ -642,7 +661,7 @@ def test_vectors_upto_sorts_as_python_does(monkeypatch):
     big = past_int64()
     limit = 3 * 2**41  # norms 2**41 + x.x and 2**42 + x.x
     prep = shortvec._prep(big)
-    assert shortvec._walk_types(prep.delta, prep.sub, limit, None)[0] is object
+    assert shortvec._walk_types(prep.delta, prep.sub, limit)[0] is object
     monkeypatch.setattr(shortvec, "_BUDGET", 0)  # every walk batched
     for lat, r in [(lat, minimum(lat) + 2) for lat in kernel_corpus(random.Random(131))] + [(big, limit)]:
         got = vectors_upto(lat, r)
@@ -664,14 +683,12 @@ def kernel_payloads(lat, r, parity):
         seed = prep.seed
     else:
         seed = math.floor(lat.norm(parity) * prep.den)  # the 0/1 lift lies in the class
-    for mode, limit, tgt in (("le", target, None), ("shell", target, target),
-                             ("first", target, target), ("count", target, target),
-                             ("mincount", seed, None)):
+    for mode, limit in (("le", target), ("shell", target), ("first", target),
+                        ("count", target), ("mincount", seed)):
         tops = shortvec._top_values(prep.delta, limit, pr)
         for chunk in (tops, tops[0::2], tops[1::2]):
             yield {"n": prep.n, "delta": prep.delta, "sub": prep.sub,
-                   "parity": pr, "mode": mode, "target": tgt, "limit": limit,
-                   "tops": chunk}
+                   "parity": pr, "mode": mode, "limit": limit, "tops": chunk}
 
 
 def lcm_form(delta):
@@ -684,11 +701,11 @@ def lcm_form(delta):
 
 def ref_walk(payload, visits=None):
     """ref_search_chunk on payload in its lcm form, with the norms it
-    reports brought back to the payload's units."""
+    reports brought back to the payload's units; the exact-norm modes
+    target the limit."""
     scale, g = lcm_form(payload["delta"])
-    target = payload["target"]
-    found = ref_search_chunk(dict(payload, g=g, limit=scale * payload["limit"],
-                                  target=None if target is None else scale * target), visits)
+    limit = scale * payload["limit"]
+    found = ref_search_chunk(dict(payload, g=g, limit=limit, target=limit), visits)
     if payload["mode"] == "le":
         return [(a // scale, v) for a, v in found]
     if payload["mode"] == "mincount":
@@ -698,9 +715,7 @@ def ref_walk(payload, visits=None):
 
 def in_int64(payload):
     """Whether the batched kernel walks payload in int64."""
-    types = shortvec._walk_types(payload["delta"], payload["sub"], payload["limit"],
-                                 payload["target"])
-    return types[0] is np.int64
+    return shortvec._walk_types(payload["delta"], payload["sub"], payload["limit"])[0] is np.int64
 
 
 def listed(mode, found):
@@ -723,24 +738,43 @@ def walked(kernel, payload):
     return listed(payload["mode"], found), nodes
 
 
+class Capped(list):
+    """A visits list for ref_search_chunk that ends the walk, raising Full,
+    once it holds cap nodes."""
+
+    class Full(Exception):
+        pass
+
+    def __init__(self, cap):
+        super().__init__()
+        self.cap = cap
+
+    def append(self, level):
+        super().append(level)
+        if len(self) == self.cap:
+            raise Capped.Full
+
+
 def check_batched(payload, want):
     """The batched kernel against want = (result, nodes) of the reference
     walk.  Its result is want's.  It counts the rows it expands, so its node
     count is want's wherever the bound never lowers; a "mincount" walk that
-    lowers it or a "first" walk that finds its leaf may count rows made
-    before that, but never more than the "count" walk at the first bound,
-    whose tree holds them all.  That walk is budgeted at the batched count:
-    whole, at a coset walk's seed, it can pass 200,000 nodes."""
+    lowers it may count rows made before that, but never more than the
+    "count" walk at the first bound, whose tree holds them all.  That walk
+    is stopped one node past the batched count: whole, at a coset walk's
+    seed, it can take minutes.  "first" walks are the Python kernel's
+    alone: the batched kernel refuses them."""
+    if payload["mode"] == "first":
+        with pytest.raises(ValueError):
+            shortvec._batched_walk(payload)
+        return
     got, nodes = walked(shortvec._batched_walk, payload)
     assert got == want[0]
-    mode = payload["mode"]
-    if mode == "mincount" and got[0] < payload["limit"] or mode == "first" and got:
-        target = payload["target"] if mode == "first" else payload["limit"]
-        try:
-            fixed = shortvec._walk(dict(payload, mode="count", target=target), nodes)[1]
-        except shortvec._OverBudget:  # more than nodes
-            fixed = nodes + 1
-        assert want[1] <= nodes <= fixed
+    if payload["mode"] == "mincount" and got[0] < payload["limit"]:
+        fixed = Capped(nodes + 1)
+        with contextlib.suppress(Capped.Full):
+            ref_walk(dict(payload, mode="count"), fixed)
+        assert want[1] <= nodes <= len(fixed)
     else:
         assert nodes == want[1]
 
@@ -789,13 +823,13 @@ def test_kernel_matches_reference_walk(monkeypatch):
     # the coset walks of least_vector: a prefix held at 1 on top, e_i, then
     # a reduced block, in a basis that is not reduced as a whole
     walks = []
-    search = shortvec._search_chunk
+    walk = shortvec._walk
 
     def captured(payload):
         walks.append(payload)
-        return search(payload)
+        return walk(payload)
 
-    monkeypatch.setattr(shortvec, "_search_chunk", captured)
+    monkeypatch.setattr(shortvec, "_walk", captured)
     for lat in lats:
         m = minimum(lat)
         for r in (m, m + 2):
@@ -804,13 +838,15 @@ def test_kernel_matches_reference_walk(monkeypatch):
     assert any(payload["tops"] == [1] for payload in walks)
     # these bases are reduced below their top two levels only, so their
     # leading minors are large, and a few walks pass the int64 bound: the
-    # batched kernel then walks in Python integers
+    # batched kernel then walks their whole shells in Python integers
     past = 0
     for payload in walks:
         visits = []
         want = ref_walk(payload, visits), len(visits)
         assert walked(shortvec._walk, payload) == want
         check_batched(payload, want)
+        whole = dict(payload, mode="shell")
+        check_batched(whole, walked(shortvec._walk, whole))
         past += not in_int64(payload)
     assert 0 < past < len(walks)
 
@@ -883,13 +919,14 @@ def test_batched_kernel_at_batch_boundaries(monkeypatch):
 
 def test_batched_kernel_answers_an_empty_top_level(monkeypatch):
     """With no top-level value inside the bound, the batched kernel gives
-    the empty result of each of the five modes itself, without the Python
+    the empty result of each of its four modes itself, without the Python
     kernel."""
-    def refuse(payload, budget=None):
+    def refuse(payload):
         raise AssertionError("Python kernel entered")
 
     payloads = [payload for lat in (root_lattice("E", 8).lattice, GramLattice([[3]]))
-                for payload in kernel_payloads(lat, minimum(lat), None)]
+                for payload in kernel_payloads(lat, minimum(lat), None)
+                if payload["mode"] != "first"]
     monkeypatch.setattr(shortvec, "_walk", refuse)
     for payload in payloads:
         top = shortvec._top_values(payload["delta"], payload["limit"], None)
@@ -902,7 +939,7 @@ def leech_min_payload():
     prep = shortvec._prep(leech().lattice)
     limit = prep.seed
     return {"n": prep.n, "delta": prep.delta, "sub": prep.sub,
-            "parity": None, "mode": "mincount", "target": None, "limit": limit,
+            "parity": None, "mode": "mincount", "limit": limit,
             "tops": shortvec._top_values(prep.delta, limit, None)}
 
 
@@ -931,13 +968,15 @@ def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
     big = past_int64()
     payloads = list(kernel_payloads(big, minimum(big) + 2**41, None))
     assert not any(map(in_int64, payloads))
-    # every walk but "first" forecasts past the budget, and "first" walks pass it
-    monkeypatch.setattr(shortvec, "_BUDGET", 1)
+    monkeypatch.setattr(shortvec, "_BUDGET", 1)  # every walk forecasts past it
     for payload in payloads:
         visits = []
         want = ref_walk(payload, visits), len(visits)
         check_batched(payload, want)
-        assert listed(payload["mode"], shortvec._search_chunk(payload)) == want[0]
+        if payload["mode"] == "first":  # least_vector's, run in the Python kernel alone
+            assert walked(shortvec._walk, payload) == want
+        else:
+            assert listed(payload["mode"], shortvec._search_chunk(payload)) == want[0]
 
 
 def test_content_is_divided_out_of_the_walk():
@@ -970,6 +1009,7 @@ def test_odd_targets_on_an_even_lattice_walk_nothing(monkeypatch):
     even = GramLattice([[2 * a for a in row] for row in root_lattice("E", 8).lattice.gram.num.rows])
     skew = A2.rescale(QQ(2, 3))  # (4 2; 2 4) / 3: norms are multiples of 2/3
     monkeypatch.setattr(shortvec, "_search_chunk", refuse)
+    monkeypatch.setattr(shortvec, "_walk", refuse)  # least_vector's kernel
     for lat, r in ((even, 3), (even, 5), (skew, 1), (skew, QQ(5, 3))):
         shortvec._coset_shell.cache_clear()
         assert shell(lat, r) == () and shell_count(lat, r) == 0
@@ -991,7 +1031,7 @@ def test_leech_walks_stay_in_int64():
     pr = shortvec._parity_reduced(prep, [v % 2 for v in x0])
     for r, pairs in ((6, 1), (10, 276)):
         payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": pr,
-                   "mode": "shell", "target": r, "limit": r,
+                   "mode": "shell", "limit": r,
                    "tops": shortvec._top_values(prep.delta, r, pr)}
         assert in_int64(payload)
         want = walked(shortvec._walk, payload)
@@ -1024,65 +1064,53 @@ def test_small_walks_never_enter_the_batched_kernel(monkeypatch):
 
 
 def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
-    """A walk other than "first" whose forecast passes the budget goes
-    straight to the batched kernel; any other walk starts in the Python
-    kernel, which hands it over once it passes the budget.  Either way the
-    result is the Python kernel's.  E8's norm-8 walks forecast 16,831 nodes
-    against the default budget; at a budget of 100 so do its "mincount"
-    walks (forecast 175, 247 nodes when whole).  D16's norm-2 walks
-    (forecast 392, 1,228 nodes when whole) pass a budget of 1,000 only in
-    the Python kernel."""
-    entered, handed = [], []
+    """The forecast alone picks the kernel: a walk whose forecast passes the
+    budget goes to the batched kernel, any other to the Python kernel,
+    however many nodes it walks there.  Either way the result is the Python
+    kernel's.  E8's norm-8 walks forecast 16,831 nodes against the default
+    budget; at a budget of 100 so do its "mincount" walks (forecast 175, 247
+    nodes when whole).  D16's norm-2 walks (forecast 392, 1,228 nodes when
+    whole) stay in the Python kernel at a budget of 1,000."""
+    entered = []
     batched, walk = shortvec._batched_walk, shortvec._walk
-
-    def spy(payload):
-        entered.append(payload["mode"])
-        return batched(payload)
-
-    def budgeted(payload, budget=None):
-        try:
-            return walk(payload, budget)
-        except shortvec._OverBudget:
-            handed.append(payload["mode"])
-            raise
-
-    monkeypatch.setattr(shortvec, "_batched_walk", spy)
-    monkeypatch.setattr(shortvec, "_walk", budgeted)
+    monkeypatch.setattr(shortvec, "_batched_walk", lambda p: entered.append("batched") or batched(p))
+    monkeypatch.setattr(shortvec, "_walk", lambda p: entered.append("walk") or walk(p))
     e8, d16 = root_lattice("E", 8).lattice, root_lattice("D", 16).lattice
-    forecast, over = [], []
+    forecast, long = set(), set()
     for budget, lat, r in ((shortvec._BUDGET, e8, 8), (100, e8, 6), (1000, d16, 2)):
         monkeypatch.setattr(shortvec, "_BUDGET", budget)
         for payload in kernel_payloads(lat, r, None):
             mode = payload["mode"]
+            if mode == "first":  # least_vector's, run in the Python kernel alone
+                continue
             alone = walk(payload)
-            if mode != "first" and shortvec._forecast(payload) > budget:
-                forecast.append(mode)
+            entered.clear()
+            got = shortvec._search_chunk(payload)
+            over = shortvec._forecast(payload) > budget
+            assert entered == ["batched" if over else "walk"]
+            assert listed(mode, got) == listed(mode, alone[0])
+            if over:
+                forecast.add(mode)
             elif alone[1] > budget:
-                over.append(mode)
-                with pytest.raises(shortvec._OverBudget):
-                    walk(payload, budget)
-            assert listed(mode, shortvec._search_chunk(payload)) == listed(mode, alone[0])
-            assert len(entered) == len(forecast) + len(over)
-    assert handed == over
-    assert set(forecast) == set(over) == {"le", "shell", "count", "mincount"}
+                long.add(mode)
+    assert forecast == long == {"le", "shell", "count", "mincount"}
 
 
 def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
     """The leech-cli walks forecast past _BUDGET and enter the batched
-    kernel with no Python-kernel trial: the minimum walk, the class shell
-    of x0 at norm 10 and the relative lattice's vectors_upto, which
-    dividing out the content 2 of its Gram puts in int64."""
+    kernel alone: the minimum walk, the class shell of x0 at norm 10 and the
+    relative lattice's vectors_upto, which dividing out the content 2 of its
+    Gram puts in int64."""
     from eqlat.mod2 import relative_lattice
 
-    def refuse(payload, budget=None):
+    def refuse(payload):
         raise AssertionError("Python kernel entered")
 
     entered = []
     batched = shortvec._batched_walk
 
     def spy(payload):
-        types = shortvec._walk_types(payload["delta"], payload["sub"], payload["limit"],
-                                     payload["target"])
+        types = shortvec._walk_types(payload["delta"], payload["sub"], payload["limit"])
         entered.append((payload["mode"], types[0], shortvec._forecast(payload)))
         return batched(payload)
 
@@ -1102,25 +1130,74 @@ def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
     assert all(f > shortvec._BUDGET for *_, f in entered)
 
 
-def test_first_walks_start_in_the_python_kernel(monkeypatch):
+def test_first_walks_never_enter_the_batched_kernel(monkeypatch):
     """A "first" walk stops at its first leaf, so the forecast of its whole
-    tree says nothing of its cost: it starts in the Python kernel also when
-    that forecast passes _BUDGET, as on Leech."""
-    log = []
+    tree says nothing of its cost: least_vector runs its walks in the Python
+    kernel, also where that forecast passes _BUDGET, as on Leech, and where
+    the walk is long, as the 40,433-node walk at norm 4 of Leech in the
+    seed-7 skewed basis.  The batched kernel refuses a "first" walk."""
+    from test_mod2 import skewed_basis
+
+    first = dict(leech_min_payload(), mode="first", limit=4)
+    assert shortvec._forecast(first) > shortvec._BUDGET
+    with pytest.raises(ValueError):
+        shortvec._batched_walk(first)
+    walked_nodes, batched_modes = [], []
+    walk, batched = shortvec._walk, shortvec._batched_walk
+
+    def counted(payload):
+        found = walk(payload)
+        walked_nodes.append((payload["mode"], found[1]))
+        return found
+
+    monkeypatch.setattr(shortvec, "_walk", counted)
+    monkeypatch.setattr(shortvec, "_batched_walk",
+                        lambda payload: batched_modes.append(payload["mode"]) or batched(payload))
+    lat = leech().lattice
+    assert shortvec.least_vector(lat, 6) is not None
+    skew = skewed_basis(lat, random.Random(7))
+    assert shortvec.least_vector(skew, 4) is not None
+    assert "first" not in batched_modes
+    assert ("first", 40_433) in walked_nodes
+
+
+def test_each_walk_enters_one_kernel(monkeypatch):
+    """Every walk runs in exactly one kernel: _search_chunk sends it to the
+    one its forecast names, and least_vector's "first" walks go to the
+    Python kernel alone; on the kernel corpus, E8 and Leech."""
+    entered, calls = [], []
     chunk, walk, batched = shortvec._search_chunk, shortvec._walk, shortvec._batched_walk
 
-    def logged(name, f):
-        return lambda payload, *a: log.append(name) or f(payload, *a)
+    def searched(payload):
+        start = len(entered)
+        found = chunk(payload)
+        calls.append((entered[start:], shortvec._forecast(payload)))
+        return found
 
-    monkeypatch.setattr(shortvec, "_walk", logged("walk", walk))
-    monkeypatch.setattr(shortvec, "_batched_walk", logged("batched", batched))
-    monkeypatch.setattr(shortvec, "_search_chunk", logged("chunk", chunk))
-    first = dict(leech_min_payload(), mode="first", target=4)
-    assert shortvec._forecast(first) > shortvec._BUDGET
-    assert len(shortvec._search_chunk(first)) == 1
-    assert shortvec.least_vector(leech().lattice, 6) is not None
-    assert log.count("chunk") > 1
-    assert all(log[i + 1] == "walk" for i, name in enumerate(log) if name == "chunk")
+    monkeypatch.setattr(shortvec, "_search_chunk", searched)
+    monkeypatch.setattr(shortvec, "_walk",
+                        lambda payload: entered.append(("walk", payload["mode"])) or walk(payload))
+    monkeypatch.setattr(shortvec, "_batched_walk",
+                        lambda payload: entered.append(("batched", payload["mode"])) or batched(payload))
+    for cache in (shortvec._min_count, shortvec._coset_shell):
+        cache.cache_clear()
+    rng = random.Random(151)
+    for lat in kernel_corpus(random.Random(131)) + [root_lattice("E", 8).lattice]:
+        m = minimum(lat)
+        parity = tuple(rng.randint(0, 1) for _ in range(lat.dim - 1)) + (1,)
+        assert shell_count(lat, m + 2) == len(shell(lat, m + 2))
+        assert vectors_upto(lat, m + 2)
+        assert coset_minimum(lat, parity) > 0
+        assert shortvec.least_vector(lat, m) is not None
+    big = leech()
+    assert minimum(big.lattice) == 4 and len(coset_shell(big.lattice, big.marks["x0"], 10)) == 276
+    assert shortvec.least_vector(big.lattice, 6) is not None
+    for kernels, forecast in calls:
+        assert [name for name, _ in kernels] == ["batched" if forecast > shortvec._BUDGET else "walk"]
+    firsts = [k for k in entered if k[1] == "first"]
+    assert len(entered) == len(calls) + len(firsts)
+    assert firsts and all(name == "walk" for name, _ in firsts)
+    assert {kernels[0][0] for kernels, _ in calls} == {"walk", "batched"}
 
 
 @pytest.mark.parametrize("name, r, nodes", [("Leech", 4, 1_971_697), ("E8", 4, 1_511),
