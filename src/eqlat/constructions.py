@@ -27,10 +27,11 @@ from types import MappingProxyType
 from .errors import (
     BadParameter,
     NotEven,
+    NotIntegral,
     VerificationError,
     VNotValid,
 )
-from .exact import IntMatrix, RatMatrix, hnf, rank_det, row_rank, solve_left
+from .exact import IntMatrix, RatMatrix, _int_row, hnf, rank_det, row_rank, solve_left
 from .fastops import gram_product, imatmul
 from .lattice import GramLattice
 from .mod2 import equiangular_direct
@@ -157,7 +158,10 @@ def root_lattice(family: str, n: int) -> NamedLattice:
     scaled by marks["eps_den"].
     """
     fam = str(family).upper()
-    n = int(n)
+    try:
+        (n,) = _int_row((n,))  # int() alone truncates 4.9 to 4
+    except NotIntegral:
+        raise BadParameter(f"n must be an integer, got {n!r}") from None
     if fam == "A":
         if n < 1:
             raise BadParameter(f"A_n needs n >= 1, got {n}")
@@ -201,9 +205,9 @@ def standard_x0(family: str, n: int) -> Vec:
     """
     nl = root_lattice(family, n)
     if nl.family == "A":
-        x0 = (1,) + (0,) * (n - 1)
+        x0 = (1,) + (0,) * (nl.lattice.dim - 1)
     elif nl.family == "D":
-        x0 = (0, 1) + (0,) * (n - 2)
+        x0 = (0, 1) + (0,) * (nl.lattice.dim - 2)
     else:
         x0 = _eps_coords(nl, [1] * 8)  # doubled coordinates of e
     if nl.lattice.norm(x0) != 2:
@@ -409,8 +413,8 @@ def reconstruct_odd(lat, v: Sequence[int]) -> GramLattice:
     base = _base(lat)
     if base.integrality() != "even":
         raise NotEven("reconstruction starts from an even lattice")
-    v = tuple(int(c) for c in v)
-    nv = base.norm(v)  # checks the length, too
+    v = base._check(v)
+    nv = base.norm(v)
     if all(c % 2 == 0 for c in v):
         raise VNotValid("v/2 already lies in the lattice")
     m = int(nv) // 2

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
+    BadParameter,
     DimensionMismatch,
     NotInLattice,
     NotIntegral,
@@ -32,6 +33,8 @@ __all__ = ["GramLattice", "EmbeddedSublattice", "Projection", "dot"]
 
 
 def dot(x: Sequence[int], y: Sequence[int]) -> int:
+    if len(x) != len(y):
+        raise DimensionMismatch(f"lengths {len(x)} and {len(y)}")
     return sum(a * b for a, b in zip(x, y))
 
 
@@ -69,8 +72,13 @@ class GramLattice:
     # -- bilinear form -----------------------------------------------------
 
     def _check(self, x: Sequence[int]) -> Vec:
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"vector length {len(x)} != {self.dim}")
+        """x as a tuple of ints: the one reader of a caller's coordinate vector."""
+        try:
+            k = len(x)
+        except TypeError:  # 5, None
+            k = "no"
+        if k != self.dim:
+            raise DimensionMismatch(f"vector has {k} coordinates, lattice needs {self.dim}")
         try:
             return _int_row(x)  # int() alone truncates 1.5 to 1
         except NotIntegral:
@@ -211,8 +219,7 @@ class EmbeddedSublattice:
 
     def embed(self, c: Sequence[int]) -> Vec:
         """Ambient coordinates of the sublattice vector c."""
-        if len(c) != self.dim:
-            raise DimensionMismatch(f"vector length {len(c)} != {self.dim}")
+        c = self.induced._check(c)
         if not self.dim:
             return (0,) * self.ambient.dim
         return tuple(imatmul([c], self.basis_rows.rows)[0])
@@ -229,6 +236,8 @@ class EmbeddedSublattice:
 
     def restrict(self, inner: "EmbeddedSublattice") -> "EmbeddedSublattice":
         """Compose: a sublattice of this sublattice, in ambient coordinates."""
+        if inner.ambient != self.induced:
+            raise BadParameter("sublattice lives on a different lattice")
         rows = imatmul(inner.basis_rows.rows, self.basis_rows.rows)
         return EmbeddedSublattice(self.ambient, IntMatrix(rows))
 

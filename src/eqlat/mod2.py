@@ -46,7 +46,7 @@ from .errors import (
     WrongNormX0,
     ZeroVector,
 )
-from .exact import IntMatrix, hnf, row_rank
+from .exact import IntMatrix, _int_row, hnf, row_rank
 from .fastops import gram_array, imatmul, imatmul_array, int_array
 from .lattice import EmbeddedSublattice, GramLattice, Vec
 from .lines import LineFamily, line_family
@@ -76,10 +76,6 @@ __all__ = [
 ]
 
 
-def _vec(x: Sequence[int]) -> Vec:
-    return tuple(int(c) for c in x)
-
-
 def _neg(x: Vec) -> Vec:
     return tuple(-c for c in x)
 
@@ -90,7 +86,7 @@ def split_congruent_pair(x: Sequence[int], y: Sequence[int]) -> tuple[Vec, Vec]:
     Both are lattice vectors exactly when y = x mod 2L, and both are
     nonzero when y != +-x; then x = f - e and y = e + f.
     """
-    x, y = _vec(x), _vec(y)
+    x, y = _int_row(x), _int_row(y)
     if len(x) != len(y):
         raise DimensionMismatch(f"lengths {len(x)} and {len(y)}")
     if not any(x) or not any(y):
@@ -114,7 +110,7 @@ def check_congruent_pair(lat: GramLattice, x: Sequence[int], y: Sequence[int]) -
     """
     if not lat.is_integral():
         raise NotIntegral("the mod-4 constraint needs an integral lattice")
-    e, f = split_congruent_pair(x, y)
+    e, f = split_congruent_pair(lat._check(x), lat._check(y))
     m = minimum(lat)
     nx, ny = lat.norm(x), lat.norm(y)
     if nx + ny < 4 * m:
@@ -151,7 +147,7 @@ def check_scalar_bound(
     """
     if not lat.is_integral():
         raise NotIntegral("class norm constraints need an integral lattice")
-    x, y, yp = _vec(x), _vec(y), _vec(yp)
+    x, y, yp = map(lat._check, (x, y, yp))
     if yp == y or yp == _neg(y):
         raise DegeneratePair("y' = +-y")
     for v in (y, yp):
@@ -201,7 +197,7 @@ def mod2_class(
     norms of one class agree mod 4, stepping candidate norms by 4 from
     the lower bound 4m - first up to first + 4m, which is always attained.
     """
-    x0 = _vec(x0)
+    x0 = lat._check(x0)
     first = coset_minimum(lat, x0)
     minimizers = PairSet(lat, _shell_rows(lat, first, x0))
     m = minimum(lat)
@@ -263,12 +259,8 @@ class EquiangularSet(LineFamily):
 def _gate(lat: GramLattice, x0) -> tuple[Fraction, Vec, bool]:
     if not lat.is_integral():
         raise NotIntegral("congruence machinery needs an integral lattice")
+    x0 = default_x0(lat) if x0 is None else lat._check(x0)  # before any walk
     m = minimum(lat)
-    if x0 is None:
-        x0 = default_x0(lat)
-    x0 = _vec(x0)
-    if len(x0) != lat.dim:
-        raise DimensionMismatch(f"x0 has length {len(x0)}, lattice dim {lat.dim}")
     if not any(x0):
         raise ZeroVector("x0 must be nonzero")
     if lat.norm(x0) != 2 * m - 2:
@@ -355,7 +347,7 @@ def relative_lattice(lat: GramLattice, x0: Sequence[int]) -> EmbeddedSublattice:
     m'' = 4m - m', with minimal vectors exactly the class shell at m''.
     All three facts are verified; the embedding into L is returned.
     """
-    x0 = _vec(x0)
+    x0 = lat._check(x0)
     if not any(x0):
         raise ZeroVector("x0 must be nonzero")
     m = minimum(lat)
@@ -416,7 +408,7 @@ def check_scalar_products_after_projection(lat: GramLattice, v: Sequence[int]) -
     minimal vector; the report records applicability, the products seen,
     and the slice size.
     """
-    v = _vec(v)
+    v = lat._check(v)
     m = minimum(lat)
     if lat.norm(v) != 2 * m - 2:
         raise WrongNormX0(f"N(v) = {lat.norm(v)}, need 2m - 2 = {2 * m - 2}")

@@ -54,12 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    MixedNorms,
-    NotInLattice,
-    ZeroVector,
-)
+from .errors import DimensionMismatch, MixedNorms, ZeroVector
 from .exact import IntMatrix, RatMatrix, leading_minors, solve_left
 from .fastops import _SAFE, _max_abs, gram_product, imatmul, imatmul_array, int_array, row_norms
 from .lattice import GramLattice, Vec
@@ -646,7 +641,7 @@ def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None, r: Fraction) 
 
 def _shell_rows(lat: GramLattice, r, parity: Sequence[int] | None = None) -> np.ndarray:
     """The cached array behind shell(lat, r), or coset_shell(lat, parity, r)."""
-    return _coset_shell(lat, None if parity is None else _check_parity(lat, parity), Fraction(r))
+    return _coset_shell(lat, None if parity is None else _class_parity(lat._check(parity)), Fraction(r))
 
 
 def shell(lat: GramLattice, r) -> tuple[Vec, ...]:
@@ -682,8 +677,8 @@ def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
     return [(Fraction(a, prep.den), v) for a, v in zip(norms.tolist(), _tuples(rows))]
 
 
-def _check_parity(lat: GramLattice, parity: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(v % 2 for v in lat._check(parity))
+def _class_parity(x: Vec) -> tuple[int, ...]:
+    p = tuple(v % 2 for v in x)
     if not any(p):
         raise ZeroVector("class of 0 mod 2L is the lattice itself")
     return p
@@ -700,9 +695,10 @@ def coset_shell(lat: GramLattice, parity: Sequence[int], r) -> tuple[Vec, ...]:
 
 def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     """Least norm in the congruence class of parity mod 2L."""
+    x = lat._check(parity)
     prep = _prep(lat)
-    pr = _parity_reduced(prep, _check_parity(lat, parity))
-    lifts = [imatmul([pr], prep.u.rows)[0], [int(v) for v in parity]]  # both in the class
+    pr = _parity_reduced(prep, _class_parity(x))
+    lifts = [imatmul([pr], prep.u.rows)[0], x]  # both in the class
     norm = Fraction(min(row_norms(lifts, lat.gram.num.rows).tolist()), lat.gram.den)
     best, _ = _run(prep, "mincount", int(norm * prep.den), pr)
     return Fraction(best, prep.den)
@@ -724,24 +720,15 @@ class PairSet:
     norm: Fraction | None = field(init=False, compare=False)
 
     def __post_init__(self):
-        n, given = self.lattice.dim, self.reps
-        if not isinstance(given, np.ndarray):
-            given = list(given) or np.zeros((0, n), np.int8)
-        try:
-            rows = np.asarray(given)
-        except ValueError:  # rows of different lengths
-            rows = np.zeros(0)
-        if rows.shape[1:] != (n,):
-            raise DimensionMismatch(f"vectors are not rows of length {n}")
-        if rows.dtype.kind not in "bi":  # casts round 0.99 to 0 and 2**63 + 1 to a float
-            given = np.array(given, dtype=object)
-            rows = np.frompyfunc(int, 1, 1)(given)  # Python integers
-            if (rows != given).any():
-                raise NotInLattice("a coordinate is not an integer")
+        lat, rows = self.lattice, self.reps
+        if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "bi"):  # casts round 0.99 to 0
+            rows = int_array([lat._check(v) for v in rows] or np.zeros((0, lat.dim), np.int8))
+        elif rows.shape[1:] != (lat.dim,):
+            raise DimensionMismatch(f"vectors are not rows of length {lat.dim}")
         if not (rows != 0).any(axis=1).all():
             raise ZeroVector("pair sets cannot contain 0")
         rows, _ = _canonical(rows)
-        gram = self.lattice.gram
+        gram = lat.gram
         norms = set(row_norms(rows, gram.num.rows).tolist())
         if len(norms) > 1:
             raise MixedNorms(f"norms {sorted(Fraction(a, gram.den) for a in norms)}")

@@ -603,7 +603,7 @@ def ref_check_scalar_products_after_projection(lat: GramLattice, v: Sequence[int
     """`mod2.check_scalar_products_after_projection` with its slice pairs
     checked one at a time: the antipodal partner by x + y == v, each
     product as a Fraction."""
-    v = mod2._vec(v)
+    v = lat._check(v)
     m = minimum(lat)
     if lat.norm(v) != 2 * m - 2:
         raise WrongNormX0(f"N(v) = {lat.norm(v)}, need 2m - 2 = {2 * m - 2}")

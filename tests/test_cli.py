@@ -323,6 +323,15 @@ def test_section_rejects_zero(capsys, tmp_path):
     assert run(capsys, "section", path, "--w", "0,0,0,0,0,0,0,0")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [("project", "--v"), ("section", "--w"), ("equi", "--x0")])
+def test_vectors_of_the_wrong_length_exit_2(capsys, tmp_path, argv):
+    path = e8_file(capsys, tmp_path)
+    cmd, flag = argv
+    rc, out, err = run(capsys, cmd, path, flag, "1,0")
+    assert (rc, out) == (2, "")
+    assert "vector has 2 coordinates, lattice needs 8" in err
+
+
 # -- report suites -----------------------------------------------------------
 
 

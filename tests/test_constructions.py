@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eqlat import constructions
@@ -87,6 +88,14 @@ def test_root_lattice_rejects():
         root_lattice("E", 5)
     with pytest.raises(BadParameter):
         root_lattice("F", 4)
+    # int(n) truncated: D 4.9 built D4, A 2.5 built A2
+    for fam, n in (("D", 4.9), ("A", 2.5), ("E", Fraction(15, 2)), ("A", "4"), ("A", None)):
+        with pytest.raises(BadParameter):
+            root_lattice(fam, n)
+    with pytest.raises(BadParameter):
+        standard_x0("A", 4.5)  # built A4, then a bare TypeError
+    assert root_lattice("E", 8.0).lattice == root_lattice("E", np.int64(8)).lattice
+    assert standard_x0("D", 5.0) == standard_x0("D", np.int64(5)) == (0, 1, 0, 0, 0)
 
 
 def test_standard_x0_norm_and_position():

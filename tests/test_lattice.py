@@ -7,15 +7,21 @@ from itertools import product
 import numpy as np
 import pytest
 
+from eqlat import mod2
+from eqlat.constructions import reconstruct_odd, root_lattice, standard_x0
 from eqlat.errors import (
+    BadParameter,
+    DimensionMismatch,
     NotInLattice,
+    NotIntegral,
     NotOdd,
     NotPositiveDefinite,
     NotPrimitive,
     ZeroVector,
 )
 from eqlat.exact import IntMatrix
-from eqlat.lattice import GramLattice
+from eqlat.lattice import GramLattice, dot
+from eqlat.shortvec import PairSet, coset_minimum, coset_shell, shell
 
 A2 = GramLattice([[2, 1], [1, 2]], name="A2")
 Z2 = GramLattice([[1, 0], [0, 1]], name="Z2")
@@ -50,6 +56,61 @@ def test_non_integral_coordinates_are_rejected():
     for same in ((2.0, -1), (QQ(4, 2), -1), (np.int64(2), np.float64(-1)), np.array([2, -1])):
         assert A2.norm(same) == A2.norm((2, -1)) == 6
     assert Z2.norm((True, False)) == 1
+
+
+def test_a_value_without_coordinates_is_a_dimension_mismatch():
+    for bad in (5, None, (1, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            Z2.norm(bad)
+    with pytest.raises(DimensionMismatch):
+        dot((1, 2), (1, 2, 3))  # zip() alone gave 5
+
+
+E8 = root_lattice("E", 8).lattice
+X0 = standard_x0("E", 8)  # norm 2m - 2 = 2
+SUB = Z2.sublattice([(1, 1), (2, 0)])
+PROJ = A2.project_along((1, 0))
+
+# one call per coordinate vector a caller hands to the library: (call of v, a
+# valid v); the other arguments are fixed and valid
+CALLER_VECTORS = {
+    "mod2_class": (lambda v: mod2.mod2_class(E8, v).minimizers, X0),
+    "equiangular_direct": (lambda v: mod2.equiangular_direct(E8, v).pairs, X0),
+    "equiangular_via_s0": (lambda v: mod2.equiangular_via_s0(E8, v).pairs, X0),
+    "relative_lattice": (lambda v: mod2.relative_lattice(E8, v).basis_rows, X0),
+    "check_scalar_products_after_projection": (
+        lambda v: mod2.check_scalar_products_after_projection(E8, v), X0),
+    "check_congruent_pair x": (lambda v: mod2.check_congruent_pair(Z2, v, (1, 2)), (1, 0)),
+    "check_congruent_pair y": (lambda v: mod2.check_congruent_pair(Z2, (1, 0), v), (1, 2)),
+    "check_scalar_bound x": (lambda v: mod2.check_scalar_bound(Z2, v, (1, 2), (1, -2)), (1, 0)),
+    "check_scalar_bound y": (lambda v: mod2.check_scalar_bound(Z2, (1, 0), v, (1, -2)), (1, 2)),
+    "check_scalar_bound yp": (lambda v: mod2.check_scalar_bound(Z2, (1, 0), (1, 2), v), (1, -2)),
+    "split_congruent_pair x": (lambda v: mod2.split_congruent_pair(v, (1, 2)), (1, 0)),
+    "split_congruent_pair y": (lambda v: mod2.split_congruent_pair((1, 0), v), (1, 2)),
+    "reconstruct_odd": (lambda v: reconstruct_odd(A2, v), (1, 0)),
+    "embed": (lambda v: SUB.embed(v), (1, 1)),
+    "coords_of": (lambda v: SUB.coords_of(v), (3, 1)),
+    "contains": (lambda v: SUB.contains(v), (3, 1)),
+    "PairSet": (lambda v: PairSet(Z2, [v, (0, 1)]), (1, 0)),
+    "PairSet.contains": (lambda v: PairSet(Z2, shell(Z2, 1)).contains(v), (1, 0)),
+    "Projection.coords": (lambda v: PROJ.coords(v), (1, 2)),
+    "coset_shell": (lambda v: coset_shell(Z2, v, 1), (1, 0)),
+    "coset_minimum": (lambda v: coset_minimum(Z2, v), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLER_VECTORS))
+def test_caller_vectors_are_read_by_check(name):
+    # int() alone truncated 1.5 to 1: equiangular_direct(E8, x0) with a 1.5
+    # in x0 once returned the 28 lines of the truncated x0
+    call, v = CALLER_VECTORS[name]
+    want = call(v)
+    err = NotIntegral if name.startswith("split") else NotInLattice  # split takes no lattice
+    for bad in (1.5, QQ(3, 2), None, float("inf"), "1"):
+        with pytest.raises(err):
+            call((bad,) + tuple(v[1:]))
+    for same in (lambda c: QQ(2 * c, 2), np.int64, float):
+        assert call(tuple(map(same, v))) == want
 
 
 def test_rejects_indefinite_gram():
@@ -191,3 +252,10 @@ def test_restrict_composition():
     assert flat.induced.det == inner.induced.det
     for c in [(1, 0), (0, 1), (1, 1)]:
         assert flat.embed(c) == sub.embed(inner.embed(c))
+
+
+def test_restrict_rejects_a_foreign_sublattice():
+    # the rows were multiplied regardless: a rank-1 sublattice of Z2 came back
+    s = Z2.sublattice([(1, 1), (1, -1)])
+    with pytest.raises(BadParameter):
+        s.restrict(A2.orthogonal_section((1, 2)))

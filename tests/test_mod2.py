@@ -9,6 +9,7 @@ from oracles import ref_check_scalar_products_after_projection
 
 from eqlat.errors import (
     DegeneratePair,
+    DimensionMismatch,
     EmptyClass,
     MixedNorms,
     NotCongruent,
@@ -222,6 +223,19 @@ def test_default_x0_leech_without_the_norm_6_shell(monkeypatch):
     # no "shell" walk: the norm-6 shell is never built, one walk per coordinate
     assert set(modes) == {"first"} and len(modes) <= lat.dim
     assert elapsed < 1.0
+
+
+def test_x0_of_the_wrong_length_raises_before_any_walk(monkeypatch):
+    # the length was checked only after minimum(lat) had walked the lattice
+    lat = leech().lattice
+    for cache in (shortvec._prep, shortvec._min_count, shortvec._coset_shell):
+        cache.cache_clear()
+    walks = []
+    monkeypatch.setattr(shortvec, "_run", lambda *args: walks.append(args[1]))
+    for route in (equiangular_direct, equiangular_via_s0):
+        with pytest.raises(DimensionMismatch, match="vector has 2 coordinates, lattice needs 24"):
+            route(lat, (1, 0))
+    assert walks == []
 
 
 def test_equiangular_a_series():
