@@ -56,17 +56,21 @@ __all__ = [
 def _int_row(row: Iterable[int]) -> tuple[int, ...]:
     """row as a tuple of ints, raising NotIntegral unless int(v) == v for
     every entry v; a row of plain ints passes with its own objects."""
-    row = tuple(row)
     try:
+        row = tuple(row)
         out = tuple(map(int, row))
-    except (TypeError, ValueError, OverflowError):  # '1.5', None, inf
-        out = None
+    except (TypeError, ValueError, OverflowError):  # 5, '1.5', None, inf
+        out = ()  # no row that raised is ()
     if out != row:  # int() alone truncates 5/2 and 2.7 to 2
         raise NotIntegral(f"entries {row} are not all integers")
     return out
 
 
 def _as_int_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    try:
+        rows = tuple(rows)
+    except TypeError:  # 5
+        raise NotIntegral(f"{rows!r} is not a sequence of rows") from None
     out = tuple(map(_int_row, rows))
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionMismatch("ragged rows")

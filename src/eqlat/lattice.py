@@ -84,6 +84,14 @@ class GramLattice:
         except NotIntegral:
             raise NotInLattice(f"coordinates {tuple(x)} are not all integers") from None
 
+    def _check_all(self, vectors: Iterable[Sequence[int]]) -> list[Vec]:
+        """_check of every vector of a caller's collection of vectors."""
+        try:
+            each = iter(vectors)
+        except TypeError:  # 5, None
+            raise DimensionMismatch(f"{vectors!r} is not a collection of vectors") from None
+        return [self._check(v) for v in each]
+
     def inner(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
         x, y = self._check(x), self._check(y)
         g = self.gram.num.rows
@@ -123,7 +131,7 @@ class GramLattice:
 
     def sublattice(self, generators: Iterable[Sequence[int]]) -> "EmbeddedSublattice":
         """Sublattice generated by the given coordinate vectors."""
-        gens = [self._check(g) for g in generators]
+        gens = self._check_all(generators)
         h, _ = hnf(IntMatrix(gens))
         rows = [r for r in h.rows if any(r)]
         return EmbeddedSublattice(self, IntMatrix(rows))

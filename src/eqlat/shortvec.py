@@ -23,8 +23,8 @@ Python kernel recomputes each centre from the coordinates above it, so
 small walks never pay numpy's fixed cost; it alone takes least_vector's
 "first" walks, which stop at their first leaf.  The batched kernel walks
 level by level on up to _BATCH (2,048) partial vectors at a time: in numpy
-int64 when every number of the walk is proven to stay below 2**62, else in
-object arrays of Python integers.
+int32 when every number of the walk is proven to stay below 2**30 (every
+Leech walk), in int64 below 2**62, else in object arrays of Python integers.
 Both kernels hand their leaves over as one integer array, which stays one
 array through the map back to the input basis, the sign canonicalisation
 and the sort, and is cached as it is: only shell and coset_shell make
@@ -78,7 +78,7 @@ _THREADS = 1
 
 def set_threads(n: int) -> None:
     """Worker processes for top-level enumeration splitting, at most one
-    per core; 1 = serial."""
+    per core, for walks forecast past _SPLIT nodes; 1 = serial."""
     global _THREADS
     if isinstance(n, bool):
         raise TypeError("thread count must be an integer, not a bool")
@@ -191,11 +191,14 @@ def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
     return IntMatrix([[v // g for v in row] for row in rows]), g
 
 
-# Forecast nodes past which a walk is batched, and partial vectors per numpy
-# step of the batched kernel; its int64 arithmetic is proven exact below
-# fastops._SAFE
+# Forecast nodes past which a walk is batched, partial vectors per numpy step
+# of the batched kernel, and forecast nodes past which set_threads splits a
+# walk across processes: below 2**20 starting the pool costs more than the
+# split saves (D16's norm-6 count, forecast 385,000, took 1.7 times as long
+# with two workers), above it the split pays (the Leech minimum, 1.91e6)
 _BUDGET = 4096
 _BATCH = 2048
+_SPLIT = 2**20
 
 
 def _search_chunk(payload: dict) -> object:
@@ -324,24 +327,32 @@ def _walk(payload: dict) -> tuple[object, int]:
 
 
 def _isqrt(q: np.ndarray) -> np.ndarray:
-    """floor(sqrt(q)) of nonnegative entries: math.isqrt on Python integers,
-    and for int64 entries below 2**62 the float root, below 2**31 with
-    relative error under 2**-52 and so off by at most one, fixed by one
-    integer comparison each way."""
+    """floor(sqrt(q)) of nonnegative entries, in q's type: math.isqrt on
+    Python integers; for int32 entries, and int64 entries below 2**62, the
+    float root, below 2**31 with relative error under 2**-52 and so off by
+    at most one, fixed by one integer comparison each way, so no float
+    decides a root."""
     if q.dtype == object:
         return np.frompyfunc(math.isqrt, 1, 1)(q)
-    r = np.sqrt(q.astype(np.float64)).astype(np.int64)
+    r = np.sqrt(q, dtype=np.float64).astype(q.dtype)
     r -= r * r > q
     r += (r + 1) * (r + 1) <= q
     return r
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, value) of the values lo[i], lo[i] + step, .. <= hi[i], row by row."""
-    cnt = np.maximum((hi - lo) // step + 1, 0).astype(np.intp)
+    """(row, value) of the values lo[i], lo[i] + step, .. <= hi[i], row by
+    row; value in lo's type."""
+    cnt = hi - lo
+    cnt //= step
+    cnt += 1
+    cnt = np.maximum(cnt, 0).astype(np.intp, copy=False)
     row = np.repeat(np.arange(len(lo)), cnt)
-    first = np.cumsum(cnt) - cnt
-    return row, lo[row] + step * (np.arange(len(row)) - first[row])
+    off = np.arange(len(row))
+    off -= (np.cumsum(cnt) - cnt).take(row)
+    value = lo.take(row)
+    value += off * step if step > 1 else off  # off <= (hi - lo) / step fits lo's type
+    return row, value
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -362,14 +373,18 @@ def _coordinate_bounds(delta: list[int], sub: list[list[int]], limit: int) -> li
 
 
 def _walk_types(delta: list[int], sub: list[list[int]], limit: int):
-    """(number type, coordinate type) of a batched walk: int64 when the
-    bound 2 delta_k delta_{k+1} limit and the centre sums are below 2**62,
-    else object; coordinates in the narrowest type they fit."""
+    """(number type, coordinate type) of a batched walk.  Every number the
+    walk makes is at most 2 delta_k delta_{k+1} limit in absolute value,
+    except the centre sums s_k, at most sum_j |sub[k][j]| bound[j], and
+    kmax +- s_k.  So it runs in the first of int32 and int64 whose cap (2**30
+    and 2**62) lies above that bound and every centre sum, which keeps
+    kmax +- s_k below twice the cap, else in object arrays; coordinates take
+    the narrowest type that holds _coordinate_bounds."""
     bound = _coordinate_bounds(delta, sub, limit)
-    top = 2 * max(map(operator.mul, delta, delta[1:])) * max(limit, 1)
-    fits = top < _SAFE and all(sum(abs(c) * b for c, b in zip(row, bound[k + 1:])) < _SAFE
-                               for k, row in enumerate(sub))
-    return (np.int64 if fits else object), _narrowest(max(bound))
+    most = max([2 * max(map(operator.mul, delta, delta[1:])) * max(limit, 1)]
+               + [sum(abs(c) * b for c, b in zip(row, bound[k + 1:])) for k, row in enumerate(sub)])
+    num = next((t for t, cap in ((np.int32, 2**30), (np.int64, _SAFE)) if most < cap), object)
+    return num, _narrowest(max(bound))
 
 
 def _batched_walk(payload: dict) -> tuple[object, int]:
@@ -383,12 +398,24 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     it holds fewer than _BATCH rows and give each row they take at most
     2 bound[k+1] / step + 1 children (_coordinate_bounds), so level k holds
     fewer than _BATCH (2 + 2 bound[k+1] / step) rows; the Leech minimum walk
-    peaks at 33,935 queued rows over all levels, at most 5,898 on one.
+    peaks at 33,935 queued rows over all levels, at most 5,898 on one, each
+    row 24 int8 coordinates and one int32 A_{k+1}.
     A node's candidate values are exactly those with |y_k| <= kmax, so no
-    number exceeds 2 delta_k delta_{k+1} limit; int64 runs where _walk_types
-    proves it exact, object arrays of Python integers otherwise.
-    Coordinates take the narrowest type, int8 on Leech.  A "first" walk
-    raises ValueError: it stops at its first leaf, which only _walk takes.
+    number but the centre sums exceeds 2 delta_k delta_{k+1} limit; the walk
+    runs in int32 or int64 where _walk_types proves it exact (int32 on
+    Leech), in object arrays of Python integers otherwise.  Coordinates take
+    the narrowest type, int8 on Leech.  Rows are gathered with take, which
+    is about 5 times faster than fancy indexing on int8 rows.  A "first"
+    walk raises ValueError: it stops at its first leaf, which only _walk
+    takes.
+
+    The sign rule, x_k >= 0 where every coordinate above k is 0, concerns
+    one row per level, the zero-prefix row.  It is the first row queued at
+    its level, so row 0 of the first step there, and its zero child, if it
+    has one, is its first child (its values start at 0), so the first row
+    queued at the level below.  The kernel keeps only the level where that
+    row waits; at level 0 its zero child is the zero vector, which is no
+    leaf.
 
     "mincount" lowers its bound at leaves, which _walk sees at once but a
     step takes in only when its rows were already made, so rows are checked
@@ -408,9 +435,10 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     step = 2 if parity is not None else 1
     exact = mode in ("shell", "count")
     subs = [np.array(r, dtype=num) for r in sub]
-    # queue[k]: rows of level k not taken yet, (x, acc = A_{k+1}, zero_above)
-    queue = [(np.zeros((c, n), dtype), np.zeros(c, num), np.ones(c, bool))
-             for c in [0] * top + [1]]
+    # queue[k]: rows of level k not taken yet, (x, acc = A_{k+1}); the first
+    # row queued at level zero has only zeros above it (-1: no such row left)
+    queue = [(np.zeros((c, n), dtype), np.zeros(c, num)) for c in [0] * top + [1]]
+    zero = top
     nodes = count = 0
     out: list = []
 
@@ -420,19 +448,23 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
                  max((j for j, c in enumerate(sizes) if c), default=-1))
         if k < 0:
             break
-        x, acc, za = (a[:_BATCH] for a in queue[k])
+        x, acc = (a[:_BATCH] for a in queue[k])
         queue[k] = tuple(a[_BATCH:] for a in queue[k])
         d, dk = delta[k + 1], delta[k]
         if mode == "mincount" and acc.max() > d * limit:
-            keep = acc <= d * limit
-            x, acc, za = x[keep], acc[keep], za[keep]
+            keep = np.flatnonzero(acc <= d * limit)  # never the zero-prefix row: its acc is 0
+            x, acc = x.take(keep, axis=0), acc.take(keep)
         if k < top:
             nodes += len(acc)
         s = np.zeros(1, num) if k == top else x[:, k + 1:] @ subs[k]
         kmax = _isqrt(dk * (d * limit - acc))
         lo = -((kmax + s) // d)
-        hi = (kmax - s) // d
-        lo[za & (lo < 0)] = 0
+        hi = kmax - s
+        hi //= d
+        za = k == zero and len(lo)  # row 0 has only zeros above it
+        if za:
+            zero = -1
+            lo[0] = max(lo[0], 0)
         if parity is not None:
             lo += (lo - parity[k]) % 2
         if k == 0 and exact:
@@ -442,48 +474,57 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
             ok = (q >= 0) & (kk * kk == q) & bool(limit)
             row = np.repeat(np.arange(len(acc)), 2)
             ok = np.column_stack([ok, ok & (kk != 0)]).ravel()
-            kv = np.column_stack([-kk, kk]).ravel() - s[row]
+            kv = np.column_stack([-kk, kk]).ravel() - s.take(row)
             xv = kv // d
             ok &= kv % d == 0
             if k == top:
                 ok &= np.isin(xv, tops)
             else:
-                ok &= (lo[row] <= xv) & (xv <= hi[row]) & ((xv - lo[row]) % step == 0)
+                ok &= (lo.take(row) <= xv) & (xv <= hi.take(row)) & ((xv - lo.take(row)) % step == 0)
             hits = np.flatnonzero(ok)
             if mode == "count":
                 count += len(hits)
             else:
-                leaves = x[row[hits]]
-                leaves[:, 0] = xv[hits]
+                leaves = x.take(row.take(hits), axis=0)
+                leaves[:, 0] = xv.take(hits)
                 out.append(leaves)
             continue
         if k == top:
             row, xv = np.zeros(len(tops), dtype=np.intp), np.array(tops, dtype=num)
         else:
             row, xv = _ranges(lo, hi, step)
-        kv = d * xv + s[row]
-        a2 = (dk * acc[row] + kv * kv) // d
+        lead = za and len(xv) and not row[0] and not xv[0]  # its zero child
+        if lead:
+            zero = k - 1
+        a2 = acc.take(row)
+        a2 *= dk
+        kv = xv * d
+        kv += s.take(row)
+        kv *= kv
+        a2 += kv
+        a2 //= d
         if k:
-            child = x[row]
+            child = x.take(row, axis=0)
             child[:, k] = xv
-            new = child, a2, za[row] & (xv == 0)
-            queue[k - 1] = tuple(map(np.concatenate, zip(queue[k - 1], new)))
-        elif mode == "le":
-            keep = np.flatnonzero(a2)
-            leaves = np.empty((len(keep), n + 1), dtype=num)
-            leaves[:, 1:] = x[row[keep]]
-            leaves[:, 0] = a2[keep]
-            leaves[:, 1] = xv[keep]
+            queue[k - 1] = (np.concatenate((queue[k - 1][0], child)),
+                            np.concatenate((queue[k - 1][1], a2)))
+            continue
+        if lead:  # the zero vector is not a leaf
+            row, xv, a2 = row[1:], xv[1:], a2[1:]
+        if mode == "le":
+            leaves = np.empty((len(a2), n + 1), dtype=num)
+            leaves[:, 1:] = x.take(row, axis=0)
+            leaves[:, 0] = a2
+            leaves[:, 1] = xv
             out.append(leaves)
         elif len(a2):  # mincount
-            a2[a2 == 0] = limit + 1  # the zero vector is not a leaf
             best = int(a2.min())
             if best < limit:
                 limit, out = best, []
             hits = np.flatnonzero(a2 == limit)
             if len(hits):
-                leaves = x[row[hits]]
-                leaves[:, 0] = xv[hits]
+                leaves = x.take(row.take(hits), axis=0)
+                leaves[:, 0] = xv.take(hits)
                 out.append(leaves)
     if mode in ("shell", "le"):
         out = np.concatenate(out) if out else np.empty((0, n + (mode == "le")), num)
@@ -507,7 +548,7 @@ def _run(prep: _Prep, mode: str, limit: int, parity) -> object:
     payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": parity,
                "mode": mode, "limit": limit}
     workers = min(_THREADS, len(tops), os.cpu_count() or 1)
-    if workers <= 1:
+    if workers <= 1 or _forecast(payload) <= _SPLIT:
         return _search_chunk(dict(payload, tops=tops))
     from concurrent.futures import ProcessPoolExecutor  # only a split walk pays its import
 
@@ -543,7 +584,7 @@ def _canonical(rows: np.ndarray, key: np.ndarray | None = None) -> tuple[np.ndar
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     rows = np.where((lead < 0)[:, None], -rows, rows)
     order = np.lexsort([*rows.T[::-1], *([] if key is None else [key])])
-    rows = rows[order]
+    rows = rows.take(order, axis=0)
     new = np.ones(len(rows), bool)
     new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return rows[new], None if key is None else key[order][new]
@@ -722,7 +763,7 @@ class PairSet:
     def __post_init__(self):
         lat, rows = self.lattice, self.reps
         if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "bi"):  # casts round 0.99 to 0
-            rows = int_array([lat._check(v) for v in rows] or np.zeros((0, lat.dim), np.int8))
+            rows = int_array(lat._check_all(rows) or np.zeros((0, lat.dim), np.int8))
         elif rows.shape[1:] != (lat.dim,):
             raise DimensionMismatch(f"vectors are not rows of length {lat.dim}")
         if not (rows != 0).any(axis=1).all():

@@ -18,6 +18,9 @@ that `lines.SeidelMatrix` and `lines.line_family` ran before they kept one
 integer array.
 `berkowitz`, the division-free characteristic polynomial over the
 integers, is the reference for the multimodular `exact.charpoly`.
+`theta_series` gives shell sizes in closed form, from q-series in integers:
+it shares nothing with the walks, so it checks LLL, the walk data, both
+kernels and the map back at once.
 """
 
 import math
@@ -698,3 +701,67 @@ def ref_poly_at_matrix(rows: Sequence[Sequence[int]], p: Sequence[int]) -> list[
         power = [[sum(power[i][k] * rows[k][j] for k in range(t)) for j in range(t)]
                  for i in range(t)]
     return out
+
+
+# -- theta series ---------------------------------------------------------------
+# Conway and Sloane, Sphere Packings, Lattices and Groups, ch. 4 and 7.  A
+# series is the list of its first coefficients, exact integers throughout.
+
+
+def _series_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:len(a) - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _series_pow(a: list[int], n: int) -> list[int]:
+    out = [1] + [0] * (len(a) - 1)
+    for _ in range(n):
+        out = _series_mul(out, a)
+    return out
+
+
+def _jacobi(terms: int, sign: int) -> list[int]:
+    """theta_3 (sign 1) or theta_4 (sign -1): the sum over m in Z of
+    sign**m q**(m*m)."""
+    out = [0] * terms
+    for m in range(-math.isqrt(terms - 1), math.isqrt(terms - 1) + 1):
+        out[m * m] += sign ** abs(m)
+    return out
+
+
+def _eisenstein4(terms: int) -> list[int]:
+    """E_4 = 1 + 240 sum_k sigma_3(k) q**k."""
+    return [1] + [240 * sum(d**3 for d in range(1, k + 1) if k % d == 0) for k in range(1, terms)]
+
+
+def _discriminant(terms: int) -> list[int]:
+    """Delta = q prod_k (1 - q**k)**24."""
+    out = [0, 1] + [0] * (terms - 2)
+    for k in range(1, terms):
+        factor = [1] + [0] * (terms - 1)
+        factor[k] = -1
+        out = _series_mul(out, _series_pow(factor, 24))
+    return out
+
+
+def theta_series(name: str, n: int, terms: int) -> list[int]:
+    """The number of vectors of each norm 0 .. terms - 1, both signs and 0
+    counted, of Z^n ("Z": theta_3^n), D_n ("D": (theta_3^n + theta_4^n) / 2),
+    E8 ("E", n = 8: E_4 in q^2) or the Leech lattice ("Leech", n = 24:
+    E_4^3 - 720 Delta in q^2)."""
+    if name == "Z":
+        return _series_pow(_jacobi(terms, 1), n)
+    if name == "D":
+        return [(a + b) // 2 for a, b in zip(_series_pow(_jacobi(terms, 1), n),
+                                              _series_pow(_jacobi(terms, -1), n))]
+    half = (terms + 1) // 2  # the even lattices have even norms alone
+    if name == "E" and n == 8:
+        even = _eisenstein4(half)
+    elif name == "Leech" and n == 24:
+        even = [a - 720 * b for a, b in zip(_series_pow(_eisenstein4(half), 3), _discriminant(half))]
+    else:
+        raise ValueError(f"no theta series for {name}{n}")
+    return [even[r // 2] if r % 2 == 0 else 0 for r in range(terms)]

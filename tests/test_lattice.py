@@ -66,6 +66,23 @@ def test_a_value_without_coordinates_is_a_dimension_mismatch():
         dot((1, 2), (1, 2, 3))  # zip() alone gave 5
 
 
+def test_a_value_that_is_no_collection_raises_a_typed_error():
+    """A scalar where rows or vectors belong raised a bare TypeError from
+    the iteration: the integer readers raise NotIntegral, the lattice's
+    collections of vectors DimensionMismatch, as _check does for a vector
+    with no length."""
+    for call in (lambda v: IntMatrix(v), lambda v: mod2.split_congruent_pair(v, (1, 2)),
+                 lambda v: mod2.split_congruent_pair((1, 2), v)):
+        for bad in (5, None):
+            with pytest.raises(NotIntegral):
+                call(bad)
+    for call in (lambda v: PairSet(Z2, v), Z2.sublattice):
+        for bad in (5, None):
+            with pytest.raises(DimensionMismatch):
+                call(bad)
+    assert IntMatrix([]).rows == () and PairSet(Z2, []).reps == ()
+
+
 E8 = root_lattice("E", 8).lattice
 X0 = standard_x0("E", 8)  # norm 2m - 2 = 2
 SUB = Z2.sublattice([(1, 1), (2, 0)])

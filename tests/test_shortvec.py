@@ -488,7 +488,8 @@ def test_coset_rejects_zero_class():
 # -- threading ----------------------------------------------------------------
 
 
-def test_threaded_matches_serial():
+def test_threaded_matches_serial(monkeypatch):
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)  # split these small walks
     lat = GramLattice(
         [[4, 1, 0, -1, 2], [1, 5, 1, 0, -1], [0, 1, 6, 1, 0],
          [-1, 0, 1, 5, 1], [2, -1, 0, 1, 6]]
@@ -499,8 +500,6 @@ def test_threaded_matches_serial():
     set_threads(2)
     try:
         assert get_threads() == 2
-        from eqlat import shortvec
-
         shortvec._min_count.cache_clear()
         shortvec._coset_shell.cache_clear()
         assert minimum(lat) == serial_min
@@ -510,9 +509,10 @@ def test_threaded_matches_serial():
         set_threads(1)
 
 
-def test_threaded_minimum_and_count_match_serial():
+def test_threaded_minimum_and_count_match_serial(monkeypatch):
     # LLL leaves this basis alone; its diagonal minimum 11 sits above the
     # minimum 10, and the two top-level values split across two workers
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)
     lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
                        [-1, 2, -6, 11]])
 
@@ -713,9 +713,10 @@ def ref_walk(payload, visits=None):
     return found
 
 
-def in_int64(payload):
-    """Whether the batched kernel walks payload in int64."""
-    return shortvec._walk_types(payload["delta"], payload["sub"], payload["limit"])[0] is np.int64
+def number_type(payload):
+    """The number type the batched kernel walks payload in: np.int32,
+    np.int64 or object."""
+    return shortvec._walk_types(payload["delta"], payload["sub"], payload["limit"])[0]
 
 
 def listed(mode, found):
@@ -847,7 +848,7 @@ def test_kernel_matches_reference_walk(monkeypatch):
         check_batched(payload, want)
         whole = dict(payload, mode="shell")
         check_batched(whole, walked(shortvec._walk, whole))
-        past += not in_int64(payload)
+        past += number_type(payload) is object
     assert 0 < past < len(walks)
 
 
@@ -967,7 +968,7 @@ def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
     check_batched allows."""
     big = past_int64()
     payloads = list(kernel_payloads(big, minimum(big) + 2**41, None))
-    assert not any(map(in_int64, payloads))
+    assert {number_type(payload) for payload in payloads} == {object}
     monkeypatch.setattr(shortvec, "_BUDGET", 1)  # every walk forecasts past it
     for payload in payloads:
         visits = []
@@ -981,16 +982,16 @@ def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
 
 def test_content_is_divided_out_of_the_walk():
     """D5 scaled by 2**40 has entries past int64 but content 2**40: it walks
-    on D5's data, in int64, and its norms come out scaled back."""
+    on D5's data, in int32, and its norms come out scaled back."""
     d5 = root_lattice("D", 5).lattice
     big = GramLattice([[2**40 * a for a in row] for row in d5.gram.num.rows])
     prep, small = shortvec._prep(big), shortvec._prep(d5)
     assert (prep.u, prep.delta, prep.sub, prep.seed) == (small.u, small.delta, small.sub, small.seed)
     assert prep.den == QQ(1, 2**40)
     payloads = list(kernel_payloads(big, minimum(big) + 2**41, None))
-    assert all(map(in_int64, payloads))
+    assert {number_type(payload) for payload in payloads} == {np.int32}
     le = next(p for p in payloads if p["mode"] == "le")
-    assert shortvec._batched_walk(le)[0].dtype == np.int64
+    assert shortvec._batched_walk(le)[0].dtype == np.int32
     assert minimum(big) == 2**41
     assert shell(big, 2**41) == shell(d5, 2)
     assert shell_count(big, 2**42) == shell_count(d5, 4) > 0
@@ -1019,10 +1020,11 @@ def test_odd_targets_on_an_even_lattice_walk_nothing(monkeypatch):
     assert shell_count(even, 4) == 120 and len(shell(skew, QQ(4, 3))) == 3
 
 
-def test_leech_walks_stay_in_int64():
-    """Leech walks whose lcm-scaled bounds passed 2**62 walk in int64: the
-    class shells of x0 at norms 6 and 10 (the Python kernel's results and
-    node counts), and the minimum in a seeded skewed basis."""
+def test_leech_walks_run_in_int32():
+    """Leech walks whose lcm-scaled bounds passed 2**62 walk in int32, as
+    their largest number, 2 delta_k delta_{k+1} limit, stays below 2**30:
+    the class shells of x0 at norms 6 and 10 (the Python kernel's results
+    and node counts), and the minimum in a seeded skewed basis."""
     from test_lines import benchmark_inputs
 
     big = leech()
@@ -1033,16 +1035,34 @@ def test_leech_walks_stay_in_int64():
         payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": pr,
                    "mode": "shell", "limit": r,
                    "tops": shortvec._top_values(prep.delta, r, pr)}
-        assert in_int64(payload)
+        assert number_type(payload) is np.int32
         want = walked(shortvec._walk, payload)
         assert len(want[0]) == pairs and walked(shortvec._batched_walk, payload) == want
     u, _ = benchmark_inputs().unimodular(random.Random(2), lat.dim)
     skew = shortvec._prep(GramLattice(gram_product(u, lat.gram.num.rows)))
     payload = dict(leech_min_payload(), delta=skew.delta, sub=skew.sub,
                    tops=shortvec._top_values(skew.delta, 4, None))
-    assert in_int64(payload)
+    assert number_type(payload) is np.int32
     best, leaves = shortvec._batched_walk(payload)[0]
     assert best == 4 and sum(map(len, leaves)) == 98_280
+
+
+def test_int32_walks_stop_at_the_proven_bound():
+    """_walk_types takes int32 while 2 delta_k delta_{k+1} limit stays below
+    2**30, and int64 from there: on (120 1; 1 120), whose walks have centre
+    sums far below 2**30, the last limit in int32 and the first past it.
+    Both walks, where kv**2 reaches 2**29, give the Python kernel's results
+    and node counts."""
+    lat = GramLattice([[120, 1], [1, 120]])
+    prep = shortvec._prep(lat)
+    last = (2**30 - 1) // (2 * max(a * b for a, b in zip(prep.delta, prep.delta[1:])))
+    for limit, num in ((last, np.int32), (last + 1, np.int64)):
+        for mode in ("le", "count"):
+            payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": None,
+                       "mode": mode, "limit": limit,
+                       "tops": shortvec._top_values(prep.delta, limit, None)}
+            assert number_type(payload) is num
+            assert walked(shortvec._batched_walk, payload) == walked(shortvec._walk, payload)
 
 
 def test_small_walks_never_enter_the_batched_kernel(monkeypatch):
@@ -1098,9 +1118,9 @@ def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
 
 def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
     """The leech-cli walks forecast past _BUDGET and enter the batched
-    kernel alone: the minimum walk, the class shell of x0 at norm 10 and the
-    relative lattice's vectors_upto, which dividing out the content 2 of its
-    Gram puts in int64."""
+    kernel alone: the minimum walk and the class shell of x0 at norm 10 in
+    int32, and the relative lattice's vectors_upto, which dividing out the
+    content 2 of its Gram puts in int64 (its bound is 2**53.2)."""
     from eqlat.mod2 import relative_lattice
 
     def refuse(payload):
@@ -1126,7 +1146,7 @@ def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
     assert len(coset_shell(lat, x0, 10)) == 276
     assert len(vectors_upto(relative, 16 - lat.norm(x0))) > 0
     assert [(mode, num) for mode, num, _ in entered] == [
-        ("mincount", np.int64), ("shell", np.int64), ("le", np.int64)]
+        ("mincount", np.int32), ("shell", np.int32), ("le", np.int64)]
     assert all(f > shortvec._BUDGET for *_, f in entered)
 
 
@@ -1237,32 +1257,60 @@ def test_entries_past_int64_stay_exact(monkeypatch, budget):
         assert all(type(c) is int for c in v)
 
 
+class SerialPool:
+    """ProcessPoolExecutor's stand-in: it maps in this process and records
+    [max_workers, jobs] of each pool made in SerialPool.made."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append([max_workers])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        self.made[-1].append(len(jobs))
+        return map(fn, jobs)
+
+
 def test_workers_never_exceed_the_cores(monkeypatch):
     """--threads 5000 on a walk with 1,001 top-level values starts one
     worker per core, not one per value; the pool here maps serially."""
     pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append([max_workers])
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            jobs = list(jobs)
-            pools[-1].append(len(jobs))
-            return map(fn, jobs)
-
+    monkeypatch.setattr(SerialPool, "made", pools)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(shortvec.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(shortvec, "_THREADS", 5000)
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)  # the walks forecast 1,000 nodes
     line = GramLattice([[1]])
     shortvec._coset_shell.cache_clear()
     assert shell(line, 10**6) == ((1000,),)
     found = vectors_upto(line, 10**6)
     assert len(found) == 1000 and found[-1] == (10**6, (1000,))
     assert pools == [[3, 3], [3, 3]]
+
+
+def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch):
+    """With two workers allowed, a walk whose forecast is at most _SPLIT
+    runs in this process and one past it starts a pool, with the same
+    count: E8's norm-8 count walk against _SPLIT just above and just below
+    its forecast, and at the default, which the Leech minimum walk passes."""
+    pools = []
+    monkeypatch.setattr(SerialPool, "made", pools)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(shortvec.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(shortvec, "_THREADS", 2)
+    prep = shortvec._prep(root_lattice("E", 8).lattice)
+    forecast = shortvec._forecast({"n": prep.n, "delta": prep.delta, "limit": 8, "parity": None})
+    for split, made in ((math.ceil(forecast), []), (math.floor(forecast), [[2, 2]])):
+        monkeypatch.setattr(shortvec, "_SPLIT", split)
+        pools.clear()
+        assert shortvec._run(prep, "count", 8, None) == 8760
+        assert pools == made
+    monkeypatch.undo()
+    assert shortvec._forecast(leech_min_payload()) > shortvec._SPLIT > forecast
