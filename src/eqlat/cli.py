@@ -481,7 +481,7 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, metavar="N",
                         default=argparse.SUPPRESS,
                         help="worker processes for the enumeration walks"
-                             " forecast past 2**20 nodes (default 1)")
+                             " forecast past 600,000 nodes (default 1)")
     parser.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
                         help="progress notes on stderr")
 

@@ -193,12 +193,13 @@ def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
 
 # Forecast nodes past which a walk is batched, partial vectors per numpy step
 # of the batched kernel, and forecast nodes past which set_threads splits a
-# walk across processes: below 2**20 starting the pool costs more than the
-# split saves (D16's norm-6 count, forecast 385,000, took 1.7 times as long
-# with two workers), above it the split pays (the Leech minimum, 1.91e6)
+# walk across processes: on two cores, root lattice count walks forecast at
+# 385,000 to 575,000 nodes took 0.8 to 1.4 times as long with two workers as
+# with one, and each one from 610,000 up 0.67 to 0.98 times (D12's norm-10
+# count, 739,000, 0.72)
 _BUDGET = 4096
 _BATCH = 2048
-_SPLIT = 2**20
+_SPLIT = 600_000
 
 
 def _search_chunk(payload: dict) -> object:
@@ -343,16 +344,10 @@ def _isqrt(q: np.ndarray) -> np.ndarray:
 def _ranges(lo: np.ndarray, hi: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, value) of the values lo[i], lo[i] + step, .. <= hi[i], row by
     row; value in lo's type."""
-    cnt = hi - lo
-    cnt //= step
-    cnt += 1
-    cnt = np.maximum(cnt, 0).astype(np.intp, copy=False)
+    cnt = np.maximum((hi - lo) // step + 1, 0).astype(np.intp)
     row = np.repeat(np.arange(len(lo)), cnt)
-    off = np.arange(len(row))
-    off -= (np.cumsum(cnt) - cnt).take(row)
-    value = lo.take(row)
-    value += off * step if step > 1 else off  # off <= (hi - lo) / step fits lo's type
-    return row, value
+    first = np.cumsum(cnt) - cnt
+    return row, lo.take(row) + (step * (np.arange(len(row)) - first.take(row))).astype(lo.dtype)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -391,9 +386,10 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     """_walk's result from numpy steps on _BATCH partial vectors at a time,
     with nodes, the rows it expanded below the top level.
 
-    Each level queues its rows in _walk's order.  A step takes the first
-    _BATCH rows of the deepest level that holds that many, else of the
-    highest nonempty level, and queues their children at the level below.
+    Each level queues its rows in _walk's order, with the top-level values
+    sorted by absolute value.  A step takes the first _BATCH rows of the
+    deepest level that holds that many, else of the highest nonempty level,
+    and queues their children at the level below.
     Level k gains rows only from steps at level k + 1, which run only while
     it holds fewer than _BATCH rows and give each row they take at most
     2 bound[k+1] / step + 1 children (_coordinate_bounds), so level k holds
@@ -411,11 +407,11 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
 
     The sign rule, x_k >= 0 where every coordinate above k is 0, concerns
     one row per level, the zero-prefix row.  It is the first row queued at
-    its level, so row 0 of the first step there, and its zero child, if it
-    has one, is its first child (its values start at 0), so the first row
-    queued at the level below.  The kernel keeps only the level where that
-    row waits; at level 0 its zero child is the zero vector, which is no
-    leaf.
+    its level, so row 0 of the first step there: the top-level value 0
+    comes first in any order of payload["tops"], and the row's zero child,
+    if it has one, is its first child (its values start at 0).  The kernel
+    keeps only the level where that row waits; at level 0 its zero child is
+    the zero vector, which is no leaf.
 
     "mincount" lowers its bound at leaves, which _walk sees at once but a
     step takes in only when its rows were already made, so rows are checked
@@ -430,7 +426,8 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     if mode == "first":
         raise ValueError('"first" walks run in _walk alone')
     top = n - 1
-    tops = [t for t in payload["tops"] if delta[n] * t * t <= delta[top] * limit]
+    # 0 first: its row is the zero-prefix row
+    tops = sorted((t for t in payload["tops"] if delta[n] * t * t <= delta[top] * limit), key=abs)
     num, dtype = _walk_types(delta, sub, limit)
     step = 2 if parity is not None else 1
     exact = mode in ("shell", "count")
@@ -459,8 +456,7 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
         s = np.zeros(1, num) if k == top else x[:, k + 1:] @ subs[k]
         kmax = _isqrt(dk * (d * limit - acc))
         lo = -((kmax + s) // d)
-        hi = kmax - s
-        hi //= d
+        hi = (kmax - s) // d
         za = k == zero and len(lo)  # row 0 has only zeros above it
         if za:
             zero = -1
@@ -496,13 +492,8 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
         lead = za and len(xv) and not row[0] and not xv[0]  # its zero child
         if lead:
             zero = k - 1
-        a2 = acc.take(row)
-        a2 *= dk
-        kv = xv * d
-        kv += s.take(row)
-        kv *= kv
-        a2 += kv
-        a2 //= d
+        kv = d * xv + s.take(row)
+        a2 = (dk * acc.take(row) + kv * kv) // d
         if k:
             child = x.take(row, axis=0)
             child[:, k] = xv

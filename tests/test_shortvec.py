@@ -936,6 +936,30 @@ def test_batched_kernel_answers_an_empty_top_level(monkeypatch):
             assert walked(shortvec._batched_walk, empty) == (ref_walk(empty), 0)
 
 
+def test_batched_kernel_takes_top_level_values_in_any_order():
+    """The batched kernel finds the zero-prefix row, to which alone the sign
+    rule applies, by walking the top-level value 0 first, so the order of
+    payload["tops"] does not matter: shuffled, with negative values among
+    them, it gives _walk's results on the same payload, leaves in another
+    order, and _walk's node counts wherever the bound never lowers."""
+    rng = random.Random(157)
+    for lat in kernel_corpus(rng)[::3]:
+        m = minimum(lat)
+        for payload in kernel_payloads(lat, m + 2, None):
+            if payload["mode"] == "first":
+                continue
+            tops = payload["tops"] + [-t for t in payload["tops"] if t]
+            rng.shuffle(tops)
+            mixed = dict(payload, tops=tops)
+            want = walked(shortvec._walk, mixed)
+            got = walked(shortvec._batched_walk, mixed)
+            if payload["mode"] in ("le", "shell"):
+                want, got = (sorted(want[0]), want[1]), (sorted(got[0]), got[1])
+            assert got[0] == want[0]
+            if payload["mode"] != "mincount" or want[0][0] == payload["limit"]:
+                assert got[1] == want[1]
+
+
 def leech_min_payload():
     prep = shortvec._prep(leech().lattice)
     limit = prep.seed
@@ -1299,7 +1323,8 @@ def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch):
     """With two workers allowed, a walk whose forecast is at most _SPLIT
     runs in this process and one past it starts a pool, with the same
     count: E8's norm-8 count walk against _SPLIT just above and just below
-    its forecast, and at the default, which the Leech minimum walk passes."""
+    its forecast, and at the default, which D12's norm-10 count, the least
+    walk measured to gain from two workers, and the Leech minimum walk pass."""
     pools = []
     monkeypatch.setattr(SerialPool, "made", pools)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
@@ -1313,4 +1338,6 @@ def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch):
         assert shortvec._run(prep, "count", 8, None) == 8760
         assert pools == made
     monkeypatch.undo()
-    assert shortvec._forecast(leech_min_payload()) > shortvec._SPLIT > forecast
+    d12 = shortvec._prep(root_lattice("D", 12).lattice)
+    d12_forecast = shortvec._forecast({"n": d12.n, "delta": d12.delta, "limit": 10, "parity": None})
+    assert shortvec._forecast(leech_min_payload()) > d12_forecast > shortvec._SPLIT > forecast
