@@ -20,13 +20,14 @@ Matrix entries must be integers: an entry v with int(v) != v, such as 5/2,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotIntegral, NotPositiveDefinite
+from .errors import BadParameter, DimensionMismatch, NotIntegral, NotPositiveDefinite
 from .fastops import gram_product, imatmul, int_array
 
 __all__ = [
@@ -64,6 +65,18 @@ def _int_row(row: Iterable[int]) -> tuple[int, ...]:
     if out != row:  # int() alone truncates 5/2 and 2.7 to 2
         raise NotIntegral(f"entries {row} are not all integers")
     return out
+
+
+def _rational(v) -> Fraction:
+    """v as an exact Fraction; a float only if integral, as 0.3 is 5404319552844595
+    / 2**54.  Any other value, a string included, raises BadParameter."""
+    if isinstance(v, numbers.Rational):
+        return Fraction(v)
+    real = isinstance(v, numbers.Real) and math.isfinite(v)
+    if real and v == int(v):
+        return Fraction(int(v))
+    hint = f": pass Fraction{Fraction(str(v)).as_integer_ratio()}" if real else ""  # as printed
+    raise BadParameter(f"{v!r} is not an exact rational number{hint}")
 
 
 def _as_int_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:

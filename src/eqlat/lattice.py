@@ -24,7 +24,7 @@ from .errors import (
     VerificationError,
     ZeroVector,
 )
-from .exact import IntMatrix, RatMatrix, _int_row, hnf, kernel_basis, leading_minors, solve_left
+from .exact import IntMatrix, RatMatrix, _int_row, _rational, hnf, kernel_basis, leading_minors, solve_left
 from .fastops import gram_product, imatmul
 
 Vec = tuple[int, ...]
@@ -124,9 +124,9 @@ class GramLattice:
 
     def rescale(self, c) -> "GramLattice":
         """Same module, form multiplied by c > 0."""
-        c = Fraction(c)
+        c = _rational(c)
         if c <= 0:
-            raise ValueError("scale must be positive")
+            raise BadParameter("scale must be positive")
         return GramLattice(self.gram.scaled(c))
 
     def sublattice(self, generators: Iterable[Sequence[int]]) -> "EmbeddedSublattice":

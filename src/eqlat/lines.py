@@ -170,8 +170,11 @@ class SeidelMatrix:
 
     def __post_init__(self):
         a = self.array
-        if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
-            a = [_int_row(row) for row in a]
+        if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu" and a.ndim == 2):
+            try:
+                a = [_int_row(row) for row in a]
+            except TypeError:  # 5: _int_row reads each row itself
+                raise BadParameter(f"{a!r} is not a sequence of rows") from None
         t = len(a)
         k = next((i for i, row in enumerate(a) if len(row) != t), t)  # rows scanned
         a = int_array(a if k == t else [tuple(r[:t]) + (0,) * (t - len(r)) for r in a])

@@ -28,8 +28,8 @@ Leech walk), in int64 below 2**62, else in object arrays of Python integers.
 Both kernels hand their leaves over as one integer array, which stays one
 array through the map back to the input basis, the sign canonicalisation
 and the sort, and is cached as it is: only shell and coset_shell make
-tuples of it.  The minimum walk keeps its leaves at the least norm, so
-the shell at the minimum is read from it, not walked again.
+tuples of it.  A walk one grain below LLL's least diagonal entry proves
+the minimum and keeps no vectors: every shell is walked for itself.
 
 Walks run in LLL bases, so their cost does not depend on how the input
 is written.  least_vector answers in the input basis with one walk per
@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MixedNorms, ZeroVector
-from .exact import IntMatrix, RatMatrix, leading_minors, solve_left
+from .exact import IntMatrix, RatMatrix, _rational, leading_minors, solve_left
 from .fastops import _SAFE, _max_abs, gram_product, imatmul, imatmul_array, int_array, row_norms
 from .lattice import GramLattice, Vec
 
@@ -161,9 +161,10 @@ def _lll(g: IntMatrix) -> tuple[IntMatrix, list[int], list[list[int]]]:
 
 @dataclass(frozen=True, slots=True)
 class _Prep:
-    """_lll's data of G, the Gram numerator divided by its content g, and
-    seed, the minimum walk's first bound: the least diagonal entry of
-    u G u^T, attained.  Norms in walk units are norms times den."""
+    """_lll's data of G, the Gram numerator divided by its content g; seed,
+    the least diagonal entry of u G u^T, attained; and grain, gcd(G_ii,
+    2 G_ij), which divides every x G x^T: 2 if each G_ii is even, else 1, as
+    G has content 1.  Norms in walk units are norms times den."""
 
     u: IntMatrix
     n: int
@@ -171,6 +172,7 @@ class _Prep:
     delta: list[int]
     sub: list[list[int]]
     seed: int
+    grain: int
 
 
 # Entries kept by each result cache below; least recently used go first.
@@ -182,7 +184,8 @@ def _prep(lat: GramLattice) -> _Prep:
     num, g = _primitive(lat.gram.num.rows)  # LLL's tests are homogeneous
     u, delta, sub = _lll(num)  # unimodular: U G U^T keeps den
     seed = min(row_norms(u.rows, num.rows).tolist(), default=0)
-    return _Prep(u, lat.dim, Fraction(lat.gram.den, g), delta, sub, seed)
+    grain = 1 if any(row[i] % 2 for i, row in enumerate(num.rows)) else 2
+    return _Prep(u, lat.dim, Fraction(lat.gram.den, g), delta, sub, seed, grain)
 
 
 def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
@@ -211,18 +214,17 @@ def _search_chunk(payload: dict) -> object:
     of leaves with norm == limit; "first" stops at the first leaf of norm
     limit, which is the least in the walk's order (each level ascending, top
     level first); "count" counts leaves of norm limit; "mincount" keeps the
-    least nonzero norm found as an inclusive bound, drops the leaves it
-    holds whenever it lowers that bound, and returns (best, leaves at best).
-    The exact-norm modes solve the bottom level in closed form and take its
-    (at most two) roots in ascending order.
+    least nonzero norm found as an inclusive bound, restarts its count
+    whenever it lowers that bound, and returns (best, number of leaves at
+    best), (limit, 0) if none lies within the bound; it keeps no leaves.  The
+    exact-norm modes solve the bottom level in closed form and take its (at
+    most two) roots in ascending order.
 
     A walk whose _forecast passes _BUDGET goes to _batched_walk, any other
     to _walk.  The two kernels share only this contract, so the forecast
     decides no result: both return "shell" and "le" leaves as one integer
-    array, a row per leaf ("le" puts the norm in column 0), and "mincount"
-    leaves as a list of integer arrays (left unjoined, as most callers only
-    count them).  "first" walks are _walk's alone, which returns the leaf as
-    a list of one tuple.
+    array, a row per leaf ("le" puts the norm in column 0).  "first" walks
+    are _walk's alone, which returns the leaf as a list of one tuple.
     """
     return (_batched_walk if _forecast(payload) > _BUDGET else _walk)(payload)[0]
 
@@ -236,12 +238,6 @@ def _forecast(payload: dict) -> float:
     return sum(math.exp(min(m / 2 * r - math.lgamma(m / 2 + 1)
                             + (log(delta[n - m]) - log(delta[n])) / 2, 700))
                for m in range(1, n + 1)) / 2
-
-
-def _result(mode: str, limit: int, count: int, out) -> object:
-    if mode == "count":
-        return count
-    return (limit, out) if mode == "mincount" else out
 
 
 def _walk(payload: dict) -> tuple[object, int]:
@@ -303,12 +299,8 @@ def _walk(payload: dict) -> tuple[object, int]:
                 if mode == "le":
                     x[0] = xv
                     out.append((a2, *x))
-                    continue
-                if a2 < limit:  # mincount: a smaller norm drops the leaves held
-                    limit = a2
-                    out.clear()
-                x[0] = xv
-                out.append(tuple(x))
+                else:  # mincount: a smaller norm restarts the count
+                    limit, count = a2, (count + 1 if a2 == limit else 1)
             return
         acc *= dk
         for xv in values:
@@ -322,9 +314,7 @@ def _walk(payload: dict) -> tuple[object, int]:
         rec(top, 0, True)
     if mode in ("shell", "le"):
         out = int_array(out) if out else np.empty((0, n + (mode == "le")), np.int64)
-    elif mode == "mincount":
-        out = [int_array(out)] if out else []
-    return _result(mode, limit, count, out), max(nodes, 0)
+    return {"count": count, "mincount": (limit, count)}.get(mode, out), max(nodes, 0)
 
 
 def _isqrt(q: np.ndarray) -> np.ndarray:
@@ -511,15 +501,11 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
         elif len(a2):  # mincount
             best = int(a2.min())
             if best < limit:
-                limit, out = best, []
-            hits = np.flatnonzero(a2 == limit)
-            if len(hits):
-                leaves = x.take(row.take(hits), axis=0)
-                leaves[:, 0] = xv.take(hits)
-                out.append(leaves)
+                limit, count = best, 0
+            count += int(np.count_nonzero(a2 == limit))
     if mode in ("shell", "le"):
         out = np.concatenate(out) if out else np.empty((0, n + (mode == "le")), num)
-    return _result(mode, limit, count, out), nodes
+    return {"count": count, "mincount": (limit, count)}.get(mode, out), nodes
 
 
 def _top_values(delta: list[int], limit: int, parity) -> list[int]:
@@ -527,11 +513,8 @@ def _top_values(delta: list[int], limit: int, parity) -> list[int]:
     if limit < 0:
         return []
     d = delta[-1]
-    lo, hi = 0, math.isqrt(delta[-2] * d * limit) // d
-    if parity is not None and (lo - parity[-1]) % 2:
-        lo += 1
-    step = 2 if parity is not None else 1
-    return list(range(lo, hi + 1, step))
+    hi = math.isqrt(delta[-2] * d * limit) // d
+    return list(range(hi + 1) if parity is None else range(parity[-1], hi + 1, 2))
 
 
 def _run(prep: _Prep, mode: str, limit: int, parity) -> object:
@@ -550,7 +533,7 @@ def _run(prep: _Prep, mode: str, limit: int, parity) -> object:
         return sum(results)
     if mode == "mincount":
         best = min(b for b, _ in results)
-        return best, [c for b, chunks in results if b == best for c in chunks]
+        return best, sum(c for b, c in results if b == best)
     return np.concatenate(results)
 
 
@@ -582,9 +565,12 @@ def _canonical(rows: np.ndarray, key: np.ndarray | None = None) -> tuple[np.ndar
 
 
 def _tuples(rows: np.ndarray) -> tuple[Vec, ...]:
-    """Integer rows as tuples of Python integers, converted a block at a time."""
-    return tuple([v for i in range(0, len(rows), _BATCH)
-                  for v in map(tuple, rows[i:i + _BATCH].tolist())])
+    """Integer rows as tuples of Python integers, a block at a time, in a list
+    made at full length: a growing list leaves its old copies in the heap."""
+    out = [None] * len(rows)
+    for i in range(0, len(rows), _BATCH):
+        out[i:i + _BATCH] = map(tuple, rows[i:i + _BATCH].tolist())
+    return tuple(out)
 
 
 def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
@@ -596,22 +582,22 @@ def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
 # Public interface
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _min_count(lat: GramLattice) -> tuple[Fraction, list[np.ndarray]]:
-    """(minimum, one vector per +-pair at the minimum) from one "mincount"
-    walk; the vectors are in the reduced basis, as the walk's chunks."""
+def _min_count(lat: GramLattice) -> tuple[Fraction, int | None]:
+    """(minimum, number of +-pairs there or None where no walk counted them).
+    The seed is attained and every norm a multiple of the grain, so the
+    minimum is the seed unless a "mincount" walk at seed - grain, made if
+    that is positive, finds a leaf: then its best and count.  On Leech (seed
+    4, grain 2) that walk has 14,978 nodes; counting the pairs at 4, 1,971,697."""
     if lat.dim == 0:
         raise DimensionMismatch("empty lattice has no minimum")
     prep = _prep(lat)
-    best, leaves = _run(prep, "mincount", prep.seed, None)
-    return Fraction(best, prep.den), leaves
+    best, count = _run(prep, "mincount", prep.seed - prep.grain, None) if prep.seed > prep.grain else (0, 0)
+    return (Fraction(best, prep.den), count) if count else (Fraction(prep.seed, prep.den), None)
 
 
 def minimum(lat: GramLattice) -> Fraction:
-    """Exact minimum norm of the nonzero vectors.
-
-    One walk finds the minimum and keeps its pairs: shell_count and shell
-    at the minimum read them without a second walk.
-    """
+    """Exact minimum norm of the nonzero vectors, proven by a walk one grain
+    below LLL's least diagonal entry that keeps no vectors (_min_count)."""
     return _min_count(lat)[0]
 
 
@@ -625,7 +611,7 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
     trailing block of G.  So at most dim walks, each one path deep.
     """
     n = lat.dim
-    t = Fraction(r) * lat.gram.den
+    t = _rational(r) * lat.gram.den
     if not n or t.denominator != 1 or t <= 0:
         return None
     num = lat.gram.num.rows
@@ -653,27 +639,22 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None, r: Fraction) -> np.ndarray:
     """The norm-r shell, of the class parity mod 2L unless None, as _canonical
-    rows; read-only, as every caller shares the one array."""
+    rows, read-only as callers share it: one "shell" walk at r, or empty
+    where r den is no positive integer or, without a class, r < minimum."""
     prep = _prep(lat)
     target = r * prep.den
     rows = np.zeros((0, prep.n), np.int8)
-    if target.denominator == 1 and target > 0 and prep.n:
-        # up to its bound the minimum walk answers: it holds the shell at the
-        # minimum and shows that none lies below
-        m, leaves = _min_count(lat) if parity is None and target <= prep.seed else (0, None)
-        if r == m:
-            found = np.concatenate(leaves)
-        else:
-            pr = None if parity is None else _parity_reduced(prep, parity)
-            found = _run(prep, "shell", int(target), pr) if r > m else rows
-        rows, _ = _canonical(imatmul_array(found, prep.u.rows))  # in the input basis
+    if (target.denominator == 1 and target > 0 and prep.n
+            and (parity is not None or target >= prep.seed or r >= minimum(lat))):
+        pr = None if parity is None else _parity_reduced(prep, parity)
+        rows, _ = _canonical(imatmul_array(_run(prep, "shell", int(target), pr), prep.u.rows))
     rows.flags.writeable = False
     return rows
 
 
 def _shell_rows(lat: GramLattice, r, parity: Sequence[int] | None = None) -> np.ndarray:
     """The cached array behind shell(lat, r), or coset_shell(lat, parity, r)."""
-    return _coset_shell(lat, None if parity is None else _class_parity(lat._check(parity)), Fraction(r))
+    return _coset_shell(lat, None if parity is None else _class_parity(lat._check(parity)), _rational(r))
 
 
 def shell(lat: GramLattice, r) -> tuple[Vec, ...]:
@@ -686,16 +667,19 @@ def shell(lat: GramLattice, r) -> tuple[Vec, ...]:
 
 
 def shell_count(lat: GramLattice, r) -> int:
-    """Number of +-pairs of norm exactly r, without storing vectors."""
-    r = Fraction(r)
+    """Number of +-pairs of norm exactly r, without storing vectors: the
+    minimum's count where its walk made one, else one "count" walk."""
+    r = _rational(r)
     prep = _prep(lat)
     target = r * prep.den
     if target.denominator != 1 or target <= 0 or not prep.n:
         return 0
-    if target <= prep.seed:  # up to its bound the minimum walk answers
-        m, leaves = _min_count(lat)
-        if r <= m:
-            return sum(map(len, leaves)) if r == m else 0
+    if target <= prep.seed:  # up to the seed the minimum decides
+        m, count = _min_count(lat)
+        if r < m:
+            return 0
+        if r == m and count is not None:
+            return count
     return _run(prep, "count", int(target), None)
 
 
@@ -704,7 +688,7 @@ def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
     prep = _prep(lat)
     if not prep.n:
         return []
-    found = _run(prep, "le", math.floor(Fraction(r) * prep.den), None)
+    found = _run(prep, "le", math.floor(_rational(r) * prep.den), None)
     rows, norms = _canonical(imatmul_array(found[:, 1:], prep.u.rows), found[:, 0])
     return [(Fraction(a, prep.den), v) for a, v in zip(norms.tolist(), _tuples(rows))]
 

@@ -179,6 +179,15 @@ def test_seidel_matrix_validation():
         SeidelMatrix([[0, 1], [-1, 0]])
 
 
+def test_seidel_matrix_rejects_a_value_without_rows():
+    # the row scan iterated 5 and raised a bare TypeError
+    for bad in (5, None, np.array(5)):
+        with pytest.raises(BadParameter, match="not a sequence of rows"):
+            SeidelMatrix(bad)
+    with pytest.raises(BadParameter, match="square"):
+        SeidelMatrix([[0, 1], [1, 0, 1]])  # ragged rows keep their error
+
+
 def test_seidel_matrix_rejects_non_integer_entries():
     # int() alone read the first as [[0, 1], [1, 0]], with charpoly x^2 - 1
     for bad in (1.5, "1", Fraction(1, 2)):

@@ -1,5 +1,6 @@
 """Tests for LLL reduction and exact shell enumeration."""
 
+import collections
 import contextlib
 import math
 import random
@@ -18,6 +19,7 @@ from oracles import (
 from eqlat import exact, shortvec
 from eqlat.constructions import leech, root_lattice, standard_x0
 from eqlat.errors import (
+    BadParameter,
     DimensionMismatch,
     MixedNorms,
     NotInLattice,
@@ -225,19 +227,23 @@ def test_minimum_takes_no_hint():
     assert minimum(e8) == 2
 
 
-def near_reduced_gram(rng, n):
-    """Nearly equal diagonal, off-diagonal entries up to half of it.
+def near_reduced_gram(rng, n, even=False):
+    """Nearly equal diagonal, off-diagonal entries up to half of it; with
+    even, an even diagonal and content 1, so every norm is even (grain 2).
 
     LLL leaves most such bases alone, and now and then none of the basis
-    vectors is minimal, so the minimum walk has to lower its first bound.
+    vectors is minimal, so the minimum lies below the seed.
     """
     while True:
         big = rng.randint(6, 14)
         g = [[0] * n for _ in range(n)]
         for i in range(n):
             g[i][i] = big + rng.randint(0, 2)
+            g[i][i] += even and g[i][i] % 2
             for j in range(i):
                 g[i][j] = g[j][i] = rng.randint(-big // 2, big // 2)
+        if even and math.gcd(*(v for row in g for v in row)) != 1:
+            continue
         try:
             return GramLattice(g)
         except NotPositiveDefinite:
@@ -251,57 +257,83 @@ def grid_box_points(gram_rows, bound):
                      for i in range(len(gram_rows)))
 
 
+def minimum_against_oracle(lat):
+    """Check minimum, shell_count and shell at the minimum of lat, and of lat
+    scaled by 3/7 (a rational Gram on the same walk data), against the grid
+    oracle.  Returns (grain, whether the LLL seed lies above the minimum),
+    or None where the oracle's scan would pass 200,000 points."""
+    g = lat.gram.num.to_lists()
+    bound = min(g[i][i] for i in range(lat.dim))  # attained
+    if grid_box_points(g, bound) > 200_000:
+        return None
+    oracle = grid_short_vectors(g, bound)
+    m = oracle[0][0]
+    for scale in (1, QQ(3, 7)):
+        scaled = lat.rescale(scale)
+        assert minimum(scaled) == m * scale
+        assert shell_count(scaled, m * scale) == sum(nm == m for nm, _ in oracle)
+        assert shell(scaled, m * scale) == tuple(v for nm, v in oracle if nm == m)
+    content = math.gcd(*(v for row in g for v in row))
+    grain = math.gcd(*(v // content * (1 + (i != j))
+                       for i, row in enumerate(g) for j, v in enumerate(row)))
+    prep = shortvec._prep(lat.rescale(QQ(3, 7)))
+    assert prep.grain == grain and prep.den == QQ(7, 3 * content)
+    red, _ = lll_reduce(lat)
+    assert prep.seed * content == min(red.gram.num[i, i] for i in range(lat.dim))
+    return grain, prep.seed * content > m
+
+
 def test_minimum_and_count_match_grid_oracle():
+    """The minimum and its count match the grid oracle on integer Grams of
+    grain 1 and 2 (an even diagonal, content 1, one draw in four) and on
+    both scaled by 3/7, until three grain-1 bases had their LLL seed above
+    the minimum, where the walk one grain below the seed finds and counts
+    it; and on an even basis LLL leaves above its minimum, which random
+    draws give too rarely (about one in 700)."""
     shortvec._min_count.cache_clear()
+    assert minimum_against_oracle(GramLattice([[14, 6, 6], [6, 14, -3], [6, -3, 14]])) == (2, True)
     rng = random.Random(109)
-    checked = lowered = 0
-    while lowered < 3:  # until the count reset has run a few times
-        assert checked < 2000, "no basis above the minimum in 2000 lattices"
-        lat = near_reduced_gram(rng, rng.randint(2, 6))
-        g = lat.gram.num.to_lists()
-        bound = min(g[i][i] for i in range(lat.dim))  # attained
-        if grid_box_points(g, bound) > 200_000:
-            continue  # keeps the oracle's scan small
-        oracle = grid_short_vectors(g, bound)
-        m = oracle[0][0]
-        assert minimum(lat) == m
-        assert shell_count(lat, m) == sum(nm == m for nm, _ in oracle)
-        assert shell(lat, m) == tuple(v for nm, v in oracle if nm == m)  # the walk's leaves
-        red, _ = lll_reduce(lat)
-        lowered += min(red.gram.num[i, i] for i in range(lat.dim)) > m
-        checked += 1
+    seen = collections.Counter()
+    while seen[1, True] < 3 or seen[2, False] < 100:
+        drawn = sum(seen.values())
+        assert drawn < 4000, "too few bases above the minimum in 4000 lattices"
+        seen[minimum_against_oracle(near_reduced_gram(rng, rng.randint(2, 6), even=drawn % 4 == 0))] += 1
 
 
 def test_minimum_and_count_share_one_walk(monkeypatch):
-    modes = []
+    """minimum walks once, one grain below the seed, and keeps no vectors;
+    shell_count at the minimum shares that walk only where it found the
+    minimum below the seed, and every shell is a "shell" walk of its own.
+    Walks are listed as (mode, limit in walk units)."""
+    walks = []
     search = shortvec._search_chunk
 
     def counted(payload):
-        modes.append(payload["mode"])
+        walks.append((payload["mode"], payload["limit"]))
         return search(payload)
 
     monkeypatch.setattr(shortvec, "_search_chunk", counted)
     shortvec._min_count.cache_clear()
     shortvec._coset_shell.cache_clear()
+    # E8: seed 2 = grain 2, so no norm lies below the seed and nothing walks
     e8 = root_lattice("E", 8).lattice
-    assert shell_count(e8, minimum(e8)) == 120
-    assert modes == ["mincount"]
-    # the shell at the minimum is the leaves that walk kept, and the S0
-    # slice reads that shell
-    assert len(shell(e8, 2)) == shell_count(e8, 2) == 120
+    assert (shortvec._prep(e8).seed, shortvec._prep(e8).grain) == (2, 2)
+    assert minimum(e8) == 2 and walks == []
+    assert shell_count(e8, 2) == 120 and walks == [("count", 2)]
+    assert len(shell(e8, 2)) == 120 and walks == [("count", 2), ("shell", 2)]
+    # the S0 slice reads the cached shell; norm 1 lies below the minimum
     assert equiangular_via_s0(e8, (0, 0, 0, 0, 0, 0, 1, -1)).t == 28
-    assert shell(e8, 1) == ()  # below the minimum
-    assert modes == ["mincount"]
-    assert shell_count(e8, 4) == 1080
-    assert modes == ["mincount", "count"]
-    # a basis whose least diagonal entry, 11, lies above the minimum 10:
-    # norms up to 10 come from the minimum walk, norm 11 takes its own walk
+    assert shell(e8, 1) == ()
+    assert walks == [("count", 2), ("shell", 2)]
+    # a basis whose least diagonal entry, 11, lies above the minimum 10
+    # (grain 1): the walk at 10 finds and counts the minimum
     lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6], [-1, 2, -6, 11]])
-    assert shortvec._prep(lat).seed == 11
-    modes.clear()
-    assert shell(lat, 9) == () and len(shell(lat, 10)) == shell_count(lat, 10) > 0
-    assert modes == ["mincount"]
-    assert shell(lat, 11) and modes == ["mincount", "shell"]
+    assert (shortvec._prep(lat).seed, shortvec._prep(lat).grain) == (11, 1)
+    walks.clear()
+    assert minimum(lat) == 10 and walks == [("mincount", 10)]
+    assert shell_count(lat, 10) == 1 and walks == [("mincount", 10)]
+    assert shell(lat, 9) == () and walks == [("mincount", 10)]
+    assert len(shell(lat, 10)) == 1 and walks == [("mincount", 10), ("shell", 10)]
 
 
 def test_shell_count_above_the_seed_walks_once(monkeypatch):
@@ -333,6 +365,31 @@ def test_shell_count_zero_cases():
     assert shell_count(A2, QQ(1, 2)) == 0  # unreachable on an integral lattice
     assert shell_count(A2, 1) == 0  # below the minimum
     assert shell_count(GramLattice([]), 2) == 0
+
+
+def test_norms_are_read_exactly():
+    """Every norm and scale goes through exact._rational: ints, Fractions,
+    numpy integers and integral floats are read exactly, a float such as
+    0.3, whose value is 5404319552844595 / 2**54, and a string raise
+    BadParameter.  On the Gram (3/10) the first five calls once read 0.3 as
+    that value and gave (), 0, [], () and None."""
+    lat = GramLattice(RatMatrix(IntMatrix([[3]]), 10))
+    assert shell(lat, QQ(3, 10)) == ((1,),) and shell_count(lat, QQ(3, 10)) == 1
+    calls = (lambda r: shell(lat, r), lambda r: shell_count(lat, r),
+             lambda r: vectors_upto(lat, r), lambda r: coset_shell(lat, (1,), r),
+             lambda r: shortvec.least_vector(lat, r), lat.rescale)
+    for call in calls:
+        with pytest.raises(BadParameter, match=r"pass Fraction\(3, 10\)"):
+            call(0.3)
+        for bad in ("2", None, float("inf"), float("nan"), 1j):
+            with pytest.raises(BadParameter, match="not an exact rational"):
+                call(bad)
+    for same in (QQ(4, 2), np.int64(2), 2.0, np.float32(2)):
+        assert shell(Z2, same) == shell(Z2, 2) == ((1, -1), (1, 1))
+        assert shell_count(Z2, same) == 2 and vectors_upto(Z2, same) == vectors_upto(Z2, 2)
+        assert Z2.rescale(same) == Z2.rescale(2)
+    with pytest.raises(BadParameter, match="positive"):
+        Z2.rescale(0)
 
 
 def test_caches_stay_within_their_bound():
@@ -520,7 +577,7 @@ def test_threaded_minimum_and_count_match_serial(monkeypatch):
         shortvec._min_count.cache_clear()
         shortvec._coset_shell.cache_clear()
         m = minimum(lat)
-        return m, shell_count(lat, m), shell(lat, m)  # the shell from the kept leaves
+        return m, shell_count(lat, m), shell(lat, m)  # the count from the minimum walk
 
     serial = answers()
     assert serial[:2] == (10, 1)
@@ -708,8 +765,8 @@ def ref_walk(payload, visits=None):
     found = ref_search_chunk(dict(payload, g=g, limit=limit, target=limit), visits)
     if payload["mode"] == "le":
         return [(a // scale, v) for a, v in found]
-    if payload["mode"] == "mincount":
-        return found[0] // scale, sorted(found[1])
+    if payload["mode"] == "mincount":  # (best, count): the leaves at best, counted
+        return found[0] // scale, len(found[1])
     return found
 
 
@@ -720,16 +777,12 @@ def number_type(payload):
 
 
 def listed(mode, found):
-    """A walk's result with "shell", "le" and "mincount" leaves as tuples,
-    as ref_search_chunk gives them ("mincount" leaves sorted, as ref_walk
-    gives them)."""
+    """A walk's result with "shell" and "le" leaves as tuples, as
+    ref_search_chunk gives them."""
     if mode == "le":
         return [(r[0], tuple(r[1:])) for r in found.tolist()]
     if mode == "shell":
         return list(map(tuple, found.tolist()))
-    if mode == "mincount":
-        best, chunks = found
-        return best, sorted(v for chunk in chunks for v in map(tuple, chunk.tolist()))
     return found
 
 
@@ -855,12 +908,13 @@ def test_kernel_matches_reference_walk(monkeypatch):
 @pytest.mark.parametrize("budget, batch", [(shortvec._BUDGET, shortvec._BATCH),
                                            (0, shortvec._BATCH), (0, 2)])
 def test_mincount_leaves_match_reference_walk(monkeypatch, budget, batch):
-    """"mincount" keeps the leaves at its running best norm and drops them
-    when a leaf lowers that bound.  On bases whose first leaf lies above the
-    minimum, both kernels, and the dispatch with every walk batched or not,
-    give the reference's sorted leaves, with node counts as check_batched
-    allows; batches of two rows make the batched kernel hold leaves from
-    earlier steps when it drops."""
+    """"mincount" counts the leaves at its running best norm and restarts
+    the count when a leaf lowers that bound.  On bases whose first leaf lies
+    above the minimum, both kernels, and the dispatch with every walk
+    batched or not, give the reference's best and its number of leaves
+    there, with node counts as check_batched allows; batches of two rows
+    make the batched kernel hold counts from earlier steps when it
+    restarts."""
     monkeypatch.setattr(shortvec, "_BUDGET", budget)
     monkeypatch.setattr(shortvec, "_BATCH", batch)
     rng = random.Random(109)
@@ -969,12 +1023,14 @@ def leech_min_payload():
 
 
 def test_batched_kernel_visits_the_leech_minimum_walk():
-    # 1,971,697 nodes below the top level: the count of the reference walk
-    # (test_leech_minimum_walk_matches_reference) and of the Python kernel
+    # "mincount" at the seed 4: 1,971,697 nodes below the top level, the
+    # count of the reference walk (test_leech_minimum_walk_matches_reference)
+    # and of the Python kernel; the walk one grain below it, which alone
+    # proves the minimum, has 14,978 and finds nothing
     payload = leech_min_payload()
-    (best, leaves), nodes = shortvec._batched_walk(payload)
-    assert nodes == 1_971_697
-    assert best == 4 and sum(map(len, leaves)) == 98_280
+    assert shortvec._batched_walk(payload) == ((4, 98_280), 1_971_697)
+    proof = dict(payload, limit=2, tops=shortvec._top_values(payload["delta"], 2, None))
+    assert shortvec._batched_walk(proof) == shortvec._walk(proof) == ((2, 0), 14_978)
 
 
 @pytest.mark.slow
@@ -1067,8 +1123,7 @@ def test_leech_walks_run_in_int32():
     payload = dict(leech_min_payload(), delta=skew.delta, sub=skew.sub,
                    tops=shortvec._top_values(skew.delta, 4, None))
     assert number_type(payload) is np.int32
-    best, leaves = shortvec._batched_walk(payload)[0]
-    assert best == 4 and sum(map(len, leaves)) == 98_280
+    assert shortvec._batched_walk(payload)[0] == (4, 98_280)
 
 
 def test_int32_walks_stop_at_the_proven_bound():
@@ -1142,9 +1197,10 @@ def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
 
 def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
     """The leech-cli walks forecast past _BUDGET and enter the batched
-    kernel alone: the minimum walk and the class shell of x0 at norm 10 in
-    int32, and the relative lattice's vectors_upto, which dividing out the
-    content 2 of its Gram puts in int64 (its bound is 2**53.2)."""
+    kernel alone: the minimum's walk at norm 2, the count of the minimal
+    pairs and the class shell of x0 at norm 10 in int32, and the relative
+    lattice's vectors_upto, which dividing out the content 2 of its Gram
+    puts in int64 (its bound is 2**53.2)."""
     from eqlat.mod2 import relative_lattice
 
     def refuse(payload):
@@ -1167,10 +1223,11 @@ def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
     monkeypatch.setattr(shortvec, "_walk", refuse)
     monkeypatch.setattr(shortvec, "_batched_walk", spy)
     assert minimum(lat) == 4
+    assert shell_count(lat, 4) == 98_280
     assert len(coset_shell(lat, x0, 10)) == 276
     assert len(vectors_upto(relative, 16 - lat.norm(x0))) > 0
     assert [(mode, num) for mode, num, _ in entered] == [
-        ("mincount", np.int32), ("shell", np.int32), ("le", np.int64)]
+        ("mincount", np.int32), ("count", np.int32), ("shell", np.int32), ("le", np.int64)]
     assert all(f > shortvec._BUDGET for *_, f in entered)
 
 
