@@ -10,7 +10,7 @@ command on the same input reproduces the bytes.
 Exit codes: 0 success; 2 input error (bad parameters, malformed file, bad
 vector); 3 structural precondition failure (no base vector of the required
 norm, or a lattice outside the theorem's shape); 4 hypothesis failure (the
-construction ran but the candidate class is empty).
+class shell is empty, or the minimum is odd and it is not equiangular).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     EmptyClass,
     EqlatError,
+    NotEquiangular,
     NotEven,
     NotIntegral,
     NotPositiveDefinite,
@@ -47,9 +48,10 @@ from .shortvec import get_threads, minimum, set_threads, shell, shell_count
 
 OK, USAGE, PRECONDITION, HYPOTHESIS = 0, 2, 3, 4
 
-# structural preconditions of the congruence pipeline, distinct from
-# malformed input: the file parsed but the lattice is the wrong shape
-_STRUCTURAL = (BadParameter, EmptyClass, WrongNormX0, NotEven, NotIntegral)
+# the exit code of each library error a command lets through; any other is a bug
+_EXIT_CODES = {DimensionMismatch: USAGE, ZeroVector: USAGE, NotPrimitive: USAGE,
+               BadParameter: PRECONDITION, EmptyClass: PRECONDITION, WrongNormX0: PRECONDITION,
+               NotEven: PRECONDITION, NotIntegral: PRECONDITION, NotEquiangular: HYPOTHESIS}
 
 
 class _Exit(Exception):
@@ -81,6 +83,16 @@ def _parse_vec(text: str) -> tuple[int, ...]:
         return tuple(int(c) for c in text.split(","))
     except ValueError:
         raise _Exit(USAGE, f"bad vector {text!r}: expected comma-separated integers")
+
+
+def _positive(text: str, what: str) -> Fraction:
+    try:
+        c = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise _Exit(USAGE, f"bad {what} {text!r}")
+    if c <= 0:
+        raise _Exit(USAGE, f"{what} must be positive")
+    return c
 
 
 def _note(args, message: str) -> None:
@@ -213,12 +225,7 @@ def cmd_min(args) -> int:
 
 def cmd_shell(args) -> int:
     lat, _ = load_lattice(args.file)
-    try:
-        r = Fraction(args.norm)
-    except (ValueError, ZeroDivisionError):
-        raise _Exit(USAGE, f"bad norm {args.norm!r}")
-    if r <= 0:
-        raise _Exit(USAGE, "norm must be positive")
+    r = _positive(args.norm, "norm")
     _note(args, f"enumerating the norm-{r} shell of {lat.name}")
     reps = shell(lat, r) if args.vectors else ()  # the count alone stores no shell
     s = len(reps) if args.vectors else shell_count(lat, r)
@@ -274,15 +281,9 @@ def cmd_equi(args) -> int:
     lat, _ = load_lattice(args.file)
     x0 = _parse_vec(args.x0) if args.x0 else None
     _note(args, f"running the congruence pipeline on {lat.name}")
-    try:
-        es = equiangular_direct(lat, x0)
-    except (DimensionMismatch, ZeroVector) as exc:
-        raise _Exit(USAGE, str(exc))
-    except _STRUCTURAL as exc:
-        raise _Exit(PRECONDITION, str(exc))
-    m0 = minimum(lat)
+    es = equiangular_direct(lat, x0)
     source = {"name": lat.name or "?", "dim": lat.dim, "det": lat.det,
-              "minimum": m0, "s": shell_count(lat, m0)}
+              "minimum": es.m, "s": shell_count(lat, es.m)}
     report = {
         "source": source,
         "x0": list(es.x0),
@@ -295,12 +296,7 @@ def cmd_equi(args) -> int:
         report["reason"] = es.reason or (
             f"the class shell at norm {2 * int(es.m) + 2} is empty"
         )
-        if args.json:
-            _print_json(report)
-        else:
-            _print_equi_text(report)
-        return HYPOTHESIS
-    if es.t >= 2:
+    elif es.t >= 2:
         _note(args, f"certifying {es.t} lines")
         cert = certify(es)
         report["spectrum"] = _spectrum_summary(cert)
@@ -308,16 +304,13 @@ def cmd_equi(args) -> int:
         report["certified"] = cert["ok"]
     else:
         report["note"] = "a single line carries no angle; nothing to certify"
-    report["vectors"] = [list(v) for v in es.pairs.reps]
-    if args.json:
-        _print_json(report)
-    else:
-        _print_equi_text(report)
+    if es.t:
+        report["vectors"] = [list(v) for v in es.pairs.reps]
+    (_print_json if args.json else _print_equi_text)(report)
+    if not es.t:
+        return HYPOTHESIS
     if args.emit_relative:
-        try:
-            rel = relative_lattice(lat, es.x0)
-        except _STRUCTURAL as exc:
-            raise _Exit(PRECONDITION, str(exc))
+        rel = relative_lattice(lat, es.x0)
         prov = {"op": "relative", "source": lat.name, "x0": list(es.x0)}
         _write_doc(args, _lattice_doc(rel.induced, f"rel({lat.name})", prov),
                    args.emit_relative, "relative lattice", quiet=True)
@@ -336,18 +329,16 @@ def _print_equi_text(report: dict) -> None:
         return
     if "note" in report:
         print(f"note {report['note']}")
-        for v in report["vectors"]:
-            print(",".join(str(c) for c in v))
-        return
-    spec = report["spectrum"]
-    lo, hi = spec["least"]
-    where = f"least={_frac(lo)}" if lo == hi else f"least_in=[{_frac(lo)},{_frac(hi)}]"
-    word = "pass" if spec["passed"] else "FAIL"
-    print(f"spectrum {where} multiplicity={spec['multiplicity']} certified={word}")
-    b = report["bounds"]
-    print("bounds " + " ".join(_render_bound(k, b[k])
-                               for k in ("absolute", "relative", "neumann")))
-    print(f"vectors {report['t']}")
+    else:
+        spec = report["spectrum"]
+        lo, hi = spec["least"]
+        where = f"least={_frac(lo)}" if lo == hi else f"least_in=[{_frac(lo)},{_frac(hi)}]"
+        word = "pass" if spec["passed"] else "FAIL"
+        print(f"spectrum {where} multiplicity={spec['multiplicity']} certified={word}")
+        b = report["bounds"]
+        print("bounds " + " ".join(_render_bound(k, b[k])
+                                   for k in ("absolute", "relative", "neumann")))
+        print(f"vectors {report['t']}")
     for v in report["vectors"]:
         print(",".join(str(c) for c in v))
 
@@ -355,19 +346,10 @@ def _print_equi_text(report: dict) -> None:
 def cmd_project(args) -> int:
     lat, _ = load_lattice(args.file)
     v = _parse_vec(args.v)
-    try:
-        proj = lat.project_along(v)
-    except (ZeroVector, NotPrimitive, DimensionMismatch) as exc:
-        raise _Exit(USAGE, str(exc))
-    out = proj.lattice
+    out = lat.project_along(v).lattice
     prov = {"op": "project", "source": lat.name, "v": list(v)}
     if args.rescale != "1":
-        try:
-            c = Fraction(args.rescale)
-        except (ValueError, ZeroDivisionError):
-            raise _Exit(USAGE, f"bad rescale factor {args.rescale!r}")
-        if c <= 0:
-            raise _Exit(USAGE, "rescale factor must be positive")
+        c = _positive(args.rescale, "rescale factor")
         out = out.rescale(c)
         prov["rescale"] = c
     name = f"project({lat.name or '?'})"
@@ -377,10 +359,7 @@ def cmd_project(args) -> int:
 def cmd_section(args) -> int:
     lat, _ = load_lattice(args.file)
     w = _parse_vec(args.w)
-    try:
-        sec = lat.orthogonal_section(w)
-    except (ZeroVector, DimensionMismatch) as exc:
-        raise _Exit(USAGE, str(exc))
+    sec = lat.orthogonal_section(w)
     prov = {"op": "section", "source": lat.name, "w": list(w)}
     name = f"section({lat.name or '?'})"
     return _write_doc(args, _lattice_doc(sec.induced, name, prov), args.out,
@@ -468,7 +447,8 @@ exit codes:
   2  input error: bad parameters, malformed or invalid lattice file, bad vector
   3  structural precondition failure: no base vector of norm 2m-2 exists, or
      the lattice is not of the shape the construction needs
-  4  hypothesis failure: the pipeline ran but the candidate class is empty
+  4  hypothesis failure: the pipeline ran but the candidate class is empty,
+     or the minimum is odd and the class shell is not equiangular
 
 vectors on the command line are comma-separated integers in the lattice's
 stored basis; there is no real-coordinate input.
@@ -557,19 +537,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     for flag, fallback in (("json", False), ("threads", 1), ("verbose", False)):
         if not hasattr(args, flag):
             setattr(args, flag, fallback)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return USAGE
     if args.command is None:
         parser.print_help()
         return USAGE
     previous = get_threads()
-    set_threads(args.threads)
     try:
+        if args.threads < 1:
+            raise _Exit(USAGE, "--threads must be at least 1")
+        set_threads(args.threads)
         return args.func(args)
-    except _Exit as exc:
+    except (_Exit, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.code if isinstance(exc, _Exit) else _EXIT_CODES[type(exc)]
     finally:
         set_threads(previous)
 

@@ -27,11 +27,10 @@ from types import MappingProxyType
 from .errors import (
     BadParameter,
     NotEven,
-    NotIntegral,
     VerificationError,
     VNotValid,
 )
-from .exact import IntMatrix, RatMatrix, _int_row, hnf, rank_det, row_rank, solve_left
+from .exact import IntMatrix, RatMatrix, _integer, hnf, rank_det, row_rank, solve_left
 from .fastops import gram_product, imatmul
 from .lattice import GramLattice
 from .mod2 import equiangular_direct
@@ -158,10 +157,7 @@ def root_lattice(family: str, n: int) -> NamedLattice:
     scaled by marks["eps_den"].
     """
     fam = str(family).upper()
-    try:
-        (n,) = _int_row((n,))  # int() alone truncates 4.9 to 4
-    except NotIntegral:
-        raise BadParameter(f"n must be an integer, got {n!r}") from None
+    n = _integer(n)  # int() alone truncates 4.9 to 4
     if fam == "A":
         if n < 1:
             raise BadParameter(f"A_n needs n >= 1, got {n}")

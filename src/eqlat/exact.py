@@ -69,14 +69,26 @@ def _int_row(row: Iterable[int]) -> tuple[int, ...]:
 
 def _rational(v) -> Fraction:
     """v as an exact Fraction; a float only if integral, as 0.3 is 5404319552844595
-    / 2**54.  Any other value, a string included, raises BadParameter."""
+    / 2**54.  Any other value, a string included, raises BadParameter; for a float
+    it names the fraction of least denominator (to a factor 2) that rounds to it."""
     if isinstance(v, numbers.Rational):
         return Fraction(v)
     real = isinstance(v, numbers.Real) and math.isfinite(v)
     if real and v == int(v):
         return Fraction(int(v))
-    hint = f": pass Fraction{Fraction(str(v)).as_integer_ratio()}" if real else ""  # as printed
+    d = 1
+    while real and type(v)(near := Fraction(float(v)).limit_denominator(d)) != v:
+        d *= 2
+    hint = f": pass Fraction{near.as_integer_ratio()}" if real else ""
     raise BadParameter(f"{v!r} is not an exact rational number{hint}")
+
+
+def _integer(v) -> int:
+    """v as an int, read by _rational; a non-integer raises BadParameter."""
+    q = _rational(v)
+    if q.denominator != 1:
+        raise BadParameter(f"{v!r} is not an integer")
+    return int(q)
 
 
 def _as_int_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:

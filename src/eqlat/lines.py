@@ -16,7 +16,7 @@ and root locations are certified by exact Budan-Fourier counts, never by numeric
 
 Bound checks: a family of rank r has t <= r(r+1)/2 unconditionally,
 t <= r(1-alpha^2)/(1-r*alpha^2) when r*alpha^2 < 1, and 1/alpha must be an
-odd integer as soon as t > 2r.
+odd integer as soon as t > 2r; a float alpha such as 1/3 raises (exact._rational).
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from .exact import (
     DEFAULT_ROOT_WIDTH,
     IntMatrix,
     _int_row,
+    _integer,
+    _rational,
     charpoly,
     least_root,
     poly_eval,
@@ -425,6 +427,7 @@ def family_charpoly(fam: LineFamily) -> list[Fraction]:
 
 def absolute_bound(n: int) -> int:
     """n(n+1)/2: the most equiangular lines any rank-n set can have."""
+    n = _integer(n)
     if n < 1:
         raise BadParameter("rank must be positive")
     return n * (n + 1) // 2
@@ -432,7 +435,7 @@ def absolute_bound(n: int) -> int:
 
 def relative_bound(n: int, alpha) -> int:
     """floor of n(1 - alpha^2)/(1 - n*alpha^2); requires n*alpha^2 < 1."""
-    alpha = Fraction(alpha)
+    n, alpha = _integer(n), _rational(alpha)
     if n < 1 or not 0 < alpha < 1:
         raise BadParameter("need n >= 1 and 0 < alpha < 1")
     if n * alpha**2 >= 1:
@@ -446,7 +449,7 @@ def neumann_check(t: int, n: int, alpha) -> bool:
     True when the constraint holds or does not apply (t <= 2n), False when
     t > 2n and 1/alpha is not an odd integer.
     """
-    alpha = Fraction(alpha)
+    t, n, alpha = _integer(t), _integer(n), _rational(alpha)
     if not 0 < alpha < 1:
         raise BadParameter("need 0 < alpha < 1")
     if t <= 2 * n:
@@ -461,6 +464,7 @@ def asymptotic_count(n: int, k: int) -> int:
     For every k >= 2 there is a dimension beyond which no equiangular
     family at angle arccos(1/(2k-1)) beats this count.
     """
+    n, k = _integer(n), _integer(k)
     if k < 2 or n < 1:
         raise BadParameter("need k >= 2 and n >= 1")
     return k * (n - 1) // (k - 1)

@@ -225,15 +225,12 @@ def default_x0(lat: GramLattice) -> Vec:
     """Deterministic base point: the least vector of norm 2m - 2.
 
     Least in the canonical shell order, i.e. shell(lat, 2m - 2)[0], found
-    without building that shell.
+    without building that shell; EmptyClass if there is none (minimum 1).
     """
-    m = minimum(lat)
-    r = 2 * m - 2
-    if r <= 0:
-        raise BadParameter("minimum 1 leaves no nonzero norm 2m - 2")
+    r = 2 * minimum(lat) - 2
     x0 = least_vector(lat, r)
     if x0 is None:
-        raise EmptyClass(f"no vectors of norm {r}")
+        raise EmptyClass(f"no vectors of norm 2m - 2 = {r}")
     return x0
 
 
@@ -244,7 +241,8 @@ class EquiangularSet(LineFamily):
     A LineFamily (pairs, t, rank, c = 2, alpha = 1/(m+1) once t >= 2) that
     also records the base point x0 and the minimum m.  reason is set when a
     hypothesis failed (odd minimum) and the family is therefore expected to
-    be empty; degenerate flags families of fewer than three lines.
+    be empty (NotEquiangular if its class shell is no equiangular family);
+    degenerate flags families of fewer than three lines.
     """
 
     x0: Vec
@@ -274,8 +272,10 @@ def _gate(lat: GramLattice, x0) -> tuple[Fraction, Vec, bool]:
 def _assemble(lat, x0, m, vectors, odd_min) -> EquiangularSet:
     try:
         fam = line_family(lat, vectors)
-    except NotEquiangular as exc:  # the enumeration itself is wrong
-        raise VerificationError(f"class family is not equiangular: {exc}") from exc
+    except NotEquiangular as exc:
+        if odd_min:  # the even-minimum hypothesis fails, and with it the one angle
+            raise NotEquiangular(f"odd minimum {m}: the class shell is not equiangular: {exc}") from exc
+        raise VerificationError(f"class family is not equiangular: {exc}") from exc  # a wrong enumeration
     reps = fam.pairs.reps
     if reps:
         if fam.pairs.norm != 2 * m + 2:
@@ -348,8 +348,6 @@ def relative_lattice(lat: GramLattice, x0: Sequence[int]) -> EmbeddedSublattice:
     All three facts are verified; the embedding into L is returned.
     """
     x0 = lat._check(x0)
-    if not any(x0):
-        raise ZeroVector("x0 must be nonzero")
     m = minimum(lat)
     mp = lat.norm(x0)
     if mp >= 2 * m:

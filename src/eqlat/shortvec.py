@@ -4,8 +4,8 @@ The pipeline is LLL reduction followed by a depth-first enumeration of
 the quadratic form, both in integers on the data of one Bareiss elimination
 of the Gram numerator divided by its content g.  That changes no decision
 and shrinks the k-th leading minor by g**k, so even lattices such as the
-Leech relative lattice walk in int64; a norm whose numerator g does not
-divide has an empty shell and no walk.  LLL keeps the leading minors and
+Leech relative lattice walk in int64; one gate, _target, answers without a
+walk for norms off the grain or below the minimum.  LLL keeps the leading minors and
 scaled Gram-Schmidt coefficients of its current basis, and the walks read
 them from its final state: that fraction-free Cholesky data gives A_k =
 delta_k * (norm over levels >= k), a Gram determinant, as the integer
@@ -601,6 +601,18 @@ def minimum(lat: GramLattice) -> Fraction:
     return _min_count(lat)[0]
 
 
+def _target(lat: GramLattice, r) -> tuple[_Prep, int] | None:
+    """(_prep(lat), r den), the norm r in walk units, or None where no nonzero
+    vector has norm r: r den is no positive multiple of the grain, the lattice
+    is empty, or r lies below the minimum, asked only below the attained seed."""
+    r = _rational(r)
+    prep = _prep(lat)
+    t = r * prep.den
+    if t <= 0 or t % prep.grain or not prep.n or t < prep.seed and r < minimum(lat):
+        return None
+    return prep, int(t)
+
+
 def least_vector(lat: GramLattice, r) -> Vec | None:
     """shell(lat, r)[0] without building the shell, or None if it is empty.
 
@@ -608,13 +620,14 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
     least 0 while that prefix w is 0), found by one "first" walk whose basis
     is, from the top level down, w held at 1 (left out while 0), e_i with
     ascending values, and an LLL basis of span(e_{i+1}, ..), whose Gram is a
-    trailing block of G.  So at most dim walks, each one path deep.
+    trailing block of G.  So at most dim walks, each one path deep, and
+    none where _target rules r out.
     """
-    n = lat.dim
-    t = _rational(r) * lat.gram.den
-    if not n or t.denominator != 1 or t <= 0:
+    gate = _target(lat, r)
+    if gate is None:
         return None
-    num = lat.gram.num.rows
+    n, t = lat.dim, gate[1]
+    num = _primitive(lat.gram.num.rows)[0].rows  # t is a norm of this Gram
     x: list[int] = []
     for i in range(n):
         u = _lll(IntMatrix([row[i + 1:] for row in num[i + 1:]]))[0]
@@ -624,7 +637,7 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
         if lifted:
             rows.append(x + [0] * (n - i))
         gram, g = _primitive(gram_product(rows, num))
-        q, rest = divmod(int(t), g)  # every norm in the span of rows is a multiple of g
+        q, rest = divmod(t, g)  # every norm in the span of rows is a multiple of g
         delta, sub = leading_minors(gram)
         found = not rest and _walk({
             "n": len(rows), "delta": delta, "sub": sub, "parity": None, "mode": "first",
@@ -640,14 +653,13 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
 def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None, r: Fraction) -> np.ndarray:
     """The norm-r shell, of the class parity mod 2L unless None, as _canonical
     rows, read-only as callers share it: one "shell" walk at r, or empty
-    where r den is no positive integer or, without a class, r < minimum."""
-    prep = _prep(lat)
-    target = r * prep.den
-    rows = np.zeros((0, prep.n), np.int8)
-    if (target.denominator == 1 and target > 0 and prep.n
-            and (parity is not None or target >= prep.seed or r >= minimum(lat))):
+    without a walk where _target rules r out."""
+    gate = _target(lat, r)
+    rows = np.zeros((0, lat.dim), np.int8)
+    if gate:
+        prep, t = gate
         pr = None if parity is None else _parity_reduced(prep, parity)
-        rows, _ = _canonical(imatmul_array(_run(prep, "shell", int(target), pr), prep.u.rows))
+        rows, _ = _canonical(imatmul_array(_run(prep, "shell", t, pr), prep.u.rows))
     rows.flags.writeable = False
     return rows
 
@@ -667,28 +679,26 @@ def shell(lat: GramLattice, r) -> tuple[Vec, ...]:
 
 
 def shell_count(lat: GramLattice, r) -> int:
-    """Number of +-pairs of norm exactly r, without storing vectors: the
-    minimum's count where its walk made one, else one "count" walk."""
-    r = _rational(r)
-    prep = _prep(lat)
-    target = r * prep.den
-    if target.denominator != 1 or target <= 0 or not prep.n:
+    """Number of +-pairs of norm exactly r, storing no vectors: 0 where _target
+    rules r out, the minimum's count where its walk made one, else a "count" walk."""
+    gate = _target(lat, r)
+    if gate is None:
         return 0
-    if target <= prep.seed:  # up to the seed the minimum decides
+    prep, t = gate
+    if t < prep.seed:  # past the gate, so the minimum's walk counted the pairs at m
         m, count = _min_count(lat)
-        if r < m:
-            return 0
-        if r == m and count is not None:
+        if t == m * prep.den:
             return count
-    return _run(prep, "count", int(target), None)
+    return _run(prep, "count", t, None)
 
 
 def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
-    """Sorted (norm, representative) for all +-pairs with 0 < norm <= r."""
+    """Sorted (norm, representative) for all +-pairs with 0 < norm <= r, from
+    one "le" walk at the largest multiple of the grain at or below r den."""
     prep = _prep(lat)
     if not prep.n:
         return []
-    found = _run(prep, "le", math.floor(_rational(r) * prep.den), None)
+    found = _run(prep, "le", math.floor(_rational(r) * prep.den / prep.grain) * prep.grain, None)
     rows, norms = _canonical(imatmul_array(found[:, 1:], prep.u.rows), found[:, 0])
     return [(Fraction(a, prep.den), v) for a, v in zip(norms.tolist(), _tuples(rows))]
 

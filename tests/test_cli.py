@@ -266,6 +266,21 @@ def test_equi_exit_4_when_class_is_empty(capsys, tmp_path):
     assert "empty" in doc["reason"]
 
 
+def test_equi_exit_4_when_an_odd_minimum_leaves_no_angle(capsys, tmp_path):
+    """P5 (minimum 3) and E8 projected along e1 and doubled (minimum 3) have
+    class shells at 2m + 2 = 8 with orthogonal lines: a failed hypothesis,
+    exit 4 with the reason on stderr, not a self-check's traceback."""
+    p5 = tmp_path / "p5.json"
+    run(capsys, "make", "--family", "P", "--dim", "5", "--out", str(p5))
+    projected = tmp_path / "e8p.json"
+    run(capsys, "project", e8_file(capsys, tmp_path), "--v", "1,0,0,0,0,0,0,0",
+        "--rescale", "2", "--out", str(projected))
+    for path in (p5, projected):
+        rc, out, err = run(capsys, "equi", str(path))
+        assert (rc, out) == (4, "")
+        assert err.startswith("error: odd minimum 3: the class shell is not equiangular")
+
+
 def test_equi_x0_errors(capsys, tmp_path):
     path = e8_file(capsys, tmp_path)
     rc, _, err = run(capsys, "equi", path, "--x0", "2,0,0,0,0,0,0,0")  # norm 8

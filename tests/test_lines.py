@@ -5,6 +5,7 @@ import importlib.util
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,19 @@ def test_integer_roots_scan_is_bounded():
     assert lines._integer_roots(poly_linear_power(3, 2), 10) is None  # repeated root
 
 
+def test_minpoly_route_with_three_eigenvalues():
+    """Three disjoint copies of K_22, -1 within a block and +1 across: S = J
+    - 2B + I for B the block sums, so 23 on the all-ones vector, -43 on the
+    other block indicators and 1 off them.  Three roots make the trace
+    equations take S^2 from a product, which two eigenvalues never need."""
+    block = [i // 22 for i in range(66)]
+    rows = [[0 if i == j else 1 - 2 * (block[i] == block[j]) for j in range(66)] for i in range(66)]
+    spectrum = reduce(poly_mul, (poly_linear_power(1, 63), poly_linear_power(23, 1),
+                                 poly_linear_power(-43, 2)))
+    assert lines._charpoly_via_minpoly(rows) == spectrum
+    assert seidel_charpoly(SeidelMatrix(rows)) == spectrum
+
+
 def test_minpoly_route_gives_up_on_cliques_in_bounded_time():
     # 16 cliques of sizes 1..16: degree-17 minimal polynomial whose constant
     # term has 61 bits and whose roots are not all integers
@@ -516,6 +530,25 @@ def test_neumann_check():
     # t <= 2n: nothing to check, even though 1/alpha is even
     assert neumann_check(10, 6, Fraction(1, 4))
     assert not neumann_check(13, 6, Fraction(1, 4))
+
+
+def test_bounds_read_their_arguments_exactly():
+    """A float alpha is read exactly or refused: 1/3 as a float lies below
+    1/3 and once gave relative_bound 27 and a failed parity test; a rank or
+    count must be an integer, and 2.5 once gave absolute_bound 4.0."""
+    for call in (lambda a: relative_bound(7, a), lambda a: neumann_check(28, 7, a)):
+        with pytest.raises(BadParameter, match=r"pass Fraction\(1, 3\)"):
+            call(1 / 3)
+        with pytest.raises(BadParameter, match="not an exact rational"):
+            call("x")
+    for call in (lambda: absolute_bound(2.5), lambda: absolute_bound(Fraction(5, 2)),
+                 lambda: relative_bound(Fraction(7, 2), Fraction(1, 3)),
+                 lambda: neumann_check(28.5, 7, Fraction(1, 3)),
+                 lambda: asymptotic_count(16, "2")):
+        with pytest.raises(BadParameter):
+            call()
+    assert absolute_bound(7.0) == 28 and relative_bound(np.int64(7), Fraction(1, 3)) == 28
+    assert neumann_check(28, 7.0, Fraction(1, 3)) and asymptotic_count(16.0, 2) == 30
 
 
 def test_asymptotic_count():

@@ -1080,24 +1080,61 @@ def test_content_is_divided_out_of_the_walk():
     assert shortvec.least_vector(big, 2**42) == shortvec.least_vector(d5, 4)
 
 
+def refuse(payload):
+    raise AssertionError("walked")
+
+
 def test_odd_targets_on_an_even_lattice_walk_nothing(monkeypatch):
     """On a Gram numerator of content 2 every norm is an even multiple of
-    1 / den: a target that is not gives empty shell, shell_count,
-    coset_shell and least_vector results without a walk."""
-    def refuse(payload):
-        raise AssertionError("walked")
-
-    even = GramLattice([[2 * a for a in row] for row in root_lattice("E", 8).lattice.gram.num.rows])
+    1 / den, and on E8 and Leech (content 1, grain 2, den 1) every norm is
+    even, above the seed too: a target that is not gives empty shell,
+    shell_count, coset_shell and least_vector results without a walk."""
+    e8, lech = root_lattice("E", 8).lattice, leech().lattice
+    even = GramLattice([[2 * a for a in row] for row in e8.gram.num.rows])
     skew = A2.rescale(QQ(2, 3))  # (4 2; 2 4) / 3: norms are multiples of 2/3
+    assert [shortvec._prep(lat).grain for lat in (e8, lech)] == [2, 2]
     monkeypatch.setattr(shortvec, "_search_chunk", refuse)
     monkeypatch.setattr(shortvec, "_walk", refuse)  # least_vector's kernel
-    for lat, r in ((even, 3), (even, 5), (skew, 1), (skew, QQ(5, 3))):
+    for lat, r in ((even, 3), (even, 5), (skew, 1), (skew, QQ(5, 3)),
+                   (e8, 3), (e8, 101), (lech, 5), (lech, 7)):
         shortvec._coset_shell.cache_clear()
         assert shell(lat, r) == () and shell_count(lat, r) == 0
         assert coset_shell(lat, (1,) + (0,) * (lat.dim - 1), r) == ()
         assert shortvec.least_vector(lat, r) is None
     monkeypatch.undo()
     assert shell_count(even, 4) == 120 and len(shell(skew, QQ(4, 3))) == 3
+
+
+def test_norms_below_the_minimum_walk_nothing(monkeypatch):
+    """least_vector below the minimum answers None without a walk: at 3 on
+    Leech, and at 2 once the minimum is known, as _target asks the minimum
+    only below the seed (4) and reads it from the cache."""
+    lech = leech().lattice
+    assert minimum(lech) == 4
+    monkeypatch.setattr(shortvec, "_search_chunk", refuse)
+    monkeypatch.setattr(shortvec, "_walk", refuse)
+    assert shortvec.least_vector(lech, 3) is None and shortvec.least_vector(lech, 2) is None
+    assert shell_count(lech, 2) == 0 and shell(lech, 2) == ()
+
+
+def test_vectors_upto_walks_at_a_multiple_of_the_grain(monkeypatch):
+    """vectors_upto(E8, 3) walks "le" at 2, the largest even norm up to 3,
+    and lists the 120 roots as at 2; at 1, below the grain, the walk is at
+    0 and lists nothing."""
+    e8 = root_lattice("E", 8).lattice
+    walks = []
+    search = shortvec._search_chunk
+
+    def counted(payload):
+        walks.append((payload["mode"], payload["limit"]))
+        return search(payload)
+
+    monkeypatch.setattr(shortvec, "_search_chunk", counted)
+    upto = vectors_upto(e8, 3)
+    assert walks == [("le", 2)]
+    assert upto == vectors_upto(e8, 2) == [(QQ(2), v) for v in shell(e8, 2)]
+    assert vectors_upto(e8, QQ(7, 2)) == upto and vectors_upto(e8, 1) == []
+    assert walks[-2:] == [("le", 2), ("le", 0)]
 
 
 def test_leech_walks_run_in_int32():
