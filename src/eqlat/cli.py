@@ -44,7 +44,7 @@ from .exact import IntMatrix, RatMatrix
 from .lattice import GramLattice
 from .lines import KNOWN_MAX_LINES, LATTICE_LINES_KNOWN, certify
 from .mod2 import equiangular_direct, relative_lattice
-from .shortvec import get_threads, minimum, set_threads, shell, shell_count
+from .shortvec import minimum, shell, shell_count
 
 OK, USAGE, PRECONDITION, HYPOTHESIS = 0, 2, 3, 4
 
@@ -105,6 +105,8 @@ def _note(args, message: str) -> None:
 
 
 def _lattice_doc(lat: GramLattice, name: str, provenance: dict | None = None) -> dict:
+    if not lat.dim:  # load_lattice rejects dim 0
+        raise _Exit(PRECONDITION, f"{name} has dimension 0: no lattice file can hold it")
     doc = {
         "name": name,
         "dim": lat.dim,
@@ -452,16 +454,15 @@ exit codes:
 
 vectors on the command line are comma-separated integers in the lattice's
 stored basis; there is no real-coordinate input.
+
+an enumeration walk forecast past 10,000,000 nodes is split across the CPUs
+the process may use (taskset limits them); any other walk runs serially.
 """
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON (sorted keys) instead of text")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        default=argparse.SUPPRESS,
-                        help="worker processes for the enumeration walks"
-                             " forecast past 600,000 nodes (default 1)")
     parser.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
                         help="progress notes on stderr")
 
@@ -534,23 +535,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, fallback in (("json", False), ("threads", 1), ("verbose", False)):
+    for flag, fallback in (("json", False), ("verbose", False)):
         if not hasattr(args, flag):
             setattr(args, flag, fallback)
     if args.command is None:
         parser.print_help()
         return USAGE
-    previous = get_threads()
     try:
-        if args.threads < 1:
-            raise _Exit(USAGE, "--threads must be at least 1")
-        set_threads(args.threads)
         return args.func(args)
     except (_Exit, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, _Exit) else _EXIT_CODES[type(exc)]
-    finally:
-        set_threads(previous)
 
 
 if __name__ == "__main__":

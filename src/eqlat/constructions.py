@@ -219,6 +219,7 @@ def root_equiangular_table(n_max: int) -> list[tuple[str, int, int, int]]:
     rank).  The classical values (t = r for A, t = 2r - 2 for D, t = 10,
     16, 28 for E_6, E_7, E_8) are asserted, not just reported.
     """
+    n_max = _integer(n_max)
     if n_max < 4:
         raise BadParameter(f"table starts at n = 4, got n_max = {n_max}")
     rows = []
@@ -255,6 +256,7 @@ def dn_projection_gram(n: int) -> NamedLattice:
     eps_1 - eps_{n+1} as a basis, and double the form.  Minimum 3 is always
     verified, and the pair count 2(n-1) for n >= 3.
     """
+    n = _integer(n)
     if n < 2:
         raise BadParameter(f"needs n >= 2, got {n}")
     rows = [[3 if i == j else (-1 if i + j == 1 else 1) for j in range(n)]
@@ -523,6 +525,7 @@ def min3_classification_scan(n: int) -> dict:
     rank of their span; for n outside 5, 6, 7 the best full-rank count is
     asserted to be 2(n-1).
     """
+    n = _integer(n)
     if not 3 <= n <= 9:
         raise BadParameter(f"scan covers 3 <= n <= 9, got {n}")
     rows = []
@@ -570,6 +573,7 @@ def all_ones_exception_gram(m: int, n: int) -> NamedLattice:
     marks report the enumerated minimum and pair count (the diagonal sits
     below the nominal minimum m, so expect minimum m - 1).
     """
+    m, n = _integer(m), _integer(n)
     if n < 2:
         raise BadParameter(f"needs n >= 2, got {n}")
     if m < 3 or m % 2 == 0:
@@ -603,6 +607,7 @@ def section_search(lat, budget: int, depth: int = 1) -> list[dict]:
     Returns [] when budget <= 0.
     """
     cur = _base(lat)
+    budget, depth = _integer(budget), _integer(depth)
     if budget <= 0:
         return []
     out = []

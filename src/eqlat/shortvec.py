@@ -31,6 +31,12 @@ and the sort, and is cached as it is: only shell and coset_shell make
 tuples of it.  A walk one grain below LLL's least diagonal entry proves
 the minimum and keeps no vectors: every shell is walked for itself.
 
+No option sets the number of processes.  A walk forecast past _SPLIT nodes
+(five times the Leech norm-4 count's) is split by its top-level
+values across the CPUs the process may run on, unless it is a "mincount"
+walk, or the process may run on one CPU only or is a daemon (_run); the
+split changes no result.
+
 Walks run in LLL bases, so their cost does not depend on how the input
 is written.  least_vector answers in the input basis with one walk per
 coordinate: the prefix found so far (held at 1) and the next unit vector
@@ -60,8 +66,6 @@ from .fastops import _SAFE, _max_abs, gram_product, imatmul, imatmul_array, int_
 from .lattice import GramLattice, Vec
 
 __all__ = [
-    "set_threads",
-    "get_threads",
     "lll_reduce",
     "minimum",
     "least_vector",
@@ -72,25 +76,6 @@ __all__ = [
     "coset_minimum",
     "PairSet",
 ]
-
-_THREADS = 1
-
-
-def set_threads(n: int) -> None:
-    """Worker processes for top-level enumeration splitting, at most one
-    per core, for walks forecast past _SPLIT nodes; 1 = serial."""
-    global _THREADS
-    if isinstance(n, bool):
-        raise TypeError("thread count must be an integer, not a bool")
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("thread count must be >= 1")
-    _THREADS = n
-
-
-def get_threads() -> int:
-    return _THREADS
-
 
 # ---------------------------------------------------------------------------
 # LLL on the Gram matrix
@@ -195,14 +180,20 @@ def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
 
 
 # Forecast nodes past which a walk is batched, partial vectors per numpy step
-# of the batched kernel, and forecast nodes past which set_threads splits a
-# walk across processes: on two cores, root lattice count walks forecast at
-# 385,000 to 575,000 nodes took 0.8 to 1.4 times as long with two workers as
-# with one, and each one from 610,000 up 0.67 to 0.98 times (D12's norm-10
-# count, 739,000, 0.72)
+# of the batched kernel, and forecast nodes past which _run splits a walk
+# across processes.  Fresh `eqlat shell --norm r` processes on two cores, two
+# workers against one, were faster in k of 10 alternating pairs (medians):
+#   Leech r=4 (forecast 1.91e6)  7   0.45 -> 0.39 s
+#   E8 r=36   (4.6e6)            4   0.38 -> 0.40 s
+#   D16 r=8   (3.0e6)            8   0.56 -> 0.48 s
+#   E8 r=40   (6.9e6)            9   0.47 -> 0.39 s
+#   E8 r=50   (1.63e7)           9   0.69 -> 0.53 s
+#   D16 r=10  (1.54e7)          10   1.61 -> 1.04 s
+# The forecast orders these walks loosely, so the split starts twice above
+# the largest that lost, and above every walk of the benchmark's workloads.
 _BUDGET = 4096
 _BATCH = 2048
-_SPLIT = 600_000
+_SPLIT = 10_000_000
 
 
 def _search_chunk(payload: dict) -> object:
@@ -518,23 +509,31 @@ def _top_values(delta: list[int], limit: int, parity) -> list[int]:
 
 
 def _run(prep: _Prep, mode: str, limit: int, parity) -> object:
+    """The walk's result, split across min(top-level values, CPUs) worker
+    processes, each taking every workers-th top-level value, when all hold:
+    its _forecast passes _SPLIT; it is no "mincount" walk, whose forecast is
+    taken at a bound the walk lowers, and whose workers would each lower
+    their own; the process may run on more than one CPU (its affinity mask
+    where the platform has one, so taskset limits it, else os.cpu_count());
+    and it is no daemon, which may start no children (a multiprocessing.Pool
+    worker).  Else it walks in this process."""
     tops = _top_values(prep.delta, limit, parity) if prep.n else []
     payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": parity,
-               "mode": mode, "limit": limit}
-    workers = min(_THREADS, len(tops), os.cpu_count() or 1)
-    if workers <= 1 or _forecast(payload) <= _SPLIT:
-        return _search_chunk(dict(payload, tops=tops))
-    from concurrent.futures import ProcessPoolExecutor  # only a split walk pays its import
+               "mode": mode, "limit": limit, "tops": tops}
+    workers = 1
+    if mode != "mincount" and _forecast(payload) > _SPLIT:
+        import multiprocessing  # only a walk past _SPLIT pays this import
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = 1 if multiprocessing.current_process().daemon else min(len(tops), cpus)
+    if workers <= 1:
+        return _search_chunk(payload)
+    from concurrent.futures import ProcessPoolExecutor
 
     jobs = [dict(payload, tops=tops[i::workers]) for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_search_chunk, jobs))
-    if mode == "count":
-        return sum(results)
-    if mode == "mincount":
-        best = min(b for b, _ in results)
-        return best, sum(c for b, c in results if b == best)
-    return np.concatenate(results)
+    return sum(results) if mode == "count" else np.concatenate(results)
 
 
 # ---------------------------------------------------------------------------

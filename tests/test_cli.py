@@ -1,6 +1,7 @@
 """End-to-end command tests: files, exit codes, determinism, schemas."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 from importlib.resources import files
 from pathlib import Path
 
@@ -338,6 +339,18 @@ def test_section_rejects_zero(capsys, tmp_path):
     assert run(capsys, "section", path, "--w", "0,0,0,0,0,0,0,0")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [("project", "--v"), ("section", "--w")])
+def test_a_section_of_dimension_0_writes_no_file(capsys, tmp_path, argv):
+    # exited 0 and wrote "dim": 0, which load_lattice rejects
+    path = write_doc(tmp_path, "line.json", name="line", dim=1, den=1, gram=[[2]])
+    out = tmp_path / "out.json"
+    for extra in ((), ("--out", str(out))):
+        rc, stdout, err = run(capsys, argv[0], path, argv[1], "1", *extra)
+        assert (rc, stdout) == (3, "")
+        assert "dimension 0" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [("project", "--v"), ("section", "--w"), ("equi", "--x0")])
 def test_vectors_of_the_wrong_length_exit_2(capsys, tmp_path, argv):
     path = e8_file(capsys, tmp_path)
@@ -433,25 +446,26 @@ def test_report_table(capsys):
 # -- global flags ------------------------------------------------------------
 
 
-def test_threads_flag(capsys, tmp_path, monkeypatch):
-    path = write_doc(tmp_path, "a2.json", **A2)
-    assert run(capsys, "min", path, "--threads", "2")[0] == 0
-    assert run(capsys, "--threads", "0", "min", path)[0] == 2
-    seen = []
-    walk = shortvec._run
+def test_walks_split_across_processes_print_the_same_bytes(capsys, monkeypatch):
+    """With _SPLIT 0 every walk but "mincount" with two top-level values or
+    more is split across the process's CPUs; the output stays the golden
+    bytes."""
+    pools = []
 
-    def recorded(*args):
-        seen.append(shortvec.get_threads())
-        return walk(*args)
+    class Recorded(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(shortvec, "_run", recorded)
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)
+    monkeypatch.setattr(shortvec.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorded)
     shortvec._min_count.cache_clear()
     shortvec._coset_shell.cache_clear()
-    rc, out, _ = run(capsys, "equi", str(GOLDEN / "e8.json"), "--json", "--threads", "2")
+    rc, out, _ = run(capsys, "equi", str(GOLDEN / "e8.json"), "--json")
     assert rc == 0
     assert out.encode() == (GOLDEN / "equi_e8.stdout").read_bytes()
-    assert seen and set(seen) == {2}
-    assert shortvec.get_threads() == 1  # the command leaves the library as it was
+    assert pools and set(pools) == {2}
 
 
 def test_verbose_goes_to_stderr(capsys, tmp_path):

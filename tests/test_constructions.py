@@ -98,6 +98,20 @@ def test_root_lattice_rejects():
     assert standard_x0("D", 5.0) == standard_x0("D", np.int64(5)) == (0, 1, 0, 0, 0)
 
 
+def test_integer_parameters_reject_non_integers():
+    # each raised a bare TypeError, min3_classification_scan VerificationError
+    e8 = root_lattice("E", 8).lattice
+    for call in (lambda: dn_projection_gram(2.5), lambda: all_ones_exception_gram(3, 2.5),
+                 lambda: all_ones_exception_gram(3.5, 2), lambda: root_equiangular_table(4.5),
+                 lambda: section_search(e8, 2.5, 1), lambda: section_search(e8, 2, 1.5),
+                 lambda: min3_classification_scan(4.5), lambda: dn_projection_gram("3")):
+        with pytest.raises(BadParameter):
+            call()
+    assert dn_projection_gram(4.0).lattice == dn_projection_gram(np.int64(4)).lattice
+    assert all_ones_exception_gram(3.0, np.int64(3)).marks == all_ones_exception_gram(3, 3).marks
+    assert [e["s"] for e in section_search(e8, 2.0, np.int64(1))] == [120, 63]
+
+
 def test_standard_x0_norm_and_position():
     assert standard_x0("A", 4) == (1, 0, 0, 0)
     assert standard_x0("D", 5) == (0, 1, 0, 0, 0)

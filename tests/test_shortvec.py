@@ -3,7 +3,9 @@
 import collections
 import contextlib
 import math
+import multiprocessing
 import random
+import types
 from fractions import Fraction as QQ
 
 import numpy as np
@@ -34,10 +36,8 @@ from eqlat.shortvec import (
     PairSet,
     coset_minimum,
     coset_shell,
-    get_threads,
     lll_reduce,
     minimum,
-    set_threads,
     shell,
     shell_count,
     vectors_upto,
@@ -542,11 +542,15 @@ def test_coset_rejects_zero_class():
         coset_minimum(Z2, (2, 2))
 
 
-# -- threading ----------------------------------------------------------------
+# -- splitting walks across processes ------------------------------------------
+
+
+def allow_cpus(monkeypatch, n):
+    """The process may run on n CPUs, as _run reads it."""
+    monkeypatch.setattr(shortvec.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def test_threaded_matches_serial(monkeypatch):
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)  # split these small walks
     lat = GramLattice(
         [[4, 1, 0, -1, 2], [1, 5, 1, 0, -1], [0, 1, 6, 1, 0],
          [-1, 0, 1, 5, 1], [2, -1, 0, 1, 6]]
@@ -554,22 +558,19 @@ def test_threaded_matches_serial(monkeypatch):
     serial_min = minimum(lat)
     serial_shell = shell(lat, serial_min + 2)
     serial_count = shell_count(lat, serial_min + 2)
-    set_threads(2)
-    try:
-        assert get_threads() == 2
-        shortvec._min_count.cache_clear()
-        shortvec._coset_shell.cache_clear()
-        assert minimum(lat) == serial_min
-        assert shell(lat, serial_min + 2) == serial_shell
-        assert shell_count(lat, serial_min + 2) == serial_count
-    finally:
-        set_threads(1)
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)  # split these small walks
+    allow_cpus(monkeypatch, 2)
+    shortvec._min_count.cache_clear()
+    shortvec._coset_shell.cache_clear()
+    assert minimum(lat) == serial_min
+    assert shell(lat, serial_min + 2) == serial_shell
+    assert shell_count(lat, serial_min + 2) == serial_count
 
 
 def test_threaded_minimum_and_count_match_serial(monkeypatch):
     # LLL leaves this basis alone; its diagonal minimum 11 sits above the
-    # minimum 10, and the two top-level values split across two workers
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)
+    # minimum 10, whose "mincount" walk stays in this process, and the shell
+    # walk's two top-level values split across two workers
     lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
                        [-1, 2, -6, 11]])
 
@@ -581,22 +582,9 @@ def test_threaded_minimum_and_count_match_serial(monkeypatch):
 
     serial = answers()
     assert serial[:2] == (10, 1)
-    set_threads(2)
-    try:
-        assert answers() == serial
-    finally:
-        set_threads(1)
-
-
-def test_set_threads_rejects_non_integers():
-    for bad in (2.5, True, False, "2", None):
-        with pytest.raises(TypeError):
-            set_threads(bad)
-    with pytest.raises(ValueError):
-        set_threads(0)
-    assert get_threads() == 1
-    set_threads(np.int64(1))  # any integer type that supports __index__
-    assert get_threads() == 1
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)
+    allow_cpus(monkeypatch, 2)
+    assert answers() == serial
 
 
 # -- PairSet -------------------------------------------------------------------
@@ -1397,13 +1385,12 @@ class SerialPool:
 
 
 def test_workers_never_exceed_the_cores(monkeypatch):
-    """--threads 5000 on a walk with 1,001 top-level values starts one
-    worker per core, not one per value; the pool here maps serially."""
+    """A walk with 1,001 top-level values on 3 CPUs starts one worker per
+    CPU, not one per value; the pool here maps serially."""
     pools = []
     monkeypatch.setattr(SerialPool, "made", pools)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(shortvec.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(shortvec, "_THREADS", 5000)
+    allow_cpus(monkeypatch, 3)
     monkeypatch.setattr(shortvec, "_SPLIT", 0)  # the walks forecast 1,000 nodes
     line = GramLattice([[1]])
     shortvec._coset_shell.cache_clear()
@@ -1414,16 +1401,16 @@ def test_workers_never_exceed_the_cores(monkeypatch):
 
 
 def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch):
-    """With two workers allowed, a walk whose forecast is at most _SPLIT
-    runs in this process and one past it starts a pool, with the same
-    count: E8's norm-8 count walk against _SPLIT just above and just below
-    its forecast, and at the default, which D12's norm-10 count, the least
-    walk measured to gain from two workers, and the Leech minimum walk pass."""
+    """On two CPUs, a walk whose forecast is at most _SPLIT runs in this
+    process and one past it starts a pool, with the same count: E8's
+    norm-8 count walk against _SPLIT just above and just below its
+    forecast.  At the default, the Leech norm-4 walk, the largest of any
+    benchmark workload, stays below it, and D16's norm-10 count, measured
+    to gain from two workers in fresh processes, passes it."""
     pools = []
     monkeypatch.setattr(SerialPool, "made", pools)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(shortvec.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(shortvec, "_THREADS", 2)
+    allow_cpus(monkeypatch, 2)
     prep = shortvec._prep(root_lattice("E", 8).lattice)
     forecast = shortvec._forecast({"n": prep.n, "delta": prep.delta, "limit": 8, "parity": None})
     for split, made in ((math.ceil(forecast), []), (math.floor(forecast), [[2, 2]])):
@@ -1432,6 +1419,30 @@ def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch):
         assert shortvec._run(prep, "count", 8, None) == 8760
         assert pools == made
     monkeypatch.undo()
-    d12 = shortvec._prep(root_lattice("D", 12).lattice)
-    d12_forecast = shortvec._forecast({"n": d12.n, "delta": d12.delta, "limit": 10, "parity": None})
-    assert shortvec._forecast(leech_min_payload()) > d12_forecast > shortvec._SPLIT > forecast
+    d16 = shortvec._prep(root_lattice("D", 16).lattice)
+    d16_forecast = shortvec._forecast({"n": d16.n, "delta": d16.delta, "limit": 10, "parity": None})
+    assert shortvec._forecast(leech_min_payload()) < shortvec._SPLIT < d16_forecast
+
+
+def test_no_pool_for_mincount_in_a_daemon_or_on_one_cpu(monkeypatch):
+    """Past _SPLIT, each of these walks in this process: a "mincount" walk,
+    whose workers could not share the bound it lowers (split on two CPUs,
+    coset_minimum(Leech, x0 mod 2) took about twice as long); any walk of a
+    daemonic process, which may start no children (a multiprocessing.Pool
+    worker raises AssertionError when it tries); and any walk of a process
+    on one CPU, which gains nothing from a second worker."""
+    pools = []
+    monkeypatch.setattr(SerialPool, "made", pools)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)
+    prep = shortvec._prep(root_lattice("E", 8).lattice)
+    allow_cpus(monkeypatch, 1)
+    assert shortvec._run(prep, "count", 8, None) == 8760
+    allow_cpus(monkeypatch, 2)
+    assert shortvec._run(prep, "mincount", 8, None) == (2, 120)
+    monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
+    assert shortvec._run(prep, "count", 8, None) == 8760
+    assert pools == []
+    monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=False))
+    assert shortvec._run(prep, "count", 8, None) == 8760
+    assert pools == [[2, 2]]
