@@ -84,7 +84,9 @@ def _rational(v) -> Fraction:
 
 
 def _integer(v) -> int:
-    """v as an int, read by _rational; a non-integer raises BadParameter."""
+    """v as an int, read by _rational; a non-integer, a float too, raises BadParameter."""
+    if isinstance(v, float | np.floating) and v % 1:  # no Fraction hint: 2.5 is no integer
+        raise BadParameter(f"{v!r} is not an integer")
     q = _rational(v)
     if q.denominator != 1:
         raise BadParameter(f"{v!r} is not an integer")
@@ -605,8 +607,8 @@ def squarefree_part(p: Sequence) -> list[int]:
 
 def root_multiplicity(p: Sequence, r: Fraction | int) -> int:
     """Multiplicity of r as a root of p (0 when p(r) != 0): the number of
-    derivatives of p that vanish at r, read off one Taylor shift."""
-    r = Fraction(r)
+    derivatives of p that vanish at r, read off one Taylor shift; r read by _rational."""
+    r = _rational(r)
     c = _taylor_shift(_to_primitive_int(p), r.numerator, r.denominator)
     return next((j for j, v in enumerate(c) if v), 0)
 
@@ -657,8 +659,8 @@ def _sign_at(q: Sequence[int], a: int, b: int) -> int:
 def roots_above(p: Sequence, x: Fraction | int) -> int:
     """Roots of p above x, with multiplicity, when every root of p is real:
     then the Budan-Fourier count, the sign changes of p(x), p'(x), ...,
-    p^(n)(x) with zeros dropped, is exact."""
-    x = Fraction(x)
+    p^(n)(x) with zeros dropped, is exact; x is read by _rational."""
+    x = _rational(x)
     return _sign_changes(_taylor_shift(_to_primitive_int(p), x.numerator, x.denominator))
 
 
@@ -675,7 +677,11 @@ def least_root(p: Sequence, width: Fraction = DEFAULT_ROOT_WIDTH) -> tuple[Fract
     + 1, by roots_above counts on q until one root is left, then by the sign
     of q; no root lies outside [-e, e], e = floor(sqrt(sum of squares of
     the roots)) + 1.  ValueError on a constant, on a negative sum of squares
-    and on two roots closer than Mahler's separation bound."""
+    and on two roots closer than Mahler's separation bound; BadParameter
+    unless width, read by _rational, is positive."""
+    width = _rational(width)
+    if width <= 0:
+        raise BadParameter(f"root width {width} is not positive")
     q = squarefree_part(p)
     n = len(q) - 1
     if n < 1:

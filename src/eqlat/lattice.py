@@ -10,7 +10,7 @@ exact Gram-matrix algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -208,15 +208,14 @@ class EmbeddedSublattice:
 
     ambient: GramLattice
     basis_rows: IntMatrix
-    name: InitVar[str | None] = None
     induced: GramLattice = field(init=False)
 
-    def __post_init__(self, name):
+    def __post_init__(self):
         if self.basis_rows.nrows and self.basis_rows.ncols != self.ambient.dim:
             raise DimensionMismatch("basis width != ambient dimension")
         g = self.ambient.gram
         num = gram_product(self.basis_rows.rows, g.num.rows)
-        object.__setattr__(self, "induced", GramLattice(RatMatrix(num, g.den), name))
+        object.__setattr__(self, "induced", GramLattice(RatMatrix(num, g.den)))
 
     @property
     def dim(self) -> int:

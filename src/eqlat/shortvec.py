@@ -33,7 +33,7 @@ the minimum and keeps no vectors: every shell is walked for itself.
 
 No option sets the number of processes.  A walk forecast past _SPLIT nodes
 (five times the Leech norm-4 count's) is split by its top-level
-values across the CPUs the process may run on, unless it is a "mincount"
+values across the CPUs the process may run on, unless it is a "min"
 walk, or the process may run on one CPU only or is a daemon (_run); the
 split changes no result.
 
@@ -200,22 +200,18 @@ def _search_chunk(payload: dict) -> object:
     """Enumerate the subtrees under the given top-level coordinate values.
 
     Top-level function so process pools can pick it up by reference.
-    limit is a norm in units of the Gram numerator (x G x^T).  mode: "le"
-    collects (norm, coords) leaves with norm <= limit and "shell" the coords
-    of leaves with norm == limit; "first" stops at the first leaf of norm
-    limit, which is the least in the walk's order (each level ascending, top
-    level first); "count" counts leaves of norm limit; "mincount" keeps the
-    least nonzero norm found as an inclusive bound, restarts its count
-    whenever it lowers that bound, and returns (best, number of leaves at
-    best), (limit, 0) if none lies within the bound; it keeps no leaves.  The
-    exact-norm modes solve the bottom level in closed form and take its (at
-    most two) roots in ascending order.
+    limit is a norm in units of the Gram numerator (x G x^T).  Each mode has
+    one answer: "le" the leaves of norm <= limit and "shell" those of norm
+    limit, as one integer array of coordinates, a row per leaf; "count" the
+    number of leaves of norm limit; "first" the first of them, the least in
+    the walk's order (each level ascending, top level first), as a list of
+    one tuple; "min" the least nonzero norm <= limit, or None, lowering the
+    bound to norm - 1 at each leaf.  The exact-norm modes solve the bottom
+    level in closed form and take its (at most two) roots in ascending order.
 
     A walk whose _forecast passes _BUDGET goes to _batched_walk, any other
-    to _walk.  The two kernels share only this contract, so the forecast
-    decides no result: both return "shell" and "le" leaves as one integer
-    array, a row per leaf ("le" puts the norm in column 0).  "first" walks
-    are _walk's alone, which returns the leaf as a list of one tuple.
+    to _walk; "first" walks are _walk's alone.  The two kernels share only
+    this contract, so the forecast decides no result.
     """
     return (_batched_walk if _forecast(payload) > _BUDGET else _walk)(payload)[0]
 
@@ -244,12 +240,12 @@ def _walk(payload: dict) -> tuple[object, int]:
     top = n - 1
     x = [0] * n
     out: list = []
-    count = 0
+    count, best = 0, None
     nodes = -1  # the call at the top level is not a node
 
     def rec(k: int, acc: int, zero_above: bool) -> None:
         # acc is A_{k+1}, at most delta[k+1] * limit
-        nonlocal count, limit, nodes
+        nonlocal best, count, limit, nodes
         nodes += 1
         s = sum(map(operator.mul, sub[k], x[k + 1:]))
         d, dk = delta[k + 1], delta[k]
@@ -289,9 +285,9 @@ def _walk(payload: dict) -> tuple[object, int]:
                     continue
                 if mode == "le":
                     x[0] = xv
-                    out.append((a2, *x))
-                else:  # mincount: a smaller norm restarts the count
-                    limit, count = a2, (count + 1 if a2 == limit else 1)
+                    out.append(tuple(x))
+                else:  # min: the bound drops below the least norm found
+                    best, limit = a2, a2 - 1
             return
         acc *= dk
         for xv in values:
@@ -304,8 +300,8 @@ def _walk(payload: dict) -> tuple[object, int]:
     if tops:
         rec(top, 0, True)
     if mode in ("shell", "le"):
-        out = int_array(out) if out else np.empty((0, n + (mode == "le")), np.int64)
-    return {"count": count, "mincount": (limit, count)}.get(mode, out), max(nodes, 0)
+        out = int_array(out) if out else np.empty((0, n), np.int64)
+    return {"count": count, "min": best}.get(mode, out), max(nodes, 0)
 
 
 def _isqrt(q: np.ndarray) -> np.ndarray:
@@ -374,8 +370,8 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     Level k gains rows only from steps at level k + 1, which run only while
     it holds fewer than _BATCH rows and give each row they take at most
     2 bound[k+1] / step + 1 children (_coordinate_bounds), so level k holds
-    fewer than _BATCH (2 + 2 bound[k+1] / step) rows; the Leech minimum walk
-    peaks at 33,935 queued rows over all levels, at most 5,898 on one, each
+    fewer than _BATCH (2 + 2 bound[k+1] / step) rows; the Leech norm-4 count
+    walk peaks at 33,935 queued rows over all levels, at most 5,898 on one, each
     row 24 int8 coordinates and one int32 A_{k+1}.
     A node's candidate values are exactly those with |y_k| <= kmax, so no
     number but the centre sums exceeds 2 delta_k delta_{k+1} limit; the walk
@@ -383,8 +379,7 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     Leech), in object arrays of Python integers otherwise.  Coordinates take
     the narrowest type, int8 on Leech.  Rows are gathered with take, which
     is about 5 times faster than fancy indexing on int8 rows.  A "first"
-    walk raises ValueError: it stops at its first leaf, which only _walk
-    takes.
+    walk, which only _walk takes, raises ValueError.
 
     The sign rule, x_k >= 0 where every coordinate above k is 0, concerns
     one row per level, the zero-prefix row.  It is the first row queued at
@@ -394,13 +389,10 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     keeps only the level where that row waits; at level 0 its zero child is
     the zero vector, which is no leaf.
 
-    "mincount" lowers its bound at leaves, which _walk sees at once but a
-    step takes in only when its rows were already made, so rows are checked
-    against the live bound when they are taken.  So nodes is _walk's count
-    wherever the bound never lowers: every "le", "shell" and "count" walk,
-    and a "mincount" walk that starts at its minimum.  Otherwise it lies
-    between _walk's count and that of the "count" walk at the first bound,
-    whose tree holds every row made here.
+    A "min" walk lowers its bound at each leaf, which _walk sees at once but
+    a step only when it takes rows made before: it drops those outside the
+    bound.  So nodes is _walk's count unless a "min" walk finds a leaf; then
+    it lies between that and the "count" walk's at the first bound.
     """
     n, delta, sub = payload["n"], payload["delta"], payload["sub"]
     parity, mode, limit = payload["parity"], payload["mode"], payload["limit"]
@@ -418,6 +410,7 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     queue = [(np.zeros((c, n), dtype), np.zeros(c, num)) for c in [0] * top + [1]]
     zero = top
     nodes = count = 0
+    best = None
     out: list = []
 
     while True:
@@ -429,7 +422,7 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
         x, acc = (a[:_BATCH] for a in queue[k])
         queue[k] = tuple(a[_BATCH:] for a in queue[k])
         d, dk = delta[k + 1], delta[k]
-        if mode == "mincount" and acc.max() > d * limit:
+        if mode == "min" and acc.max() > d * limit:
             keep = np.flatnonzero(acc <= d * limit)  # never the zero-prefix row: its acc is 0
             x, acc = x.take(keep, axis=0), acc.take(keep)
         if k < top:
@@ -484,19 +477,15 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
         if lead:  # the zero vector is not a leaf
             row, xv, a2 = row[1:], xv[1:], a2[1:]
         if mode == "le":
-            leaves = np.empty((len(a2), n + 1), dtype=num)
-            leaves[:, 1:] = x.take(row, axis=0)
-            leaves[:, 0] = a2
-            leaves[:, 1] = xv
+            leaves = x.take(row, axis=0)
+            leaves[:, 0] = xv
             out.append(leaves)
-        elif len(a2):  # mincount
+        elif len(a2):  # min: every a2 is within the bound
             best = int(a2.min())
-            if best < limit:
-                limit, count = best, 0
-            count += int(np.count_nonzero(a2 == limit))
+            limit = best - 1
     if mode in ("shell", "le"):
-        out = np.concatenate(out) if out else np.empty((0, n + (mode == "le")), num)
-    return {"count": count, "mincount": (limit, count)}.get(mode, out), nodes
+        out = np.concatenate(out) if out else np.empty((0, n), dtype)
+    return {"count": count, "min": best}.get(mode, out), nodes
 
 
 def _top_values(delta: list[int], limit: int, parity) -> list[int]:
@@ -511,17 +500,16 @@ def _top_values(delta: list[int], limit: int, parity) -> list[int]:
 def _run(prep: _Prep, mode: str, limit: int, parity) -> object:
     """The walk's result, split across min(top-level values, CPUs) worker
     processes, each taking every workers-th top-level value, when all hold:
-    its _forecast passes _SPLIT; it is no "mincount" walk, whose forecast is
-    taken at a bound the walk lowers, and whose workers would each lower
-    their own; the process may run on more than one CPU (its affinity mask
-    where the platform has one, so taskset limits it, else os.cpu_count());
-    and it is no daemon, which may start no children (a multiprocessing.Pool
-    worker).  Else it walks in this process."""
+    its _forecast passes _SPLIT; it is no "min" walk, whose workers could not
+    share the bound it lowers; the process may run on more than one CPU (its
+    affinity mask where the platform has one, so taskset limits it, else
+    os.cpu_count()); and it is no daemon, which may start no children (a
+    multiprocessing.Pool worker).  Else it walks in this process."""
     tops = _top_values(prep.delta, limit, parity) if prep.n else []
     payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": parity,
                "mode": mode, "limit": limit, "tops": tops}
     workers = 1
-    if mode != "mincount" and _forecast(payload) > _SPLIT:
+    if mode != "min" and _forecast(payload) > _SPLIT:
         import multiprocessing  # only a walk past _SPLIT pays this import
 
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -581,23 +569,22 @@ def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
 # Public interface
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _min_count(lat: GramLattice) -> tuple[Fraction, int | None]:
-    """(minimum, number of +-pairs there or None where no walk counted them).
-    The seed is attained and every norm a multiple of the grain, so the
-    minimum is the seed unless a "mincount" walk at seed - grain, made if
-    that is positive, finds a leaf: then its best and count.  On Leech (seed
-    4, grain 2) that walk has 14,978 nodes; counting the pairs at 4, 1,971,697."""
+def _minimum(lat: GramLattice) -> Fraction:
+    """The seed is attained and every norm a multiple of the grain, so the
+    minimum is the seed unless a "min" walk at seed - grain, made if that is
+    positive, finds a least norm below it.  On Leech (seed 4, grain 2) that
+    walk has 14,978 nodes and finds none."""
     if lat.dim == 0:
         raise DimensionMismatch("empty lattice has no minimum")
     prep = _prep(lat)
-    best, count = _run(prep, "mincount", prep.seed - prep.grain, None) if prep.seed > prep.grain else (0, 0)
-    return (Fraction(best, prep.den), count) if count else (Fraction(prep.seed, prep.den), None)
+    best = _run(prep, "min", prep.seed - prep.grain, None) if prep.seed > prep.grain else None
+    return Fraction(prep.seed if best is None else best, prep.den)
 
 
 def minimum(lat: GramLattice) -> Fraction:
     """Exact minimum norm of the nonzero vectors, proven by a walk one grain
-    below LLL's least diagonal entry that keeps no vectors (_min_count)."""
-    return _min_count(lat)[0]
+    below LLL's least diagonal entry that keeps no vectors (_minimum)."""
+    return _minimum(lat)
 
 
 def _target(lat: GramLattice, r) -> tuple[_Prep, int] | None:
@@ -679,16 +666,9 @@ def shell(lat: GramLattice, r) -> tuple[Vec, ...]:
 
 def shell_count(lat: GramLattice, r) -> int:
     """Number of +-pairs of norm exactly r, storing no vectors: 0 where _target
-    rules r out, the minimum's count where its walk made one, else a "count" walk."""
+    rules r out, else one "count" walk."""
     gate = _target(lat, r)
-    if gate is None:
-        return 0
-    prep, t = gate
-    if t < prep.seed:  # past the gate, so the minimum's walk counted the pairs at m
-        m, count = _min_count(lat)
-        if t == m * prep.den:
-            return count
-    return _run(prep, "count", t, None)
+    return 0 if gate is None else _run(gate[0], "count", gate[1], None)
 
 
 def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
@@ -697,9 +677,10 @@ def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
     prep = _prep(lat)
     if not prep.n:
         return []
-    found = _run(prep, "le", math.floor(_rational(r) * prep.den / prep.grain) * prep.grain, None)
-    rows, norms = _canonical(imatmul_array(found[:, 1:], prep.u.rows), found[:, 0])
-    return [(Fraction(a, prep.den), v) for a, v in zip(norms.tolist(), _tuples(rows))]
+    limit = math.floor(_rational(r) * prep.den / prep.grain) * prep.grain
+    found = imatmul_array(_run(prep, "le", limit, None), prep.u.rows)
+    rows, norms = _canonical(found, row_norms(found, lat.gram.num.rows))
+    return [(Fraction(a, lat.gram.den), v) for a, v in zip(norms.tolist(), _tuples(rows))]
 
 
 def _class_parity(x: Vec) -> tuple[int, ...]:
@@ -725,8 +706,7 @@ def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     pr = _parity_reduced(prep, _class_parity(x))
     lifts = [imatmul([pr], prep.u.rows)[0], x]  # both in the class
     norm = Fraction(min(row_norms(lifts, lat.gram.num.rows).tolist()), lat.gram.den)
-    best, _ = _run(prep, "mincount", int(norm * prep.den), pr)
-    return Fraction(best, prep.den)
+    return Fraction(_run(prep, "min", int(norm * prep.den), pr), prep.den)
 
 
 @dataclass(frozen=True, slots=True)

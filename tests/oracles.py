@@ -172,13 +172,13 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
     given, receives the level of every node (every call below the top
     level) in the order they are entered.
 
-    mode: "le" collects (scaled_norm, coords) leaves and "shell" the coords
-    of exact-norm leaves; "first" stops at the first exact-norm leaf, which
-    is the least in the walk's order (each level ascending, top level
+    mode: "le" collects the coords of leaves within the limit and "shell"
+    those of exact-norm leaves; "first" stops at the first exact-norm leaf,
+    which is the least in the walk's order (each level ascending, top level
     first); "count" counts exact-norm leaves closed-form at the bottom
-    level; "mincount" keeps the least nonzero scaled norm found as an
-    inclusive bound, drops the leaves it holds whenever it lowers that
-    bound, and returns (best, leaves at best).
+    level; "min" returns the least nonzero scaled norm within the limit, or
+    None, lowering the limit to one unit of norm below each leaf it finds:
+    a scaled norm is E N(x), E = g_0 delta_0 delta_1.
     """
     n = payload["n"]
     delta = payload["delta"]
@@ -192,6 +192,7 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
     x = [0] * n
     out: list = []
     count = 0
+    best = None
 
     def bounds(k: int, s: int, room: int, zero_above: bool) -> tuple[int, int]:
         kmax = math.isqrt(room // g[k])
@@ -206,14 +207,11 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
 
     def leaf(a2: int) -> bool:
         """Record a nonzero leaf of scaled norm a2 <= limit; True ends the walk."""
-        nonlocal limit
-        if mode == "mincount":
-            if a2 < limit:
-                limit = a2
-                out.clear()
-            out.append(tuple(x))
+        nonlocal best, limit
+        if mode == "min":
+            best, limit = a2, a2 - g[0] * delta[0] * delta[1]
         elif mode == "le":
-            out.append((a2, tuple(x)))
+            out.append(tuple(x))
         elif a2 == target:
             out.append(tuple(x))
             if mode == "first":
@@ -292,8 +290,8 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
             break
     if mode == "count":
         return count
-    if mode == "mincount":
-        return limit, out
+    if mode == "min":
+        return best
     return out
 
 

@@ -419,6 +419,43 @@ def test_leech_family_and_relative_file_match_golden(capsys, tmp_path):
     assert rel.read_bytes() == (GOLDEN / "rel_leech.json").read_bytes()
 
 
+@pytest.mark.parametrize("suite", ["min3", "table"])
+def test_report_text_matches_golden(capsys, suite):
+    rc, out, _ = run(capsys, "report", "--suite", suite)
+    assert rc == 0
+    assert out.encode() == (GOLDEN / f"report_{suite}_text.stdout").read_bytes()
+
+
+def test_report_leech_json(capsys):
+    rc, out, _ = run(capsys, "report", "--suite", "leech", "--json")
+    assert (rc, out) == (0, '{"alpha": "1/5", "n": 23, "suite": "leech", "t": 276}\n')
+
+
+def test_make_json_writes_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run(capsys, "make", "--family", "A", "--dim", "4", "--json", "--out", "a4.json")
+    assert (rc, out) == (0, '{"dim": 4, "kind": "lattice", "name": "A4", "wrote": "a4.json"}\n')
+    assert json.loads((tmp_path / "a4.json").read_text())["gram"] == root_lattice("A", 4).lattice.gram.num.to_lists()
+
+
+def test_equi_text_reason_and_note(capsys, tmp_path):
+    """As text, a family with a failed hypothesis prints its reason and exits
+    4 (A1: the class shell at 6 is empty), and a single line prints a note
+    and exits 0 (A2, t = 1)."""
+    a1 = write_doc(tmp_path, "a1.json", name="A1", dim=1, den=1, gram=[[2]])
+    assert run(capsys, "equi", a1) == (4, (
+        "source name=A1 dim=1 det=2 minimum=2 s=1\n"
+        "x0 1\n"
+        "family t=0 rank=0 alpha=1/3 m=2\n"
+        "reason the class shell at norm 6 is empty\n"), "")
+    assert run(capsys, "equi", write_doc(tmp_path, "a2.json", **A2)) == (0, (
+        "source name=A2 dim=2 det=3 minimum=2 s=3\n"
+        "x0 0,1\n"
+        "family t=1 rank=1 alpha=1/3 m=2\n"
+        "note a single line carries no angle; nothing to certify\n"
+        "2,-1\n"), "")
+
+
 def test_report_min3(capsys):
     rc, out, _ = run(capsys, "report", "--suite", "min3", "--json")
     assert rc == 0
@@ -447,7 +484,7 @@ def test_report_table(capsys):
 
 
 def test_walks_split_across_processes_print_the_same_bytes(capsys, monkeypatch):
-    """With _SPLIT 0 every walk but "mincount" with two top-level values or
+    """With _SPLIT 0 every walk but "min" with two top-level values or
     more is split across the process's CPUs; the output stays the golden
     bytes."""
     pools = []
@@ -460,7 +497,7 @@ def test_walks_split_across_processes_print_the_same_bytes(capsys, monkeypatch):
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
     monkeypatch.setattr(shortvec.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorded)
-    shortvec._min_count.cache_clear()
+    shortvec._minimum.cache_clear()
     shortvec._coset_shell.cache_clear()
     rc, out, _ = run(capsys, "equi", str(GOLDEN / "e8.json"), "--json")
     assert rc == 0

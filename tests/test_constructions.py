@@ -1,5 +1,6 @@
 """Named lattices, the Golay/Leech builders, classification scan, searches."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -107,7 +108,14 @@ def test_integer_parameters_reject_non_integers():
                  lambda: min3_classification_scan(4.5), lambda: dn_projection_gram("3")):
         with pytest.raises(BadParameter):
             call()
+    # a non-integral float is no integer, and no hint to pass a Fraction
+    # that would be refused in turn: _integer once read it through _rational
+    for call in (dn_projection_gram, lambda v: root_lattice("A", v)):
+        for bad, shown in ((2.5, "2.5"), (Fraction(5, 2), "Fraction(5, 2)"), (np.float64(2.5), "np.float64(2.5)")):
+            with pytest.raises(BadParameter, match=rf"^{re.escape(shown)} is not an integer$"):
+                call(bad)
     assert dn_projection_gram(4.0).lattice == dn_projection_gram(np.int64(4)).lattice
+    assert root_lattice("A", 4.0).lattice == root_lattice("A", np.int64(4)).lattice
     assert all_ones_exception_gram(3.0, np.int64(3)).marks == all_ones_exception_gram(3, 3).marks
     assert [e["s"] for e in section_search(e8, 2.0, np.int64(1))] == [120, 63]
 

@@ -19,7 +19,7 @@ from oracles import (
     sturm_chain,
 )
 
-from eqlat.errors import DimensionMismatch, NotIntegral, NotPositiveDefinite
+from eqlat.errors import BadParameter, DimensionMismatch, NotIntegral, NotPositiveDefinite
 from eqlat.lattice import GramLattice
 from eqlat.exact import (
     IntMatrix,
@@ -487,6 +487,32 @@ def test_roots_above_counts_with_multiplicity():
         for x in {roots[0], roots[-1], QQ(1, 3), QQ(-7, 2), *roots[1:3]}:
             assert roots_above(p, x) == sum(r > x for r in roots)
     assert roots_above([QQ(6), 0, QQ(-5), 0, 1], 0) == 2  # +-sqrt(2), +-sqrt(3)
+
+
+def test_root_points_and_widths_are_read_exactly():
+    """The point of root_multiplicity and roots_above, and the width of
+    least_root and least_eigenvalue, are read by exact._rational.  Read as
+    Fraction(0.1) = 3602879701896397 / 2**55, 0.1 gave (10x - 1)^2 the root
+    multiplicity 0 there, where 1/10 is a double root; 'x' and None raised
+    a bare ValueError or TypeError; a width of 0 bisected forever."""
+    from eqlat.lines import SeidelMatrix, least_eigenvalue
+
+    p = [1, -20, 100]
+    assert root_multiplicity(p, QQ(1, 10)) == 2 and roots_above(p, 0) == 2
+    assert root_multiplicity(p, np.int64(0)) == 0 and roots_above(p, 1.0) == 0
+    calls = (lambda v: root_multiplicity(p, v), lambda v: roots_above(p, v),
+             lambda v: least_root(p, v))
+    for call in calls:
+        with pytest.raises(BadParameter, match=r"pass Fraction\(1, 10\)"):
+            call(0.1)
+        for bad in ("x", None):
+            with pytest.raises(BadParameter, match="not an exact rational"):
+                call(bad)
+    for width in (0, -1):
+        with pytest.raises(BadParameter, match="not positive"):
+            least_root([-2, 0, 1], width)
+    with pytest.raises(BadParameter):
+        least_eigenvalue(SeidelMatrix([[0, 1], [1, 0]]), "x")
 
 
 def test_least_root_refuses_what_it_can_see_is_not_real_rooted():

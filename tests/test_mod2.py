@@ -228,7 +228,7 @@ def test_default_x0_leech_without_the_norm_6_shell(monkeypatch):
 def test_x0_of_the_wrong_length_raises_before_any_walk(monkeypatch):
     # the length was checked only after minimum(lat) had walked the lattice
     lat = leech().lattice
-    for cache in (shortvec._prep, shortvec._min_count, shortvec._coset_shell):
+    for cache in (shortvec._prep, shortvec._minimum, shortvec._coset_shell):
         cache.cache_clear()
     walks = []
     monkeypatch.setattr(shortvec, "_run", lambda *args: walks.append(args[1]))
@@ -332,7 +332,7 @@ def test_relative_lattice_a4():
 
 def test_relative_lattice_walks_its_lattice_once(monkeypatch):
     # minimum and shell of the section come from one "le" walk
-    for cache in (shortvec._prep, shortvec._min_count, shortvec._coset_shell):
+    for cache in (shortvec._prep, shortvec._minimum, shortvec._coset_shell):
         cache.cache_clear()
     x0 = default_x0(E8)
     shortvec.coset_shell(E8, x0, 6)  # the ambient walks it reuses

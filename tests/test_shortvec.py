@@ -287,10 +287,10 @@ def test_minimum_and_count_match_grid_oracle():
     """The minimum and its count match the grid oracle on integer Grams of
     grain 1 and 2 (an even diagonal, content 1, one draw in four) and on
     both scaled by 3/7, until three grain-1 bases had their LLL seed above
-    the minimum, where the walk one grain below the seed finds and counts
-    it; and on an even basis LLL leaves above its minimum, which random
+    the minimum, where the walk one grain below the seed finds it and a
+    count walk counts it; and on an even basis LLL leaves above its minimum, which random
     draws give too rarely (about one in 700)."""
-    shortvec._min_count.cache_clear()
+    shortvec._minimum.cache_clear()
     assert minimum_against_oracle(GramLattice([[14, 6, 6], [6, 14, -3], [6, -3, 14]])) == (2, True)
     rng = random.Random(109)
     seen = collections.Counter()
@@ -300,11 +300,11 @@ def test_minimum_and_count_match_grid_oracle():
         seen[minimum_against_oracle(near_reduced_gram(rng, rng.randint(2, 6), even=drawn % 4 == 0))] += 1
 
 
-def test_minimum_and_count_share_one_walk(monkeypatch):
-    """minimum walks once, one grain below the seed, and keeps no vectors;
-    shell_count at the minimum shares that walk only where it found the
-    minimum below the seed, and every shell is a "shell" walk of its own.
-    Walks are listed as (mode, limit in walk units)."""
+def test_minimum_and_count_walk_once_each(monkeypatch):
+    """minimum walks once, one grain below the seed, and keeps no vectors
+    and no count; shell_count at the minimum is a "count" walk of its own,
+    inside the minimum walk's bound, and every shell a "shell" walk of its
+    own.  Walks are listed as (mode, limit in walk units)."""
     walks = []
     search = shortvec._search_chunk
 
@@ -313,7 +313,7 @@ def test_minimum_and_count_share_one_walk(monkeypatch):
         return search(payload)
 
     monkeypatch.setattr(shortvec, "_search_chunk", counted)
-    shortvec._min_count.cache_clear()
+    shortvec._minimum.cache_clear()
     shortvec._coset_shell.cache_clear()
     # E8: seed 2 = grain 2, so no norm lies below the seed and nothing walks
     e8 = root_lattice("E", 8).lattice
@@ -326,19 +326,19 @@ def test_minimum_and_count_share_one_walk(monkeypatch):
     assert shell(e8, 1) == ()
     assert walks == [("count", 2), ("shell", 2)]
     # a basis whose least diagonal entry, 11, lies above the minimum 10
-    # (grain 1): the walk at 10 finds and counts the minimum
+    # (grain 1): the walk at 10 finds the minimum, the count walks again
     lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6], [-1, 2, -6, 11]])
     assert (shortvec._prep(lat).seed, shortvec._prep(lat).grain) == (11, 1)
     walks.clear()
-    assert minimum(lat) == 10 and walks == [("mincount", 10)]
-    assert shell_count(lat, 10) == 1 and walks == [("mincount", 10)]
-    assert shell(lat, 9) == () and walks == [("mincount", 10)]
-    assert len(shell(lat, 10)) == 1 and walks == [("mincount", 10), ("shell", 10)]
+    assert minimum(lat) == 10 and walks == [("min", 10)]
+    assert shell_count(lat, 10) == 1 and walks == [("min", 10), ("count", 10)]
+    assert shell(lat, 9) == () and walks == [("min", 10), ("count", 10)]
+    assert len(shell(lat, 10)) == 1 and walks[2:] == [("shell", 10)]
 
 
 def test_shell_count_above_the_seed_walks_once(monkeypatch):
-    # above the minimum walk's first bound, shell_count makes only its own
-    # "count" walk; the counts agree with the shells' walks at every norm
+    # shell_count makes only its own "count" walk; the counts agree with
+    # the shells' walks at every norm
     modes = []
     search = shortvec._search_chunk
 
@@ -347,7 +347,7 @@ def test_shell_count_above_the_seed_walks_once(monkeypatch):
         return search(payload)
 
     monkeypatch.setattr(shortvec, "_search_chunk", counted)
-    shortvec._min_count.cache_clear()
+    shortvec._minimum.cache_clear()
     e8 = root_lattice("E", 8).lattice
     assert shell_count(e8, 4) == 1080
     assert modes == ["count"]
@@ -355,7 +355,7 @@ def test_shell_count_above_the_seed_walks_once(monkeypatch):
     corpus = [A2, Z2, e8, root_lattice("D", 5).lattice]
     corpus += [rand_gram(rng, n) for n in (2, 3, 4, 5)]
     for lat in corpus:
-        shortvec._min_count.cache_clear()
+        shortvec._minimum.cache_clear()
         for r in range(1, 13):
             assert shell_count(lat, r) == len(shell(lat, r))
 
@@ -393,7 +393,7 @@ def test_norms_are_read_exactly():
 
 
 def test_caches_stay_within_their_bound():
-    caches = (shortvec._prep, shortvec._min_count, shortvec._coset_shell)
+    caches = (shortvec._prep, shortvec._minimum, shortvec._coset_shell)
     for k in range(1, shortvec._CACHE_SIZE + 10):
         lat = GramLattice([[k]])
         assert minimum(lat) == k
@@ -438,13 +438,13 @@ def test_coset_shell_a2():
 
 
 def test_coset_minimum_walks_from_the_reduced_lift(monkeypatch):
-    """coset_minimum seeds its "mincount" walk with the norm of the 0/1 lift
+    """coset_minimum seeds its "min" walk with the norm of the 0/1 lift
     of the reduced parity in the LLL basis when the vector it is given is
     longer.  Given the 0/1 class of the root x0 in the skewed bases of A16,
     D16 and E8 that the skewed-bases benchmark draws at seed 11, it gives the
     class minimum 2, as the walk from the input-basis lift does, and walks
-    the reference's nodes at its seed: 15, 297 and 76, where the input-basis
-    seeds cost 258,319, 12,657 and 1,084."""
+    the reference's nodes at its seed: 15, 67 and 43, where the input-basis
+    seeds cost 126,463, 2,539 and 600 in the Python kernel."""
     from test_lines import benchmark_inputs
 
     inputs, rng = benchmark_inputs(), random.Random(11)
@@ -455,7 +455,7 @@ def test_coset_minimum_walks_from_the_reduced_lift(monkeypatch):
     search = shortvec._search_chunk
     monkeypatch.setattr(shortvec, "_search_chunk",
                         lambda payload: walks.append(payload) or search(payload))
-    for fam, n, nodes in (("A", 16, 15), ("D", 16, 297), ("E", 8, 76)):
+    for fam, n, nodes in (("A", 16, 15), ("D", 16, 67), ("E", 8, 43)):
         u, uinv = bases[fam, n]
         lat = GramLattice(gram_product(u, root_lattice(fam, n).lattice.gram.num.rows))
         x0 = inputs.matmul([list(standard_x0(fam, n))], uinv)[0]
@@ -468,17 +468,17 @@ def test_coset_minimum_walks_from_the_reduced_lift(monkeypatch):
         seed = lat.norm(imatmul([pr], prep.u.rows)[0]) * prep.den
         assert payload["limit"] == seed <= first * prep.den
         visits = []
-        assert ref_walk(payload, visits)[0] == 2
+        assert ref_walk(payload, visits) == 2
         assert shortvec._walk(payload)[1] == len(visits) == nodes
-        old = shortvec._run(prep, "mincount", int(first * prep.den), payload["parity"])
-        assert old[0] == 2
+        assert shortvec._run(prep, "min", int(first * prep.den), payload["parity"]) == 2
 
 
 def test_coset_minimum_walks_from_the_given_vector(monkeypatch):
     """The vector given to coset_minimum lies in its class, so its norm
     seeds the walk when it is below the reduced lift's: the Leech x0 class
-    (minimum 6) walks 3,064 nodes from x0, the reference's count, where the
-    reduced lift's seed 50 walks 343,448 to the same minimum."""
+    (minimum 6) walks 2,831 nodes from x0, the reference's count, where the
+    reduced lift's seed 50 walks 187,049 in the Python kernel to the same
+    minimum."""
     big = leech()
     lat, x0 = big.lattice, big.marks["x0"]
     walks = []
@@ -489,12 +489,12 @@ def test_coset_minimum_walks_from_the_given_vector(monkeypatch):
     (payload,) = walks
     assert payload["limit"] == lat.norm(x0) == 6
     visits = []
-    assert ref_walk(payload, visits)[0] == 6
-    assert shortvec._walk(payload)[1] == len(visits) == 3_064
+    assert ref_walk(payload, visits) == 6
+    assert shortvec._walk(payload)[1] == len(visits) == 2_831
     prep = shortvec._prep(lat)
     lift = lat.norm(imatmul([payload["parity"]], prep.u.rows)[0])
     assert lift == 50
-    assert shortvec._run(prep, "mincount", 50, payload["parity"])[0] == 6
+    assert shortvec._run(prep, "min", 50, payload["parity"]) == 6
 
 
 def test_cosets_partition_shell():
@@ -560,7 +560,7 @@ def test_threaded_matches_serial(monkeypatch):
     serial_count = shell_count(lat, serial_min + 2)
     monkeypatch.setattr(shortvec, "_SPLIT", 0)  # split these small walks
     allow_cpus(monkeypatch, 2)
-    shortvec._min_count.cache_clear()
+    shortvec._minimum.cache_clear()
     shortvec._coset_shell.cache_clear()
     assert minimum(lat) == serial_min
     assert shell(lat, serial_min + 2) == serial_shell
@@ -569,16 +569,16 @@ def test_threaded_matches_serial(monkeypatch):
 
 def test_threaded_minimum_and_count_match_serial(monkeypatch):
     # LLL leaves this basis alone; its diagonal minimum 11 sits above the
-    # minimum 10, whose "mincount" walk stays in this process, and the shell
-    # walk's two top-level values split across two workers
+    # minimum 10, whose "min" walk stays in this process, and the count and
+    # shell walks' two top-level values split across two workers
     lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
                        [-1, 2, -6, 11]])
 
     def answers():
-        shortvec._min_count.cache_clear()
+        shortvec._minimum.cache_clear()
         shortvec._coset_shell.cache_clear()
         m = minimum(lat)
-        return m, shell_count(lat, m), shell(lat, m)  # the count from the minimum walk
+        return m, shell_count(lat, m), shell(lat, m)
 
     serial = answers()
     assert serial[:2] == (10, 1)
@@ -720,7 +720,8 @@ def test_vectors_upto_sorts_as_python_does(monkeypatch):
 
 
 def kernel_payloads(lat, r, parity):
-    """Payloads of all five modes at norm r on lat, whole and split in two."""
+    """Payloads of all five modes at norm r on lat, whole and split in two;
+    "min" at the seed, a norm that some vector of the class attains."""
     prep = shortvec._prep(lat)
     pr = None if parity is None else shortvec._parity_reduced(prep, parity)
     target = math.floor(r * prep.den)
@@ -729,7 +730,7 @@ def kernel_payloads(lat, r, parity):
     else:
         seed = math.floor(lat.norm(parity) * prep.den)  # the 0/1 lift lies in the class
     for mode, limit in (("le", target), ("shell", target), ("first", target),
-                        ("count", target), ("mincount", seed)):
+                        ("count", target), ("min", seed)):
         tops = shortvec._top_values(prep.delta, limit, pr)
         for chunk in (tops, tops[0::2], tops[1::2]):
             yield {"n": prep.n, "delta": prep.delta, "sub": prep.sub,
@@ -751,10 +752,8 @@ def ref_walk(payload, visits=None):
     scale, g = lcm_form(payload["delta"])
     limit = scale * payload["limit"]
     found = ref_search_chunk(dict(payload, g=g, limit=limit, target=limit), visits)
-    if payload["mode"] == "le":
-        return [(a // scale, v) for a, v in found]
-    if payload["mode"] == "mincount":  # (best, count): the leaves at best, counted
-        return found[0] // scale, len(found[1])
+    if payload["mode"] == "min" and found is not None:
+        return found // scale
     return found
 
 
@@ -767,9 +766,7 @@ def number_type(payload):
 def listed(mode, found):
     """A walk's result with "shell" and "le" leaves as tuples, as
     ref_search_chunk gives them."""
-    if mode == "le":
-        return [(r[0], tuple(r[1:])) for r in found.tolist()]
-    if mode == "shell":
+    if mode in ("le", "shell"):
         return list(map(tuple, found.tolist()))
     return found
 
@@ -800,11 +797,11 @@ class Capped(list):
 def check_batched(payload, want):
     """The batched kernel against want = (result, nodes) of the reference
     walk.  Its result is want's.  It counts the rows it expands, so its node
-    count is want's wherever the bound never lowers; a "mincount" walk that
-    lowers it may count rows made before that, but never more than the
-    "count" walk at the first bound, whose tree holds them all.  That walk
-    is stopped one node past the batched count: whole, at a coset walk's
-    seed, it can take minutes.  "first" walks are the Python kernel's
+    count is want's wherever the bound never lowers; a "min" walk that finds
+    a leaf lowers it and may count rows made before that, but never more
+    than the "count" walk at the first bound, whose tree holds them all.
+    That walk is stopped one node past the batched count: whole, at a coset
+    walk's seed, it can take minutes.  "first" walks are the Python kernel's
     alone: the batched kernel refuses them."""
     if payload["mode"] == "first":
         with pytest.raises(ValueError):
@@ -812,7 +809,7 @@ def check_batched(payload, want):
         return
     got, nodes = walked(shortvec._batched_walk, payload)
     assert got == want[0]
-    if payload["mode"] == "mincount" and got[0] < payload["limit"]:
+    if payload["mode"] == "min" and got is not None:
         fixed = Capped(nodes + 1)
         with contextlib.suppress(Capped.Full):
             ref_walk(dict(payload, mode="count"), fixed)
@@ -834,7 +831,7 @@ def kernel_corpus(rng):
         A2.rescale(QQ(1, 2)),  # rational Gram matrix
         GramLattice([[3]]),  # dimension 1
         # LLL leaves this basis alone and its diagonal minimum 11 lies above
-        # the minimum 10, so "mincount" lowers its bound during the walk
+        # the minimum 10, so the "min" walk at 11 finds a leaf below its bound
         GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
                      [-1, 2, -6, 11]]),
     ]
@@ -858,9 +855,9 @@ def test_kernel_matches_reference_walk(monkeypatch):
                 want = ref_walk(payload, visits), len(visits)
                 assert walked(shortvec._walk, payload) == want, mode
                 check_batched(payload, want)
-                if want[0][1] if mode == "mincount" else want[0]:
+                if want[0]:  # a leaf, a count or a least norm found
                     seen.add(mode)
-    assert seen == {"le", "shell", "first", "count", "mincount"}
+    assert seen == {"le", "shell", "first", "count", "min"}
 
     # the coset walks of least_vector: a prefix held at 1 on top, e_i, then
     # a reduced block, in a basis that is not reduced as a whole
@@ -896,30 +893,30 @@ def test_kernel_matches_reference_walk(monkeypatch):
 @pytest.mark.parametrize("budget, batch", [(shortvec._BUDGET, shortvec._BATCH),
                                            (0, shortvec._BATCH), (0, 2)])
 def test_mincount_leaves_match_reference_walk(monkeypatch, budget, batch):
-    """"mincount" counts the leaves at its running best norm and restarts
-    the count when a leaf lowers that bound.  On bases whose first leaf lies
-    above the minimum, both kernels, and the dispatch with every walk
-    batched or not, give the reference's best and its number of leaves
-    there, with node counts as check_batched allows; batches of two rows
-    make the batched kernel hold counts from earlier steps when it
-    restarts."""
+    """A "min" walk (named "mincount" while it also counted the leaves at
+    its best) lowers its bound below each leaf it finds.  On bases whose
+    first leaf lies above the minimum, both kernels, and the dispatch with
+    every walk batched or not, give the reference's least norm, with node
+    counts as check_batched allows; batches of two rows make the batched
+    kernel take rows made before the bound was lowered."""
     monkeypatch.setattr(shortvec, "_BUDGET", budget)
     monkeypatch.setattr(shortvec, "_BATCH", batch)
     rng = random.Random(109)
     dropped = 0
     while dropped < 5:
         lat = near_reduced_gram(rng, rng.randint(2, 6))
+        prep = shortvec._prep(lat)
         for payload in kernel_payloads(lat, 1, None):
-            if payload["mode"] != "mincount":
+            if payload["mode"] != "min":
                 continue
             visits = []
             want = ref_walk(payload, visits), len(visits)
             assert walked(shortvec._walk, payload) == want
             check_batched(payload, want)
-            assert listed("mincount", shortvec._search_chunk(payload)) == want[0]
+            assert shortvec._search_chunk(payload) == want[0]
             # the first leaf of the walk, taken before any bound is lowered
             first = ref_walk(dict(payload, mode="le"))[:1]
-            dropped += bool(first) and first[0][0] > want[0][0]
+            dropped += bool(first) and lat.norm(imatmul(first, prep.u.rows)[0]) * prep.den > want[0]
 
 
 def test_coordinate_bounds_match_reference():
@@ -940,7 +937,7 @@ def test_coordinate_bounds_match_reference():
 
 def test_batched_kernel_at_batch_boundaries(monkeypatch):
     """Batches of one to a few rows split every level; with a lowered
-    "mincount" bound and a "first" hit among them, the batched kernel must
+    "min" bound and a "first" hit among them, the batched kernel must
     still give the Python kernel's results, with node counts as
     check_batched allows."""
     rng = random.Random(149)
@@ -956,7 +953,7 @@ def test_batched_kernel_at_batch_boundaries(monkeypatch):
                     monkeypatch.setattr(shortvec, "_BATCH", size)
                     check_batched(payload, want)
                 batched += 1
-                lowered += payload["mode"] == "mincount" and want[0][0] < payload["limit"]
+                lowered += payload["mode"] == "min" and want[0] is not None
     assert lowered and batched > 500
 
 
@@ -998,32 +995,30 @@ def test_batched_kernel_takes_top_level_values_in_any_order():
             if payload["mode"] in ("le", "shell"):
                 want, got = (sorted(want[0]), want[1]), (sorted(got[0]), got[1])
             assert got[0] == want[0]
-            if payload["mode"] != "mincount" or want[0][0] == payload["limit"]:
+            if payload["mode"] != "min" or want[0] is None:
                 assert got[1] == want[1]
 
 
-def leech_min_payload():
+def leech_payload(mode, limit):
     prep = shortvec._prep(leech().lattice)
-    limit = prep.seed
     return {"n": prep.n, "delta": prep.delta, "sub": prep.sub,
-            "parity": None, "mode": "mincount", "limit": limit,
+            "parity": None, "mode": mode, "limit": limit,
             "tops": shortvec._top_values(prep.delta, limit, None)}
 
 
 def test_batched_kernel_visits_the_leech_minimum_walk():
-    # "mincount" at the seed 4: 1,971,697 nodes below the top level, the
-    # count of the reference walk (test_leech_minimum_walk_matches_reference)
-    # and of the Python kernel; the walk one grain below it, which alone
-    # proves the minimum, has 14,978 and finds nothing
-    payload = leech_min_payload()
-    assert shortvec._batched_walk(payload) == ((4, 98_280), 1_971_697)
-    proof = dict(payload, limit=2, tops=shortvec._top_values(payload["delta"], 2, None))
-    assert shortvec._batched_walk(proof) == shortvec._walk(proof) == ((2, 0), 14_978)
+    # the "min" walk one grain below the seed 4, which alone proves the
+    # minimum, has 14,978 nodes and finds nothing; the count of the pairs at
+    # 4 has 1,971,697 below the top level, the count of the reference walk
+    # (test_leech_minimum_walk_matches_reference) and of the Python kernel
+    proof = leech_payload("min", 2)
+    assert shortvec._batched_walk(proof) == shortvec._walk(proof) == (None, 14_978)
+    assert shortvec._batched_walk(leech_payload("count", 4)) == (98_280, 1_971_697)
 
 
 @pytest.mark.slow
 def test_leech_minimum_walk_matches_reference():
-    payload = leech_min_payload()
+    payload = leech_payload("count", 4)
     visits = []
     want = ref_walk(payload, visits), len(visits)
     assert want[1] == 1_971_697
@@ -1059,7 +1054,7 @@ def test_content_is_divided_out_of_the_walk():
     payloads = list(kernel_payloads(big, minimum(big) + 2**41, None))
     assert {number_type(payload) for payload in payloads} == {np.int32}
     le = next(p for p in payloads if p["mode"] == "le")
-    assert shortvec._batched_walk(le)[0].dtype == np.int32
+    assert shortvec._batched_walk(le)[0].dtype == np.int8  # the walk's coordinate type
     assert minimum(big) == 2**41
     assert shell(big, 2**41) == shell(d5, 2)
     assert shell_count(big, 2**42) == shell_count(d5, 4) > 0
@@ -1125,6 +1120,28 @@ def test_vectors_upto_walks_at_a_multiple_of_the_grain(monkeypatch):
     assert walks[-2:] == [("le", 2), ("le", 0)]
 
 
+def test_vectors_upto_reads_norms_on_the_input_gram(monkeypatch):
+    """The "le" walk returns coordinates alone, and vectors_upto reads each
+    norm on the input Gram after the map back: on D4 with content 3 and den
+    7, whose walk units differ from the input's.  At r = -1, 0 and 1 E8
+    lists nothing: -1 walks at -2, where _top_values gives no top-level
+    value, and 0 and 1 at 0, where only the zero vector lies."""
+    walks = []
+    search = shortvec._search_chunk
+    monkeypatch.setattr(shortvec, "_search_chunk",
+                        lambda payload: walks.append((payload["mode"], payload["limit"], payload["tops"]))
+                        or search(payload))
+    e8 = root_lattice("E", 8).lattice
+    assert [vectors_upto(e8, r) for r in (-1, 0, 1)] == [[], [], []]
+    assert walks == [("le", -2, []), ("le", 0, [0]), ("le", 0, [0])]
+    d4 = root_lattice("D", 4).lattice
+    lat = GramLattice(RatMatrix(IntMatrix([[3 * a for a in row] for row in d4.gram.num.rows]), 7))
+    assert shortvec._prep(lat).den == QQ(7, 3)
+    got = vectors_upto(lat, QQ(24, 7))
+    assert [a for a, _ in got] == [lat.norm(v) for _, v in got]
+    assert collections.Counter(a for a, _ in got) == {QQ(6, 7): 12, QQ(12, 7): 12, QQ(18, 7): 48, QQ(24, 7): 12}
+
+
 def test_leech_walks_run_in_int32():
     """Leech walks whose lcm-scaled bounds passed 2**62 walk in int32, as
     their largest number, 2 delta_k delta_{k+1} limit, stays below 2**30:
@@ -1145,10 +1162,10 @@ def test_leech_walks_run_in_int32():
         assert len(want[0]) == pairs and walked(shortvec._batched_walk, payload) == want
     u, _ = benchmark_inputs().unimodular(random.Random(2), lat.dim)
     skew = shortvec._prep(GramLattice(gram_product(u, lat.gram.num.rows)))
-    payload = dict(leech_min_payload(), delta=skew.delta, sub=skew.sub,
+    payload = dict(leech_payload("count", 4), delta=skew.delta, sub=skew.sub,
                    tops=shortvec._top_values(skew.delta, 4, None))
     assert number_type(payload) is np.int32
-    assert shortvec._batched_walk(payload)[0] == (4, 98_280)
+    assert shortvec._batched_walk(payload)[0] == 98_280
 
 
 def test_int32_walks_stop_at_the_proven_bound():
@@ -1192,9 +1209,11 @@ def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
     budget goes to the batched kernel, any other to the Python kernel,
     however many nodes it walks there.  Either way the result is the Python
     kernel's.  E8's norm-8 walks forecast 16,831 nodes against the default
-    budget; at a budget of 100 so do its "mincount" walks (forecast 175, 247
-    nodes when whole).  D16's norm-2 walks (forecast 392, 1,228 nodes when
-    whole) stay in the Python kernel at a budget of 1,000."""
+    budget; at a budget of 100 so do its "min" walks (forecast 175).  D16's
+    norm-2 walks (forecast 392, 1,228 nodes when whole) stay in the Python
+    kernel at a budget of 1,000.  A "min" walk lowers its bound at each leaf
+    it finds, so it walks well below its forecast (D16's: 106 nodes) and
+    none of these is long."""
     entered = []
     batched, walk = shortvec._batched_walk, shortvec._walk
     monkeypatch.setattr(shortvec, "_batched_walk", lambda p: entered.append("batched") or batched(p))
@@ -1217,7 +1236,7 @@ def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
                 forecast.add(mode)
             elif alone[1] > budget:
                 long.add(mode)
-    assert forecast == long == {"le", "shell", "count", "mincount"}
+    assert forecast == long | {"min"} == {"le", "shell", "count", "min"}
 
 
 def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
@@ -1243,7 +1262,7 @@ def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
     lat, x0 = big.lattice, big.marks["x0"]
     relative = relative_lattice(lat, x0).induced
     assert shortvec._prep(relative).den == QQ(1, 2)
-    for cache in (shortvec._min_count, shortvec._coset_shell):
+    for cache in (shortvec._minimum, shortvec._coset_shell):
         cache.cache_clear()
     monkeypatch.setattr(shortvec, "_walk", refuse)
     monkeypatch.setattr(shortvec, "_batched_walk", spy)
@@ -1252,7 +1271,7 @@ def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
     assert len(coset_shell(lat, x0, 10)) == 276
     assert len(vectors_upto(relative, 16 - lat.norm(x0))) > 0
     assert [(mode, num) for mode, num, _ in entered] == [
-        ("mincount", np.int32), ("count", np.int32), ("shell", np.int32), ("le", np.int64)]
+        ("min", np.int32), ("count", np.int32), ("shell", np.int32), ("le", np.int64)]
     assert all(f > shortvec._BUDGET for *_, f in entered)
 
 
@@ -1264,7 +1283,7 @@ def test_first_walks_never_enter_the_batched_kernel(monkeypatch):
     seed-7 skewed basis.  The batched kernel refuses a "first" walk."""
     from test_mod2 import skewed_basis
 
-    first = dict(leech_min_payload(), mode="first", limit=4)
+    first = leech_payload("first", 4)
     assert shortvec._forecast(first) > shortvec._BUDGET
     with pytest.raises(ValueError):
         shortvec._batched_walk(first)
@@ -1305,7 +1324,7 @@ def test_each_walk_enters_one_kernel(monkeypatch):
                         lambda payload: entered.append(("walk", payload["mode"])) or walk(payload))
     monkeypatch.setattr(shortvec, "_batched_walk",
                         lambda payload: entered.append(("batched", payload["mode"])) or batched(payload))
-    for cache in (shortvec._min_count, shortvec._coset_shell):
+    for cache in (shortvec._minimum, shortvec._coset_shell):
         cache.cache_clear()
     rng = random.Random(151)
     for lat in kernel_corpus(random.Random(131)) + [root_lattice("E", 8).lattice]:
@@ -1343,7 +1362,7 @@ def test_entries_past_int64_stay_exact(monkeypatch, budget):
     come out exact from either kernel (budget 0 sends every walk to the
     batched kernel by its forecast)."""
     monkeypatch.setattr(shortvec, "_BUDGET", budget)
-    for cache in (shortvec._prep, shortvec._coset_shell, shortvec._min_count):
+    for cache in (shortvec._prep, shortvec._coset_shell, shortvec._minimum):
         cache.cache_clear()
     # x_0^2 + d x_1^2 = d: the bottom level solves x_0 = 2**65 + 1 in
     # closed form, so the walk is two nodes deep with coordinates past 2**63
@@ -1421,11 +1440,11 @@ def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch):
     monkeypatch.undo()
     d16 = shortvec._prep(root_lattice("D", 16).lattice)
     d16_forecast = shortvec._forecast({"n": d16.n, "delta": d16.delta, "limit": 10, "parity": None})
-    assert shortvec._forecast(leech_min_payload()) < shortvec._SPLIT < d16_forecast
+    assert shortvec._forecast(leech_payload("count", 4)) < shortvec._SPLIT < d16_forecast
 
 
-def test_no_pool_for_mincount_in_a_daemon_or_on_one_cpu(monkeypatch):
-    """Past _SPLIT, each of these walks in this process: a "mincount" walk,
+def test_no_pool_for_min_in_a_daemon_or_on_one_cpu(monkeypatch):
+    """Past _SPLIT, each of these walks in this process: a "min" walk,
     whose workers could not share the bound it lowers (split on two CPUs,
     coset_minimum(Leech, x0 mod 2) took about twice as long); any walk of a
     daemonic process, which may start no children (a multiprocessing.Pool
@@ -1439,7 +1458,7 @@ def test_no_pool_for_mincount_in_a_daemon_or_on_one_cpu(monkeypatch):
     allow_cpus(monkeypatch, 1)
     assert shortvec._run(prep, "count", 8, None) == 8760
     allow_cpus(monkeypatch, 2)
-    assert shortvec._run(prep, "mincount", 8, None) == (2, 120)
+    assert shortvec._run(prep, "min", 8, None) == 2
     monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
     assert shortvec._run(prep, "count", 8, None) == 8760
     assert pools == []

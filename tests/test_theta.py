@@ -67,7 +67,7 @@ def test_shell_sizes_match_theta_series(monkeypatch, budget, batch):
         want = [c // 2 for c in theta_series(name, n, top + 1)]
         skew = skewed_basis(base, rng)
         for lat, scale in ((base, 1), (skew, 1), (skew.rescale(2), 2)):
-            for cache in (shortvec._min_count, shortvec._coset_shell):
+            for cache in (shortvec._minimum, shortvec._coset_shell):
                 cache.cache_clear()
             for r in range(1, top + 1):
                 found = shell(lat, scale * r)
