@@ -26,10 +26,13 @@ level by level on up to _BATCH (2,048) partial vectors at a time: in numpy
 int32 when every number of the walk is proven to stay below 2**30 (every
 Leech walk), in int64 below 2**62, else in object arrays of Python integers.
 Both kernels hand their leaves over as one integer array, which stays one
-array through the map back to the input basis, the sign canonicalisation
-and the sort, and is cached as it is: only shell and coset_shell make
-tuples of it.  A walk one grain below LLL's least diagonal entry proves
-the minimum and keeps no vectors: every shell is walked for itself.
+narrow array through the map back to the input basis (block by block, in
+the type an exact coordinate bound allows: int8 on Leech), the sign
+canonicalisation and the sort, and is cached as it is: only shell,
+coset_shell and vectors_upto make tuples of it, in C, and `eqlat shell
+--vectors` writes it out a block at a time.  A walk one grain below LLL's
+least diagonal entry proves the minimum and keeps no vectors: every shell
+is walked for itself.
 
 No option sets the number of processes.  A walk forecast past _SPLIT nodes
 (five times the Leech norm-4 count's) is split by its top-level
@@ -54,6 +57,7 @@ import functools
 import math
 import operator
 import os
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -62,7 +66,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MixedNorms, ZeroVector
 from .exact import IntMatrix, RatMatrix, _rational, leading_minors, solve_left
-from .fastops import _SAFE, _max_abs, gram_product, imatmul, imatmul_array, int_array, row_norms
+from .fastops import _BLOCK, _SAFE, _max_abs, gram_product, imatmul, int_array, row_norms
 from .lattice import GramLattice, Vec
 
 __all__ = [
@@ -535,29 +539,67 @@ def _narrowest(bound: int):
     return next((t for t in types if bound <= np.iinfo(t).max), object)
 
 
+def _map_back(lat: GramLattice, leaves: np.ndarray, limit: int) -> np.ndarray:
+    """The leaves of a walk at limit in _prep(lat)'s basis, in the input
+    basis: leaves @ U, _BLOCK rows at a time.  Each block is multiplied in
+    the narrowest type that holds every product and partial sum (max |leaf|
+    max |U_ij| n) and goes straight into the narrowest type that holds the
+    lower of that bound and the exact bound on every coordinate of a vector
+    of norm <= limit, |x_i| <= isqrt(limit (G^-1)_ii) for G the Gram
+    numerator over its content (_coordinate_bounds on G's own Bareiss data;
+    int8 on Leech at norms 4 and 6, where the product bound gives int16).  That bound costs an inverse per lattice, so
+    one block keeps its product type, which _canonical narrows."""
+    u = int_array(_prep(lat).u.rows)
+    bound = _max_abs(leaves) * _max_abs(u) * len(u)
+    num = _narrowest(bound)
+    u = u.astype(num)
+    if len(leaves) > _BLOCK:
+        g = _primitive(lat.gram.num.rows)[0]
+        bound = min(bound, max(_coordinate_bounds(*leading_minors(g), limit)))
+    out = np.empty(leaves.shape, _narrowest(bound))
+    for i in range(0, len(leaves), _BLOCK):
+        # einsum's integer loop: 16 ms on Leech's norm-4 leaves, matmul's 31 ms
+        out[i:i + _BLOCK] = np.einsum("ij,jk->ik", leaves[i:i + _BLOCK].astype(num), u)
+    return out
+
+
 def _canonical(rows: np.ndarray, key: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """(rows, key) in a shell's canonical form, rows left as they are: each
-    row signed so that its first nonzero entry is positive, in the narrowest
-    integer type, sorted (by key first if given) and without repeats."""
-    if not rows.size:
-        return rows.astype(np.int8), key
-    rows = rows.astype(_narrowest(_max_abs(rows)), copy=False)  # so -rows fits
-    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    rows = np.where((lead < 0)[:, None], -rows, rows)
-    order = np.lexsort([*rows.T[::-1], *([] if key is None else [key])])
-    rows = rows.take(order, axis=0)
-    new = np.ones(len(rows), bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[new], None if key is None else key[order][new]
+    """(rows, key) in a shell's canonical form, made on a private copy, so a
+    caller's array is never changed: each row signed so that its first
+    nonzero entry is positive, in the narrowest integer type, sorted (by key
+    first if given) and without repeats.  Signs flip in place and repeats are
+    found _BLOCK rows at a time, so no temporary but the sort's is full size."""
+    out = rows.astype(_narrowest(_max_abs(rows)))  # a copy, in which -rows fits
+    if not out.size:
+        return out, key
+    for i in range(0, len(out), _BLOCK):
+        block = out[i:i + _BLOCK]
+        lead = block[np.arange(len(block)), (block != 0).argmax(axis=1)]
+        np.negative(block, out=block, where=(lead < 0)[:, None])
+    order = np.lexsort([*out.T[::-1], *([] if key is None else [key])])
+    out = out.take(order, axis=0)
+    new = np.ones(len(out), bool)
+    for i in range(1, len(out), _BLOCK):
+        j = min(i + _BLOCK, len(out))
+        new[i:j] = (out[i:j] != out[i - 1:j - 1]).any(axis=1)
+    return out if new.all() else out[new], None if key is None else key.take(order)[new]
+
+
+# struct's codes of the signed integers of 1, 2, 4 and 8 bytes
+_STRUCT = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _tuples(rows: np.ndarray) -> tuple[Vec, ...]:
-    """Integer rows as tuples of Python integers, a block at a time, in a list
-    made at full length: a growing list leaves its old copies in the heap."""
-    out = [None] * len(rows)
-    for i in range(0, len(rows), _BATCH):
-        out[i:i + _BATCH] = map(tuple, rows[i:i + _BATCH].tolist())
-    return tuple(out)
+    """Integer rows as tuples of Python integers.  struct.iter_unpack makes
+    each row's tuple in C from the bytes of a numpy integer array (copied
+    first only if they are not C-contiguous in native order), and tuple()
+    sizes the result once from the iterator's length hint, so no list grows
+    in the heap; object arrays of Python integers, and empty arrays, go
+    through tolist."""
+    if rows.dtype.kind != "i" or not rows.size:
+        return tuple(map(tuple, rows.tolist()))
+    rows = np.ascontiguousarray(rows, rows.dtype.newbyteorder("="))
+    return tuple(struct.iter_unpack(f"={rows.shape[1]}{_STRUCT[rows.itemsize]}", rows))
 
 
 def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
@@ -645,7 +687,7 @@ def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None, r: Fraction) 
     if gate:
         prep, t = gate
         pr = None if parity is None else _parity_reduced(prep, parity)
-        rows, _ = _canonical(imatmul_array(_run(prep, "shell", t, pr), prep.u.rows))
+        rows, _ = _canonical(_map_back(lat, _run(prep, "shell", t, pr), t))
     rows.flags.writeable = False
     return rows
 
@@ -678,7 +720,7 @@ def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
     if not prep.n:
         return []
     limit = math.floor(_rational(r) * prep.den / prep.grain) * prep.grain
-    found = imatmul_array(_run(prep, "le", limit, None), prep.u.rows)
+    found = _map_back(lat, _run(prep, "le", limit, None), limit)
     rows, norms = _canonical(found, row_norms(found, lat.gram.num.rows))
     return [(Fraction(a, lat.gram.den), v) for a, v in zip(norms.tolist(), _tuples(rows))]
 

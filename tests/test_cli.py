@@ -1,6 +1,9 @@
 """End-to-end command tests: files, exit codes, determinism, schemas."""
 
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib.resources import files
 from pathlib import Path
@@ -13,7 +16,7 @@ from eqlat.cli import main
 from eqlat.constructions import dn_projection_gram, root_lattice
 from eqlat.exact import IntMatrix, solve_left
 from eqlat.lattice import GramLattice
-from eqlat.shortvec import minimum, shell_count
+from eqlat.shortvec import minimum, shell, shell_count
 
 
 def run(capsys, *argv):
@@ -123,10 +126,49 @@ def test_shell_count_builds_no_shell(capsys, tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the shell was built")
 
-    monkeypatch.setattr(cli, "shell", refuse)
+    monkeypatch.setattr(cli, "_shell_rows", refuse)
     monkeypatch.setattr(shortvec, "_coset_shell", refuse)
     assert run(capsys, "shell", path, "--norm", "4") == (0, "s_4=1080\n", "")
     assert run(capsys, "shell", path, "--norm", "4", "--json") == (0, '{"norm": "4", "s": 1080}\n', "")
+
+
+@pytest.mark.parametrize("block", [cli._BLOCK, 7])
+def test_streamed_shell_output_matches_per_entry_rendering(capsys, tmp_path, monkeypatch, block):
+    """eqlat shell --vectors writes its text and JSON a block of rows at a
+    time; the bytes must be those of the per-entry rendering it replaced
+    (str of each entry; json.dumps of the whole document, sorted keys) on E8
+    at norm 4, on a shell with entries past int64 and on an empty shell.
+    Blocks of 7 rows put the separators at block seams."""
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    e8 = e8_file(capsys, tmp_path)
+    d = (2**65 + 1) ** 2  # the shell of norm 1 is (0, 1), (2**65 + 1, 0)
+    wide = write_doc(tmp_path, "wide.json", name="wide", dim=2, den=d, gram=[[1, 0], [0, d]])
+    for path, norm, s in ((e8, "4", 1080), (wide, "1", 2), (e8, "3", 0)):
+        reps = shell(cli.load_lattice(path)[0], int(norm))
+        assert len(reps) == s
+        text = f"s_{norm}={s}\n" + "".join(",".join(str(c) for c in v) + "\n" for v in reps)
+        doc = json.dumps({"norm": norm, "s": s, "vectors": [list(v) for v in reps]}, sort_keys=True)
+        assert run(capsys, "shell", path, "--norm", norm, "--vectors") == (0, text, "")
+        assert run(capsys, "shell", path, "--norm", norm, "--vectors", "--json") == (0, doc + "\n", "")
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_a_closed_stdout_ends_quietly(capsys, tmp_path, fmt):
+    """eqlat shell --vectors | head: once the reader has gone, the command
+    exits 141 (128 + SIGPIPE) with nothing on stderr, as a tool ended by
+    SIGPIPE does.  E8's 30,240 pairs of norm 12 fill more than a pipe
+    holds, so the reader closes it while the command still writes."""
+    path = e8_file(capsys, tmp_path)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "eqlat.cli", "shell", path, "--norm", "12",
+                             "--vectors", *fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.CLOSED == 141
+    assert b"Traceback" not in err and err == b""
 
 
 def test_shell_rejects_bad_norm(capsys, tmp_path):

@@ -29,8 +29,9 @@ from eqlat.errors import (
     ZeroVector,
 )
 from eqlat.exact import IntMatrix, RatMatrix, leading_minors, rank_det
-from eqlat.fastops import gram_product, imatmul
+from eqlat.fastops import gram_product, imatmul, imatmul_array
 from eqlat.lattice import GramLattice
+from eqlat.lines import line_family
 from eqlat.mod2 import equiangular_via_s0
 from eqlat.shortvec import (
     PairSet,
@@ -1354,6 +1355,80 @@ def test_forecast_is_near_the_node_count(name, r, nodes):
     payload = next(p for p in kernel_payloads(lat, r, None) if p["mode"] == "count")
     assert shortvec._batched_walk(payload)[1] == nodes
     assert nodes / 4 < shortvec._forecast(payload) < 4 * nodes
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, object])
+def test_tuples_match_tolist_on_every_integer_type(dtype):
+    """_tuples reads each row's tuple from the array's bytes, so it must give
+    tuple(map(tuple, rows.tolist())), every entry of type int, on every
+    integer type (object: Python integers past int64), and on empty,
+    non-contiguous, read-only and byte-swapped arrays."""
+    lo, hi = (-2**70, 2**70) if dtype is object else (np.iinfo(dtype).min, np.iinfo(dtype).max)
+    rows = np.array([[0, 1, -1], [lo, hi, 7], [5, -5, 0], [hi, 0, lo]], dtype=object).astype(dtype)
+    frozen = rows.copy()
+    frozen.flags.writeable = False
+    cases = [rows, rows[:0], rows[:, :0], rows[::-2], rows[:, ::2], np.asfortranarray(rows), frozen]
+    if dtype is not object:
+        cases.append(rows.astype(rows.dtype.newbyteorder("S")))
+    for case in cases:
+        got = shortvec._tuples(case)
+        assert type(got) is tuple and got == tuple(map(tuple, case.tolist()))
+        assert all(type(v) is tuple for v in got) and all(type(c) is int for v in got for c in v)
+
+
+def ref_canonical(rows) -> tuple:
+    """Shell order from Python tuples: each row signed so that its first
+    nonzero entry is positive, sorted, without repeats."""
+    def signed(v):
+        return v if next(c for c in v if c) > 0 else tuple(-c for c in v)
+    return tuple(sorted({signed(v) for v in map(tuple, rows.tolist())}))
+
+
+@pytest.mark.parametrize("block", [shortvec._BLOCK, 5])
+def test_canonical_leaves_its_input_alone(monkeypatch, block):
+    """_canonical, PairSet and line_family work on a private copy: a caller's
+    writable array comes back unchanged, and a cached shell stays read-only
+    and cached.  Blocks of 5 rows put sign flips and repeats across block
+    seams."""
+    monkeypatch.setattr(shortvec, "_BLOCK", block)
+    e8 = root_lattice("E", 8).lattice
+    cached = shortvec._shell_rows(e8, 2)
+    rows = np.concatenate([-cached[::-1], cached[:7], -cached[40:52]])
+    for a in (rows, rows.astype(np.int64), rows.astype(object)):
+        before = a.copy()
+        got, _ = shortvec._canonical(a)
+        assert got.dtype == np.int8 and (got == cached).all()
+        assert shortvec._tuples(got) == ref_canonical(a) == shell(e8, 2)
+        assert PairSet(e8, a).reps == shell(e8, 2)
+        assert a.flags.writeable and a.dtype == before.dtype and (a == before).all()
+    lines = np.array([[0, -1], [1, -1], [-1, 0]])  # the 3 lines of A2, two signs to flip
+    assert line_family(A2, lines).t == 3 and (lines == [[0, -1], [1, -1], [-1, 0]]).all()
+    shortvec._canonical(cached)
+    PairSet(e8, cached)
+    assert not cached.flags.writeable and shortvec._shell_rows(e8, 2) is cached
+
+
+def test_map_back_narrows_by_the_exact_bound(monkeypatch):
+    """_map_back gives the exact product of the leaves and U.  On Leech's
+    98,280 pairs of norm 4 the product bound max |leaf| max |U_ij| n gives
+    int16, and the exact coordinate bound isqrt(4 (G^-1)_ii) int8, which
+    holds the whole shell; one block keeps the product type.  Blocks of one
+    row put the two-row shells past int64 through the same path."""
+    lat = leech().lattice
+    prep, t = shortvec._target(lat, 4)
+    leaves = shortvec._run(prep, "shell", t, None)
+    mapped = shortvec._map_back(lat, leaves, t)
+    assert mapped.dtype == np.int8 and (mapped == imatmul_array(leaves, prep.u.rows)).all()
+    assert shortvec._map_back(lat, leaves[:shortvec._BLOCK], t).dtype == np.int16
+    monkeypatch.setattr(shortvec, "_BLOCK", 1)
+    for cache in (shortvec._prep, shortvec._coset_shell, shortvec._minimum):
+        cache.cache_clear()
+    d = (2**65 + 1) ** 2
+    wide = GramLattice(RatMatrix(IntMatrix([[1, 0], [0, d]]), d))
+    assert shell(wide, 1) == ((0, 1), (2**65 + 1, 0))
+    p, big = 2**32, 2**70
+    skew = GramLattice([[p, big * p], [big * p, big**2 * p + p + 1]])
+    assert vectors_upto(skew, p + 1) == [(p, (1, 0)), (p + 1, (big, -1))]
 
 
 @pytest.mark.parametrize("budget", [shortvec._BUDGET, 0])
