@@ -7,12 +7,8 @@ is deterministic: vector lists use the canonical shell order, JSON is
 emitted with sorted keys, and nothing carries a timestamp, so re-running a
 command on the same input reproduces the bytes.
 
-Exit codes: 0 success; 2 input error (bad parameters, malformed file, bad
-vector); 3 structural precondition failure (no base vector of the required
-norm, or a lattice outside the theorem's shape); 4 hypothesis failure (the
-class shell is empty, or the minimum is odd and it is not equiangular); 141
-stdout closed before the output ended (eqlat shell ... | head), with nothing
-on stderr.
+The exit codes are listed in `eqlat --help` (_EPILOG); _EXIT_CODES maps each
+library error a command lets through to its code.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ from .mod2 import equiangular_direct, relative_lattice
 from .shortvec import _shell_rows, _tuples, minimum, shell_count
 
 OK, USAGE, PRECONDITION, HYPOTHESIS = 0, 2, 3, 4
-CLOSED = 141  # stdout closed early: 128 + SIGPIPE, as a shell reports a tool the signal ends
+INTERRUPTED, CLOSED = 130, 141  # 128 + SIGINT (Ctrl-C) or SIGPIPE, as a shell reports them
 
 # the exit code of each library error a command lets through; any other is a bug
 _EXIT_CODES = {DimensionMismatch: USAGE, ZeroVector: USAGE, NotPrimitive: USAGE,
@@ -468,6 +464,7 @@ exit codes:
      the lattice is not of the shape the construction needs
   4  hypothesis failure: the pipeline ran but the candidate class is empty,
      or the minimum is odd and the class shell is not equiangular
+  130  interrupted (Ctrl-C); one line is printed on stderr
   141  stdout closed before the output ended (e.g. piped into head);
        nothing is printed on stderr
 
@@ -580,6 +577,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_Exit, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, _Exit) else _EXIT_CODES[type(exc)]
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return INTERRUPTED
     except BrokenPipeError:
         # the reader went away (| head): stop quietly, and send what is still
         # buffered to /dev/null so that the flush at exit cannot raise again

@@ -5,10 +5,10 @@ the quadratic form, both in integers on the data of one Bareiss elimination
 of the Gram numerator divided by its content g.  That changes no decision
 and shrinks the k-th leading minor by g**k, so even lattices such as the
 Leech relative lattice walk in int64; one gate, _target, answers without a
-walk for norms off the grain or below the minimum.  LLL keeps the leading minors and
-scaled Gram-Schmidt coefficients of its current basis, and the walks read
-them from its final state: that fraction-free Cholesky data gives A_k =
-delta_k * (norm over levels >= k), a Gram determinant, as the integer
+walk for norms off the grain or below the minimum.  LLL keeps the leading
+minors and scaled Gram-Schmidt coefficients of its current basis, and the
+walks read them from its final state, fraction-free Cholesky data: A_k =
+delta_k * (norm over levels >= k), a Gram determinant, is the integer
 
     A_k = (delta_k A_{k+1} + (delta_{k+1} x_k + s_k)^2) / delta_{k+1},  A_0 = N(x),
 
@@ -16,34 +16,19 @@ so pruning needs only integer comparisons and isqrt, every reported norm
 is exact by construction, and a walk with bound R holds no number above
 2 delta_k delta_{k+1} R.
 
-Two kernels walk the same tree and return the same results, and one rule
-picks between them: a walk whose Gaussian-heuristic forecast passes
-_BUDGET (4,096) nodes is batched, any other walk runs in Python.  The
-Python kernel recomputes each centre from the coordinates above it, so
-small walks never pay numpy's fixed cost; it alone takes least_vector's
-"first" walks, which stop at their first leaf.  The batched kernel walks
-level by level on up to _BATCH (2,048) partial vectors at a time: in numpy
-int32 when every number of the walk is proven to stay below 2**30 (every
-Leech walk), in int64 below 2**62, else in object arrays of Python integers.
-Both kernels hand their leaves over as one integer array, which stays one
-narrow array through the map back to the input basis (block by block, in
-the type an exact coordinate bound allows: int8 on Leech), the sign
-canonicalisation and the sort, and is cached as it is: only shell,
-coset_shell and vectors_upto make tuples of it, in C, and `eqlat shell
---vectors` writes it out a block at a time.  A walk one grain below LLL's
-least diagonal entry proves the minimum and keeps no vectors: every shell
-is walked for itself.
-
-No option sets the number of processes.  A walk forecast past _SPLIT nodes
-(five times the Leech norm-4 count's) is split by its top-level
-values across the CPUs the process may run on, unless it is a "min"
-walk, or the process may run on one CPU only or is a daemon (_run); the
-split changes no result.
+A walk is a value, a frozen Walk, and _run is the one way into it: it
+picks the kernel, splits a walk forecast past _SPLIT nodes across the CPUs
+the process may run on (no option sets the number of processes), and
+returns one frozen WalkResult, the mode's answer with the nodes visited and
+the kernel taken, whose value the public functions read.  The two kernels
+walk the same tree and return the same results: a walk whose
+Gaussian-heuristic forecast passes _BUDGET (4,096) nodes is batched, numpy
+steps on _BATCH (2,048) partial vectors in the narrowest exact number type
+(int32 on Leech); any other, and least_vector's "first" walks, run in
+Python.  Leaves stay one narrow integer array up to shell's tuples.
 
 Walks run in LLL bases, so their cost does not depend on how the input
-is written.  least_vector answers in the input basis with one walk per
-coordinate: the prefix found so far (held at 1) and the next unit vector
-on top of an LLL basis of the rest, a coset walk as in Schnorr-Euchner.
+is written; least_vector's coset walks (Schnorr-Euchner) answer in it.
 
 Congruence classes mod 2L are enumerated directly by stepping coordinates
 in twos; because -x lies in the class of x, the usual sign-halving trick
@@ -58,7 +43,7 @@ import math
 import operator
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -158,8 +143,8 @@ class _Prep:
     u: IntMatrix
     n: int
     den: Fraction
-    delta: list[int]
-    sub: list[list[int]]
+    delta: tuple[int, ...]
+    sub: tuple[tuple[int, ...], ...]
     seed: int
     grain: int
 
@@ -174,7 +159,7 @@ def _prep(lat: GramLattice) -> _Prep:
     u, delta, sub = _lll(num)  # unimodular: U G U^T keeps den
     seed = min(row_norms(u.rows, num.rows).tolist(), default=0)
     grain = 1 if any(row[i] % 2 for i, row in enumerate(num.rows)) else 2
-    return _Prep(u, lat.dim, Fraction(lat.gram.den, g), delta, sub, seed, grain)
+    return _Prep(u, lat.dim, Fraction(lat.gram.den, g), tuple(delta), tuple(map(tuple, sub)), seed, grain)
 
 
 def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
@@ -184,60 +169,76 @@ def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
 
 
 # Forecast nodes past which a walk is batched, partial vectors per numpy step
-# of the batched kernel, and forecast nodes past which _run splits a walk
-# across processes.  Fresh `eqlat shell --norm r` processes on two cores, two
-# workers against one, were faster in k of 10 alternating pairs (medians):
-#   Leech r=4 (forecast 1.91e6)  7   0.45 -> 0.39 s
-#   E8 r=36   (4.6e6)            4   0.38 -> 0.40 s
-#   D16 r=8   (3.0e6)            8   0.56 -> 0.48 s
-#   E8 r=40   (6.9e6)            9   0.47 -> 0.39 s
-#   E8 r=50   (1.63e7)           9   0.69 -> 0.53 s
-#   D16 r=10  (1.54e7)          10   1.61 -> 1.04 s
-# The forecast orders these walks loosely, so the split starts twice above
-# the largest that lost, and above every walk of the benchmark's workloads.
+# of the batched kernel, and forecast nodes past which _run splits a walk.  In
+# fresh `eqlat shell` processes on two cores, two workers lost to one on E8's
+# norm-36 count (forecast 4.6e6; 4 of 10 pairs) and won on E8's norm 40 (6.9e6;
+# 9 of 10) and D16's norm 10 (1.54e7; 1.61 -> 1.04 s, 10 of 10).  The forecast
+# orders walks loosely, so the split starts twice above the largest that lost.
 _BUDGET = 4096
 _BATCH = 2048
 _SPLIT = 10_000_000
 
 
-def _search_chunk(payload: dict) -> object:
-    """Enumerate the subtrees under the given top-level coordinate values.
+@dataclass(frozen=True, slots=True)
+class Walk:
+    """One walk: the Bareiss data delta (n + 1 leading minors) and sub of its
+    basis, the class parity mod 2 or None, the mode, the bound limit, a norm
+    of the Gram numerator (x G x^T), and tops, the top-level values it takes.
+    Each mode has one answer: "le" the leaves of norm <= limit and "shell"
+    those of norm limit, as an integer array, a row per leaf; "count" the
+    number of leaves of norm limit; "first" the first of them in the walk's
+    order (each level ascending, top level first), as a list of one tuple;
+    "min" the least nonzero norm <= limit, or None, lowering the bound to
+    norm - 1 at each leaf."""
 
-    Top-level function so process pools can pick it up by reference.
-    limit is a norm in units of the Gram numerator (x G x^T).  Each mode has
-    one answer: "le" the leaves of norm <= limit and "shell" those of norm
-    limit, as one integer array of coordinates, a row per leaf; "count" the
-    number of leaves of norm limit; "first" the first of them, the least in
-    the walk's order (each level ascending, top level first), as a list of
-    one tuple; "min" the least nonzero norm <= limit, or None, lowering the
-    bound to norm - 1 at each leaf.  The exact-norm modes solve the bottom
-    level in closed form and take its (at most two) roots in ascending order.
+    delta: tuple[int, ...]
+    sub: tuple[tuple[int, ...], ...]
+    parity: tuple[int, ...] | None
+    mode: str
+    limit: int
+    tops: tuple[int, ...]
 
-    A walk whose _forecast passes _BUDGET goes to _batched_walk, any other
-    to _walk; "first" walks are _walk's alone.  The two kernels share only
-    this contract, so the forecast decides no result.
-    """
-    return (_batched_walk if _forecast(payload) > _BUDGET else _walk)(payload)[0]
+    @classmethod
+    def of(cls, prep: _Prep, mode: str, limit: int, parity: tuple[int, ...] | None = None) -> Walk:
+        """The walk of prep's basis over every top-level value within the bound."""
+        tops = _top_values(prep.delta, limit, parity) if prep.n else ()
+        return cls(prep.delta, prep.sub, parity, mode, limit, tops)
+
+    @property
+    def n(self) -> int:
+        return len(self.delta) - 1
+
+    def forecast(self) -> float:
+        """The Gaussian-heuristic node count (Hanrot-Stehle 2007): the sum
+        over m of V_m(sqrt R) sqrt(delta_{n-m} / delta_n) / 2, with R / 4 on
+        a class, a coset of 2L, and each term capped at e**700."""
+        n, delta, log = self.n, self.delta, math.log
+        r = log(math.pi) + log(max(self.limit, 1)) - (self.parity is not None) * log(4)
+        return sum(math.exp(min(m / 2 * r - math.lgamma(m / 2 + 1)
+                                + (log(delta[n - m]) - log(delta[n])) / 2, 700))
+                   for m in range(1, n + 1)) / 2
 
 
-def _forecast(payload: dict) -> float:
-    """The Gaussian-heuristic node count of the walk (Hanrot-Stehle 2007):
-    the sum over m of V_m(sqrt R) sqrt(delta_{n-m} / delta_n) / 2, with
-    R / 4 on a class, a coset of 2L, and each term capped at e**700."""
-    n, delta, log = payload["n"], payload["delta"], math.log
-    r = log(math.pi) + log(max(payload["limit"], 1)) - (payload["parity"] is not None) * log(4)
-    return sum(math.exp(min(m / 2 * r - math.lgamma(m / 2 + 1)
-                            + (log(delta[n - m]) - log(delta[n])) / 2, 700))
-               for m in range(1, n + 1)) / 2
+@dataclass(frozen=True, slots=True)
+class WalkResult:
+    """A walk's answer as its mode asks, nodes below the top level, kernel taken."""
+
+    value: object
+    nodes: int
+    kernel: str
 
 
-def _walk(payload: dict) -> tuple[object, int]:
-    """The Python kernel: (result, nodes), nodes counting the calls below the
-    top level.  Each node computes its centre s_k = sum over j > k of
-    sub[k][j-k-1] * x_j afresh.
-    """
-    n, delta, sub, tops = payload["n"], payload["delta"], payload["sub"], payload["tops"]
-    parity, mode, limit = payload["parity"], payload["mode"], payload["limit"]
+def _result(walk: Walk, kernel: str, nodes: int, count: int, best: int | None, leaves) -> WalkResult:
+    """The record of a finished walk: count, best or leaves, as its mode asks."""
+    return WalkResult({"count": count, "min": best}.get(walk.mode, leaves), nodes, kernel)
+
+
+def _walk(walk: Walk) -> WalkResult:
+    """The Python kernel, nodes counting the calls below the top level.
+    Each node computes its centre s_k = sum over j > k of sub[k][j-k-1] * x_j
+    afresh, so small walks never pay numpy's fixed cost."""
+    n, delta, sub, tops = walk.n, walk.delta, walk.sub, walk.tops
+    parity, mode, limit = walk.parity, walk.mode, walk.limit
     step = 2 if parity is not None else 1
     exact = mode in ("shell", "first", "count")
     isqrt = math.isqrt
@@ -305,7 +306,7 @@ def _walk(payload: dict) -> tuple[object, int]:
         rec(top, 0, True)
     if mode in ("shell", "le"):
         out = int_array(out) if out else np.empty((0, n), np.int64)
-    return {"count": count, "min": best}.get(mode, out), max(nodes, 0)
+    return _result(walk, "walk", max(nodes, 0), count, best, out)
 
 
 def _isqrt(q: np.ndarray) -> np.ndarray:
@@ -339,16 +340,16 @@ def _ellipsoid(delta: tuple[int, ...], sub: tuple[tuple[int, ...], ...]) -> tupl
                  for row in inv.num.rows), inv.den**2
 
 
-def _coordinate_bounds(delta: list[int], sub: list[list[int]], limit: int) -> list[int]:
+def _coordinate_bounds(delta: tuple[int, ...], sub: tuple[tuple[int, ...], ...], limit: int) -> list[int]:
     """The largest |x_k| of a real point of norm sum_k y_k^2 / (delta_k
     delta_{k+1}) <= limit, y = M x with M_kk = delta[k+1] and M_kj =
     sub[k][j-k-1] (j > k), so every node of a walk with that limit has
     |x_k| <= bound[k]: the maximum is sqrt(limit * w[k] / e) for N = M^-1."""
-    w, e = _ellipsoid(tuple(delta), tuple(map(tuple, sub)))
+    w, e = _ellipsoid(delta, sub)
     return [math.isqrt(limit * wk // e) for wk in w]
 
 
-def _walk_types(delta: list[int], sub: list[list[int]], limit: int):
+def _walk_types(walk: Walk):
     """(number type, coordinate type) of a batched walk.  Every number the
     walk makes is at most 2 delta_k delta_{k+1} limit in absolute value,
     except the centre sums s_k, at most sum_j |sub[k][j]| bound[j], and
@@ -356,6 +357,7 @@ def _walk_types(delta: list[int], sub: list[list[int]], limit: int):
     and 2**62) lies above that bound and every centre sum, which keeps
     kmax +- s_k below twice the cap, else in object arrays; coordinates take
     the narrowest type that holds _coordinate_bounds."""
+    delta, sub, limit = walk.delta, walk.sub, walk.limit
     bound = _coordinate_bounds(delta, sub, limit)
     most = max([2 * max(map(operator.mul, delta, delta[1:])) * max(limit, 1)]
                + [sum(abs(c) * b for c, b in zip(row, bound[k + 1:])) for k, row in enumerate(sub)])
@@ -363,9 +365,9 @@ def _walk_types(delta: list[int], sub: list[list[int]], limit: int):
     return num, _narrowest(max(bound))
 
 
-def _batched_walk(payload: dict) -> tuple[object, int]:
-    """_walk's result from numpy steps on _BATCH partial vectors at a time,
-    with nodes, the rows it expanded below the top level.
+def _batched_walk(walk: Walk) -> WalkResult:
+    """_walk's value from numpy steps on _BATCH partial vectors at a time,
+    nodes counting the rows it expanded below the top level.
 
     Each level queues its rows in _walk's order, with the top-level values
     sorted by absolute value.  A step takes the first _BATCH rows of the
@@ -377,18 +379,16 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     fewer than _BATCH (2 + 2 bound[k+1] / step) rows; the Leech norm-4 count
     walk peaks at 33,935 queued rows over all levels, at most 5,898 on one, each
     row 24 int8 coordinates and one int32 A_{k+1}.
-    A node's candidate values are exactly those with |y_k| <= kmax, so no
-    number but the centre sums exceeds 2 delta_k delta_{k+1} limit; the walk
-    runs in int32 or int64 where _walk_types proves it exact (int32 on
-    Leech), in object arrays of Python integers otherwise.  Coordinates take
-    the narrowest type, int8 on Leech.  Rows are gathered with take, which
-    is about 5 times faster than fancy indexing on int8 rows.  A "first"
-    walk, which only _walk takes, raises ValueError.
+    It runs in the number and coordinate types _walk_types proves exact
+    (int32 and int8 on Leech), as a node's candidate values are exactly
+    those with |y_k| <= kmax.  Rows are gathered with take, about 5 times
+    faster than fancy indexing on int8 rows.  A "first" walk raises
+    ValueError: only _walk takes it.
 
     The sign rule, x_k >= 0 where every coordinate above k is 0, concerns
     one row per level, the zero-prefix row.  It is the first row queued at
     its level, so row 0 of the first step there: the top-level value 0
-    comes first in any order of payload["tops"], and the row's zero child,
+    comes first in any order of walk.tops, and the row's zero child,
     if it has one, is its first child (its values start at 0).  The kernel
     keeps only the level where that row waits; at level 0 its zero child is
     the zero vector, which is no leaf.
@@ -398,14 +398,14 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
     bound.  So nodes is _walk's count unless a "min" walk finds a leaf; then
     it lies between that and the "count" walk's at the first bound.
     """
-    n, delta, sub = payload["n"], payload["delta"], payload["sub"]
-    parity, mode, limit = payload["parity"], payload["mode"], payload["limit"]
+    n, delta, sub = walk.n, walk.delta, walk.sub
+    parity, mode, limit = walk.parity, walk.mode, walk.limit
     if mode == "first":
         raise ValueError('"first" walks run in _walk alone')
     top = n - 1
     # 0 first: its row is the zero-prefix row
-    tops = sorted((t for t in payload["tops"] if delta[n] * t * t <= delta[top] * limit), key=abs)
-    num, dtype = _walk_types(delta, sub, limit)
+    tops = sorted((t for t in walk.tops if delta[n] * t * t <= delta[top] * limit), key=abs)
+    num, dtype = _walk_types(walk)
     step = 2 if parity is not None else 1
     exact = mode in ("shell", "count")
     subs = [np.array(r, dtype=num) for r in sub]
@@ -489,43 +489,46 @@ def _batched_walk(payload: dict) -> tuple[object, int]:
             limit = best - 1
     if mode in ("shell", "le"):
         out = np.concatenate(out) if out else np.empty((0, n), dtype)
-    return {"count": count, "min": best}.get(mode, out), nodes
+    return _result(walk, "batched", nodes, count, best, out)
 
 
-def _top_values(delta: list[int], limit: int, parity) -> list[int]:
+def _top_values(delta: tuple[int, ...], limit: int, parity) -> tuple[int, ...]:
     """Top-level values of a walk: at least 0 (sign rule), within the bound."""
     if limit < 0:
-        return []
+        return ()
     d = delta[-1]
     hi = math.isqrt(delta[-2] * d * limit) // d
-    return list(range(hi + 1) if parity is None else range(parity[-1], hi + 1, 2))
+    return tuple(range(hi + 1) if parity is None else range(parity[-1], hi + 1, 2))
 
 
-def _run(prep: _Prep, mode: str, limit: int, parity) -> object:
-    """The walk's result, split across min(top-level values, CPUs) worker
-    processes, each taking every workers-th top-level value, when all hold:
-    its _forecast passes _SPLIT; it is no "min" walk, whose workers could not
-    share the bound it lowers; the process may run on more than one CPU (its
-    affinity mask where the platform has one, so taskset limits it, else
-    os.cpu_count()); and it is no daemon, which may start no children (a
-    multiprocessing.Pool worker).  Else it walks in this process."""
-    tops = _top_values(prep.delta, limit, parity) if prep.n else []
-    payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": parity,
-               "mode": mode, "limit": limit, "tops": tops}
+def _run(walk: Walk) -> WalkResult:
+    """The one way into a walk.  A "first" walk, whose forecast says nothing
+    of its cost as it stops at its first leaf, goes to _walk; any other to
+    _batched_walk if its forecast passes _BUDGET, else to _walk: either
+    gives Walk's answer.  Past _SPLIT it is split across min(top-level
+    values, CPUs) processes, each taking every workers-th top-level value,
+    unless it is a "min" walk, whose workers could not share the bound it
+    lowers, or the process may run on one CPU (its affinity mask, so taskset
+    limits it) or is a daemon.  Nodes and counts add up, leaves are joined."""
+    if walk.mode == "first":
+        return _walk(walk)
+    forecast = walk.forecast()
+    kernel = _batched_walk if forecast > _BUDGET else _walk
     workers = 1
-    if mode != "min" and _forecast(payload) > _SPLIT:
+    if walk.mode != "min" and forecast > _SPLIT:
         import multiprocessing  # only a walk past _SPLIT pays this import
 
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = 1 if multiprocessing.current_process().daemon else min(len(tops), cpus)
+        workers = 1 if multiprocessing.current_process().daemon else min(len(walk.tops), cpus)
     if workers <= 1:
-        return _search_chunk(payload)
+        return kernel(walk)
     from concurrent.futures import ProcessPoolExecutor
 
-    jobs = [dict(payload, tops=tops[i::workers]) for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_search_chunk, jobs))
-    return sum(results) if mode == "count" else np.concatenate(results)
+        parts = list(pool.map(kernel, [replace(walk, tops=walk.tops[i::workers]) for i in range(workers)]))
+    values = [part.value for part in parts]
+    return WalkResult(sum(values) if walk.mode == "count" else np.concatenate(values),
+                      sum(part.nodes for part in parts), parts[0].kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -541,21 +544,20 @@ def _narrowest(bound: int):
 
 def _map_back(lat: GramLattice, leaves: np.ndarray, limit: int) -> np.ndarray:
     """The leaves of a walk at limit in _prep(lat)'s basis, in the input
-    basis: leaves @ U, _BLOCK rows at a time.  Each block is multiplied in
-    the narrowest type that holds every product and partial sum (max |leaf|
-    max |U_ij| n) and goes straight into the narrowest type that holds the
-    lower of that bound and the exact bound on every coordinate of a vector
-    of norm <= limit, |x_i| <= isqrt(limit (G^-1)_ii) for G the Gram
-    numerator over its content (_coordinate_bounds on G's own Bareiss data;
-    int8 on Leech at norms 4 and 6, where the product bound gives int16).  That bound costs an inverse per lattice, so
-    one block keeps its product type, which _canonical narrows."""
+    basis: leaves @ U, _BLOCK rows at a time, each multiplied in the
+    narrowest type that holds every product and partial sum (max |leaf|
+    max |U_ij| n), stored in the narrowest type that holds the lower of that
+    bound and isqrt(limit (G^-1)_ii), the exact bound for G the Gram
+    numerator over its content (_coordinate_bounds on its Bareiss data; int8
+    on Leech at norms 4 and 6, where the product bound gives int16).  That
+    bound costs an inverse, so one block keeps its product type."""
     u = int_array(_prep(lat).u.rows)
     bound = _max_abs(leaves) * _max_abs(u) * len(u)
     num = _narrowest(bound)
     u = u.astype(num)
     if len(leaves) > _BLOCK:
-        g = _primitive(lat.gram.num.rows)[0]
-        bound = min(bound, max(_coordinate_bounds(*leading_minors(g), limit)))
+        delta, sub = leading_minors(_primitive(lat.gram.num.rows)[0])
+        bound = min(bound, max(_coordinate_bounds(tuple(delta), tuple(map(tuple, sub)), limit)))
     out = np.empty(leaves.shape, _narrowest(bound))
     for i in range(0, len(leaves), _BLOCK):
         # einsum's integer loop: 16 ms on Leech's norm-4 leaves, matmul's 31 ms
@@ -564,12 +566,12 @@ def _map_back(lat: GramLattice, leaves: np.ndarray, limit: int) -> np.ndarray:
 
 
 def _canonical(rows: np.ndarray, key: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """(rows, key) in a shell's canonical form, made on a private copy, so a
-    caller's array is never changed: each row signed so that its first
-    nonzero entry is positive, in the narrowest integer type, sorted (by key
-    first if given) and without repeats.  Signs flip in place and repeats are
+    """(rows, key) in a shell's canonical form: each row signed so that its
+    first nonzero entry is positive, in the narrowest integer type, sorted
+    (by key first if given), without repeats.  Signs flip in place, in rows
+    itself if it has that type, so callers pass arrays they own; repeats are
     found _BLOCK rows at a time, so no temporary but the sort's is full size."""
-    out = rows.astype(_narrowest(_max_abs(rows)))  # a copy, in which -rows fits
+    out = rows.astype(_narrowest(_max_abs(rows)), copy=False)  # -rows fits
     if not out.size:
         return out, key
     for i in range(0, len(out), _BLOCK):
@@ -590,12 +592,10 @@ _STRUCT = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _tuples(rows: np.ndarray) -> tuple[Vec, ...]:
-    """Integer rows as tuples of Python integers.  struct.iter_unpack makes
-    each row's tuple in C from the bytes of a numpy integer array (copied
-    first only if they are not C-contiguous in native order), and tuple()
-    sizes the result once from the iterator's length hint, so no list grows
-    in the heap; object arrays of Python integers, and empty arrays, go
-    through tolist."""
+    """Integer rows as tuples of Python integers, each made in C by
+    struct.iter_unpack from the array's bytes (copied only if not
+    C-contiguous in native order); tuple() sizes the result once from the
+    iterator's length hint.  Object and empty arrays go through tolist."""
     if rows.dtype.kind != "i" or not rows.size:
         return tuple(map(tuple, rows.tolist()))
     rows = np.ascontiguousarray(rows, rows.dtype.newbyteorder("="))
@@ -619,7 +619,7 @@ def _minimum(lat: GramLattice) -> Fraction:
     if lat.dim == 0:
         raise DimensionMismatch("empty lattice has no minimum")
     prep = _prep(lat)
-    best = _run(prep, "min", prep.seed - prep.grain, None) if prep.seed > prep.grain else None
+    best = _run(Walk.of(prep, "min", prep.seed - prep.grain)).value if prep.seed > prep.grain else None
     return Fraction(prep.seed if best is None else best, prep.den)
 
 
@@ -667,10 +667,8 @@ def least_vector(lat: GramLattice, r) -> Vec | None:
         gram, g = _primitive(gram_product(rows, num))
         q, rest = divmod(t, g)  # every norm in the span of rows is a multiple of g
         delta, sub = leading_minors(gram)
-        found = not rest and _walk({
-            "n": len(rows), "delta": delta, "sub": sub, "parity": None, "mode": "first",
-            "limit": q, "tops": [1] if lifted else _top_values(delta, q, None),
-        })[0]
+        tops = (1,) if lifted else _top_values(delta, q, None)
+        found = not rest and _run(Walk(tuple(delta), tuple(map(tuple, sub)), None, "first", q, tops)).value
         if not found:
             return None
         x.append(found[0][len(rows) - 1 - lifted])
@@ -687,7 +685,7 @@ def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None, r: Fraction) 
     if gate:
         prep, t = gate
         pr = None if parity is None else _parity_reduced(prep, parity)
-        rows, _ = _canonical(_map_back(lat, _run(prep, "shell", t, pr), t))
+        rows, _ = _canonical(_map_back(lat, _run(Walk.of(prep, "shell", t, pr)).value, t))
     rows.flags.writeable = False
     return rows
 
@@ -710,7 +708,7 @@ def shell_count(lat: GramLattice, r) -> int:
     """Number of +-pairs of norm exactly r, storing no vectors: 0 where _target
     rules r out, else one "count" walk."""
     gate = _target(lat, r)
-    return 0 if gate is None else _run(gate[0], "count", gate[1], None)
+    return 0 if gate is None else _run(Walk.of(gate[0], "count", gate[1])).value
 
 
 def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
@@ -720,7 +718,7 @@ def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
     if not prep.n:
         return []
     limit = math.floor(_rational(r) * prep.den / prep.grain) * prep.grain
-    found = _map_back(lat, _run(prep, "le", limit, None), limit)
+    found = _map_back(lat, _run(Walk.of(prep, "le", limit)).value, limit)
     rows, norms = _canonical(found, row_norms(found, lat.gram.num.rows))
     return [(Fraction(a, lat.gram.den), v) for a, v in zip(norms.tolist(), _tuples(rows))]
 
@@ -748,7 +746,7 @@ def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
     pr = _parity_reduced(prep, _class_parity(x))
     lifts = [imatmul([pr], prep.u.rows)[0], x]  # both in the class
     norm = Fraction(min(row_norms(lifts, lat.gram.num.rows).tolist()), lat.gram.den)
-    return Fraction(_run(prep, "min", int(norm * prep.den), pr), prep.den)
+    return Fraction(_run(Walk.of(prep, "min", int(norm * prep.den), pr)).value, prep.den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -772,6 +770,8 @@ class PairSet:
             rows = int_array(lat._check_all(rows) or np.zeros((0, lat.dim), np.int8))
         elif rows.shape[1:] != (lat.dim,):
             raise DimensionMismatch(f"vectors are not rows of length {lat.dim}")
+        else:
+            rows = rows.copy()  # _canonical works on the rows it is given
         if not (rows != 0).any(axis=1).all():
             raise ZeroVector("pair sets cannot contain 0")
         rows, _ = _canonical(rows)

@@ -164,7 +164,7 @@ def grid_short_vectors(gram_rows, bound):
 
 
 def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
-    """The recursive enumeration kernel that shortvec._search_chunk replaced.
+    """The recursive enumeration kernel that shortvec's kernels replaced.
 
     It recomputes every centre from scratch and makes a call per node for
     the bounds and per leaf for the bookkeeping; the tree, its order and

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -169,6 +170,35 @@ def test_a_closed_stdout_ends_quietly(capsys, tmp_path, fmt):
     proc.stderr.close()
     assert proc.wait(timeout=120) == cli.CLOSED == 141
     assert b"Traceback" not in err and err == b""
+
+
+def test_an_interrupt_ends_with_130(capsys, tmp_path, monkeypatch):
+    """KeyboardInterrupt (Ctrl-C) in a command ends it with 130 (128 +
+    SIGINT) and one line on stderr, where it printed a traceback."""
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "shell_count", interrupted)
+    path = write_doc(tmp_path, "a2.json", **A2)
+    assert run(capsys, "shell", path, "--norm", "2") == (cli.INTERRUPTED, "", "interrupted\n")
+
+
+def test_sigint_during_a_walk_ends_quietly():
+    """SIGINT sent once `eqlat shell leech.json --norm 4 --verbose` has said
+    it is enumerating, while it reduces the basis and counts the 98,280
+    minimal pairs (about 0.35 s on a 2-core Xeon), ends the command with
+    status 130 and one more line on stderr, without a traceback."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "eqlat.cli", "shell", str(GOLDEN / "leech.json"),
+                             "--norm", "4", "--verbose"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    note = proc.stderr.readline()
+    assert note == b"enumerating the norm-4 shell of Leech\n"
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.INTERRUPTED == 130
+    assert b"Traceback" not in err and err == b"interrupted\n" and out == b""
 
 
 def test_shell_rejects_bad_norm(capsys, tmp_path):
@@ -566,5 +596,6 @@ def test_help_documents_exit_codes(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for phrase in ("0  success", "2  input error", "3  structural", "4  hypothesis"):
+    for phrase in ("0  success", "2  input error", "3  structural", "4  hypothesis",
+                   "130  interrupted"):
         assert phrase in out

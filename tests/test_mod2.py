@@ -203,24 +203,17 @@ def test_default_x0_skewed_leech():
     assert elapsed < 10.0
 
 
-def test_default_x0_leech_without_the_norm_6_shell(monkeypatch):
+def test_default_x0_leech_without_the_norm_6_shell(walks):
     lat = leech().lattice
     assert minimum(lat) == 4
-    modes = []
-
-    def recorded(f):
-        return lambda payload: modes.append(payload["mode"]) or f(payload)
-
-    # least_vector's walks enter the Python kernel directly, any other walk
-    # would pass _search_chunk
-    monkeypatch.setattr(shortvec, "_search_chunk", recorded(shortvec._search_chunk))
-    monkeypatch.setattr(shortvec, "_walk", recorded(shortvec._walk))
+    walks.clear()
     start = time.perf_counter()
     x0 = default_x0(lat)
     elapsed = time.perf_counter() - start
     assert x0 == (0,) * 11 + (1, -1, -1, 0, -1, -1, -1, 0, 0, 0, -1, -1, 3)
     assert lat.norm(x0) == 6
     # no "shell" walk: the norm-6 shell is never built, one walk per coordinate
+    modes = [walk.mode for walk, _ in walks]
     assert set(modes) == {"first"} and len(modes) <= lat.dim
     assert elapsed < 1.0
 
@@ -231,7 +224,7 @@ def test_x0_of_the_wrong_length_raises_before_any_walk(monkeypatch):
     for cache in (shortvec._prep, shortvec._minimum, shortvec._coset_shell):
         cache.cache_clear()
     walks = []
-    monkeypatch.setattr(shortvec, "_run", lambda *args: walks.append(args[1]))
+    monkeypatch.setattr(shortvec, "_run", lambda walk: walks.append(walk.mode))
     for route in (equiangular_direct, equiangular_via_s0):
         with pytest.raises(DimensionMismatch, match="vector has 2 coordinates, lattice needs 24"):
             route(lat, (1, 0))
@@ -330,22 +323,15 @@ def test_relative_lattice_a4():
     assert len(shell(rel.induced, 6)) == 3
 
 
-def test_relative_lattice_walks_its_lattice_once(monkeypatch):
+def test_relative_lattice_walks_its_lattice_once(walks):
     # minimum and shell of the section come from one "le" walk
     for cache in (shortvec._prep, shortvec._minimum, shortvec._coset_shell):
         cache.cache_clear()
     x0 = default_x0(E8)
     shortvec.coset_shell(E8, x0, 6)  # the ambient walks it reuses
-    modes = []
-    search = shortvec._search_chunk
-
-    def recorded(payload):
-        modes.append(payload["mode"])
-        return search(payload)
-
-    monkeypatch.setattr(shortvec, "_search_chunk", recorded)
+    walks.clear()
     rel = relative_lattice(E8, x0)
-    assert modes == ["le"]
+    assert [walk.mode for walk, _ in walks] == ["le"]
     assert len(shell(rel.induced, 6)) == 28
 
 

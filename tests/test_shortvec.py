@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import random
 import types
+from dataclasses import replace
 from fractions import Fraction as QQ
 
 import numpy as np
@@ -115,7 +116,8 @@ def test_lll_matches_reference():
         # the walk data is LLL's final state: the Bareiss data of its Gram
         # divided by its content
         prep, red = shortvec._prep(lat), primitive(lll_reduce(lat)[0].gram.num)
-        assert (prep.delta, prep.sub) == leading_minors(red), lat
+        delta, sub = leading_minors(red)
+        assert (prep.delta, prep.sub) == (tuple(delta), tuple(map(tuple, sub))), lat
         assert prep.seed == min((red[i, i] for i in range(lat.dim)), default=0)
 
 
@@ -301,57 +303,50 @@ def test_minimum_and_count_match_grid_oracle():
         seen[minimum_against_oracle(near_reduced_gram(rng, rng.randint(2, 6), even=drawn % 4 == 0))] += 1
 
 
-def test_minimum_and_count_walk_once_each(monkeypatch):
+def made(walks, *fields):
+    """The given fields of each walk the walks fixture recorded, in order, as
+    a tuple each, or a bare value for one field; "nodes" and "kernel" are
+    read from the walk's result."""
+    got = [tuple(getattr(result if f in ("nodes", "kernel") else walk, f) for f in fields)
+           for walk, result in walks]
+    return [v for v, in got] if len(fields) == 1 else got
+
+
+def test_minimum_and_count_walk_once_each(walks):
     """minimum walks once, one grain below the seed, and keeps no vectors
     and no count; shell_count at the minimum is a "count" walk of its own,
     inside the minimum walk's bound, and every shell a "shell" walk of its
     own.  Walks are listed as (mode, limit in walk units)."""
-    walks = []
-    search = shortvec._search_chunk
-
-    def counted(payload):
-        walks.append((payload["mode"], payload["limit"]))
-        return search(payload)
-
-    monkeypatch.setattr(shortvec, "_search_chunk", counted)
     shortvec._minimum.cache_clear()
     shortvec._coset_shell.cache_clear()
     # E8: seed 2 = grain 2, so no norm lies below the seed and nothing walks
     e8 = root_lattice("E", 8).lattice
     assert (shortvec._prep(e8).seed, shortvec._prep(e8).grain) == (2, 2)
     assert minimum(e8) == 2 and walks == []
-    assert shell_count(e8, 2) == 120 and walks == [("count", 2)]
-    assert len(shell(e8, 2)) == 120 and walks == [("count", 2), ("shell", 2)]
+    assert shell_count(e8, 2) == 120 and made(walks, "mode", "limit") == [("count", 2)]
+    assert len(shell(e8, 2)) == 120 and made(walks, "mode", "limit") == [("count", 2), ("shell", 2)]
     # the S0 slice reads the cached shell; norm 1 lies below the minimum
     assert equiangular_via_s0(e8, (0, 0, 0, 0, 0, 0, 1, -1)).t == 28
     assert shell(e8, 1) == ()
-    assert walks == [("count", 2), ("shell", 2)]
+    assert made(walks, "mode", "limit") == [("count", 2), ("shell", 2)]
     # a basis whose least diagonal entry, 11, lies above the minimum 10
     # (grain 1): the walk at 10 finds the minimum, the count walks again
     lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6], [-1, 2, -6, 11]])
     assert (shortvec._prep(lat).seed, shortvec._prep(lat).grain) == (11, 1)
     walks.clear()
-    assert minimum(lat) == 10 and walks == [("min", 10)]
-    assert shell_count(lat, 10) == 1 and walks == [("min", 10), ("count", 10)]
-    assert shell(lat, 9) == () and walks == [("min", 10), ("count", 10)]
-    assert len(shell(lat, 10)) == 1 and walks[2:] == [("shell", 10)]
+    assert minimum(lat) == 10 and made(walks, "mode", "limit") == [("min", 10)]
+    assert shell_count(lat, 10) == 1 and made(walks, "mode", "limit") == [("min", 10), ("count", 10)]
+    assert shell(lat, 9) == () and made(walks, "mode", "limit") == [("min", 10), ("count", 10)]
+    assert len(shell(lat, 10)) == 1 and made(walks, "mode", "limit")[2:] == [("shell", 10)]
 
 
-def test_shell_count_above_the_seed_walks_once(monkeypatch):
+def test_shell_count_above_the_seed_walks_once(walks):
     # shell_count makes only its own "count" walk; the counts agree with
     # the shells' walks at every norm
-    modes = []
-    search = shortvec._search_chunk
-
-    def counted(payload):
-        modes.append(payload["mode"])
-        return search(payload)
-
-    monkeypatch.setattr(shortvec, "_search_chunk", counted)
     shortvec._minimum.cache_clear()
     e8 = root_lattice("E", 8).lattice
     assert shell_count(e8, 4) == 1080
-    assert modes == ["count"]
+    assert made(walks, "mode") == ["count"]
     rng = random.Random(41)
     corpus = [A2, Z2, e8, root_lattice("D", 5).lattice]
     corpus += [rand_gram(rng, n) for n in (2, 3, 4, 5)]
@@ -438,7 +433,7 @@ def test_coset_shell_a2():
     assert coset_minimum(A2, (1, 0)) == 2
 
 
-def test_coset_minimum_walks_from_the_reduced_lift(monkeypatch):
+def test_coset_minimum_walks_from_the_reduced_lift(walks):
     """coset_minimum seeds its "min" walk with the norm of the 0/1 lift
     of the reduced parity in the LLL basis when the vector it is given is
     longer.  Given the 0/1 class of the root x0 in the skewed bases of A16,
@@ -452,10 +447,6 @@ def test_coset_minimum_walks_from_the_reduced_lift(monkeypatch):
     bases = {(fam, n): inputs.unimodular(rng, n)
              for fam, dims in (("A", range(4, 17)), ("D", range(4, 17)), ("E", (6, 7, 8)))
              for n in dims}
-    walks = []
-    search = shortvec._search_chunk
-    monkeypatch.setattr(shortvec, "_search_chunk",
-                        lambda payload: walks.append(payload) or search(payload))
     for fam, n, nodes in (("A", 16, 15), ("D", 16, 67), ("E", 8, 43)):
         u, uinv = bases[fam, n]
         lat = GramLattice(gram_product(u, root_lattice(fam, n).lattice.gram.num.rows))
@@ -463,18 +454,18 @@ def test_coset_minimum_walks_from_the_reduced_lift(monkeypatch):
         lift = [v % 2 for v in x0]
         walks.clear()
         assert coset_minimum(lat, lift) == 2
-        (payload,) = walks
+        ((walk, _),) = walks
         prep, first = shortvec._prep(lat), lat.norm(lift)
         pr = shortvec._parity_reduced(prep, x0)
         seed = lat.norm(imatmul([pr], prep.u.rows)[0]) * prep.den
-        assert payload["limit"] == seed <= first * prep.den
+        assert walk.limit == seed <= first * prep.den
         visits = []
-        assert ref_walk(payload, visits) == 2
-        assert shortvec._walk(payload)[1] == len(visits) == nodes
-        assert shortvec._run(prep, "min", int(first * prep.den), payload["parity"]) == 2
+        assert ref_walk(walk, visits) == 2
+        assert shortvec._walk(walk).nodes == len(visits) == nodes
+        assert shortvec._run(shortvec.Walk.of(prep, "min", int(first * prep.den), walk.parity)).value == 2
 
 
-def test_coset_minimum_walks_from_the_given_vector(monkeypatch):
+def test_coset_minimum_walks_from_the_given_vector(walks):
     """The vector given to coset_minimum lies in its class, so its norm
     seeds the walk when it is below the reduced lift's: the Leech x0 class
     (minimum 6) walks 2,831 nodes from x0, the reference's count, where the
@@ -482,20 +473,17 @@ def test_coset_minimum_walks_from_the_given_vector(monkeypatch):
     minimum."""
     big = leech()
     lat, x0 = big.lattice, big.marks["x0"]
-    walks = []
-    search = shortvec._search_chunk
-    monkeypatch.setattr(shortvec, "_search_chunk",
-                        lambda payload: walks.append(payload) or search(payload))
+    walks.clear()
     assert coset_minimum(lat, x0) == 6
-    (payload,) = walks
-    assert payload["limit"] == lat.norm(x0) == 6
+    ((walk, _),) = walks
+    assert walk.limit == lat.norm(x0) == 6
     visits = []
-    assert ref_walk(payload, visits) == 6
-    assert shortvec._walk(payload)[1] == len(visits) == 2_831
+    assert ref_walk(walk, visits) == 6
+    assert shortvec._walk(walk).nodes == len(visits) == 2_831
     prep = shortvec._prep(lat)
-    lift = lat.norm(imatmul([payload["parity"]], prep.u.rows)[0])
+    lift = lat.norm(imatmul([walk.parity], prep.u.rows)[0])
     assert lift == 50
-    assert shortvec._run(prep, "min", 50, payload["parity"]) == 6
+    assert shortvec._run(shortvec.Walk.of(prep, "min", 50, walk.parity)).value == 6
 
 
 def test_cosets_partition_shell():
@@ -707,7 +695,7 @@ def test_vectors_upto_sorts_as_python_does(monkeypatch):
     big = past_int64()
     limit = 3 * 2**41  # norms 2**41 + x.x and 2**42 + x.x
     prep = shortvec._prep(big)
-    assert shortvec._walk_types(prep.delta, prep.sub, limit)[0] is object
+    assert number_type(shortvec.Walk.of(prep, "le", limit)) is object
     monkeypatch.setattr(shortvec, "_BUDGET", 0)  # every walk batched
     for lat, r in [(lat, minimum(lat) + 2) for lat in kernel_corpus(random.Random(131))] + [(big, limit)]:
         got = vectors_upto(lat, r)
@@ -720,8 +708,8 @@ def test_vectors_upto_sorts_as_python_does(monkeypatch):
 # -- the kernel against the reference walk ------------------------------------
 
 
-def kernel_payloads(lat, r, parity):
-    """Payloads of all five modes at norm r on lat, whole and split in two;
+def kernel_walks(lat, r, parity):
+    """Walks of all five modes at norm r on lat, whole and split in two;
     "min" at the seed, a norm that some vector of the class attains."""
     prep = shortvec._prep(lat)
     pr = None if parity is None else shortvec._parity_reduced(prep, parity)
@@ -732,10 +720,9 @@ def kernel_payloads(lat, r, parity):
         seed = math.floor(lat.norm(parity) * prep.den)  # the 0/1 lift lies in the class
     for mode, limit in (("le", target), ("shell", target), ("first", target),
                         ("count", target), ("min", seed)):
-        tops = shortvec._top_values(prep.delta, limit, pr)
-        for chunk in (tops, tops[0::2], tops[1::2]):
-            yield {"n": prep.n, "delta": prep.delta, "sub": prep.sub,
-                   "parity": pr, "mode": mode, "limit": limit, "tops": chunk}
+        walk = shortvec.Walk.of(prep, mode, limit, pr)
+        for chunk in (walk.tops, walk.tops[0::2], walk.tops[1::2]):
+            yield replace(walk, tops=chunk)
 
 
 def lcm_form(delta):
@@ -746,22 +733,24 @@ def lcm_form(delta):
     return scale, [scale // v for v in e]
 
 
-def ref_walk(payload, visits=None):
-    """ref_search_chunk on payload in its lcm form, with the norms it
-    reports brought back to the payload's units; the exact-norm modes
-    target the limit."""
-    scale, g = lcm_form(payload["delta"])
-    limit = scale * payload["limit"]
-    found = ref_search_chunk(dict(payload, g=g, limit=limit, target=limit), visits)
-    if payload["mode"] == "min" and found is not None:
+def ref_walk(walk, visits=None):
+    """ref_search_chunk on the walk in its lcm form, given as its own dict
+    of the walk's fields, with the norms it reports brought back to the
+    walk's units; the exact-norm modes target the limit."""
+    scale, g = lcm_form(walk.delta)
+    limit = scale * walk.limit
+    found = ref_search_chunk({"n": walk.n, "delta": walk.delta, "sub": walk.sub, "g": g,
+                              "parity": walk.parity, "mode": walk.mode, "target": limit,
+                              "limit": limit, "tops": walk.tops}, visits)
+    if walk.mode == "min" and found is not None:
         return found // scale
     return found
 
 
-def number_type(payload):
-    """The number type the batched kernel walks payload in: np.int32,
+def number_type(walk):
+    """The number type the batched kernel takes the walk in: np.int32,
     np.int64 or object."""
-    return shortvec._walk_types(payload["delta"], payload["sub"], payload["limit"])[0]
+    return shortvec._walk_types(walk)[0]
 
 
 def listed(mode, found):
@@ -772,10 +761,10 @@ def listed(mode, found):
     return found
 
 
-def walked(kernel, payload):
-    """(result, nodes) of one kernel, leaves in ref_search_chunk's form."""
-    found, nodes = kernel(payload)
-    return listed(payload["mode"], found), nodes
+def walked(kernel, walk):
+    """(value, nodes) of one kernel, leaves in ref_search_chunk's form."""
+    found = kernel(walk)
+    return listed(walk.mode, found.value), found.nodes
 
 
 class Capped(list):
@@ -795,7 +784,7 @@ class Capped(list):
             raise Capped.Full
 
 
-def check_batched(payload, want):
+def check_batched(walk, want):
     """The batched kernel against want = (result, nodes) of the reference
     walk.  Its result is want's.  It counts the rows it expands, so its node
     count is want's wherever the bound never lowers; a "min" walk that finds
@@ -804,16 +793,16 @@ def check_batched(payload, want):
     That walk is stopped one node past the batched count: whole, at a coset
     walk's seed, it can take minutes.  "first" walks are the Python kernel's
     alone: the batched kernel refuses them."""
-    if payload["mode"] == "first":
+    if walk.mode == "first":
         with pytest.raises(ValueError):
-            shortvec._batched_walk(payload)
+            shortvec._batched_walk(walk)
         return
-    got, nodes = walked(shortvec._batched_walk, payload)
+    got, nodes = walked(shortvec._batched_walk, walk)
     assert got == want[0]
-    if payload["mode"] == "min" and got is not None:
+    if walk.mode == "min" and got is not None:
         fixed = Capped(nodes + 1)
         with contextlib.suppress(Capped.Full):
-            ref_walk(dict(payload, mode="count"), fixed)
+            ref_walk(replace(walk, mode="count"), fixed)
         assert want[1] <= nodes <= len(fixed)
     else:
         assert nodes == want[1]
@@ -838,7 +827,7 @@ def kernel_corpus(rng):
     ]
 
 
-def test_kernel_matches_reference_walk(monkeypatch):
+def test_kernel_matches_reference_walk(walks):
     """Both kernels give the reference's results, in every mode, on parity
     walks and on the coset walks of least_vector; the Python kernel visits
     the reference's nodes and the batched kernel keeps check_batched's rule."""
@@ -850,45 +839,37 @@ def test_kernel_matches_reference_walk(monkeypatch):
         m = minimum(lat)
         parity = tuple(rng.randint(0, 1) for _ in range(n - 1)) + (1,)
         for par in (None, parity):
-            for payload in kernel_payloads(lat, m + 2, par):
-                mode = payload["mode"]
+            for walk in kernel_walks(lat, m + 2, par):
                 visits = []
-                want = ref_walk(payload, visits), len(visits)
-                assert walked(shortvec._walk, payload) == want, mode
-                check_batched(payload, want)
+                want = ref_walk(walk, visits), len(visits)
+                assert walked(shortvec._walk, walk) == want, walk.mode
+                check_batched(walk, want)
                 if want[0]:  # a leaf, a count or a least norm found
-                    seen.add(mode)
+                    seen.add(walk.mode)
     assert seen == {"le", "shell", "first", "count", "min"}
 
     # the coset walks of least_vector: a prefix held at 1 on top, e_i, then
     # a reduced block, in a basis that is not reduced as a whole
-    walks = []
-    walk = shortvec._walk
-
-    def captured(payload):
-        walks.append(payload)
-        return walk(payload)
-
-    monkeypatch.setattr(shortvec, "_walk", captured)
+    walks.clear()
     for lat in lats:
         m = minimum(lat)
         for r in (m, m + 2):
             shortvec.least_vector(lat, r)
-    monkeypatch.undo()
-    assert any(payload["tops"] == [1] for payload in walks)
+    firsts = [walk for walk, _ in walks if walk.mode == "first"]
+    assert any(walk.tops == (1,) for walk in firsts)
     # these bases are reduced below their top two levels only, so their
     # leading minors are large, and a few walks pass the int64 bound: the
     # batched kernel then walks their whole shells in Python integers
     past = 0
-    for payload in walks:
+    for walk in firsts:
         visits = []
-        want = ref_walk(payload, visits), len(visits)
-        assert walked(shortvec._walk, payload) == want
-        check_batched(payload, want)
-        whole = dict(payload, mode="shell")
+        want = ref_walk(walk, visits), len(visits)
+        assert walked(shortvec._walk, walk) == want
+        check_batched(walk, want)
+        whole = replace(walk, mode="shell")
         check_batched(whole, walked(shortvec._walk, whole))
-        past += number_type(payload) is object
-    assert 0 < past < len(walks)
+        past += number_type(walk) is object
+    assert 0 < past < len(firsts)
 
 
 @pytest.mark.parametrize("budget, batch", [(shortvec._BUDGET, shortvec._BATCH),
@@ -907,16 +888,16 @@ def test_mincount_leaves_match_reference_walk(monkeypatch, budget, batch):
     while dropped < 5:
         lat = near_reduced_gram(rng, rng.randint(2, 6))
         prep = shortvec._prep(lat)
-        for payload in kernel_payloads(lat, 1, None):
-            if payload["mode"] != "min":
+        for walk in kernel_walks(lat, 1, None):
+            if walk.mode != "min":
                 continue
             visits = []
-            want = ref_walk(payload, visits), len(visits)
-            assert walked(shortvec._walk, payload) == want
-            check_batched(payload, want)
-            assert shortvec._search_chunk(payload) == want[0]
+            want = ref_walk(walk, visits), len(visits)
+            assert walked(shortvec._walk, walk) == want
+            check_batched(walk, want)
+            assert shortvec._run(walk).value == want[0]
             # the first leaf of the walk, taken before any bound is lowered
-            first = ref_walk(dict(payload, mode="le"))[:1]
+            first = ref_walk(replace(walk, mode="le"))[:1]
             dropped += bool(first) and lat.norm(imatmul(first, prep.u.rows)[0]) * prep.den > want[0]
 
 
@@ -948,63 +929,57 @@ def test_batched_kernel_at_batch_boundaries(monkeypatch):
         m = minimum(lat)
         parity = tuple(rng.randint(0, 1) for _ in range(lat.dim - 1)) + (1,)
         for par in (None, parity):
-            for payload in kernel_payloads(lat, m + 2, par):
-                want = walked(shortvec._walk, payload)
+            for walk in kernel_walks(lat, m + 2, par):
+                want = walked(shortvec._walk, walk)
                 for size in (1, 2, 3, 64):
                     monkeypatch.setattr(shortvec, "_BATCH", size)
-                    check_batched(payload, want)
+                    check_batched(walk, want)
                 batched += 1
-                lowered += payload["mode"] == "min" and want[0] is not None
+                lowered += walk.mode == "min" and want[0] is not None
     assert lowered and batched > 500
 
 
-def test_batched_kernel_answers_an_empty_top_level(monkeypatch):
+def test_batched_kernel_answers_an_empty_top_level():
     """With no top-level value inside the bound, the batched kernel gives
     the empty result of each of its four modes itself, without the Python
     kernel."""
-    def refuse(payload):
-        raise AssertionError("Python kernel entered")
-
-    payloads = [payload for lat in (root_lattice("E", 8).lattice, GramLattice([[3]]))
-                for payload in kernel_payloads(lat, minimum(lat), None)
-                if payload["mode"] != "first"]
-    monkeypatch.setattr(shortvec, "_walk", refuse)
-    for payload in payloads:
-        top = shortvec._top_values(payload["delta"], payload["limit"], None)
-        for tops in ([], [top[-1] + 1]):  # none, or none inside the bound
-            empty = dict(payload, tops=tops)
+    walks = [walk for lat in (root_lattice("E", 8).lattice, GramLattice([[3]]))
+             for walk in kernel_walks(lat, minimum(lat), None)
+             if walk.mode != "first"]
+    for walk in walks:
+        top = shortvec._top_values(walk.delta, walk.limit, None)
+        for tops in ((), (top[-1] + 1,)):  # none, or none inside the bound
+            empty = replace(walk, tops=tops)
             assert walked(shortvec._batched_walk, empty) == (ref_walk(empty), 0)
+            assert shortvec._batched_walk(empty).kernel == "batched"
 
 
 def test_batched_kernel_takes_top_level_values_in_any_order():
     """The batched kernel finds the zero-prefix row, to which alone the sign
     rule applies, by walking the top-level value 0 first, so the order of
-    payload["tops"] does not matter: shuffled, with negative values among
-    them, it gives _walk's results on the same payload, leaves in another
-    order, and _walk's node counts wherever the bound never lowers."""
+    walk.tops does not matter: shuffled, with negative values among them,
+    it gives _walk's results on the same walk, leaves in another order, and
+    _walk's node counts wherever the bound never lowers."""
     rng = random.Random(157)
     for lat in kernel_corpus(rng)[::3]:
         m = minimum(lat)
-        for payload in kernel_payloads(lat, m + 2, None):
-            if payload["mode"] == "first":
+        for walk in kernel_walks(lat, m + 2, None):
+            if walk.mode == "first":
                 continue
-            tops = payload["tops"] + [-t for t in payload["tops"] if t]
+            tops = list(walk.tops) + [-t for t in walk.tops if t]
             rng.shuffle(tops)
-            mixed = dict(payload, tops=tops)
+            mixed = replace(walk, tops=tuple(tops))
             want = walked(shortvec._walk, mixed)
             got = walked(shortvec._batched_walk, mixed)
-            if payload["mode"] in ("le", "shell"):
+            if walk.mode in ("le", "shell"):
                 want, got = (sorted(want[0]), want[1]), (sorted(got[0]), got[1])
             assert got[0] == want[0]
-            if payload["mode"] != "min" or want[0] is None:
+            if walk.mode != "min" or want[0] is None:
                 assert got[1] == want[1]
 
 
-def leech_payload(mode, limit):
-    prep = shortvec._prep(leech().lattice)
-    return {"n": prep.n, "delta": prep.delta, "sub": prep.sub,
-            "parity": None, "mode": mode, "limit": limit,
-            "tops": shortvec._top_values(prep.delta, limit, None)}
+def leech_walk(mode, limit):
+    return shortvec.Walk.of(shortvec._prep(leech().lattice), mode, limit)
 
 
 def test_batched_kernel_visits_the_leech_minimum_walk():
@@ -1012,18 +987,18 @@ def test_batched_kernel_visits_the_leech_minimum_walk():
     # minimum, has 14,978 nodes and finds nothing; the count of the pairs at
     # 4 has 1,971,697 below the top level, the count of the reference walk
     # (test_leech_minimum_walk_matches_reference) and of the Python kernel
-    proof = leech_payload("min", 2)
-    assert shortvec._batched_walk(proof) == shortvec._walk(proof) == (None, 14_978)
-    assert shortvec._batched_walk(leech_payload("count", 4)) == (98_280, 1_971_697)
+    proof = leech_walk("min", 2)
+    assert walked(shortvec._batched_walk, proof) == walked(shortvec._walk, proof) == (None, 14_978)
+    assert walked(shortvec._batched_walk, leech_walk("count", 4)) == (98_280, 1_971_697)
 
 
 @pytest.mark.slow
 def test_leech_minimum_walk_matches_reference():
-    payload = leech_payload("count", 4)
+    walk = leech_walk("count", 4)
     visits = []
-    want = ref_walk(payload, visits), len(visits)
+    want = ref_walk(walk, visits), len(visits)
     assert want[1] == 1_971_697
-    assert walked(shortvec._walk, payload) == walked(shortvec._batched_walk, payload) == want
+    assert walked(shortvec._walk, walk) == walked(shortvec._batched_walk, walk) == want
 
 
 def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
@@ -1031,17 +1006,17 @@ def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
     integers, with the reference's results and node counts as
     check_batched allows."""
     big = past_int64()
-    payloads = list(kernel_payloads(big, minimum(big) + 2**41, None))
-    assert {number_type(payload) for payload in payloads} == {object}
+    walks = list(kernel_walks(big, minimum(big) + 2**41, None))
+    assert {number_type(walk) for walk in walks} == {object}
     monkeypatch.setattr(shortvec, "_BUDGET", 1)  # every walk forecasts past it
-    for payload in payloads:
+    for walk in walks:
         visits = []
-        want = ref_walk(payload, visits), len(visits)
-        check_batched(payload, want)
-        if payload["mode"] == "first":  # least_vector's, run in the Python kernel alone
-            assert walked(shortvec._walk, payload) == want
+        want = ref_walk(walk, visits), len(visits)
+        check_batched(walk, want)
+        if walk.mode == "first":  # least_vector's, run in the Python kernel alone
+            assert walked(shortvec._walk, walk) == want
         else:
-            assert listed(payload["mode"], shortvec._search_chunk(payload)) == want[0]
+            assert walked(shortvec._run, walk)[0] == want[0]
 
 
 def test_content_is_divided_out_of_the_walk():
@@ -1052,10 +1027,10 @@ def test_content_is_divided_out_of_the_walk():
     prep, small = shortvec._prep(big), shortvec._prep(d5)
     assert (prep.u, prep.delta, prep.sub, prep.seed) == (small.u, small.delta, small.sub, small.seed)
     assert prep.den == QQ(1, 2**40)
-    payloads = list(kernel_payloads(big, minimum(big) + 2**41, None))
-    assert {number_type(payload) for payload in payloads} == {np.int32}
-    le = next(p for p in payloads if p["mode"] == "le")
-    assert shortvec._batched_walk(le)[0].dtype == np.int8  # the walk's coordinate type
+    walks = list(kernel_walks(big, minimum(big) + 2**41, None))
+    assert {number_type(walk) for walk in walks} == {np.int32}
+    le = next(walk for walk in walks if walk.mode == "le")
+    assert shortvec._batched_walk(le).value.dtype == np.int8  # the walk's coordinate type
     assert minimum(big) == 2**41
     assert shell(big, 2**41) == shell(d5, 2)
     assert shell_count(big, 2**42) == shell_count(d5, 4) > 0
@@ -1064,7 +1039,7 @@ def test_content_is_divided_out_of_the_walk():
     assert shortvec.least_vector(big, 2**42) == shortvec.least_vector(d5, 4)
 
 
-def refuse(payload):
+def refuse(walk):
     raise AssertionError("walked")
 
 
@@ -1077,8 +1052,7 @@ def test_odd_targets_on_an_even_lattice_walk_nothing(monkeypatch):
     even = GramLattice([[2 * a for a in row] for row in e8.gram.num.rows])
     skew = A2.rescale(QQ(2, 3))  # (4 2; 2 4) / 3: norms are multiples of 2/3
     assert [shortvec._prep(lat).grain for lat in (e8, lech)] == [2, 2]
-    monkeypatch.setattr(shortvec, "_search_chunk", refuse)
-    monkeypatch.setattr(shortvec, "_walk", refuse)  # least_vector's kernel
+    monkeypatch.setattr(shortvec, "_run", refuse)
     for lat, r in ((even, 3), (even, 5), (skew, 1), (skew, QQ(5, 3)),
                    (e8, 3), (e8, 101), (lech, 5), (lech, 7)):
         shortvec._coset_shell.cache_clear()
@@ -1095,46 +1069,34 @@ def test_norms_below_the_minimum_walk_nothing(monkeypatch):
     only below the seed (4) and reads it from the cache."""
     lech = leech().lattice
     assert minimum(lech) == 4
-    monkeypatch.setattr(shortvec, "_search_chunk", refuse)
-    monkeypatch.setattr(shortvec, "_walk", refuse)
+    monkeypatch.setattr(shortvec, "_run", refuse)
     assert shortvec.least_vector(lech, 3) is None and shortvec.least_vector(lech, 2) is None
     assert shell_count(lech, 2) == 0 and shell(lech, 2) == ()
 
 
-def test_vectors_upto_walks_at_a_multiple_of_the_grain(monkeypatch):
+def test_vectors_upto_walks_at_a_multiple_of_the_grain(walks):
     """vectors_upto(E8, 3) walks "le" at 2, the largest even norm up to 3,
     and lists the 120 roots as at 2; at 1, below the grain, the walk is at
     0 and lists nothing."""
     e8 = root_lattice("E", 8).lattice
-    walks = []
-    search = shortvec._search_chunk
-
-    def counted(payload):
-        walks.append((payload["mode"], payload["limit"]))
-        return search(payload)
-
-    monkeypatch.setattr(shortvec, "_search_chunk", counted)
+    walks.clear()
     upto = vectors_upto(e8, 3)
-    assert walks == [("le", 2)]
+    assert made(walks, "mode", "limit") == [("le", 2)]
     assert upto == vectors_upto(e8, 2) == [(QQ(2), v) for v in shell(e8, 2)]
     assert vectors_upto(e8, QQ(7, 2)) == upto and vectors_upto(e8, 1) == []
-    assert walks[-2:] == [("le", 2), ("le", 0)]
+    assert made(walks, "mode", "limit")[-2:] == [("le", 2), ("le", 0)]
 
 
-def test_vectors_upto_reads_norms_on_the_input_gram(monkeypatch):
+def test_vectors_upto_reads_norms_on_the_input_gram(walks):
     """The "le" walk returns coordinates alone, and vectors_upto reads each
     norm on the input Gram after the map back: on D4 with content 3 and den
     7, whose walk units differ from the input's.  At r = -1, 0 and 1 E8
     lists nothing: -1 walks at -2, where _top_values gives no top-level
     value, and 0 and 1 at 0, where only the zero vector lies."""
-    walks = []
-    search = shortvec._search_chunk
-    monkeypatch.setattr(shortvec, "_search_chunk",
-                        lambda payload: walks.append((payload["mode"], payload["limit"], payload["tops"]))
-                        or search(payload))
     e8 = root_lattice("E", 8).lattice
+    walks.clear()
     assert [vectors_upto(e8, r) for r in (-1, 0, 1)] == [[], [], []]
-    assert walks == [("le", -2, []), ("le", 0, [0]), ("le", 0, [0])]
+    assert made(walks, "mode", "limit", "tops") == [("le", -2, ()), ("le", 0, (0,)), ("le", 0, (0,))]
     d4 = root_lattice("D", 4).lattice
     lat = GramLattice(RatMatrix(IntMatrix([[3 * a for a in row] for row in d4.gram.num.rows]), 7))
     assert shortvec._prep(lat).den == QQ(7, 3)
@@ -1155,18 +1117,14 @@ def test_leech_walks_run_in_int32():
     prep = shortvec._prep(lat)
     pr = shortvec._parity_reduced(prep, [v % 2 for v in x0])
     for r, pairs in ((6, 1), (10, 276)):
-        payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": pr,
-                   "mode": "shell", "limit": r,
-                   "tops": shortvec._top_values(prep.delta, r, pr)}
-        assert number_type(payload) is np.int32
-        want = walked(shortvec._walk, payload)
-        assert len(want[0]) == pairs and walked(shortvec._batched_walk, payload) == want
+        walk = shortvec.Walk.of(prep, "shell", r, pr)
+        assert number_type(walk) is np.int32
+        want = walked(shortvec._walk, walk)
+        assert len(want[0]) == pairs and walked(shortvec._batched_walk, walk) == want
     u, _ = benchmark_inputs().unimodular(random.Random(2), lat.dim)
-    skew = shortvec._prep(GramLattice(gram_product(u, lat.gram.num.rows)))
-    payload = dict(leech_payload("count", 4), delta=skew.delta, sub=skew.sub,
-                   tops=shortvec._top_values(skew.delta, 4, None))
-    assert number_type(payload) is np.int32
-    assert shortvec._batched_walk(payload)[0] == 98_280
+    skew = shortvec.Walk.of(shortvec._prep(GramLattice(gram_product(u, lat.gram.num.rows))), "count", 4)
+    assert number_type(skew) is np.int32
+    assert shortvec._batched_walk(skew).value == 98_280
 
 
 def test_int32_walks_stop_at_the_proven_bound():
@@ -1180,29 +1138,23 @@ def test_int32_walks_stop_at_the_proven_bound():
     last = (2**30 - 1) // (2 * max(a * b for a, b in zip(prep.delta, prep.delta[1:])))
     for limit, num in ((last, np.int32), (last + 1, np.int64)):
         for mode in ("le", "count"):
-            payload = {"n": prep.n, "delta": prep.delta, "sub": prep.sub, "parity": None,
-                       "mode": mode, "limit": limit,
-                       "tops": shortvec._top_values(prep.delta, limit, None)}
-            assert number_type(payload) is num
-            assert walked(shortvec._batched_walk, payload) == walked(shortvec._walk, payload)
+            walk = shortvec.Walk.of(prep, mode, limit)
+            assert number_type(walk) is num
+            assert walked(shortvec._batched_walk, walk) == walked(shortvec._walk, walk)
 
 
-def test_small_walks_never_enter_the_batched_kernel(monkeypatch):
+def test_small_walks_never_enter_the_batched_kernel(walks):
     """The E8 walks at norms 2 and 4 forecast and walk at most _BUDGET
     nodes (1,511 for the whole norm-4 walk), so the Python kernel takes
     them all."""
-    def refuse(payload):
-        raise AssertionError("batched kernel entered")
-
-    monkeypatch.setattr(shortvec, "_batched_walk", refuse)
     e8 = root_lattice("E", 8).lattice
     for r in (2, 4):
-        for payload in kernel_payloads(e8, r, None):
-            assert shortvec._walk(payload)[1] <= shortvec._BUDGET
-            got = shortvec._search_chunk(payload)
-            assert listed(payload["mode"], got) == ref_walk(payload)
+        for walk in kernel_walks(e8, r, None):
+            assert shortvec._walk(walk).nodes <= shortvec._BUDGET
+            assert walked(shortvec._run, walk)[0] == ref_walk(walk)
     shortvec._coset_shell.cache_clear()
     assert len(shell(e8, 2)) == 120
+    assert set(made(walks, "kernel")) == {"walk"}
 
 
 def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
@@ -1215,32 +1167,26 @@ def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
     kernel at a budget of 1,000.  A "min" walk lowers its bound at each leaf
     it finds, so it walks well below its forecast (D16's: 106 nodes) and
     none of these is long."""
-    entered = []
-    batched, walk = shortvec._batched_walk, shortvec._walk
-    monkeypatch.setattr(shortvec, "_batched_walk", lambda p: entered.append("batched") or batched(p))
-    monkeypatch.setattr(shortvec, "_walk", lambda p: entered.append("walk") or walk(p))
     e8, d16 = root_lattice("E", 8).lattice, root_lattice("D", 16).lattice
     forecast, long = set(), set()
     for budget, lat, r in ((shortvec._BUDGET, e8, 8), (100, e8, 6), (1000, d16, 2)):
         monkeypatch.setattr(shortvec, "_BUDGET", budget)
-        for payload in kernel_payloads(lat, r, None):
-            mode = payload["mode"]
-            if mode == "first":  # least_vector's, run in the Python kernel alone
+        for walk in kernel_walks(lat, r, None):
+            if walk.mode == "first":  # least_vector's, run in the Python kernel alone
                 continue
-            alone = walk(payload)
-            entered.clear()
-            got = shortvec._search_chunk(payload)
-            over = shortvec._forecast(payload) > budget
-            assert entered == ["batched" if over else "walk"]
-            assert listed(mode, got) == listed(mode, alone[0])
+            alone = walked(shortvec._walk, walk)
+            got = shortvec._run(walk)
+            over = walk.forecast() > budget
+            assert got.kernel == ("batched" if over else "walk")
+            assert listed(walk.mode, got.value) == alone[0]
             if over:
-                forecast.add(mode)
+                forecast.add(walk.mode)
             elif alone[1] > budget:
-                long.add(mode)
+                long.add(walk.mode)
     assert forecast == long | {"min"} == {"le", "shell", "count", "min"}
 
 
-def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
+def test_leech_walks_go_straight_to_the_batched_kernel(walks):
     """The leech-cli walks forecast past _BUDGET and enter the batched
     kernel alone: the minimum's walk at norm 2, the count of the minimal
     pairs and the class shell of x0 at norm 10 in int32, and the relative
@@ -1248,35 +1194,24 @@ def test_leech_walks_go_straight_to_the_batched_kernel(monkeypatch):
     puts in int64 (its bound is 2**53.2)."""
     from eqlat.mod2 import relative_lattice
 
-    def refuse(payload):
-        raise AssertionError("Python kernel entered")
-
-    entered = []
-    batched = shortvec._batched_walk
-
-    def spy(payload):
-        types = shortvec._walk_types(payload["delta"], payload["sub"], payload["limit"])
-        entered.append((payload["mode"], types[0], shortvec._forecast(payload)))
-        return batched(payload)
-
     big = leech()
     lat, x0 = big.lattice, big.marks["x0"]
     relative = relative_lattice(lat, x0).induced
     assert shortvec._prep(relative).den == QQ(1, 2)
     for cache in (shortvec._minimum, shortvec._coset_shell):
         cache.cache_clear()
-    monkeypatch.setattr(shortvec, "_walk", refuse)
-    monkeypatch.setattr(shortvec, "_batched_walk", spy)
+    walks.clear()
     assert minimum(lat) == 4
     assert shell_count(lat, 4) == 98_280
     assert len(coset_shell(lat, x0, 10)) == 276
     assert len(vectors_upto(relative, 16 - lat.norm(x0))) > 0
-    assert [(mode, num) for mode, num, _ in entered] == [
+    assert [(walk.mode, number_type(walk)) for walk, _ in walks] == [
         ("min", np.int32), ("count", np.int32), ("shell", np.int32), ("le", np.int64)]
-    assert all(f > shortvec._BUDGET for *_, f in entered)
+    assert set(made(walks, "kernel")) == {"batched"}
+    assert all(walk.forecast() > shortvec._BUDGET for walk, _ in walks)
 
 
-def test_first_walks_never_enter_the_batched_kernel(monkeypatch):
+def test_first_walks_never_enter_the_batched_kernel(walks):
     """A "first" walk stops at its first leaf, so the forecast of its whole
     tree says nothing of its cost: least_vector runs its walks in the Python
     kernel, also where that forecast passes _BUDGET, as on Leech, and where
@@ -1284,47 +1219,24 @@ def test_first_walks_never_enter_the_batched_kernel(monkeypatch):
     seed-7 skewed basis.  The batched kernel refuses a "first" walk."""
     from test_mod2 import skewed_basis
 
-    first = leech_payload("first", 4)
-    assert shortvec._forecast(first) > shortvec._BUDGET
+    first = leech_walk("first", 4)
+    assert first.forecast() > shortvec._BUDGET
     with pytest.raises(ValueError):
         shortvec._batched_walk(first)
-    walked_nodes, batched_modes = [], []
-    walk, batched = shortvec._walk, shortvec._batched_walk
-
-    def counted(payload):
-        found = walk(payload)
-        walked_nodes.append((payload["mode"], found[1]))
-        return found
-
-    monkeypatch.setattr(shortvec, "_walk", counted)
-    monkeypatch.setattr(shortvec, "_batched_walk",
-                        lambda payload: batched_modes.append(payload["mode"]) or batched(payload))
     lat = leech().lattice
     assert shortvec.least_vector(lat, 6) is not None
     skew = skewed_basis(lat, random.Random(7))
     assert shortvec.least_vector(skew, 4) is not None
-    assert "first" not in batched_modes
-    assert ("first", 40_433) in walked_nodes
+    firsts = [(nodes, kernel) for mode, nodes, kernel in made(walks, "mode", "nodes", "kernel")
+              if mode == "first"]
+    assert {kernel for _, kernel in firsts} == {"walk"}
+    assert (40_433, "walk") in firsts
 
 
-def test_each_walk_enters_one_kernel(monkeypatch):
-    """Every walk runs in exactly one kernel: _search_chunk sends it to the
-    one its forecast names, and least_vector's "first" walks go to the
-    Python kernel alone; on the kernel corpus, E8 and Leech."""
-    entered, calls = [], []
-    chunk, walk, batched = shortvec._search_chunk, shortvec._walk, shortvec._batched_walk
-
-    def searched(payload):
-        start = len(entered)
-        found = chunk(payload)
-        calls.append((entered[start:], shortvec._forecast(payload)))
-        return found
-
-    monkeypatch.setattr(shortvec, "_search_chunk", searched)
-    monkeypatch.setattr(shortvec, "_walk",
-                        lambda payload: entered.append(("walk", payload["mode"])) or walk(payload))
-    monkeypatch.setattr(shortvec, "_batched_walk",
-                        lambda payload: entered.append(("batched", payload["mode"])) or batched(payload))
+def test_each_walk_enters_one_kernel(walks):
+    """Every walk runs in exactly one kernel: _run sends it to the one its
+    forecast names, and least_vector's "first" walks to the Python kernel
+    alone; on the kernel corpus, E8 and Leech."""
     for cache in (shortvec._minimum, shortvec._coset_shell):
         cache.cache_clear()
     rng = random.Random(151)
@@ -1338,12 +1250,12 @@ def test_each_walk_enters_one_kernel(monkeypatch):
     big = leech()
     assert minimum(big.lattice) == 4 and len(coset_shell(big.lattice, big.marks["x0"], 10)) == 276
     assert shortvec.least_vector(big.lattice, 6) is not None
-    for kernels, forecast in calls:
-        assert [name for name, _ in kernels] == ["batched" if forecast > shortvec._BUDGET else "walk"]
-    firsts = [k for k in entered if k[1] == "first"]
-    assert len(entered) == len(calls) + len(firsts)
-    assert firsts and all(name == "walk" for name, _ in firsts)
-    assert {kernels[0][0] for kernels, _ in calls} == {"walk", "batched"}
+    for walk, result in walks:
+        over = walk.mode != "first" and walk.forecast() > shortvec._BUDGET
+        assert result.kernel == ("batched" if over else "walk")
+    firsts = [kernel for mode, kernel in made(walks, "mode", "kernel") if mode == "first"]
+    assert firsts and set(firsts) == {"walk"}
+    assert {kernel for mode, kernel in made(walks, "mode", "kernel") if mode != "first"} == {"walk", "batched"}
 
 
 @pytest.mark.parametrize("name, r, nodes", [("Leech", 4, 1_971_697), ("E8", 4, 1_511),
@@ -1352,9 +1264,9 @@ def test_forecast_is_near_the_node_count(name, r, nodes):
     """The Gaussian-heuristic forecast lies within a factor of 4 of the
     nodes of the whole "count" walk."""
     lat = leech().lattice if name == "Leech" else root_lattice(name[0], int(name[1:])).lattice
-    payload = next(p for p in kernel_payloads(lat, r, None) if p["mode"] == "count")
-    assert shortvec._batched_walk(payload)[1] == nodes
-    assert nodes / 4 < shortvec._forecast(payload) < 4 * nodes
+    walk = next(walk for walk in kernel_walks(lat, r, None) if walk.mode == "count")
+    assert shortvec._batched_walk(walk).nodes == nodes
+    assert nodes / 4 < walk.forecast() < 4 * nodes
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, object])
@@ -1386,24 +1298,24 @@ def ref_canonical(rows) -> tuple:
 
 @pytest.mark.parametrize("block", [shortvec._BLOCK, 5])
 def test_canonical_leaves_its_input_alone(monkeypatch, block):
-    """_canonical, PairSet and line_family work on a private copy: a caller's
-    writable array comes back unchanged, and a cached shell stays read-only
-    and cached.  Blocks of 5 rows put sign flips and repeats across block
-    seams."""
+    """_canonical works in place on the arrays its callers own: a shell
+    walk's leaves come out in canonical form, and PairSet and line_family
+    copy a caller's array first, so it comes back unchanged, and a cached
+    shell stays read-only and cached.  Blocks of 5 rows put sign flips and
+    repeats across block seams."""
     monkeypatch.setattr(shortvec, "_BLOCK", block)
     e8 = root_lattice("E", 8).lattice
+    shortvec._coset_shell.cache_clear()
     cached = shortvec._shell_rows(e8, 2)
+    assert cached.dtype == np.int8 and shortvec._tuples(cached) == ref_canonical(cached)
     rows = np.concatenate([-cached[::-1], cached[:7], -cached[40:52]])
     for a in (rows, rows.astype(np.int64), rows.astype(object)):
         before = a.copy()
-        got, _ = shortvec._canonical(a)
-        assert got.dtype == np.int8 and (got == cached).all()
-        assert shortvec._tuples(got) == ref_canonical(a) == shell(e8, 2)
+        assert ref_canonical(a) == shell(e8, 2)
         assert PairSet(e8, a).reps == shell(e8, 2)
         assert a.flags.writeable and a.dtype == before.dtype and (a == before).all()
     lines = np.array([[0, -1], [1, -1], [-1, 0]])  # the 3 lines of A2, two signs to flip
     assert line_family(A2, lines).t == 3 and (lines == [[0, -1], [1, -1], [-1, 0]]).all()
-    shortvec._canonical(cached)
     PairSet(e8, cached)
     assert not cached.flags.writeable and shortvec._shell_rows(e8, 2) is cached
 
@@ -1416,7 +1328,7 @@ def test_map_back_narrows_by_the_exact_bound(monkeypatch):
     row put the two-row shells past int64 through the same path."""
     lat = leech().lattice
     prep, t = shortvec._target(lat, 4)
-    leaves = shortvec._run(prep, "shell", t, None)
+    leaves = shortvec._run(shortvec.Walk.of(prep, "shell", t)).value
     mapped = shortvec._map_back(lat, leaves, t)
     assert mapped.dtype == np.int8 and (mapped == imatmul_array(leaves, prep.u.rows)).all()
     assert shortvec._map_back(lat, leaves[:shortvec._BLOCK], t).dtype == np.int16
@@ -1494,6 +1406,34 @@ def test_workers_never_exceed_the_cores(monkeypatch):
     assert pools == [[3, 3], [3, 3]]
 
 
+@pytest.mark.parametrize("budget", [shortvec._BUDGET, 0])
+def test_a_split_walk_merges_into_the_unsplit_record(monkeypatch, budget):
+    """A walk split across two workers has the unsplit walk's record: its
+    count, or its leaves in another row order, and its node count, the sum
+    of the workers' nodes; in either kernel (budget 0 batches every walk),
+    on E8 and D5.  The pool maps serially."""
+    monkeypatch.setattr(shortvec, "_BUDGET", budget)
+    for lat, r in ((root_lattice("E", 8).lattice, 4), (root_lattice("D", 5).lattice, 6)):
+        prep = shortvec._prep(lat)
+        for mode in ("count", "shell", "le"):
+            walk = shortvec.Walk.of(prep, mode, r)
+            whole = shortvec._run(walk)
+            pools = []
+            with monkeypatch.context() as split:
+                split.setattr(SerialPool, "made", pools)
+                split.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+                split.setattr(shortvec, "_SPLIT", 0)
+                allow_cpus(split, 2)
+                parts = shortvec._run(walk)
+            assert pools == [[2, 2]]
+            assert parts.kernel == whole.kernel == ("walk" if budget else "batched")
+            assert parts.nodes == whole.nodes > 0
+            if mode == "count":
+                assert parts.value == whole.value > 0
+            else:
+                assert sorted(listed(mode, parts.value)) == sorted(listed(mode, whole.value)) != []
+
+
 def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch):
     """On two CPUs, a walk whose forecast is at most _SPLIT runs in this
     process and one past it starts a pool, with the same count: E8's
@@ -1505,23 +1445,23 @@ def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch):
     monkeypatch.setattr(SerialPool, "made", pools)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     allow_cpus(monkeypatch, 2)
-    prep = shortvec._prep(root_lattice("E", 8).lattice)
-    forecast = shortvec._forecast({"n": prep.n, "delta": prep.delta, "limit": 8, "parity": None})
-    for split, made in ((math.ceil(forecast), []), (math.floor(forecast), [[2, 2]])):
+    walk = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "count", 8)
+    forecast = walk.forecast()
+    for split, started in ((math.ceil(forecast), []), (math.floor(forecast), [[2, 2]])):
         monkeypatch.setattr(shortvec, "_SPLIT", split)
         pools.clear()
-        assert shortvec._run(prep, "count", 8, None) == 8760
-        assert pools == made
+        assert shortvec._run(walk).value == 8760
+        assert pools == started
     monkeypatch.undo()
-    d16 = shortvec._prep(root_lattice("D", 16).lattice)
-    d16_forecast = shortvec._forecast({"n": d16.n, "delta": d16.delta, "limit": 10, "parity": None})
-    assert shortvec._forecast(leech_payload("count", 4)) < shortvec._SPLIT < d16_forecast
+    d16 = shortvec.Walk.of(shortvec._prep(root_lattice("D", 16).lattice), "count", 10)
+    assert leech_walk("count", 4).forecast() < shortvec._SPLIT < d16.forecast()
 
 
 def test_no_pool_for_min_in_a_daemon_or_on_one_cpu(monkeypatch):
     """Past _SPLIT, each of these walks in this process: a "min" walk,
     whose workers could not share the bound it lowers (split on two CPUs,
-    coset_minimum(Leech, x0 mod 2) took about twice as long); any walk of a
+    coset_minimum(Leech, x0 mod 2) took about twice as long); a "first"
+    walk, which stops at its first leaf; any walk of a
     daemonic process, which may start no children (a multiprocessing.Pool
     worker raises AssertionError when it tries); and any walk of a process
     on one CPU, which gains nothing from a second worker."""
@@ -1530,13 +1470,15 @@ def test_no_pool_for_min_in_a_daemon_or_on_one_cpu(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
     prep = shortvec._prep(root_lattice("E", 8).lattice)
+    count = shortvec.Walk.of(prep, "count", 8)
     allow_cpus(monkeypatch, 1)
-    assert shortvec._run(prep, "count", 8, None) == 8760
+    assert shortvec._run(count).value == 8760
     allow_cpus(monkeypatch, 2)
-    assert shortvec._run(prep, "min", 8, None) == 2
+    assert shortvec._run(shortvec.Walk.of(prep, "min", 8)).value == 2
+    assert shortvec._run(shortvec.Walk.of(prep, "first", 8)).value == [(2, 0, 0, 0, 0, 0, 0, 0)]
     monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
-    assert shortvec._run(prep, "count", 8, None) == 8760
+    assert shortvec._run(count).value == 8760
     assert pools == []
     monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=False))
-    assert shortvec._run(prep, "count", 8, None) == 8760
+    assert shortvec._run(count).value == 8760
     assert pools == [[2, 2]]

@@ -37,8 +37,8 @@ def standard(name, n):
 def top_norm(lat):
     """The first norm whose walk on lat forecasts more than NODES, at most TOP."""
     prep = shortvec._prep(lat)
-    return next(r for r in range(1, TOP + 1) if r == TOP or shortvec._forecast(
-        {"n": prep.n, "delta": prep.delta, "limit": r, "parity": None}) > NODES)
+    return next(r for r in range(1, TOP + 1)
+                if r == TOP or shortvec.Walk.of(prep, "count", r).forecast() > NODES)
 
 
 def norms(lat, rows):
