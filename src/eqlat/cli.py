@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,6 +55,16 @@ INTERRUPTED, CLOSED = 130, 141  # 128 + SIGINT (Ctrl-C) or SIGPIPE, as a shell r
 _EXIT_CODES = {DimensionMismatch: USAGE, ZeroVector: USAGE, NotPrimitive: USAGE,
                BadParameter: PRECONDITION, EmptyClass: PRECONDITION, WrongNormX0: PRECONDITION,
                NotEven: PRECONDITION, NotIntegral: PRECONDITION, NotEquiangular: HYPOTHESIS}
+
+
+class _Terminated(BaseException):
+    """SIGTERM or SIGHUP (its number in args[0]) during main.  Like
+    KeyboardInterrupt it is no error: it unwinds the command, so a split
+    walk's pool ends its workers on the way out."""
+
+
+def _terminated(signum, frame):
+    raise _Terminated(signum)
 
 
 class _Exit(Exception):
@@ -464,15 +476,18 @@ exit codes:
      the lattice is not of the shape the construction needs
   4  hypothesis failure: the pipeline ran but the candidate class is empty,
      or the minimum is odd and the class shell is not equiangular
+  129  hung up (SIGHUP); one line is printed on stderr
   130  interrupted (Ctrl-C); one line is printed on stderr
   141  stdout closed before the output ended (e.g. piped into head);
        nothing is printed on stderr
+  143  terminated (SIGTERM); one line is printed on stderr
 
 vectors on the command line are comma-separated integers in the lattice's
 stored basis; there is no real-coordinate input.
 
 an enumeration walk forecast past 10,000,000 nodes is split across the CPUs
-the process may use (taskset limits them); any other walk runs serially.
+the process may use (taskset limits them), in worker processes that end
+with the command; any other walk runs serially.
 """
 
 
@@ -480,10 +495,8 @@ _SHELL_HELP = """\
 count the +-pairs of vectors of one norm.  With --vectors, also list one
 representative per pair in the canonical shell order, written 4,096 rows
 at a time straight from the cached shell array, so no text or tuple of the
-whole shell is held: on a 2-core Intel Xeon, Leech at norm 4 (98,280
-pairs) takes 0.65 s with --json and 0.52 s as text, and at norm 6
-(8,386,560 pairs) 26.5 s at 681 MB peak RSS.  If stdout closes early
-(e.g. | head), the command exits 141 and prints nothing on stderr.
+whole shell is held.  If stdout closes early (e.g. | head), the command
+exits 141 and prints nothing on stderr.
 """
 
 
@@ -570,6 +583,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return USAGE
+    # signals reach only the main thread, and only it may set their handlers
+    ends = {signal.SIGTERM, getattr(signal, "SIGHUP", signal.SIGTERM)}
+    ends = ends if threading.current_thread() is threading.main_thread() else ()
+    before = {signum: signal.signal(signum, _terminated) for signum in ends}
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
@@ -580,11 +597,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return INTERRUPTED
+    except _Terminated as exc:
+        print("terminated", file=sys.stderr)
+        return 128 + exc.args[0]
     except BrokenPipeError:
         # the reader went away (| head): stop quietly, and send what is still
         # buffered to /dev/null so that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return CLOSED
+    finally:
+        for signum, handler in before.items():
+            signal.signal(signum, signal.SIG_DFL if handler is None else handler)
 
 
 if __name__ == "__main__":

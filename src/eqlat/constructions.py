@@ -600,11 +600,10 @@ def section_search(lat, budget: int, depth: int = 1) -> list[dict]:
     representatives of norm at most the current minimum plus one, in
     (norm, lex) order; every candidate section is measured (its own
     minimum and the pair count there) and the one with the most pairs
-    wins, ties to the earlier candidate.  Candidates are independent
-    of one another, so the measuring loop can fan out; the ordered pick
-    keeps the merge deterministic.  Entry 0 records the input itself, and
-    the chain descends `depth` steps or until no candidate is left.
-    Returns [] when budget <= 0.
+    wins, ties to the earlier candidate: the loop measures the candidates
+    one after another in that order, so the pick is deterministic.  Entry 0
+    records the input itself, and the chain descends `depth` steps or until
+    no candidate is left.  Returns [] when budget <= 0.
     """
     cur = _base(lat)
     budget, depth = _integer(budget), _integer(depth)

@@ -332,21 +332,22 @@ def _ranges(lo: np.ndarray, hi: np.ndarray, step: int) -> tuple[np.ndarray, np.n
     return row, lo.take(row) + (step * (np.arange(len(row)) - first.take(row))).astype(lo.dtype)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _ellipsoid(delta: tuple[int, ...], sub: tuple[tuple[int, ...], ...]) -> tuple[tuple, int]:
-    # (w, e): w[k] / e = sum_i N_ki^2 delta_i delta_{i+1}, once per walk basis
-    inv = RatMatrix([[0] * k + [delta[k + 1], *row] for k, row in enumerate(sub)]).inverse()
-    return tuple(sum(v * v * a * b for v, a, b in zip(row, delta, delta[1:]))
-                 for row in inv.num.rows), inv.den**2
-
-
 def _coordinate_bounds(delta: tuple[int, ...], sub: tuple[tuple[int, ...], ...], limit: int) -> list[int]:
     """The largest |x_k| of a real point of norm sum_k y_k^2 / (delta_k
     delta_{k+1}) <= limit, y = M x with M_kk = delta[k+1] and M_kj =
     sub[k][j-k-1] (j > k), so every node of a walk with that limit has
-    |x_k| <= bound[k]: the maximum is sqrt(limit * w[k] / e) for N = M^-1."""
-    w, e = _ellipsoid(delta, sub)
-    return [math.isqrt(limit * wk // e) for wk in w]
+    |x_k| <= bound[k]: the maximum is sqrt(limit sum_j X_kj^2 delta_j
+    delta_{j+1}) / D for X = D M^-1, D = det M.  X is M's adjugate, so each
+    column comes in integers by back-substitution with exact divisions."""
+    n, d = len(sub), math.prod(delta[1:])
+    w = [0] * n
+    for j in range(n):
+        x = [0] * j + [d // delta[j + 1]]  # X_kj for k <= j, from k = j down
+        for k in range(j - 1, -1, -1):
+            x[k] = -sum(map(operator.mul, sub[k], x[k + 1:])) // delta[k + 1]
+        for k, v in enumerate(x):
+            w[k] += v * v * delta[j] * delta[j + 1]
+    return [math.isqrt(limit * wk // (d * d)) for wk in w]
 
 
 def _walk_types(walk: Walk):
@@ -371,8 +372,9 @@ def _batched_walk(walk: Walk) -> WalkResult:
 
     Each level queues its rows in _walk's order, with the top-level values
     sorted by absolute value.  A step takes the first _BATCH rows of the
-    deepest level that holds that many, else of the highest nonempty level,
-    and queues their children at the level below.
+    deepest level that holds that many (any, in a "min" walk, so that it
+    meets leaves and lowers its bound early), else of the highest nonempty
+    level, and queues their children at the level below.
     Level k gains rows only from steps at level k + 1, which run only while
     it holds fewer than _BATCH rows and give each row they take at most
     2 bound[k+1] / step + 1 children (_coordinate_bounds), so level k holds
@@ -417,9 +419,10 @@ def _batched_walk(walk: Walk) -> WalkResult:
     best = None
     out: list = []
 
+    full = 1 if mode == "min" else _BATCH
     while True:
         sizes = [len(q[1]) for q in queue]
-        k = next((j for j, c in enumerate(sizes) if c >= _BATCH),
+        k = next((j for j, c in enumerate(sizes) if c >= full),
                  max((j for j, c in enumerate(sizes) if c), default=-1))
         if k < 0:
             break
@@ -501,6 +504,16 @@ def _top_values(delta: tuple[int, ...], limit: int, parity) -> tuple[int, ...]:
     return tuple(range(hi + 1) if parity is None else range(parity[-1], hi + 1, 2))
 
 
+def _worker_signals() -> None:
+    """A pool worker dies on SIGTERM, as its pool ends it, and on SIGHUP, and
+    ignores Ctrl-C, which ends its parent's pool and so the worker."""
+    import signal  # only a worker pays this import
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for signum in {signal.SIGTERM, getattr(signal, "SIGHUP", signal.SIGTERM)}:
+        signal.signal(signum, signal.SIG_DFL)
+
+
 def _run(walk: Walk) -> WalkResult:
     """The one way into a walk.  A "first" walk, whose forecast says nothing
     of its cost as it stops at its first leaf, goes to _walk; any other to
@@ -522,10 +535,9 @@ def _run(walk: Walk) -> WalkResult:
         workers = 1 if multiprocessing.current_process().daemon else min(len(walk.tops), cpus)
     if workers <= 1:
         return kernel(walk)
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(kernel, [replace(walk, tops=walk.tops[i::workers]) for i in range(workers)]))
+    # leaving the with block, normally or on a signal the CLI raises, terminates the workers
+    with multiprocessing.Pool(workers, _worker_signals) as pool:
+        parts = pool.map(kernel, [replace(walk, tops=walk.tops[i::workers]) for i in range(workers)])
     values = [part.value for part in parts]
     return WalkResult(sum(values) if walk.mode == "count" else np.concatenate(values),
                       sum(part.nodes for part in parts), parts[0].kernel)
@@ -542,26 +554,20 @@ def _narrowest(bound: int):
     return next((t for t in types if bound <= np.iinfo(t).max), object)
 
 
-def _map_back(lat: GramLattice, leaves: np.ndarray, limit: int) -> np.ndarray:
-    """The leaves of a walk at limit in _prep(lat)'s basis, in the input
-    basis: leaves @ U, _BLOCK rows at a time, each multiplied in the
-    narrowest type that holds every product and partial sum (max |leaf|
-    max |U_ij| n), stored in the narrowest type that holds the lower of that
-    bound and isqrt(limit (G^-1)_ii), the exact bound for G the Gram
-    numerator over its content (_coordinate_bounds on its Bareiss data; int8
-    on Leech at norms 4 and 6, where the product bound gives int16).  That
-    bound costs an inverse, so one block keeps its product type."""
+def _map_back(lat: GramLattice, leaves: np.ndarray) -> np.ndarray:
+    """The leaves of a walk in _prep(lat)'s basis, in the input basis:
+    leaves @ U, _BLOCK rows at a time, each multiplied in the narrowest type
+    holding every product and partial sum (max |leaf| max |U_ij| n), stored
+    in the leaves' type, widened to hold each block (int8 on Leech norms 4, 6)."""
     u = int_array(_prep(lat).u.rows)
-    bound = _max_abs(leaves) * _max_abs(u) * len(u)
-    num = _narrowest(bound)
+    num = _narrowest(_max_abs(leaves) * _max_abs(u) * len(u))
     u = u.astype(num)
-    if len(leaves) > _BLOCK:
-        delta, sub = leading_minors(_primitive(lat.gram.num.rows)[0])
-        bound = min(bound, max(_coordinate_bounds(tuple(delta), tuple(map(tuple, sub)), limit)))
-    out = np.empty(leaves.shape, _narrowest(bound))
+    out = np.empty(leaves.shape, leaves.dtype)
     for i in range(0, len(leaves), _BLOCK):
         # einsum's integer loop: 16 ms on Leech's norm-4 leaves, matmul's 31 ms
-        out[i:i + _BLOCK] = np.einsum("ij,jk->ik", leaves[i:i + _BLOCK].astype(num), u)
+        block = np.einsum("ij,jk->ik", leaves[i:i + _BLOCK].astype(num), u)
+        out = out.astype(np.promote_types(out.dtype, _narrowest(_max_abs(block))), copy=False)
+        out[i:i + _BLOCK] = block
     return out
 
 
@@ -685,7 +691,7 @@ def _coset_shell(lat: GramLattice, parity: tuple[int, ...] | None, r: Fraction) 
     if gate:
         prep, t = gate
         pr = None if parity is None else _parity_reduced(prep, parity)
-        rows, _ = _canonical(_map_back(lat, _run(Walk.of(prep, "shell", t, pr)).value, t))
+        rows, _ = _canonical(_map_back(lat, _run(Walk.of(prep, "shell", t, pr)).value))
     rows.flags.writeable = False
     return rows
 
@@ -718,7 +724,7 @@ def vectors_upto(lat: GramLattice, r) -> list[tuple[Fraction, Vec]]:
     if not prep.n:
         return []
     limit = math.floor(_rational(r) * prep.den / prep.grain) * prep.grain
-    found = _map_back(lat, _run(Walk.of(prep, "le", limit)).value, limit)
+    found = _map_back(lat, _run(Walk.of(prep, "le", limit)).value)
     rows, norms = _canonical(found, row_norms(found, lat.gram.num.rows))
     return [(Fraction(a, lat.gram.den), v) for a, v in zip(norms.tolist(), _tuples(rows))]
 

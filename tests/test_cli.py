@@ -1,11 +1,13 @@
 """End-to-end command tests: files, exit codes, determinism, schemas."""
 
 import json
+import multiprocessing.pool
 import os
 import signal
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -199,6 +201,78 @@ def test_sigint_during_a_walk_ends_quietly():
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == cli.INTERRUPTED == 130
     assert b"Traceback" not in err and err == b"interrupted\n" and out == b""
+
+
+def test_main_leaves_the_signal_handlers_as_it_found_them(capsys):
+    """main turns SIGTERM and SIGHUP into an exit status only while it runs,
+    and only in the main thread, the one that receives signals and may set
+    their handlers; from another thread it runs without them."""
+    ends = [signal.SIGTERM] + [signal.SIGHUP] * hasattr(signal, "SIGHUP")
+    before = [signal.getsignal(s) for s in ends]
+    path = str(GOLDEN / "e8.json")
+    assert run(capsys, "min", path) == (0, "m=2 s=120\n", "")
+    assert [signal.getsignal(s) for s in ends] == before
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(main(["min", path])))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and codes == [0]
+    assert capsys.readouterr().out == "m=2 s=120\n"
+
+
+def children(pid):
+    """The processes pid started and that are still alive, from /proc."""
+    kids = [int(c) for path in Path(f"/proc/{pid}/task").glob("*/children") for c in path.read_text().split()]
+    return [k for k in kids if alive(k)]
+
+
+def alive(pid):
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="a walk splits only on two CPUs or more")
+@pytest.mark.parametrize("sig, group, code, line", [(signal.SIGTERM, False, 143, b"terminated\n"),
+                                                     (getattr(signal, "SIGHUP", None), False, 129, b"terminated\n"),
+                                                     (signal.SIGINT, True, 130, b"interrupted\n")],
+                         ids=["SIGTERM", "SIGHUP", "SIGINT-to-the-group"])
+def test_a_signal_ends_a_split_walk_and_its_workers(sig, group, code, line):
+    """`eqlat shell leech.json --norm 8` forecasts 9.37e8 nodes, so it splits
+    across worker processes.  SIGTERM to the command ends it with 143,
+    SIGHUP with 129, and Ctrl-C to its process group with 130, each with one
+    line on stderr and no traceback, and no worker outlives it by 5 s (they
+    were orphaned on SIGTERM and SIGHUP, and Ctrl-C waited for them)."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "eqlat.cli", "shell", str(GOLDEN / "leech.json"),
+                             "--norm", "8"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            start_new_session=True)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = children(proc.pid)
+        assert len(workers) >= 2
+        if group:
+            os.killpg(proc.pid, sig)
+        else:
+            proc.send_signal(sig)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == code
+        assert out == b"" and err == line and b"Traceback" not in err
+        deadline = time.monotonic() + 5
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(alive, workers))
+    finally:
+        for pid in [proc.pid, *workers]:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()
 
 
 def test_shell_rejects_bad_norm(capsys, tmp_path):
@@ -561,14 +635,13 @@ def test_walks_split_across_processes_print_the_same_bytes(capsys, monkeypatch):
     bytes."""
     pools = []
 
-    class Recorded(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def recorded(processes, initializer):
+        pools.append(processes)
+        return multiprocessing.pool.Pool(processes, initializer)
 
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
     monkeypatch.setattr(shortvec.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr("multiprocessing.Pool", recorded)
     shortvec._minimum.cache_clear()
     shortvec._coset_shell.cache_clear()
     rc, out, _ = run(capsys, "equi", str(GOLDEN / "e8.json"), "--json")

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import hashlib
 import math
 import multiprocessing
 import random
@@ -486,6 +487,20 @@ def test_coset_minimum_walks_from_the_given_vector(walks):
     assert shortvec._run(shortvec.Walk.of(prep, "min", 50, walk.parity)).value == 6
 
 
+def test_a_batched_min_walk_steps_at_its_deepest_rows(walks):
+    """A batched "min" walk takes each step at its deepest nonempty level, so
+    it meets leaves, and lowers its bound, early.  coset_minimum(Leech,
+    x0 mod 2) seeds its one "min" walk at 50, the norm of both lifts: it
+    finds the class minimum 6 in under 300,000 nodes, where stepping at the
+    deepest level holding _BATCH rows took 1,137,395."""
+    big = leech()
+    walks.clear()
+    assert coset_minimum(big.lattice, [v % 2 for v in big.marks["x0"]]) == 6
+    ((walk, result),) = walks
+    assert (walk.mode, walk.limit, result.kernel) == ("min", 50, "batched")
+    assert result.nodes < 300_000
+
+
 def test_cosets_partition_shell():
     # Nonzero classes mod 2L cover each shell without overlap.
     rng = random.Random(103)
@@ -902,10 +917,11 @@ def test_mincount_leaves_match_reference_walk(monkeypatch, budget, batch):
 
 
 def test_coordinate_bounds_match_reference():
-    """The bounds from RatMatrix.inverse are the scaled-integer ones of the
-    lcm form, on the kernel corpus and on Leech, whose walk coordinates they
-    keep in int8."""
-    for lat in kernel_corpus(random.Random(131)) + [leech().lattice]:
+    """The bounds from the integer adjugate of the walk's triangular factor
+    are the scaled-integer ones of the lcm form, on the kernel corpus, on
+    A40 and D48, and on Leech, whose walk coordinates they keep in int8."""
+    wide = [root_lattice("A", 40).lattice, root_lattice("D", 48).lattice]
+    for lat in kernel_corpus(random.Random(131)) + wide + [leech().lattice]:
         prep = shortvec._prep(lat)
         scale, g = lcm_form(prep.delta)
         m = minimum(lat)
@@ -999,6 +1015,17 @@ def test_leech_minimum_walk_matches_reference():
     want = ref_walk(walk, visits), len(visits)
     assert want[1] == 1_971_697
     assert walked(shortvec._walk, walk) == walked(shortvec._batched_walk, walk) == want
+
+
+@pytest.mark.slow
+def test_leech_norm_6_shell_is_one_int8_array():
+    """The largest shell any command stores, Leech's 8,386,560 pairs of norm
+    6, is cached as one int8 array: the map back keeps the leaves' type, as
+    every entry fits, and sha256 pins its bytes (about 8 s and 492 MB peak
+    RSS on a 2-core Xeon)."""
+    rows = shortvec._shell_rows(leech().lattice, 6)
+    assert rows.dtype == np.int8 and rows.shape == (8_386_560, 24)
+    assert hashlib.sha256(rows.tobytes()).hexdigest().startswith("bbbf8b0d4408a025")
 
 
 def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
@@ -1320,18 +1347,20 @@ def test_canonical_leaves_its_input_alone(monkeypatch, block):
     assert not cached.flags.writeable and shortvec._shell_rows(e8, 2) is cached
 
 
-def test_map_back_narrows_by_the_exact_bound(monkeypatch):
-    """_map_back gives the exact product of the leaves and U.  On Leech's
-    98,280 pairs of norm 4 the product bound max |leaf| max |U_ij| n gives
-    int16, and the exact coordinate bound isqrt(4 (G^-1)_ii) int8, which
-    holds the whole shell; one block keeps the product type.  Blocks of one
-    row put the two-row shells past int64 through the same path."""
+def test_map_back_stores_the_narrowest_type_of_its_entries(monkeypatch):
+    """_map_back gives the exact product of the leaves and U, in the
+    leaves' type widened only as far as the entries need: int8 on Leech's
+    98,280 pairs of norm 4 and on one block of them, where the product bound
+    max |leaf| max |U_ij| n gives int16.  Blocks of one row put the two-row
+    shells past int64 through the same path."""
     lat = leech().lattice
     prep, t = shortvec._target(lat, 4)
     leaves = shortvec._run(shortvec.Walk.of(prep, "shell", t)).value
-    mapped = shortvec._map_back(lat, leaves, t)
+    product = shortvec._max_abs(leaves) * shortvec._max_abs(np.array(prep.u.rows)) * 24
+    assert shortvec._narrowest(product) is np.int16
+    mapped = shortvec._map_back(lat, leaves)
     assert mapped.dtype == np.int8 and (mapped == imatmul_array(leaves, prep.u.rows)).all()
-    assert shortvec._map_back(lat, leaves[:shortvec._BLOCK], t).dtype == np.int16
+    assert shortvec._map_back(lat, leaves[:shortvec._BLOCK]).dtype == np.int8
     monkeypatch.setattr(shortvec, "_BLOCK", 1)
     for cache in (shortvec._prep, shortvec._coset_shell, shortvec._minimum):
         cache.cache_clear()
@@ -1341,6 +1370,25 @@ def test_map_back_narrows_by_the_exact_bound(monkeypatch):
     p, big = 2**32, 2**70
     skew = GramLattice([[p, big * p], [big * p, big**2 * p + p + 1]])
     assert vectors_upto(skew, p + 1) == [(p, (1, 0)), (p + 1, (big, -1))]
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_map_back_widens_past_the_leaves_type(monkeypatch, block):
+    """In a skewed basis the input coordinates of D12's 3,972 pairs of norm 4
+    pass 127 while its walk leaves fit int8: _map_back widens its output
+    block by block to the narrowest type of its entries, and equals the
+    exact product for blocks of 1, 7 and 4,096 rows."""
+    from test_mod2 import skewed_basis
+
+    monkeypatch.setattr(shortvec, "_BLOCK", block)
+    lat = skewed_basis(root_lattice("D", 12).lattice, random.Random(0))
+    prep, t = shortvec._target(lat, 4)
+    leaves = shortvec._run(shortvec.Walk.of(prep, "shell", t)).value
+    want = imatmul_array(leaves, prep.u.rows)
+    most = shortvec._max_abs(want)
+    assert leaves.dtype == np.int8 and most > 127
+    mapped = shortvec._map_back(lat, leaves)
+    assert mapped.dtype == shortvec._narrowest(most) and (mapped == want).all()
 
 
 @pytest.mark.parametrize("budget", [shortvec._BUDGET, 0])
@@ -1370,13 +1418,13 @@ def test_entries_past_int64_stay_exact(monkeypatch, budget):
 
 
 class SerialPool:
-    """ProcessPoolExecutor's stand-in: it maps in this process and records
-    [max_workers, jobs] of each pool made in SerialPool.made."""
+    """multiprocessing.Pool's stand-in: it maps in this process and records
+    [processes, jobs] of each pool made in SerialPool.made."""
 
     made: list = []
 
-    def __init__(self, max_workers):
-        self.made.append([max_workers])
+    def __init__(self, processes, initializer=None):
+        self.made.append([processes])
 
     def __enter__(self):
         return self
@@ -1385,9 +1433,8 @@ class SerialPool:
         return False
 
     def map(self, fn, jobs):
-        jobs = list(jobs)
         self.made[-1].append(len(jobs))
-        return map(fn, jobs)
+        return list(map(fn, jobs))
 
 
 def test_workers_never_exceed_the_cores(monkeypatch):
@@ -1395,7 +1442,7 @@ def test_workers_never_exceed_the_cores(monkeypatch):
     CPU, not one per value; the pool here maps serially."""
     pools = []
     monkeypatch.setattr(SerialPool, "made", pools)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
     allow_cpus(monkeypatch, 3)
     monkeypatch.setattr(shortvec, "_SPLIT", 0)  # the walks forecast 1,000 nodes
     line = GramLattice([[1]])
@@ -1421,7 +1468,7 @@ def test_a_split_walk_merges_into_the_unsplit_record(monkeypatch, budget):
             pools = []
             with monkeypatch.context() as split:
                 split.setattr(SerialPool, "made", pools)
-                split.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+                split.setattr("multiprocessing.Pool", SerialPool)
                 split.setattr(shortvec, "_SPLIT", 0)
                 allow_cpus(split, 2)
                 parts = shortvec._run(walk)
@@ -1443,7 +1490,7 @@ def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch):
     to gain from two workers in fresh processes, passes it."""
     pools = []
     monkeypatch.setattr(SerialPool, "made", pools)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
     allow_cpus(monkeypatch, 2)
     walk = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "count", 8)
     forecast = walk.forecast()
@@ -1467,7 +1514,7 @@ def test_no_pool_for_min_in_a_daemon_or_on_one_cpu(monkeypatch):
     on one CPU, which gains nothing from a second worker."""
     pools = []
     monkeypatch.setattr(SerialPool, "made", pools)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
     prep = shortvec._prep(root_lattice("E", 8).lattice)
     count = shortvec.Walk.of(prep, "count", 8)
