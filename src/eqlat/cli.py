@@ -60,7 +60,7 @@ _EXIT_CODES = {DimensionMismatch: USAGE, ZeroVector: USAGE, NotPrimitive: USAGE,
 class _Terminated(BaseException):
     """SIGTERM or SIGHUP (its number in args[0]) during main.  Like
     KeyboardInterrupt it is no error: it unwinds the command, so a split
-    walk's pool ends its workers on the way out."""
+    walk ends its workers on the way out."""
 
 
 def _terminated(signum, frame):
@@ -485,9 +485,9 @@ exit codes:
 vectors on the command line are comma-separated integers in the lattice's
 stored basis; there is no real-coordinate input.
 
-an enumeration walk forecast past 10,000,000 nodes is split across the CPUs
-the process may use (taskset limits them), in worker processes that end
-with the command; any other walk runs serially.
+an enumeration walk forecast past 1,000,000 nodes is split across the CPUs
+the process may use (taskset limits them): the command walks one share and
+forked workers, which end with it, the others; any other walk runs serially.
 """
 
 

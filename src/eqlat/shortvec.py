@@ -18,14 +18,15 @@ is exact by construction, and a walk with bound R holds no number above
 
 A walk is a value, a frozen Walk, and _run is the one way into it: it
 picks the kernel, splits a walk forecast past _SPLIT nodes across the CPUs
-the process may run on (no option sets the number of processes), and
-returns one frozen WalkResult, the mode's answer with the nodes visited and
-the kernel taken, whose value the public functions read.  The two kernels
-walk the same tree and return the same results: a walk whose
-Gaussian-heuristic forecast passes _BUDGET (4,096) nodes is batched, numpy
-steps on _BATCH (2,048) partial vectors in the narrowest exact number type
-(int32 on Leech); any other, and least_vector's "first" walks, run in
-Python.  Leaves stay one narrow integer array up to shell's tuples.
+the process may run on (no option sets the number of processes; it walks a
+share, forked workers the others), and returns one frozen WalkResult, the
+mode's answer with the nodes visited and the kernel taken, whose value the
+public functions read.  The two kernels walk the same tree and return the
+same results: a walk whose Gaussian-heuristic forecast passes _BUDGET
+(4,096) nodes is batched, numpy steps on _BATCH (2,048) partial vectors in
+the narrowest exact number type (int32 on Leech); any other, and
+least_vector's "first" walks, run in Python.  Leaves stay one narrow
+integer array up to shell's tuples.
 
 Walks run in LLL bases, so their cost does not depend on how the input
 is written; least_vector's coset walks (Schnorr-Euchner) answer in it.
@@ -38,11 +39,14 @@ representative per +-pair.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import operator
 import os
+import pickle
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -170,13 +174,13 @@ def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
 
 # Forecast nodes past which a walk is batched, partial vectors per numpy step
 # of the batched kernel, and forecast nodes past which _run splits a walk.  In
-# fresh `eqlat shell` processes on two cores, two workers lost to one on E8's
-# norm-36 count (forecast 4.6e6; 4 of 10 pairs) and won on E8's norm 40 (6.9e6;
-# 9 of 10) and D16's norm 10 (1.54e7; 1.61 -> 1.04 s, 10 of 10).  The forecast
-# orders walks loosely, so the split starts twice above the largest that lost.
+# fresh `eqlat shell` processes on two cores (walk time, 10 pairs), a split lost on
+# E8's norm-20 count (forecast 4.9e5; 19 -> 25 ms, 3 of 10) and won in 10 of 10 on
+# E8's norms 24-36 (9.8e5-4.6e6), A16's 8 and Leech's 4 (1.9e6; 139 -> 115 ms).  The
+# forecast orders walks loosely, so the split starts twice above the largest that lost.
 _BUDGET = 4096
 _BATCH = 2048
-_SPLIT = 10_000_000
+_SPLIT = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -504,40 +508,76 @@ def _top_values(delta: tuple[int, ...], limit: int, parity) -> tuple[int, ...]:
     return tuple(range(hi + 1) if parity is None else range(parity[-1], hi + 1, 2))
 
 
-def _worker_signals() -> None:
-    """A pool worker dies on SIGTERM, as its pool ends it, and on SIGHUP, and
-    ignores Ctrl-C, which ends its parent's pool and so the worker."""
-    import signal  # only a worker pays this import
+def _share(kernel, walk: Walk, fd: int, parent: int) -> None:
+    """A forked worker: it writes to fd the pickled WalkResult of its share,
+    or the exception it raised (a signal's too), and leaves by os._exit, 0
+    only after a record, never running the parent's finally blocks or stdio
+    flushes.  On Linux it dies with the parent, even by SIGKILL."""
+    try:
+        if sys.platform.startswith("linux"):
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
+        if os.getppid() == parent:  # else the parent died before prctl
+            try:
+                record = kernel(walk)
+            except BaseException as exc:  # the parent raises it
+                record = exc
+            with open(fd, "wb") as pipe:
+                pickle.dump(record, pipe)
+            os._exit(int(isinstance(record, BaseException)))
+    finally:
+        os._exit(1)
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for signum in {signal.SIGTERM, getattr(signal, "SIGHUP", signal.SIGTERM)}:
-        signal.signal(signum, signal.SIG_DFL)
+
+def _record(record, code: int) -> WalkResult:
+    """A worker's WalkResult from what it wrote and its exit status: what a
+    worker raised is raised here, and a worker that died, ChildProcessError."""
+    if code == 0 and isinstance(record, WalkResult):
+        return record
+    raise record if isinstance(record, BaseException) else ChildProcessError(f"a walk worker ended: {code}")
 
 
 def _run(walk: Walk) -> WalkResult:
     """The one way into a walk.  A "first" walk, whose forecast says nothing
     of its cost as it stops at its first leaf, goes to _walk; any other to
     _batched_walk if its forecast passes _BUDGET, else to _walk: either
-    gives Walk's answer.  Past _SPLIT it is split across min(top-level
-    values, CPUs) processes, each taking every workers-th top-level value,
-    unless it is a "min" walk, whose workers could not share the bound it
-    lowers, or the process may run on one CPU (its affinity mask, so taskset
-    limits it) or is a daemon.  Nodes and counts add up, leaves are joined."""
+    gives Walk's answer.  Past _SPLIT its top-level values are dealt to
+    min(top-level values, CPUs) shares, one walked here and one by each
+    forked worker, unless it is a "min" walk (its shares could not share its
+    lowered bound), or the process may run on one CPU (taskset limits it) or
+    is a daemonic multiprocessing worker, whose caller runs a job per CPU."""
     if walk.mode == "first":
         return _walk(walk)
     forecast = walk.forecast()
     kernel = _batched_walk if forecast > _BUDGET else _walk
     workers = 1
     if walk.mode != "min" and forecast > _SPLIT:
-        import multiprocessing  # only a walk past _SPLIT pays this import
-
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = 1 if multiprocessing.current_process().daemon else min(len(walk.tops), cpus)
+        mp = sys.modules.get("multiprocessing")  # not imported: no daemon
+        workers = 1 if mp and mp.current_process().daemon else min(len(walk.tops), cpus)
     if workers <= 1:
         return kernel(walk)
-    # leaving the with block, normally or on a signal the CLI raises, terminates the workers
-    with multiprocessing.Pool(workers, _worker_signals) as pool:
-        parts = pool.map(kernel, [replace(walk, tops=walk.tops[i::workers]) for i in range(workers)])
+    shares = [replace(walk, tops=walk.tops[i::workers]) for i in range(workers)]
+    parent, children, done = os.getpid(), [], False
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                _share(kernel, share, w, parent)
+            children.append((pid, open(r, "rb")))
+            os.close(w)
+        parts = [kernel(shares[0])]
+        records = [pickle.load(pipe) if pipe.peek(1) else None for _, pipe in children]
+        done = True
+    finally:  # reap every worker, killed first on any exception (a signal the CLI raises)
+        codes = []
+        for pid, pipe in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, 9)  # SIGKILL
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    parts += map(_record, records, codes)
     values = [part.value for part in parts]
     return WalkResult(sum(values) if walk.mode == "count" else np.concatenate(values),
                       sum(part.nodes for part in parts), parts[0].kernel)

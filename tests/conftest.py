@@ -22,3 +22,41 @@ def walks(monkeypatch):
 
     monkeypatch.setattr(shortvec, "_run", recorded)
     return made
+
+
+class Splits(list):
+    """The processes of each split walk, in order, and in pids every worker
+    forked, as the splits fixture records them."""
+
+    def __init__(self):
+        super().__init__()
+        self.pids = []
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """For each walk the library splits while the test runs, in order, the
+    processes that walk it: this one and the workers it forks (os.fork,
+    recorded in the parent)."""
+    from eqlat import shortvec
+
+    made = Splits()
+    run, fork = shortvec._run, os.fork
+
+    def forked():
+        pid = fork()
+        if pid:
+            made.pids.append(pid)
+        return pid
+
+    def recorded(walk):
+        before = len(made.pids)
+        try:
+            return run(walk)
+        finally:
+            if len(made.pids) > before:
+                made.append(len(made.pids) - before + 1)
+
+    monkeypatch.setattr(shortvec.os, "fork", forked)
+    monkeypatch.setattr(shortvec, "_run", recorded)
+    return made

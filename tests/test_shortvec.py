@@ -5,7 +5,10 @@ import contextlib
 import hashlib
 import math
 import multiprocessing
+import os
 import random
+import signal
+import sys
 import types
 from dataclasses import replace
 from fractions import Fraction as QQ
@@ -1021,7 +1024,7 @@ def test_leech_minimum_walk_matches_reference():
 def test_leech_norm_6_shell_is_one_int8_array():
     """The largest shell any command stores, Leech's 8,386,560 pairs of norm
     6, is cached as one int8 array: the map back keeps the leaves' type, as
-    every entry fits, and sha256 pins its bytes (about 8 s and 492 MB peak
+    every entry fits, and sha256 pins its bytes (about 8 s and 593 MB peak
     RSS on a 2-core Xeon)."""
     rows = shortvec._shell_rows(leech().lattice, 6)
     assert rows.dtype == np.int8 and rows.shape == (8_386_560, 24)
@@ -1417,32 +1420,9 @@ def test_entries_past_int64_stay_exact(monkeypatch, budget):
         assert all(type(c) is int for c in v)
 
 
-class SerialPool:
-    """multiprocessing.Pool's stand-in: it maps in this process and records
-    [processes, jobs] of each pool made in SerialPool.made."""
-
-    made: list = []
-
-    def __init__(self, processes, initializer=None):
-        self.made.append([processes])
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        self.made[-1].append(len(jobs))
-        return list(map(fn, jobs))
-
-
-def test_workers_never_exceed_the_cores(monkeypatch):
-    """A walk with 1,001 top-level values on 3 CPUs starts one worker per
-    CPU, not one per value; the pool here maps serially."""
-    pools = []
-    monkeypatch.setattr(SerialPool, "made", pools)
-    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
+def test_workers_never_exceed_the_cores(monkeypatch, splits):
+    """A walk with 1,001 top-level values on 3 CPUs is walked by one process
+    per CPU, this one and two forked workers, not one per value."""
     allow_cpus(monkeypatch, 3)
     monkeypatch.setattr(shortvec, "_SPLIT", 0)  # the walks forecast 1,000 nodes
     line = GramLattice([[1]])
@@ -1450,29 +1430,27 @@ def test_workers_never_exceed_the_cores(monkeypatch):
     assert shell(line, 10**6) == ((1000,),)
     found = vectors_upto(line, 10**6)
     assert len(found) == 1000 and found[-1] == (10**6, (1000,))
-    assert pools == [[3, 3], [3, 3]]
+    assert splits == [3, 3]
 
 
 @pytest.mark.parametrize("budget", [shortvec._BUDGET, 0])
-def test_a_split_walk_merges_into_the_unsplit_record(monkeypatch, budget):
-    """A walk split across two workers has the unsplit walk's record: its
-    count, or its leaves in another row order, and its node count, the sum
-    of the workers' nodes; in either kernel (budget 0 batches every walk),
-    on E8 and D5.  The pool maps serially."""
+def test_a_split_walk_merges_into_the_unsplit_record(monkeypatch, splits, budget):
+    """A walk split across this process and a forked worker has the unsplit
+    walk's record: its count, or its leaves in another row order, and its
+    node count, the sum of the shares' nodes; in either kernel (budget 0
+    batches every walk), on E8 and D5."""
     monkeypatch.setattr(shortvec, "_BUDGET", budget)
     for lat, r in ((root_lattice("E", 8).lattice, 4), (root_lattice("D", 5).lattice, 6)):
         prep = shortvec._prep(lat)
         for mode in ("count", "shell", "le"):
             walk = shortvec.Walk.of(prep, mode, r)
             whole = shortvec._run(walk)
-            pools = []
+            splits.clear()
             with monkeypatch.context() as split:
-                split.setattr(SerialPool, "made", pools)
-                split.setattr("multiprocessing.Pool", SerialPool)
                 split.setattr(shortvec, "_SPLIT", 0)
                 allow_cpus(split, 2)
                 parts = shortvec._run(walk)
-            assert pools == [[2, 2]]
+            assert splits == [2]
             assert parts.kernel == whole.kernel == ("walk" if budget else "batched")
             assert parts.nodes == whole.nodes > 0
             if mode == "count":
@@ -1481,40 +1459,77 @@ def test_a_split_walk_merges_into_the_unsplit_record(monkeypatch, budget):
                 assert sorted(listed(mode, parts.value)) == sorted(listed(mode, whole.value)) != []
 
 
-def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch):
+def failing_share(how):
+    """A kernel that fails as how says on one share, the one without top
+    value 0, which a forked worker walks, or for "parent" the one with it,
+    which this process walks, and walks any other share."""
+
+    def wrap(kernel):
+        def walk(w):
+            if (0 in w.tops) == (how == "parent"):
+                if how in ("raises", "parent"):
+                    raise NotPositiveDefinite(f"the share of {how}")
+                if how == "dies":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)  # "short": status 0 and nothing in the pipe
+            return kernel(w)
+
+        return walk
+
+    return wrap
+
+
+@pytest.mark.parametrize("how, raised", [("raises", NotPositiveDefinite), ("dies", ChildProcessError),
+                                         ("short", ChildProcessError), ("parent", NotPositiveDefinite)])
+def test_a_failed_worker_fails_the_walk(monkeypatch, splits, how, raised):
+    """A worker that raises, dies by a signal or exits 0 with nothing written
+    fails the walk in this process, with the worker's exception where it has
+    one, never a partial count; so does a share this process walks, while
+    the worker may still run.  The fork copies the failing kernel, and no
+    worker is left running or unreaped."""
+    prep = shortvec._prep(root_lattice("E", 8).lattice)
+    walk = shortvec.Walk.of(prep, "count", 8)
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)
+    allow_cpus(monkeypatch, 2)
+    for name in ("_walk", "_batched_walk"):
+        monkeypatch.setattr(shortvec, name, failing_share(how)(getattr(shortvec, name)))
+    with pytest.raises(raised):
+        shortvec._run(walk)
+    assert splits == [2] and len(splits.pids) == 1
+    with pytest.raises(ChildProcessError):  # reaped: no longer this process's child
+        os.waitpid(splits.pids[0], os.WNOHANG)
+
+
+def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch, splits):
     """On two CPUs, a walk whose forecast is at most _SPLIT runs in this
-    process and one past it starts a pool, with the same count: E8's
+    process and one past it forks a worker, with the same count: E8's
     norm-8 count walk against _SPLIT just above and just below its
-    forecast.  At the default, the Leech norm-4 walk, the largest of any
-    benchmark workload, stays below it, and D16's norm-10 count, measured
-    to gain from two workers in fresh processes, passes it."""
-    pools = []
-    monkeypatch.setattr(SerialPool, "made", pools)
-    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
+    forecast.  At the default, E8's norm-20 count, the largest walk that
+    gained nothing from a split in fresh processes, stays below it, and the
+    Leech norm-4 count, the largest walk of any benchmark workload, passes
+    it."""
     allow_cpus(monkeypatch, 2)
     walk = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "count", 8)
     forecast = walk.forecast()
-    for split, started in ((math.ceil(forecast), []), (math.floor(forecast), [[2, 2]])):
+    for split, started in ((math.ceil(forecast), []), (math.floor(forecast), [2])):
         monkeypatch.setattr(shortvec, "_SPLIT", split)
-        pools.clear()
+        splits.clear()
         assert shortvec._run(walk).value == 8760
-        assert pools == started
+        assert splits == started
     monkeypatch.undo()
-    d16 = shortvec.Walk.of(shortvec._prep(root_lattice("D", 16).lattice), "count", 10)
-    assert leech_walk("count", 4).forecast() < shortvec._SPLIT < d16.forecast()
+    e8 = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "count", 20)
+    assert e8.forecast() < shortvec._SPLIT < leech_walk("count", 4).forecast()
 
 
-def test_no_pool_for_min_in_a_daemon_or_on_one_cpu(monkeypatch):
+def test_no_pool_for_min_in_a_daemon_or_on_one_cpu(monkeypatch, splits):
     """Past _SPLIT, each of these walks in this process: a "min" walk,
     whose workers could not share the bound it lowers (split on two CPUs,
     coset_minimum(Leech, x0 mod 2) took about twice as long); a "first"
-    walk, which stops at its first leaf; any walk of a
-    daemonic process, which may start no children (a multiprocessing.Pool
-    worker raises AssertionError when it tries); and any walk of a process
-    on one CPU, which gains nothing from a second worker."""
-    pools = []
-    monkeypatch.setattr(SerialPool, "made", pools)
-    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
+    walk, which stops at its first leaf; any walk of a daemonic
+    multiprocessing worker, whose caller already runs one job per CPU; and
+    any walk of a process on one CPU, which gains nothing from a second
+    worker.  A process that never imported multiprocessing is no daemon,
+    and the walk does not import it."""
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
     prep = shortvec._prep(root_lattice("E", 8).lattice)
     count = shortvec.Walk.of(prep, "count", 8)
@@ -1525,7 +1540,10 @@ def test_no_pool_for_min_in_a_daemon_or_on_one_cpu(monkeypatch):
     assert shortvec._run(shortvec.Walk.of(prep, "first", 8)).value == [(2, 0, 0, 0, 0, 0, 0, 0)]
     monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
     assert shortvec._run(count).value == 8760
-    assert pools == []
+    assert splits == []
     monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=False))
     assert shortvec._run(count).value == 8760
-    assert pools == [[2, 2]]
+    assert splits == [2]
+    monkeypatch.delitem(sys.modules, "multiprocessing")
+    assert shortvec._run(count).value == 8760
+    assert splits == [2, 2] and "multiprocessing" not in sys.modules
