@@ -21,12 +21,14 @@ picks the kernel, splits a walk forecast past _SPLIT nodes across the CPUs
 the process may run on (no option sets the number of processes; it walks a
 share, forked workers the others), and returns one frozen WalkResult, the
 mode's answer with the nodes visited and the kernel taken, whose value the
-public functions read.  The two kernels walk the same tree and return the
-same results: a walk whose Gaussian-heuristic forecast passes _BUDGET
-(4,096) nodes is batched, numpy steps on _BATCH (2,048) partial vectors in
-the narrowest exact number type (int32 on Leech); any other, and
-least_vector's "first" walks, run in Python.  Leaves stay one narrow
-integer array up to shell's tuples.
+public functions read.  Every bound is fixed, so the two kernels walk the
+same tree, node for node, to the same results: a walk whose
+Gaussian-heuristic forecast passes _BUDGET (4,096) nodes is batched, numpy
+steps on _BATCH (2,048) partial vectors in the narrowest exact number type
+(int32 on Leech); any other, and least_vector's "first" walks, the only
+ones that stop early, run in Python.  Leaves stay one narrow integer array
+up to shell's tuples.  A minimum is the least norm of an "le" walk: one
+grain below LLL's least diagonal entry, or at doubling bounds in a class.
 
 Walks run in LLL bases, so their cost does not depend on how the input
 is written; least_vector's coset walks (Schnorr-Euchner) answer in it.
@@ -55,7 +57,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MixedNorms, ZeroVector
 from .exact import IntMatrix, RatMatrix, _rational, leading_minors, solve_left
-from .fastops import _BLOCK, _SAFE, _max_abs, gram_product, imatmul, int_array, row_norms
+from .fastops import _BLOCK, _SAFE, _max_abs, gram_product, int_array, row_norms
 from .lattice import GramLattice, Vec
 
 __all__ = [
@@ -191,9 +193,8 @@ class Walk:
     Each mode has one answer: "le" the leaves of norm <= limit and "shell"
     those of norm limit, as an integer array, a row per leaf; "count" the
     number of leaves of norm limit; "first" the first of them in the walk's
-    order (each level ascending, top level first), as a list of one tuple;
-    "min" the least nonzero norm <= limit, or None, lowering the bound to
-    norm - 1 at each leaf."""
+    order (each level ascending, top level first), as a list of one tuple.
+    Every bound is fixed: only a "first" walk stops early."""
 
     delta: tuple[int, ...]
     sub: tuple[tuple[int, ...], ...]
@@ -232,11 +233,6 @@ class WalkResult:
     kernel: str
 
 
-def _result(walk: Walk, kernel: str, nodes: int, count: int, best: int | None, leaves) -> WalkResult:
-    """The record of a finished walk: count, best or leaves, as its mode asks."""
-    return WalkResult({"count": count, "min": best}.get(walk.mode, leaves), nodes, kernel)
-
-
 def _walk(walk: Walk) -> WalkResult:
     """The Python kernel, nodes counting the calls below the top level.
     Each node computes its centre s_k = sum over j > k of sub[k][j-k-1] * x_j
@@ -244,17 +240,16 @@ def _walk(walk: Walk) -> WalkResult:
     n, delta, sub, tops = walk.n, walk.delta, walk.sub, walk.tops
     parity, mode, limit = walk.parity, walk.mode, walk.limit
     step = 2 if parity is not None else 1
-    exact = mode in ("shell", "first", "count")
     isqrt = math.isqrt
     top = n - 1
     x = [0] * n
     out: list = []
-    count, best = 0, None
+    count = 0
     nodes = -1  # the call at the top level is not a node
 
     def rec(k: int, acc: int, zero_above: bool) -> None:
         # acc is A_{k+1}, at most delta[k+1] * limit
-        nonlocal best, count, limit, nodes
+        nonlocal count, limit, nodes
         nodes += 1
         s = sum(map(operator.mul, sub[k], x[k + 1:]))
         d, dk = delta[k + 1], delta[k]
@@ -266,7 +261,7 @@ def _walk(walk: Walk) -> WalkResult:
             lo += 1
         values = tops if k == top else range(lo, (kmax - s) // d + 1, step)
         if k == 0:
-            if exact:
+            if mode != "le":
                 # (d x_0 + s)^2 = d * limit - acc, roots taken ascending
                 q = d * limit - acc
                 if q < 0 or not limit:  # norm 0 is the zero vector alone
@@ -290,13 +285,9 @@ def _walk(walk: Walk) -> WalkResult:
             for xv in values:
                 kv = d * xv + s
                 a2 = (acc + kv * kv) // d  # the norm, as delta[0] = 1
-                if a2 > limit or not a2:
-                    continue
-                if mode == "le":
+                if 0 < a2 <= limit:  # "le"
                     x[0] = xv
                     out.append(tuple(x))
-                else:  # min: the bound drops below the least norm found
-                    best, limit = a2, a2 - 1
             return
         acc *= dk
         for xv in values:
@@ -310,7 +301,7 @@ def _walk(walk: Walk) -> WalkResult:
         rec(top, 0, True)
     if mode in ("shell", "le"):
         out = int_array(out) if out else np.empty((0, n), np.int64)
-    return _result(walk, "walk", max(nodes, 0), count, best, out)
+    return WalkResult(count if mode == "count" else out, max(nodes, 0), "walk")
 
 
 def _isqrt(q: np.ndarray) -> np.ndarray:
@@ -371,14 +362,13 @@ def _walk_types(walk: Walk):
 
 
 def _batched_walk(walk: Walk) -> WalkResult:
-    """_walk's value from numpy steps on _BATCH partial vectors at a time,
-    nodes counting the rows it expanded below the top level.
+    """_walk's record from numpy steps on _BATCH partial vectors at a time:
+    the bound is fixed, so the rows it expands below the top level are its nodes.
 
     Each level queues its rows in _walk's order, with the top-level values
     sorted by absolute value.  A step takes the first _BATCH rows of the
-    deepest level that holds that many (any, in a "min" walk, so that it
-    meets leaves and lowers its bound early), else of the highest nonempty
-    level, and queues their children at the level below.
+    deepest level that holds that many, else of the highest nonempty level,
+    and queues their children at the level below.
     Level k gains rows only from steps at level k + 1, which run only while
     it holds fewer than _BATCH rows and give each row they take at most
     2 bound[k+1] / step + 1 children (_coordinate_bounds), so level k holds
@@ -398,11 +388,6 @@ def _batched_walk(walk: Walk) -> WalkResult:
     if it has one, is its first child (its values start at 0).  The kernel
     keeps only the level where that row waits; at level 0 its zero child is
     the zero vector, which is no leaf.
-
-    A "min" walk lowers its bound at each leaf, which _walk sees at once but
-    a step only when it takes rows made before: it drops those outside the
-    bound.  So nodes is _walk's count unless a "min" walk finds a leaf; then
-    it lies between that and the "count" walk's at the first bound.
     """
     n, delta, sub = walk.n, walk.delta, walk.sub
     parity, mode, limit = walk.parity, walk.mode, walk.limit
@@ -413,29 +398,22 @@ def _batched_walk(walk: Walk) -> WalkResult:
     tops = sorted((t for t in walk.tops if delta[n] * t * t <= delta[top] * limit), key=abs)
     num, dtype = _walk_types(walk)
     step = 2 if parity is not None else 1
-    exact = mode in ("shell", "count")
     subs = [np.array(r, dtype=num) for r in sub]
     # queue[k]: rows of level k not taken yet, (x, acc = A_{k+1}); the first
     # row queued at level zero has only zeros above it (-1: no such row left)
     queue = [(np.zeros((c, n), dtype), np.zeros(c, num)) for c in [0] * top + [1]]
     zero = top
     nodes = count = 0
-    best = None
     out: list = []
-
-    full = 1 if mode == "min" else _BATCH
     while True:
         sizes = [len(q[1]) for q in queue]
-        k = next((j for j, c in enumerate(sizes) if c >= full),
+        k = next((j for j, c in enumerate(sizes) if c >= _BATCH),
                  max((j for j, c in enumerate(sizes) if c), default=-1))
         if k < 0:
             break
         x, acc = (a[:_BATCH] for a in queue[k])
         queue[k] = tuple(a[_BATCH:] for a in queue[k])
         d, dk = delta[k + 1], delta[k]
-        if mode == "min" and acc.max() > d * limit:
-            keep = np.flatnonzero(acc <= d * limit)  # never the zero-prefix row: its acc is 0
-            x, acc = x.take(keep, axis=0), acc.take(keep)
         if k < top:
             nodes += len(acc)
         s = np.zeros(1, num) if k == top else x[:, k + 1:] @ subs[k]
@@ -448,7 +426,7 @@ def _batched_walk(walk: Walk) -> WalkResult:
             lo[0] = max(lo[0], 0)
         if parity is not None:
             lo += (lo - parity[k]) % 2
-        if k == 0 and exact:
+        if k == 0 and mode != "le":
             # (d x_0 + s)^2 = d * limit - acc, roots taken ascending
             q = d * limit - acc
             kk = _isqrt(np.maximum(q, 0))
@@ -477,26 +455,21 @@ def _batched_walk(walk: Walk) -> WalkResult:
         lead = za and len(xv) and not row[0] and not xv[0]  # its zero child
         if lead:
             zero = k - 1
-        kv = d * xv + s.take(row)
-        a2 = (dk * acc.take(row) + kv * kv) // d
         if k:
+            kv = d * xv + s.take(row)
             child = x.take(row, axis=0)
             child[:, k] = xv
             queue[k - 1] = (np.concatenate((queue[k - 1][0], child)),
-                            np.concatenate((queue[k - 1][1], a2)))
+                            np.concatenate((queue[k - 1][1], (dk * acc.take(row) + kv * kv) // d)))
             continue
         if lead:  # the zero vector is not a leaf
-            row, xv, a2 = row[1:], xv[1:], a2[1:]
-        if mode == "le":
-            leaves = x.take(row, axis=0)
-            leaves[:, 0] = xv
-            out.append(leaves)
-        elif len(a2):  # min: every a2 is within the bound
-            best = int(a2.min())
-            limit = best - 1
+            row, xv = row[1:], xv[1:]
+        leaves = x.take(row, axis=0)  # "le": every value is within the bound
+        leaves[:, 0] = xv
+        out.append(leaves)
     if mode in ("shell", "le"):
         out = np.concatenate(out) if out else np.empty((0, n), dtype)
-    return _result(walk, "batched", nodes, count, best, out)
+    return WalkResult(count if mode == "count" else out, nodes, "batched")
 
 
 def _top_values(delta: tuple[int, ...], limit: int, parity) -> tuple[int, ...]:
@@ -530,9 +503,18 @@ def _share(kernel, walk: Walk, fd: int, parent: int) -> None:
         os._exit(1)
 
 
+def _load(pipe):
+    """What a worker wrote to pipe, or None if that is no whole record."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # none, or cut short as by the OOM killer
+        return None
+
+
 def _record(record, code: int) -> WalkResult:
     """A worker's WalkResult from what it wrote and its exit status: what a
-    worker raised is raised here, and a worker that died, ChildProcessError."""
+    worker raised is raised here, and a worker that died or wrote no whole
+    record, ChildProcessError."""
     if code == 0 and isinstance(record, WalkResult):
         return record
     raise record if isinstance(record, BaseException) else ChildProcessError(f"a walk worker ended: {code}")
@@ -544,15 +526,14 @@ def _run(walk: Walk) -> WalkResult:
     _batched_walk if its forecast passes _BUDGET, else to _walk: either
     gives Walk's answer.  Past _SPLIT its top-level values are dealt to
     min(top-level values, CPUs) shares, one walked here and one by each
-    forked worker, unless it is a "min" walk (its shares could not share its
-    lowered bound), or the process may run on one CPU (taskset limits it) or
-    is a daemonic multiprocessing worker, whose caller runs a job per CPU."""
+    forked worker, unless the process may run on one CPU (taskset limits it)
+    or is a daemonic multiprocessing worker, whose caller runs a job per CPU."""
     if walk.mode == "first":
         return _walk(walk)
     forecast = walk.forecast()
     kernel = _batched_walk if forecast > _BUDGET else _walk
     workers = 1
-    if walk.mode != "min" and forecast > _SPLIT:
+    if forecast > _SPLIT:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         mp = sys.modules.get("multiprocessing")  # not imported: no daemon
         workers = 1 if mp and mp.current_process().daemon else min(len(walk.tops), cpus)
@@ -568,7 +549,7 @@ def _run(walk: Walk) -> WalkResult:
             children.append((pid, open(r, "rb")))
             os.close(w)
         parts = [kernel(shares[0])]
-        records = [pickle.load(pipe) if pipe.peek(1) else None for _, pipe in children]
+        records = [_load(pipe) for _, pipe in children]
         done = True
     finally:  # reap every worker, killed first on any exception (a signal the CLI raises)
         codes = []
@@ -659,19 +640,19 @@ def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _minimum(lat: GramLattice) -> Fraction:
     """The seed is attained and every norm a multiple of the grain, so the
-    minimum is the seed unless a "min" walk at seed - grain, made if that is
-    positive, finds a least norm below it.  On Leech (seed 4, grain 2) that
-    walk has 14,978 nodes and finds none."""
+    minimum is the seed unless vectors_upto at seed - grain, walked if that
+    is positive, lists a norm below it, the least of which it lists first.
+    On Leech (seed 4, grain 2) that "le" walk has 14,978 nodes and no leaf."""
     if lat.dim == 0:
         raise DimensionMismatch("empty lattice has no minimum")
     prep = _prep(lat)
-    best = _run(Walk.of(prep, "min", prep.seed - prep.grain)).value if prep.seed > prep.grain else None
-    return Fraction(prep.seed if best is None else best, prep.den)
+    below = vectors_upto(lat, Fraction(prep.seed - prep.grain, prep.den)) if prep.seed > prep.grain else []
+    return below[0][0] if below else Fraction(prep.seed, prep.den)
 
 
 def minimum(lat: GramLattice) -> Fraction:
-    """Exact minimum norm of the nonzero vectors, proven by a walk one grain
-    below LLL's least diagonal entry that keeps no vectors (_minimum)."""
+    """Exact minimum norm of the nonzero vectors, proven by one walk a grain
+    below LLL's least diagonal entry (_minimum)."""
     return _minimum(lat)
 
 
@@ -786,13 +767,16 @@ def coset_shell(lat: GramLattice, parity: Sequence[int], r) -> tuple[Vec, ...]:
 
 
 def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
-    """Least norm in the congruence class of parity mod 2L."""
+    """Least norm in the congruence class of parity mod 2L: that of the first
+    nonempty "le" class walk at m, 2m, 4m, .. (m the minimum), each capped at
+    N(x), which x attains, so at most 1 + ceil(log2(N(x) / m)) walks."""
     x = lat._check(parity)
     prep = _prep(lat)
     pr = _parity_reduced(prep, _class_parity(x))
-    lifts = [imatmul([pr], prep.u.rows)[0], x]  # both in the class
-    norm = Fraction(min(row_norms(lifts, lat.gram.num.rows).tolist()), lat.gram.den)
-    return Fraction(_run(Walk.of(prep, "min", int(norm * prep.den), pr)).value, prep.den)
+    cap, limit = int(lat.norm(x) * prep.den), int(minimum(lat) * prep.den)
+    while not len(found := _run(Walk.of(prep, "le", min(limit, cap), pr)).value):
+        limit *= 2
+    return Fraction(min(row_norms(_map_back(lat, found), lat.gram.num.rows).tolist()), lat.gram.den)
 
 
 @dataclass(frozen=True, slots=True)

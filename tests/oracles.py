@@ -176,9 +176,7 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
     those of exact-norm leaves; "first" stops at the first exact-norm leaf,
     which is the least in the walk's order (each level ascending, top level
     first); "count" counts exact-norm leaves closed-form at the bottom
-    level; "min" returns the least nonzero scaled norm within the limit, or
-    None, lowering the limit to one unit of norm below each leaf it finds:
-    a scaled norm is E N(x), E = g_0 delta_0 delta_1.
+    level.  Norms are scaled: E N(x), E = g_0 delta_0 delta_1.
     """
     n = payload["n"]
     delta = payload["delta"]
@@ -192,7 +190,6 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
     x = [0] * n
     out: list = []
     count = 0
-    best = None
 
     def bounds(k: int, s: int, room: int, zero_above: bool) -> tuple[int, int]:
         kmax = math.isqrt(room // g[k])
@@ -207,10 +204,8 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
 
     def leaf(a2: int) -> bool:
         """Record a nonzero leaf of scaled norm a2 <= limit; True ends the walk."""
-        nonlocal best, limit
-        if mode == "min":
-            best, limit = a2, a2 - g[0] * delta[0] * delta[1]
-        elif mode == "le":
+        nonlocal limit
+        if mode == "le":
             out.append(tuple(x))
         elif a2 == target:
             out.append(tuple(x))
@@ -290,8 +285,6 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
             break
     if mode == "count":
         return count
-    if mode == "min":
-        return best
     return out
 
 

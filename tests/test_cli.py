@@ -634,7 +634,7 @@ def test_report_table(capsys):
 
 
 def test_walks_split_across_processes_print_the_same_bytes(capsys, monkeypatch, splits):
-    """With _SPLIT 0 every walk but "min" with two top-level values or
+    """With _SPLIT 0 every walk but "first" with two top-level values or
     more is split across the process's CPUs, here this process and one
     forked worker; the output stays the golden bytes."""
     monkeypatch.setattr(shortvec, "_SPLIT", 0)

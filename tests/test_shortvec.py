@@ -1,11 +1,11 @@
 """Tests for LLL reduction and exact shell enumeration."""
 
 import collections
-import contextlib
 import hashlib
 import math
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import sys
@@ -317,10 +317,10 @@ def made(walks, *fields):
 
 
 def test_minimum_and_count_walk_once_each(walks):
-    """minimum walks once, one grain below the seed, and keeps no vectors
-    and no count; shell_count at the minimum is a "count" walk of its own,
-    inside the minimum walk's bound, and every shell a "shell" walk of its
-    own.  Walks are listed as (mode, limit in walk units)."""
+    """minimum walks once, an "le" walk one grain below the seed, which keeps
+    only the vectors below the seed; shell_count at the minimum is a "count"
+    walk of its own, inside the minimum walk's bound, and every shell a
+    "shell" walk of its own.  Walks are listed as (mode, limit in walk units)."""
     shortvec._minimum.cache_clear()
     shortvec._coset_shell.cache_clear()
     # E8: seed 2 = grain 2, so no norm lies below the seed and nothing walks
@@ -334,13 +334,14 @@ def test_minimum_and_count_walk_once_each(walks):
     assert shell(e8, 1) == ()
     assert made(walks, "mode", "limit") == [("count", 2), ("shell", 2)]
     # a basis whose least diagonal entry, 11, lies above the minimum 10
-    # (grain 1): the walk at 10 finds the minimum, the count walks again
+    # (grain 1): the walk at 10 finds the minimum's one pair, the count walks again
     lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6], [-1, 2, -6, 11]])
     assert (shortvec._prep(lat).seed, shortvec._prep(lat).grain) == (11, 1)
     walks.clear()
-    assert minimum(lat) == 10 and made(walks, "mode", "limit") == [("min", 10)]
-    assert shell_count(lat, 10) == 1 and made(walks, "mode", "limit") == [("min", 10), ("count", 10)]
-    assert shell(lat, 9) == () and made(walks, "mode", "limit") == [("min", 10), ("count", 10)]
+    assert minimum(lat) == 10 and made(walks, "mode", "limit") == [("le", 10)]
+    assert len(walks[0][1].value) == 1
+    assert shell_count(lat, 10) == 1 and made(walks, "mode", "limit") == [("le", 10), ("count", 10)]
+    assert shell(lat, 9) == () and made(walks, "mode", "limit") == [("le", 10), ("count", 10)]
     assert len(shell(lat, 10)) == 1 and made(walks, "mode", "limit")[2:] == [("shell", 10)]
 
 
@@ -437,71 +438,117 @@ def test_coset_shell_a2():
     assert coset_minimum(A2, (1, 0)) == 2
 
 
-def test_coset_minimum_walks_from_the_reduced_lift(walks):
-    """coset_minimum seeds its "min" walk with the norm of the 0/1 lift
-    of the reduced parity in the LLL basis when the vector it is given is
-    longer.  Given the 0/1 class of the root x0 in the skewed bases of A16,
-    D16 and E8 that the skewed-bases benchmark draws at seed 11, it gives the
-    class minimum 2, as the walk from the input-basis lift does, and walks
-    the reference's nodes at its seed: 15, 67 and 43, where the input-basis
-    seeds cost 126,463, 2,539 and 600 in the Python kernel."""
+def least_norm(lat, rows):
+    """The least norm, on lat's input Gram, of walk leaves in its LLL basis."""
+    return min(lat.norm(v) for v in imatmul(rows, shortvec._prep(lat).u.rows))
+
+
+def test_coset_minimum_walks_from_the_lattice_minimum(walks):
+    """coset_minimum walks its class first at the lattice minimum m, so a
+    class that holds a vector of norm m takes one walk, however long the
+    vector that names it.  Given the 0/1 class of the root x0 in the skewed
+    bases of A16, D16 and E8 that the skewed-bases benchmark draws at seed
+    11 (input-basis lifts of norm 894, 310 and 210), it makes one "le" class
+    walk at m = 2, the reference's 15, 24 and 14 nodes, to the class minimum
+    2, the minimum it gives for the root x0 itself."""
     from test_lines import benchmark_inputs
 
     inputs, rng = benchmark_inputs(), random.Random(11)
     bases = {(fam, n): inputs.unimodular(rng, n)
              for fam, dims in (("A", range(4, 17)), ("D", range(4, 17)), ("E", (6, 7, 8)))
              for n in dims}
-    for fam, n, nodes in (("A", 16, 15), ("D", 16, 67), ("E", 8, 43)):
+    for fam, n, nodes in (("A", 16, 15), ("D", 16, 24), ("E", 8, 14)):
         u, uinv = bases[fam, n]
         lat = GramLattice(gram_product(u, root_lattice(fam, n).lattice.gram.num.rows))
         x0 = inputs.matmul([list(standard_x0(fam, n))], uinv)[0]
         lift = [v % 2 for v in x0]
+        assert minimum(lat) == 2
         walks.clear()
         assert coset_minimum(lat, lift) == 2
-        ((walk, _),) = walks
-        prep, first = shortvec._prep(lat), lat.norm(lift)
-        pr = shortvec._parity_reduced(prep, x0)
-        seed = lat.norm(imatmul([pr], prep.u.rows)[0]) * prep.den
-        assert walk.limit == seed <= first * prep.den
+        ((walk, result),) = walks
+        prep = shortvec._prep(lat)
+        assert (walk.mode, walk.limit) == ("le", 2) and lat.norm(lift) > 200
+        assert walk.parity == shortvec._parity_reduced(prep, x0)
         visits = []
-        assert ref_walk(walk, visits) == 2
+        assert least_norm(lat, listed("le", result.value)) == least_norm(lat, ref_walk(walk, visits)) == 2
         assert shortvec._walk(walk).nodes == len(visits) == nodes
-        assert shortvec._run(shortvec.Walk.of(prep, "min", int(first * prep.den), walk.parity)).value == 2
+        assert coset_minimum(lat, x0) == 2
 
 
 def test_coset_minimum_walks_from_the_given_vector(walks):
-    """The vector given to coset_minimum lies in its class, so its norm
-    seeds the walk when it is below the reduced lift's: the Leech x0 class
-    (minimum 6) walks 2,831 nodes from x0, the reference's count, where the
-    reduced lift's seed 50 walks 187,049 in the Python kernel to the same
-    minimum."""
+    """The vector given to coset_minimum lies in its class, so its norm caps
+    the doubling bounds: the Leech x0 class (minimum 6) walks at 4, where it
+    is empty, then at 6, the norm of x0, not 8, with the reference's 465 and
+    3,064 nodes."""
     big = leech()
     lat, x0 = big.lattice, big.marks["x0"]
+    assert minimum(lat) == 4
     walks.clear()
     assert coset_minimum(lat, x0) == 6
-    ((walk, _),) = walks
-    assert walk.limit == lat.norm(x0) == 6
-    visits = []
-    assert ref_walk(walk, visits) == 6
-    assert shortvec._walk(walk).nodes == len(visits) == 2_831
-    prep = shortvec._prep(lat)
-    lift = lat.norm(imatmul([walk.parity], prep.u.rows)[0])
-    assert lift == 50
-    assert shortvec._run(shortvec.Walk.of(prep, "min", 50, walk.parity)).value == 6
+    assert made(walks, "mode", "limit", "nodes") == [("le", 4, 465), ("le", 6, 3_064)]
+    for (walk, result), nodes in zip(walks, (465, 3_064)):
+        visits = []
+        assert listed("le", result.value) == ref_walk(walk, visits) and len(visits) == nodes
+    assert lat.norm(x0) == least_norm(lat, listed("le", result.value)) == 6
 
 
 def test_a_batched_min_walk_steps_at_its_deepest_rows(walks):
-    """A batched "min" walk takes each step at its deepest nonempty level, so
-    it meets leaves, and lowers its bound, early.  coset_minimum(Leech,
-    x0 mod 2) seeds its one "min" walk at 50, the norm of both lifts: it
-    finds the class minimum 6 in under 300,000 nodes, where stepping at the
-    deepest level holding _BATCH rows took 1,137,395."""
+    """A class named by a long vector finds its minimum in a batched walk of
+    fixed bound.  Named by x0 mod 2 (norm 126; the 0/1 lift of the reduced
+    parity has norm 50), the Leech x0 class walks at 4 and 8 to its minimum
+    6, the walk at 8 batched and 15,664 nodes, where the one shrinking-bound
+    walk from 50 this replaced took up to 300,000."""
     big = leech()
+    lat, lift = big.lattice, [v % 2 for v in big.marks["x0"]]
     walks.clear()
-    assert coset_minimum(big.lattice, [v % 2 for v in big.marks["x0"]]) == 6
-    ((walk, result),) = walks
-    assert (walk.mode, walk.limit, result.kernel) == ("min", 50, "batched")
-    assert result.nodes < 300_000
+    assert coset_minimum(lat, lift) == 6
+    assert made(walks, "limit", "nodes", "kernel") == [(4, 465, "walk"), (8, 15_664, "batched")]
+    walk, result = walks[-1]
+    assert lat.norm(lift) == 126 and lat.norm(imatmul([walk.parity], shortvec._prep(lat).u.rows)[0]) == 50
+    assert result.nodes < 300_000 and least_norm(lat, listed("le", result.value)) == 6
+
+
+def class_walks(walks):
+    """(limit, nodes) of each class walk the walks fixture recorded."""
+    return [(walk.limit, result.nodes) for walk, result in walks if walk.parity is not None]
+
+
+def most_class_walks(lat, x):
+    """1 + ceil(log2(N(x) / m)), the most class walks coset_minimum makes."""
+    return 1 + (-(-lat.norm(x) // minimum(lat)) - 1).bit_length()
+
+
+def test_coset_minimum_doubles_its_bound_on_leech_classes(walks):
+    """Six seeded 0/1 vectors of Leech, of norm 132 to 526, name classes of
+    minima 8 and 6, each found by class walks at 4 and 8 of under 20,000
+    nodes each; walks bounded by the norm of the least 0/1 lift, 50 to 74,
+    took 128,278 to 314,112."""
+    lat = leech().lattice
+    assert minimum(lat) == 4
+    rng = random.Random(5)
+    for want in (8, 8, 6, 6, 6, 6):
+        x = [rng.randint(0, 1) for _ in range(24)]
+        walks.clear()
+        assert coset_minimum(lat, x) == want
+        made = class_walks(walks)
+        assert [limit for limit, _ in made] == [4, 8] and len(made) <= most_class_walks(lat, x)
+        assert all(nodes < 20_000 for _, nodes in made)
+
+
+def test_coset_minimum_doubles_past_sparse_norms(walks):
+    """On E8's Gram times 1,000 plus I (grain 1, minimum 2,001) a class's
+    norms lie far apart: the classes of e_1 and (1,1,0,1,0,0,1,0), minima
+    2,001 and 4,004, take 1 and 3 class walks, at 2,001, 4,002 and 8,004,
+    where a bound raised one grain at a time would take thousands."""
+    e8 = root_lattice("E", 8).lattice.gram.num.rows
+    lat = GramLattice([[1000 * a + (i == j) for j, a in enumerate(row)] for i, row in enumerate(e8)])
+    assert minimum(lat) == 2001
+    for x, want, limits in (((1, 0, 0, 0, 0, 0, 0, 0), 2001, [2001]),
+                            ((1, 1, 0, 1, 0, 0, 1, 0), 4004, [2001, 4002, 8004])):
+        walks.clear()
+        assert coset_minimum(lat, x) == want
+        made = class_walks(walks)
+        assert [limit for limit, _ in made] == limits and len(made) <= min(3, most_class_walks(lat, x))
 
 
 def test_cosets_partition_shell():
@@ -522,7 +569,9 @@ def test_cosets_partition_shell():
         assert len(parts) == len(set(parts))
 
 
-def test_coset_shell_against_grid_oracle():
+def test_coset_shell_against_grid_oracle(walks):
+    """Each class shell, and the class minimum, found in at most
+    most_class_walks class walks, match the grid oracle."""
     rng = random.Random(107)
     for _ in range(15):
         n = rng.randint(2, 4)
@@ -540,6 +589,10 @@ def test_coset_shell_against_grid_oracle():
         for r in range(1, bound + 1):
             mine.extend((r, v) for v in coset_shell(lat, p, r))
         assert sorted(mine) == oracle
+        walks.clear()
+        least = coset_minimum(lat, p)
+        assert least == oracle[0][0] if oracle else least > bound
+        assert len(class_walks(walks)) <= most_class_walks(lat, p)
 
 
 def test_coset_rejects_zero_class():
@@ -576,8 +629,8 @@ def test_threaded_matches_serial(monkeypatch):
 
 def test_threaded_minimum_and_count_match_serial(monkeypatch):
     # LLL leaves this basis alone; its diagonal minimum 11 sits above the
-    # minimum 10, whose "min" walk stays in this process, and the count and
-    # shell walks' two top-level values split across two workers
+    # minimum 10, and the minimum, count and shell walks' two top-level
+    # values split across this process and a worker
     lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
                        [-1, 2, -6, 11]])
 
@@ -727,18 +780,11 @@ def test_vectors_upto_sorts_as_python_does(monkeypatch):
 
 
 def kernel_walks(lat, r, parity):
-    """Walks of all five modes at norm r on lat, whole and split in two;
-    "min" at the seed, a norm that some vector of the class attains."""
+    """Walks of all four modes at norm r on lat, whole and split in two."""
     prep = shortvec._prep(lat)
     pr = None if parity is None else shortvec._parity_reduced(prep, parity)
-    target = math.floor(r * prep.den)
-    if parity is None:
-        seed = prep.seed
-    else:
-        seed = math.floor(lat.norm(parity) * prep.den)  # the 0/1 lift lies in the class
-    for mode, limit in (("le", target), ("shell", target), ("first", target),
-                        ("count", target), ("min", seed)):
-        walk = shortvec.Walk.of(prep, mode, limit, pr)
+    for mode in ("le", "shell", "first", "count"):
+        walk = shortvec.Walk.of(prep, mode, math.floor(r * prep.den), pr)
         for chunk in (walk.tops, walk.tops[0::2], walk.tops[1::2]):
             yield replace(walk, tops=chunk)
 
@@ -753,16 +799,12 @@ def lcm_form(delta):
 
 def ref_walk(walk, visits=None):
     """ref_search_chunk on the walk in its lcm form, given as its own dict
-    of the walk's fields, with the norms it reports brought back to the
-    walk's units; the exact-norm modes target the limit."""
+    of the walk's fields; the exact-norm modes target the limit."""
     scale, g = lcm_form(walk.delta)
     limit = scale * walk.limit
-    found = ref_search_chunk({"n": walk.n, "delta": walk.delta, "sub": walk.sub, "g": g,
-                              "parity": walk.parity, "mode": walk.mode, "target": limit,
-                              "limit": limit, "tops": walk.tops}, visits)
-    if walk.mode == "min" and found is not None:
-        return found // scale
-    return found
+    return ref_search_chunk({"n": walk.n, "delta": walk.delta, "sub": walk.sub, "g": g,
+                             "parity": walk.parity, "mode": walk.mode, "target": limit,
+                             "limit": limit, "tops": walk.tops}, visits)
 
 
 def number_type(walk):
@@ -785,45 +827,16 @@ def walked(kernel, walk):
     return listed(walk.mode, found.value), found.nodes
 
 
-class Capped(list):
-    """A visits list for ref_search_chunk that ends the walk, raising Full,
-    once it holds cap nodes."""
-
-    class Full(Exception):
-        pass
-
-    def __init__(self, cap):
-        super().__init__()
-        self.cap = cap
-
-    def append(self, level):
-        super().append(level)
-        if len(self) == self.cap:
-            raise Capped.Full
-
-
 def check_batched(walk, want):
     """The batched kernel against want = (result, nodes) of the reference
-    walk.  Its result is want's.  It counts the rows it expands, so its node
-    count is want's wherever the bound never lowers; a "min" walk that finds
-    a leaf lowers it and may count rows made before that, but never more
-    than the "count" walk at the first bound, whose tree holds them all.
-    That walk is stopped one node past the batched count: whole, at a coset
-    walk's seed, it can take minutes.  "first" walks are the Python kernel's
-    alone: the batched kernel refuses them."""
+    walk: every bound is fixed, so it gives want's result and, counting the
+    rows it expands, want's node count.  "first" walks are the Python
+    kernel's alone: the batched kernel refuses them."""
     if walk.mode == "first":
         with pytest.raises(ValueError):
             shortvec._batched_walk(walk)
         return
-    got, nodes = walked(shortvec._batched_walk, walk)
-    assert got == want[0]
-    if walk.mode == "min" and got is not None:
-        fixed = Capped(nodes + 1)
-        with contextlib.suppress(Capped.Full):
-            ref_walk(replace(walk, mode="count"), fixed)
-        assert want[1] <= nodes <= len(fixed)
-    else:
-        assert nodes == want[1]
+    assert walked(shortvec._batched_walk, walk) == want
 
 
 def kernel_corpus(rng):
@@ -839,16 +852,16 @@ def kernel_corpus(rng):
         A2.rescale(QQ(1, 2)),  # rational Gram matrix
         GramLattice([[3]]),  # dimension 1
         # LLL leaves this basis alone and its diagonal minimum 11 lies above
-        # the minimum 10, so the "min" walk at 11 finds a leaf below its bound
+        # the minimum 10, so the minimum's walk at 10 finds a leaf
         GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
                      [-1, 2, -6, 11]]),
     ]
 
 
 def test_kernel_matches_reference_walk(walks):
-    """Both kernels give the reference's results, in every mode, on parity
-    walks and on the coset walks of least_vector; the Python kernel visits
-    the reference's nodes and the batched kernel keeps check_batched's rule."""
+    """Both kernels give the reference's results and node counts, in every
+    mode the batched kernel takes, with no exception, on parity walks and on
+    the coset walks of least_vector."""
     rng = random.Random(131)
     lats = kernel_corpus(rng)
     seen = set()
@@ -862,9 +875,9 @@ def test_kernel_matches_reference_walk(walks):
                 want = ref_walk(walk, visits), len(visits)
                 assert walked(shortvec._walk, walk) == want, walk.mode
                 check_batched(walk, want)
-                if want[0]:  # a leaf, a count or a least norm found
+                if want[0]:  # a leaf or a count found
                     seen.add(walk.mode)
-    assert seen == {"le", "shell", "first", "count", "min"}
+    assert seen == {"le", "shell", "first", "count"}
 
     # the coset walks of least_vector: a prefix held at 1 on top, e_i, then
     # a reduced block, in a basis that is not reduced as a whole
@@ -893,30 +906,31 @@ def test_kernel_matches_reference_walk(walks):
 @pytest.mark.parametrize("budget, batch", [(shortvec._BUDGET, shortvec._BATCH),
                                            (0, shortvec._BATCH), (0, 2)])
 def test_mincount_leaves_match_reference_walk(monkeypatch, budget, batch):
-    """A "min" walk (named "mincount" while it also counted the leaves at
-    its best) lowers its bound below each leaf it finds.  On bases whose
-    first leaf lies above the minimum, both kernels, and the dispatch with
-    every walk batched or not, give the reference's least norm, with node
-    counts as check_batched allows; batches of two rows make the batched
-    kernel take rows made before the bound was lowered."""
+    """The minimum's walk, "le" one grain below the seed (once a "mincount"
+    walk, then a "min" walk that lowered its bound at each leaf), keeps the
+    vectors below the seed.  On bases whose seed lies above the minimum
+    (about one in 200 draws) and on the others, both kernels, and the
+    dispatch with every walk batched or not, whole and split in two, give
+    the reference's leaves and node counts, and minimum their least norm;
+    batches of two rows split every level."""
     monkeypatch.setattr(shortvec, "_BUDGET", budget)
     monkeypatch.setattr(shortvec, "_BATCH", batch)
     rng = random.Random(109)
-    dropped = 0
-    while dropped < 5:
+    below = 0
+    while below < 5:
         lat = near_reduced_gram(rng, rng.randint(2, 6))
         prep = shortvec._prep(lat)
-        for walk in kernel_walks(lat, 1, None):
-            if walk.mode != "min":
-                continue
+        whole = shortvec.Walk.of(prep, "le", prep.seed - prep.grain)
+        for walk in (whole, replace(whole, tops=whole.tops[0::2]), replace(whole, tops=whole.tops[1::2])):
             visits = []
             want = ref_walk(walk, visits), len(visits)
             assert walked(shortvec._walk, walk) == want
             check_batched(walk, want)
-            assert shortvec._run(walk).value == want[0]
-            # the first leaf of the walk, taken before any bound is lowered
-            first = ref_walk(replace(walk, mode="le"))[:1]
-            dropped += bool(first) and lat.norm(imatmul(first, prep.u.rows)[0]) * prep.den > want[0]
+            assert walked(shortvec._run, walk)[0] == want[0]
+        found = shortvec._run(whole).value
+        if len(found):
+            assert minimum(lat) == least_norm(lat, listed("le", found)) < QQ(prep.seed, prep.den)
+            below += 1
 
 
 def test_coordinate_bounds_match_reference():
@@ -937,12 +951,11 @@ def test_coordinate_bounds_match_reference():
 
 
 def test_batched_kernel_at_batch_boundaries(monkeypatch):
-    """Batches of one to a few rows split every level; with a lowered
-    "min" bound and a "first" hit among them, the batched kernel must
-    still give the Python kernel's results, with node counts as
-    check_batched allows."""
+    """Batches of one to a few rows split every level; with a "first" hit
+    among them, the batched kernel must still give the Python kernel's
+    results and node counts."""
     rng = random.Random(149)
-    lowered = batched = 0
+    batched = 0
     for _ in range(30):
         lat = near_reduced_gram(rng, rng.randint(2, 6))
         m = minimum(lat)
@@ -954,13 +967,12 @@ def test_batched_kernel_at_batch_boundaries(monkeypatch):
                     monkeypatch.setattr(shortvec, "_BATCH", size)
                     check_batched(walk, want)
                 batched += 1
-                lowered += walk.mode == "min" and want[0] is not None
-    assert lowered and batched > 500
+    assert batched > 500
 
 
 def test_batched_kernel_answers_an_empty_top_level():
     """With no top-level value inside the bound, the batched kernel gives
-    the empty result of each of its four modes itself, without the Python
+    the empty result of each of its three modes itself, without the Python
     kernel."""
     walks = [walk for lat in (root_lattice("E", 8).lattice, GramLattice([[3]]))
              for walk in kernel_walks(lat, minimum(lat), None)
@@ -978,7 +990,7 @@ def test_batched_kernel_takes_top_level_values_in_any_order():
     rule applies, by walking the top-level value 0 first, so the order of
     walk.tops does not matter: shuffled, with negative values among them,
     it gives _walk's results on the same walk, leaves in another order, and
-    _walk's node counts wherever the bound never lowers."""
+    _walk's node counts."""
     rng = random.Random(157)
     for lat in kernel_corpus(rng)[::3]:
         m = minimum(lat)
@@ -992,9 +1004,7 @@ def test_batched_kernel_takes_top_level_values_in_any_order():
             got = walked(shortvec._batched_walk, mixed)
             if walk.mode in ("le", "shell"):
                 want, got = (sorted(want[0]), want[1]), (sorted(got[0]), got[1])
-            assert got[0] == want[0]
-            if walk.mode != "min" or want[0] is None:
-                assert got[1] == want[1]
+            assert got == want
 
 
 def leech_walk(mode, limit):
@@ -1002,12 +1012,12 @@ def leech_walk(mode, limit):
 
 
 def test_batched_kernel_visits_the_leech_minimum_walk():
-    # the "min" walk one grain below the seed 4, which alone proves the
+    # the "le" walk one grain below the seed 4, which alone proves the
     # minimum, has 14,978 nodes and finds nothing; the count of the pairs at
     # 4 has 1,971,697 below the top level, the count of the reference walk
     # (test_leech_minimum_walk_matches_reference) and of the Python kernel
-    proof = leech_walk("min", 2)
-    assert walked(shortvec._batched_walk, proof) == walked(shortvec._walk, proof) == (None, 14_978)
+    proof = leech_walk("le", 2)
+    assert walked(shortvec._batched_walk, proof) == walked(shortvec._walk, proof) == ([], 14_978)
     assert walked(shortvec._batched_walk, leech_walk("count", 4)) == (98_280, 1_971_697)
 
 
@@ -1033,8 +1043,7 @@ def test_leech_norm_6_shell_is_one_int8_array():
 
 def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
     """Walks whose numbers may pass 2**62 run the batched kernel on Python
-    integers, with the reference's results and node counts as
-    check_batched allows."""
+    integers, with the reference's results and node counts."""
     big = past_int64()
     walks = list(kernel_walks(big, minimum(big) + 2**41, None))
     assert {number_type(walk) for walk in walks} == {object}
@@ -1192,14 +1201,11 @@ def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
     budget goes to the batched kernel, any other to the Python kernel,
     however many nodes it walks there.  Either way the result is the Python
     kernel's.  E8's norm-8 walks forecast 16,831 nodes against the default
-    budget; at a budget of 100 so do its "min" walks (forecast 175).  D16's
-    norm-2 walks (forecast 392, 1,228 nodes when whole) stay in the Python
-    kernel at a budget of 1,000.  A "min" walk lowers its bound at each leaf
-    it finds, so it walks well below its forecast (D16's: 106 nodes) and
-    none of these is long."""
+    budget.  D16's norm-2 walks (forecast 392, 1,228 nodes when whole) stay
+    in the Python kernel at a budget of 1,000."""
     e8, d16 = root_lattice("E", 8).lattice, root_lattice("D", 16).lattice
     forecast, long = set(), set()
-    for budget, lat, r in ((shortvec._BUDGET, e8, 8), (100, e8, 6), (1000, d16, 2)):
+    for budget, lat, r in ((shortvec._BUDGET, e8, 8), (1000, d16, 2)):
         monkeypatch.setattr(shortvec, "_BUDGET", budget)
         for walk in kernel_walks(lat, r, None):
             if walk.mode == "first":  # least_vector's, run in the Python kernel alone
@@ -1213,7 +1219,7 @@ def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
                 forecast.add(walk.mode)
             elif alone[1] > budget:
                 long.add(walk.mode)
-    assert forecast == long | {"min"} == {"le", "shell", "count", "min"}
+    assert forecast == long == {"le", "shell", "count"}
 
 
 def test_leech_walks_go_straight_to_the_batched_kernel(walks):
@@ -1236,7 +1242,7 @@ def test_leech_walks_go_straight_to_the_batched_kernel(walks):
     assert len(coset_shell(lat, x0, 10)) == 276
     assert len(vectors_upto(relative, 16 - lat.norm(x0))) > 0
     assert [(walk.mode, number_type(walk)) for walk, _ in walks] == [
-        ("min", np.int32), ("count", np.int32), ("shell", np.int32), ("le", np.int64)]
+        ("le", np.int32), ("count", np.int32), ("shell", np.int32), ("le", np.int64)]
     assert set(made(walks, "kernel")) == {"batched"}
     assert all(walk.forecast() > shortvec._BUDGET for walk, _ in walks)
 
@@ -1462,11 +1468,12 @@ def test_a_split_walk_merges_into_the_unsplit_record(monkeypatch, splits, budget
 def failing_share(how):
     """A kernel that fails as how says on one share, the one without top
     value 0, which a forked worker walks, or for "parent" the one with it,
-    which this process walks, and walks any other share."""
+    which this process walks, and walks any other share; for "short-record"
+    it walks every share, and the worker writes half its record."""
 
     def wrap(kernel):
         def walk(w):
-            if (0 in w.tops) == (how == "parent"):
+            if (0 in w.tops) == (how == "parent") and how != "short-record":
                 if how in ("raises", "parent"):
                     raise NotPositiveDefinite(f"the share of {how}")
                 if how == "dies":
@@ -1479,20 +1486,30 @@ def failing_share(how):
     return wrap
 
 
+def half_dump(record, file):
+    """pickle.dump cut halfway, as by a worker killed while it writes."""
+    data = pickle.dumps(record)
+    file.write(data[:len(data) // 2])
+
+
 @pytest.mark.parametrize("how, raised", [("raises", NotPositiveDefinite), ("dies", ChildProcessError),
-                                         ("short", ChildProcessError), ("parent", NotPositiveDefinite)])
+                                         ("short", ChildProcessError), ("parent", NotPositiveDefinite),
+                                         ("short-record", ChildProcessError)])
 def test_a_failed_worker_fails_the_walk(monkeypatch, splits, how, raised):
-    """A worker that raises, dies by a signal or exits 0 with nothing written
-    fails the walk in this process, with the worker's exception where it has
-    one, never a partial count; so does a share this process walks, while
-    the worker may still run.  The fork copies the failing kernel, and no
-    worker is left running or unreaped."""
+    """A worker that raises, dies by a signal, exits 0 with nothing written
+    or writes half its record fails the walk in this process, with the
+    worker's exception where it has one, never a partial count or an
+    UnpicklingError; so does a share this process walks, while the worker
+    may still run.  The fork copies the failing kernel, and no worker is
+    left running or unreaped."""
     prep = shortvec._prep(root_lattice("E", 8).lattice)
     walk = shortvec.Walk.of(prep, "count", 8)
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
     allow_cpus(monkeypatch, 2)
     for name in ("_walk", "_batched_walk"):
         monkeypatch.setattr(shortvec, name, failing_share(how)(getattr(shortvec, name)))
+    if how == "short-record":
+        monkeypatch.setattr(shortvec.pickle, "dump", half_dump)
     with pytest.raises(raised):
         shortvec._run(walk)
     assert splits == [2] and len(splits.pids) == 1
@@ -1521,10 +1538,8 @@ def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch, splits):
     assert e8.forecast() < shortvec._SPLIT < leech_walk("count", 4).forecast()
 
 
-def test_no_pool_for_min_in_a_daemon_or_on_one_cpu(monkeypatch, splits):
-    """Past _SPLIT, each of these walks in this process: a "min" walk,
-    whose workers could not share the bound it lowers (split on two CPUs,
-    coset_minimum(Leech, x0 mod 2) took about twice as long); a "first"
+def test_no_split_for_first_in_a_daemon_or_on_one_cpu(monkeypatch, splits):
+    """Past _SPLIT, each of these walks in this process: a "first"
     walk, which stops at its first leaf; any walk of a daemonic
     multiprocessing worker, whose caller already runs one job per CPU; and
     any walk of a process on one CPU, which gains nothing from a second
@@ -1536,7 +1551,6 @@ def test_no_pool_for_min_in_a_daemon_or_on_one_cpu(monkeypatch, splits):
     allow_cpus(monkeypatch, 1)
     assert shortvec._run(count).value == 8760
     allow_cpus(monkeypatch, 2)
-    assert shortvec._run(shortvec.Walk.of(prep, "min", 8)).value == 2
     assert shortvec._run(shortvec.Walk.of(prep, "first", 8)).value == [(2, 0, 0, 0, 0, 0, 0, 0)]
     monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
     assert shortvec._run(count).value == 8760
