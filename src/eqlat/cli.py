@@ -22,6 +22,8 @@ import threading
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .constructions import (
     dn_projection_gram,
     leech,
@@ -254,19 +256,31 @@ def cmd_shell(args) -> int:
     if args.json:
         # json.dumps's own bytes, with the vectors streamed between "[" and "]}"
         print(_dumps({"norm": r, "s": len(rows), "vectors": []})[:-2], end="")
-        _write_rows(rows, "[" + ", ".join(["%d"] * lat.dim) + "]", ", ")
+        _write_rows(rows, "[", ", ", "]", ", ")
         print("]}")
     else:
         print(f"s_{_frac(r)}={len(rows)}")
-        _write_rows(rows, ",".join(["%d"] * lat.dim) + "\n", "")
+        _write_rows(rows, "", ",", "\n", "")
     return OK
 
 
-def _write_rows(rows, fmt: str, sep: str) -> None:
-    """fmt % v for each row v of rows, joined by sep, written _BLOCK rows at a
-    time, so no text and no tuple of the whole shell is ever held."""
+# str(v) of the int8 value v at the index of its byte, v mod 256
+_INT8_TEXT = np.array([str(v - 256 * (v > 127)) for v in range(256)], object)
+
+
+def _write_rows(rows, start: str, inner: str, end: str, sep: str) -> None:
+    """start + the entries of v joined by inner + end for each row v of rows,
+    joined by sep, written _BLOCK rows at a time, so no text and no tuple of
+    the whole shell is ever held.  int8 entries are read from _INT8_TEXT by
+    their bytes, one block at a time; wider and object rows go through %."""
+    fmt = start + inner.join(["%d"] * rows.shape[1]) + end
     for i in range(0, len(rows), _BLOCK):
-        sys.stdout.write((sep if i else "") + sep.join(map(fmt.__mod__, _tuples(rows[i:i + _BLOCK]))))
+        block = rows[i:i + _BLOCK]
+        if block.dtype == np.int8:
+            text = start + (end + sep + start).join(map(inner.join, _INT8_TEXT[block.view(np.uint8)].tolist())) + end
+        else:
+            text = sep.join(map(fmt.__mod__, _tuples(block)))
+        sys.stdout.write((sep if i else "") + text)
 
 
 def _spectrum_summary(cert: dict) -> dict:

@@ -581,13 +581,21 @@ def poly_lcm(a: Sequence, b: Sequence) -> list[int]:
 
 
 def poly_linear_sub(p: Sequence, a, b) -> list:
-    """Coefficients of p(a*x + b), by Horner composition; exact for int or
-    Fraction entries."""
-    res = [p[-1]]
+    """Coefficients of p(a*x + b) for int or Fraction entries, as ints when
+    every entry is an int, else as Fractions.  Over Z with one common
+    denominator: for a = A/d, b = B/d and p = C/e, Horner composition on
+    integers gives e d^n p(a*x + b) = sum_i C_i d^(n-i) (A x + B)^i, n = deg p."""
+    d = math.lcm(a.denominator, b.denominator)
+    e = math.lcm(*(c.denominator for c in p))
+    big_a, big_b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    acc, scale = [p[-1].numerator * (e // p[-1].denominator)], 1
     for c in reversed(p[:-1]):
-        res = poly_mul(res, [b, a])
-        res[0] += c
-    return res
+        scale *= d
+        acc = [big_b * u + big_a * v for u, v in zip([*acc, 0], [0, *acc])]
+        acc[0] += c.numerator * (e // c.denominator) * scale
+    if all(isinstance(v, int) for v in (*p, a, b)):
+        return acc
+    return [Fraction(v, e * scale) for v in acc]
 
 
 def poly_linear_power(root, k: int) -> list:

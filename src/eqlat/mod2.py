@@ -13,7 +13,8 @@ family, either by enumerating the class shell or through the slice
 S0 = {x minimal : x0.x = m - 1}, which x -> x0 - 2x maps bijectively
 onto the family.  It also realizes the family as the full minimal-vector
 set of a lattice of dimension n - 1, the intersection of <x0, 2L> with
-the hyperplane orthogonal to x0.
+the hyperplane orthogonal to x0; the Hermite form of <x0, 2L> is written
+down from the parities of x0's coordinates, with no elimination.
 
 Either route hands the vectors to lines.line_family, which checks the one
 norm and the equal |inner| products, takes the rank, and rejects more
@@ -339,6 +340,20 @@ def _s0_slice(lat: GramLattice, v: Vec, m: Fraction) -> list[Vec]:
     return list(map(tuple, np.where((d[pick] == want)[:, None], reps[pick], -reps[pick]).tolist()))
 
 
+def _x0_2l(x0: Vec) -> tuple[IntMatrix, Vec]:
+    """(H, c): the Hermite normal form H of <x0, 2L> and x0's coordinates in
+    it, c H = x0, written down for x0 outside 2L.  With j the first odd
+    coordinate of x0, H's rows are 2 e_i for i != j and e_j plus the odd
+    entries of x0 past j, so c_i = x0_i / 2 before j, c_j = x0_j and
+    c_i = (x0_i - x0_j (x0_i mod 2)) / 2 past j."""
+    odd = [v % 2 for v in x0]
+    j = odd.index(1)
+    rows = [[2 * (i == k) for i in range(len(x0))] for k in range(len(x0))]
+    rows[j] = [0] * j + [1] + odd[j + 1:]
+    coords = [v // 2 for v in x0[:j]] + [x0[j]] + [(v - x0[j] * o) // 2 for v, o in zip(x0[j + 1:], odd[j + 1:])]
+    return IntMatrix(rows), tuple(coords)
+
+
 def relative_lattice(lat: GramLattice, x0: Sequence[int]) -> EmbeddedSublattice:
     """The (n-1)-dimensional lattice whose minimal vectors are the family.
 
@@ -356,12 +371,10 @@ def relative_lattice(lat: GramLattice, x0: Sequence[int]) -> EmbeddedSublattice:
     targets = _shell_rows(lat, msec, x0)
     if not len(targets):
         raise EmptyClass(f"class of x0 has no vectors of norm {msec}")
+    basis, coords = _x0_2l(x0)
+    l0 = EmbeddedSublattice(lat, basis)
+    rel = l0.restrict(l0.induced.orthogonal_section(coords))
     n = lat.dim
-    gens = [[2 * (i == j) for j in range(n)] for i in range(n)]
-    gens.append(list(x0))
-    l0 = lat.sublattice(gens)
-    sec = l0.induced.orthogonal_section(l0.coords_of(x0))
-    rel = l0.restrict(sec)
     if rel.dim != n - 1:
         raise VerificationError(f"section has dimension {rel.dim}, not {n - 1}")
     found = vectors_upto(rel.induced, msec)

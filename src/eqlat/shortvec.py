@@ -34,7 +34,8 @@ Walks run in LLL bases, so their cost does not depend on how the input
 is written; least_vector's coset walks (Schnorr-Euchner) answer in it.
 
 Congruence classes mod 2L are enumerated directly by stepping coordinates
-in twos; because -x lies in the class of x, the usual sign-halving trick
+in twos, from the class parity in the reduced basis, which is solved over
+GF(2); because -x lies in the class of x, the usual sign-halving trick
 applies to classes as well, and everything downstream works with one
 representative per +-pair.
 """
@@ -56,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MixedNorms, ZeroVector
-from .exact import IntMatrix, RatMatrix, _rational, leading_minors, solve_left
+from .exact import IntMatrix, RatMatrix, _rational, leading_minors
 from .fastops import _BLOCK, _SAFE, _max_abs, gram_product, int_array, row_norms
 from .lattice import GramLattice, Vec
 
@@ -630,8 +631,18 @@ def _tuples(rows: np.ndarray) -> tuple[Vec, ...]:
 
 
 def _parity_reduced(prep: _Prep, parity: Sequence[int]) -> tuple[int, ...]:
-    # x = y U: x has class p mod 2 iff y, the solution of y U = p, has it mod 2
-    return tuple(v % 2 for v in solve_left(prep.u, parity))
+    """y mod 2 for y U = parity mod 2, so x = y U has x's class iff y has y's,
+    by elimination over GF(2) on bit-mask rows: U mod 2 is invertible, as U
+    is unimodular, so parity's row, appended to U's, reduces to 0 with the
+    combination e_n + y."""
+    pivots = []  # (lowest bit, row, combination of the rows as a mask)
+    for k, row in enumerate((*prep.u.rows, parity)):
+        mask, comb = sum((v & 1) << i for i, v in enumerate(row)), 1 << k
+        for bit, m, c in pivots:
+            if mask & bit:
+                mask, comb = mask ^ m, comb ^ c
+        pivots.append((mask & -mask, mask, comb))
+    return tuple(comb >> k & 1 for k in range(prep.n))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ counts made it, `ref_check_scalar_products_after_projection`, the
 pair-by-pair loop of `mod2.check_scalar_products_after_projection`, and
 `ref_seidel_rows` and `ref_equiangular_pairs`, the entry-by-entry scans
 that `lines.SeidelMatrix` and `lines.line_family` ran before they kept one
-integer array.
+integer array, and `ref_poly_linear_sub`, the Fraction Horner composition
+that `exact.poly_linear_sub` replaced by one over the integers.
 `berkowitz`, the division-free characteristic polynomial over the
 integers, is the reference for the multimodular `exact.charpoly`.
 `theta_series` gives shell sizes in closed form, from q-series in integers:
@@ -163,7 +164,8 @@ def grid_short_vectors(gram_rows, bound):
     return out
 
 
-def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
+def ref_search_chunk(n: int, delta, sub, g, parity, mode: str, target: int, limit: int,
+                     tops, visits: list | None = None) -> object:
     """The recursive enumeration kernel that shortvec's kernels replaced.
 
     It recomputes every centre from scratch and makes a call per node for
@@ -178,14 +180,6 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
     first); "count" counts exact-norm leaves closed-form at the bottom
     level.  Norms are scaled: E N(x), E = g_0 delta_0 delta_1.
     """
-    n = payload["n"]
-    delta = payload["delta"]
-    sub = payload["sub"]
-    g = payload["g"]
-    parity = payload["parity"]
-    mode = payload["mode"]
-    target = payload["target"]
-    limit = payload["limit"]
     step = 2 if parity is not None else 1
     x = [0] * n
     out: list = []
@@ -269,7 +263,7 @@ def ref_search_chunk(payload: dict, visits: list | None = None) -> object:
 
     dtop = delta[n]
     gtop = g[n - 1]
-    for xv in payload["tops"]:
+    for xv in tops:
         kv = dtop * xv
         a2 = gtop * kv * kv
         if a2 > limit:
@@ -692,6 +686,16 @@ def ref_poly_at_matrix(rows: Sequence[Sequence[int]], p: Sequence[int]) -> list[
         power = [[sum(power[i][k] * rows[k][j] for k in range(t)) for j in range(t)]
                  for i in range(t)]
     return out
+
+
+def ref_poly_linear_sub(p: Sequence, a, b) -> list:
+    """Coefficients of p(a*x + b) by Horner composition in the entries' own
+    type, as exact.poly_linear_sub computed it before it cleared denominators."""
+    res = [p[-1]]
+    for c in reversed(p[:-1]):
+        res = poly_mul(res, [b, a])
+        res[0] += c
+    return res
 
 
 # -- theta series ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from eqlat import cli, shortvec
@@ -139,19 +140,34 @@ def test_streamed_shell_output_matches_per_entry_rendering(capsys, tmp_path, mon
     """eqlat shell --vectors writes its text and JSON a block of rows at a
     time; the bytes must be those of the per-entry rendering it replaced
     (str of each entry; json.dumps of the whole document, sorted keys) on E8
-    at norm 4, on a shell with entries past int64 and on an empty shell.
-    Blocks of 7 rows put the separators at block seams."""
+    at norm 4, on shells with entries of 127 (int8, read from the string
+    table), 300 (int16) and past int64 (object), both formatted by %, and
+    on an empty shell.  Blocks of 7 rows put the separators at block seams."""
     monkeypatch.setattr(cli, "_BLOCK", block)
     e8 = e8_file(capsys, tmp_path)
-    d = (2**65 + 1) ** 2  # the shell of norm 1 is (0, 1), (2**65 + 1, 0)
-    wide = write_doc(tmp_path, "wide.json", name="wide", dim=2, den=d, gram=[[1, 0], [0, d]])
-    for path, norm, s in ((e8, "4", 1080), (wide, "1", 2), (e8, "3", 0)):
+    wides = []
+    for c in (127, 300, 2**65 + 1):  # the shell of norm 1 is (0, 1), (c, 0)
+        wides.append(write_doc(tmp_path, f"wide{c}.json", name="wide", dim=2, den=c * c, gram=[[1, 0], [0, c * c]]))
+    for path, norm, s in ((e8, "4", 1080), *((w, "1", 2) for w in wides), (e8, "3", 0)):
         reps = shell(cli.load_lattice(path)[0], int(norm))
         assert len(reps) == s
         text = f"s_{norm}={s}\n" + "".join(",".join(str(c) for c in v) + "\n" for v in reps)
         doc = json.dumps({"norm": norm, "s": s, "vectors": [list(v) for v in reps]}, sort_keys=True)
         assert run(capsys, "shell", path, "--norm", norm, "--vectors") == (0, text, "")
         assert run(capsys, "shell", path, "--norm", norm, "--vectors", "--json") == (0, doc + "\n", "")
+
+
+def test_int8_rows_print_as_wider_rows(capsys, monkeypatch):
+    """Every int8 value, -128 to 127, prints from the string table as %
+    prints it from an int16 array, in text and in JSON, across block seams."""
+    monkeypatch.setattr(cli, "_BLOCK", 5)
+    rows = np.arange(-128, 128).reshape(16, 16)
+    for layout in (("", ",", "\n", ""), ("[", ", ", "]", ", ")):
+        printed = []
+        for dtype in (np.int8, np.int16):
+            cli._write_rows(rows.astype(dtype), *layout)
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and "-128" in printed[0] and "127" in printed[0]
 
 
 @pytest.mark.parametrize("fmt", [(), ("--json",)])

@@ -14,6 +14,7 @@ from oracles import (
     minors_gcd,
     poly_from_roots,
     ref_det,
+    ref_poly_linear_sub,
     ref_rank,
     smallest_real_root,
     sturm_chain,
@@ -32,6 +33,7 @@ from eqlat.exact import (
     leading_minors,
     least_root,
     poly_eval,
+    poly_linear_sub,
     rank_det,
     root_multiplicity,
     roots_above,
@@ -335,6 +337,43 @@ def test_charpoly_primes():
     assert next(_charpoly_primes(8192)) < 2**25
     with pytest.raises(DimensionMismatch):
         charpoly(IntMatrix([[1, 2]]))
+
+
+# -- Linear substitution -----------------------------------------------------
+
+
+def test_poly_linear_sub_matches_fraction_horner():
+    """p(a*x + b) over Z with one common denominator gives the Fraction
+    Horner composition's values: ints when p, a and b are all ints, else
+    Fractions, for int and Fraction p, a and b, a = 0 and degree 0."""
+    rng = random.Random(151)
+
+    def entry(fraction):
+        num = rng.randint(-30, 30)
+        return QQ(num, rng.randint(1, 40)) if fraction else num
+
+    for trial in range(600):
+        fractions = [trial % 4 == k for k in range(3)]  # one of p, a and b, or none
+        p = [entry(fractions[0]) for _ in range(rng.randint(1, 9))]
+        a = 0 if trial % 7 == 0 else entry(fractions[1])
+        b = entry(fractions[2])
+        got = poly_linear_sub(p, a, b)
+        assert got == ref_poly_linear_sub(p, a, b) and len(got) == len(p)
+        want = int if all(type(v) is int for v in (*p, a, b)) else QQ
+        assert all(type(c) is want for c in got), (p, a, b, got)
+
+
+def test_poly_linear_sub_reduces_its_common_denominator():
+    """Coefficients come back in lowest terms when the common denominator
+    e d^n shares factors with them, as it does with unreduced inputs."""
+    half = QQ(2, 4)
+    assert poly_linear_sub([half, half], 2, 1) == [1, 1]  # (1 + 2x + 1) / 2
+    assert poly_linear_sub([0, 0, 1], QQ(1, 6), QQ(1, 4)) == [QQ(1, 16), QQ(1, 12), QQ(1, 36)]
+    assert poly_linear_sub([QQ(3, 9), QQ(6, 4), 5], QQ(6, 8), QQ(10, 15)) == ref_poly_linear_sub(
+        [QQ(1, 3), QQ(3, 2), 5], QQ(3, 4), QQ(2, 3))
+    assert poly_linear_sub([7], QQ(5, 6), QQ(1, 6)) == [QQ(7)]  # degree 0
+    assert poly_linear_sub([7], 5, 1) == [7] and type(poly_linear_sub([7], 5, 1)[0]) is int
+    assert poly_linear_sub([1, 2, 3], 0, QQ(1, 2)) == [QQ(11, 4), 0, 0]  # a = 0
 
 
 # -- Root isolation: the Sturm oracle and the Budan-Fourier finder ----------

@@ -351,6 +351,41 @@ def test_relative_lattice_rejects_a_sublattice_of_the_section(monkeypatch):
             relative_lattice(lat, default_x0(lat))
 
 
+def test_x0_2l_is_the_hermite_form_of_the_generated_sublattice():
+    """The closed form of <x0, 2L> is the HNF of 2 e_1, .., 2 e_n and x0, and
+    its coordinates of x0 those the solve gives, for random x0 with an odd
+    entry, the first odd one anywhere, on Z^n (the basis needs no Gram)."""
+    rng = random.Random(163)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        x0 = [2 * rng.randint(-6, 6) for _ in range(n)]
+        j = rng.randrange(n)
+        x0[j] += 1
+        x0[j + 1:] = [rng.randint(-40, 40) for _ in range(n - j - 1)]
+        lat = GramLattice(IntMatrix.identity(n).rows)
+        sub = lat.sublattice([[2 * (i == k) for i in range(n)] for k in range(n)] + [x0])
+        basis, coords = mod2._x0_2l(tuple(x0))
+        assert basis == sub.basis_rows
+        assert coords == sub.coords_of(x0)
+
+
+def test_relative_lattice_in_a_skewed_basis():
+    """In a skewed basis x0's first odd coordinate need not be the first; the
+    relative lattice of A4, D5 and E8 still has dimension n - 1 and the class
+    shell as its minimal vectors, both of which relative_lattice verifies."""
+    rng = random.Random(167)
+    firsts = set()
+    for lat in (A4, D5, E8):
+        for _ in range(4):
+            skew = skewed_basis(lat, rng)
+            x0 = default_x0(skew)
+            firsts.add(next(i for i, v in enumerate(x0) if v % 2))
+            rel = relative_lattice(skew, x0)
+            assert rel.dim == lat.dim - 1
+            assert minimum(rel.induced) == 4 * minimum(lat) - skew.norm(x0)
+    assert len(firsts) > 1
+
+
 def test_relative_lattice_empty_class():
     with pytest.raises(EmptyClass):
         relative_lattice(GramLattice([[3, 1], [1, 4]]), (0, 1))

@@ -14,6 +14,7 @@ from oracles import berkowitz, count_roots_halfopen, sturm_chain
 
 from eqlat.exact import (
     IntMatrix,
+    _trim,
     charpoly,
     poly_divmod,
     poly_eval,
@@ -99,12 +100,22 @@ def test_poly_lcm_matches_sympy():
 
 
 def test_poly_linear_sub_matches_sympy():
+    """On int and Fraction p, a and b, a = 0 among them, and degree 0: a = 0
+    leaves zero coefficients past the constant, which sympy trims."""
     rng = random.Random(108)
-    for _ in range(60):
-        p = rand_poly(rng)
-        a, b = rand_rational(rng) or 1, rand_rational(rng)
+    for trial in range(120):
+        p = rand_poly(rng) if trial % 5 else [rng.randint(-9, 9) or 1]
+        if trial % 2:
+            scale = rand_rational(rng) or 1
+            p = [scale * c for c in p]
+        a, b = rand_rational(rng), rand_rational(rng)
+        if trial % 3 == 0:
+            a, b = int(a), int(b)
+        if trial % 7 == 0:
+            a = 0
         expected = to_sympy(p).as_expr().subs(X, to_sympy([b, a]).as_expr())
-        assert poly_linear_sub(p, a, b) == from_sympy(sympy.Poly(expected, X, domain="QQ"))
+        got = poly_linear_sub(p, a, b)
+        assert len(got) == len(p) and _trim(got) == from_sympy(sympy.Poly(expected, X, domain="QQ"))
 
 
 def test_poly_linear_power_matches_sympy():

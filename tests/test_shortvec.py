@@ -140,18 +140,23 @@ def test_lll_transform_ignores_the_content():
 
 
 def test_parity_reduction_solves_y_u_mod_2():
-    """_parity_reduced(prep, p) is a y with y U = p mod 2, from one solve."""
+    """_parity_reduced(prep, p), solved over GF(2), is a y with y U = p mod
+    2, and the parity of the integer solution of y U = p, for random nonzero
+    p, on skewed A, D and E bases and on Leech."""
     from test_mod2 import skewed_basis
 
     rng = random.Random(139)
-    for fam, n in (("A", 9), ("D", 12), ("E", 8)):
-        lat = skewed_basis(root_lattice(fam, n).lattice, rng)
+    lats = [skewed_basis(root_lattice(fam, n).lattice, rng)
+            for fam, n in (("A", 9), ("A", 16), ("D", 12), ("D", 16), ("E", 7), ("E", 8))]
+    for lat in lats + [leech().lattice]:
         prep = shortvec._prep(lat)
-        for _ in range(5):
-            p = [rng.randint(0, 1) for _ in range(n - 1)] + [1]
+        for _ in range(20):
+            p = [rng.randint(0, 1) for _ in range(lat.dim - 1)] + [1]
+            rng.shuffle(p)
             y = shortvec._parity_reduced(prep, p)
             assert set(y) <= {0, 1}
             assert [v % 2 for v in imatmul([y], prep.u.rows)[0]] == p
+            assert y == tuple(v % 2 for v in exact.solve_left(prep.u, p))
 
 
 def test_prep_runs_one_elimination(monkeypatch):
@@ -492,7 +497,7 @@ def test_coset_minimum_walks_from_the_given_vector(walks):
     assert lat.norm(x0) == least_norm(lat, listed("le", result.value)) == 6
 
 
-def test_a_batched_min_walk_steps_at_its_deepest_rows(walks):
+def test_a_class_named_by_a_long_vector_walks_batched_at_fixed_bounds(walks):
     """A class named by a long vector finds its minimum in a batched walk of
     fixed bound.  Named by x0 mod 2 (norm 126; the 0/1 lift of the reduced
     parity has norm 50), the Leech x0 class walks at 4 and 8 to its minimum
@@ -798,13 +803,12 @@ def lcm_form(delta):
 
 
 def ref_walk(walk, visits=None):
-    """ref_search_chunk on the walk in its lcm form, given as its own dict
-    of the walk's fields; the exact-norm modes target the limit."""
+    """ref_search_chunk on the walk's fields in its lcm form; the exact-norm
+    modes target the limit."""
     scale, g = lcm_form(walk.delta)
     limit = scale * walk.limit
-    return ref_search_chunk({"n": walk.n, "delta": walk.delta, "sub": walk.sub, "g": g,
-                             "parity": walk.parity, "mode": walk.mode, "target": limit,
-                             "limit": limit, "tops": walk.tops}, visits)
+    return ref_search_chunk(walk.n, walk.delta, walk.sub, g, walk.parity, walk.mode,
+                            limit, limit, walk.tops, visits)
 
 
 def number_type(walk):
@@ -905,7 +909,7 @@ def test_kernel_matches_reference_walk(walks):
 
 @pytest.mark.parametrize("budget, batch", [(shortvec._BUDGET, shortvec._BATCH),
                                            (0, shortvec._BATCH), (0, 2)])
-def test_mincount_leaves_match_reference_walk(monkeypatch, budget, batch):
+def test_minimum_walk_leaves_match_reference_walk(monkeypatch, budget, batch):
     """The minimum's walk, "le" one grain below the seed (once a "mincount"
     walk, then a "min" walk that lowered its bound at each leaf), keeps the
     vectors below the seed.  On bases whose seed lies above the minimum
