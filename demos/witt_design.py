@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The 276-line family in dimension 23, computed exactly from the Leech
 lattice.  Everything below is integer arithmetic; the slow part is the one
-enumeration of the 98280 minimal pairs.  Expect roughly half a minute."""
+enumeration of the 98280 minimal pairs.  Expect about a second."""
 
 import argparse
 import time

@@ -424,10 +424,8 @@ def _suite_roots(args) -> None:
 
 
 def _suite_min3(args) -> None:
-    rows = []
-    for n in range(3, 13):
-        nl = dn_projection_gram(n)  # certifies minimum 3 and the count
-        rows.append((n, 3, shell_count(nl.lattice, 3)))
+    # dn_projection_gram certifies minimum 3 and the count
+    rows = [(n, 3, dn_projection_gram(n).marks["s"]) for n in range(3, 13)]
     if args.json:
         _print_json({"suite": "min3", "rows": [list(r) for r in rows]})
         return

@@ -34,7 +34,7 @@ from .exact import IntMatrix, RatMatrix, _integer, hnf, rank_det, row_rank, solv
 from .fastops import gram_product, imatmul
 from .lattice import GramLattice
 from .mod2 import equiangular_direct
-from .shortvec import PairSet, _shell_rows, minimum, shell_count, vectors_upto
+from .shortvec import PairSet, _shell_rows, _tuples, minimum, shell_count, vectors_upto
 
 Vec = tuple[int, ...]
 
@@ -254,7 +254,7 @@ def dn_projection_gram(n: int) -> NamedLattice:
     actual construction: project D_{n+1} along eps_1 - eps_2, take the
     images of eps_1 + eps_3, eps_1 - eps_3, eps_1 - eps_4, ...,
     eps_1 - eps_{n+1} as a basis, and double the form.  Minimum 3 is always
-    verified, and the pair count 2(n-1) for n >= 3.
+    verified; marks["s"] holds the pair count there, verified as 2(n-1).
     """
     n = _integer(n)
     if n < 2:
@@ -266,11 +266,12 @@ def dn_projection_gram(n: int) -> NamedLattice:
         _check_projection_gram(lat, n)
     if minimum(lat) != 3:
         raise VerificationError(f"P{n}: minimum is not 3")
-    if n >= 3 and shell_count(lat, 3) != 2 * (n - 1):
+    s = shell_count(lat, 3)
+    if s != 2 * (n - 1):
         raise VerificationError(f"P{n}: pair count != {2 * (n - 1)}")
     note = "doubled projection of D_{n+1} along eps_1 - eps_2"
     return NamedLattice(lat, "P", (n,), note,
-                        {"source": f"D{n + 1}", "projected_along": "eps_1 - eps_2"})
+                        {"source": f"D{n + 1}", "projected_along": "eps_1 - eps_2", "s": s})
 
 
 def _check_projection_gram(lat: GramLattice, n: int) -> None:
@@ -598,12 +599,13 @@ def section_search(lat, budget: int, depth: int = 1) -> list[dict]:
 
     At each step the candidates w are the first `budget` canonical shell
     representatives of norm at most the current minimum plus one, in
-    (norm, lex) order; every candidate section is measured (its own
-    minimum and the pair count there) and the one with the most pairs
-    wins, ties to the earlier candidate: the loop measures the candidates
-    one after another in that order, so the pick is deterministic.  Entry 0
-    records the input itself, and the chain descends `depth` steps or until
-    no candidate is left.  Returns [] when budget <= 0.
+    (norm, lex) order: the shell at the minimum's, unless it holds fewer.
+    Every candidate section is measured (its own minimum and the pairs
+    there, a shell that stays in the shell cache for the winner's entry and
+    for sections with the same Gram matrix) and the one with the most pairs
+    wins, ties to the earlier candidate, so the pick is deterministic.
+    Entry 0 records the input itself, and the chain descends `depth` steps
+    or down to dimension 1.  Returns [] when budget <= 0.
     """
     cur = _base(lat)
     budget, depth = _integer(budget), _integer(depth)
@@ -619,18 +621,9 @@ def section_search(lat, budget: int, depth: int = 1) -> list[dict]:
                     "pairs": PairSet(cur, sh)})
         if d == depth or cur.dim <= 1:
             break
-        cands = [v for _, v in vectors_upto(cur, mn + 1)][:budget]
-        best = None
-        for w in cands:
-            sec = cur.orthogonal_section(w)
-            if sec.dim == 0:
-                continue
-            ms = minimum(sec.induced)
-            cnt = shell_count(sec.induced, ms)
-            if best is None or cnt > best[0]:
-                best = (cnt, w, sec)
-        if best is None:
-            break
-        _, cur_w, cur_sub = best
+        cands = _tuples(sh[:budget]) if len(sh) >= budget else [v for _, v in vectors_upto(cur, mn + 1)][:budget]
+        # max measures the sections in candidate order and keeps the first of equal counts
+        cur_w, cur_sub = max(((w, cur.orthogonal_section(w)) for w in cands),
+                             key=lambda ws: len(_shell_rows(ws[1].induced, minimum(ws[1].induced))))
         cur = cur_sub.induced
     return out

@@ -54,8 +54,8 @@ from .lines import LineFamily, line_family
 from .shortvec import (
     PairSet,
     _canonical,
+    _coset_least,
     _shell_rows,
-    coset_minimum,
     least_vector,
     minimum,
     vectors_upto,
@@ -195,12 +195,14 @@ def mod2_class(
     """Minima of the class x0 + 2L.
 
     The second minimum is searched only on integral lattices, where all
-    norms of one class agree mod 4, stepping candidate norms by 4 from
-    the lower bound 4m - first up to first + 4m, which is always attained.
+    norms of one class agree mod 4, stepping candidate norms by 4 from the
+    lower bound 4m - first up to first + 4m + 4 isqrt(first m): for x and y
+    minimal in the class and in L, x +- 2y (the sign of x.y, + at 0) is in
+    the class, of norm first + 4m + 4|x.y| > first, and |x.y| <= sqrt(first m).
     """
     x0 = lat._check(x0)
-    first = coset_minimum(lat, x0)
-    minimizers = PairSet(lat, _shell_rows(lat, first, x0))
+    first, rows = _coset_least(lat, x0)
+    minimizers = PairSet(lat, rows)
     m = minimum(lat)
     if first < 2 * m and len(minimizers) != 1:
         raise VerificationError(
@@ -212,13 +214,12 @@ def mod2_class(
             raise NotIntegral("second minimum search assumes the mod-4 stride")
         c = max(4 * m - first, first + 4)
         c += (int(first) - int(c)) % 4
-        while c <= first + 4 * m:
-            sh = _shell_rows(lat, c, x0)
-            if len(sh):
-                second = c
-                second_shell = PairSet(lat, sh)
-                break
+        top = first + 4 * m + 4 * math.isqrt(int(first * m))
+        while c <= top and not len(sh := _shell_rows(lat, c, x0)):
             c += 4
+        if c > top:
+            raise VerificationError(f"no class norm in ({first}, {top}]")
+        second, second_shell = c, PairSet(lat, sh)
     return Mod2Class(lat, x0, first, minimizers, second, second_shell)
 
 

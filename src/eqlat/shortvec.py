@@ -777,17 +777,25 @@ def coset_shell(lat: GramLattice, parity: Sequence[int], r) -> tuple[Vec, ...]:
     return _tuples(_shell_rows(lat, r, parity))
 
 
-def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
-    """Least norm in the congruence class of parity mod 2L: that of the first
-    nonempty "le" class walk at m, 2m, 4m, .. (m the minimum), each capped at
-    N(x), which x attains, so at most 1 + ceil(log2(N(x) / m)) walks."""
+def _coset_least(lat: GramLattice, parity: Sequence[int]) -> tuple[Fraction, np.ndarray]:
+    """(least norm, coset_shell's rows there) in the class of parity mod 2L,
+    from the leaves of the first nonempty "le" class walk at m, 2m, 4m, ..
+    (m the minimum) capped at N(x), which x attains: 1 + ceil(log2(N(x) / m)) walks at most."""
     x = lat._check(parity)
     prep = _prep(lat)
     pr = _parity_reduced(prep, _class_parity(x))
     cap, limit = int(lat.norm(x) * prep.den), int(minimum(lat) * prep.den)
     while not len(found := _run(Walk.of(prep, "le", min(limit, cap), pr)).value):
         limit *= 2
-    return Fraction(min(row_norms(_map_back(lat, found), lat.gram.num.rows).tolist()), lat.gram.den)
+    found = _map_back(lat, found)
+    norms = row_norms(found, lat.gram.num.rows)
+    least = norms.min()
+    return Fraction(int(least), lat.gram.den), _canonical(found[norms == least])[0]
+
+
+def coset_minimum(lat: GramLattice, parity: Sequence[int]) -> Fraction:
+    """Least norm in the congruence class of parity mod 2L (_coset_least)."""
+    return _coset_least(lat, parity)[0]
 
 
 @dataclass(frozen=True, slots=True)

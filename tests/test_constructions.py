@@ -1,12 +1,15 @@
 """Named lattices, the Golay/Leech builders, classification scan, searches."""
 
+import contextlib
+import hashlib
+import io
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from eqlat import constructions
+from eqlat import cli, constructions, shortvec
 from eqlat.constructions import (
     all_ones_exception_gram,
     dn_projection_gram,
@@ -22,7 +25,8 @@ from eqlat.constructions import (
 )
 from eqlat.errors import BadParameter, NotEquiangular, NotEven, VNotValid
 from eqlat.lines import absolute_bound, line_family
-from eqlat.mod2 import relative_lattice
+from eqlat.lattice import GramLattice
+from eqlat.mod2 import mod2_class, relative_lattice
 from eqlat.shortvec import minimum, shell, shell_count
 
 
@@ -470,3 +474,76 @@ def test_named_lattice_is_immutable():
         nl.family = "B"
     with pytest.raises(TypeError):
         nl.marks["x"] = 1
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _chain(entries):
+    """(depth, dim, w, minimum, s) of each entry, with a digest of its Gram
+    matrix and pairs."""
+    return [(e["depth"], e["dim"], e["w"], e["minimum"], e["s"],
+             _digest((e["lattice"].gram.num.to_lists(), e["lattice"].gram.den, e["pairs"].reps)))
+            for e in entries]
+
+
+def _min3_json():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["report", "--suite", "min3", "--json"]) == 0
+    return out.getvalue()
+
+
+def _second(c):
+    return c.first, c.minimizers.reps, c.second, len(c.second_shell), _digest(c.second_shell.reps)
+
+
+def test_each_question_walks_its_tree_once(walks, monkeypatch):
+    """No call below walks one tree twice: no (Gram, limit, class) repeats
+    among its walks, whatever their modes, which only pick the leaves kept.
+    A walk's Gram is that of the last lattice _prep was asked for before it,
+    as every walk is planned from its lattice's _prep.  The answers are
+    those of the code before this rule, which walked 27, 12, 8, 3 and 30
+    times here: the section search measured candidates by count walks and
+    walked the shell at the minimum again for its candidates, mod2_class
+    walked its class shell at the least norm again, and the min3 suite
+    counted each P_n shell twice."""
+    prep, asked = shortvec._prep, []
+
+    def noted(lat):
+        asked.append((len(walks), lat.gram))
+        return prep(lat)
+
+    monkeypatch.setattr(shortvec, "_prep", noted)
+
+    def once(call, made):
+        for cache in (prep, shortvec._minimum, shortvec._coset_shell):
+            cache.cache_clear()
+        walks.clear()
+        asked.clear()
+        out = call()
+        grams = [next(g for k, g in reversed(asked) if k <= i) for i in range(len(walks))]
+        trees = [(g, w.limit, w.parity) for g, (w, _) in zip(grams, walks)]
+        assert len(set(trees)) == len(trees) == made
+        return out
+
+    e8 = root_lattice("E", 8).lattice
+    assert _chain(once(lambda: section_search(e8, 24, 1), 16)) == [
+        (0, 8, None, 2, 120, "f595a75ebde1a818"),
+        (1, 7, (0, 0, 0, 0, 0, 0, 1, -1), 2, 63, "e871e1ae04f462f7")]
+    rel = e8_relative()
+    assert _chain(once(lambda: section_search(rel, 3, 2), 5)) == [
+        (0, 7, None, 6, 28, "0e3d57e118e7fae3"),
+        (1, 6, (1, -1, -1, 0, 0, 0, 0), 8, 36, "940df7f8a5097636"),
+        (2, 5, (0, 0, 0, 0, 0, 1), 8, 15, "e6b00b78e1a95bc9")]
+    # three pairs at the minimum, fewer than the budget: candidates up to norm 2
+    z3 = GramLattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert _chain(once(lambda: section_search(z3, 5, 1), 4)) == [
+        (0, 3, None, 1, 3, "6f59ee81c24b5d27"),
+        (1, 2, (0, 0, 1), 1, 2, "431561b60c1ced50")]
+    c = once(lambda: mod2_class(e8, (1, 0, 0, 0, 0, 0, 0, 0), with_second=True), 2)
+    assert _second(c) == (2, ((1, 0, 0, 0, 0, 0, 0, 0),), 6, 28, "42d2e2eeb67dcedb")
+    assert once(_min3_json, 20) == (
+        '{"rows": [[3, 3, 4], [4, 3, 6], [5, 3, 8], [6, 3, 10], [7, 3, 12], [8, 3, 14], '
+        '[9, 3, 16], [10, 3, 18], [11, 3, 20], [12, 3, 22]], "suite": "min3"}\n')

@@ -149,6 +149,24 @@ def test_mod2_class_z2():
     assert c.second_shell.reps == ((1, -2), (1, 2))
 
 
+@pytest.mark.parametrize("gram, x, first, second", [
+    ([[1, 0], [0, 1]], (1, 1), 2, 10),
+    ([[2]], (1,), 2, 18),
+    ([[1]], (1,), 1, 9),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 1, 1), 3, 11),
+])
+def test_mod2_class_second_past_first_plus_4m(gram, x, first, second):
+    # each second norm lies past first + 4m, at first + 4m + 4 isqrt(first m);
+    # the oracle filters vectors_upto by the class
+    lat = GramLattice(gram)
+    c = mod2_class(lat, x, with_second=True)
+    cls = [(r, v) for r, v in vectors_upto(lat, second + 4) if all((a - b) % 2 == 0 for a, b in zip(v, x))]
+    assert c.first == first == cls[0][0]
+    assert c.minimizers.reps == tuple(v for r, v in cls if r == first)
+    assert c.second == second == min(r for r, _ in cls if r > first)
+    assert c.second_shell.reps == tuple(v for r, v in cls if r == second)
+
+
 def test_mod2_class_a2():
     c = mod2_class(A2, (1, 0), with_second=True)
     assert c.first == 2
