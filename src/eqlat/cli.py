@@ -499,7 +499,9 @@ stored basis; there is no real-coordinate input.
 
 an enumeration walk forecast past 1,000,000 nodes is split across the CPUs
 the process may use (taskset limits them): the command walks one share and
-forked workers, which end with it, the others; any other walk runs serially.
+forked workers, which end with it, the others; any other walk runs
+serially, and so does a count settled by its classes of subtrees (all but
+those whose subtrees rarely repeat, as at a large determinant).
 """
 
 

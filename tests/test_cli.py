@@ -256,8 +256,10 @@ def alive(pid):
                                                      (signal.SIGKILL, False, -signal.SIGKILL, b"")],
                          ids=["SIGTERM", "SIGHUP", "SIGINT-to-the-group", "SIGKILL"])
 def test_a_signal_ends_a_split_walk_and_its_workers(sig, group, code, line):
-    """`eqlat shell leech.json --norm 8` forecasts 9.37e8 nodes, so it splits:
-    the command walks one share and forks a worker for each other CPU.
+    """`eqlat shell leech.json --norm 8 --vectors` forecasts 9.37e8 nodes, so
+    its shell walk splits: the command walks one share and forks a worker
+    for each other CPU (the count without --vectors, one process, ends in
+    well under a second).
     SIGTERM to the command ends it with 143, SIGHUP with 129, and Ctrl-C to
     its process group with 130, each with one line on stderr and no
     traceback; SIGKILL ends it with nothing on stderr.  No worker outlives
@@ -268,8 +270,8 @@ def test_a_signal_ends_a_split_walk_and_its_workers(sig, group, code, line):
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen([sys.executable, "-m", "eqlat.cli", "shell", str(GOLDEN / "leech.json"),
-                             "--norm", "8"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-                            start_new_session=True)
+                             "--norm", "8", "--vectors"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env, start_new_session=True)
     want, workers = min(len(os.sched_getaffinity(0)), 6) - 1, []  # the walk has 6 top-level values
     try:
         deadline = time.monotonic() + 60
@@ -293,6 +295,14 @@ def test_a_signal_ends_a_split_walk_and_its_workers(sig, group, code, line):
             if alive(pid):
                 os.kill(pid, signal.SIGKILL)
         proc.wait()
+
+
+def test_shell_counts_the_leech_norm_8_pairs(capsys):
+    """`eqlat shell leech.json --norm 8` prints the 199,017,000 pairs of
+    norm 8 (half the q^8 coefficient of Leech's theta series), counted in
+    this process in well under a second: the count walk of 1.0e9 tree nodes
+    runs in _class_count, which never splits."""
+    assert run(capsys, "shell", str(GOLDEN / "leech.json"), "--norm", "8") == (0, "s_8=199017000\n", "")
 
 
 def test_shell_rejects_bad_norm(capsys, tmp_path):

@@ -12,6 +12,7 @@ import sys
 import types
 from dataclasses import replace
 from fractions import Fraction as QQ
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -812,9 +813,9 @@ def ref_walk(walk, visits=None):
 
 
 def number_type(walk):
-    """The number type the batched kernel takes the walk in: np.int32,
-    np.int64 or object."""
-    return shortvec._walk_types(walk)[0]
+    """The number type the walk's numpy kernel takes it in: np.int32,
+    np.int64 or object (_class_type for a "count" walk)."""
+    return shortvec._class_type(walk) if walk.mode == "count" else shortvec._walk_types(walk)[0]
 
 
 def listed(mode, found):
@@ -831,16 +832,21 @@ def walked(kernel, walk):
     return listed(walk.mode, found.value), found.nodes
 
 
-def check_batched(walk, want):
-    """The batched kernel against want = (result, nodes) of the reference
-    walk: every bound is fixed, so it gives want's result and, counting the
-    rows it expands, want's node count.  "first" walks are the Python
-    kernel's alone: the batched kernel refuses them."""
+def check_numpy_kernel(walk, want):
+    """The numpy kernels against want = (result, nodes) of the reference
+    walk: every bound is fixed, so the batched kernel gives want's result
+    and, counting the rows it expands, want's node count, and so does
+    _class_count on a "count" walk, summing the multiplicities of its
+    states.  "first" walks are the Python kernel's alone: the batched
+    kernel refuses them."""
     if walk.mode == "first":
         with pytest.raises(ValueError):
             shortvec._batched_walk(walk)
         return
     assert walked(shortvec._batched_walk, walk) == want
+    if walk.mode == "count":  # None where more than _BATCH states do not merge: _run walks it batched
+        got = shortvec._class_count(walk)
+        assert got is None or (got.value, got.nodes) == want
 
 
 def kernel_corpus(rng):
@@ -878,7 +884,7 @@ def test_kernel_matches_reference_walk(walks):
                 visits = []
                 want = ref_walk(walk, visits), len(visits)
                 assert walked(shortvec._walk, walk) == want, walk.mode
-                check_batched(walk, want)
+                check_numpy_kernel(walk, want)
                 if want[0]:  # a leaf or a count found
                     seen.add(walk.mode)
     assert seen == {"le", "shell", "first", "count"}
@@ -900,9 +906,9 @@ def test_kernel_matches_reference_walk(walks):
         visits = []
         want = ref_walk(walk, visits), len(visits)
         assert walked(shortvec._walk, walk) == want
-        check_batched(walk, want)
+        check_numpy_kernel(walk, want)
         whole = replace(walk, mode="shell")
-        check_batched(whole, walked(shortvec._walk, whole))
+        check_numpy_kernel(whole, walked(shortvec._walk, whole))
         past += number_type(walk) is object
     assert 0 < past < len(firsts)
 
@@ -929,7 +935,7 @@ def test_minimum_walk_leaves_match_reference_walk(monkeypatch, budget, batch):
             visits = []
             want = ref_walk(walk, visits), len(visits)
             assert walked(shortvec._walk, walk) == want
-            check_batched(walk, want)
+            check_numpy_kernel(walk, want)
             assert walked(shortvec._run, walk)[0] == want[0]
         found = shortvec._run(whole).value
         if len(found):
@@ -969,7 +975,7 @@ def test_batched_kernel_at_batch_boundaries(monkeypatch):
                 want = walked(shortvec._walk, walk)
                 for size in (1, 2, 3, 64):
                     monkeypatch.setattr(shortvec, "_BATCH", size)
-                    check_batched(walk, want)
+                    check_numpy_kernel(walk, want)
                 batched += 1
     assert batched > 500
 
@@ -977,7 +983,7 @@ def test_batched_kernel_at_batch_boundaries(monkeypatch):
 def test_batched_kernel_answers_an_empty_top_level():
     """With no top-level value inside the bound, the batched kernel gives
     the empty result of each of its three modes itself, without the Python
-    kernel."""
+    kernel, and so does _class_count on a "count" walk."""
     walks = [walk for lat in (root_lattice("E", 8).lattice, GramLattice([[3]]))
              for walk in kernel_walks(lat, minimum(lat), None)
              if walk.mode != "first"]
@@ -987,14 +993,16 @@ def test_batched_kernel_answers_an_empty_top_level():
             empty = replace(walk, tops=tops)
             assert walked(shortvec._batched_walk, empty) == (ref_walk(empty), 0)
             assert shortvec._batched_walk(empty).kernel == "batched"
+            if walk.mode == "count":
+                assert shortvec._class_count(empty) == shortvec.WalkResult(0, 0, "classes")
 
 
 def test_batched_kernel_takes_top_level_values_in_any_order():
     """The batched kernel finds the zero-prefix row, to which alone the sign
-    rule applies, by walking the top-level value 0 first, so the order of
-    walk.tops does not matter: shuffled, with negative values among them,
-    it gives _walk's results on the same walk, leaves in another order, and
-    _walk's node counts."""
+    rule applies, by walking the top-level value 0 first, and _class_count
+    as its one state with A = 0, so the order of walk.tops does not matter:
+    shuffled, with negative values among them, they give _walk's results on
+    the same walk, leaves in another order, and _walk's node counts."""
     rng = random.Random(157)
     for lat in kernel_corpus(rng)[::3]:
         m = minimum(lat)
@@ -1009,6 +1017,8 @@ def test_batched_kernel_takes_top_level_values_in_any_order():
             if walk.mode in ("le", "shell"):
                 want, got = (sorted(want[0]), want[1]), (sorted(got[0]), got[1])
             assert got == want
+            if walk.mode == "count":
+                assert walked(shortvec._class_count, mixed) == want
 
 
 def leech_walk(mode, limit):
@@ -1019,10 +1029,11 @@ def test_batched_kernel_visits_the_leech_minimum_walk():
     # the "le" walk one grain below the seed 4, which alone proves the
     # minimum, has 14,978 nodes and finds nothing; the count of the pairs at
     # 4 has 1,971,697 below the top level, the count of the reference walk
-    # (test_leech_minimum_walk_matches_reference) and of the Python kernel
-    proof = leech_walk("le", 2)
+    # (test_leech_minimum_walk_matches_reference) and of the Python kernel,
+    # which _class_count sums from the multiplicities of 20,238 states
+    proof, count = leech_walk("le", 2), leech_walk("count", 4)
     assert walked(shortvec._batched_walk, proof) == walked(shortvec._walk, proof) == ([], 14_978)
-    assert walked(shortvec._batched_walk, leech_walk("count", 4)) == (98_280, 1_971_697)
+    assert walked(shortvec._batched_walk, count) == walked(shortvec._class_count, count) == (98_280, 1_971_697)
 
 
 @pytest.mark.slow
@@ -1032,6 +1043,7 @@ def test_leech_minimum_walk_matches_reference():
     want = ref_walk(walk, visits), len(visits)
     assert want[1] == 1_971_697
     assert walked(shortvec._walk, walk) == walked(shortvec._batched_walk, walk) == want
+    assert walked(shortvec._class_count, walk) == want
 
 
 @pytest.mark.slow
@@ -1055,7 +1067,7 @@ def test_batched_kernel_walks_past_the_int64_bound(monkeypatch):
     for walk in walks:
         visits = []
         want = ref_walk(walk, visits), len(visits)
-        check_batched(walk, want)
+        check_numpy_kernel(walk, want)
         if walk.mode == "first":  # least_vector's, run in the Python kernel alone
             assert walked(shortvec._walk, walk) == want
         else:
@@ -1166,24 +1178,25 @@ def test_leech_walks_run_in_int32():
         assert len(want[0]) == pairs and walked(shortvec._batched_walk, walk) == want
     u, _ = benchmark_inputs().unimodular(random.Random(2), lat.dim)
     skew = shortvec.Walk.of(shortvec._prep(GramLattice(gram_product(u, lat.gram.num.rows))), "count", 4)
-    assert number_type(skew) is np.int32
-    assert shortvec._batched_walk(skew).value == 98_280
+    assert shortvec._walk_types(skew)[0] is number_type(skew) is np.int32
+    assert shortvec._batched_walk(skew).value == shortvec._class_count(skew).value == 98_280
 
 
 def test_int32_walks_stop_at_the_proven_bound():
-    """_walk_types takes int32 while 2 delta_k delta_{k+1} limit stays below
-    2**30, and int64 from there: on (120 1; 1 120), whose walks have centre
-    sums far below 2**30, the last limit in int32 and the first past it.
-    Both walks, where kv**2 reaches 2**29, give the Python kernel's results
-    and node counts."""
+    """_walk_types and _class_type take int32 while 2 delta_k delta_{k+1}
+    limit stays below 2**30, and int64 from there: on (120 1; 1 120), whose
+    walks have centre sums and reduced centres far below 2**30, the last
+    limit in int32 and the first past it.  Both walks, where kv**2 reaches
+    2**29, give the Python kernel's results and node counts in their numpy
+    kernels."""
     lat = GramLattice([[120, 1], [1, 120]])
     prep = shortvec._prep(lat)
     last = (2**30 - 1) // (2 * max(a * b for a, b in zip(prep.delta, prep.delta[1:])))
     for limit, num in ((last, np.int32), (last + 1, np.int64)):
         for mode in ("le", "count"):
             walk = shortvec.Walk.of(prep, mode, limit)
-            assert number_type(walk) is num
-            assert walked(shortvec._batched_walk, walk) == walked(shortvec._walk, walk)
+            assert shortvec._walk_types(walk)[0] is number_type(walk) is num
+            check_numpy_kernel(walk, walked(shortvec._walk, walk))
 
 
 def test_small_walks_never_enter_the_batched_kernel(walks):
@@ -1202,8 +1215,9 @@ def test_small_walks_never_enter_the_batched_kernel(walks):
 
 def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
     """The forecast alone picks the kernel: a walk whose forecast passes the
-    budget goes to the batched kernel, any other to the Python kernel,
-    however many nodes it walks there.  Either way the result is the Python
+    budget goes to its numpy kernel (_class_count for a "count" walk, the
+    batched kernel for any other), any other to the Python kernel, however
+    many nodes it walks there.  Either way the result is the Python
     kernel's.  E8's norm-8 walks forecast 16,831 nodes against the default
     budget.  D16's norm-2 walks (forecast 392, 1,228 nodes when whole) stay
     in the Python kernel at a budget of 1,000."""
@@ -1217,7 +1231,7 @@ def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
             alone = walked(shortvec._walk, walk)
             got = shortvec._run(walk)
             over = walk.forecast() > budget
-            assert got.kernel == ("batched" if over else "walk")
+            assert got.kernel == (("classes" if walk.mode == "count" else "batched") if over else "walk")
             assert listed(walk.mode, got.value) == alone[0]
             if over:
                 forecast.add(walk.mode)
@@ -1227,11 +1241,12 @@ def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
 
 
 def test_leech_walks_go_straight_to_the_batched_kernel(walks):
-    """The leech-cli walks forecast past _BUDGET and enter the batched
-    kernel alone: the minimum's walk at norm 2, the count of the minimal
-    pairs and the class shell of x0 at norm 10 in int32, and the relative
-    lattice's vectors_upto, which dividing out the content 2 of its Gram
-    puts in int64 (its bound is 2**53.2)."""
+    """The leech-cli walks forecast past _BUDGET and enter one numpy kernel
+    alone: the minimum's walk at norm 2 and the class shell of x0 at norm
+    10 the batched kernel in int32, the count of the minimal pairs
+    _class_count in int32, and the relative lattice's vectors_upto the
+    batched kernel in int64, which dividing out the content 2 of its Gram
+    puts it in (its bound is 2**53.2)."""
     from eqlat.mod2 import relative_lattice
 
     big = leech()
@@ -1247,7 +1262,7 @@ def test_leech_walks_go_straight_to_the_batched_kernel(walks):
     assert len(vectors_upto(relative, 16 - lat.norm(x0))) > 0
     assert [(walk.mode, number_type(walk)) for walk, _ in walks] == [
         ("le", np.int32), ("count", np.int32), ("shell", np.int32), ("le", np.int64)]
-    assert set(made(walks, "kernel")) == {"batched"}
+    assert made(walks, "kernel") == ["batched", "classes", "batched", "batched"]
     assert all(walk.forecast() > shortvec._BUDGET for walk, _ in walks)
 
 
@@ -1275,8 +1290,8 @@ def test_first_walks_never_enter_the_batched_kernel(walks):
 
 def test_each_walk_enters_one_kernel(walks):
     """Every walk runs in exactly one kernel: _run sends it to the one its
-    forecast names, and least_vector's "first" walks to the Python kernel
-    alone; on the kernel corpus, E8 and Leech."""
+    forecast and mode name, and least_vector's "first" walks to the Python
+    kernel alone; on the kernel corpus, E8 and Leech."""
     for cache in (shortvec._minimum, shortvec._coset_shell):
         cache.cache_clear()
     rng = random.Random(151)
@@ -1292,20 +1307,21 @@ def test_each_walk_enters_one_kernel(walks):
     assert shortvec.least_vector(big.lattice, 6) is not None
     for walk, result in walks:
         over = walk.mode != "first" and walk.forecast() > shortvec._BUDGET
-        assert result.kernel == ("batched" if over else "walk")
+        assert result.kernel == (("classes" if walk.mode == "count" else "batched") if over else "walk")
     firsts = [kernel for mode, kernel in made(walks, "mode", "kernel") if mode == "first"]
     assert firsts and set(firsts) == {"walk"}
-    assert {kernel for mode, kernel in made(walks, "mode", "kernel") if mode != "first"} == {"walk", "batched"}
+    assert {kernel for mode, kernel in made(walks, "mode", "kernel") if mode != "first"} == {"walk", "batched", "classes"}
 
 
 @pytest.mark.parametrize("name, r, nodes", [("Leech", 4, 1_971_697), ("E8", 4, 1_511),
                                            ("A16", 6, 240_676), ("D16", 2, 1_228)])
 def test_forecast_is_near_the_node_count(name, r, nodes):
     """The Gaussian-heuristic forecast lies within a factor of 4 of the
-    nodes of the whole "count" walk."""
+    nodes of the whole "count" walk, the tree's, which _class_count sums
+    from its states' multiplicities."""
     lat = leech().lattice if name == "Leech" else root_lattice(name[0], int(name[1:])).lattice
     walk = next(walk for walk in kernel_walks(lat, r, None) if walk.mode == "count")
-    assert shortvec._batched_walk(walk).nodes == nodes
+    assert shortvec._batched_walk(walk).nodes == shortvec._class_count(walk).nodes == nodes
     assert nodes / 4 < walk.forecast() < 4 * nodes
 
 
@@ -1428,6 +1444,106 @@ def test_entries_past_int64_stay_exact(monkeypatch, budget):
     assert coset_shell(skew, (0, 1), p + 1) == ((big, -1),)
     for v in shell(wide, 1) + shell(skew, p + 1) + coset_shell(skew, (0, 1), p + 1):
         assert all(type(c) is int for c in v)
+    # the counts of these shells, and _class_count's in Python integers:
+    # its partial norms, centres and minors pass int64 on both lattices
+    assert shell_count(wide, 1) == 2 and shell_count(skew, p + 1) == shell_count(skew, p) == 1
+    for lat, r in ((wide, 1), (skew, p + 1)):
+        prep, t = shortvec._target(lat, r)
+        walk = shortvec.Walk.of(prep, "count", t)
+        assert number_type(walk) is object
+        assert walked(shortvec._class_count, walk) == walked(shortvec._walk, walk) != (0, 0)
+
+
+def test_class_count_matches_the_python_walk():
+    """_class_count gives _walk's count and node count on the walks
+    hypothesis draws: Gram matrices B B^T + c I of dimension 1 to 8, walked
+    in LLL's basis or in a skewed one as it stands, scaled by 1, 2 or 3
+    (larger minors and centres); plain, in the class of a drawn vector x or
+    in any class, 0 included; over a share of the top-level values; at a
+    limit at the least diagonal entry, a grain below or above it, off the
+    grain, at the norm of x, or anywhere up to twice the least entry."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from test_mod2 import skewed_basis
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 8))
+        b = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+        c = data.draw(st.integers(1, 4))
+        lat = GramLattice([[sum(map(int.__mul__, r, s)) + c * (i == j) for j, s in enumerate(b)]
+                           for i, r in enumerate(b)])
+        if data.draw(st.booleans()):
+            lat = lll_reduce(lat)[0]
+        else:
+            lat = skewed_basis(lat, random.Random(data.draw(st.integers(0, 99))))
+        scale = data.draw(st.sampled_from((1, 2, 3)))
+        rows = [[scale * v for v in row] for row in lat.gram.num.rows]
+        delta, sub = leading_minors(IntMatrix(rows))
+        seed = min(rows[i][i] for i in range(n))
+        grain = math.gcd(*(rows[i][i] for i in range(n)), *(2 * v for row in rows for v in row))
+        x = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+        norm = sum(a * v * y for a, row in zip(x, rows) for v, y in zip(row, x))
+        kind = data.draw(st.sampled_from(("plain", "class of x", "any class")))
+        if kind == "class of x":
+            parity, limit = tuple(v % 2 for v in x), norm
+        else:
+            parity = None if kind == "plain" else data.draw(st.tuples(*[st.integers(0, 1)] * n))
+            limit = data.draw(st.sampled_from((seed, seed - grain, seed + grain, seed + 1, norm))
+                              | st.integers(0, 2 * seed))
+        # a level above 0 takes at most 2 b_k + 1 values (_coordinate_bounds):
+        # a cap on their product keeps the Python walk small in skewed bases
+        bound = shortvec._coordinate_bounds(delta, sub, max(limit, 0))
+        hypothesis.assume(math.prod(2 * b + 1 for b in bound[1:]) <= 10**9)
+        tops = shortvec._top_values(delta, limit, parity)
+        share = data.draw(st.integers(1, 3))
+        walk = shortvec.Walk(tuple(delta), tuple(map(tuple, sub)), parity, "count", limit,
+                             tops[data.draw(st.integers(0, share - 1))::share])
+        got = shortvec._class_count(walk) or shortvec._batched_walk(walk)  # as _run takes it
+        assert (got.value, got.nodes) == walked(shortvec._walk, walk)
+
+    check()
+
+
+def test_classes_that_do_not_merge_go_to_the_batched_walk(monkeypatch, splits):
+    """A count whose classes of subtrees rarely meet is walked node by node:
+    on rand_gram(seed 3, n = 12, spread 9), of determinant 1.2e28, the count
+    at six times the seed (217) keeps one state per node on a level past
+    _BATCH states, so _class_count gives up (None) and _run walks it
+    batched, with _walk's count and 38,793 nodes, and like any batched walk
+    past _SPLIT (here 0) splits on two CPUs; at four times the seed it stays
+    a class count in one process.  Leech's norm-4 count, whose wide levels
+    keep at most 4.5% of their nodes as states, stays one too."""
+    prep = shortvec._prep(rand_gram(random.Random(3), 12, 9))
+    assert prep.seed == 217
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)
+    for r, kernel, split in ((4, "classes", []), (6, "batched", [2])):
+        walk = shortvec.Walk.of(prep, "count", r * prep.seed)
+        assert walk.forecast() > shortvec._BUDGET
+        splits.clear()
+        got = shortvec._run(walk)
+        assert got.kernel == kernel and splits == split
+        assert (got.value, got.nodes) == walked(shortvec._walk, walk)
+    assert (got.value, got.nodes) == (128, 38_793) and shortvec._class_count(walk) is None
+    splits.clear()
+    assert shortvec._run(leech_walk("count", 4)).kernel == "classes" and splits == []
+
+
+def test_class_count_multiplicities_pass_int64():
+    """Z^40 at norm 100: its tree has about 6.7e30 nodes, so _class_count's
+    multiplicities turn to Python integers on the way down, and its count and
+    nodes are exact: half the q^100 coefficient of theta_3^40, and the sum
+    over m < 40 of (N_m + 1) / 2 for N_m the vectors of Z^m of norm at most
+    100, the prefixes the sign rule keeps."""
+    from oracles import theta_series
+
+    n, r = 40, 100
+    walk = shortvec.Walk.of(shortvec._prep(GramLattice(IntMatrix.identity(n))), "count", r)
+    got = shortvec._class_count(walk)
+    assert got.value == theta_series("Z", n, r + 1)[r] // 2
+    assert got.nodes == sum((sum(theta_series("Z", m, r + 1)) + 1) // 2 for m in range(1, n)) > 2**100
 
 
 def test_workers_never_exceed_the_cores(monkeypatch, splits):
@@ -1448,7 +1564,8 @@ def test_a_split_walk_merges_into_the_unsplit_record(monkeypatch, splits, budget
     """A walk split across this process and a forked worker has the unsplit
     walk's record: its count, or its leaves in another row order, and its
     node count, the sum of the shares' nodes; in either kernel (budget 0
-    batches every walk), on E8 and D5."""
+    batches every walk), on E8 and D5.  With budget 0 a count goes to
+    _class_count, which never splits and keeps the record too."""
     monkeypatch.setattr(shortvec, "_BUDGET", budget)
     for lat, r in ((root_lattice("E", 8).lattice, 4), (root_lattice("D", 5).lattice, 6)):
         prep = shortvec._prep(lat)
@@ -1460,8 +1577,9 @@ def test_a_split_walk_merges_into_the_unsplit_record(monkeypatch, splits, budget
                 split.setattr(shortvec, "_SPLIT", 0)
                 allow_cpus(split, 2)
                 parts = shortvec._run(walk)
-            assert splits == [2]
-            assert parts.kernel == whole.kernel == ("walk" if budget else "batched")
+            classes = mode == "count" and not budget
+            assert splits == ([] if classes else [2])
+            assert parts.kernel == whole.kernel == ("walk" if budget else "classes" if classes else "batched")
             assert parts.nodes == whole.nodes > 0
             if mode == "count":
                 assert parts.value == whole.value > 0
@@ -1507,7 +1625,7 @@ def test_a_failed_worker_fails_the_walk(monkeypatch, splits, how, raised):
     may still run.  The fork copies the failing kernel, and no worker is
     left running or unreaped."""
     prep = shortvec._prep(root_lattice("E", 8).lattice)
-    walk = shortvec.Walk.of(prep, "count", 8)
+    walk = shortvec.Walk.of(prep, "shell", 8)
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
     allow_cpus(monkeypatch, 2)
     for name in ("_walk", "_batched_walk"):
@@ -1523,23 +1641,43 @@ def test_a_failed_worker_fails_the_walk(monkeypatch, splits, how, raised):
 
 def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch, splits):
     """On two CPUs, a walk whose forecast is at most _SPLIT runs in this
-    process and one past it forks a worker, with the same count: E8's
-    norm-8 count walk against _SPLIT just above and just below its
-    forecast.  At the default, E8's norm-20 count, the largest walk that
-    gained nothing from a split in fresh processes, stays below it, and the
-    Leech norm-4 count, the largest walk of any benchmark workload, passes
-    it."""
+    process and one past it forks a worker, with the same leaves: E8's
+    norm-8 shell walk against _SPLIT just above and just below its
+    forecast.  At the default, E8's norm-20 walks, the largest that gained
+    nothing from a split in fresh processes, stay below it, and the Leech
+    norm-4 shell, the largest walk of any benchmark workload, passes it."""
     allow_cpus(monkeypatch, 2)
-    walk = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "count", 8)
+    walk = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "shell", 8)
     forecast = walk.forecast()
     for split, started in ((math.ceil(forecast), []), (math.floor(forecast), [2])):
         monkeypatch.setattr(shortvec, "_SPLIT", split)
         splits.clear()
-        assert shortvec._run(walk).value == 8760
+        assert len(shortvec._run(walk).value) == 8760
         assert splits == started
     monkeypatch.undo()
-    e8 = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "count", 20)
-    assert e8.forecast() < shortvec._SPLIT < leech_walk("count", 4).forecast()
+    e8 = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "shell", 20)
+    assert e8.forecast() < shortvec._SPLIT < leech_walk("shell", 4).forecast()
+
+
+def test_class_counts_never_split(monkeypatch, splits, capsys):
+    """A count _class_count settles runs in this process whatever its
+    forecast, as a split would walk the states its shares have in common
+    once per share: on two CPUs, the Leech norm-4 count (forecast 1.9e6,
+    past _SPLIT) and `eqlat equi leech.json`, whose two such counts once
+    split, fork nothing, and neither does E8's norm-8 class count with
+    _SPLIT at 0."""
+    from eqlat import cli
+
+    allow_cpus(monkeypatch, 2)
+    walk = leech_walk("count", 4)
+    assert walk.forecast() > shortvec._SPLIT
+    assert shortvec._run(walk) == shortvec.WalkResult(98_280, 1_971_697, "classes")
+    assert cli.main(["equi", str(Path(__file__).parent / "golden" / "leech.json")]) == 0
+    assert "family t=276 " in capsys.readouterr().out
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)
+    small = shortvec._run(shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "count", 8))
+    assert (small.value, small.kernel) == (8760, "classes")
+    assert splits == [] and splits.pids == []
 
 
 def test_no_split_for_first_in_a_daemon_or_on_one_cpu(monkeypatch, splits):
@@ -1551,17 +1689,17 @@ def test_no_split_for_first_in_a_daemon_or_on_one_cpu(monkeypatch, splits):
     and the walk does not import it."""
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
     prep = shortvec._prep(root_lattice("E", 8).lattice)
-    count = shortvec.Walk.of(prep, "count", 8)
+    whole = shortvec.Walk.of(prep, "shell", 8)
     allow_cpus(monkeypatch, 1)
-    assert shortvec._run(count).value == 8760
+    assert len(shortvec._run(whole).value) == 8760
     allow_cpus(monkeypatch, 2)
     assert shortvec._run(shortvec.Walk.of(prep, "first", 8)).value == [(2, 0, 0, 0, 0, 0, 0, 0)]
     monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
-    assert shortvec._run(count).value == 8760
+    assert len(shortvec._run(whole).value) == 8760
     assert splits == []
     monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=False))
-    assert shortvec._run(count).value == 8760
+    assert len(shortvec._run(whole).value) == 8760
     assert splits == [2]
     monkeypatch.delitem(sys.modules, "multiprocessing")
-    assert shortvec._run(count).value == 8760
+    assert len(shortvec._run(whole).value) == 8760
     assert splits == [2, 2] and "multiprocessing" not in sys.modules

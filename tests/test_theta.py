@@ -1,10 +1,10 @@
 """Shell sizes against theta series (tests/oracles.py::theta_series).
 
 The series are closed forms in integers, so they share nothing with the
-walks: LLL, the walk data, the content division, both kernels and the map
+walks: LLL, the walk data, the content division, the kernels and the map
 back to the input basis are checked at once, on standard bases, on skewed
-copies and on skewed copies scaled by 2, whose Gram content the walks
-divide out.
+copies and on skewed copies scaled by 2 (by 3 for the D11-D16 counts),
+whose Gram content the walks divide out.
 """
 
 import math
@@ -55,8 +55,10 @@ def test_shell_sizes_match_theta_series(monkeypatch, budget, batch):
     """shell_count, len(shell) and the vectors_upto histogram give half the
     theta coefficient at every norm, and every vector has its norm in the
     input basis, with every walk in the one kernel the budget forces: 0
-    sends each to the batched kernel, also with batches of 16 rows, which
-    split the levels, and inf to the Python kernel."""
+    sends each to its numpy kernel (_class_count for the counts, the
+    batched kernel for the others), also with batches of 16 rows, which
+    split the batched levels (and may hand a class count back to a batched
+    walk), and inf to the Python kernel."""
     monkeypatch.setattr(shortvec, "_BUDGET", budget)
     if batch:
         monkeypatch.setattr(shortvec, "_BATCH", batch)
@@ -95,8 +97,36 @@ def test_leech_shells_match_theta_series():
     assert shell_count(lat, 4) == len(shell(lat, 4)) == want[4] // 2
 
 
+@pytest.mark.parametrize("n", range(11, 17))
+def test_dn_counts_match_theta_series_at_every_norm(walks, n):
+    """shell_count gives half the theta coefficient of D_n at every norm up
+    to TOP, past the NODES forecast where the shell checks stop, on the
+    standard basis, a skewed copy and that copy scaled by 3: the larger
+    counts (D16 at 10 forecasts 1.5e7 nodes) go to _class_count, which pays
+    for their states alone."""
+    rng = random.Random(167 + n)
+    base = standard("D", n)
+    want = [c // 2 for c in theta_series("D", n, TOP + 1)]
+    skew = skewed_basis(base, rng)
+    for lat, scale in ((base, 1), (skew, 1), (skew.rescale(3), 3)):
+        assert [shell_count(lat, scale * r) for r in range(TOP + 1)] == want, (n, scale)
+    assert {result.kernel for _, result in walks} == {"walk", "classes"}
+
+
+def test_leech_counts_far_past_the_split_match_theta_series(walks):
+    """199,017,000 pairs of norm 8 and 2,314,690,560 of norm 10, half the
+    coefficients of E_4^3 - 720 Delta, each counted in one process from the
+    states of _class_count, for trees of 1,021,332,069 and 9,319,857,116
+    nodes."""
+    lat = leech().lattice
+    want = theta_series("Leech", 24, 11)
+    assert [shell_count(lat, r) for r in (8, 10)] == [want[8] // 2, want[10] // 2] == [199_017_000, 2_314_690_560]
+    assert [(result.kernel, result.nodes) for _, result in walks] == [("classes", 1_021_332_069),
+                                                                      ("classes", 9_319_857_116)]
+
+
 @pytest.mark.slow
 def test_leech_norm_6_count_matches_theta_series():
-    """8,386,560 pairs of norm 6 from E_4^3 - 720 Delta, counted by the
-    batched kernel (66.5M nodes) without storing a vector."""
+    """8,386,560 pairs of norm 6 from E_4^3 - 720 Delta, counted by
+    _class_count (66.5M tree nodes) without storing a vector."""
     assert shell_count(leech().lattice, 6) == theta_series("Leech", 24, 7)[6] // 2 == 8_386_560
