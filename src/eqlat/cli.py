@@ -497,11 +497,11 @@ exit codes:
 vectors on the command line are comma-separated integers in the lattice's
 stored basis; there is no real-coordinate input.
 
-an enumeration walk forecast past 1,000,000 nodes is split across the CPUs
-the process may use (taskset limits them): the command walks one share and
-forked workers, which end with it, the others; any other walk runs
-serially, and so does a count settled by its classes of subtrees (all but
-those whose subtrees rarely repeat, as at a large determinant).
+an enumeration walk forecast past 1,000,000 nodes runs in one process on
+its classes of subtrees, or where these rarely repeat (a large determinant
+against the norm) is split across the CPUs the process may use (taskset
+limits them): the command walks one share and forked workers, which end
+with it, the others.  Any other walk runs serially.
 """
 
 

@@ -17,18 +17,19 @@ is exact by construction, and a walk with bound R holds no number above
 2 delta_k delta_{k+1} R.
 
 A walk is a value, a frozen Walk, and _run is the one way into it: it
-picks the kernel, splits a walk forecast past _SPLIT nodes across the CPUs
-the process may run on (no option sets the number of processes; it walks a
-share, forked workers the others), and returns one frozen WalkResult, the
-mode's answer with the nodes of its tree and the kernel taken, whose value
-the public functions read.  Every bound is fixed, so the kernels give the
-same results and node counts: a walk whose Gaussian-heuristic forecast
-passes _BUDGET (4,096) nodes is batched, numpy steps on _BATCH (2,048)
-partial vectors in the narrowest exact number type (int32 on Leech), but
-a count is counted in one process by _class_count from the translation
-classes of its subtrees, batched only where they rarely merge; any other
-walk, and least_vector's "first" walks, the only ones that stop early, run
-in Python.  Leaves stay one narrow integer array up to shell's tuples.  A
+picks the kernel, splits a batched walk forecast past _SPLIT nodes across
+the CPUs the process may run on (no option sets the number of processes;
+it walks a share, forked workers the others), and returns one frozen
+WalkResult, the mode's answer with the nodes of its tree and the kernel
+taken, whose value the public functions read.  Every bound is fixed, so
+the kernels give the same results and node counts: a walk whose
+Gaussian-heuristic forecast passes _BUDGET (4,096) nodes is batched, numpy
+steps on _BATCH (2,048) partial vectors in the narrowest exact number type
+(int32 on Leech), but a count past _BUDGET and any walk past _SPLIT run in
+one process in _class_walk, on the translation classes of their subtrees,
+batched only where these rarely merge; any other walk, and least_vector's
+"first" walks, the only ones that stop early, run in Python.  Leaves stay
+one narrow integer array up to shell's tuples.  A
 minimum is the least norm of an "le" walk: one grain below LLL's least
 diagonal entry, or at doubling bounds in a class.
 
@@ -177,13 +178,15 @@ def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
     return IntMatrix([[v // g for v in row] for row in rows]), g
 
 
-# Forecast nodes past which a walk is batched, partial vectors per numpy step
-# of the batched kernel, and forecast nodes past which _run splits a walk.  In
-# fresh `eqlat shell` processes on two cores (walk time, 10 pairs), a split lost on
-# E8's norm-20 count (forecast 4.9e5; 19 -> 25 ms, 3 of 10) and won in 10 of 10 on
-# E8's norms 24-36 (9.8e5-4.6e6), A16's 8 and Leech's 4 (1.9e6; 139 -> 115 ms), all
-# batched counts then (a shell walk expands the same rows).  The forecast orders
-# walks loosely, so the split starts twice above the largest that lost.
+# Forecast nodes past which a walk is batched, partial vectors per numpy step of
+# the batched kernel, and forecast nodes past which _run walks any walk by its
+# classes of subtrees, split only where these do not merge.  In fresh `eqlat shell`
+# processes on two cores (walk time, 10 pairs), a split lost on E8's norm-20
+# count (forecast 4.9e5; 19 -> 25 ms, 3 of 10) and won in 10 of 10 on E8's norms
+# 24-36 (9.8e5-4.6e6), A16's 8 and Leech's 4 (1.9e6; 139 -> 115 ms), batched
+# counts then; the forecast orders walks loosely, so the split starts twice above
+# the largest that lost.  Classes win past it (Leech's norm-4 shell: 25-40 ms,
+# 160-260 batched), not below (its x0-class shell at 10: 11-14 ms, 7 batched).
 _BUDGET = 4096
 _BATCH = 2048
 _SPLIT = 1_000_000
@@ -199,8 +202,8 @@ class Walk:
     number of leaves of norm limit; "first" the first of them in the walk's
     order (each level ascending, top level first), as a list of one tuple.
     Every bound is fixed: only a "first" walk stops early.  A "count" walk
-    past _BUDGET runs in _class_count, on its classes of subtrees, and
-    never splits unless they do not merge."""
+    past _BUDGET, and any other past _SPLIT, runs in _class_walk, on its
+    classes of subtrees, and never splits unless they do not merge."""
 
     delta: tuple[int, ...]
     sub: tuple[tuple[int, ...], ...]
@@ -378,9 +381,9 @@ def _batched_walk(walk: Walk) -> WalkResult:
     Level k gains rows only from steps at level k + 1, which run only while
     it holds fewer than _BATCH rows and give each row they take at most
     2 bound[k+1] / step + 1 children (_coordinate_bounds), so level k holds
-    fewer than _BATCH (2 + 2 bound[k+1] / step) rows; the Leech norm-4 shell
-    walk peaks at 33,935 queued rows over all levels, at most 5,898 on one, each
-    row 24 int8 coordinates and one int32 A_{k+1}.
+    fewer than _BATCH (2 + 2 bound[k+1] / step) rows; Leech's x0-class shell
+    walk at 10 peaks at 7,086 queued rows over all levels, at most 3,956 on one,
+    each row 24 int8 coordinates and one int32 A_{k+1}.
     It runs in the number and coordinate types _walk_types proves exact
     (int32 and int8 on Leech), as a node's candidate values are exactly
     those with |y_k| <= kmax.  Rows are gathered with take, about 5 times
@@ -479,10 +482,10 @@ def _batched_walk(walk: Walk) -> WalkResult:
 
 
 def _class_type(walk: Walk):
-    """_class_count's number type, as _walk_types picks it, for numbers at
+    """_class_walk's number type, as _walk_types picks it, for numbers at
     most 2 delta_k delta_{k+1} limit, delta_{k+1} X_k for X_k = kmax //
     delta_{k+1} + step + 2, the bound on |x_k|, and the centres b_j of a
-    level-k child (M as in _class_count): below step delta_{j+1} + X_k |M_jk|,
+    level-k child (M as in _class_walk): below step delta_{j+1} + X_k |M_jk|,
     and reducing entry i, by |q_i| <= b_i / (step delta_{i+1}) + 1, adds at
     most |q_i| step |M_ji| to b_j for each j < i."""
     delta, sub, limit, step = walk.delta, walk.sub, max(walk.limit, 1), 1 + (walk.parity is not None)
@@ -497,34 +500,46 @@ def _class_type(walk: Walk):
     return next((t for t, cap in ((np.int32, 2**30), (np.int64, _SAFE)) if max(most) < cap), object)
 
 
-def _class_count(walk: Walk) -> WalkResult | None:
-    """_walk's record of a "count" walk from a dynamic program over the
-    levels that pays for a level's distinct subtrees, not its nodes.  A
-    level-k row's subtree depends only on its A_{k+1} and the centres t_j (j
-    <= k) its coordinates above k give: bounds read y = M x + t, M the
-    triangular matrix of levels <= k (M_jj = delta_{j+1}, M_ji =
+def _class_walk(walk: Walk) -> WalkResult | None:
+    """_walk's record of a "count", "shell" or "le" walk from a dynamic
+    program over the levels that pays for a level's distinct subtrees, not
+    its nodes.  A level-k row's subtree depends only on its A_{k+1} and the
+    centres t_j (j <= k) its coordinates above k give: bounds read y = M x +
+    t, M the triangular matrix of levels <= k (M_jj = delta_{j+1}, M_ji =
     sub[j][i-j-1]), so translating x_0..x_k by z (even in a class) maps it
     onto the subtree of t + M z.  A level keeps states (t, A), t reduced to
     0 <= t_j < step delta_{j+1} from the last entry down, with multiplicities
-    summed where they meet (sorted by a hash of the row, lexsort on object
-    arrays: a collision only keeps two apart), int64 while a level sums
-    below 2**63; nodes sum them, and they weight level 0's closed-form
+    summed where they meet (sorted by a hash of the column, lexsort on
+    object arrays: a collision only keeps two apart), int64 while a level
+    sums below 2**63; nodes sum them, and they weight level 0's closed-form
     roots.  The zero-prefix row is the state with A = 0: it keeps the sign
     rule.  A state costs about four batched nodes, so a level of more than
     _BATCH states that are over a quarter of its nodes (a large determinant
     against the norm) gives None, for _run to walk batched in bounded
-    memory; Leech's norm-4 count has 20,238 states for 1,971,697 nodes, at
-    most 4.5% of a level's there."""
-    n, delta, sub, parity, limit = walk.n, walk.delta, walk.sub, walk.parity, walk.limit
+    memory; Leech's norm-4 tree has 20,238 states for 1,971,697 nodes, at
+    most 4.5% of a level's there.
+
+    A count keeps nothing else.  Any other walk keeps each state's edges:
+    its row, value and reduction as one translation (x_k, -step q_j), and
+    the child's state.  Leaves below each state, summed up the levels, drop
+    the edges to none; then the leaves are each state's suffixes, built up
+    from level 0 (the leaves of an edge are its child's, translated by it),
+    joined at one level to the paths down from the root (true coordinates
+    above it, translations below), the level that makes fewest rows.  No
+    level makes more rows than the walk has leaves, and the join fills the
+    leaves _BLOCK rows at a time, in the batched kernel's coordinate type;
+    the leaves come in another order than _walk's."""
+    n, delta, sub, parity, limit, mode = walk.n, walk.delta, walk.sub, walk.parity, walk.limit, walk.mode
     step = 2 if parity is not None else 1
     num = _class_type(walk)
-    cols = [np.array([sub[j][k - j - 1] for j in range(k)] + [delta[k + 1]], num) for k in range(n)]
+    cols = [np.array([sub[j][k - j - 1] for j in range(k)] + [delta[k + 1]], num)[:, None] for k in range(n)]
     mix = np.array([pow(0x9E3779B97F4A7C15, j + 1, 2**64) for j in range(n + 1)], np.uint64)
     tops = np.array([v for v in walk.tops if delta[n] * v * v <= delta[n - 1] * limit], num)  # the root's values
-    s, w = np.zeros((1, n + 1), num), np.ones(1, np.int64)  # level k: rows (t_0..t_k, A_{k+1})
+    s, w = np.zeros((n + 1, 1), num), np.ones(1, np.int64)  # level k: columns (t_0..t_k, A_{k+1})
     nodes = count = 0
+    edges = []  # level n - 1 down: multiplicities, then (row, child, translation) per edge
     for k in range(n - 1, -1, -1):
-        d, dk, t, a = delta[k + 1], delta[k], s[:, k], s[:, k + 1]
+        d, dk, t, a = delta[k + 1], delta[k], s[k], s[k + 1]
         level = int(w.sum())
         if len(w) > _BATCH and 4 * len(w) > level:  # the classes do not merge
             return None
@@ -534,28 +549,81 @@ def _class_count(walk: Walk) -> WalkResult | None:
         np.maximum(lo, 0, out=lo, where=a == 0)  # the sign rule
         if parity is not None:
             lo += (lo - parity[k]) % 2
-        if k == 0:  # (d x_0 + t_0)^2 = d limit - a, roots as in _batched_walk
+        if k == 0 and mode != "le":  # (d x_0 + t_0)^2 = d limit - a, roots as in _batched_walk
             root = (kmax * kmax == d * limit - a) & (limit > 0)
-            for y, ok in ((-kmax, root), (kmax, root & (kmax != 0))):
-                x, r = (y - t) // d, (y - t) % d  # no divmod on object arrays
-                ok = ok & (r == 0) & (np.isin(x, walk.tops) if n == 1 else (x >= lo) & ((x - lo) % step == 0))
-                count += int(w[ok].sum())
+            y = np.stack([-kmax, kmax])
+            x, r = (y - t) // d, (y - t) % d  # no divmod on object arrays
+            ok = np.stack([root, root & (kmax != 0)]) & (r == 0)
+            ok &= np.isin(x, walk.tops) if n == 1 else (x >= lo) & ((x - lo) % step == 0)
+            count += sum(int(w[hit].sum()) for hit in ok)
+            row, xv = np.nonzero(ok.T)[0], x.T[ok.T]
+        else:
+            row, xv = _ranges(lo, hi, step) if k < n - 1 else (np.zeros(len(tops), np.intp), tops)
+        if k == 0:
+            keep = (xv != 0) | (a.take(row) != 0)  # "le": all but the zero vector
+            edges.append((w, row[keep], np.zeros(keep.sum(), np.intp), xv[keep, None]))
             break
-        row, xv = _ranges(lo, hi, step) if k < n - 1 else (np.zeros(len(tops), np.intp), tops)
         y = d * xv + t.take(row)
-        s = s[:, :k + 1].take(row, axis=0)
-        s[:, k] = (dk * a.take(row) + y * y) // d
-        s[:, :k] += xv[:, None] * cols[k][:-1]
+        s = s[:k + 1].take(row, axis=1)
+        s[k] = (dk * a.take(row) + y * y) // d
+        s[:k] += cols[k][:-1] * xv
+        z = np.empty((k + 1, len(xv)), num)  # x_k, then -step q_j as t_j is reduced
+        z[k] = xv
         for j in range(k - 1, -1, -1):
-            s[:, :j + 1] -= (s[:, j] // (step * delta[j + 1]))[:, None] * (step * cols[j])
-        w = w.take(row)
+            q = s[j] // (step * delta[j + 1])
+            z[j] = -step * q
+            s[:j + 1] -= q * (step * cols[j])
+        ws, w = w, w.take(row)
         if w.dtype != object and int(w.max(initial=0)) * len(w) >= 2**63:
             w = w.astype(object)
-        order = np.lexsort(s.T) if num is object else np.argsort(s.astype(np.uint64) @ mix[:k + 1])
-        s, w = s.take(order, axis=0), w.take(order)
-        first = np.flatnonzero(np.append(len(s) > 0, (s[1:] != s[:-1]).any(axis=1)))
-        s, w = s.take(first, axis=0), np.add.reduceat(w, first)
-    return WalkResult(count, nodes, "classes")
+        order = np.lexsort(s) if num is object else np.argsort(mix[:k + 1] @ s.astype(np.uint64))
+        s, w = s.take(order, axis=1), w.take(order)
+        new = np.append(s.shape[1] > 0, (s[:, 1:] != s[:, :-1]).any(axis=0))
+        first = np.flatnonzero(new)
+        s, w = s.take(first, axis=1), np.add.reduceat(w, first)
+        if mode != "count":
+            child = np.empty(len(order), np.intp)
+            child[order] = np.cumsum(new) - 1
+            edges.append((ws, row, child, z.T))
+    if mode == "count":
+        return WalkResult(count, nodes, "classes")
+    edges.reverse()  # edges[k]: level k's; cnt[k + 1]: leaves below each level-k state
+    cnt = [np.ones(1, np.intp)]
+    for k, (ws, row, child, z) in enumerate(edges):
+        keep = (m := cnt[k].take(child)) > 0
+        edges[k] = ws, row[keep], child[keep], z[keep]
+        cnt.append(np.bincount(row[keep], m[keep], len(ws)).astype(np.intp))  # exact: far below 2**53
+    suffixes = [int(c.sum()) * (k + 1) for k, c in enumerate(cnt[1:])]
+    paths = [int(ws[c > 0].sum()) * n for (ws, *_), c in zip(edges, cnt[1:])]
+    mid = min(range(n), key=lambda k: sum(suffixes[:k + 1]) + sum(paths[k:n - 1]))
+    s = np.zeros((1, 0), np.int8)  # the suffixes of each state, state by state
+    for (_, _, child, z), c in zip(edges[:mid + 1], cnt):
+        start = (np.cumsum(c) - c).take(child)
+        s = _add_rows(z, s, *_ranges(start, start + c.take(child) - 1, 1))
+    p, at = np.zeros((1, n), np.int8), np.zeros(1, np.intp)  # each path and its state
+    for ws, row, child, z in edges[:mid:-1]:
+        c = np.bincount(row, minlength=len(ws))
+        start = (np.cumsum(c) - c).take(at)
+        rep, e = _ranges(start, start + c.take(at) - 1, 1)
+        p, at = _add_rows(p, z, rep, e), child.take(e)
+    c, size = cnt[mid + 1], cnt[mid + 1].take(at)
+    ends = np.cumsum(size)
+    first = (np.cumsum(c) - c).take(at) - ends + size  # row r of path i is suffix first[i] + r
+    out = np.empty((int(ends[-1]) if len(ends) else 0, n), _walk_types(walk)[1])
+    num = _narrowest(_max_abs(p) + _max_abs(s))
+    for r in range(0, len(out), _BLOCK):
+        rows = np.arange(r, min(r + _BLOCK, len(out)))
+        i = np.searchsorted(ends, rows, "right")
+        out[r:r + _BLOCK] = _add_rows(p, s, i, first.take(i) + rows, num)
+    return WalkResult(out, nodes, "classes")
+
+
+def _add_rows(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray, num=None) -> np.ndarray:
+    """a[i] + b[j], b on a's first columns, in num, else the narrowest type that holds it."""
+    num = num or _narrowest(_max_abs(a) + _max_abs(b))
+    out = a.take(i, axis=0).astype(num, copy=False)
+    out[:, :b.shape[1]] += b.take(j, axis=0).astype(num, copy=False)
+    return out
 
 
 def _top_values(delta: tuple[int, ...], limit: int, parity) -> tuple[int, ...]:
@@ -608,18 +676,19 @@ def _record(record, code: int) -> WalkResult:
 
 def _run(walk: Walk) -> WalkResult:
     """The one way into a walk.  A "first" walk, whose forecast says nothing
-    of its cost as it stops at its first leaf, goes to _walk; a "count" walk
-    whose forecast passes _BUDGET to _class_count, unsplit, as shares would
-    repeat their common states; any other, or a count whose classes do not
-    merge, to _batched_walk if its forecast passes _BUDGET, else to _walk:
-    each gives Walk's answer.  Past _SPLIT its top-level values are dealt to
-    min(top-level values, CPUs) shares, one walked here and one by each
-    forked worker, unless the process may run on one CPU (taskset limits it)
-    or is a daemonic multiprocessing worker, whose caller runs a job per CPU."""
+    of its cost as it stops at its first leaf, goes to _walk; a walk whose
+    forecast passes _BUDGET, if a count, or _SPLIT too, to _class_walk,
+    unsplit, as shares would repeat their common states; any other, or one
+    whose classes do not merge, to _batched_walk if its forecast passes
+    _BUDGET, else to _walk: each gives Walk's answer.  Past _SPLIT its
+    top-level values are dealt to min(top-level values, CPUs) shares, one
+    walked here and one by each forked worker, unless the process may run
+    on one CPU (taskset limits it) or is a daemonic multiprocessing worker,
+    whose caller runs a job per CPU."""
     if walk.mode == "first":
         return _walk(walk)
     forecast = walk.forecast()
-    if walk.mode == "count" and forecast > _BUDGET and (classes := _class_count(walk)):
+    if forecast > _BUDGET and (walk.mode == "count" or forecast > _SPLIT) and (classes := _class_walk(walk)):
         return classes
     kernel = _batched_walk if forecast > _BUDGET else _walk
     workers = 1

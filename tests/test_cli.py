@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -255,23 +256,28 @@ def alive(pid):
                                                      (signal.SIGINT, True, 130, b"interrupted\n"),
                                                      (signal.SIGKILL, False, -signal.SIGKILL, b"")],
                          ids=["SIGTERM", "SIGHUP", "SIGINT-to-the-group", "SIGKILL"])
-def test_a_signal_ends_a_split_walk_and_its_workers(sig, group, code, line):
-    """`eqlat shell leech.json --norm 8 --vectors` forecasts 9.37e8 nodes, so
-    its shell walk splits: the command walks one share and forks a worker
-    for each other CPU (the count without --vectors, one process, ends in
-    well under a second).
+def test_a_signal_ends_a_split_walk_and_its_workers(tmp_path, sig, group, code, line):
+    """`eqlat shell bbt30.json --norm 5140 --vectors`, on the 12-dimensional
+    B B^T + 30 I with B's entries -9..9 from random.Random(3), forecasts
+    9.5e7 nodes whose classes of subtrees do not merge (a determinant of
+    3.5e28), so its shell walk is batched and splits: the command walks one
+    share and forks a worker for each other CPU, for about 30 s in all (a
+    Leech shell past the split runs as classes, in one process).
     SIGTERM to the command ends it with 143, SIGHUP with 129, and Ctrl-C to
     its process group with 130, each with one line on stderr and no
     traceback; SIGKILL ends it with nothing on stderr.  No worker outlives
     it by 5 s, on SIGKILL too: a worker dies with its parent.  The workers
     hold the command's stdout and stderr, so these close only when the last
     of them ends, and a worker left to finish its share holds them for
-    tens of seconds."""
+    over ten seconds."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen([sys.executable, "-m", "eqlat.cli", "shell", str(GOLDEN / "leech.json"),
-                             "--norm", "8", "--vectors"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env, start_new_session=True)
+    rng = random.Random(3)
+    b = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+    gram = [[sum(map(int.__mul__, r, s)) + 30 * (i == j) for j, s in enumerate(b)] for i, r in enumerate(b)]
+    path = write_doc(tmp_path, "bbt30.json", name="bbt30", dim=12, den=1, gram=gram)
+    proc = subprocess.Popen([sys.executable, "-m", "eqlat.cli", "shell", path, "--norm", "5140", "--vectors"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True)
     want, workers = min(len(os.sched_getaffinity(0)), 6) - 1, []  # the walk has 6 top-level values
     try:
         deadline = time.monotonic() + 60
@@ -301,7 +307,7 @@ def test_shell_counts_the_leech_norm_8_pairs(capsys):
     """`eqlat shell leech.json --norm 8` prints the 199,017,000 pairs of
     norm 8 (half the q^8 coefficient of Leech's theta series), counted in
     this process in well under a second: the count walk of 1.0e9 tree nodes
-    runs in _class_count, which never splits."""
+    runs in _class_walk, which never splits."""
     assert run(capsys, "shell", str(GOLDEN / "leech.json"), "--norm", "8") == (0, "s_8=199017000\n", "")
 
 

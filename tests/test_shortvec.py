@@ -506,6 +506,7 @@ def test_a_class_named_by_a_long_vector_walks_batched_at_fixed_bounds(walks):
     walk from 50 this replaced took up to 300,000."""
     big = leech()
     lat, lift = big.lattice, [v % 2 for v in big.marks["x0"]]
+    minimum(lat)  # its own walk, cached once, is no class walk
     walks.clear()
     assert coset_minimum(lat, lift) == 6
     assert made(walks, "limit", "nodes", "kernel") == [(4, 465, "walk"), (8, 15_664, "batched")]
@@ -832,21 +833,30 @@ def walked(kernel, walk):
     return listed(walk.mode, found.value), found.nodes
 
 
+def in_order(mode, record):
+    """A (value, nodes) record of walked or ref_walk with its "shell" or
+    "le" leaves sorted, for kernels that give them in another order."""
+    value, nodes = record
+    return (sorted(value) if mode in ("le", "shell") else value), nodes
+
+
 def check_numpy_kernel(walk, want):
     """The numpy kernels against want = (result, nodes) of the reference
     walk: every bound is fixed, so the batched kernel gives want's result
     and, counting the rows it expands, want's node count, and so does
-    _class_count on a "count" walk, summing the multiplicities of its
-    states.  "first" walks are the Python kernel's alone: the batched
-    kernel refuses them."""
+    _class_walk, summing the multiplicities of its states, its leaves in
+    another order and in the batched kernel's type.  "first" walks are the
+    Python kernel's alone: the batched kernel refuses them."""
     if walk.mode == "first":
         with pytest.raises(ValueError):
             shortvec._batched_walk(walk)
         return
-    assert walked(shortvec._batched_walk, walk) == want
-    if walk.mode == "count":  # None where more than _BATCH states do not merge: _run walks it batched
-        got = shortvec._class_count(walk)
-        assert got is None or (got.value, got.nodes) == want
+    batched = shortvec._batched_walk(walk)
+    assert (listed(walk.mode, batched.value), batched.nodes) == want
+    got = shortvec._class_walk(walk)  # None where more than _BATCH states do not merge: _run walks it batched
+    if got is not None:
+        assert in_order(walk.mode, (listed(walk.mode, got.value), got.nodes)) == in_order(walk.mode, want)
+        assert walk.mode == "count" or got.value.dtype == batched.value.dtype
 
 
 def kernel_corpus(rng):
@@ -983,7 +993,7 @@ def test_batched_kernel_at_batch_boundaries(monkeypatch):
 def test_batched_kernel_answers_an_empty_top_level():
     """With no top-level value inside the bound, the batched kernel gives
     the empty result of each of its three modes itself, without the Python
-    kernel, and so does _class_count on a "count" walk."""
+    kernel, and so does _class_walk."""
     walks = [walk for lat in (root_lattice("E", 8).lattice, GramLattice([[3]]))
              for walk in kernel_walks(lat, minimum(lat), None)
              if walk.mode != "first"]
@@ -993,13 +1003,12 @@ def test_batched_kernel_answers_an_empty_top_level():
             empty = replace(walk, tops=tops)
             assert walked(shortvec._batched_walk, empty) == (ref_walk(empty), 0)
             assert shortvec._batched_walk(empty).kernel == "batched"
-            if walk.mode == "count":
-                assert shortvec._class_count(empty) == shortvec.WalkResult(0, 0, "classes")
+            assert walked(shortvec._class_walk, empty) == (ref_walk(empty), 0)
 
 
 def test_batched_kernel_takes_top_level_values_in_any_order():
     """The batched kernel finds the zero-prefix row, to which alone the sign
-    rule applies, by walking the top-level value 0 first, and _class_count
+    rule applies, by walking the top-level value 0 first, and _class_walk
     as its one state with A = 0, so the order of walk.tops does not matter:
     shuffled, with negative values among them, they give _walk's results on
     the same walk, leaves in another order, and _walk's node counts."""
@@ -1017,8 +1026,7 @@ def test_batched_kernel_takes_top_level_values_in_any_order():
             if walk.mode in ("le", "shell"):
                 want, got = (sorted(want[0]), want[1]), (sorted(got[0]), got[1])
             assert got == want
-            if walk.mode == "count":
-                assert walked(shortvec._class_count, mixed) == want
+            assert in_order(walk.mode, walked(shortvec._class_walk, mixed)) == want
 
 
 def leech_walk(mode, limit):
@@ -1030,10 +1038,13 @@ def test_batched_kernel_visits_the_leech_minimum_walk():
     # minimum, has 14,978 nodes and finds nothing; the count of the pairs at
     # 4 has 1,971,697 below the top level, the count of the reference walk
     # (test_leech_minimum_walk_matches_reference) and of the Python kernel,
-    # which _class_count sums from the multiplicities of 20,238 states
-    proof, count = leech_walk("le", 2), leech_walk("count", 4)
+    # which _class_walk sums from the multiplicities of 20,238 states; the
+    # class shell expands them to the batched kernel's 98,280 leaves
+    proof, count, shells = leech_walk("le", 2), leech_walk("count", 4), leech_walk("shell", 4)
     assert walked(shortvec._batched_walk, proof) == walked(shortvec._walk, proof) == ([], 14_978)
-    assert walked(shortvec._batched_walk, count) == walked(shortvec._class_count, count) == (98_280, 1_971_697)
+    assert walked(shortvec._batched_walk, count) == walked(shortvec._class_walk, count) == (98_280, 1_971_697)
+    want = in_order("shell", walked(shortvec._batched_walk, shells))
+    assert in_order("shell", walked(shortvec._class_walk, shells)) == want and len(want[0]) == 98_280
 
 
 @pytest.mark.slow
@@ -1043,7 +1054,10 @@ def test_leech_minimum_walk_matches_reference():
     want = ref_walk(walk, visits), len(visits)
     assert want[1] == 1_971_697
     assert walked(shortvec._walk, walk) == walked(shortvec._batched_walk, walk) == want
-    assert walked(shortvec._class_count, walk) == want
+    assert walked(shortvec._class_walk, walk) == want
+    shells = replace(walk, mode="shell")  # the same tree: the class shell against the Python walk
+    want = in_order("shell", walked(shortvec._walk, shells))
+    assert in_order("shell", walked(shortvec._class_walk, shells)) == want and len(want[0]) == 98_280
 
 
 @pytest.mark.slow
@@ -1179,7 +1193,7 @@ def test_leech_walks_run_in_int32():
     u, _ = benchmark_inputs().unimodular(random.Random(2), lat.dim)
     skew = shortvec.Walk.of(shortvec._prep(GramLattice(gram_product(u, lat.gram.num.rows))), "count", 4)
     assert shortvec._walk_types(skew)[0] is number_type(skew) is np.int32
-    assert shortvec._batched_walk(skew).value == shortvec._class_count(skew).value == 98_280
+    assert shortvec._batched_walk(skew).value == shortvec._class_walk(skew).value == 98_280
 
 
 def test_int32_walks_stop_at_the_proven_bound():
@@ -1215,7 +1229,7 @@ def test_small_walks_never_enter_the_batched_kernel(walks):
 
 def test_walks_past_the_budget_match_the_python_kernel(monkeypatch):
     """The forecast alone picks the kernel: a walk whose forecast passes the
-    budget goes to its numpy kernel (_class_count for a "count" walk, the
+    budget goes to its numpy kernel (_class_walk for a "count" walk, the
     batched kernel for any other), any other to the Python kernel, however
     many nodes it walks there.  Either way the result is the Python
     kernel's.  E8's norm-8 walks forecast 16,831 nodes against the default
@@ -1244,7 +1258,7 @@ def test_leech_walks_go_straight_to_the_batched_kernel(walks):
     """The leech-cli walks forecast past _BUDGET and enter one numpy kernel
     alone: the minimum's walk at norm 2 and the class shell of x0 at norm
     10 the batched kernel in int32, the count of the minimal pairs
-    _class_count in int32, and the relative lattice's vectors_upto the
+    _class_walk in int32, and the relative lattice's vectors_upto the
     batched kernel in int64, which dividing out the content 2 of its Gram
     puts it in (its bound is 2**53.2)."""
     from eqlat.mod2 import relative_lattice
@@ -1317,11 +1331,11 @@ def test_each_walk_enters_one_kernel(walks):
                                            ("A16", 6, 240_676), ("D16", 2, 1_228)])
 def test_forecast_is_near_the_node_count(name, r, nodes):
     """The Gaussian-heuristic forecast lies within a factor of 4 of the
-    nodes of the whole "count" walk, the tree's, which _class_count sums
+    nodes of the whole "count" walk, the tree's, which _class_walk sums
     from its states' multiplicities."""
     lat = leech().lattice if name == "Leech" else root_lattice(name[0], int(name[1:])).lattice
     walk = next(walk for walk in kernel_walks(lat, r, None) if walk.mode == "count")
-    assert shortvec._batched_walk(walk).nodes == shortvec._class_count(walk).nodes == nodes
+    assert shortvec._batched_walk(walk).nodes == shortvec._class_walk(walk).nodes == nodes
     assert nodes / 4 < walk.forecast() < 4 * nodes
 
 
@@ -1444,19 +1458,24 @@ def test_entries_past_int64_stay_exact(monkeypatch, budget):
     assert coset_shell(skew, (0, 1), p + 1) == ((big, -1),)
     for v in shell(wide, 1) + shell(skew, p + 1) + coset_shell(skew, (0, 1), p + 1):
         assert all(type(c) is int for c in v)
-    # the counts of these shells, and _class_count's in Python integers:
-    # its partial norms, centres and minors pass int64 on both lattices
+    # the counts of these shells, and _class_walk's counts, shells and (on
+    # skew: wide has 2**66 points of norm at most 1) "le" leaves in Python
+    # integers: its partial norms, centres and minors pass int64 on both
     assert shell_count(wide, 1) == 2 and shell_count(skew, p + 1) == shell_count(skew, p) == 1
-    for lat, r in ((wide, 1), (skew, p + 1)):
+    for lat, r, modes in ((wide, 1, ("count", "shell")), (skew, p + 1, ("count", "shell", "le"))):
         prep, t = shortvec._target(lat, r)
-        walk = shortvec.Walk.of(prep, "count", t)
-        assert number_type(walk) is object
-        assert walked(shortvec._class_count, walk) == walked(shortvec._walk, walk) != (0, 0)
+        for mode in modes:
+            walk = shortvec.Walk.of(prep, mode, t)
+            assert shortvec._class_type(walk) is object
+            got = walked(shortvec._class_walk, walk)
+            assert in_order(mode, got) == in_order(mode, walked(shortvec._walk, walk)) and got[0]
 
 
 def test_class_count_matches_the_python_walk():
-    """_class_count gives _walk's count and node count on the walks
-    hypothesis draws: Gram matrices B B^T + c I of dimension 1 to 8, walked
+    """_class_walk gives _walk's count, or its leaves in another order, and
+    its node count on the "count", "shell" and "le" walks hypothesis draws,
+    the zero-prefix row among them wherever the share holds the top-level
+    value 0: Gram matrices B B^T + c I of dimension 1 to 8, walked
     in LLL's basis or in a skewed one as it stands, scaled by 1, 2 or 3
     (larger minors and centres); plain, in the class of a drawn vector x or
     in any class, 0 included; over a share of the top-level values; at a
@@ -1498,41 +1517,53 @@ def test_class_count_matches_the_python_walk():
         hypothesis.assume(math.prod(2 * b + 1 for b in bound[1:]) <= 10**9)
         tops = shortvec._top_values(delta, limit, parity)
         share = data.draw(st.integers(1, 3))
-        walk = shortvec.Walk(tuple(delta), tuple(map(tuple, sub)), parity, "count", limit,
+        mode = data.draw(st.sampled_from(("count", "shell", "le")))
+        walk = shortvec.Walk(tuple(delta), tuple(map(tuple, sub)), parity, mode, limit,
                              tops[data.draw(st.integers(0, share - 1))::share])
-        got = shortvec._class_count(walk) or shortvec._batched_walk(walk)  # as _run takes it
-        assert (got.value, got.nodes) == walked(shortvec._walk, walk)
+        got = shortvec._class_walk(walk) or shortvec._batched_walk(walk)  # as _run takes it
+        assert in_order(mode, (listed(mode, got.value), got.nodes)) == in_order(mode, walked(shortvec._walk, walk))
 
     check()
 
 
+def non_merging(mode):
+    """The walk of test_classes_that_do_not_merge_go_to_the_batched_walk in
+    that mode: rand_gram(seed 3, n = 12, spread 9) at six times its seed,
+    whose classes of subtrees do not merge, so it is walked batched and
+    split past _SPLIT."""
+    return shortvec.Walk.of(shortvec._prep(rand_gram(random.Random(3), 12, 9)), mode, 6 * 217)
+
+
 def test_classes_that_do_not_merge_go_to_the_batched_walk(monkeypatch, splits):
-    """A count whose classes of subtrees rarely meet is walked node by node:
+    """A walk whose classes of subtrees rarely meet is walked node by node:
     on rand_gram(seed 3, n = 12, spread 9), of determinant 1.2e28, the count
-    at six times the seed (217) keeps one state per node on a level past
-    _BATCH states, so _class_count gives up (None) and _run walks it
-    batched, with _walk's count and 38,793 nodes, and like any batched walk
-    past _SPLIT (here 0) splits on two CPUs; at four times the seed it stays
-    a class count in one process.  Leech's norm-4 count, whose wide levels
-    keep at most 4.5% of their nodes as states, stays one too."""
+    and the shell at six times the seed (217) keep one state per node on a
+    level past _BATCH states, so _class_walk gives up (None) and _run walks
+    them batched, with _walk's 128 pairs and 38,793 nodes, and like any
+    batched walk past _SPLIT (here 0) splits them on two CPUs; at four times
+    the seed they stay class walks in one process.  Leech's norm-4 count,
+    whose wide levels keep at most 4.5% of their nodes as states, stays one
+    too."""
     prep = shortvec._prep(rand_gram(random.Random(3), 12, 9))
     assert prep.seed == 217
     allow_cpus(monkeypatch, 2)
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
     for r, kernel, split in ((4, "classes", []), (6, "batched", [2])):
-        walk = shortvec.Walk.of(prep, "count", r * prep.seed)
-        assert walk.forecast() > shortvec._BUDGET
-        splits.clear()
-        got = shortvec._run(walk)
-        assert got.kernel == kernel and splits == split
-        assert (got.value, got.nodes) == walked(shortvec._walk, walk)
-    assert (got.value, got.nodes) == (128, 38_793) and shortvec._class_count(walk) is None
+        for mode in ("count", "shell"):
+            walk = shortvec.Walk.of(prep, mode, r * prep.seed)
+            assert walk.forecast() > shortvec._BUDGET
+            splits.clear()
+            got = shortvec._run(walk)
+            assert got.kernel == kernel and splits == split
+            assert in_order(mode, (listed(mode, got.value), got.nodes)) == in_order(mode, walked(shortvec._walk, walk))
+    assert walk == non_merging("shell") and (len(got.value), got.nodes) == (128, 38_793)
+    assert shortvec._class_walk(walk) is shortvec._class_walk(non_merging("count")) is None
     splits.clear()
     assert shortvec._run(leech_walk("count", 4)).kernel == "classes" and splits == []
 
 
 def test_class_count_multiplicities_pass_int64():
-    """Z^40 at norm 100: its tree has about 6.7e30 nodes, so _class_count's
+    """Z^40 at norm 100: its tree has about 6.7e30 nodes, so _class_walk's
     multiplicities turn to Python integers on the way down, and its count and
     nodes are exact: half the q^100 coefficient of theta_3^40, and the sum
     over m < 40 of (N_m + 1) / 2 for N_m the vectors of Z^m of norm at most
@@ -1541,7 +1572,7 @@ def test_class_count_multiplicities_pass_int64():
 
     n, r = 40, 100
     walk = shortvec.Walk.of(shortvec._prep(GramLattice(IntMatrix.identity(n))), "count", r)
-    got = shortvec._class_count(walk)
+    got = shortvec._class_walk(walk)
     assert got.value == theta_series("Z", n, r + 1)[r] // 2
     assert got.nodes == sum((sum(theta_series("Z", m, r + 1)) + 1) // 2 for m in range(1, n)) > 2**100
 
@@ -1561,30 +1592,34 @@ def test_workers_never_exceed_the_cores(monkeypatch, splits):
 
 @pytest.mark.parametrize("budget", [shortvec._BUDGET, 0])
 def test_a_split_walk_merges_into_the_unsplit_record(monkeypatch, splits, budget):
-    """A walk split across this process and a forked worker has the unsplit
-    walk's record: its count, or its leaves in another row order, and its
-    node count, the sum of the shares' nodes; in either kernel (budget 0
-    batches every walk), on E8 and D5.  With budget 0 a count goes to
-    _class_count, which never splits and keeps the record too."""
+    """A walk split across this process and a forked worker (_SPLIT 0, two
+    CPUs) has the record of the walk on one CPU: its count, or its leaves
+    in another row order, and its node count, the sum of the shares' nodes;
+    in either kernel that splits: the Python kernel on E8 and D5, and with
+    budget 0 the batched kernel on non_merging's walks.  With budget 0 the
+    walks of E8 and D5 go to _class_walk, which never splits and keeps the
+    record too."""
     monkeypatch.setattr(shortvec, "_BUDGET", budget)
-    for lat, r in ((root_lattice("E", 8).lattice, 4), (root_lattice("D", 5).lattice, 6)):
-        prep = shortvec._prep(lat)
-        for mode in ("count", "shell", "le"):
-            walk = shortvec.Walk.of(prep, mode, r)
-            whole = shortvec._run(walk)
-            splits.clear()
-            with monkeypatch.context() as split:
-                split.setattr(shortvec, "_SPLIT", 0)
-                allow_cpus(split, 2)
-                parts = shortvec._run(walk)
-            classes = mode == "count" and not budget
-            assert splits == ([] if classes else [2])
-            assert parts.kernel == whole.kernel == ("walk" if budget else "classes" if classes else "batched")
-            assert parts.nodes == whole.nodes > 0
-            if mode == "count":
-                assert parts.value == whole.value > 0
-            else:
-                assert sorted(listed(mode, parts.value)) == sorted(listed(mode, whole.value)) != []
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)
+    modes = ("count", "shell", "le")
+    cases = [(shortvec.Walk.of(shortvec._prep(lat), mode, r), "walk" if budget else "classes")
+             for lat, r in ((root_lattice("E", 8).lattice, 4), (root_lattice("D", 5).lattice, 6))
+             for mode in modes]
+    if not budget:
+        cases += [(non_merging(mode), "batched") for mode in modes]
+    for walk, kernel in cases:
+        allow_cpus(monkeypatch, 1)
+        whole = shortvec._run(walk)
+        splits.clear()
+        allow_cpus(monkeypatch, 2)
+        parts = shortvec._run(walk)
+        assert splits == ([] if kernel == "classes" else [2])
+        assert parts.kernel == whole.kernel == kernel
+        assert parts.nodes == whole.nodes > 0
+        if walk.mode == "count":
+            assert parts.value == whole.value > 0
+        else:
+            assert sorted(listed(walk.mode, parts.value)) == sorted(listed(walk.mode, whole.value)) != []
 
 
 def failing_share(how):
@@ -1623,9 +1658,8 @@ def test_a_failed_worker_fails_the_walk(monkeypatch, splits, how, raised):
     worker's exception where it has one, never a partial count or an
     UnpicklingError; so does a share this process walks, while the worker
     may still run.  The fork copies the failing kernel, and no worker is
-    left running or unreaped."""
-    prep = shortvec._prep(root_lattice("E", 8).lattice)
-    walk = shortvec.Walk.of(prep, "shell", 8)
+    left running or unreaped; the walk is non_merging's shell, batched."""
+    walk = non_merging("shell")
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
     allow_cpus(monkeypatch, 2)
     for name in ("_walk", "_batched_walk"):
@@ -1640,19 +1674,20 @@ def test_a_failed_worker_fails_the_walk(monkeypatch, splits, how, raised):
 
 
 def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch, splits):
-    """On two CPUs, a walk whose forecast is at most _SPLIT runs in this
-    process and one past it forks a worker, with the same leaves: E8's
-    norm-8 shell walk against _SPLIT just above and just below its
-    forecast.  At the default, E8's norm-20 walks, the largest that gained
-    nothing from a split in fresh processes, stay below it, and the Leech
-    norm-4 shell, the largest walk of any benchmark workload, passes it."""
+    """On two CPUs, a batched walk whose forecast is at most _SPLIT runs in
+    this process and one past it forks a worker, with the same leaves:
+    non_merging's shell walk, whose classes do not merge, against _SPLIT
+    just above and just below its forecast.  At the default, E8's norm-20
+    walks, the largest that gained nothing from a split in fresh processes,
+    stay below it, and the Leech norm-4 shell, the largest walk of any
+    benchmark workload, passes it (and runs as classes, in one process)."""
     allow_cpus(monkeypatch, 2)
-    walk = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "shell", 8)
+    walk = non_merging("shell")
     forecast = walk.forecast()
     for split, started in ((math.ceil(forecast), []), (math.floor(forecast), [2])):
         monkeypatch.setattr(shortvec, "_SPLIT", split)
         splits.clear()
-        assert len(shortvec._run(walk).value) == 8760
+        assert len(shortvec._run(walk).value) == 128
         assert splits == started
     monkeypatch.undo()
     e8 = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "shell", 20)
@@ -1660,18 +1695,23 @@ def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch, splits):
 
 
 def test_class_counts_never_split(monkeypatch, splits, capsys):
-    """A count _class_count settles runs in this process whatever its
+    """A count _class_walk settles runs in this process whatever its
     forecast, as a split would walk the states its shares have in common
-    once per share: on two CPUs, the Leech norm-4 count (forecast 1.9e6,
-    past _SPLIT) and `eqlat equi leech.json`, whose two such counts once
-    split, fork nothing, and neither does E8's norm-8 class count with
-    _SPLIT at 0."""
+    once per share, and so does a shell walk past _SPLIT: on two CPUs, the
+    Leech norm-4 count and shell (forecast 1.9e6, past _SPLIT), the shell
+    as shell(Leech, 4) takes it, and `eqlat equi leech.json`, whose two such
+    counts once split, fork nothing, and neither does E8's norm-8 class
+    count with _SPLIT at 0."""
     from eqlat import cli
 
     allow_cpus(monkeypatch, 2)
     walk = leech_walk("count", 4)
     assert walk.forecast() > shortvec._SPLIT
     assert shortvec._run(walk) == shortvec.WalkResult(98_280, 1_971_697, "classes")
+    found = shortvec._run(leech_walk("shell", 4))
+    assert (len(found.value), found.nodes, found.kernel) == (98_280, 1_971_697, "classes")
+    shortvec._coset_shell.cache_clear()
+    assert len(shell(leech().lattice, 4)) == 98_280
     assert cli.main(["equi", str(Path(__file__).parent / "golden" / "leech.json")]) == 0
     assert "family t=276 " in capsys.readouterr().out
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
@@ -1689,17 +1729,17 @@ def test_no_split_for_first_in_a_daemon_or_on_one_cpu(monkeypatch, splits):
     and the walk does not import it."""
     monkeypatch.setattr(shortvec, "_SPLIT", 0)
     prep = shortvec._prep(root_lattice("E", 8).lattice)
-    whole = shortvec.Walk.of(prep, "shell", 8)
+    whole = non_merging("shell")  # batched: its classes do not merge
     allow_cpus(monkeypatch, 1)
-    assert len(shortvec._run(whole).value) == 8760
+    assert len(shortvec._run(whole).value) == 128
     allow_cpus(monkeypatch, 2)
     assert shortvec._run(shortvec.Walk.of(prep, "first", 8)).value == [(2, 0, 0, 0, 0, 0, 0, 0)]
     monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
-    assert len(shortvec._run(whole).value) == 8760
+    assert len(shortvec._run(whole).value) == 128
     assert splits == []
     monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=False))
-    assert len(shortvec._run(whole).value) == 8760
+    assert len(shortvec._run(whole).value) == 128
     assert splits == [2]
     monkeypatch.delitem(sys.modules, "multiprocessing")
-    assert len(shortvec._run(whole).value) == 8760
+    assert len(shortvec._run(whole).value) == 128
     assert splits == [2, 2] and "multiprocessing" not in sys.modules

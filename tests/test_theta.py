@@ -55,7 +55,7 @@ def test_shell_sizes_match_theta_series(monkeypatch, budget, batch):
     """shell_count, len(shell) and the vectors_upto histogram give half the
     theta coefficient at every norm, and every vector has its norm in the
     input basis, with every walk in the one kernel the budget forces: 0
-    sends each to its numpy kernel (_class_count for the counts, the
+    sends each to its numpy kernel (_class_walk for the counts, the
     batched kernel for the others), also with batches of 16 rows, which
     split the batched levels (and may hand a class count back to a batched
     walk), and inf to the Python kernel."""
@@ -102,7 +102,7 @@ def test_dn_counts_match_theta_series_at_every_norm(walks, n):
     """shell_count gives half the theta coefficient of D_n at every norm up
     to TOP, past the NODES forecast where the shell checks stop, on the
     standard basis, a skewed copy and that copy scaled by 3: the larger
-    counts (D16 at 10 forecasts 1.5e7 nodes) go to _class_count, which pays
+    counts (D16 at 10 forecasts 1.5e7 nodes) go to _class_walk, which pays
     for their states alone."""
     rng = random.Random(167 + n)
     base = standard("D", n)
@@ -116,7 +116,7 @@ def test_dn_counts_match_theta_series_at_every_norm(walks, n):
 def test_leech_counts_far_past_the_split_match_theta_series(walks):
     """199,017,000 pairs of norm 8 and 2,314,690,560 of norm 10, half the
     coefficients of E_4^3 - 720 Delta, each counted in one process from the
-    states of _class_count, for trees of 1,021,332,069 and 9,319,857,116
+    states of _class_walk, for trees of 1,021,332,069 and 9,319,857,116
     nodes."""
     lat = leech().lattice
     want = theta_series("Leech", 24, 11)
@@ -128,5 +128,5 @@ def test_leech_counts_far_past_the_split_match_theta_series(walks):
 @pytest.mark.slow
 def test_leech_norm_6_count_matches_theta_series():
     """8,386,560 pairs of norm 6 from E_4^3 - 720 Delta, counted by
-    _class_count (66.5M tree nodes) without storing a vector."""
+    _class_walk (66.5M tree nodes) without storing a vector."""
     assert shell_count(leech().lattice, 6) == theta_series("Leech", 24, 7)[6] // 2 == 8_386_560
