@@ -24,12 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .constructions import (
-    dn_projection_gram,
-    leech,
-    root_equiangular_table,
-    root_lattice,
-)
+# the layers every command needs; each command imports the rest that it runs
+# (make: constructions; min, shell: shortvec; equi: shortvec, lines, mod2;
+# report: all), so `eqlat make` compiles and builds no enumeration code
 from .errors import (
     BadParameter,
     DimensionMismatch,
@@ -40,23 +37,22 @@ from .errors import (
     NotIntegral,
     NotPositiveDefinite,
     NotPrimitive,
+    TooLarge,
     WrongNormX0,
     ZeroVector,
 )
 from .exact import IntMatrix, RatMatrix
 from .fastops import _BLOCK
 from .lattice import GramLattice
-from .lines import KNOWN_MAX_LINES, LATTICE_LINES_KNOWN, certify
-from .mod2 import equiangular_direct, relative_lattice
-from .shortvec import _shell_rows, _tuples, minimum, shell_count
 
-OK, USAGE, PRECONDITION, HYPOTHESIS = 0, 2, 3, 4
+OK, USAGE, PRECONDITION, HYPOTHESIS, TOO_LARGE = 0, 2, 3, 4, 5
 INTERRUPTED, CLOSED = 130, 141  # 128 + SIGINT (Ctrl-C) or SIGPIPE, as a shell reports them
 
 # the exit code of each library error a command lets through; any other is a bug
 _EXIT_CODES = {DimensionMismatch: USAGE, ZeroVector: USAGE, NotPrimitive: USAGE,
                BadParameter: PRECONDITION, EmptyClass: PRECONDITION, WrongNormX0: PRECONDITION,
-               NotEven: PRECONDITION, NotIntegral: PRECONDITION, NotEquiangular: HYPOTHESIS}
+               NotEven: PRECONDITION, NotIntegral: PRECONDITION, NotEquiangular: HYPOTHESIS,
+               TooLarge: TOO_LARGE}
 
 
 class _Terminated(BaseException):
@@ -208,6 +204,7 @@ def _write_doc(args, doc: dict, out: str | None, kind: str,
 
 
 def cmd_make(args) -> int:
+    from .constructions import dn_projection_gram, leech, root_lattice
     fam = args.family
     try:
         if fam == "leech":
@@ -230,6 +227,7 @@ def cmd_make(args) -> int:
 
 
 def cmd_min(args) -> int:
+    from .shortvec import minimum, shell_count
     lat, _ = load_lattice(args.file)
     _note(args, f"enumerating minimal vectors of {lat.name}")
     m = minimum(lat)
@@ -242,6 +240,7 @@ def cmd_min(args) -> int:
 
 
 def cmd_shell(args) -> int:
+    from .shortvec import _shell_rows, shell_count
     lat, _ = load_lattice(args.file)
     r = _positive(args.norm, "norm")
     _note(args, f"enumerating the norm-{r} shell of {lat.name}")
@@ -273,6 +272,7 @@ def _write_rows(rows, start: str, inner: str, end: str, sep: str) -> None:
     joined by sep, written _BLOCK rows at a time, so no text and no tuple of
     the whole shell is ever held.  int8 entries are read from _INT8_TEXT by
     their bytes, one block at a time; wider and object rows go through %."""
+    from .shortvec import _tuples
     fmt = start + inner.join(["%d"] * rows.shape[1]) + end
     for i in range(0, len(rows), _BLOCK):
         block = rows[i:i + _BLOCK]
@@ -319,6 +319,9 @@ def _render_bound(label: str, entry: dict) -> str:
 
 
 def cmd_equi(args) -> int:
+    from .lines import certify
+    from .mod2 import equiangular_direct, relative_lattice
+    from .shortvec import shell_count
     lat, _ = load_lattice(args.file)
     x0 = _parse_vec(args.x0) if args.x0 else None
     _note(args, f"running the congruence pipeline on {lat.name}")
@@ -412,6 +415,7 @@ def cmd_section(args) -> int:
 
 
 def _suite_roots(args) -> None:
+    from .constructions import root_equiangular_table
     rows = root_equiangular_table(12)
     if args.json:
         _print_json({"suite": "roots", "rows": [list(r) for r in rows]})
@@ -424,6 +428,7 @@ def _suite_roots(args) -> None:
 
 
 def _suite_min3(args) -> None:
+    from .constructions import dn_projection_gram
     # dn_projection_gram certifies minimum 3 and the count
     rows = [(n, 3, dn_projection_gram(n).marks["s"]) for n in range(3, 13)]
     if args.json:
@@ -434,6 +439,8 @@ def _suite_min3(args) -> None:
 
 
 def _witt_row(args) -> tuple[int, int, Fraction]:
+    from .constructions import leech
+    from .mod2 import equiangular_direct
     nl = leech()
     _note(args, "enumerating the Witt design class on the Leech lattice")
     es = equiangular_direct(nl.lattice, nl.marks["x0"])
@@ -452,6 +459,7 @@ def _suite_leech(args) -> None:
 
 
 def _suite_table(args) -> None:
+    from .lines import KNOWN_MAX_LINES, LATTICE_LINES_KNOWN
     t23, _, _ = _witt_row(args)
     rows = []
     for n in sorted(LATTICE_LINES_KNOWN):
@@ -488,6 +496,8 @@ exit codes:
      the lattice is not of the shape the construction needs
   4  hypothesis failure: the pipeline ran but the candidate class is empty,
      or the minimum is odd and the class shell is not equiangular
+  5  too large: the vectors asked for would take more than 1 GiB to hold
+     (Leech's norm-8 shell with --vectors); their count alone still runs
   129  hung up (SIGHUP); one line is printed on stderr
   130  interrupted (Ctrl-C); one line is printed on stderr
   141  stdout closed before the output ended (e.g. piped into head);

@@ -33,8 +33,9 @@ from .errors import (
 from .exact import IntMatrix, RatMatrix, _integer, hnf, rank_det, row_rank, solve_left
 from .fastops import gram_product, imatmul
 from .lattice import GramLattice
-from .mod2 import equiangular_direct
-from .shortvec import PairSet, _shell_rows, _tuples, minimum, shell_count, vectors_upto
+
+# shortvec and mod2 are imported by the functions that walk or build families,
+# so leech(), root_lattice(), standard_x0() and golay_code() load no enumeration code
 
 Vec = tuple[int, ...]
 
@@ -219,6 +220,7 @@ def root_equiangular_table(n_max: int) -> list[tuple[str, int, int, int]]:
     rank).  The classical values (t = r for A, t = 2r - 2 for D, t = 10,
     16, 28 for E_6, E_7, E_8) are asserted, not just reported.
     """
+    from .mod2 import equiangular_direct
     n_max = _integer(n_max)
     if n_max < 4:
         raise BadParameter(f"table starts at n = 4, got n_max = {n_max}")
@@ -256,6 +258,7 @@ def dn_projection_gram(n: int) -> NamedLattice:
     eps_1 - eps_{n+1} as a basis, and double the form.  Minimum 3 is always
     verified; marks["s"] holds the pair count there, verified as 2(n-1).
     """
+    from .shortvec import minimum, shell_count
     n = _integer(n)
     if n < 2:
         raise BadParameter(f"needs n >= 2, got {n}")
@@ -447,6 +450,7 @@ def reconstruct_odd(lat, v: Sequence[int]) -> GramLattice:
 
 def _congruence_classes(lat: GramLattice):
     """Norm-6 classes mod 2L with no shorter member, as (key, reps) pairs."""
+    from .shortvec import vectors_upto
     low, groups = set(), {}
     for nrm, vec in vectors_upto(lat, 6):
         key = tuple(c % 2 for c in vec)
@@ -574,6 +578,7 @@ def all_ones_exception_gram(m: int, n: int) -> NamedLattice:
     marks report the enumerated minimum and pair count (the diagonal sits
     below the nominal minimum m, so expect minimum m - 1).
     """
+    from .shortvec import minimum, shell_count
     m, n = _integer(m), _integer(n)
     if n < 2:
         raise BadParameter(f"needs n >= 2, got {n}")
@@ -607,6 +612,7 @@ def section_search(lat, budget: int, depth: int = 1) -> list[dict]:
     Entry 0 records the input itself, and the chain descends `depth` steps
     or down to dimension 1.  Returns [] when budget <= 0.
     """
+    from .shortvec import PairSet, _shell_rows, _tuples, minimum, vectors_upto
     cur = _base(lat)
     budget, depth = _integer(budget), _integer(depth)
     if budget <= 0:

@@ -73,6 +73,10 @@ class BadParameter(EqlatError):
     """A construction was asked for parameters outside its range."""
 
 
+class TooLarge(EqlatError):
+    """A walk would store more vectors than its memory limit allows."""
+
+
 class NotApplicable(EqlatError):
     """A bound or test whose hypothesis fails for these arguments."""
 

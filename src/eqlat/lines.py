@@ -386,21 +386,27 @@ def least_eigenvalue(
     return least_root(seidel_charpoly(s), width)
 
 
+class _RankDisagrees(VerificationError):
+    """The family's rank is not that of its vectors."""
+
+
 def _factored_charpoly(fam: LineFamily) -> tuple[list[Fraction], Fraction, int]:
     """(q, root, k) with det(xI - S) = q(x) (x - root)^k.
 
     q is the monic degree-r factor that the characteristic polynomial of
     the n x n product of family_charpoly carries (by exact.charpoly), root
-    = -1/alpha and k = t - r.  Raises VerificationError when the rank or
-    the trace of S disagrees with it.
+    = -1/alpha and k = t - r.  Raises _RankDisagrees unless r is the rank
+    of the vectors B, which it proves: Gram is positive definite, so 0 is a
+    root of det(xI - Gram B^T B) of multiplicity exactly n - rank B.  Raises
+    VerificationError when the trace of S disagrees.
     """
     if fam.alpha is None:
         raise DegeneratePair(f"{fam.t} line(s) carry no angle")
     t, r, n = fam.t, fam.rank, fam.lattice.dim
     btb = gram_array(int_array(fam.pairs.reps).T)  # B^T B for B the reps
     p = charpoly(IntMatrix(imatmul_array(fam.lattice.gram.num.rows, btb)))
-    if any(p[k] for k in range(n - r)) or not p[n - r]:
-        raise VerificationError("spectral factor disagrees with the rank")
+    if r > n or any(p[:n - r]) or not p[n - r]:
+        raise _RankDisagrees("spectral factor disagrees with the rank")
     # roots of g are den*N*(alpha*lambda + 1) over Seidel eigenvalues lambda
     scale = fam.lattice.gram.den * fam.pairs.norm
     q = poly_linear_sub(p[n - r:], scale * fam.alpha, scale)
@@ -473,11 +479,12 @@ def asymptotic_count(n: int, k: int) -> int:
 def certify(fam: LineFamily, width: Fraction = DEFAULT_ROOT_WIDTH) -> dict:
     """Run every certificate on the family and report, never raise.
 
-    Checks: rank consistency, the absolute bound, the rational bound at the
-    family's angle (when its hypothesis applies), the parity test, and the
-    certified location of the least Seidel eigenvalue: equal to -1/alpha
-    with multiplicity exactly t - rank when t > rank, strictly above
-    -1/alpha when t = rank.  Failures become entries with passed=False.
+    Checks: rank consistency (which _factored_charpoly proves), the
+    absolute bound, the rational bound at the family's angle (when its
+    hypothesis applies), the parity test, and the certified location of
+    the least Seidel eigenvalue: equal to -1/alpha with multiplicity
+    exactly t - rank when t > rank, strictly above -1/alpha when t = rank.
+    Failures become entries with passed=False.
     Reference counts from published tables are attached as annotations and
     are never asserted.
 
@@ -508,11 +515,14 @@ def certify(fam: LineFamily, width: Fraction = DEFAULT_ROOT_WIDTH) -> dict:
         report["ok"] = True
         return report
 
-    recount = row_rank(fam.pairs.reps)
+    try:
+        factored = _factored_charpoly(fam)
+    except VerificationError as exc:  # rank or t disagrees with the vectors
+        factored = exc
     checks.append(
         {
             "check": "rank",
-            "passed": recount == r and r <= min(t, fam.lattice.dim),
+            "passed": not isinstance(factored, _RankDisagrees) and r <= min(t, fam.lattice.dim),
             "rank": r,
         }
     )
@@ -549,12 +559,11 @@ def certify(fam: LineFamily, width: Fraction = DEFAULT_ROOT_WIDTH) -> dict:
         }
     )
 
-    try:
-        q, target, k = _factored_charpoly(fam)
-    except VerificationError as exc:  # rank or t disagrees with the vectors
-        checks.append({"check": "least_eigenvalue", "passed": False, "note": str(exc)})
+    if isinstance(factored, VerificationError):
+        checks.append({"check": "least_eigenvalue", "passed": False, "note": str(factored)})
         report["ok"] = False
         return report
+    q, target, k = factored
     mult = k + root_multiplicity(q, target)
     entry = {"check": "least_eigenvalue", "value": target, "multiplicity": mult}
     # no root of q at or below -1/alpha: an extra one there fails mult already

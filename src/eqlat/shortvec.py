@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MixedNorms, ZeroVector
+from .errors import DimensionMismatch, MixedNorms, TooLarge, ZeroVector
 from .exact import IntMatrix, RatMatrix, _rational, leading_minors
 from .fastops import _BLOCK, _SAFE, _max_abs, gram_product, int_array, row_norms
 from .lattice import GramLattice, Vec
@@ -190,6 +190,11 @@ def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
 _BUDGET = 4096
 _BATCH = 2048
 _SPLIT = 1_000_000
+# Bytes of leaves past which _class_walk refuses a "shell" or "le" walk, as soon
+# as it knows their number and before it stores one: over 5 times Leech's norm-6
+# shell (8,386,560 x 24 int8, 201 MB, 495 MB at the peak of `eqlat shell
+# --vectors`), under a quarter of its norm-8 shell (4.8 GB).
+_STORE = 2**30
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,7 +208,8 @@ class Walk:
     order (each level ascending, top level first), as a list of one tuple.
     Every bound is fixed: only a "first" walk stops early.  A "count" walk
     past _BUDGET, and any other past _SPLIT, runs in _class_walk, on its
-    classes of subtrees, and never splits unless they do not merge."""
+    classes of subtrees, and never splits unless they do not merge; there a
+    walk whose leaves pass _STORE bytes raises TooLarge."""
 
     delta: tuple[int, ...]
     sub: tuple[tuple[int, ...], ...]
@@ -522,8 +528,9 @@ def _class_walk(walk: Walk) -> WalkResult | None:
     A count keeps nothing else.  Any other walk keeps each state's edges:
     its row, value and reduction as one translation (x_k, -step q_j), and
     the child's state.  Leaves below each state, summed up the levels, drop
-    the edges to none; then the leaves are each state's suffixes, built up
-    from level 0 (the leaves of an edge are its child's, translated by it),
+    the edges to none, and past _STORE bytes at the root raise TooLarge
+    before any row is built; then the leaves are each state's suffixes,
+    built up from level 0 (the leaves of an edge are its child's, translated by it),
     joined at one level to the paths down from the root (true coordinates
     above it, translations below), the level that makes fewest rows.  No
     level makes more rows than the walk has leaves, and the join fills the
@@ -593,6 +600,10 @@ def _class_walk(walk: Walk) -> WalkResult | None:
         keep = (m := cnt[k].take(child)) > 0
         edges[k] = ws, row[keep], child[keep], z[keep]
         cnt.append(np.bincount(row[keep], m[keep], len(ws)).astype(np.intp))  # exact: far below 2**53
+    leaves, coord = int(cnt[-1].sum()), _walk_types(walk)[1]  # leaves below the root
+    if (size := leaves * n * np.dtype(coord).itemsize) > _STORE:
+        raise TooLarge(f"the {mode} walk would store {leaves:,} vectors ({size / 2**20:,.0f} MiB),"
+                       f" past the limit of {_STORE / 2**20:,.0f} MiB")
     suffixes = [int(c.sum()) * (k + 1) for k, c in enumerate(cnt[1:])]
     paths = [int(ws[c > 0].sum()) * n for (ws, *_), c in zip(edges, cnt[1:])]
     mid = min(range(n), key=lambda k: sum(suffixes[:k + 1]) + sum(paths[k:n - 1]))
@@ -609,7 +620,7 @@ def _class_walk(walk: Walk) -> WalkResult | None:
     c, size = cnt[mid + 1], cnt[mid + 1].take(at)
     ends = np.cumsum(size)
     first = (np.cumsum(c) - c).take(at) - ends + size  # row r of path i is suffix first[i] + r
-    out = np.empty((int(ends[-1]) if len(ends) else 0, n), _walk_types(walk)[1])
+    out = np.empty((int(ends[-1]) if len(ends) else 0, n), coord)
     num = _narrowest(_max_abs(p) + _max_abs(s))
     for r in range(0, len(out), _BLOCK):
         rows = np.arange(r, min(r + _BLOCK, len(out)))

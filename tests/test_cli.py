@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -130,7 +131,7 @@ def test_shell_count_builds_no_shell(capsys, tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the shell was built")
 
-    monkeypatch.setattr(cli, "_shell_rows", refuse)
+    monkeypatch.setattr(shortvec, "_shell_rows", refuse)
     monkeypatch.setattr(shortvec, "_coset_shell", refuse)
     assert run(capsys, "shell", path, "--norm", "4") == (0, "s_4=1080\n", "")
     assert run(capsys, "shell", path, "--norm", "4", "--json") == (0, '{"norm": "4", "s": 1080}\n', "")
@@ -196,7 +197,7 @@ def test_an_interrupt_ends_with_130(capsys, tmp_path, monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "shell_count", interrupted)
+    monkeypatch.setattr(shortvec, "shell_count", interrupted)
     path = write_doc(tmp_path, "a2.json", **A2)
     assert run(capsys, "shell", path, "--norm", "2") == (cli.INTERRUPTED, "", "interrupted\n")
 
@@ -309,6 +310,61 @@ def test_shell_counts_the_leech_norm_8_pairs(capsys):
     this process in well under a second: the count walk of 1.0e9 tree nodes
     runs in _class_walk, which never splits."""
     assert run(capsys, "shell", str(GOLDEN / "leech.json"), "--norm", "8") == (0, "s_8=199017000\n", "")
+
+
+def cli_process(argv, cwd, **kwargs):
+    """`python -c "from eqlat import cli; ..."` in cwd, with this checkout's eqlat."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+def test_the_leech_norm_8_vectors_are_too_large_to_list(tmp_path):
+    """`eqlat shell leech.json --norm 8 --vectors` would hold 199,017,000 x 24
+    int8 entries (4.8 GB): the class walk counts its leaves before it stores
+    one and refuses, with exit 5, nothing on stdout and one line on stderr.
+    The process may map 3 GB, so a walk that stored them would fail here, not
+    meet the OOM killer."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    proc = cli_process(["import sys; from eqlat import cli; sys.exit(cli.main(sys.argv[1:]))",
+                        "shell", str(GOLDEN / "leech.json"), "--norm", "8", "--vectors"],
+                       tmp_path, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout) == (cli.TOO_LARGE, "") and cli.TOO_LARGE == 5
+    assert proc.stderr.startswith("error: ") and "199,017,000 vectors" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+_LOADED = """\
+import contextlib, io, sys
+from eqlat import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(" ".join(sorted(m.removeprefix("eqlat.") for m in sys.modules if m.split(".")[0] == "eqlat")))
+"""
+
+
+def test_each_command_imports_only_its_layers(tmp_path):
+    """Each command, run in a fresh interpreter, imports only the eqlat
+    layers it runs (read from sys.modules after cli.main): `make` builds
+    Leech without the enumeration layers, `min` and `shell` need shortvec
+    alone, `equi` no constructions, and `project` and `section` nothing
+    beyond the layers every command loads."""
+    def loaded(*argv):
+        proc = cli_process([_LOADED, *argv], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    base = {"eqlat", "cli", "errors", "exact", "fastops", "lattice"}
+    assert loaded("make", "--family", "leech", "--out", "leech.json") == base | {"constructions"}
+    assert loaded("make", "--family", "E", "--dim", "8", "--out", "e8.json") == base | {"constructions"}
+    for argv in (("min", "leech.json"), ("shell", "e8.json", "--norm", "4", "--vectors")):
+        assert loaded(*argv) == base | {"shortvec"}, argv
+    assert loaded("equi", "leech.json", "--json") == base | {"shortvec", "lines", "mod2"}
+    assert loaded("project", "e8.json", "--v", "1,0,0,0,0,0,0,0") == base
+    assert loaded("section", "e8.json", "--w", "1,0,0,0,0,0,0,0") == base
 
 
 def test_shell_rejects_bad_norm(capsys, tmp_path):
@@ -699,5 +755,5 @@ def test_help_documents_exit_codes(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     for phrase in ("0  success", "2  input error", "3  structural", "4  hypothesis",
-                   "130  interrupted"):
+                   "5  too large", "130  interrupted"):
         assert phrase in out

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eqlat import cli, constructions, shortvec
+from eqlat import cli, shortvec
 from eqlat.constructions import (
     all_ones_exception_gram,
     dn_projection_gram,
@@ -367,7 +367,7 @@ def test_scan_generic_maximum_matches_projection_family():
 
 def test_scan_walks_each_lattice_once(monkeypatch):
     # rows (a) and (b) share A1+D_{n-1}: its norm-6 classes come from one walk
-    real = constructions.vectors_upto
+    real = shortvec.vectors_upto
     for n in range(3, 10):
         calls = {}
 
@@ -376,7 +376,7 @@ def test_scan_walks_each_lattice_once(monkeypatch):
             calls[key] = calls.get(key, 0) + 1
             return real(lat, r)
 
-        monkeypatch.setattr(constructions, "vectors_upto", counted)
+        monkeypatch.setattr(shortvec, "vectors_upto", counted)
         min3_classification_scan(n)
         assert calls and set(calls.values()) == {1}, (n, sorted(calls.values()))
 

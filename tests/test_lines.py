@@ -612,6 +612,7 @@ def test_certify_reports_a_tampered_family():
         assert not report["ok"]
         least = _entries(report)["least_eigenvalue"]
         assert not least["passed"] and note in least["note"]
+        assert _entries(report)["rank"]["passed"] == (bad.rank == fam.rank)
 
 
 @pytest.mark.parametrize("offsets", [

@@ -32,6 +32,7 @@ from eqlat.errors import (
     MixedNorms,
     NotInLattice,
     NotPositiveDefinite,
+    TooLarge,
     ZeroVector,
 )
 from eqlat.exact import IntMatrix, RatMatrix, leading_minors, rank_det
@@ -1027,6 +1028,32 @@ def test_batched_kernel_takes_top_level_values_in_any_order():
                 want, got = (sorted(want[0]), want[1]), (sorted(got[0]), got[1])
             assert got == want
             assert in_order(walk.mode, walked(shortvec._class_walk, mixed)) == want
+
+
+def test_a_class_walk_past_its_store_limit_refuses_before_it_stores(monkeypatch):
+    """_class_walk knows a "shell" or "le" walk's leaves once its backward
+    pass ends: E8's 1,080 pairs of norm 4 (1,200 up to it) take 8 bytes each
+    in int8, so a _STORE one byte lower refuses them with TooLarge before
+    building any row, and _STORE itself lets them through; a count stores
+    nothing and ignores it.  shell() past _BUDGET and _SPLIT, a class walk,
+    refuses too."""
+    prep = shortvec._prep(root_lattice("E", 8).lattice)
+    shells, upto, count = (shortvec.Walk.of(prep, mode, 4) for mode in ("shell", "le", "count"))
+    assert shortvec._walk_types(shells)[1] is np.int8
+    for walk, leaves in ((shells, 1080), (upto, 1200)):
+        monkeypatch.setattr(shortvec, "_STORE", 8 * leaves)
+        assert len(shortvec._class_walk(walk).value) == leaves
+        monkeypatch.setattr(shortvec, "_STORE", 8 * leaves - 1)
+        with monkeypatch.context() as m:
+            m.setattr(shortvec, "_add_rows", lambda *args: pytest.fail("a row was built"))
+            with pytest.raises(TooLarge, match=f"{leaves:,} vectors"):
+                shortvec._class_walk(walk)
+    monkeypatch.setattr(shortvec, "_STORE", 0)
+    assert shortvec._class_walk(count).value == 1080
+    monkeypatch.setattr(shortvec, "_BUDGET", 0)
+    monkeypatch.setattr(shortvec, "_SPLIT", 0)
+    with pytest.raises(TooLarge):
+        shell(root_lattice("D", 6).lattice.rescale(5), 10)  # a Gram no other test caches
 
 
 def leech_walk(mode, limit):
