@@ -57,8 +57,7 @@ _EXIT_CODES = {DimensionMismatch: USAGE, ZeroVector: USAGE, NotPrimitive: USAGE,
 
 class _Terminated(BaseException):
     """SIGTERM or SIGHUP (its number in args[0]) during main.  Like
-    KeyboardInterrupt it is no error: it unwinds the command, so a split
-    walk ends its workers on the way out."""
+    KeyboardInterrupt it is no error: it unwinds the command."""
 
 
 def _terminated(signum, frame):
@@ -507,11 +506,8 @@ exit codes:
 vectors on the command line are comma-separated integers in the lattice's
 stored basis; there is no real-coordinate input.
 
-an enumeration walk forecast past 1,000,000 nodes runs in one process on
-its classes of subtrees, or where these rarely repeat (a large determinant
-against the norm) is split across the CPUs the process may use (taskset
-limits them): the command walks one share and forked workers, which end
-with it, the others.  Any other walk runs serially.
+every enumeration walk runs in this process, past 1,000,000 forecast
+nodes on its classes of subtrees where they merge.
 """
 
 

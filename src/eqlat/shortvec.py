@@ -17,19 +17,17 @@ is exact by construction, and a walk with bound R holds no number above
 2 delta_k delta_{k+1} R.
 
 A walk is a value, a frozen Walk, and _run is the one way into it: it
-picks the kernel, splits a batched walk forecast past _SPLIT nodes across
-the CPUs the process may run on (no option sets the number of processes;
-it walks a share, forked workers the others), and returns one frozen
-WalkResult, the mode's answer with the nodes of its tree and the kernel
-taken, whose value the public functions read.  Every bound is fixed, so
-the kernels give the same results and node counts: a walk whose
+picks the kernel and returns one frozen WalkResult, the mode's answer with
+the nodes of its tree and the kernel taken, whose value the public
+functions read.  Every walk runs in this process.  Every bound is fixed,
+so the kernels give the same results and node counts: a walk whose
 Gaussian-heuristic forecast passes _BUDGET (4,096) nodes is batched, numpy
 steps on _BATCH (2,048) partial vectors in the narrowest exact number type
-(int32 on Leech), but a count past _BUDGET and any walk past _SPLIT run in
-one process in _class_walk, on the translation classes of their subtrees,
-batched only where these rarely merge; any other walk, and least_vector's
-"first" walks, the only ones that stop early, run in Python.  Leaves stay
-one narrow integer array up to shell's tuples.  A
+(int32 on Leech), but a count past _BUDGET and any walk past _CLASSES run
+in _class_walk, on the translation classes of their subtrees, batched
+only where these rarely merge; any other walk, and least_vector's "first"
+walks, the only ones that stop early, run in Python.  Leaves stay one
+narrow integer array up to shell's tuples.  A
 minimum is the least norm of an "le" walk: one grain below LLL's least
 diagonal entry, or at doubling bounds in a class.
 
@@ -45,15 +43,11 @@ representative per +-pair.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import operator
-import os
-import pickle
 import struct
-import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -179,21 +173,18 @@ def _primitive(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
 
 
 # Forecast nodes past which a walk is batched, partial vectors per numpy step of
-# the batched kernel, and forecast nodes past which _run walks any walk by its
-# classes of subtrees, split only where these do not merge.  In fresh `eqlat shell`
-# processes on two cores (walk time, 10 pairs), a split lost on E8's norm-20
-# count (forecast 4.9e5; 19 -> 25 ms, 3 of 10) and won in 10 of 10 on E8's norms
-# 24-36 (9.8e5-4.6e6), A16's 8 and Leech's 4 (1.9e6; 139 -> 115 ms), batched
-# counts then; the forecast orders walks loosely, so the split starts twice above
-# the largest that lost.  Classes win past it (Leech's norm-4 shell: 25-40 ms,
-# 160-260 batched), not below (its x0-class shell at 10: 11-14 ms, 7 batched).
+# the batched kernel, and forecast nodes past which _run walks a shell or "le"
+# walk by its classes of subtrees, batched only where these do not merge.  Classes
+# win past it (Leech's norm-4 shell: 25-40 ms, 160-260 batched), not below (its
+# x0-class shell at 10: 11-14 ms, 7 batched).
 _BUDGET = 4096
 _BATCH = 2048
-_SPLIT = 1_000_000
-# Bytes of leaves past which _class_walk refuses a "shell" or "le" walk, as soon
-# as it knows their number and before it stores one: over 5 times Leech's norm-6
-# shell (8,386,560 x 24 int8, 201 MB, 495 MB at the peak of `eqlat shell
-# --vectors`), under a quarter of its norm-8 shell (4.8 GB).
+_CLASSES = 1_000_000
+# Bytes of leaves past which a "shell" or "le" walk raises TooLarge: _class_walk
+# as soon as it knows their number and before it stores one, _batched_walk once
+# its stored leaves pass it.  Over 5 times Leech's norm-6 shell (8,386,560 x 24
+# int8, 201 MB, 495 MB at the peak of `eqlat shell --vectors`), under a quarter
+# of its norm-8 shell (4.8 GB).
 _STORE = 2**30
 
 
@@ -207,8 +198,8 @@ class Walk:
     number of leaves of norm limit; "first" the first of them in the walk's
     order (each level ascending, top level first), as a list of one tuple.
     Every bound is fixed: only a "first" walk stops early.  A "count" walk
-    past _BUDGET, and any other past _SPLIT, runs in _class_walk, on its
-    classes of subtrees, and never splits unless they do not merge; there a
+    past _BUDGET, and any other past _CLASSES, runs in _class_walk, on its
+    classes of subtrees, unless they do not merge; in either numpy kernel a
     walk whose leaves pass _STORE bytes raises TooLarge."""
 
     delta: tuple[int, ...]
@@ -394,7 +385,7 @@ def _batched_walk(walk: Walk) -> WalkResult:
     (int32 and int8 on Leech), as a node's candidate values are exactly
     those with |y_k| <= kmax.  Rows are gathered with take, about 5 times
     faster than fancy indexing on int8 rows.  A "first" walk raises
-    ValueError: only _walk takes it.
+    ValueError: only _walk takes it, and leaves past _STORE bytes, TooLarge.
 
     The sign rule, x_k >= 0 where every coordinate above k is 0, concerns
     one row per level, the zero-prefix row.  It is the first row queued at
@@ -418,7 +409,7 @@ def _batched_walk(walk: Walk) -> WalkResult:
     # row queued at level zero has only zeros above it (-1: no such row left)
     queue = [(np.zeros((c, n), dtype), np.zeros(c, num)) for c in [0] * top + [1]]
     zero = top
-    nodes = count = 0
+    nodes = count = stored = 0  # stored: bytes of the leaves in out
     out: list = []
     while True:
         sizes = [len(q[1]) for q in queue]
@@ -458,12 +449,9 @@ def _batched_walk(walk: Walk) -> WalkResult:
             hits = np.flatnonzero(ok)
             if mode == "count":
                 count += len(hits)
-            else:
-                leaves = x.take(row.take(hits), axis=0)
-                leaves[:, 0] = xv.take(hits)
-                out.append(leaves)
-            continue
-        if k == top:
+                continue
+            row, xv = row.take(hits), xv.take(hits)  # no root of the zero-prefix row is 0
+        elif k == top:
             row, xv = np.zeros(len(tops), dtype=np.intp), np.array(tops, dtype=num)
         else:
             row, xv = _ranges(lo, hi, step)
@@ -479,9 +467,13 @@ def _batched_walk(walk: Walk) -> WalkResult:
             continue
         if lead:  # the zero vector is not a leaf
             row, xv = row[1:], xv[1:]
-        leaves = x.take(row, axis=0)  # "le": every value is within the bound
+        leaves = x.take(row, axis=0)  # every value is within the bound, or a root
         leaves[:, 0] = xv
         out.append(leaves)
+        stored += leaves.nbytes
+        if stored > _STORE:
+            raise TooLarge(f"the {mode} walk stored {stored // x.itemsize // n:,} vectors ({stored / 2**20:,.0f} MiB),"
+                           f" past the limit of {_STORE / 2**20:,.0f} MiB")
     if mode in ("shell", "le"):
         out = np.concatenate(out) if out else np.empty((0, n), dtype)
     return WalkResult(count if mode == "count" else out, nodes, "batched")
@@ -646,92 +638,18 @@ def _top_values(delta: tuple[int, ...], limit: int, parity) -> tuple[int, ...]:
     return tuple(range(hi + 1) if parity is None else range(parity[-1], hi + 1, 2))
 
 
-def _share(kernel, walk: Walk, fd: int, parent: int) -> None:
-    """A forked worker: it writes to fd the pickled WalkResult of its share,
-    or the exception it raised (a signal's too), and leaves by os._exit, 0
-    only after a record, never running the parent's finally blocks or stdio
-    flushes.  On Linux it dies with the parent, even by SIGKILL."""
-    try:
-        if sys.platform.startswith("linux"):
-            prctl = ctypes.CDLL(None).prctl
-            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-            prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
-        if os.getppid() == parent:  # else the parent died before prctl
-            try:
-                record = kernel(walk)
-            except BaseException as exc:  # the parent raises it
-                record = exc
-            with open(fd, "wb") as pipe:
-                pickle.dump(record, pipe)
-            os._exit(int(isinstance(record, BaseException)))
-    finally:
-        os._exit(1)
-
-
-def _load(pipe):
-    """What a worker wrote to pipe, or None if that is no whole record."""
-    try:
-        return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):  # none, or cut short as by the OOM killer
-        return None
-
-
-def _record(record, code: int) -> WalkResult:
-    """A worker's WalkResult from what it wrote and its exit status: what a
-    worker raised is raised here, and a worker that died or wrote no whole
-    record, ChildProcessError."""
-    if code == 0 and isinstance(record, WalkResult):
-        return record
-    raise record if isinstance(record, BaseException) else ChildProcessError(f"a walk worker ended: {code}")
-
-
 def _run(walk: Walk) -> WalkResult:
     """The one way into a walk.  A "first" walk, whose forecast says nothing
     of its cost as it stops at its first leaf, goes to _walk; a walk whose
-    forecast passes _BUDGET, if a count, or _SPLIT too, to _class_walk,
-    unsplit, as shares would repeat their common states; any other, or one
-    whose classes do not merge, to _batched_walk if its forecast passes
-    _BUDGET, else to _walk: each gives Walk's answer.  Past _SPLIT its
-    top-level values are dealt to min(top-level values, CPUs) shares, one
-    walked here and one by each forked worker, unless the process may run
-    on one CPU (taskset limits it) or is a daemonic multiprocessing worker,
-    whose caller runs a job per CPU."""
+    forecast passes _BUDGET, if a count, or _CLASSES too, to _class_walk;
+    any other, or one whose classes do not merge, to _batched_walk if its
+    forecast passes _BUDGET, else to _walk: each gives Walk's answer."""
     if walk.mode == "first":
         return _walk(walk)
     forecast = walk.forecast()
-    if forecast > _BUDGET and (walk.mode == "count" or forecast > _SPLIT) and (classes := _class_walk(walk)):
+    if forecast > _BUDGET and (walk.mode == "count" or forecast > _CLASSES) and (classes := _class_walk(walk)):
         return classes
-    kernel = _batched_walk if forecast > _BUDGET else _walk
-    workers = 1
-    if forecast > _SPLIT:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        mp = sys.modules.get("multiprocessing")  # not imported: no daemon
-        workers = 1 if mp and mp.current_process().daemon else min(len(walk.tops), cpus)
-    if workers <= 1:
-        return kernel(walk)
-    shares = [replace(walk, tops=walk.tops[i::workers]) for i in range(workers)]
-    parent, children, done = os.getpid(), [], False
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            if (pid := os.fork()) == 0:
-                _share(kernel, share, w, parent)
-            children.append((pid, open(r, "rb")))
-            os.close(w)
-        parts = [kernel(shares[0])]
-        records = [_load(pipe) for _, pipe in children]
-        done = True
-    finally:  # reap every worker, killed first on any exception (a signal the CLI raises)
-        codes = []
-        for pid, pipe in children:
-            pipe.close()
-            if not done:
-                os.kill(pid, 9)  # SIGKILL
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    parts += map(_record, records, codes)
-    values = [part.value for part in parts]
-    return WalkResult(sum(values) if walk.mode == "count" else np.concatenate(values),
-                      sum(part.nodes for part in parts), parts[0].kernel)
+    return _batched_walk(walk) if forecast > _BUDGET else _walk(walk)
 
 
 # ---------------------------------------------------------------------------

@@ -250,27 +250,20 @@ def alive(pid):
         return False
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="a walk splits only on two CPUs or more")
 @pytest.mark.parametrize("sig, group, code, line", [(signal.SIGTERM, False, 143, b"terminated\n"),
                                                      (getattr(signal, "SIGHUP", None), False, 129, b"terminated\n"),
                                                      (signal.SIGINT, True, 130, b"interrupted\n"),
                                                      (signal.SIGKILL, False, -signal.SIGKILL, b"")],
                          ids=["SIGTERM", "SIGHUP", "SIGINT-to-the-group", "SIGKILL"])
-def test_a_signal_ends_a_split_walk_and_its_workers(tmp_path, sig, group, code, line):
+def test_a_signal_ends_a_long_walk(tmp_path, sig, group, code, line):
     """`eqlat shell bbt30.json --norm 5140 --vectors`, on the 12-dimensional
     B B^T + 30 I with B's entries -9..9 from random.Random(3), forecasts
     9.5e7 nodes whose classes of subtrees do not merge (a determinant of
-    3.5e28), so its shell walk is batched and splits: the command walks one
-    share and forks a worker for each other CPU, for about 30 s in all (a
-    Leech shell past the split runs as classes, in one process).
-    SIGTERM to the command ends it with 143, SIGHUP with 129, and Ctrl-C to
-    its process group with 130, each with one line on stderr and no
-    traceback; SIGKILL ends it with nothing on stderr.  No worker outlives
-    it by 5 s, on SIGKILL too: a worker dies with its parent.  The workers
-    hold the command's stdout and stderr, so these close only when the last
-    of them ends, and a worker left to finish its share holds them for
-    over ten seconds."""
+    3.5e28), so its shell walk runs batched, in this one process, for about
+    45 s.  Two seconds in, it has started no process.  SIGTERM to the
+    command then ends it with 143, SIGHUP with 129, and Ctrl-C to its
+    process group with 130, each with one line on stderr and no traceback;
+    SIGKILL ends it with nothing on stderr."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     rng = random.Random(3)
@@ -279,14 +272,9 @@ def test_a_signal_ends_a_split_walk_and_its_workers(tmp_path, sig, group, code, 
     path = write_doc(tmp_path, "bbt30.json", name="bbt30", dim=12, den=1, gram=gram)
     proc = subprocess.Popen([sys.executable, "-m", "eqlat.cli", "shell", path, "--norm", "5140", "--vectors"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True)
-    want, workers = min(len(os.sched_getaffinity(0)), 6) - 1, []  # the walk has 6 top-level values
     try:
-        deadline = time.monotonic() + 60
-        while len(workers) < want and proc.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.05)
-            workers = children(proc.pid)
-        assert len(workers) >= want
-        sent = time.monotonic()
+        time.sleep(2)
+        assert proc.poll() is None and children(proc.pid) == []
         if group:
             os.killpg(proc.pid, sig)
         else:
@@ -294,13 +282,8 @@ def test_a_signal_ends_a_split_walk_and_its_workers(tmp_path, sig, group, code, 
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == code
         assert out == b"" and err == line and b"Traceback" not in err
-        while any(map(alive, workers)) and time.monotonic() < sent + 5:
-            time.sleep(0.05)
-        assert not any(map(alive, workers)) and time.monotonic() < sent + 5
     finally:
-        for pid in [proc.pid, *workers]:
-            if alive(pid):
-                os.kill(pid, signal.SIGKILL)
+        proc.kill()
         proc.wait()
 
 
@@ -308,7 +291,7 @@ def test_shell_counts_the_leech_norm_8_pairs(capsys):
     """`eqlat shell leech.json --norm 8` prints the 199,017,000 pairs of
     norm 8 (half the q^8 coefficient of Leech's theta series), counted in
     this process in well under a second: the count walk of 1.0e9 tree nodes
-    runs in _class_walk, which never splits."""
+    runs in _class_walk."""
     assert run(capsys, "shell", str(GOLDEN / "leech.json"), "--norm", "8") == (0, "s_8=199017000\n", "")
 
 
@@ -719,20 +702,6 @@ def test_report_table(capsys):
 
 
 # -- global flags ------------------------------------------------------------
-
-
-def test_walks_split_across_processes_print_the_same_bytes(capsys, monkeypatch, splits):
-    """With _SPLIT 0 every walk but "first" with two top-level values or
-    more is split across the process's CPUs, here this process and one
-    forked worker; the output stays the golden bytes."""
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)
-    monkeypatch.setattr(shortvec.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    shortvec._minimum.cache_clear()
-    shortvec._coset_shell.cache_clear()
-    rc, out, _ = run(capsys, "equi", str(GOLDEN / "e8.json"), "--json")
-    assert rc == 0
-    assert out.encode() == (GOLDEN / "equi_e8.stdout").read_bytes()
-    assert splits and set(splits) == {2}
 
 
 def test_verbose_goes_to_stderr(capsys, tmp_path):

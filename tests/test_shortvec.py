@@ -2,17 +2,11 @@
 
 import collections
 import hashlib
+import json
 import math
-import multiprocessing
-import os
-import pickle
 import random
-import signal
-import sys
-import types
 from dataclasses import replace
 from fractions import Fraction as QQ
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,51 +604,6 @@ def test_coset_rejects_zero_class():
         coset_minimum(Z2, (2, 2))
 
 
-# -- splitting walks across processes ------------------------------------------
-
-
-def allow_cpus(monkeypatch, n):
-    """The process may run on n CPUs, as _run reads it."""
-    monkeypatch.setattr(shortvec.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def test_threaded_matches_serial(monkeypatch):
-    lat = GramLattice(
-        [[4, 1, 0, -1, 2], [1, 5, 1, 0, -1], [0, 1, 6, 1, 0],
-         [-1, 0, 1, 5, 1], [2, -1, 0, 1, 6]]
-    )
-    serial_min = minimum(lat)
-    serial_shell = shell(lat, serial_min + 2)
-    serial_count = shell_count(lat, serial_min + 2)
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)  # split these small walks
-    allow_cpus(monkeypatch, 2)
-    shortvec._minimum.cache_clear()
-    shortvec._coset_shell.cache_clear()
-    assert minimum(lat) == serial_min
-    assert shell(lat, serial_min + 2) == serial_shell
-    assert shell_count(lat, serial_min + 2) == serial_count
-
-
-def test_threaded_minimum_and_count_match_serial(monkeypatch):
-    # LLL leaves this basis alone; its diagonal minimum 11 sits above the
-    # minimum 10, and the minimum, count and shell walks' two top-level
-    # values split across this process and a worker
-    lat = GramLattice([[12, 1, 3, -1], [1, 12, -6, 2], [3, -6, 11, -6],
-                       [-1, 2, -6, 11]])
-
-    def answers():
-        shortvec._minimum.cache_clear()
-        shortvec._coset_shell.cache_clear()
-        m = minimum(lat)
-        return m, shell_count(lat, m), shell(lat, m)
-
-    serial = answers()
-    assert serial[:2] == (10, 1)
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)
-    allow_cpus(monkeypatch, 2)
-    assert answers() == serial
-
-
 # -- PairSet -------------------------------------------------------------------
 
 
@@ -1035,7 +984,7 @@ def test_a_class_walk_past_its_store_limit_refuses_before_it_stores(monkeypatch)
     pass ends: E8's 1,080 pairs of norm 4 (1,200 up to it) take 8 bytes each
     in int8, so a _STORE one byte lower refuses them with TooLarge before
     building any row, and _STORE itself lets them through; a count stores
-    nothing and ignores it.  shell() past _BUDGET and _SPLIT, a class walk,
+    nothing and ignores it.  shell() past _BUDGET and _CLASSES, a class walk,
     refuses too."""
     prep = shortvec._prep(root_lattice("E", 8).lattice)
     shells, upto, count = (shortvec.Walk.of(prep, mode, 4) for mode in ("shell", "le", "count"))
@@ -1051,7 +1000,7 @@ def test_a_class_walk_past_its_store_limit_refuses_before_it_stores(monkeypatch)
     monkeypatch.setattr(shortvec, "_STORE", 0)
     assert shortvec._class_walk(count).value == 1080
     monkeypatch.setattr(shortvec, "_BUDGET", 0)
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)
+    monkeypatch.setattr(shortvec, "_CLASSES", 0)
     with pytest.raises(TooLarge):
         shell(root_lattice("D", 6).lattice.rescale(5), 10)  # a Gram no other test caches
 
@@ -1556,37 +1505,58 @@ def test_class_count_matches_the_python_walk():
 def non_merging(mode):
     """The walk of test_classes_that_do_not_merge_go_to_the_batched_walk in
     that mode: rand_gram(seed 3, n = 12, spread 9) at six times its seed,
-    whose classes of subtrees do not merge, so it is walked batched and
-    split past _SPLIT."""
+    whose classes of subtrees do not merge, so it is walked batched."""
     return shortvec.Walk.of(shortvec._prep(rand_gram(random.Random(3), 12, 9)), mode, 6 * 217)
 
 
-def test_classes_that_do_not_merge_go_to_the_batched_walk(monkeypatch, splits):
+def test_classes_that_do_not_merge_go_to_the_batched_walk(monkeypatch):
     """A walk whose classes of subtrees rarely meet is walked node by node:
     on rand_gram(seed 3, n = 12, spread 9), of determinant 1.2e28, the count
     and the shell at six times the seed (217) keep one state per node on a
     level past _BATCH states, so _class_walk gives up (None) and _run walks
-    them batched, with _walk's 128 pairs and 38,793 nodes, and like any
-    batched walk past _SPLIT (here 0) splits them on two CPUs; at four times
-    the seed they stay class walks in one process.  Leech's norm-4 count,
-    whose wide levels keep at most 4.5% of their nodes as states, stays one
-    too."""
+    them batched, with _walk's 128 pairs and 38,793 nodes, also past
+    _CLASSES (here 0); at four times the seed they stay class walks.
+    Leech's norm-4 count, whose wide levels keep at most 4.5% of their nodes
+    as states, stays one too."""
     prep = shortvec._prep(rand_gram(random.Random(3), 12, 9))
     assert prep.seed == 217
-    allow_cpus(monkeypatch, 2)
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)
-    for r, kernel, split in ((4, "classes", []), (6, "batched", [2])):
+    monkeypatch.setattr(shortvec, "_CLASSES", 0)
+    for r, kernel in ((4, "classes"), (6, "batched")):
         for mode in ("count", "shell"):
             walk = shortvec.Walk.of(prep, mode, r * prep.seed)
             assert walk.forecast() > shortvec._BUDGET
-            splits.clear()
             got = shortvec._run(walk)
-            assert got.kernel == kernel and splits == split
+            assert got.kernel == kernel
             assert in_order(mode, (listed(mode, got.value), got.nodes)) == in_order(mode, walked(shortvec._walk, walk))
     assert walk == non_merging("shell") and (len(got.value), got.nodes) == (128, 38_793)
     assert shortvec._class_walk(walk) is shortvec._class_walk(non_merging("count")) is None
-    splits.clear()
-    assert shortvec._run(leech_walk("count", 4)).kernel == "classes" and splits == []
+    assert shortvec._run(leech_walk("count", 4)).kernel == "classes"
+
+
+def test_a_batched_walk_past_its_store_limit_refuses(monkeypatch, tmp_path, capsys):
+    """The batched kernel adds up the bytes of the leaves it stores, once
+    per batch: non_merging's shell, whose classes do not merge, keeps 128
+    leaves, so a _STORE one byte below their size raises TooLarge, and
+    _STORE itself lets them through; its count stores nothing and ignores
+    it.  `eqlat shell --vectors` on that lattice then exits 5 with one
+    line on stderr and nothing on stdout."""
+    from eqlat import cli
+
+    walk = non_merging("shell")
+    size = shortvec._batched_walk(walk).value.nbytes
+    monkeypatch.setattr(shortvec, "_STORE", size)
+    assert len(shortvec._run(walk).value) == 128
+    monkeypatch.setattr(shortvec, "_STORE", size - 1)
+    with pytest.raises(TooLarge, match="past the limit"):
+        shortvec._run(walk)
+    assert shortvec._run(non_merging("count")).value == 128
+    path = tmp_path / "bbt20.json"
+    gram = rand_gram(random.Random(3), 12, 9).gram.num.rows
+    path.write_text(json.dumps({"name": "bbt20", "dim": 12, "den": 1, "gram": [list(r) for r in gram]}))
+    shortvec._coset_shell.cache_clear()
+    assert cli.main(["shell", str(path), "--norm", str(walk.limit), "--vectors"]) == cli.TOO_LARGE == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the shell walk stored ") and err.count("\n") == 1
 
 
 def test_class_count_multiplicities_pass_int64():
@@ -1604,169 +1574,18 @@ def test_class_count_multiplicities_pass_int64():
     assert got.nodes == sum((sum(theta_series("Z", m, r + 1)) + 1) // 2 for m in range(1, n)) > 2**100
 
 
-def test_workers_never_exceed_the_cores(monkeypatch, splits):
-    """A walk with 1,001 top-level values on 3 CPUs is walked by one process
-    per CPU, this one and two forked workers, not one per value."""
-    allow_cpus(monkeypatch, 3)
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)  # the walks forecast 1,000 nodes
-    line = GramLattice([[1]])
-    shortvec._coset_shell.cache_clear()
-    assert shell(line, 10**6) == ((1000,),)
-    found = vectors_upto(line, 10**6)
-    assert len(found) == 1000 and found[-1] == (10**6, (1000,))
-    assert splits == [3, 3]
-
-
-@pytest.mark.parametrize("budget", [shortvec._BUDGET, 0])
-def test_a_split_walk_merges_into_the_unsplit_record(monkeypatch, splits, budget):
-    """A walk split across this process and a forked worker (_SPLIT 0, two
-    CPUs) has the record of the walk on one CPU: its count, or its leaves
-    in another row order, and its node count, the sum of the shares' nodes;
-    in either kernel that splits: the Python kernel on E8 and D5, and with
-    budget 0 the batched kernel on non_merging's walks.  With budget 0 the
-    walks of E8 and D5 go to _class_walk, which never splits and keeps the
-    record too."""
-    monkeypatch.setattr(shortvec, "_BUDGET", budget)
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)
-    modes = ("count", "shell", "le")
-    cases = [(shortvec.Walk.of(shortvec._prep(lat), mode, r), "walk" if budget else "classes")
-             for lat, r in ((root_lattice("E", 8).lattice, 4), (root_lattice("D", 5).lattice, 6))
-             for mode in modes]
-    if not budget:
-        cases += [(non_merging(mode), "batched") for mode in modes]
-    for walk, kernel in cases:
-        allow_cpus(monkeypatch, 1)
-        whole = shortvec._run(walk)
-        splits.clear()
-        allow_cpus(monkeypatch, 2)
-        parts = shortvec._run(walk)
-        assert splits == ([] if kernel == "classes" else [2])
-        assert parts.kernel == whole.kernel == kernel
-        assert parts.nodes == whole.nodes > 0
-        if walk.mode == "count":
-            assert parts.value == whole.value > 0
-        else:
-            assert sorted(listed(walk.mode, parts.value)) == sorted(listed(walk.mode, whole.value)) != []
-
-
-def failing_share(how):
-    """A kernel that fails as how says on one share, the one without top
-    value 0, which a forked worker walks, or for "parent" the one with it,
-    which this process walks, and walks any other share; for "short-record"
-    it walks every share, and the worker writes half its record."""
-
-    def wrap(kernel):
-        def walk(w):
-            if (0 in w.tops) == (how == "parent") and how != "short-record":
-                if how in ("raises", "parent"):
-                    raise NotPositiveDefinite(f"the share of {how}")
-                if how == "dies":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                os._exit(0)  # "short": status 0 and nothing in the pipe
-            return kernel(w)
-
-        return walk
-
-    return wrap
-
-
-def half_dump(record, file):
-    """pickle.dump cut halfway, as by a worker killed while it writes."""
-    data = pickle.dumps(record)
-    file.write(data[:len(data) // 2])
-
-
-@pytest.mark.parametrize("how, raised", [("raises", NotPositiveDefinite), ("dies", ChildProcessError),
-                                         ("short", ChildProcessError), ("parent", NotPositiveDefinite),
-                                         ("short-record", ChildProcessError)])
-def test_a_failed_worker_fails_the_walk(monkeypatch, splits, how, raised):
-    """A worker that raises, dies by a signal, exits 0 with nothing written
-    or writes half its record fails the walk in this process, with the
-    worker's exception where it has one, never a partial count or an
-    UnpicklingError; so does a share this process walks, while the worker
-    may still run.  The fork copies the failing kernel, and no worker is
-    left running or unreaped; the walk is non_merging's shell, batched."""
-    walk = non_merging("shell")
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)
-    allow_cpus(monkeypatch, 2)
-    for name in ("_walk", "_batched_walk"):
-        monkeypatch.setattr(shortvec, name, failing_share(how)(getattr(shortvec, name)))
-    if how == "short-record":
-        monkeypatch.setattr(shortvec.pickle, "dump", half_dump)
-    with pytest.raises(raised):
-        shortvec._run(walk)
-    assert splits == [2] and len(splits.pids) == 1
-    with pytest.raises(ChildProcessError):  # reaped: no longer this process's child
-        os.waitpid(splits.pids[0], os.WNOHANG)
-
-
-def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch, splits):
-    """On two CPUs, a batched walk whose forecast is at most _SPLIT runs in
-    this process and one past it forks a worker, with the same leaves:
-    non_merging's shell walk, whose classes do not merge, against _SPLIT
-    just above and just below its forecast.  At the default, E8's norm-20
-    walks, the largest that gained nothing from a split in fresh processes,
-    stay below it, and the Leech norm-4 shell, the largest walk of any
-    benchmark workload, passes it (and runs as classes, in one process)."""
-    allow_cpus(monkeypatch, 2)
-    walk = non_merging("shell")
-    forecast = walk.forecast()
-    for split, started in ((math.ceil(forecast), []), (math.floor(forecast), [2])):
-        monkeypatch.setattr(shortvec, "_SPLIT", split)
-        splits.clear()
-        assert len(shortvec._run(walk).value) == 128
-        assert splits == started
-    monkeypatch.undo()
-    e8 = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "shell", 20)
-    assert e8.forecast() < shortvec._SPLIT < leech_walk("shell", 4).forecast()
-
-
-def test_class_counts_never_split(monkeypatch, splits, capsys):
-    """A count _class_walk settles runs in this process whatever its
-    forecast, as a split would walk the states its shares have in common
-    once per share, and so does a shell walk past _SPLIT: on two CPUs, the
-    Leech norm-4 count and shell (forecast 1.9e6, past _SPLIT), the shell
-    as shell(Leech, 4) takes it, and `eqlat equi leech.json`, whose two such
-    counts once split, fork nothing, and neither does E8's norm-8 class
-    count with _SPLIT at 0."""
-    from eqlat import cli
-
-    allow_cpus(monkeypatch, 2)
-    walk = leech_walk("count", 4)
-    assert walk.forecast() > shortvec._SPLIT
-    assert shortvec._run(walk) == shortvec.WalkResult(98_280, 1_971_697, "classes")
+def test_walks_past_the_class_threshold_run_as_classes(monkeypatch):
+    """A count _class_walk settles, and a shell walk past _CLASSES, run as
+    classes: the Leech norm-4 count and shell (forecast 1.9e6) each give
+    98,280 pairs from 1,971,697 nodes, and so does E8's norm-8 count with
+    _CLASSES at 0.  The threshold lies above E8's norm-20 shell walk
+    (forecast 4.9e5), which runs faster batched, and below Leech's norm-4
+    shell, the largest walk of any benchmark workload."""
+    e8 = shortvec._prep(root_lattice("E", 8).lattice)
+    assert shortvec.Walk.of(e8, "shell", 20).forecast() < shortvec._CLASSES < leech_walk("shell", 4).forecast()
+    assert shortvec._run(leech_walk("count", 4)) == shortvec.WalkResult(98_280, 1_971_697, "classes")
     found = shortvec._run(leech_walk("shell", 4))
     assert (len(found.value), found.nodes, found.kernel) == (98_280, 1_971_697, "classes")
-    shortvec._coset_shell.cache_clear()
-    assert len(shell(leech().lattice, 4)) == 98_280
-    assert cli.main(["equi", str(Path(__file__).parent / "golden" / "leech.json")]) == 0
-    assert "family t=276 " in capsys.readouterr().out
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)
-    small = shortvec._run(shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "count", 8))
+    monkeypatch.setattr(shortvec, "_CLASSES", 0)
+    small = shortvec._run(shortvec.Walk.of(e8, "count", 8))
     assert (small.value, small.kernel) == (8760, "classes")
-    assert splits == [] and splits.pids == []
-
-
-def test_no_split_for_first_in_a_daemon_or_on_one_cpu(monkeypatch, splits):
-    """Past _SPLIT, each of these walks in this process: a "first"
-    walk, which stops at its first leaf; any walk of a daemonic
-    multiprocessing worker, whose caller already runs one job per CPU; and
-    any walk of a process on one CPU, which gains nothing from a second
-    worker.  A process that never imported multiprocessing is no daemon,
-    and the walk does not import it."""
-    monkeypatch.setattr(shortvec, "_SPLIT", 0)
-    prep = shortvec._prep(root_lattice("E", 8).lattice)
-    whole = non_merging("shell")  # batched: its classes do not merge
-    allow_cpus(monkeypatch, 1)
-    assert len(shortvec._run(whole).value) == 128
-    allow_cpus(monkeypatch, 2)
-    assert shortvec._run(shortvec.Walk.of(prep, "first", 8)).value == [(2, 0, 0, 0, 0, 0, 0, 0)]
-    monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
-    assert len(shortvec._run(whole).value) == 128
-    assert splits == []
-    monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=False))
-    assert len(shortvec._run(whole).value) == 128
-    assert splits == [2]
-    monkeypatch.delitem(sys.modules, "multiprocessing")
-    assert len(shortvec._run(whole).value) == 128
-    assert splits == [2, 2] and "multiprocessing" not in sys.modules
