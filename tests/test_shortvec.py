@@ -4,9 +4,11 @@ import collections
 import hashlib
 import json
 import math
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction as QQ
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1574,18 +1576,51 @@ def test_class_count_multiplicities_pass_int64():
     assert got.nodes == sum((sum(theta_series("Z", m, r + 1)) + 1) // 2 for m in range(1, n)) > 2**100
 
 
-def test_walks_past_the_class_threshold_run_as_classes(monkeypatch):
+def no_fork(monkeypatch):
+    """Patch os.fork so that a walk that forks fails the test."""
+
+    def fork():
+        raise AssertionError("a walk forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def test_only_walks_forecast_past_the_split_start_a_pool(monkeypatch):
+    """No walk starts a pool or forks, whatever its forecast: non_merging's
+    shell walk, whose classes do not merge, gives its 128 leaves batched in
+    this process with _CLASSES just above and just below its forecast.  At
+    the default, E8's norm-20 shell walk (forecast 4.9e5), which runs faster
+    batched, stays below _CLASSES, and the Leech norm-4 shell, the largest
+    walk of any benchmark workload, passes it (and runs as classes)."""
+    no_fork(monkeypatch)
+    walk = non_merging("shell")
+    forecast = walk.forecast()
+    for threshold in (math.ceil(forecast), math.floor(forecast)):
+        monkeypatch.setattr(shortvec, "_CLASSES", threshold)
+        found = shortvec._run(walk)
+        assert (len(found.value), found.kernel) == (128, "batched")
+    monkeypatch.undo()
+    e8 = shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "shell", 20)
+    assert e8.forecast() < shortvec._CLASSES < leech_walk("shell", 4).forecast()
+
+
+def test_class_counts_never_split(monkeypatch, capsys):
     """A count _class_walk settles, and a shell walk past _CLASSES, run as
-    classes: the Leech norm-4 count and shell (forecast 1.9e6) each give
-    98,280 pairs from 1,971,697 nodes, and so does E8's norm-8 count with
-    _CLASSES at 0.  The threshold lies above E8's norm-20 shell walk
-    (forecast 4.9e5), which runs faster batched, and below Leech's norm-4
-    shell, the largest walk of any benchmark workload."""
-    e8 = shortvec._prep(root_lattice("E", 8).lattice)
-    assert shortvec.Walk.of(e8, "shell", 20).forecast() < shortvec._CLASSES < leech_walk("shell", 4).forecast()
+    classes in this process: the Leech norm-4 count and shell (forecast
+    1.9e6) each give 98,280 pairs from 1,971,697 nodes, shell(Leech, 4)
+    takes the class shell, and `eqlat equi leech.json`, whose two such
+    counts once split, forks nothing; nor does E8's norm-8 count, a class
+    walk with _CLASSES at 0."""
+    from eqlat import cli
+
+    no_fork(monkeypatch)
     assert shortvec._run(leech_walk("count", 4)) == shortvec.WalkResult(98_280, 1_971_697, "classes")
     found = shortvec._run(leech_walk("shell", 4))
     assert (len(found.value), found.nodes, found.kernel) == (98_280, 1_971_697, "classes")
+    shortvec._coset_shell.cache_clear()
+    assert len(shell(leech().lattice, 4)) == 98_280
+    assert cli.main(["equi", str(Path(__file__).parent / "golden" / "leech.json")]) == 0
+    assert "family t=276 " in capsys.readouterr().out
     monkeypatch.setattr(shortvec, "_CLASSES", 0)
-    small = shortvec._run(shortvec.Walk.of(e8, "count", 8))
+    small = shortvec._run(shortvec.Walk.of(shortvec._prep(root_lattice("E", 8).lattice), "count", 8))
     assert (small.value, small.kernel) == (8760, "classes")
